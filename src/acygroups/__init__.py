@@ -102,7 +102,6 @@ from .groups import (
     CayleyGraph,
     EGroup,
     cayley_graph,
-    coset,
     coset_graph,
     evaluate_word,
     homomorphism,

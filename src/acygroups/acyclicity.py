@@ -6,6 +6,10 @@ A coset cycle of length n is a cyclic sequence of pointed cosets
 disjoint (separation).  A group is N-acyclic when no such cycle of length
 2..N exists.  The searcher anchors g_0 at the identity, which loses no
 generality because left translation preserves both conditions.
+
+One search kernel, :func:`search_coset_cycle`, serves groups, reachability
+templates and groupoids alike; each searcher feeds it its own component
+tables and rechecks the result with its own independent validator.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .canon import canonical_form, connected_components
 from .errors import PreconditionFailed, ResourceCap
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -150,56 +155,91 @@ def canonical_cycle(group, entries):
 def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
     """Shortest coset cycle of length <= n_max with subsets from the filter.
 
-    Returns a canonical CosetCycle or None.  g_0 is fixed at the identity;
-    chains extend depth first and every separation condition determined on
-    the prefix prunes immediately.
+    Returns a canonical CosetCycle or None.  g_0 is fixed at the identity.
     """
-    budget = budget or DEFAULT_SEARCH_BUDGET
     n_colors = len(group.colors)
     if gamma is None:
         alphas = proper_subsets(n_colors)
     else:
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
+    table = group.coset_table
+    found = search_coset_cycle(alphas, (0,), n_max, table, separated_by_ids(table), budget)
+    if found is None:
+        return None
+    cyc = canonical_cycle(group, found)
+    if not validate_coset_cycle(group, cyc.entries):
+        raise RuntimeError("coset-cycle search returned a cycle its validator rejects")
+    return cyc
+
+
+def separated_by_ids(table):
+    """Separation test for structures whose alpha-components partition the
+    points themselves (groups, groupoids): read the ids off the tables."""
+
+    def separated(p, a, q, b):
+        ids, _ = table(b)
+        qid = ids[q]
+        ids_a, members_a = table(a)
+        return all(ids[x] != qid for x in members_a[ids_a[p]])
+
+    return separated
+
+
+def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None):
+    """The depth-first coset-cycle search behind every searcher.
+
+    Points are group elements, packed (site, element) pairs of a template
+    product, or groupoid elements.  ``table(alpha)`` is the (ids, members)
+    partition of the points into alpha-components, each member tuple
+    ascending; ``separated(p, a, q, b)`` tells whether the a-component of p
+    and the b-component of q are disjoint.  Lengths 2..n_max are tried in
+    turn, start subsets in the order of ``alphas`` with the anchor points
+    inner; every separation condition determined on the prefix prunes at
+    once.  Returns the first cycle as a list of (alpha, point) pairs, or
+    None; more than ``budget`` nodes raise ResourceCap.
+    """
+    budget = budget or DEFAULT_SEARCH_BUDGET
     nodes = 0
 
-    def sep(g, ai, a_prev, g_next, a_next):
-        return _separated(group, g, ai & a_prev, g_next, ai & a_next)
-
-    def extend(a_seq, g_seq, target):
+    def extend(seq, target):
         nonlocal nodes
-        m = len(a_seq) - 1
+        m = len(seq) - 1
+        a_m, p = seq[m]
+        ids, members = table(a_m)
         if m == target - 1:
-            if not group.same_coset(g_seq[m], 0, a_seq[m]):
+            (a_0, p_0), (a_1, p_1) = seq[0], seq[1]
+            if ids[p] != ids[p_0]:
                 return None
-            if not sep(g_seq[m], a_seq[m], a_seq[m - 1], 0, a_seq[0]):
+            if not separated(p, a_m & seq[m - 1][0], p_0, a_m & a_0):
                 return None
-            if not sep(0, a_seq[0], a_seq[m], g_seq[1], a_seq[1]):
+            if not separated(p_0, a_0 & a_m, p_1, a_0 & a_1):
                 return None
-            return list(zip(a_seq, g_seq))
-        g = g_seq[m]
-        for g_next in group.coset(g, a_seq[m]):
-            if g_next == g:
+            return seq
+        if m:
+            a_mid = a_m & seq[m - 1][0]
+            mid_ids, _ = table(a_mid)
+        for q in members[ids[p]]:
+            if q == p:
                 continue
-            if m >= 1 and group.same_coset(g_next, g, a_seq[m] & a_seq[m - 1]):
+            if m and mid_ids[q] == mid_ids[p]:
                 continue  # separation at m is then impossible for any next subset
             for a_next in alphas:
                 nodes += 1
                 if nodes > budget:
                     raise ResourceCap(f"coset-cycle search budget {budget} exceeded")
-                if m >= 1 and not sep(g, a_seq[m], a_seq[m - 1], g_next, a_next):
+                if m and not separated(p, a_mid, q, a_m & a_next):
                     continue
-                res = extend(a_seq + [a_next], g_seq + [g_next], target)
-                if res is not None:
-                    return res
+                found = extend(seq + [(a_next, q)], target)
+                if found is not None:
+                    return found
         return None
 
     for target in range(2, n_max + 1):
-        for a0 in alphas:
-            res = extend([a0], [0], target)
-            if res is not None:
-                cyc = canonical_cycle(group, res)
-                assert validate_coset_cycle(group, cyc.entries)
-                return cyc
+        for a_0 in alphas:
+            for p_0 in anchors:
+                found = extend([(a_0, p_0)], target)
+                if found is not None:
+                    return found
     return None
 
 
@@ -271,7 +311,6 @@ def has_cluster_property(group, max_constituents=3):
     from itertools import combinations
 
     from . import amalgam as am
-    from .canon import canonical_form
     from .groups import subgroup
 
     n_colors = len(group.colors)
@@ -285,13 +324,13 @@ def has_cluster_property(group, max_constituents=3):
         for alphas in combinations(family, size):
             cluster = am.amalgam_cluster(group, list(alphas))
             for beta in proper_subsets(n_colors):
-                if not _cluster_components_ok(group, cluster, beta, am, canonical_form):
+                if not _cluster_components_ok(group, cluster, beta, am):
                     return False
     return True
 
 
-def _cluster_components_ok(group, cluster, beta, am, canonical_form):
-    for comp in am.component_vertex_sets(cluster.graph, beta):
+def _cluster_components_ok(group, cluster, beta, am):
+    for comp in connected_components(cluster.graph, beta):
         elems = {v: min(cluster.provenance[v])[1] for v in comp}
         supports = {
             v: minimal_support(group, elems[v], assume_two_acyclic=True).support

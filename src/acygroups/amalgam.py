@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .acyclicity import is_two_acyclic
-from .canon import find_isomorphism
+from .canon import connected_components, find_isomorphism
 from .egraph import NO_EDGE, EGraph
 from .errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
 from .groups import coset_graph, subgroup
@@ -205,29 +205,6 @@ def embed_into_cayley(am, group):
     return images
 
 
-def component_vertex_sets(graph, beta):
-    """Connected components of the beta-reduct, singletons included."""
-    beta = sorted(set(beta))
-    seen = [False] * graph.n
-    comps = []
-    for v0 in range(graph.n):
-        if seen[v0]:
-            continue
-        comp = [v0]
-        seen[v0] = True
-        pos = 0
-        while pos < len(comp):
-            u = comp[pos]
-            pos += 1
-            for c in beta:
-                w = graph.partner[c][u]
-                if w != NO_EDGE and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        comps.append(comp)
-    return comps
-
-
 def induced_subgraph(graph, vertices, beta):
     """Beta-reduct induced on a vertex subset, keeping the colour registry."""
     local = {v: i for i, v in enumerate(vertices)}
@@ -258,7 +235,7 @@ def beta_components(am, beta):
     beta = frozenset(beta)
     group = am.group
     out = []
-    for comp in component_vertex_sets(am.graph, beta):
+    for comp in connected_components(am.graph, beta):
         actual = induced_subgraph(am.graph, sorted(comp), beta)
         touching = sorted({ci for v in comp for ci, _ in am.provenance[v]})
         single = _single_constituent(am, comp, touching)

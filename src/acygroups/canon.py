@@ -12,8 +12,14 @@ from __future__ import annotations
 from .egraph import NO_EDGE
 
 
-def connected_components(g):
-    """Vertex lists of the connected components, in first-vertex order."""
+def connected_components(g, colors=None):
+    """Vertex lists of the connected components, in first-vertex order.
+
+    With ``colors`` (colour indices) only those colours' edges connect, so
+    the result is the component partition of that reduct, singletons
+    included.
+    """
+    rows = g.partner if colors is None else [g.partner[c] for c in sorted(set(colors))]
     seen = [False] * g.n
     comps = []
     for v0 in range(g.n):
@@ -25,7 +31,7 @@ def connected_components(g):
         while pos < len(comp):
             u = comp[pos]
             pos += 1
-            for row in g.partner:
+            for row in rows:
                 w = row[u]
                 if w != NO_EDGE and not seen[w]:
                     seen[w] = True
@@ -54,9 +60,8 @@ def _traversal_code(g, start, members):
                     disc[w] = len(order)
                     order.append(w)
                 code.append(disc[w])
-    # isolated-from-start vertices of the same "component" cannot occur:
-    # members is a connected component and start is in it.
-    assert len(order) == len(members)
+    if len(order) != len(members):
+        raise ValueError("members must be one connected component containing start")
     return tuple(code), order
 
 

@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 success / property holds; 1 property violated (witness
-emitted); 2 resource cap; 3 invalid input.
+emitted); 2 resource cap; 3 invalid input (including -N below 2).
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import sys
 import time
 
 from . import serialize as ser
-from .acyclicity import GammaFilter, find_coset_cycle, girth
+from .acyclicity import GammaFilter, find_coset_cycle, girth, validate_coset_cycle
 from .constraint import find_i_coset_cycle, validate_i_coset_cycle
-from .acyclicity import validate_coset_cycle
 from .covering import (
     check_n_acyclic_hypergraph,
     graph_cover,
@@ -24,7 +23,7 @@ from .covering import (
 from .egraph import biggs_tree
 from .errors import AcygroupsError, ResourceCap, SchemaError
 from .groupoid import construct_n_acyclic_groupoid, pattern_igraph
-from .groups import cayley_graph, sym
+from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, sym
 from .synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
 
 EXIT_OK = 0
@@ -326,7 +325,7 @@ def build_parser():
     p.add_argument("group")
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--over", help="template egraph JSON")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--early-exit", action="store_true")
     p.add_argument("--reports", help="write stage reports here")
     common(p)
@@ -336,7 +335,7 @@ def build_parser():
     p.add_argument("pattern")
     p.add_argument("--target", help="complete pattern-graph JSON")
     p.add_argument("-N", dest="n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--early-exit", action="store_true")
     p.add_argument("--group-output", help="also write the backing group")
     common(p)
@@ -371,6 +370,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", 2) < 2:
+        sys.stderr.write(f"invalid input: -N must be at least 2, got {args.n}\n")
+        return EXIT_INVALID
     try:
         return args.func(args)
     except BrokenPipeError:

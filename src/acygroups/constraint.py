@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .acyclicity import all_subsets, proper_subsets
+from .acyclicity import all_subsets, proper_subsets, search_coset_cycle
 from .canon import connected_components
 from .egraph import NO_EDGE, EGraph
 from .errors import (
     CompatibilityRequired,
     PreconditionFailed,
-    ResourceCap,
     StrictnessViolation,
     TransitivityViolation,
+    UnknownName,
 )
 from .groups import is_compatible
-
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 def trivial_constraint_graph(colors):
@@ -101,7 +99,8 @@ class IContext:
         self._comp = {}
 
     def pair(self, s, g):
-        assert 0 <= g < self.group.order and 0 <= s < self.igraph.n
+        if not (0 <= g < self.group.order and 0 <= s < self.igraph.n):
+            raise UnknownName(f"no site/element pair ({s}, {g})")
         return s * self.group.order + g
 
     def unpair(self, x):
@@ -362,63 +361,39 @@ def validate_i_coset_cycle(group, igraph, entries, ctx=None):
 def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None):
     """Shortest template coset cycle up to n_max, or None.
 
-    States are (alpha, site, element) with the first element at the identity;
-    connectivity requires the next pair to lie in the alpha-component of the
-    current pair in the product graph, which fixes the next site.
+    Entries are (alpha, site, element) with the first element at the
+    identity; connectivity requires the next pair to lie in the
+    alpha-component of the current pair in the product graph, which fixes
+    the next site.  Separation compares the element sets of components.
     """
     ctx = ctx or IContext(group, igraph)
-    budget = budget or DEFAULT_SEARCH_BUDGET
-    alphas = proper_subsets(len(group.colors))
-    sites = range(igraph.n)
     ng = group.order
-    nodes = 0
+    views = {}
 
-    def sep(entry_a, entry_b, a_mid, a_next):
-        a_i, s_i, g_i = entry_a
-        _, s_n, g_n = entry_b
-        left = set(ctx.i_coset(a_i & a_mid, s_i, g_i))
-        right = set(ctx.i_coset(a_i & a_next, s_n, g_n))
-        return not (left & right)
+    def table(alpha):
+        # the kernel walks components in ascending (site, element) order
+        view = views.get(alpha)
+        if view is None:
+            ids, members = ctx.comp_tables(alpha)
+            view = views[alpha] = (ids, tuple(tuple(sorted(b)) for b in members))
+        return view
 
-    def extend(seq, target):
-        nonlocal nodes
-        m = len(seq) - 1
-        a_m, s_m, g_m = seq[m]
-        if m == target - 1:
-            a_0, s_0, g_0 = seq[0]
-            if ctx.i_coset_id(a_m, s_m, g_m) != ctx.i_coset_id(a_m, s_0, g_0):
-                return None
-            if not sep(seq[m], seq[0], seq[m - 1][0], a_0):
-                return None
-            if not sep(seq[0], seq[1], a_m, seq[1][0]):
-                return None
-            return list(seq)
-        ids, members = ctx.comp_tables(a_m)
-        block = members[ids[ctx.pair(s_m, g_m)]]
-        for x in sorted(block):
-            s_next, g_next = divmod(x, ng)
-            if g_next == g_m:
-                continue
-            for a_next in alphas:
-                nodes += 1
-                if nodes > budget:
-                    raise ResourceCap(f"template cycle search budget {budget} exceeded")
-                cand = (a_next, s_next, g_next)
-                if m >= 1 and not sep(seq[m], cand, seq[m - 1][0], a_next):
-                    continue
-                res = extend(seq + [cand], target)
-                if res is not None:
-                    return res
+    def elements(alpha, x):
+        ids, members = ctx.comp_tables(alpha)
+        return {y % ng for y in members[ids[x]]}
+
+    def separated(p, a, q, b):
+        return elements(a, p).isdisjoint(elements(b, q))
+
+    anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
+    alphas = proper_subsets(len(group.colors))
+    found = search_coset_cycle(alphas, anchors, n_max, table, separated, budget)
+    if found is None:
         return None
-
-    for target in range(2, n_max + 1):
-        for a0 in alphas:
-            for s0 in sites:
-                res = extend([(a0, s0, 0)], target)
-                if res is not None:
-                    assert validate_i_coset_cycle(group, igraph, res, ctx=ctx)
-                    return tuple(res)
-    return None
+    cyc = tuple((a, *ctx.unpair(x)) for a, x in found)
+    if not validate_i_coset_cycle(group, igraph, cyc, ctx=ctx):
+        raise RuntimeError("template coset-cycle search returned a cycle its validator rejects")
+    return cyc
 
 
 def is_n_acyclic_over(group, igraph, n_max, ctx=None, budget=None):
@@ -441,28 +416,6 @@ class SmallCosetAmalgam(NamedTuple):
     copies: tuple  # (alpha', host component tuple, vertex tuple) per constituent
 
 
-def _host_components(host, alpha_sub):
-    comps = []
-    seen = [False] * host.n
-    cols = sorted(alpha_sub)
-    for v0 in range(host.n):
-        if seen[v0]:
-            continue
-        comp = [v0]
-        seen[v0] = True
-        pos = 0
-        while pos < len(comp):
-            u = comp[pos]
-            pos += 1
-            for c in cols:
-                w = host.partner[c][u]
-                if w != NO_EDGE and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        comps.append(tuple(comp))
-    return comps
-
-
 def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditions=True):
     """Free extension of a skeleton by proper-subset Cayley-graph copies.
 
@@ -471,7 +424,7 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
     vertex forces equal group elements, shifted through the common subgroup.
     The one-step relation is provably transitive under the preconditions
     (proper subgroups 2-acyclic and free over the template); transitivity is
-    recomputed and asserted, and the result is validated as a strict graph
+    recomputed and checked, and the result is validated as a strict graph
     and as a free extension of the host.
     """
     alpha = frozenset(alpha)
@@ -494,7 +447,7 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
     addr = {}  # (alpha', anchor vertex) -> {vertex: element}
     comp_of = {}  # (alpha', vertex) -> component tuple
     for a in gammas:
-        for comp in _host_components(host, a):
+        for comp in connected_components(host, a):
             maps = _component_addresses(host, comp, a, group)
             if maps is None:
                 raise PreconditionFailed(
@@ -608,9 +561,9 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
 
     copies = []
     for a in gammas:
-        for comp in _host_components(host, a):
+        for comp in connected_components(host, a):
             vs = tuple(sorted({vert_of[tag_vertex(comp[0], a, g)] for g in sub_elems[a]}))
-            copies.append((a, comp, vs))
+            copies.append((a, tuple(comp), vs))
 
     ce = SmallCosetAmalgam(
         graph, skel, group, alpha, tuple(provenance), host_image, tuple(copies)
@@ -673,9 +626,9 @@ def _validate_free_extension(ce, gammas):
             raise StrictnessViolation("copy collapsed; extension is not free")
     # (iii) disjoint host components extend into disjoint extension components
     for a in gammas:
-        comp_sets = [set(c) for c in _host_components(host, a)]
+        comp_sets = [set(c) for c in connected_components(host, a)]
         ext = {}
-        for k, vs in enumerate(_host_components(graph, a)):
+        for k, vs in enumerate(connected_components(graph, a)):
             for v in vs:
                 ext[v] = k
         for i, c1 in enumerate(comp_sets):
@@ -701,7 +654,7 @@ def minimal_tag_support(ce, x):
     anchors = tuple(sorted({v for _, v, a in ce.provenance[x] if frozenset(a) == alpha_x}))
     if not anchors:
         raise StrictnessViolation("no representation realises the minimal tag support")
-    comps = _host_components(ce.skeleton.graph, alpha_x)
+    comps = connected_components(ce.skeleton.graph, alpha_x)
     holding = [c for c in comps if set(anchors) <= set(c)]
     if len(holding) != 1 or set(anchors) != set(holding[0]):
         raise StrictnessViolation("anchor vertices do not form one full component")
@@ -717,7 +670,7 @@ def ce_cluster_property(ce, group):
     substructure isomorphic to the amalgamation cluster of the contributing
     beta-reducts.
     """
-    from .amalgam import amalgam_cluster, component_vertex_sets, induced_subgraph
+    from .amalgam import amalgam_cluster, induced_subgraph
     from .canon import canonical_form
 
     gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < ce.alpha]
@@ -727,7 +680,7 @@ def ce_cluster_property(ce, group):
         for prov in ce.provenance
     ]
     for beta in gammas:
-        for comp in component_vertex_sets(ce.graph, beta):
+        for comp in connected_components(ce.graph, beta):
             comp_set = set(comp)
             alpha_b = frozenset.intersection(*[supports[v] for v in comp])
             touching = [

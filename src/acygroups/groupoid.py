@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .acyclicity import search_coset_cycle, separated_by_ids
 from .egraph import EGraph, disjoint_union, hypercube, new_egraph
 from .errors import (
     CompatibilityRequired,
@@ -239,7 +240,9 @@ class IGroupoid:
     breadth-first generation from the per-site neutral elements.
     """
 
-    __slots__ = ("pattern", "sorts", "neutral", "gen_elem", "rmul", "parents", "labels")
+    __slots__ = (
+        "pattern", "sorts", "neutral", "gen_elem", "rmul", "parents", "labels", "_closures"
+    )
 
     def __init__(self, pattern, sorts, neutral, gen_elem, rmul, parents, labels=None):
         self.pattern = pattern
@@ -249,6 +252,7 @@ class IGroupoid:
         self.rmul = tuple(tuple(r) for r in rmul)
         self.parents = tuple(parents)
         self.labels = tuple(labels) if labels is not None else None
+        self._closures = {}
         for s, x in enumerate(self.neutral):
             if self.sorts[x] != (s, s):
                 raise PreconditionFailed("neutral element has a wrong sort")
@@ -301,6 +305,10 @@ class IGroupoid:
 
     def subset_closures(self, alpha_edges):
         """Partition of the universe into alpha-cosets (alpha inverse closed)."""
+        alpha_edges = frozenset(alpha_edges)
+        cached = self._closures.get(alpha_edges)
+        if cached is not None:
+            return cached
         cols = sorted(alpha_edges)
         ids = [-1] * self.order
         members = []
@@ -320,7 +328,9 @@ class IGroupoid:
                         ids[h] = cid
                         block.append(h)
             members.append(tuple(sorted(block)))
-        return tuple(ids), tuple(members)
+        out = (tuple(ids), tuple(members))
+        self._closures[alpha_edges] = out
+        return out
 
     def coset(self, g, alpha_edges):
         ids, members = self.subset_closures(alpha_edges)
@@ -517,62 +527,26 @@ def validate_groupoid_coset_cycle(gpd, entries):
     return True
 
 
-def find_groupoid_coset_cycle(gpd, n_max, budget=2_000_000):
+def find_groupoid_coset_cycle(gpd, n_max, budget=None):
     """Shortest groupoid coset cycle up to n_max, or None.
 
     Subsets range over inverse-closed proper subsets of the edges; the first
     element is normalised to a neutral element by left translation.
     """
     alphas = inverse_closed_proper_subsets(gpd.pattern)
-    nodes = 0
-
-    def sep(entry_a, entry_b, a_mid, a_next):
-        a_i, g_i = entry_a
-        _, g_n = entry_b
-        left = set(gpd.coset(g_i, a_i & a_mid))
-        right = set(gpd.coset(g_n, a_i & a_next))
-        return not (left & right)
-
-    def extend(seq, target):
-        nonlocal nodes
-        m = len(seq) - 1
-        a_m, g_m = seq[m]
-        if m == target - 1:
-            a_0, g_0 = seq[0]
-            ids, _ = gpd.subset_closures(a_m)
-            if ids[g_m] != ids[g_0]:
-                return None
-            if not sep(seq[m], seq[0], seq[m - 1][0], a_0):
-                return None
-            if not sep(seq[0], seq[1], a_m, seq[1][0]):
-                return None
-            return list(seq)
-        for g_next in gpd.coset(g_m, a_m):
-            if g_next == g_m:
-                continue
-            for a_next in alphas:
-                nodes += 1
-                if nodes > budget:
-                    raise ResourceCap(f"groupoid cycle search budget {budget} exceeded")
-                cand = (a_next, g_next)
-                if m >= 1 and not sep(seq[m], cand, seq[m - 1][0], a_next):
-                    continue
-                res = extend(seq + [cand], target)
-                if res is not None:
-                    return res
+    table = gpd.subset_closures
+    found = search_coset_cycle(
+        alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
+    )
+    if found is None:
         return None
-
-    for target in range(2, n_max + 1):
-        for a0 in alphas:
-            for g0 in gpd.neutral:
-                res = extend([(a0, g0)], target)
-                if res is not None:
-                    assert validate_groupoid_coset_cycle(gpd, res)
-                    return tuple(res)
-    return None
+    cyc = tuple(found)
+    if not validate_groupoid_coset_cycle(gpd, cyc):
+        raise RuntimeError("groupoid coset-cycle search returned a cycle its validator rejects")
+    return cyc
 
 
-def is_n_acyclic_groupoid(gpd, n_max, budget=2_000_000):
+def is_n_acyclic_groupoid(gpd, n_max, budget=None):
     return find_groupoid_coset_cycle(gpd, n_max, budget=budget) is None
 
 
@@ -666,7 +640,7 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, n_max, config=None):
     gpd = groupoid_from_group(group, pattern, hat=hat)
     checks = {
         "axioms": verify_groupoid_axioms(gpd),
-        "acyclic": is_n_acyclic_groupoid(gpd, n_max),
+        "acyclic": is_n_acyclic_groupoid(gpd, n_max, budget=config.search_budget),
         "compatible": is_compatible_groupoid(gpd, target_igraph),
     }
     return GroupoidSynthesisResult(gpd, group, hat, reports, checks)

@@ -323,10 +323,6 @@ def subgroup(group, alpha):
     )
 
 
-def coset(group, g, alpha):
-    return group.coset(g, alpha)
-
-
 def graph_generator_perms(h):
     """Per-colour involutions of the trivial completion of h, as tuples."""
     hbar = trivial_completion(h)

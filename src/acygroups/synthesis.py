@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .acyclicity import GammaFilter, all_subsets, find_coset_cycle
+from .acyclicity import DEFAULT_SEARCH_BUDGET, GammaFilter, all_subsets, find_coset_cycle
 from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
@@ -32,7 +32,7 @@ class SynthesisConfig:
     dedupe: bool = True
     max_components: int = 20_000
     stage_timeout: float | None = None
-    search_budget: int = 2_000_000
+    search_budget: int = DEFAULT_SEARCH_BUDGET
     early_exit: bool = False
 
     def __post_init__(self):
@@ -197,13 +197,12 @@ def _stage_verify(new, k, config, mode, igraph, ctx):
     return acyclic_ok, free_ok
 
 
-def _final_verify(group, config, mode, igraph):
-    checks = {}
-    checks["n_acyclic"] = (
-        find_coset_cycle(group, config.n_acyclic, budget=config.search_budget) is None
-    )
+def _final_verify(group, config, mode, igraph, ctx, n_acyclic=None):
+    """Final checks; n_acyclic is the plain verdict when already searched."""
+    if n_acyclic is None:
+        n_acyclic = find_coset_cycle(group, config.n_acyclic, budget=config.search_budget) is None
+    checks = {"n_acyclic": n_acyclic}
     if mode == "over":
-        ctx = IContext(group, igraph)
         checks["free_over"] = is_free_over(group, igraph, ctx=ctx)
         checks["n_acyclic_over"] = (
             find_i_coset_cycle(group, igraph, config.n_acyclic, ctx=ctx, budget=config.search_budget)
@@ -217,6 +216,7 @@ def _construct(group0, config, mode, igraph):
     current = group0
     n_colors = len(group0.colors)
     deadline = None
+    final = None
     for k in range(n_colors):
         if config.stage_timeout is not None:
             deadline = time.monotonic() + config.stage_timeout
@@ -249,12 +249,18 @@ def _construct(group0, config, mode, igraph):
         )
         reports.append(report)
         current = new
-        if config.early_exit:
-            final = _final_verify(current, config, mode, igraph)
-            if all(final.values()):
+        last = k == n_colors - 1
+        if config.early_exit or last:
+            # the last stage searched all proper subsets: the final plain search
+            final = _final_verify(
+                current, config, mode, igraph, ctx_new, acyclic_ok if last else None
+            )
+            if config.early_exit and all(final.values()):
                 report.notes.append("early exit: final properties already verified")
                 break
-    final = _final_verify(current, config, mode, igraph)
+    if final is None:
+        ctx = IContext(current, igraph) if mode == "over" else None
+        final = _final_verify(current, config, mode, igraph, ctx)
     if reports:
         reports[-1].final_checks = dict(final)
         if not all(final.values()):

@@ -14,7 +14,7 @@ from acygroups.acyclicity import (
     validate_coset_cycle,
 )
 from acygroups.egraph import disjoint_union
-from acygroups.errors import PreconditionFailed
+from acygroups.errors import PreconditionFailed, ResourceCap
 from acygroups.groups import cayley_graph, coset_graph, evaluate_word, homomorphism, subgroup, sym
 
 from conftest import biggs_group, hypercube_group, s3_three_generators
@@ -220,3 +220,28 @@ def test_found_cycles_are_translation_invariant():
     for h in range(g.order):
         moved = [(a, g.product(h, x)) for a, x in cyc.entries]
         assert validate_coset_cycle(g, moved)
+
+
+def test_pinned_biggs_3_1_four_cycle(small_groups):
+    # the first witness depends on the order in which subsets and points are
+    # tried; pinning it shows any change of that order
+    cyc = find_coset_cycle(small_groups["biggs_3_1"], 4)
+    assert cyc.entries == (
+        (frozenset({0}), 0),
+        (frozenset({1, 2}), 1),
+        (frozenset({0, 1}), 11),
+        (frozenset({1, 2}), 7),
+    )
+
+
+def test_plain_search_node_count_pinned(small_groups):
+    # the search that finds the biggs_3_1 4-cycle visits exactly 2182 nodes
+    group = small_groups["biggs_3_1"]
+    assert find_coset_cycle(group, 4, budget=2182) is not None
+    with pytest.raises(ResourceCap, match="coset-cycle search budget 2181 exceeded"):
+        find_coset_cycle(group, 4, budget=2181)
+
+
+def test_plain_search_honours_a_tiny_budget(small_groups):
+    with pytest.raises(ResourceCap, match="coset-cycle search budget 5 exceeded"):
+        find_coset_cycle(small_groups["biggs_3_1"], 4, budget=5)

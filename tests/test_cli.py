@@ -184,3 +184,53 @@ def test_check_acyclic_gamma_flag(tmp_path, capsys):
     assert code == 0
     code, _ = run(capsys, "check-acyclic", group, "-N", "6", "--gamma", "2")
     assert code == 1
+
+
+def test_n_below_two_is_invalid_input(tmp_path, capsys):
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    pattern = write(tmp_path, "p.json", ser.pattern_to_json(
+        ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])))
+    cover = write(tmp_path, "c.json", {
+        "format": "covering", "kind": "hypergraph",
+        "cover": ser.hypergraph_to_json(Hypergraph([0, 1], [[0, 1]])),
+    })
+    for n in ("0", "1", "-3"):
+        for argv in (["check-acyclic", group], ["construct", group],
+                     ["groupoid-construct", pattern], ["verify-cover", cover]):
+            code, out = run(capsys, *argv, "-N", n)
+            assert code == 3 and out == "", (argv[0], n)
+    code, _ = run(capsys, "check-acyclic", group, "-N", "2")
+    assert code == 0
+
+
+def _cli_subprocess(env_cap, *argv):
+    import os
+    import subprocess
+    import sys
+
+    import acygroups
+
+    src = os.path.dirname(os.path.dirname(acygroups.__file__))
+    env = {**os.environ, "ACYGROUPS_ELEMENT_CAP": env_cap, "PYTHONPATH": src}
+    code = "import sys; from acygroups.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True).returncode
+
+
+def test_construct_cap_follows_environment(tmp_path):
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    pattern = write(tmp_path, "p.json", ser.pattern_to_json(
+        ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])))
+    # the N = 4 extension of the four-group has order 12
+    assert _cli_subprocess("10", "construct", group, "-N", "4", "-o", str(tmp_path / "o.json")) == 2
+    assert _cli_subprocess("10", "groupoid-construct", pattern, "-N", "2",
+                           "-o", str(tmp_path / "gpd.json")) == 2
+    manifest = tmp_path / "m.json"
+    assert _cli_subprocess("50", "construct", group, "-N", "4", "-o", str(tmp_path / "o.json"),
+                           "--manifest", str(manifest)) == 0
+    assert json.loads(manifest.read_text())["config"]["cap"] == 50
+    # an explicit --cap still wins over the environment
+    assert _cli_subprocess("50", "construct", group, "-N", "4", "--cap", "5",
+                           "-o", str(tmp_path / "o.json")) == 2

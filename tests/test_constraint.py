@@ -20,10 +20,10 @@ from acygroups.constraint import (
     validate_i_coset_cycle,
 )
 from acygroups.egraph import disjoint_union, hypercube, new_egraph, trivial_completion, walk_target
-from acygroups.errors import CompatibilityRequired
+from acygroups.errors import CompatibilityRequired, ResourceCap
 from acygroups.groups import cayley_graph, sym
 
-from conftest import biggs_group, hypercube_group
+from conftest import biggs_group, corpus, hypercube_group
 
 
 def path_igraph(colors_seq, all_colors):
@@ -222,14 +222,15 @@ def naive_ce_classes(skel, group, alpha, igraph, ctx):
     """Independent union-find oracle over all tagged pairs, applying the
     one-step identification predicate pairwise."""
     from acygroups.acyclicity import all_subsets
-    from acygroups.constraint import _component_addresses, _host_components
+    from acygroups.canon import connected_components
+    from acygroups.constraint import _component_addresses
 
     host = skel.graph
     gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < alpha]
     comp_of = {}
     addr = {}
     for a in gammas:
-        for comp in _host_components(host, a):
+        for comp in connected_components(host, a):
             maps = _component_addresses(host, comp, a, group)
             for v in comp:
                 comp_of[(a, v)] = comp
@@ -352,15 +353,78 @@ def test_ce_unique_up_to_iso_against_translated_rebuild():
     assert canonical_form(ce0.graph) == canonical_form(ce1.graph)
 
 
+def weak_triangle():
+    tri = new_egraph(["h0", "h1", "h2"], ["x", "y", "z"],
+                     [("x", "h0", "h1"), ("y", "h1", "h2"), ("z", "h0", "h2")])
+    return compat_group(tri), tri
+
+
 def test_template_and_plain_searchers_diverge():
     # over the triangle template the restricted reachability changes which
     # cycle lengths exist: this group has a plain 2-cycle but its shortest
     # template cycle has length 3
-    tri = new_egraph(["h0", "h1", "h2"], ["x", "y", "z"],
-                     [("x", "h0", "h1"), ("y", "h1", "h2"), ("z", "h0", "h2")])
-    weak = compat_group(tri)
+    weak, tri = weak_triangle()
     assert find_coset_cycle(weak, 2) is not None
     assert find_i_coset_cycle(weak, tri, 2) is None
     cyc = find_i_coset_cycle(weak, tri, 3)
-    assert cyc is not None and len(cyc) == 3
+    # pinned: the first witness shows any change of the search order
+    assert cyc == (
+        (frozenset({0, 1}), 0, 0),
+        (frozenset({0, 2}), 2, 4),
+        (frozenset({1, 2}), 1, 9),
+    )
     assert validate_i_coset_cycle(weak, tri, cyc)
+
+
+def test_template_search_honours_a_tiny_budget():
+    weak, tri = weak_triangle()
+    with pytest.raises(ResourceCap, match="coset-cycle search budget 5 exceeded"):
+        find_i_coset_cycle(weak, tri, 3, budget=5)
+
+
+def test_trivial_template_search_spends_the_plain_nodes():
+    # over the trivial template the template search is the plain search
+    group = corpus()["biggs_3_1"]
+    trivial = trivial_constraint_graph(group.colors)
+    assert find_i_coset_cycle(group, trivial, 4, budget=2182) is not None
+    with pytest.raises(ResourceCap):
+        find_i_coset_cycle(group, trivial, 4, budget=2181)
+
+
+def brute_force_template_cycle(group, igraph, n_max):
+    """Oracle: every chain of product components anchored at (site, 1),
+    validated wholesale, with no search pruning."""
+    from itertools import product as iproduct
+
+    ctx = IContext(group, igraph)
+    alphas = proper_subsets(len(group.colors))
+    for length in range(2, n_max + 1):
+        for alpha_seq in iproduct(alphas, repeat=length):
+            chains = [[ctx.pair(s, 0)] for s in range(igraph.n)]
+            for a in alpha_seq[:-1]:
+                ids, members = ctx.comp_tables(a)
+                chains = [c + [x] for c in chains for x in members[ids[c[-1]]]]
+            for chain in chains:
+                entries = [(a, *ctx.unpair(x)) for a, x in zip(alpha_seq, chain)]
+                if validate_i_coset_cycle(group, igraph, entries, ctx=ctx):
+                    return length
+    return None
+
+
+def test_template_searcher_agrees_with_brute_force():
+    cases = [weak_triangle()]
+    for seq, colors in [("a", "ab"), ("ab", "ab"), ("aba", "ab"),
+                        ("ab", "abc"), ("abc", "abc"), ("cab", "abc")]:
+        ig = path_igraph(seq, colors)
+        cases.append((compat_group(ig), ig))
+    for name in ("s3_three_gen", "cube_3", "six_cycle"):
+        group = corpus()[name]
+        cases.append((group, trivial_constraint_graph(group.colors)))
+    found_any = False
+    for group, ig in cases:
+        for n in (2, 3):
+            found = find_i_coset_cycle(group, ig, n)
+            expected = brute_force_template_cycle(group, ig, n)
+            assert (None if found is None else len(found)) == expected
+            found_any = found_any or found is not None
+    assert found_any

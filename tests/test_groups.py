@@ -6,7 +6,6 @@ from acygroups.canon import isomorphic
 from acygroups.errors import DegenerateGenerators, ResourceCap, UnknownName
 from acygroups.groups import (
     cayley_graph,
-    coset,
     evaluate_word,
     homomorphism,
     is_compatible,
@@ -125,12 +124,12 @@ def test_subgroup_and_cosets():
     s3 = biggs_group(["a", "b"], 1)
     trivial = subgroup(s3, [])
     assert trivial.order == 1
-    assert coset(s3, 3, []) == (3,)
+    assert s3.coset(3, []) == (3,)
     sub_a = subgroup(s3, [0])
     assert sub_a.order == 2
     whole = subgroup(s3, [0, 1])
     assert whole.order == 6
-    assert len(coset(s3, 2, [0, 1])) == 6
+    assert len(s3.coset(2, [0, 1])) == 6
 
 
 def test_coset_partition_invariant(small_groups):

@@ -1,6 +1,6 @@
 import pytest
 
-from acygroups.acyclicity import girth, is_n_acyclic
+from acygroups.acyclicity import girth, is_n_acyclic, proper_subsets
 from acygroups.canon import canonical_form
 from acygroups.constraint import is_free_over, is_n_acyclic_over
 from acygroups.egraph import disjoint_union, hypercube, new_egraph
@@ -177,3 +177,49 @@ def test_final_checks_recorded_on_last_report():
     assert over_reports[-1].final_checks == {
         "n_acyclic": True, "free_over": True, "n_acyclic_over": True,
     }
+
+
+def _record_searches(monkeypatch):
+    """Log each plain and template search the tower runs, keyed by group,
+    length and subset family; the groups are kept alive so keys stay unique."""
+    from acygroups import synthesis
+
+    log = []
+    plain, over = synthesis.find_coset_cycle, synthesis.find_i_coset_cycle
+
+    def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
+        n = len(group.colors)
+        family = gamma.subsets(n, allow_full=allow_full) if gamma else proper_subsets(n)
+        log.append(("plain", group, n_max, tuple(tuple(sorted(a)) for a in family)))
+        return plain(group, n_max, gamma=gamma, allow_full=allow_full, budget=budget)
+
+    def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None):
+        log.append(("over", group, n_max, None))
+        return over(group, igraph, n_max, ctx=ctx, budget=budget)
+
+    monkeypatch.setattr(synthesis, "find_coset_cycle", find_coset_cycle)
+    monkeypatch.setattr(synthesis, "find_i_coset_cycle", find_i_coset_cycle)
+    return log
+
+
+def _repeats(log):
+    keys = [(kind, id(group), n, family) for kind, group, n, family in log]
+    return len(keys) - len(set(keys))
+
+
+def test_plain_tower_searches_each_group_once(monkeypatch):
+    log = _record_searches(monkeypatch)
+    result, reports = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=4))
+    assert len(log) == 2 and _repeats(log) == 0
+    assert reports[-1].final_checks == {"n_acyclic": True}
+
+
+def test_over_template_tower_with_early_exit_searches_each_group_once(monkeypatch):
+    ig = path_igraph("ab", "ab")
+    seed = sym(disjoint_union([ig, hypercube(ig.colors)]), attach_hypercube=False)
+    log = _record_searches(monkeypatch)
+    _, reports = construct_n_acyclic_over(
+        seed, ig, SynthesisConfig(n_acyclic=2, early_exit=True)
+    )
+    assert log and _repeats(log) == 0
+    assert all(reports[-1].final_checks.values())
