@@ -10,34 +10,18 @@ cheap at the component sizes this library works with.
 from __future__ import annotations
 
 from .egraph import NO_EDGE
+from .traverse import partition
 
 
 def connected_components(g, colors=None):
-    """Vertex lists of the connected components, in first-vertex order.
+    """Vertex tuples of the connected components, in first-vertex order.
 
     With ``colors`` (colour indices) only those colours' edges connect, so
     the result is the component partition of that reduct, singletons
     included.
     """
     rows = g.partner if colors is None else [g.partner[c] for c in sorted(set(colors))]
-    seen = [False] * g.n
-    comps = []
-    for v0 in range(g.n):
-        if seen[v0]:
-            continue
-        comp = [v0]
-        seen[v0] = True
-        pos = 0
-        while pos < len(comp):
-            u = comp[pos]
-            pos += 1
-            for row in rows:
-                w = row[u]
-                if w != NO_EDGE and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        comps.append(comp)
-    return comps
+    return partition(g.n, rows)[1]
 
 
 def _traversal_code(g, start, members):

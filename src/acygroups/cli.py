@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 success / property holds; 1 property violated (witness
-emitted); 2 resource cap; 3 invalid input (including -N below 2).
+emitted); 2 resource cap; 3 invalid input (including -N below 2, --cap
+below 1 and --gamma below 1).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def cmd_girth(args):
 def cmd_check_acyclic(args):
     inputs = {}
     group, _ = _load(args.group, {"egroup"}, inputs)
-    gamma = GammaFilter.size(args.gamma) if args.gamma else None
+    gamma = GammaFilter.size(args.gamma) if args.gamma is not None else None
     outputs = {}
     t0 = time.monotonic()
     if args.over:
@@ -370,9 +371,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", 2) < 2:
-        sys.stderr.write(f"invalid input: -N must be at least 2, got {args.n}\n")
-        return EXIT_INVALID
+    for flag, dest, least in (("-N", "n", 2), ("--cap", "cap", 1), ("--gamma", "gamma", 1)):
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            sys.stderr.write(f"invalid input: {flag} must be at least {least}, got {value}\n")
+            return EXIT_INVALID
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -24,6 +24,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import is_compatible
+from .traverse import partition, propagate
 
 
 def trivial_constraint_graph(colors):
@@ -47,20 +48,20 @@ def direct_product(igraph, cg):
 def _raw_product(igraph, group):
     ns, ng = igraph.n, group.order
     names = [f"{igraph.vertex_names[s]}|{g}" for s in range(ns) for g in range(ng)]
+    return EGraph(names, igraph.colors, _product_rows(igraph, group))
+
+
+def _product_rows(igraph, group):
+    """Per colour, the successor row of the product on pairs s * order + g."""
+    ns, ng = igraph.n, group.order
     rows = []
-    for c in range(len(group.colors)):
-        irow = igraph.partner[c]
-        grow = group.gen_action[c]
+    for irow, grow in zip(igraph.partner, group.gen_action):
         row = [NO_EDGE] * (ns * ng)
-        for s in range(ns):
-            t = irow[s]
-            if t == NO_EDGE:
-                continue
-            base_s, base_t = s * ng, t * ng
-            for g in range(ng):
-                row[base_s + g] = base_t + grow[g]
+        for s, t in enumerate(irow):
+            if t != NO_EDGE:
+                row[s * ng:(s + 1) * ng] = [t * ng + h for h in grow]
         rows.append(row)
-    return EGraph(names, igraph.colors, rows)
+    return rows
 
 
 class Skeleton(NamedTuple):
@@ -86,7 +87,8 @@ class IContext:
     """Cached template-restricted reachability data for one (group, template).
 
     Component tables of the product graph are built lazily per generator
-    subset; sites and elements are packed as s * order + g.
+    subset from its successor rows; sites and elements are packed as
+    s * order + g.
     """
 
     def __init__(self, group, igraph, check=True):
@@ -96,6 +98,7 @@ class IContext:
             raise CompatibilityRequired("group is not compatible with the template graph")
         self.group = group
         self.igraph = igraph
+        self._rows = _product_rows(igraph, group)
         self._comp = {}
 
     def pair(self, s, g):
@@ -112,35 +115,8 @@ class IContext:
         cached = self._comp.get(alpha)
         if cached is not None:
             return cached
-        ng = self.group.order
-        ns = self.igraph.n
-        total = ns * ng
-        cols = sorted(alpha)
-        irows = [self.igraph.partner[c] for c in cols]
-        grows = [self.group.gen_action[c] for c in cols]
-        ids = [-1] * total
-        members = []
-        for x0 in range(total):
-            if ids[x0] != -1:
-                continue
-            cid = len(members)
-            block = [x0]
-            ids[x0] = cid
-            pos = 0
-            while pos < len(block):
-                x = block[pos]
-                pos += 1
-                s, g = divmod(x, ng)
-                for irow, grow in zip(irows, grows):
-                    t = irow[s]
-                    if t == NO_EDGE:
-                        continue
-                    y = t * ng + grow[g]
-                    if ids[y] == -1:
-                        ids[y] = cid
-                        block.append(y)
-            members.append(tuple(block))
-        out = (tuple(ids), tuple(members))
+        total = self.igraph.n * self.group.order
+        out = partition(total, [self._rows[c] for c in sorted(alpha)])
         self._comp[alpha] = out
         return out
 
@@ -178,14 +154,10 @@ class IContext:
         local = {x: i for i, x in enumerate(block)}
         rows = [[NO_EDGE] * len(block) for _ in self.group.colors]
         for c in sorted(alpha):
-            irow = self.igraph.partner[c]
-            grow = self.group.gen_action[c]
+            prow = self._rows[c]
             for i, x in enumerate(block):
-                si, gi = divmod(x, ng)
-                t = irow[si]
-                if t == NO_EDGE:
-                    continue
-                rows[c][i] = local[t * ng + grow[gi]]
+                if prow[x] != NO_EDGE:
+                    rows[c][i] = local[prow[x]]
         names = [f"{self.igraph.vertex_names[x // ng]}|{x % ng}" for x in block]
         graph = EGraph(names, self.group.colors, rows)
         hom = tuple(x // ng for x in block)
@@ -221,19 +193,24 @@ def is_skeleton(host, igraph, alpha, s):
 
     target, target_emb = alpha_component(igraph, sorted(alpha), s)
     target_sites = set(target_emb)
-    comps = connected_components(host)
+    rows = list(enumerate(host.partner))
+
+    def step(c, site):
+        # the image of an edge is forced: template colour classes are matchings
+        t = igraph.partner[c][site] if c in alpha else NO_EDGE
+        return t if t in target_sites else None
+
     hom = [None] * host.n
-    for comp in comps:
+    for comp in connected_components(host):
         assigned = None
         for site in sorted(target_sites):
-            cand = _propagate_hom(host, comp, site, igraph, alpha, target_sites)
-            if cand is not None:
-                assigned = cand
+            assigned = propagate(host.n, rows, [(comp[0], site)], step)
+            if assigned is not None:
                 break
         if assigned is None:
             return SkeletonFailure("no site homomorphism for a component", comp[0])
-        for v, t in assigned.items():
-            hom[v] = t
+        for v in comp:
+            hom[v] = assigned[v]
     covered = set(hom)
     if not target_sites <= covered:
         return SkeletonFailure("homomorphism not surjective onto the component", None)
@@ -243,29 +220,6 @@ def is_skeleton(host, igraph, alpha, s):
             if t != NO_EDGE and t in target_sites and host.partner[c][v] == NO_EDGE:
                 return SkeletonFailure("edge-lifting fails", (v, igraph.colors[c]))
     return Skeleton(host, tuple(hom), alpha, s, None)
-
-
-def _propagate_hom(host, comp, site, igraph, alpha, target_sites):
-    hom = {comp[0]: site}
-    queue = [comp[0]]
-    pos = 0
-    while pos < len(queue):
-        v = queue[pos]
-        pos += 1
-        for c in range(len(host.colors)):
-            w = host.partner[c][v]
-            if w == NO_EDGE:
-                continue
-            t = igraph.partner[c][hom[v]] if c in alpha else NO_EDGE
-            if t == NO_EDGE or t not in target_sites:
-                return None
-            if w in hom:
-                if hom[w] != t:
-                    return None
-            else:
-                hom[w] = t
-                queue.append(w)
-    return hom
 
 
 def is_free_skeleton(ctx, alpha, s, g=0):
@@ -574,24 +528,8 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
 
 def _component_addresses(host, comp, alpha_sub, group):
     """Element addresses inside one host component, or None if inconsistent."""
-    maps = {comp[0]: 0}
-    queue = [comp[0]]
-    pos = 0
-    while pos < len(queue):
-        u = queue[pos]
-        pos += 1
-        for c in sorted(alpha_sub):
-            w = host.partner[c][u]
-            if w == NO_EDGE:
-                continue
-            val = group.gen_action[c][maps[u]]
-            if w in maps:
-                if maps[w] != val:
-                    return None
-            else:
-                maps[w] = val
-                queue.append(w)
-    return maps
+    rows = [(c, host.partner[c]) for c in sorted(alpha_sub)]
+    return propagate(host.n, rows, [(comp[0], 0)], lambda c, g: group.gen_action[c][g])
 
 
 def _subgroup_two_acyclic(group, alpha):

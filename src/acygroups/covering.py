@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .acyclicity import DEFAULT_SEARCH_BUDGET
 from .constraint import IContext
-from .egraph import NO_EDGE, EGraph, new_egraph
+from .egraph import NO_EDGE, new_egraph
 from .errors import CompatibilityRequired, PreconditionFailed, ResourceCap, UnknownName
 from .groups import is_compatible
 
@@ -102,29 +103,15 @@ def graph_cover(base_edges, group, component_of=None):
     v0 = component_of if component_of is not None else 0
     full = frozenset(range(len(group.colors)))
     ids, members = ctx.comp_tables(full)
-    block = members[ids[ctx.pair(v0, 0)]]
-    local = {x: i for i, x in enumerate(block)}
-    ng = group.order
-    rows = [[NO_EDGE] * len(block) for _ in group.colors]
-    for c in range(len(group.colors)):
-        irow = template.partner[c]
-        grow = group.gen_action[c]
-        for i, x in enumerate(block):
-            s, g = divmod(x, ng)
-            t = irow[s]
-            if t != NO_EDGE:
-                rows[c][i] = local[t * ng + grow[g]]
-    names = [f"{template.vertex_names[x // ng]}|{x % ng}" for x in block]
-    cover = EGraph(names, template.colors, rows)
-    projection = tuple(x // ng for x in block)
+    skel = ctx.skeleton(full, v0)
     return Covering(
         "graph",
         template,
-        cover,
-        projection,
+        skel.graph,
+        skel.hom,
         group,
         template,
-        {"anchor": (v0, 0), "pairs": tuple(block)},
+        {"anchor": (v0, 0), "pairs": members[ids[ctx.pair(v0, 0)]]},
     )
 
 
@@ -360,7 +347,7 @@ def _cliques_up_to(adj, max_size, budget):
         yield from extend([v], [w for w in adj[v] if rank[w] > rank[v]])
 
 
-def check_n_acyclic_hypergraph(hg, n_max, budget=2_000_000):
+def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
     """Chordality plus conformality of the Gaifman graph up to level n_max.
 
     Returns (ok, witness).  Fails on a chordless cycle of length 4..n_max or

@@ -9,8 +9,7 @@ A loop contributes degree 1, so the matching condition is structural.
 from __future__ import annotations
 
 from .errors import IncompleteGraph, MatchingViolation, ResourceCap, UnknownName
-
-NO_EDGE = -1
+from .traverse import NO_EDGE, bfs_parents
 
 
 def reduce_word(word):
@@ -249,17 +248,7 @@ def alpha_component(g, alpha, v):
     colours outside alpha have no edges.
     """
     alpha = sorted(set(alpha))
-    reach = [v]
-    seen = {v}
-    pos = 0
-    while pos < len(reach):
-        u = reach[pos]
-        pos += 1
-        for ci in alpha:
-            w = g.partner[ci][u]
-            if w != NO_EDGE and w not in seen:
-                seen.add(w)
-                reach.append(w)
+    reach, _ = bfs_parents([g.partner[ci] for ci in alpha], g.n, [v])
     local = {u: i for i, u in enumerate(reach)}
     rows = [[NO_EDGE] * len(reach) for _ in g.colors]
     for ci in alpha:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .acyclicity import search_coset_cycle, separated_by_ids
+from .acyclicity import DEFAULT_SEARCH_BUDGET, search_coset_cycle, separated_by_ids
 from .egraph import EGraph, disjoint_union, hypercube, new_egraph
 from .errors import (
     CompatibilityRequired,
@@ -23,6 +23,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import sym
+from .traverse import partition, propagate
 
 
 class ConstraintPattern:
@@ -309,26 +310,7 @@ class IGroupoid:
         cached = self._closures.get(alpha_edges)
         if cached is not None:
             return cached
-        cols = sorted(alpha_edges)
-        ids = [-1] * self.order
-        members = []
-        for g0 in range(self.order):
-            if ids[g0] != -1:
-                continue
-            cid = len(members)
-            block = [g0]
-            ids[g0] = cid
-            pos = 0
-            while pos < len(block):
-                g = block[pos]
-                pos += 1
-                for e in cols:
-                    h = self.rmul[e][g]
-                    if h != -1 and ids[h] == -1:
-                        ids[h] = cid
-                        block.append(h)
-            members.append(tuple(sorted(block)))
-        out = (tuple(ids), tuple(members))
+        out = partition(self.order, [self.rmul[e] for e in sorted(alpha_edges)], sort=True)
         self._closures[alpha_edges] = out
         return out
 
@@ -472,27 +454,14 @@ def is_compatible_groupoid(gpd, igraph):
         raise IncompleteGraph("compatibility target must be complete")
     pattern = gpd.pattern
     bijections = [igraph.bijection(e) for e in range(pattern.n_edges)]
-    sites = {s: tuple(igraph.vertices_of_site(s)) for s in range(pattern.n_sites)}
-    actions = [None] * gpd.order
-    queue = []
-    for s, x in enumerate(gpd.neutral):
-        actions[x] = sites[s]
-        queue.append(x)
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        for e in range(pattern.n_edges):
-            h = gpd.rmul[e][g]
-            if h == -1:
-                continue
-            val = tuple(bijections[e][x] for x in actions[g])
-            if actions[h] is None:
-                actions[h] = val
-                queue.append(h)
-            elif actions[h] != val:
-                return False
-    return True
+    seeds = [(x, tuple(igraph.vertices_of_site(s))) for s, x in enumerate(gpd.neutral)]
+    actions = propagate(
+        gpd.order,
+        list(enumerate(gpd.rmul)),
+        seeds,
+        lambda e, act: tuple(map(bijections[e].__getitem__, act)),
+    )
+    return actions is not None
 
 
 def inverse_closed_proper_subsets(pattern):
@@ -566,7 +535,7 @@ def translate_groupoid_cycle(gpd, hat, entries):
     return tuple(out)
 
 
-def verify_groupoid_axioms(gpd, triple_budget=2_000_000):
+def verify_groupoid_axioms(gpd, triple_budget=DEFAULT_SEARCH_BUDGET):
     """Exhaustive check of the groupoid laws up to a triple budget.
 
     Checks sort discipline of the tables, two-sided neutrality, generator

@@ -14,7 +14,8 @@ import os
 
 from .canon import connected_components
 from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, trivial_completion
-from .errors import DegenerateGenerators, ResourceCap, UnknownName
+from .errors import DegenerateGenerators, UnknownName
+from .traverse import bfs_parents, close, partition, propagate
 
 DEFAULT_ELEMENT_CAP = int(os.environ.get("ACYGROUPS_ELEMENT_CAP", 1_000_000))
 
@@ -111,26 +112,7 @@ class EGroup:
         cached = self._coset_cache.get(alpha)
         if cached is not None:
             return cached
-        cols = sorted(alpha)
-        ids = [-1] * self.order
-        members = []
-        for g0 in range(self.order):
-            if ids[g0] != -1:
-                continue
-            cid = len(members)
-            block = [g0]
-            ids[g0] = cid
-            pos = 0
-            while pos < len(block):
-                g = block[pos]
-                pos += 1
-                for c in cols:
-                    h = self.gen_action[c][g]
-                    if ids[h] == -1:
-                        ids[h] = cid
-                        block.append(h)
-            members.append(tuple(sorted(block)))
-        out = (tuple(ids), tuple(members))
+        out = partition(self.order, [self.gen_action[c] for c in sorted(alpha)], sort=True)
         self._coset_cache[alpha] = out
         return out
 
@@ -147,59 +129,6 @@ class EGroup:
         return f"EGroup(order {self.order}, colours {list(self.colors)})"
 
 
-def _close_perm_generators(gens, cap):
-    """BFS closure of permutation tuples; returns (elements, action, parents)."""
-    n = len(gens[0])
-    ident = tuple(range(n))
-    elems = [ident]
-    index = {ident: 0}
-    parents = [None]
-    pos = 0
-    while pos < len(elems):
-        g = elems[pos]
-        for c, p in enumerate(gens):
-            h = tuple(p[x] for x in g)  # right action: apply p after g
-            if h not in index:
-                if len(elems) >= cap:
-                    raise ResourceCap(f"element cap {cap} exceeded in closure")
-                index[h] = len(elems)
-                elems.append(h)
-                parents.append((pos, c))
-        pos += 1
-    action = [[index[tuple(p[x] for x in g)] for g in elems] for p in gens]
-    return elems, action, parents
-
-
-def _close_indexed_components(parts, n_colors, cap):
-    """Closure of tuple-of-indices states; parts give per-part action tables.
-
-    Each part is a list of per-colour index maps with identity at 0.  The
-    result is the subdirect closure of the diagonal generators.
-    """
-    start = (0,) * len(parts)
-    elems = [start]
-    index = {start: 0}
-    parents = [None]
-    pos = 0
-    while pos < len(elems):
-        g = elems[pos]
-        for c in range(n_colors):
-            h = tuple(part[c][x] for part, x in zip(parts, g))
-            if h not in index:
-                if len(elems) >= cap:
-                    raise ResourceCap(f"element cap {cap} exceeded in closure")
-                index[h] = len(elems)
-                elems.append(h)
-                parents.append((pos, c))
-        pos += 1
-    action = []
-    for c in range(n_colors):
-        action.append(
-            [index[tuple(part[c][x] for part, x in zip(parts, g))] for g in elems]
-        )
-    return elems, action, parents
-
-
 def sym_components(colors, parts, cap=None):
     """Group generated by per-part involutions acting diagonally.
 
@@ -214,9 +143,11 @@ def sym_components(colors, parts, cap=None):
         if kind == "tables":
             tables.append(data)
         else:
-            _, action, _ = _close_perm_generators(data, cap)
-            tables.append(action)
-    _, action, parents = _close_indexed_components(tables, len(colors), cap)
+            # a permutation group is the closure of its identity on n points
+            n = len(data[0])
+            tables.append(close(tuple(range(n)), [(p,) * n for p in data], cap)[0])
+    rows = [tuple(table[c] for table in tables) for c in range(len(colors))]
+    action, parents = close((0,) * len(tables), rows, cap)
     return EGroup(colors, action, parents)
 
 
@@ -300,19 +231,7 @@ def subgroup(group, alpha):
     elements = group.subgroup_elements(alpha)  # sorted, so identity is index 0
     local = {g: i for i, g in enumerate(elements)}
     action = [[local[group.gen_action[c][g]] for g in elements] for c in alpha]
-    parents = [None] * len(elements)
-    queue = [0]
-    seen = {0}
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        for ci in range(len(alpha)):
-            h = action[ci][g]
-            if h not in seen:
-                seen.add(h)
-                parents[h] = (g, ci)
-                queue.append(h)
+    _, parents = bfs_parents(action, len(elements), [0])
     colors = tuple(group.colors[c] for c in alpha)
     return EGroup(
         colors,
@@ -341,24 +260,13 @@ def is_compatible(group, h):
     if tuple(h.colors) != group.colors:
         raise UnknownName("group and graph must share a colour registry")
     perms = graph_generator_perms(h)
-    ident = tuple(range(h.n))
-    actions = [None] * group.order
-    actions[0] = ident
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        base = actions[g]
-        for c, p in enumerate(perms):
-            tgt = group.gen_action[c][g]
-            val = tuple(p[x] for x in base)
-            if actions[tgt] is None:
-                actions[tgt] = val
-                queue.append(tgt)
-            elif actions[tgt] != val:
-                return False
-    return True
+    actions = propagate(
+        group.order,
+        list(enumerate(group.gen_action)),
+        [(0, tuple(range(h.n)))],
+        lambda c, act: tuple(map(perms[c].__getitem__, act)),
+    )
+    return actions is not None
 
 
 def homomorphism(ghat, group):
@@ -370,22 +278,9 @@ def homomorphism(ghat, group):
     """
     if ghat.colors != group.colors:
         raise UnknownName("groups must share a colour registry")
-    images = [-1] * ghat.order
-    images[0] = 0
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        for c in range(len(ghat.colors)):
-            tgt = ghat.gen_action[c][g]
-            val = group.gen_action[c][images[g]]
-            if images[tgt] == -1:
-                images[tgt] = val
-                queue.append(tgt)
-            elif images[tgt] != val:
-                return None
-    return tuple(images)
+    rows = list(enumerate(ghat.gen_action))
+    images = propagate(ghat.order, rows, [(0, 0)], lambda c, g: group.gen_action[c][g])
+    return None if images is None else tuple(images)
 
 
 def is_group_symmetry(group, rho):
@@ -397,23 +292,9 @@ def is_group_symmetry(group, rho):
     """
     if set(rho) != set(group.colors) or sorted(rho.values()) != sorted(group.colors):
         raise UnknownName("rho must permute the colour registry")
-    rho_idx = {group.color_index(e): group.color_index(t) for e, t in rho.items()}
-    images = [-1] * group.order
-    images[0] = 0
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        for c in range(len(group.colors)):
-            tgt = group.gen_action[c][g]
-            val = group.gen_action[rho_idx[c]][images[g]]
-            if images[tgt] == -1:
-                images[tgt] = val
-                queue.append(tgt)
-            elif images[tgt] != val:
-                return False
-    return True
+    renamed = {group.color_index(e): group.gen_action[group.color_index(t)] for e, t in rho.items()}
+    rows = list(enumerate(group.gen_action))
+    return propagate(group.order, rows, [(0, 0)], lambda c, g: renamed[c][g]) is not None
 
 
 def word_kernel_compatible(group, h, max_len):

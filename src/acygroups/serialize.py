@@ -15,6 +15,7 @@ from .egraph import EGraph, new_egraph
 from .errors import SchemaError
 from .groupoid import ConstraintPattern, IGraph, IGroupoid
 from .groups import EGroup
+from .traverse import bfs_parents
 TOOL_VERSION = "0.1.0"
 COMPOSITION_DUMP_LIMIT = 200
 
@@ -91,20 +92,8 @@ def egroup_from_json(doc, pointer=""):
             raise SchemaError("action row is not a permutation", f"{pointer}/action/{c}")
         action.append(row)
     # rebuild witness links by breadth-first closure from the identity
-    parents = [None] * order
-    seen = {0}
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        for ci in range(len(colors)):
-            h = action[ci][g]
-            if h not in seen:
-                seen.add(h)
-                parents[h] = (g, ci)
-                queue.append(h)
-    if len(seen) != order:
+    reached, parents = bfs_parents(action, order, [0])
+    if len(reached) != order:
         raise SchemaError("action tables do not generate all elements", f"{pointer}/action")
     return EGroup(colors, action, parents)
 
@@ -217,20 +206,8 @@ def igroupoid_from_json(doc, pointer=""):
             raise SchemaError("rmul row has wrong length", f"{pointer}/rmul/{eid}")
         rmul.append(row)
         gen_elem.append(gen_doc[eid])
-    parents = [None] * order
-    seen = set(neutral)
-    queue = list(neutral)
-    pos = 0
-    while pos < len(queue):
-        g = queue[pos]
-        pos += 1
-        for e in range(pattern.n_edges):
-            h = rmul[e][g]
-            if h != -1 and h not in seen:
-                seen.add(h)
-                parents[h] = (g, e)
-                queue.append(h)
-    if len(seen) != order:
+    reached, parents = bfs_parents(rmul, order, neutral)
+    if len(reached) != order:
         raise SchemaError("tables do not generate all elements", f"{pointer}/rmul")
     return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents)
 

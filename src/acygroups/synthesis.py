@@ -86,10 +86,15 @@ class _Deduper:
         self.components = []
         self.inventory = {}
 
-    def add(self, kind, graph, keyed=True):
+    def add(self, kind, graph, keyed=True, key=None):
+        """Count graph and keep it unless its canonical form (key, computed
+        when not given) was kept before."""
         # the Cayley-graph component is unique and vertex transitive; keying
         # it would cost a quadratic canonical labelling for nothing
-        key = canonical_form(graph) if self.enabled and keyed else None
+        if not (self.enabled and keyed):
+            key = None
+        elif key is None:
+            key = canonical_form(graph)
         label = f"{kind}[{graph.n}v]"
         self.inventory[label] = self.inventory.get(label, 0) + 1
         if key is not None and key in self.seen:
@@ -102,7 +107,8 @@ class _Deduper:
 
 
 def _enumerate_chains(group, subsets, max_len, dedupe):
-    """Deduplicated free amalgamation chains with constituents from subsets."""
+    """(canonical form, graph) of the deduplicated free amalgamation chains
+    with constituents from subsets."""
     store = []
     seen = set()
     for length in range(1, max_len + 1):
@@ -121,7 +127,7 @@ def _enumerate_chains(group, subsets, max_len, dedupe):
                 if dedupe and key in seen:
                     continue
                 seen.add(key)
-                store.append(am.graph)
+                store.append((key, am.graph))
     return store
 
 
@@ -136,8 +142,8 @@ def stage_graph(group, k, mode="plain", igraph=None, config=None, ctx=None):
     dedupe = _Deduper(config.dedupe, config.max_components)
     dedupe.add("cayley", cayley_graph(group).graph, keyed=False)
     gamma = [a for a in all_subsets(len(group.colors), max_size=k) if a]
-    for graph in _enumerate_chains(group, gamma, config.chains_up_to, config.dedupe):
-        dedupe.add("chain", graph)
+    for key, graph in _enumerate_chains(group, gamma, config.chains_up_to, config.dedupe):
+        dedupe.add("chain", graph, key=key)
     if mode == "over":
         for size in range(2, len(gamma) + 1):
             for alphas in combinations(gamma, size):

@@ -184,6 +184,12 @@ def test_check_acyclic_gamma_flag(tmp_path, capsys):
     assert code == 0
     code, _ = run(capsys, "check-acyclic", group, "-N", "6", "--gamma", "2")
     assert code == 1
+    # a bound below 1 is invalid input, never "no filter"
+    for gamma in ("0", "-1"):
+        code, out = run(capsys, "check-acyclic", group, "-N", "6", "--gamma", gamma)
+        assert code == 3 and out == "", gamma
+    code, out = run(capsys, "check-acyclic", group, "-N", "6")
+    assert code == 1 and len(json.loads(out)["entries"]) == 6
 
 
 def test_n_below_two_is_invalid_input(tmp_path, capsys):
@@ -202,6 +208,17 @@ def test_n_below_two_is_invalid_input(tmp_path, capsys):
             assert code == 3 and out == "", (argv[0], n)
     code, _ = run(capsys, "check-acyclic", group, "-N", "2")
     assert code == 0
+
+
+def test_cap_below_one_is_invalid_input(tmp_path, capsys):
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    pattern = write(tmp_path, "p.json", ser.pattern_to_json(
+        ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])))
+    for cap in ("0", "-5"):
+        for argv in (["construct", group, "-N", "4"], ["groupoid-construct", pattern, "-N", "2"]):
+            code, out = run(capsys, *argv, "--cap", cap)
+            assert code == 3 and out == "", (argv[0], cap)
 
 
 def _cli_subprocess(env_cap, *argv):
