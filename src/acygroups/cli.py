@@ -136,12 +136,12 @@ def cmd_check_acyclic(args):
 def cmd_verify_witness(args):
     group, _ = _load(args.group, {"egroup"})
     doc = _read_json(args.witness)
-    entries = ser.cycle_from_json(doc, group)
     if args.over:
         template, _ = _load(args.over, {"egraph"})
+        entries = ser.cycle_from_json(doc, group, n_sites=template.n)
         ok = validate_i_coset_cycle(group, template, entries)
     else:
-        ok = validate_coset_cycle(group, [(a, g) for a, g in entries])
+        ok = validate_coset_cycle(group, ser.cycle_from_json(doc, group))
     _emit({"format": "check", "witness_valid": ok}, args.output, {})
     return EXIT_OK if ok else EXIT_VIOLATED
 
@@ -231,17 +231,18 @@ def cmd_cover_hypergraph(args):
 
 def cmd_verify_cover(args):
     doc = _read_json(args.cover)
-    if doc.get("format") != "covering":
+    if ser._need(doc, "format", str, "") != "covering":
         raise SchemaError("expected a covering", "/format")
+    cover_doc = ser._need(doc, "cover", dict, "")
     if doc.get("kind") == "hypergraph":
-        cover = ser.hypergraph_from_json(doc["cover"], "/cover")
+        cover = ser.hypergraph_from_json(cover_doc, "/cover")
         ok, witness = check_n_acyclic_hypergraph(cover, args.n)
         out = {"format": "check", "N": args.n, "holds": ok}
         if witness:
             out["witness"] = {"kind": witness.kind, "vertices": list(witness.vertices)}
         _emit(out, args.output, {})
         return EXIT_OK if ok else EXIT_VIOLATED
-    cover = ser.egraph_from_json(doc["cover"], "/cover")
+    cover = ser.egraph_from_json(cover_doc, "/cover")
     value = girth(cover)
     ok = value > args.n
     _emit({"format": "check", "N": args.n, "holds": ok,
@@ -251,9 +252,9 @@ def cmd_verify_cover(args):
 
 def cmd_export_dot(args):
     doc = _read_json(args.input)
-    fmt = doc.get("format")
+    fmt = ser._need(doc, "format", str, "")
     if fmt == "covering":
-        inner = doc["cover"]
+        inner = ser._need(doc, "cover", dict, "")
         obj = (ser.hypergraph_from_json(inner, "/cover") if doc.get("kind") == "hypergraph"
                else ser.egraph_from_json(inner, "/cover"))
     elif fmt == "graph":

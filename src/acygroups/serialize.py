@@ -15,7 +15,8 @@ from .egraph import EGraph, new_egraph
 from .errors import SchemaError
 from .groupoid import ConstraintPattern, IGraph, IGroupoid
 from .groups import EGroup
-from .traverse import bfs_parents
+from .traverse import NO_EDGE, bfs_parents
+
 TOOL_VERSION = "0.1.0"
 COMPOSITION_DUMP_LIMIT = 200
 
@@ -37,6 +38,15 @@ def _need(doc, key, types, pointer):
     if types is not None and not isinstance(val, types):
         raise SchemaError(f"wrong type for {key!r}", f"{pointer}/{key}")
     return val
+
+
+def _indices(doc, key, low, high, pointer):
+    """doc[key]: a list of ints in low..high-1, checked entry by entry."""
+    row = _need(doc, key, list, pointer)
+    for i, x in enumerate(row):
+        if not (isinstance(x, int) and low <= x < high):
+            raise SchemaError(f"entry out of range {low}..{high - 1}", f"{pointer}/{key}/{i}")
+    return row
 
 
 def egraph_to_json(g, role=None):
@@ -88,7 +98,8 @@ def egroup_from_json(doc, pointer=""):
         if c not in action_doc:
             raise SchemaError(f"missing action for colour {c!r}", f"{pointer}/action/{c}")
         row = action_doc[c]
-        if not isinstance(row, list) or len(row) != order or sorted(row) != list(range(order)):
+        if (not isinstance(row, list) or len(row) != order
+                or not all(isinstance(x, int) for x in row) or sorted(row) != list(range(order))):
             raise SchemaError("action row is not a permutation", f"{pointer}/action/{c}")
         action.append(row)
     # rebuild witness links by breadth-first closure from the identity
@@ -188,24 +199,30 @@ def igroupoid_from_json(doc, pointer=""):
     pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), f"{pointer}/pattern")
     order = _need(doc, "order", int, pointer)
     sorts_doc = _need(doc, "sorts", list, pointer)
-    try:
-        sorts = [(pattern.sites.index(s), pattern.sites.index(t)) for s, t in sorts_doc]
-    except ValueError:
-        raise SchemaError("unknown site in sorts", f"{pointer}/sorts") from None
-    neutral = _need(doc, "neutrals", list, pointer)
+    if len(sorts_doc) != order:
+        raise SchemaError("one sort per element expected", f"{pointer}/sorts")
+    sorts = []
+    for i, st in enumerate(sorts_doc):
+        if not (isinstance(st, list) and len(st) == 2 and all(s in pattern.sites for s in st)):
+            raise SchemaError("sort must be [site,site]", f"{pointer}/sorts/{i}")
+        sorts.append(tuple(pattern.sites.index(s) for s in st))
+    neutral = _indices(doc, "neutrals", 0, order, pointer)
+    if len(neutral) != pattern.n_sites:
+        raise SchemaError("one neutral element per site expected", f"{pointer}/neutrals")
     gen_doc = _need(doc, "generators", dict, pointer)
     rmul_doc = _need(doc, "rmul", dict, pointer)
     rmul = []
     gen_elem = []
     for e in range(pattern.n_edges):
         eid = pattern.edge_ids[e]
-        if eid not in rmul_doc:
-            raise SchemaError(f"missing rmul for {eid!r}", f"{pointer}/rmul/{eid}")
-        row = rmul_doc[eid]
+        row = _indices(rmul_doc, eid, NO_EDGE, order, f"{pointer}/rmul")
         if len(row) != order:
             raise SchemaError("rmul row has wrong length", f"{pointer}/rmul/{eid}")
         rmul.append(row)
-        gen_elem.append(gen_doc[eid])
+        gen = _need(gen_doc, eid, int, f"{pointer}/generators")
+        if not 0 <= gen < order:
+            raise SchemaError("generator out of range", f"{pointer}/generators/{eid}")
+        gen_elem.append(gen)
     reached, parents = bfs_parents(rmul, order, neutral)
     if len(reached) != order:
         raise SchemaError("tables do not generate all elements", f"{pointer}/rmul")
@@ -289,16 +306,24 @@ def cycle_to_json(group, entries):
     return {"format": "coset_cycle", "entries": out}
 
 
-def cycle_from_json(doc, group, pointer=""):
+def cycle_from_json(doc, group, pointer="", n_sites=None):
+    """(alpha, g) entries, or (alpha, site, g) when n_sites (the template's
+    vertex count) is given; elements and sites are range-checked."""
     entries = _need(doc, "entries", list, pointer)
     out = []
     for i, e in enumerate(entries):
-        alpha = frozenset(group.color_index(c) for c in _need(e, "alpha", list, f"{pointer}/entries/{i}"))
-        g = _need(e, "g", int, f"{pointer}/entries/{i}")
-        if "site" in e:
-            out.append((alpha, e["site"], g))
-        else:
+        p = f"{pointer}/entries/{i}"
+        alpha = frozenset(group.color_index(c) for c in _need(e, "alpha", list, p))
+        g = _need(e, "g", int, p)
+        if not 0 <= g < group.order:
+            raise SchemaError(f"element out of range 0..{group.order - 1}", f"{p}/g")
+        if n_sites is None:
             out.append((alpha, g))
+            continue
+        s = _need(e, "site", int, p)
+        if not 0 <= s < n_sites:
+            raise SchemaError(f"site out of range 0..{n_sites - 1}", f"{p}/site")
+        out.append((alpha, s, g))
     return out
 
 

@@ -20,6 +20,7 @@ from .acyclicity import DEFAULT_SEARCH_BUDGET, GammaFilter, all_subsets, find_co
 from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
+from .egraph import trivial_completion
 from .errors import CompatibilityRequired, ResourceCap
 from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, homomorphism, is_compatible, sym_components
 
@@ -106,28 +107,62 @@ class _Deduper:
             raise ResourceCap(f"component cap {self.max_components} exceeded")
 
 
+def _chain_pointings(group, subsets, max_len):
+    """(alphas, per-position point sets) of the chains up to max_len that
+    amalgam_chain accepts, by length, each in product(subsets) order.
+
+    Interior position i admits the g in G[alpha_i] outside
+    G[alpha_{i-1} & alpha_i] * G[alpha_i & alpha_{i+1}], which depends on
+    that subset triple alone; a prefix is dropped as soon as one of its
+    interior positions admits none.  The last point is the identity.
+    """
+    admissible = {}
+
+    def interior(left, here, right):
+        key = (left, here, right)
+        points = admissible.get(key)
+        if points is None:
+            ids, _ = group.coset_table(here & right)
+            met = {ids[x] for x in group.subgroup_elements(left & here)}
+            points = tuple(g for g in group.subgroup_elements(here) if ids[g] not in met)
+            admissible[key] = points
+        return points
+
+    def extend(alphas, points, length):
+        if len(alphas) == length:
+            yield alphas, points + [(0,)]
+            return
+        for a in subsets:
+            if len(alphas) >= 2:
+                here = interior(alphas[-2], alphas[-1], a)
+                if not here:
+                    continue
+                grown = points + [here]
+            elif alphas:
+                grown = [group.subgroup_elements(alphas[0])]
+            else:
+                grown = []
+            yield from extend(alphas + [a], grown, length)
+
+    for length in range(1, max_len + 1):
+        yield from extend([], [], length)
+
+
 def _enumerate_chains(group, subsets, max_len, dedupe):
     """(canonical form, graph) of the deduplicated free amalgamation chains
     with constituents from subsets."""
     store = []
     seen = set()
-    for length in range(1, max_len + 1):
-        for alphas in product(subsets, repeat=length):
-            pointings = []
-            for i, a in enumerate(alphas):
-                if i < length - 1:
-                    pointings.append(group.subgroup_elements(a))
-                else:
-                    pointings.append((0,))
-            for gs in product(*pointings):
-                am = amalgam_chain(group, list(zip(alphas, gs)))
-                if am is None:
-                    continue
-                key = canonical_form(am.graph)
-                if dedupe and key in seen:
-                    continue
-                seen.add(key)
-                store.append((key, am.graph))
+    for alphas, pointings in _chain_pointings(group, subsets, max_len):
+        for gs in product(*pointings):
+            am = amalgam_chain(group, list(zip(alphas, gs)))
+            if am is None:
+                continue
+            key = canonical_form(am.graph)
+            if dedupe and key in seen:
+                continue
+            seen.add(key)
+            store.append((key, am.graph))
     return store
 
 
@@ -165,8 +200,6 @@ def _combined_group(group, extra_components, colors, cap):
     by group elements rather than permutations."""
     parts = [("tables", group.gen_action)]
     for comp in extra_components:
-        from .egraph import trivial_completion
-
         bar = trivial_completion(comp)
         gens = [tuple(row) for row in bar.partner]
         parts.append(("perms", gens))
@@ -198,7 +231,7 @@ def _stage_verify(new, k, config, mode, igraph, ctx):
     acyclic_ok = cyc is None
     free_ok = None
     if mode == "over":
-        alphas = [a for a in all_subsets(len(new.colors), max_size=k) ]
+        alphas = all_subsets(len(new.colors), max_size=k)
         free_ok = is_free_over(new, igraph, alphas=alphas, ctx=ctx)
     return acyclic_ok, free_ok
 

@@ -251,3 +251,27 @@ def test_construct_cap_follows_environment(tmp_path):
     # an explicit --cap still wins over the environment
     assert _cli_subprocess("50", "construct", group, "-N", "4", "--cap", "5",
                            "-o", str(tmp_path / "o.json")) == 2
+
+
+def test_verify_witness_element_out_of_range_is_invalid_input(tmp_path, capsys):
+    tree = str(tmp_path / "tree.json")
+    run(capsys, "biggs", "-E", "a,b", "-n", "1", "-o", tree)
+    group = str(tmp_path / "g.json")
+    run(capsys, "symgroup", tree, "--no-hypercube", "-o", group)
+    witness = str(tmp_path / "w.json")
+    assert run(capsys, "check-acyclic", group, "-N", "6", "-o", witness)[0] == 1
+    doc = json.loads(open(witness).read())
+    doc["entries"][2]["g"] = 6  # the group has order 6
+    code = main(["verify-witness", write(tmp_path, "bad.json", doc), group])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "/entries/2/g" in captured.err
+
+
+def test_verify_cover_without_cover_is_invalid_input(tmp_path, capsys):
+    for kind in ("hypergraph", "graph"):
+        cover = write(tmp_path, f"{kind}.json", {"format": "covering", "kind": kind})
+        code = main(["verify-cover", cover, "-N", "3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", kind
+        assert "at /cover" in captured.err

@@ -141,3 +141,75 @@ def test_egroup_from_json_rejects_nongenerating_tables():
     }
     with pytest.raises(SchemaError):
         ser.egroup_from_json(doc)
+
+
+def _two_site_groupoid_doc():
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    hat = hat_translation(pattern)
+    group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
+    return ser.igroupoid_to_json(groupoid_from_group(group, pattern, hat=hat))
+
+
+_DELETE = object()
+
+
+def _mutated(doc, path, value):
+    import copy
+
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("path, value, pointer", [
+    (("rmul", "e", 0), 99, "/rmul/e/0"),
+    (("rmul", "e", 0), -2, "/rmul/e/0"),
+    (("rmul", "f", 1), "x", "/rmul/f/1"),
+    (("rmul", "f"), 7, "/rmul/f"),
+    (("rmul", "e"), _DELETE, "/rmul/e"),
+    (("neutrals", 0), 99, "/neutrals/0"),
+    (("neutrals", 1), -1, "/neutrals/1"),
+    (("neutrals",), [0], "/neutrals"),
+    (("generators", "e"), _DELETE, "/generators/e"),
+    (("generators", "f"), 99, "/generators/f"),
+    (("sorts", 0), 5, "/sorts/0"),
+    (("sorts", 0), ["s", "nowhere"], "/sorts/0"),
+    (("sorts",), [], "/sorts"),
+])
+def test_igroupoid_loader_reports_bad_entries_with_a_pointer(path, value, pointer):
+    doc = _mutated(_two_site_groupoid_doc(), path, value)
+    with pytest.raises(SchemaError) as err:
+        ser.load_document(doc)
+    assert err.value.pointer == pointer
+
+
+def test_egroup_action_row_with_a_non_integer_is_a_schema_error():
+    doc = ser.egroup_to_json(hypercube_group(["a", "b"]))
+    doc["action"]["b"][2] = "x"
+    with pytest.raises(SchemaError) as err:
+        ser.load_document(doc)
+    assert err.value.pointer == "/action/b"
+
+
+def test_cycle_from_json_range_checks_elements_and_sites():
+    s3 = biggs_group(["a", "b"], 1)
+    entries = [{"alpha": ["a"], "g": 0, "site": 0}, {"alpha": ["b"], "g": 6, "site": 1}]
+    with pytest.raises(SchemaError) as err:
+        ser.cycle_from_json({"entries": entries}, s3)
+    assert err.value.pointer == "/entries/1/g"
+    entries[1]["g"] = 1
+    assert ser.cycle_from_json({"entries": entries}, s3) == [
+        (frozenset({0}), 0), (frozenset({1}), 1)]
+    with pytest.raises(SchemaError) as err:
+        ser.cycle_from_json({"entries": entries}, s3, n_sites=1)
+    assert err.value.pointer == "/entries/1/site"
+    del entries[0]["site"]
+    with pytest.raises(SchemaError) as err:
+        ser.cycle_from_json({"entries": entries}, s3, n_sites=2)
+    assert err.value.pointer == "/entries/0/site"

@@ -13,7 +13,7 @@ from acygroups.synthesis import (
     stage_graph,
 )
 
-from conftest import hypercube_group
+from conftest import corpus, hypercube_group
 
 
 def path_igraph(colors_seq, all_colors):
@@ -223,3 +223,70 @@ def test_over_template_tower_with_early_exit_searches_each_group_once(monkeypatc
     )
     assert log and _repeats(log) == 0
     assert all(reports[-1].final_checks.values())
+
+
+def _product_then_filter_chains(group, subsets, max_len, dedupe):
+    """Every subset sequence times every pointing, each offered to
+    amalgam_chain, which rejects the chains with interfering overlaps."""
+    from itertools import product
+
+    from acygroups.amalgam import amalgam_chain
+
+    store, seen = [], set()
+    for length in range(1, max_len + 1):
+        for alphas in product(subsets, repeat=length):
+            pointings = [group.subgroup_elements(a) for a in alphas[:-1]] + [(0,)]
+            for gs in product(*pointings):
+                am = amalgam_chain(group, list(zip(alphas, gs)))
+                if am is None:
+                    continue
+                key = canonical_form(am.graph)
+                if dedupe and key in seen:
+                    continue
+                seen.add(key)
+                store.append((key, am.graph))
+    return store
+
+
+# longest chain offered to the oracle per (colours, k): its product of
+# pointings grows as |G|^(L-1), so wide subsets get shorter chains
+_ORACLE_CHAIN_LENGTHS = {(1, 1): 5, (2, 1): 5, (2, 2): 4, (3, 1): 5, (3, 2): 3, (3, 3): 2}
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_chain_enumeration_matches_product_then_filter(small_groups, name):
+    from acygroups.acyclicity import all_subsets
+    from acygroups.synthesis import _enumerate_chains
+
+    group = small_groups[name]
+    n = len(group.colors)
+    for k in range(1, n + 1):
+        subsets = [a for a in all_subsets(n, max_size=k) if a]
+        max_len = _ORACLE_CHAIN_LENGTHS[n, k]
+        # the smallest two-colour groups also reach three interior positions
+        if (n, k) == (2, 2) and group.order <= 6:
+            max_len = 5
+        got = _enumerate_chains(group, subsets, max_len, True)
+        want = _product_then_filter_chains(group, subsets, max_len, True)
+        assert [key for key, _ in got] == [key for key, _ in want], k
+        for (_, g1), (_, g2) in zip(got, want):
+            assert g1.partner == g2.partner and g1.vertex_names == g2.vertex_names
+
+
+def test_cube_tower_offers_amalgam_chain_only_admissible_chains(monkeypatch):
+    from acygroups import synthesis
+
+    calls, built = [], []
+    chain = synthesis.amalgam_chain
+
+    def amalgam_chain(group, items):
+        am = chain(group, items)
+        calls.append(items)
+        if am is not None:
+            built.append(am)
+        return am
+
+    monkeypatch.setattr(synthesis, "amalgam_chain", amalgam_chain)
+    _, reports = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=10))
+    assert [r.order for r in reports] == [4, 5040]
+    assert len(calls) == len(built) == 34
