@@ -154,25 +154,35 @@ def cmd_construct(args):
         element_cap=args.cap,
         early_exit=args.early_exit,
     )
-    t0 = time.monotonic()
-    if args.over:
-        template, _ = _load(args.over, {"egraph"}, inputs)
-        result, reports = construct_n_acyclic_over(group, template, config)
-    else:
-        result, reports = construct_n_acyclic(group, config)
-    timings = {"construct": time.monotonic() - t0}
-    outputs = {}
-    _emit(ser.egroup_to_json(result), args.output, outputs)
-    if args.reports:
-        with open(args.reports, "wb") as fh:
-            fh.write(ser.canonical_bytes(ser.reports_to_json(reports)))
-        outputs[args.reports] = ser.digest(ser.reports_to_json(reports))
-    else:
-        for rep in reports:
-            sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
+    template = _load(args.over, {"egraph"}, inputs)[0] if args.over else None
     cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit, "over": bool(args.over)}
-    _write_manifest(args, ["construct"], cfg_doc, inputs, outputs,
-                    reports=[r.to_json() for r in reports], timings=timings)
+    outputs = {}
+
+    def write_reports(reports, timings):
+        if args.reports:
+            doc = ser.reports_to_json(reports)
+            with open(args.reports, "wb") as fh:
+                fh.write(ser.canonical_bytes(doc))
+            outputs[args.reports] = ser.digest(doc)
+        else:
+            for rep in reports:
+                sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
+        _write_manifest(args, ["construct"], cfg_doc, inputs, outputs,
+                        reports=[r.to_json() for r in reports], timings=timings)
+
+    t0 = time.monotonic()
+    try:
+        if args.over:
+            result, reports = construct_n_acyclic_over(group, template, config)
+        else:
+            result, reports = construct_n_acyclic(group, config)
+    except ResourceCap as exc:
+        # the finished stages explain the cap; no group is emitted
+        write_reports(exc.stage_reports or [], {"construct": time.monotonic() - t0})
+        raise
+    timings = {"construct": time.monotonic() - t0}
+    _emit(ser.egroup_to_json(result), args.output, outputs)
+    write_reports(reports, timings)
     final = reports[-1].final_checks if reports else None
     if final is not None and not all(final.values()):
         sys.stderr.write(f"final verification failed: {final}\n")

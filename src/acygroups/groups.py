@@ -11,10 +11,13 @@ reproducible across runs.
 from __future__ import annotations
 
 import os
+from itertools import accumulate
+from math import lcm
 
 from .canon import connected_components
 from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, trivial_completion
-from .errors import DegenerateGenerators, UnknownName
+from .errors import DegenerateGenerators, ResourceCap, UnknownName
+from .permgroup import group_order
 from .traverse import bfs_parents, close, partition, propagate
 
 DEFAULT_ELEMENT_CAP = int(os.environ.get("ACYGROUPS_ELEMENT_CAP", 1_000_000))
@@ -129,15 +132,56 @@ class EGroup:
         return f"EGroup(order {self.order}, colours {list(self.colors)})"
 
 
+def _check_order_bound(parts, cap):
+    """Raise ResourceCap when the diagonal group of the parts provably has
+    more than cap elements, before anything is enumerated.
+
+    The group maps onto each part's group (a tables part acts regularly, a
+    perms part is sized by Schreier-Sims) and onto the group of all perms
+    parts together, so the orders of these groups, and their lcm, divide
+    its order.
+    """
+    bound = 1
+    for i, (kind, data) in enumerate(parts):
+        if not data:
+            continue  # no colours: the trivial group
+        n = len(data[0])
+        order = n if kind == "tables" else group_order(data, n)
+        bound = lcm(bound, order)
+        if bound > cap:
+            raise ResourceCap(
+                f"element cap {cap} exceeded: the group has order at least {bound} "
+                f"(part {i}: {n} points, order {order})"
+            )
+    perms = [data for kind, data in parts if kind == "perms" and data]
+    if len(perms) < 2:
+        return
+    offsets = list(accumulate((len(data[0]) for data in perms), initial=0))
+    union = [
+        tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
+        for c in range(len(perms[0]))
+    ]
+    order = group_order(union, offsets[-1], limit=cap)
+    # past the limit the search stops early and order is only a lower bound
+    bound = order if order > cap else lcm(bound, order)
+    if bound > cap:
+        raise ResourceCap(
+            f"element cap {cap} exceeded: the group has order at least {bound} "
+            f"({len(perms)} components together: {offsets[-1]} points)"
+        )
+
+
 def sym_components(colors, parts, cap=None):
     """Group generated by per-part involutions acting diagonally.
 
     Each part is either ("tables", per-colour index maps) for a part whose
     action is already known as right multiplication on an enumerated set, or
     ("perms", per-colour permutation tuples) for a raw point set.  Degeneracy
-    of the combined generators must be checked by the caller.
+    of the combined generators must be checked by the caller.  A group that
+    provably exceeds the cap is refused before it is enumerated.
     """
     cap = cap or DEFAULT_ELEMENT_CAP
+    _check_order_bound(parts, cap)
     tables = []
     for kind, data in parts:
         if kind == "tables":

@@ -49,6 +49,22 @@ def _indices(doc, key, low, high, pointer):
     return row
 
 
+def _names(doc, key, pointer):
+    """doc[key]: a list of vertex, colour or site names, all strings."""
+    row = _need(doc, key, list, pointer)
+    for i, x in enumerate(row):
+        if not isinstance(x, str):
+            raise SchemaError("a name must be a string", f"{pointer}/{key}/{i}")
+    return row
+
+
+def _known(x, known, what, pointer):
+    """x, when it is one of the known names."""
+    if not isinstance(x, str) or x not in known:
+        raise SchemaError(f"unknown {what} {x!r}", pointer)
+    return x
+
+
 def egraph_to_json(g, role=None):
     doc = {
         "format": "egraph",
@@ -63,20 +79,17 @@ def egraph_to_json(g, role=None):
 
 
 def egraph_from_json(doc, pointer=""):
-    vertices = _need(doc, "vertices", list, pointer)
-    colors = _need(doc, "colors", list, pointer)
+    vertices = _names(doc, "vertices", pointer)
+    colors = _names(doc, "colors", pointer)
     edges = _need(doc, "edges", list, pointer)
     known_v = set(vertices)
     known_c = set(colors)
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 3):
             raise SchemaError("edge must be [color,u,v]", f"{pointer}/edges/{i}")
-        if e[0] not in known_c:
-            raise SchemaError(f"unknown colour {e[0]!r}", f"{pointer}/edges/{i}/0")
-        if e[1] not in known_v:
-            raise SchemaError(f"unknown vertex {e[1]!r}", f"{pointer}/edges/{i}/u")
-        if e[2] not in known_v:
-            raise SchemaError(f"unknown vertex {e[2]!r}", f"{pointer}/edges/{i}/v")
+        _known(e[0], known_c, "colour", f"{pointer}/edges/{i}/0")
+        _known(e[1], known_v, "vertex", f"{pointer}/edges/{i}/u")
+        _known(e[2], known_v, "vertex", f"{pointer}/edges/{i}/v")
     return new_egraph(vertices, colors, [tuple(e) for e in edges])
 
 
@@ -90,7 +103,7 @@ def egroup_to_json(group):
 
 
 def egroup_from_json(doc, pointer=""):
-    colors = _need(doc, "colors", list, pointer)
+    colors = _names(doc, "colors", pointer)
     order = _need(doc, "order", int, pointer)
     action_doc = _need(doc, "action", dict, pointer)
     action = []
@@ -126,13 +139,13 @@ def pattern_to_json(pattern):
 
 
 def pattern_from_json(doc, pointer=""):
-    sites = _need(doc, "sites", list, pointer)
+    sites = _names(doc, "sites", pointer)
     edges_doc = _need(doc, "edges", list, pointer)
     edges = []
     for i, e in enumerate(edges_doc):
         p = f"{pointer}/edges/{i}"
-        edges.append((_need(e, "id", str, p), _need(e, "src", None, p),
-                      _need(e, "tgt", None, p), _need(e, "inv", str, p)))
+        edges.append((_need(e, "id", str, p), _need(e, "src", str, p),
+                      _need(e, "tgt", str, p), _need(e, "inv", str, p)))
     return ConstraintPattern(sites, edges)
 
 
@@ -152,7 +165,7 @@ def igraph_to_json(ig):
 
 def igraph_from_json(doc, pointer=""):
     pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), f"{pointer}/pattern")
-    vertices = _need(doc, "vertices", list, pointer)
+    vertices = _names(doc, "vertices", pointer)
     site_names = _need(doc, "site_of", list, pointer)
     vidx = {v: i for i, v in enumerate(vertices)}
     try:
@@ -164,11 +177,15 @@ def igraph_from_json(doc, pointer=""):
     for e in range(pattern.n_edges):
         eid = pattern.edge_ids[e]
         rows = edges_doc.get(eid, [])
+        if not isinstance(rows, list):
+            raise SchemaError("an edge class must be a list", f"{pointer}/edges/{eid}")
         pairs = []
         for i, pair in enumerate(rows):
-            if pair[0] not in vidx or pair[1] not in vidx:
-                raise SchemaError("unknown vertex in edge", f"{pointer}/edges/{eid}/{i}")
-            pairs.append((vidx[pair[0]], vidx[pair[1]]))
+            p = f"{pointer}/edges/{eid}/{i}"
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaError("edge must be [u,v]", p)
+            pairs.append((vidx[_known(pair[0], vidx, "vertex", f"{p}/0")],
+                          vidx[_known(pair[1], vidx, "vertex", f"{p}/1")]))
         edges.append(pairs)
     return IGraph(pattern, vertices, site_of, edges)
 
@@ -238,13 +255,14 @@ def hypergraph_to_json(hg):
 
 
 def hypergraph_from_json(doc, pointer=""):
-    vertices = _need(doc, "vertices", list, pointer)
+    vertices = _names(doc, "vertices", pointer)
     hyperedges = _need(doc, "hyperedges", list, pointer)
     known = set(vertices)
     for i, he in enumerate(hyperedges):
+        if not isinstance(he, list):
+            raise SchemaError("a hyperedge must be a list", f"{pointer}/hyperedges/{i}")
         for j, v in enumerate(he):
-            if v not in known:
-                raise SchemaError(f"unknown vertex {v!r}", f"{pointer}/hyperedges/{i}/{j}")
+            _known(v, known, "vertex", f"{pointer}/hyperedges/{i}/{j}")
     return Hypergraph(vertices, hyperedges)
 
 
@@ -258,18 +276,15 @@ def graph_to_json(edges):
 
 
 def graph_from_json(doc, pointer=""):
-    vertices = _need(doc, "vertices", list, pointer)
+    vertices = _names(doc, "vertices", pointer)
     edges = _need(doc, "edges", list, pointer)
     known = set(vertices)
     out = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError("edge must be [u,v]", f"{pointer}/edges/{i}")
-        if e[0] not in known:
-            raise SchemaError(f"unknown vertex {e[0]!r}", f"{pointer}/edges/{i}/u")
-        if e[1] not in known:
-            raise SchemaError(f"unknown vertex {e[1]!r}", f"{pointer}/edges/{i}/v")
-        out.append((e[0], e[1]))
+        out.append((_known(e[0], known, "vertex", f"{pointer}/edges/{i}/u"),
+                     _known(e[1], known, "vertex", f"{pointer}/edges/{i}/v")))
     return out
 
 

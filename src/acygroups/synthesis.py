@@ -250,56 +250,62 @@ def _final_verify(group, config, mode, igraph, ctx, n_acyclic=None):
     return checks
 
 
+def _check_deadline(deadline, k, phase):
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceCap(f"stage {k} timed out after {phase}")
+
+
 def _construct(group0, config, mode, igraph):
+    """The tower; a ResourceCap raised on the way carries the last finished
+    group as ``partial`` and the reports of the finished stages."""
     reports = []
     current = group0
     n_colors = len(group0.colors)
     deadline = None
     final = None
-    for k in range(n_colors):
-        if config.stage_timeout is not None:
-            deadline = time.monotonic() + config.stage_timeout
-        ctx = IContext(current, igraph) if mode == "over" else None
-        components, inventory = stage_graph(
-            current, k, mode=mode, igraph=igraph, config=config, ctx=ctx
-        )
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceCap(
-                f"stage {k} timed out", partial=current, stage_reports=reports
+    try:
+        for k in range(n_colors):
+            if config.stage_timeout is not None:
+                deadline = time.monotonic() + config.stage_timeout
+            ctx = IContext(current, igraph) if mode == "over" else None
+            components, inventory = stage_graph(
+                current, k, mode=mode, igraph=igraph, config=config, ctx=ctx
             )
-        try:
+            _check_deadline(deadline, k, "the stage graph")
             new = _combined_group(current, components[1:], current.colors, config.element_cap)
-        except ResourceCap as exc:
-            exc.partial = current
-            exc.stage_reports = reports
-            raise
-        table, cons_ok = _conservation(current, new, k)
-        ctx_new = IContext(new, igraph) if mode == "over" else None
-        acyclic_ok, free_ok = _stage_verify(new, k, config, mode, igraph, ctx_new)
-        report = StageReport(
-            stage=k,
-            inventory=inventory,
-            order=new.order,
-            conservation=table,
-            conservation_ok=cons_ok,
-            acyclic_checked_to=config.n_acyclic,
-            acyclic_ok=acyclic_ok,
-            free_ok=free_ok,
-        )
-        reports.append(report)
-        current = new
-        last = k == n_colors - 1
-        if config.early_exit or last:
-            # the last stage searched all proper subsets: the final plain search
-            final = _final_verify(
-                current, config, mode, igraph, ctx_new, acyclic_ok if last else None
+            _check_deadline(deadline, k, "the closure")
+            table, cons_ok = _conservation(current, new, k)
+            _check_deadline(deadline, k, "conservation")
+            ctx_new = IContext(new, igraph) if mode == "over" else None
+            acyclic_ok, free_ok = _stage_verify(new, k, config, mode, igraph, ctx_new)
+            report = StageReport(
+                stage=k,
+                inventory=inventory,
+                order=new.order,
+                conservation=table,
+                conservation_ok=cons_ok,
+                acyclic_checked_to=config.n_acyclic,
+                acyclic_ok=acyclic_ok,
+                free_ok=free_ok,
             )
-            if config.early_exit and all(final.values()):
-                report.notes.append("early exit: final properties already verified")
-                break
-    if final is None:
-        ctx = IContext(current, igraph) if mode == "over" else None
-        final = _final_verify(current, config, mode, igraph, ctx)
+            reports.append(report)
+            current = new
+            last = k == n_colors - 1
+            if config.early_exit or last:
+                # the last stage searched all proper subsets: the final plain search
+                final = _final_verify(
+                    current, config, mode, igraph, ctx_new, acyclic_ok if last else None
+                )
+                if config.early_exit and all(final.values()):
+                    report.notes.append("early exit: final properties already verified")
+                    break
+        if final is None:
+            ctx = IContext(current, igraph) if mode == "over" else None
+            final = _final_verify(current, config, mode, igraph, ctx)
+    except ResourceCap as exc:
+        exc.partial = current
+        exc.stage_reports = reports
+        raise
     if reports:
         reports[-1].final_checks = dict(final)
         if not all(final.values()):

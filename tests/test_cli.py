@@ -275,3 +275,59 @@ def test_verify_cover_without_cover_is_invalid_input(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "", kind
         assert "at /cover" in captured.err
+
+
+def test_capped_construct_writes_partial_reports(tmp_path, capsys):
+    cube = write(tmp_path, "cube.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b", "c"]), attach_hypercube=False)))
+    reports, manifest = tmp_path / "reports.json", tmp_path / "manifest.json"
+    code = main(["construct", cube, "-N", "4", "--early-exit", "--cap", "1000000",
+                 "-o", str(tmp_path / "out.json"), "--reports", str(reports),
+                 "--manifest", str(manifest)])
+    err = capsys.readouterr().err
+    assert code == 2 and "element cap 1000000 exceeded" in err
+    assert not (tmp_path / "out.json").exists()
+    stages = json.loads(reports.read_text())["stages"]
+    assert [s["order"] for s in stages] == [8, 216]
+    man = json.loads(manifest.read_text())
+    assert [r["order"] for r in man["reports"]] == [8, 216]
+    assert list(man["outputs"]) == [str(reports)]
+    # without --reports the finished stages go to stderr, one line each
+    code = main(["construct", cube, "-N", "4", "--early-exit", "--cap", "1000000"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert [json.loads(line)["order"] for line in lines[:-1]] == [8, 216]
+    assert lines[-1].startswith("resource cap: element cap 1000000 exceeded")
+
+
+def _invalid(capsys, argv, pointer):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "", argv[0]
+    assert f"at {pointer})" in captured.err
+
+
+def test_hyperedge_that_is_not_a_list_is_invalid_input(tmp_path, capsys):
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    hg = write(tmp_path, "hg.json", {"format": "hypergraph", "vertices": ["0", "1"],
+                                     "hyperedges": [["0", "1"], 5]})
+    _invalid(capsys, ["cover-hypergraph", hg, group], "/hyperedges/1")
+
+
+def test_igraph_edge_pair_that_is_not_a_list_is_invalid_input(tmp_path, capsys):
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    doc = {"format": "igraph", "pattern": ser.pattern_to_json(pattern),
+           "vertices": ["u", "v"], "site_of": ["s", "t"],
+           "edges": {"e": [5], "f": [["v", "u"]]}}
+    _invalid(capsys, ["groupoid-construct", write(tmp_path, "p.json", doc["pattern"]),
+                                "--target", write(tmp_path, "ig.json", doc), "-N", "2"],
+             "/edges/e/0")
+
+
+def test_list_valued_egraph_names_are_invalid_input(tmp_path, capsys):
+    vertex = {"format": "egraph", "vertices": ["0", ["1"]], "colors": ["a"], "edges": []}
+    _invalid(capsys, ["symgroup", write(tmp_path, "v.json", vertex)], "/vertices/1")
+    colour = {"format": "egraph", "vertices": ["0", "1"], "colors": ["a"],
+              "edges": [[["a"], "0", "1"]]}
+    _invalid(capsys, ["symgroup", write(tmp_path, "c.json", colour)], "/edges/0/0")

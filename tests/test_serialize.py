@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acygroups import serialize as ser
 from acygroups.covering import Hypergraph, hypergraph_cover, intersection_graph
 from acygroups.egraph import disjoint_union, hypercube
-from acygroups.errors import SchemaError
+from acygroups.errors import AcygroupsError, SchemaError
 from acygroups.groupoid import ConstraintPattern, groupoid_from_group, hat_translation, pattern_igraph
 from acygroups.groups import cayley_graph, sym
 
@@ -213,3 +215,38 @@ def test_cycle_from_json_range_checks_elements_and_sites():
     with pytest.raises(SchemaError) as err:
         ser.cycle_from_json({"entries": entries}, s3, n_sites=2)
     assert err.value.pointer == "/entries/0/site"
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document but the format tag."""
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        if prefix + (key,) != ("format",):
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loaders_reject_mutated_documents_with_schema_errors_only(data):
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    doc = data.draw(st.sampled_from([
+        ser.egraph_to_json(hypercube(["a", "b"])),
+        ser.egroup_to_json(biggs_group(["a", "b"], 1)),
+        ser.pattern_to_json(pattern),
+        ser.igraph_to_json(pattern_igraph(pattern)),
+        ser.hypergraph_to_json(Hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])),
+        ser.graph_to_json([("0", "1"), ("1", "2")]),
+    ]))
+    values = st.sampled_from([5, -1, 1.5, None, True, "x", "0", [], [5], ["x"], [[1]], {}, {"a": 1}])
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(values)
+    try:
+        ser.load_document(doc)
+    except AcygroupsError:
+        pass  # SchemaError, or a precondition of the built object

@@ -89,6 +89,50 @@ def test_resource_cap_propagates_partial():
     assert info.value.partial is not None
 
 
+@pytest.mark.parametrize("phase,step", [
+    ("the stage graph", "stage_graph"),
+    ("the closure", "_combined_group"),
+    ("conservation", "_conservation"),
+])
+def test_stage_timeout_is_checked_after_each_phase(monkeypatch, phase, step):
+    from types import SimpleNamespace
+
+    from acygroups import synthesis
+
+    clock = [0.0]
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    original = getattr(synthesis, step)
+    calls = []
+
+    def slow(*args, **kwargs):
+        calls.append(step)
+        out = original(*args, **kwargs)
+        if len(calls) == 2:
+            clock[0] += 100.0  # the second stage overruns in this phase
+        return out
+
+    monkeypatch.setattr(synthesis, step, slow)
+    h2 = hypercube_group(["a", "b"])
+    config = SynthesisConfig(n_acyclic=4, stage_timeout=10.0)
+    with pytest.raises(ResourceCap, match=f"^stage 1 timed out after {phase}$") as info:
+        construct_n_acyclic(h2, config)
+    assert [r.order for r in info.value.stage_reports] == [4]
+    assert info.value.partial.order == 4
+    clock[0] = 0.0
+    monkeypatch.setattr(synthesis, step, original)
+    assert [r.order for r in construct_n_acyclic(h2, config)[1]] == [4, 12]
+
+
+def test_search_budget_cap_carries_partial_reports():
+    h2 = hypercube_group(["a", "b"])
+    config = SynthesisConfig(n_acyclic=4, search_budget=1)
+    with pytest.raises(ResourceCap, match="search budget 1 exceeded") as info:
+        construct_n_acyclic(h2, config)
+    # the second stage's search stops; the first stage is reported
+    assert [r.order for r in info.value.stage_reports] == [4]
+    assert info.value.partial.order == 4
+
+
 def test_over_template_requires_compatibility():
     ig = path_igraph("ab", "ab")
     h2 = hypercube_group(["a", "b"])
