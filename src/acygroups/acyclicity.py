@@ -15,10 +15,11 @@ tables and rechecks the result with its own independent validator.
 from __future__ import annotations
 
 import math
+import time
 from typing import NamedTuple
 
 from .canon import canonical_form, connected_components
-from .errors import PreconditionFailed, ResourceCap
+from .errors import PreconditionFailed, ResourceCap, SearchTimeout
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -152,7 +153,7 @@ def canonical_cycle(group, entries):
     return CosetCycle(best[1])
 
 
-def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
+def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, deadline=None):
     """Shortest coset cycle of length <= n_max with subsets from the filter.
 
     Returns a canonical CosetCycle or None.  g_0 is fixed at the identity.
@@ -162,8 +163,9 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
         alphas = proper_subsets(n_colors)
     else:
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
-    table = group.coset_table
-    found = search_coset_cycle(alphas, (0,), n_max, table, separated_by_ids(table), budget)
+    found = search_coset_cycle(
+        alphas, (0,), n_max, group.coset_table, separated_by_ids, budget, deadline
+    )
     if found is None:
         return None
     cyc = canonical_cycle(group, found)
@@ -172,75 +174,118 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
     return cyc
 
 
-def separated_by_ids(table):
+def separated_by_ids(p, ta, q, tb):
     """Separation test for structures whose alpha-components partition the
-    points themselves (groups, groupoids): read the ids off the tables."""
-
-    def separated(p, a, q, b):
-        ids, _ = table(b)
-        qid = ids[q]
-        ids_a, members_a = table(a)
-        return all(ids[x] != qid for x in members_a[ids_a[p]])
-
-    return separated
+    points themselves (groups, groupoids): the component of p in table ta
+    meets no point of the component of q in table tb."""
+    ids_a, members_a = ta
+    ids_b = tb[0]
+    return ids_b[q] not in map(ids_b.__getitem__, members_a[ids_a[p]])
 
 
-def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None):
+def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None, deadline=None):
     """The depth-first coset-cycle search behind every searcher.
 
     Points are group elements, packed (site, element) pairs of a template
     product, or groupoid elements.  ``table(alpha)`` is the (ids, members)
     partition of the points into alpha-components, each member tuple
-    ascending; ``separated(p, a, q, b)`` tells whether the a-component of p
-    and the b-component of q are disjoint.  Lengths 2..n_max are tried in
-    turn, start subsets in the order of ``alphas`` with the anchor points
-    inner; every separation condition determined on the prefix prunes at
-    once.  Returns the first cycle as a list of (alpha, point) pairs, or
-    None; more than ``budget`` nodes raise ResourceCap.
+    ascending; ``separated(p, ta, q, tb)`` tells whether the component of p
+    in table ta and the component of q in table tb are disjoint.  Lengths
+    2..n_max are tried in turn, start subsets in the order of ``alphas``
+    with the anchor points inner; every separation condition determined on
+    the prefix prunes at once.
+
+    Rotating and left-translating a coset cycle keeps it one, and moves any
+    entry to the front at an anchor point, so only cycles whose first subset
+    comes first in ``alphas`` are walked: after the start ``alphas[i]``,
+    entries take subsets from ``alphas[i:]`` only.  The first cycle found
+    is the one the unrestricted walk finds first, since any rotation of a
+    cycle with an earlier subset would have been found in an earlier round.
+
+    Returns that cycle as a list of (alpha, point) pairs, or None; more than
+    ``budget`` nodes raise ResourceCap, and so does passing ``deadline`` (a
+    ``time.monotonic()`` value), checked every 4096 nodes.
     """
-    budget = budget or DEFAULT_SEARCH_BUDGET
-    nodes = 0
-
-    def extend(seq, target):
-        nonlocal nodes
-        m = len(seq) - 1
-        a_m, p = seq[m]
-        ids, members = table(a_m)
-        if m == target - 1:
-            (a_0, p_0), (a_1, p_1) = seq[0], seq[1]
-            if ids[p] != ids[p_0]:
-                return None
-            if not separated(p, a_m & seq[m - 1][0], p_0, a_m & a_0):
-                return None
-            if not separated(p_0, a_0 & a_m, p_1, a_0 & a_1):
-                return None
-            return seq
-        if m:
-            a_mid = a_m & seq[m - 1][0]
-            mid_ids, _ = table(a_mid)
-        for q in members[ids[p]]:
-            if q == p:
-                continue
-            if m and mid_ids[q] == mid_ids[p]:
-                continue  # separation at m is then impossible for any next subset
-            for a_next in alphas:
-                nodes += 1
-                if nodes > budget:
-                    raise ResourceCap(f"coset-cycle search budget {budget} exceeded")
-                if m and not separated(p, a_mid, q, a_m & a_next):
-                    continue
-                found = extend(seq + [(a_next, q)], target)
-                if found is not None:
-                    return found
-        return None
-
+    walk = _Walk(alphas, table, separated, budget or DEFAULT_SEARCH_BUDGET, deadline)
     for target in range(2, n_max + 1):
-        for a_0 in alphas:
+        walk.target = target
+        for start in range(len(alphas)):
+            walk.nexts = range(start, len(alphas))
             for p_0 in anchors:
-                found = extend([(a_0, p_0)], target)
-                if found is not None:
-                    return found
+                walk.seq = [(start, p_0)]
+                if _extend(walk, 0):
+                    return [(alphas[i], p) for i, p in walk.seq]
     return None
+
+
+class _Walk:
+    """State of one search: subsets are indices into ``alphas``, their tables
+    fetched once, the tables of meets alphas[i] & alphas[j] memoised as first
+    needed.  The walk itself is the module-level ``_extend``, so no function
+    refers to itself and nothing here outlives the search in a reference
+    cycle."""
+
+    __slots__ = ("alphas", "table", "tables", "meets", "separated", "budget", "deadline",
+                 "nodes", "target", "nexts", "seq")
+
+    def __init__(self, alphas, table, separated, budget, deadline):
+        self.alphas = alphas
+        self.table = table
+        self.tables = [table(a) for a in alphas]
+        self.meets = [[None] * len(alphas) for _ in alphas]
+        self.separated = separated
+        self.budget = budget
+        self.deadline = deadline
+        self.nodes = 0
+
+    def meet(self, i, j):
+        t = self.meets[i][j]
+        if t is None:
+            t = self.meets[i][j] = self.meets[j][i] = self.table(self.alphas[i] & self.alphas[j])
+        return t
+
+    def count(self):
+        """Count one node against the budget and, every 4096 nodes, the deadline."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise ResourceCap(f"coset-cycle search budget {self.budget} exceeded")
+        if not self.nodes & 4095 and self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout(f"coset-cycle search timed out after {self.nodes} nodes")
+
+
+def _extend(w, m):
+    """Grow w.seq, whose last entry sits at position m, to a cycle of
+    w.target entries; True when w.seq then holds one."""
+    seq = w.seq
+    i_m, p = seq[m]
+    ids, members = w.tables[i_m]
+    separated, meet = w.separated, w.meet
+    if m == w.target - 1:
+        (i_0, p_0), (i_1, p_1) = seq[0], seq[1]
+        return (
+            ids[p] == ids[p_0]
+            and separated(p, meet(i_m, seq[m - 1][0]), p_0, meet(i_m, i_0))
+            and separated(p_0, meet(i_0, i_m), p_1, meet(i_0, i_1))
+        )
+    if m:
+        t_mid = meet(i_m, seq[m - 1][0])
+        mid_ids = t_mid[0]
+        p_mid = mid_ids[p]
+        row = w.meets[i_m]
+    for q in members[ids[p]]:
+        if q == p:
+            continue
+        if m and mid_ids[q] == p_mid:
+            continue  # separation at m is then impossible for any next subset
+        for j in w.nexts:
+            w.count()
+            if m and not separated(p, t_mid, q, row[j] or meet(i_m, j)):
+                continue
+            seq.append((j, q))
+            if _extend(w, m + 1):
+                return True
+            seq.pop()
+    return False
 
 
 def is_n_acyclic(group, n_max, gamma=None, allow_full=False, budget=None):

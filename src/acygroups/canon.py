@@ -95,63 +95,3 @@ def find_isomorphism(g1, g2):
 
 def isomorphic(g1, g2):
     return find_isomorphism(g1, g2) is not None
-
-
-def brute_force_isomorphic(g1, g2):
-    """Backtracking isomorphism search; test oracle for small graphs."""
-    if g1.colors != g2.colors or g1.n != g2.n:
-        return False
-    profiles2 = {}
-    for v in range(g2.n):
-        profiles2.setdefault(g2.degree_profile(v), []).append(v)
-    mapping = {}
-    used = set()
-
-    def edges_ok(u, mu):
-        for c in range(len(g1.colors)):
-            w = g1.partner[c][u]
-            mw = g2.partner[c][mu]
-            if w == NO_EDGE:
-                if mw != NO_EDGE:
-                    return False
-            elif w == u:
-                if mw != mu:
-                    return False
-            elif w in mapping:
-                if mw != mapping[w]:
-                    return False
-            elif mw == NO_EDGE or mw == mu or mw in used:
-                return False
-        return True
-
-    def extend(u):
-        if u == g1.n:
-            return True
-        for mu in profiles2.get(g1.degree_profile(u), []):
-            if mu in used or not edges_ok(u, mu):
-                continue
-            mapping[u] = mu
-            used.add(mu)
-            if extend(u + 1):
-                return True
-            del mapping[u]
-            used.remove(mu)
-        return False
-
-    return extend(0)
-
-
-def verify_isomorphism(g1, g2, mapping):
-    """Check that mapping is a colour-preserving isomorphism g1 -> g2."""
-    if mapping is None or len(mapping) != g1.n or set(mapping) != set(range(g2.n)):
-        return False
-    for c in range(len(g1.colors)):
-        for v in range(g1.n):
-            w = g1.partner[c][v]
-            mw = g2.partner[c][mapping[v]]
-            if w == NO_EDGE:
-                if mw != NO_EDGE:
-                    return False
-            elif mw != mapping[w]:
-                return False
-    return True

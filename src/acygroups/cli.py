@@ -146,6 +146,20 @@ def cmd_verify_witness(args):
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
+def _write_reports(args, command, config, inputs, outputs, reports, timings):
+    """Stage reports to --reports, or to stderr without one; then the manifest."""
+    if getattr(args, "reports", None):
+        doc = ser.reports_to_json(reports)
+        with open(args.reports, "wb") as fh:
+            fh.write(ser.canonical_bytes(doc))
+        outputs[args.reports] = ser.digest(doc)
+    else:
+        for rep in reports:
+            sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
+    _write_manifest(args, command, config, inputs, outputs,
+                    reports=[r.to_json() for r in reports], timings=timings)
+
+
 def cmd_construct(args):
     inputs = {}
     group, _ = _load(args.group, {"egroup"}, inputs)
@@ -157,19 +171,6 @@ def cmd_construct(args):
     template = _load(args.over, {"egraph"}, inputs)[0] if args.over else None
     cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit, "over": bool(args.over)}
     outputs = {}
-
-    def write_reports(reports, timings):
-        if args.reports:
-            doc = ser.reports_to_json(reports)
-            with open(args.reports, "wb") as fh:
-                fh.write(ser.canonical_bytes(doc))
-            outputs[args.reports] = ser.digest(doc)
-        else:
-            for rep in reports:
-                sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
-        _write_manifest(args, ["construct"], cfg_doc, inputs, outputs,
-                        reports=[r.to_json() for r in reports], timings=timings)
-
     t0 = time.monotonic()
     try:
         if args.over:
@@ -178,11 +179,12 @@ def cmd_construct(args):
             result, reports = construct_n_acyclic(group, config)
     except ResourceCap as exc:
         # the finished stages explain the cap; no group is emitted
-        write_reports(exc.stage_reports or [], {"construct": time.monotonic() - t0})
+        _write_reports(args, ["construct"], cfg_doc, inputs, outputs, exc.stage_reports or [],
+                       {"construct": time.monotonic() - t0})
         raise
     timings = {"construct": time.monotonic() - t0}
     _emit(ser.egroup_to_json(result), args.output, outputs)
-    write_reports(reports, timings)
+    _write_reports(args, ["construct"], cfg_doc, inputs, outputs, reports, timings)
     final = reports[-1].final_checks if reports else None
     if final is not None and not all(final.values()):
         sys.stderr.write(f"final verification failed: {final}\n")
@@ -198,15 +200,21 @@ def cmd_groupoid_construct(args):
     else:
         target = pattern_igraph(pattern)
     config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
-    t0 = time.monotonic()
-    res = construct_n_acyclic_groupoid(pattern, target, args.n, config)
-    timings = {"construct": time.monotonic() - t0}
+    cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit}
     outputs = {}
+    t0 = time.monotonic()
+    try:
+        res = construct_n_acyclic_groupoid(pattern, target, args.n, config)
+    except ResourceCap as exc:
+        # as for construct: the finished stages explain the cap
+        _write_reports(args, ["groupoid-construct"], cfg_doc, inputs, outputs,
+                       exc.stage_reports or [], {"construct": time.monotonic() - t0})
+        raise
+    timings = {"construct": time.monotonic() - t0}
     _emit(ser.igroupoid_to_json(res.groupoid), args.output, outputs)
     if args.group_output:
         with open(args.group_output, "wb") as fh:
             fh.write(ser.canonical_bytes(ser.egroup_to_json(res.group)))
-    cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit}
     _write_manifest(args, ["groupoid-construct"], cfg_doc, inputs, outputs,
                     reports=[r.to_json() for r in res.stage_reports], timings=timings)
     if not all(res.checks.values()):

@@ -312,7 +312,7 @@ def validate_i_coset_cycle(group, igraph, entries, ctx=None):
     return True
 
 
-def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None):
+def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=None):
     """Shortest template coset cycle up to n_max, or None.
 
     Entries are (alpha, site, element) with the first element at the
@@ -332,16 +332,15 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None):
             view = views[alpha] = (ids, tuple(tuple(sorted(b)) for b in members))
         return view
 
-    def elements(alpha, x):
-        ids, members = ctx.comp_tables(alpha)
-        return {y % ng for y in members[ids[x]]}
-
-    def separated(p, a, q, b):
-        return elements(a, p).isdisjoint(elements(b, q))
+    def separated(p, ta, q, tb):
+        (ids_a, members_a), (ids_b, members_b) = ta, tb
+        return {y % ng for y in members_a[ids_a[p]]}.isdisjoint(
+            y % ng for y in members_b[ids_b[q]]
+        )
 
     anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
     alphas = proper_subsets(len(group.colors))
-    found = search_coset_cycle(alphas, anchors, n_max, table, separated, budget)
+    found = search_coset_cycle(alphas, anchors, n_max, table, separated, budget, deadline)
     if found is None:
         return None
     cyc = tuple((a, *ctx.unpair(x)) for a, x in found)

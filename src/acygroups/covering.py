@@ -291,36 +291,34 @@ class AcyclicityWitness(NamedTuple):
 
 def _chordless_cycles(adj, length):
     """Chordless cycles of exactly the given length, canonical start vertex."""
-    n = len(adj)
-    for v0 in range(n):
-        path = [v0]
-        in_path = {v0}
+    for v0 in range(len(adj)):
+        yield from _chordless_paths(adj, length, [v0], {v0})
 
-        def extend():
-            last = path[-1]
-            if len(path) == length:
-                if v0 in adj[last]:
-                    yield tuple(path)
-                return
-            for w in sorted(adj[last]):
-                if w <= v0 or w in in_path:
-                    continue
-                # chordlessness: w may only touch the previous vertex (and v0
-                # when closing)
-                bad = False
-                for p in path[:-1]:
-                    if w in adj[p] and not (p == v0 and len(path) == length - 1):
-                        bad = True
-                        break
-                if bad:
-                    continue
-                path.append(w)
-                in_path.add(w)
-                yield from extend()
-                path.pop()
-                in_path.remove(w)
 
-        yield from extend()
+def _chordless_paths(adj, length, path, in_path):
+    """The cycles of _chordless_cycles that continue path."""
+    v0, last = path[0], path[-1]
+    if len(path) == length:
+        if v0 in adj[last]:
+            yield tuple(path)
+        return
+    for w in sorted(adj[last]):
+        if w <= v0 or w in in_path:
+            continue
+        # chordlessness: w may only touch the previous vertex (and v0
+        # when closing)
+        bad = False
+        for p in path[:-1]:
+            if w in adj[p] and not (p == v0 and len(path) == length - 1):
+                bad = True
+                break
+        if bad:
+            continue
+        path.append(w)
+        in_path.add(w)
+        yield from _chordless_paths(adj, length, path, in_path)
+        path.pop()
+        in_path.remove(w)
 
 
 def _cliques_up_to(adj, max_size, budget):
@@ -329,22 +327,20 @@ def _cliques_up_to(adj, max_size, budget):
     count = 0
     order = sorted(range(n), key=lambda v: len(adj[v]))
     rank = {v: i for i, v in enumerate(order)}
-
-    def extend(clique, cands):
-        nonlocal count
-        yield tuple(clique)
-        if len(clique) == max_size:
-            return
-        for w in sorted(cands, key=lambda v: rank[v]):
+    # depth first; a stack entry is a clique with the candidates that extend
+    # it, and every clique but the single vertices counts against the budget
+    stack = [((v,), [w for w in adj[v] if rank[w] > rank[v]]) for v in reversed(order)]
+    while stack:
+        clique, cands = stack.pop()
+        if len(clique) > 1:
             count += 1
             if count > budget:
                 raise ResourceCap(f"clique search budget {budget} exceeded")
-            clique.append(w)
-            yield from extend(clique, [x for x in cands if x in adj[w] and rank[x] > rank[w]])
-            clique.pop()
-
-    for v in order:
-        yield from extend([v], [w for w in adj[v] if rank[w] > rank[v]])
+        yield clique
+        if len(clique) < max_size:
+            for w in sorted(cands, key=rank.__getitem__, reverse=True):
+                grown = [x for x in cands if x in adj[w] and rank[x] > rank[w]]
+                stack.append((clique + (w,), grown))
 
 
 def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):

@@ -23,10 +23,6 @@ def reduce_word(word):
     return tuple(out)
 
 
-def is_reduced(word):
-    return all(word[i] != word[i + 1] for i in range(len(word) - 1))
-
-
 class EGraph:
     """Immutable edge-coloured graph with partial-matching colour classes."""
 

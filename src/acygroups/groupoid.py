@@ -496,16 +496,15 @@ def validate_groupoid_coset_cycle(gpd, entries):
     return True
 
 
-def find_groupoid_coset_cycle(gpd, n_max, budget=None):
+def find_groupoid_coset_cycle(gpd, n_max, budget=None, deadline=None):
     """Shortest groupoid coset cycle up to n_max, or None.
 
     Subsets range over inverse-closed proper subsets of the edges; the first
     element is normalised to a neutral element by left translation.
     """
     alphas = inverse_closed_proper_subsets(gpd.pattern)
-    table = gpd.subset_closures
     found = search_coset_cycle(
-        alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
+        alphas, gpd.neutral, n_max, gpd.subset_closures, separated_by_ids, budget, deadline
     )
     if found is None:
         return None

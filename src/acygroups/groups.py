@@ -146,12 +146,14 @@ def _check_order_bound(parts, cap):
         if not data:
             continue  # no colours: the trivial group
         n = len(data[0])
-        order = n if kind == "tables" else group_order(data, n)
-        bound = lcm(bound, order)
+        order = n if kind == "tables" else group_order(data, n, limit=cap)
+        # past the limit the search stops early and order is only a lower bound
+        bound = order if order > cap else lcm(bound, order)
         if bound > cap:
+            known = "at least " if order > cap else ""
             raise ResourceCap(
                 f"element cap {cap} exceeded: the group has order at least {bound} "
-                f"(part {i}: {n} points, order {order})"
+                f"(part {i}: {n} points, order {known}{order})"
             )
     perms = [data for kind, data in parts if kind == "perms" and data]
     if len(perms) < 2:
@@ -339,24 +341,3 @@ def is_group_symmetry(group, rho):
     renamed = {group.color_index(e): group.gen_action[group.color_index(t)] for e, t in rho.items()}
     rows = list(enumerate(group.gen_action))
     return propagate(group.order, rows, [(0, 0)], lambda c, g: renamed[c][g]) is not None
-
-
-def word_kernel_compatible(group, h, max_len):
-    """Oracle: compare word kernels over all reduced words up to max_len."""
-    perms = graph_generator_perms(h)
-    ident = tuple(range(h.n))
-    n_colors = len(group.colors)
-    stack = [((), 0, ident)]
-    while stack:
-        word, g, act = stack.pop()
-        if g == 0 and act != ident:
-            return False
-        if len(word) == max_len:
-            continue
-        for c in range(n_colors):
-            if word and word[-1] == c:
-                continue
-            stack.append(
-                (word + (c,), group.gen_action[c][g], tuple(perms[c][x] for x in act))
-            )
-    return True

@@ -21,7 +21,7 @@ from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
 from .egraph import trivial_completion
-from .errors import CompatibilityRequired, ResourceCap
+from .errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, homomorphism, is_compatible, sym_components
 
 
@@ -128,24 +128,26 @@ def _chain_pointings(group, subsets, max_len):
             admissible[key] = points
         return points
 
-    def extend(alphas, points, length):
-        if len(alphas) == length:
-            yield alphas, points + [(0,)]
-            return
-        for a in subsets:
-            if len(alphas) >= 2:
-                here = interior(alphas[-2], alphas[-1], a)
-                if not here:
-                    continue
-                grown = points + [here]
-            elif alphas:
-                grown = [group.subgroup_elements(alphas[0])]
-            else:
-                grown = []
-            yield from extend(alphas + [a], grown, length)
-
     for length in range(1, max_len + 1):
-        yield from extend([], [], length)
+        yield from _extend_chain(group, subsets, interior, [], [], length)
+
+
+def _extend_chain(group, subsets, interior, alphas, points, length):
+    """The admissible chains of the given length that start with alphas."""
+    if len(alphas) == length:
+        yield alphas, points + [(0,)]
+        return
+    for a in subsets:
+        if len(alphas) >= 2:
+            here = interior(alphas[-2], alphas[-1], a)
+            if not here:
+                continue
+            grown = points + [here]
+        elif alphas:
+            grown = [group.subgroup_elements(alphas[0])]
+        else:
+            grown = []
+        yield from _extend_chain(group, subsets, interior, alphas + [a], grown, length)
 
 
 def _enumerate_chains(group, subsets, max_len, dedupe):
@@ -225,9 +227,11 @@ def _conservation(prev, new, k):
     return table, ok
 
 
-def _stage_verify(new, k, config, mode, igraph, ctx):
+def _stage_verify(new, k, config, mode, igraph, ctx, deadline):
     gamma = GammaFilter.size(k + 1)
-    cyc = find_coset_cycle(new, config.n_acyclic, gamma=gamma, budget=config.search_budget)
+    cyc = find_coset_cycle(
+        new, config.n_acyclic, gamma=gamma, budget=config.search_budget, deadline=deadline
+    )
     acyclic_ok = cyc is None
     free_ok = None
     if mode == "over":
@@ -236,16 +240,16 @@ def _stage_verify(new, k, config, mode, igraph, ctx):
     return acyclic_ok, free_ok
 
 
-def _final_verify(group, config, mode, igraph, ctx, n_acyclic=None):
+def _final_verify(group, config, mode, igraph, ctx, deadline, n_acyclic=None):
     """Final checks; n_acyclic is the plain verdict when already searched."""
+    limits = {"budget": config.search_budget, "deadline": deadline}
     if n_acyclic is None:
-        n_acyclic = find_coset_cycle(group, config.n_acyclic, budget=config.search_budget) is None
+        n_acyclic = find_coset_cycle(group, config.n_acyclic, **limits) is None
     checks = {"n_acyclic": n_acyclic}
     if mode == "over":
         checks["free_over"] = is_free_over(group, igraph, ctx=ctx)
         checks["n_acyclic_over"] = (
-            find_i_coset_cycle(group, igraph, config.n_acyclic, ctx=ctx, budget=config.search_budget)
-            is None
+            find_i_coset_cycle(group, igraph, config.n_acyclic, ctx=ctx, **limits) is None
         )
     return checks
 
@@ -277,7 +281,7 @@ def _construct(group0, config, mode, igraph):
             table, cons_ok = _conservation(current, new, k)
             _check_deadline(deadline, k, "conservation")
             ctx_new = IContext(new, igraph) if mode == "over" else None
-            acyclic_ok, free_ok = _stage_verify(new, k, config, mode, igraph, ctx_new)
+            acyclic_ok, free_ok = _stage_verify(new, k, config, mode, igraph, ctx_new, deadline)
             report = StageReport(
                 stage=k,
                 inventory=inventory,
@@ -294,14 +298,16 @@ def _construct(group0, config, mode, igraph):
             if config.early_exit or last:
                 # the last stage searched all proper subsets: the final plain search
                 final = _final_verify(
-                    current, config, mode, igraph, ctx_new, acyclic_ok if last else None
+                    current, config, mode, igraph, ctx_new, deadline, acyclic_ok if last else None
                 )
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")
                     break
         if final is None:
             ctx = IContext(current, igraph) if mode == "over" else None
-            final = _final_verify(current, config, mode, igraph, ctx)
+            final = _final_verify(current, config, mode, igraph, ctx, deadline)
+    except SearchTimeout:
+        raise ResourceCap(f"stage {k} timed out after the search", current, reports) from None
     except ResourceCap as exc:
         exc.partial = current
         exc.stage_reports = reports

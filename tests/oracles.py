@@ -1,0 +1,181 @@
+"""Reference implementations that tests compare the library against.
+
+``search_coset_cycle`` is the coset-cycle kernel before it was restricted to
+rotation-minimal cycles: after any start, every entry may take every
+subset, and ``separated(p, a, q, b)`` receives the two subsets.  The
+``reference_*`` searchers feed it as the library's adapters feed theirs,
+so on every query both must return the same witness or the same ``None``.
+"""
+
+from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
+from acygroups.constraint import IContext
+from acygroups.errors import ResourceCap
+from acygroups.groupoid import inverse_closed_proper_subsets
+from acygroups.groups import graph_generator_perms
+from acygroups.traverse import NO_EDGE
+
+
+def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None):
+    budget = budget or DEFAULT_SEARCH_BUDGET
+    nodes = 0
+
+    def extend(seq, target):
+        nonlocal nodes
+        m = len(seq) - 1
+        a_m, p = seq[m]
+        ids, members = table(a_m)
+        if m == target - 1:
+            (a_0, p_0), (a_1, p_1) = seq[0], seq[1]
+            if ids[p] != ids[p_0]:
+                return None
+            if not separated(p, a_m & seq[m - 1][0], p_0, a_m & a_0):
+                return None
+            if not separated(p_0, a_0 & a_m, p_1, a_0 & a_1):
+                return None
+            return seq
+        if m:
+            a_mid = a_m & seq[m - 1][0]
+            mid_ids, _ = table(a_mid)
+        for q in members[ids[p]]:
+            if q == p:
+                continue
+            if m and mid_ids[q] == mid_ids[p]:
+                continue
+            for a_next in alphas:
+                nodes += 1
+                if nodes > budget:
+                    raise ResourceCap(f"coset-cycle search budget {budget} exceeded")
+                if m and not separated(p, a_mid, q, a_m & a_next):
+                    continue
+                found = extend(seq + [(a_next, q)], target)
+                if found is not None:
+                    return found
+        return None
+
+    for target in range(2, n_max + 1):
+        for a_0 in alphas:
+            for p_0 in anchors:
+                found = extend([(a_0, p_0)], target)
+                if found is not None:
+                    return found
+    return None
+
+
+def separated_by_ids(table):
+    def separated(p, a, q, b):
+        ids, _ = table(b)
+        qid = ids[q]
+        ids_a, members_a = table(a)
+        return all(ids[x] != qid for x in members_a[ids_a[p]])
+
+    return separated
+
+
+def reference_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
+    n_colors = len(group.colors)
+    if gamma is None:
+        alphas = proper_subsets(n_colors)
+    else:
+        alphas = gamma.subsets(n_colors, allow_full=allow_full)
+    table = group.coset_table
+    found = search_coset_cycle(alphas, (0,), n_max, table, separated_by_ids(table), budget)
+    return None if found is None else canonical_cycle(group, found)
+
+
+def reference_i_coset_cycle(group, igraph, n_max, budget=None):
+    ctx = IContext(group, igraph)
+    ng = group.order
+    views = {}
+
+    def table(alpha):
+        view = views.get(alpha)
+        if view is None:
+            ids, members = ctx.comp_tables(alpha)
+            view = views[alpha] = (ids, tuple(tuple(sorted(b)) for b in members))
+        return view
+
+    def elements(alpha, x):
+        ids, members = ctx.comp_tables(alpha)
+        return {y % ng for y in members[ids[x]]}
+
+    def separated(p, a, q, b):
+        return elements(a, p).isdisjoint(elements(b, q))
+
+    anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
+    alphas = proper_subsets(len(group.colors))
+    found = search_coset_cycle(alphas, anchors, n_max, table, separated, budget)
+    return None if found is None else tuple((a, *ctx.unpair(x)) for a, x in found)
+
+
+def reference_groupoid_coset_cycle(gpd, n_max, budget=None):
+    alphas = inverse_closed_proper_subsets(gpd.pattern)
+    table = gpd.subset_closures
+    found = search_coset_cycle(
+        alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
+    )
+    return None if found is None else tuple(found)
+
+
+def brute_force_isomorphic(g1, g2):
+    """Backtracking isomorphism search; test oracle for small graphs."""
+    if g1.colors != g2.colors or g1.n != g2.n:
+        return False
+    profiles2 = {}
+    for v in range(g2.n):
+        profiles2.setdefault(g2.degree_profile(v), []).append(v)
+    mapping = {}
+    used = set()
+
+    def edges_ok(u, mu):
+        for c in range(len(g1.colors)):
+            w = g1.partner[c][u]
+            mw = g2.partner[c][mu]
+            if w == NO_EDGE:
+                if mw != NO_EDGE:
+                    return False
+            elif w == u:
+                if mw != mu:
+                    return False
+            elif w in mapping:
+                if mw != mapping[w]:
+                    return False
+            elif mw == NO_EDGE or mw == mu or mw in used:
+                return False
+        return True
+
+    def extend(u):
+        if u == g1.n:
+            return True
+        for mu in profiles2.get(g1.degree_profile(u), []):
+            if mu in used or not edges_ok(u, mu):
+                continue
+            mapping[u] = mu
+            used.add(mu)
+            if extend(u + 1):
+                return True
+            del mapping[u]
+            used.remove(mu)
+        return False
+
+    return extend(0)
+
+
+def word_kernel_compatible(group, h, max_len):
+    """Oracle: compare word kernels over all reduced words up to max_len."""
+    perms = graph_generator_perms(h)
+    ident = tuple(range(h.n))
+    n_colors = len(group.colors)
+    stack = [((), 0, ident)]
+    while stack:
+        word, g, act = stack.pop()
+        if g == 0 and act != ident:
+            return False
+        if len(word) == max_len:
+            continue
+        for c in range(n_colors):
+            if word and word[-1] == c:
+                continue
+            stack.append(
+                (word + (c,), group.gen_action[c][g], tuple(perms[c][x] for x in act))
+            )
+    return True

@@ -235,11 +235,11 @@ def test_pinned_biggs_3_1_four_cycle(small_groups):
 
 
 def test_plain_search_node_count_pinned(small_groups):
-    # the search that finds the biggs_3_1 4-cycle visits exactly 2182 nodes
+    # the search that finds the biggs_3_1 4-cycle visits exactly 1036 nodes
     group = small_groups["biggs_3_1"]
-    assert find_coset_cycle(group, 4, budget=2182) is not None
-    with pytest.raises(ResourceCap, match="coset-cycle search budget 2181 exceeded"):
-        find_coset_cycle(group, 4, budget=2181)
+    assert find_coset_cycle(group, 4, budget=1036) is not None
+    with pytest.raises(ResourceCap, match="coset-cycle search budget 1035 exceeded"):
+        find_coset_cycle(group, 4, budget=1035)
 
 
 def test_plain_search_honours_a_tiny_budget(small_groups):

@@ -386,9 +386,9 @@ def test_trivial_template_search_spends_the_plain_nodes():
     # over the trivial template the template search is the plain search
     group = corpus()["biggs_3_1"]
     trivial = trivial_constraint_graph(group.colors)
-    assert find_i_coset_cycle(group, trivial, 4, budget=2182) is not None
+    assert find_i_coset_cycle(group, trivial, 4, budget=1036) is not None
     with pytest.raises(ResourceCap):
-        find_i_coset_cycle(group, trivial, 4, budget=2181)
+        find_i_coset_cycle(group, trivial, 4, budget=1035)
 
 
 def brute_force_template_cycle(group, igraph, n_max):

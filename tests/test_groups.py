@@ -12,10 +12,10 @@ from acygroups.groups import (
     is_group_symmetry,
     subgroup,
     sym,
-    word_kernel_compatible,
 )
 
 from conftest import biggs_group, cycle_graph, hypercube_group
+from oracles import word_kernel_compatible
 
 
 def naive_closure_order(graph):

@@ -107,7 +107,9 @@ def test_cube_3_tower_caps_on_the_order_bound(monkeypatch):
     cube = hypercube_group(["a", "b", "c"])
     calls = _closures(monkeypatch)
     config = SynthesisConfig(n_acyclic=4, element_cap=1_000_000, early_exit=True)
-    with pytest.raises(ResourceCap, match=r"^element cap 1000000 exceeded: .*6227020800") as info:
+    message = (r"^element cap 1000000 exceeded: the group has order at least 1058400 "
+               r"\(part 9: 13 points, order at least 1058400\)$")
+    with pytest.raises(ResourceCap, match=message) as info:
         construct_n_acyclic(cube, config)
     assert calls and "raised" not in calls
     assert [r.order for r in info.value.stage_reports] == [8, 216]

@@ -1,0 +1,136 @@
+"""The coset-cycle kernel against the unrestricted reference kernel, its
+deadline, and the 5-acyclicity of the order-2592 group."""
+
+import types
+
+import pytest
+
+from acygroups import acyclicity
+from acygroups.acyclicity import GammaFilter, find_coset_cycle
+from acygroups.constraint import find_i_coset_cycle, trivial_constraint_graph
+from acygroups.egraph import biggs_tree
+from acygroups.errors import ResourceCap, SearchTimeout
+from acygroups.groupoid import find_groupoid_coset_cycle, groupoid_from_group, hat_translation
+from acygroups.groups import sym
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
+
+from conftest import biggs_group, corpus, hypercube_group
+from oracles import reference_coset_cycle, reference_groupoid_coset_cycle, reference_i_coset_cycle
+from test_constraint import compat_group, path_igraph, weak_triangle
+from test_groupoid import one_pair_pattern, parallel_pairs_pattern
+
+
+@pytest.fixture(scope="module")
+def group_2592():
+    g0 = sym(biggs_tree(["a", "b", "c"], 1), attach_hypercube=False)
+    group, _ = construct_n_acyclic(g0, SynthesisConfig(n_acyclic=4, early_exit=True))
+    assert group.order == 2592
+    return group
+
+
+def _gamma_filters(n_colors):
+    """(gamma, allow_full) of every size filter, two explicit families and
+    the full set allowed."""
+    filters = [(None, False)]
+    filters += [(GammaFilter.size(k), False) for k in range(1, n_colors + 2)]
+    filters.append((GammaFilter.size(n_colors + 1), True))
+    filters.append((GammaFilter.explicit([{i} for i in range(n_colors)]), False))
+    filters.append((GammaFilter.explicit([{0, i} for i in range(n_colors)]), False))
+    return filters
+
+
+def test_plain_kernel_matches_the_reference_on_the_corpus():
+    cycles = 0
+    for name, group in corpus().items():
+        for n in range(2, 7):
+            for gamma, allow_full in _gamma_filters(len(group.colors)):
+                found = find_coset_cycle(group, n, gamma=gamma, allow_full=allow_full)
+                expected = reference_coset_cycle(group, n, gamma=gamma, allow_full=allow_full)
+                assert found == expected, (name, n, gamma and gamma.size_bound, allow_full)
+                cycles += found is not None
+    assert cycles == 94
+
+
+def test_plain_kernel_matches_the_reference_on_the_order_2592_group(group_2592):
+    for gamma in (None, GammaFilter.size(2)):
+        assert find_coset_cycle(group_2592, 4, gamma=gamma) is None
+        assert reference_coset_cycle(group_2592, 4, gamma=gamma) is None
+
+
+def test_template_kernel_matches_the_reference():
+    cases = [weak_triangle()]
+    for seq, colors in [("a", "ab"), ("ab", "ab"), ("aba", "ab"),
+                        ("ab", "abc"), ("abc", "abc"), ("cab", "abc")]:
+        ig = path_igraph(seq, colors)
+        cases.append((compat_group(ig), ig))
+    groups = [corpus()[name] for name in ("s3_three_gen", "cube_3", "six_cycle", "biggs_3_1")]
+    groups += [biggs_group(["a", "b"], 1), hypercube_group(["a", "b"]), hypercube_group(["a"])]
+    cases += [(group, trivial_constraint_graph(group.colors)) for group in groups]
+    cycles = 0
+    for group, ig in cases:
+        for n in range(2, 5):
+            found = find_i_coset_cycle(group, ig, n)
+            assert found == reference_i_coset_cycle(group, ig, n)
+            cycles += found is not None
+    assert cycles == 8
+
+
+def test_groupoid_kernel_matches_the_reference():
+    for pattern in (one_pair_pattern(), parallel_pairs_pattern()):
+        hat = hat_translation(pattern)
+        gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), pattern, hat=hat)
+        for n in (2, 3, 4, 6, 10):
+            budget = 50_000_000
+            found = find_groupoid_coset_cycle(gpd, n, budget=budget)
+            assert found == reference_groupoid_coset_cycle(gpd, n, budget=budget)
+    assert found is not None and len(found) == 10
+
+
+def test_order_2592_group_is_five_acyclic_under_the_default_budget(group_2592):
+    assert find_coset_cycle(group_2592, 5) is None
+
+
+def _clock(now):
+    """A stand-in for the time module whose monotonic() reads now and
+    counts its calls."""
+    clock = types.SimpleNamespace(calls=0)
+
+    def monotonic():
+        clock.calls += 1
+        return now
+
+    clock.monotonic = monotonic
+    return clock
+
+
+def test_search_reads_the_clock_every_4096_nodes(monkeypatch, group_2592):
+    clock = _clock(0.0)
+    monkeypatch.setattr(acyclicity, "time", clock)
+    assert find_coset_cycle(group_2592, 4, deadline=1.0) is None
+    assert clock.calls == 25_998 // 4096
+    clock.calls = 0
+    assert find_coset_cycle(group_2592, 4) is None
+    assert clock.calls == 0
+
+
+def test_search_past_its_deadline_stops(monkeypatch, group_2592):
+    clock = _clock(2.0)
+    monkeypatch.setattr(acyclicity, "time", clock)
+    with pytest.raises(SearchTimeout, match="timed out after 4096 nodes"):
+        find_coset_cycle(group_2592, 4, deadline=1.0)
+    assert clock.calls == 1
+
+
+def test_stage_timeout_reaches_into_the_search(monkeypatch):
+    # only the kernel sees a clock past the deadline, so the stage times out
+    # inside its search and not after one of the phases synthesis checks
+    monkeypatch.setattr(acyclicity, "time", _clock(float("inf")))
+    g0 = sym(biggs_tree(["a", "b", "c"], 1), attach_hypercube=False)
+    config = SynthesisConfig(n_acyclic=4, early_exit=True, stage_timeout=3600.0)
+    try:
+        construct_n_acyclic(g0, config)
+    except ResourceCap as exc:
+        message, partial, reports = str(exc), exc.partial, exc.stage_reports
+    assert message == "stage 1 timed out after the search"
+    assert partial.order == 2592
+    assert [r.order for r in reports] == [24, 2592]

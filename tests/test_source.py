@@ -1,9 +1,24 @@
 """Rules the library source keeps."""
 
 import ast
+import gc
+import types
 from pathlib import Path
 
 import acygroups
+from acygroups.acyclicity import find_coset_cycle
+from acygroups.constraint import find_i_coset_cycle, trivial_constraint_graph
+from acygroups.errors import ResourceCap
+from acygroups.groupoid import (
+    ConstraintPattern,
+    find_groupoid_coset_cycle,
+    groupoid_from_group,
+    hat_translation,
+)
+from acygroups.groups import EGroup, sym
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
+
+from conftest import corpus
 
 
 def _modules():
@@ -36,3 +51,69 @@ def test_library_does_not_import_sympy():
             if any(module.split(".")[0] == "sympy" for module in imported):
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_nested_function_refers_to_itself():
+    # a nested function that calls itself holds itself through its closure:
+    # it and everything it closes over stay alive until a full collection
+    offenders = []
+    for name, tree in _modules():
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                    offenders.append(f"{name}:{inner.lineno} {inner.name}")
+    assert offenders == []
+
+
+def _cyclic_garbage(run):
+    """Library functions and groups that run() leaves in reference cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [
+            obj for obj in gc.garbage
+            if isinstance(obj, EGroup)
+            or (isinstance(obj, types.FunctionType) and obj.__module__.startswith("acygroups"))
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_searches_and_a_capped_construct_leave_no_cyclic_garbage():
+    def plain():
+        find_coset_cycle(corpus()["biggs_3_1"], 4)
+
+    def template():
+        group = corpus()["biggs_3_1"]
+        find_i_coset_cycle(group, trivial_constraint_graph(group.colors), 4)
+
+    def groupoid():
+        pattern = ConstraintPattern(
+            ["s", "t"],
+            [("e", "s", "t", "ei"), ("ei", "t", "s", "e"),
+             ("f", "s", "t", "fi"), ("fi", "t", "s", "f")],
+        )
+        hat = hat_translation(pattern)
+        gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), pattern, hat=hat)
+        find_groupoid_coset_cycle(gpd, 4)
+
+    def capped_construct():
+        config = SynthesisConfig(n_acyclic=4, early_exit=True)
+        try:
+            construct_n_acyclic(corpus()["cube_3"], config)
+        except ResourceCap:
+            pass
+        else:
+            raise AssertionError("the construct was not capped")
+
+    for run in (plain, template, groupoid, capped_construct):
+        assert _cyclic_garbage(run) == [], run.__name__

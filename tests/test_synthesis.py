@@ -231,15 +231,16 @@ def _record_searches(monkeypatch):
     log = []
     plain, over = synthesis.find_coset_cycle, synthesis.find_i_coset_cycle
 
-    def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
+    def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, deadline=None):
         n = len(group.colors)
         family = gamma.subsets(n, allow_full=allow_full) if gamma else proper_subsets(n)
         log.append(("plain", group, n_max, tuple(tuple(sorted(a)) for a in family)))
-        return plain(group, n_max, gamma=gamma, allow_full=allow_full, budget=budget)
+        return plain(group, n_max, gamma=gamma, allow_full=allow_full, budget=budget,
+                     deadline=deadline)
 
-    def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None):
+    def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=None):
         log.append(("over", group, n_max, None))
-        return over(group, igraph, n_max, ctx=ctx, budget=budget)
+        return over(group, igraph, n_max, ctx=ctx, budget=budget, deadline=deadline)
 
     monkeypatch.setattr(synthesis, "find_coset_cycle", find_coset_cycle)
     monkeypatch.setattr(synthesis, "find_i_coset_cycle", find_i_coset_cycle)
