@@ -323,24 +323,28 @@ def _chordless_paths(adj, length, path, in_path):
 
 def _cliques_up_to(adj, max_size, budget):
     """All cliques of sizes 2..max_size in degeneracy-ish order."""
-    n = len(adj)
-    count = 0
-    order = sorted(range(n), key=lambda v: len(adj[v]))
+    order = sorted(range(len(adj)), key=lambda v: len(adj[v]))
     rank = {v: i for i, v in enumerate(order)}
-    # depth first; a stack entry is a clique with the candidates that extend
-    # it, and every clique but the single vertices counts against the budget
-    stack = [((v,), [w for w in adj[v] if rank[w] > rank[v]]) for v in reversed(order)]
-    while stack:
-        clique, cands = stack.pop()
-        if len(clique) > 1:
-            count += 1
-            if count > budget:
-                raise ResourceCap(f"clique search budget {budget} exceeded")
-        yield clique
-        if len(clique) < max_size:
-            for w in sorted(cands, key=rank.__getitem__, reverse=True):
-                grown = [x for x in cands if x in adj[w] and rank[x] > rank[w]]
-                stack.append((clique + (w,), grown))
+    count = [0]
+    for v in order:
+        cands = [w for w in adj[v] if rank[w] > rank[v]]
+        yield from _clique_tree(adj, rank, max_size, [v], cands, budget, count)
+
+
+def _clique_tree(adj, rank, max_size, clique, cands, budget, count):
+    """The cliques of _cliques_up_to that contain clique; count[0] is the
+    number of cliques grown so far, checked against the budget."""
+    yield tuple(clique)
+    if len(clique) == max_size:
+        return
+    for w in sorted(cands, key=rank.__getitem__):
+        count[0] += 1
+        if count[0] > budget:
+            raise ResourceCap(f"clique search budget {budget} exceeded")
+        clique.append(w)
+        grown = [x for x in cands if x in adj[w] and rank[x] > rank[w]]
+        yield from _clique_tree(adj, rank, max_size, clique, grown, budget, count)
+        clique.pop()
 
 
 def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):

@@ -496,7 +496,7 @@ def validate_groupoid_coset_cycle(gpd, entries):
     return True
 
 
-def find_groupoid_coset_cycle(gpd, n_max, budget=None, deadline=None):
+def find_groupoid_coset_cycle(gpd, n_max, budget=None):
     """Shortest groupoid coset cycle up to n_max, or None.
 
     Subsets range over inverse-closed proper subsets of the edges; the first
@@ -504,7 +504,7 @@ def find_groupoid_coset_cycle(gpd, n_max, budget=None, deadline=None):
     """
     alphas = inverse_closed_proper_subsets(gpd.pattern)
     found = search_coset_cycle(
-        alphas, gpd.neutral, n_max, gpd.subset_closures, separated_by_ids, budget, deadline
+        alphas, gpd.neutral, n_max, gpd.subset_closures, separated_by_ids, budget
     )
     if found is None:
         return None

@@ -240,7 +240,7 @@ def _stage_verify(new, k, config, mode, igraph, ctx, deadline):
     return acyclic_ok, free_ok
 
 
-def _final_verify(group, config, mode, igraph, ctx, deadline, n_acyclic=None):
+def _final_verify(group, config, mode, igraph, ctx, n_acyclic=None, deadline=None):
     """Final checks; n_acyclic is the plain verdict when already searched."""
     limits = {"budget": config.search_budget, "deadline": deadline}
     if n_acyclic is None:
@@ -298,14 +298,14 @@ def _construct(group0, config, mode, igraph):
             if config.early_exit or last:
                 # the last stage searched all proper subsets: the final plain search
                 final = _final_verify(
-                    current, config, mode, igraph, ctx_new, deadline, acyclic_ok if last else None
+                    current, config, mode, igraph, ctx_new, acyclic_ok if last else None, deadline
                 )
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")
                     break
         if final is None:
             ctx = IContext(current, igraph) if mode == "over" else None
-            final = _final_verify(current, config, mode, igraph, ctx, deadline)
+            final = _final_verify(current, config, mode, igraph, ctx)
     except SearchTimeout:
         raise ResourceCap(f"stage {k} timed out after the search", current, reports) from None
     except ResourceCap as exc:

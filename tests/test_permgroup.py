@@ -114,3 +114,16 @@ def test_cube_3_tower_caps_on_the_order_bound(monkeypatch):
     assert calls and "raised" not in calls
     assert [r.order for r in info.value.stage_reports] == [8, 216]
     assert info.value.partial.order == 216
+
+
+def test_part_just_past_the_cap_reports_its_exact_order(monkeypatch):
+    # S5 from its four adjacent transpositions: the capped Schreier-Sims
+    # passes cap 119 only on the last orbit point, at the true order 120
+    s5 = ["perms", [(1, 0, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)]]
+    calls = _closures(monkeypatch)
+    message = (r"^element cap 119 exceeded: the group has order at least 120 "
+               r"\(part 0: 5 points, order at least 120\)$")
+    with pytest.raises(ResourceCap, match=message):
+        sym_components(["a", "b", "c", "d"], [s5], cap=119)
+    assert calls == []
+    assert sym_components(["a", "b", "c", "d"], [s5], cap=120).order == 120
