@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds; 1 property violated (witness
 emitted); 2 resource cap; 3 invalid input (including -N below 2, --cap
-below 1 and --gamma below 1).
+below 1, --gamma below 1, a negative biggs depth, and --gamma with --over);
+4 internal error (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_CAP = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 
 def _read_json(path):
@@ -390,11 +392,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, dest, least in (("-N", "n", 2), ("--cap", "cap", 1), ("--gamma", "gamma", 1)):
+    for flag, dest, least in (("-N", "n", 2), ("--cap", "cap", 1), ("--gamma", "gamma", 1),
+                              ("-n", "depth", 0)):
         value = getattr(args, dest, None)
         if value is not None and value < least:
             sys.stderr.write(f"invalid input: {flag} must be at least {least}, got {value}\n")
             return EXIT_INVALID
+    if getattr(args, "over", None) and getattr(args, "gamma", None) is not None:
+        # the template search always walks all proper subsets
+        sys.stderr.write("invalid input: --gamma cannot be combined with --over\n")
+        return EXIT_INVALID
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -402,15 +409,13 @@ def main(argv=None):
     except ResourceCap as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_CAP
-    except SchemaError as exc:
+    except (AcygroupsError, FileNotFoundError) as exc:  # SchemaError among them
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_INVALID
-    except AcygroupsError as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_INVALID
+    except Exception as exc:  # a bug: one line and its own code, not a traceback
+        message = str(exc).replace("\n", " ")
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ alpha-components are exactly the template-restricted cosets.
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
+from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 from .acyclicity import all_subsets, proper_subsets, search_coset_cycle
@@ -24,7 +28,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import is_compatible
-from .traverse import partition, propagate
+from .traverse import bfs_parents, partition, propagate
 
 
 def trivial_constraint_graph(colors):
@@ -42,18 +46,8 @@ def direct_product(igraph, cg):
     group = cg.group
     if not is_compatible(group, igraph):
         raise CompatibilityRequired("group is not compatible with the template graph")
-    return _raw_product(igraph, group)
-
-
-def _raw_product(igraph, group):
     ns, ng = igraph.n, group.order
     names = [f"{igraph.vertex_names[s]}|{g}" for s in range(ns) for g in range(ng)]
-    return EGraph(names, igraph.colors, _product_rows(igraph, group))
-
-
-def _product_rows(igraph, group):
-    """Per colour, the successor row of the product on pairs s * order + g."""
-    ns, ng = igraph.n, group.order
     rows = []
     for irow, grow in zip(igraph.partner, group.gen_action):
         row = [NO_EDGE] * (ns * ng)
@@ -61,7 +55,7 @@ def _product_rows(igraph, group):
             if t != NO_EDGE:
                 row[s * ng:(s + 1) * ng] = [t * ng + h for h in grow]
         rows.append(row)
-    return rows
+    return EGraph(names, igraph.colors, rows)
 
 
 class Skeleton(NamedTuple):
@@ -86,9 +80,11 @@ class SkeletonFailure(NamedTuple):
 class IContext:
     """Cached template-restricted reachability data for one (group, template).
 
-    Component tables of the product graph are built lazily per generator
-    subset from its successor rows; sites and elements are packed as
-    s * order + g.
+    Sites and elements are packed as s * order + g.  Left multiplication by
+    any element is an automorphism of the product, so the alpha-component
+    of (s, r*h), h in G[alpha], is the alpha-component of (s, h) translated
+    by r: per generator subset only the n_sites x |G[alpha]| pairs over the
+    subgroup are partitioned, and every other component is a translate.
     """
 
     def __init__(self, group, igraph, check=True):
@@ -98,7 +94,6 @@ class IContext:
             raise CompatibilityRequired("group is not compatible with the template graph")
         self.group = group
         self.igraph = igraph
-        self._rows = _product_rows(igraph, group)
         self._comp = {}
 
     def pair(self, s, g):
@@ -110,14 +105,61 @@ class IContext:
         return divmod(x, self.group.order)
 
     def comp_tables(self, alpha):
-        """(ids, members) partition of site/element pairs into alpha-components."""
+        """(ids, members) partition of site/element pairs into alpha-components.
+
+        With L components of the pairs over G[alpha] (m elements), (s, g) is
+        in component cids[g] * L + lids[s * m + rel[g]]: cids numbers the
+        alpha-cosets, and rel[g] indexes r^-1 * g in G[alpha] for the least
+        element r of g's coset.  members[cid] is the local block translated
+        by r in breadth-first order, which for r = 0 is the order that a
+        partition of the whole product gives.
+        """
         alpha = frozenset(alpha)
         cached = self._comp.get(alpha)
         if cached is not None:
             return cached
-        total = self.igraph.n * self.group.order
-        out = partition(total, [self._rows[c] for c in sorted(alpha)])
-        self._comp[alpha] = out
+        group, ns, ng = self.group, self.igraph.n, self.group.order
+        colors = sorted(alpha)
+        if len(colors) < len(group.colors):
+            sub = group.subgroup_elements(alpha)
+            pos = {h: i for i, h in enumerate(sub)}
+            sub_rows = [[pos[group.gen_action[c][h]] for h in sub] for c in colors]
+        else:
+            sub, sub_rows = range(ng), [group.gen_action[c] for c in colors]
+        m = len(sub)
+        local_rows = []
+        for c, srow in zip(colors, sub_rows):
+            row = [NO_EDGE] * (ns * m)
+            for s, t in enumerate(self.igraph.partner[c]):
+                if t != NO_EDGE:
+                    row[s * m:(s + 1) * m] = [t * m + i for i in srow]
+            local_rows.append(row)
+        lids, local = partition(ns * m, local_rows)
+        if m == ng:  # one coset, nothing to translate
+            out = self._comp[alpha] = (lids, local)
+            return out
+        # trans[i][k] = r_k * sub[i] for the least element r_k of coset k,
+        # along the breadth-first tree of G[alpha]
+        cids, cosets = group.coset_table(alpha)
+        trans = [[b[0] for b in cosets]] + [None] * (m - 1)
+        reached, parents = bfs_parents(sub_rows, m, [0])
+        for i in reached[1:]:
+            prev, k = parents[i]
+            trans[i] = list(map(group.gen_action[colors[k]].__getitem__, trans[prev]))
+        rel = [0] * ng
+        for i, xs in enumerate(trans):
+            for x in xs:
+                rel[x] = i
+        n_local = len(local)
+        base = [k * n_local for k in cids]
+        ids = []
+        for s in range(ns):
+            ids += map(add, base, map(lids[s * m:(s + 1) * m].__getitem__, rel))
+        members = LazyBlocks(
+            len(cosets) * n_local, partial(_translated_block, local, trans, m, ng)
+        )
+        # a machine-int array: the ids are fresh ints, each boxed on its own
+        out = self._comp[alpha] = (array("l", ids), members)
         return out
 
     def i_coset(self, alpha, s, g):
@@ -130,21 +172,6 @@ class IContext:
         ids, _ = self.comp_tables(alpha)
         return ids[self.pair(s, g)]
 
-    def sites_of_elements(self, alpha, s, g):
-        """Within one component the element determines the site; map it out."""
-        ids, members = self.comp_tables(alpha)
-        ng = self.group.order
-        out = {}
-        for x in members[ids[self.pair(s, g)]]:
-            t, h = divmod(x, ng)
-            if h in out and out[h] != t:
-                raise CompatibilityRequired(
-                    "element reached at two sites in one component; group is not "
-                    "compatible with the template"
-                )
-            out[h] = t
-        return out
-
     def skeleton(self, alpha, s, g=0):
         """Embedded skeleton: the alpha-component of (s, g) in the product."""
         alpha = frozenset(alpha)
@@ -154,15 +181,42 @@ class IContext:
         local = {x: i for i, x in enumerate(block)}
         rows = [[NO_EDGE] * len(block) for _ in self.group.colors]
         for c in sorted(alpha):
-            prow = self._rows[c]
+            irow, grow = self.igraph.partner[c], self.group.gen_action[c]
             for i, x in enumerate(block):
-                if prow[x] != NO_EDGE:
-                    rows[c][i] = local[prow[x]]
+                t, h = divmod(x, ng)
+                if irow[t] != NO_EDGE:
+                    rows[c][i] = local[irow[t] * ng + grow[h]]
         names = [f"{self.igraph.vertex_names[x // ng]}|{x % ng}" for x in block]
         graph = EGraph(names, self.group.colors, rows)
         hom = tuple(x // ng for x in block)
         elements = tuple(x % ng for x in block)
         return Skeleton(graph, hom, alpha, s, elements)
+
+
+class LazyBlocks:
+    """Blocks 0..n-1 of a partition, each built by build(cid) on first access
+    and then kept; a sequence, so iterating it walks the blocks in order."""
+
+    __slots__ = ("_build", "_blocks")
+
+    def __init__(self, n, build):
+        self._build = build
+        self._blocks = [None] * n
+
+    def __len__(self):
+        return len(self._blocks)
+
+    def __getitem__(self, cid):
+        block = self._blocks[cid]
+        if block is None:
+            block = self._blocks[cid] = self._build(cid)
+        return block
+
+
+def _translated_block(local, trans, m, ng, cid):
+    """Packed pairs of component cid: its local block moved to its coset."""
+    k, lid = divmod(cid, len(local))
+    return tuple(s * ng + trans[i][k] for s, i in map(divmod, local[lid], repeat(m)))
 
 
 def i_component(group, igraph, alpha, s, g, ctx=None):
@@ -329,7 +383,9 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
         view = views.get(alpha)
         if view is None:
             ids, members = ctx.comp_tables(alpha)
-            view = views[alpha] = (ids, tuple(tuple(sorted(b)) for b in members))
+            view = views[alpha] = (
+                ids, LazyBlocks(len(members), lambda cid: tuple(sorted(members[cid])))
+            )
         return view
 
     def separated(p, ta, q, tb):

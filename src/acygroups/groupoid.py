@@ -79,9 +79,6 @@ class ConstraintPattern:
         """Inverse pairs as (e, e_inv) with e < e_inv, sorted."""
         return [(i, self.inv[i]) for i in range(self.n_edges) if i < self.inv[i]]
 
-    def edges_between(self, s, t):
-        return [i for i in range(self.n_edges) if self.src[i] == s and self.tgt[i] == t]
-
     def __repr__(self):
         return f"ConstraintPattern({len(self.sites)} sites, {self.n_edges} directed edges)"
 

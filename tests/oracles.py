@@ -8,11 +8,12 @@ so on every query both must return the same witness or the same ``None``.
 """
 
 from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
-from acygroups.constraint import IContext
+from acygroups.constraint import IContext, Skeleton
+from acygroups.egraph import EGraph
 from acygroups.errors import ResourceCap
 from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms
-from acygroups.traverse import NO_EDGE
+from acygroups.traverse import NO_EDGE, partition
 
 
 def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None):
@@ -179,3 +180,34 @@ def word_kernel_compatible(group, h, max_len):
                 (word + (c,), group.gen_action[c][g], tuple(perms[c][x] for x in act))
             )
     return True
+
+
+def reference_comp_tables(group, igraph, alpha):
+    """(ids, members) of the alpha-components of the whole product, every
+    n_sites x |G| pair partitioned under the product's successor rows, with
+    those rows: IContext.comp_tables before it served tables by translation."""
+    ns, ng = igraph.n, group.order
+    rows = {}
+    for c in sorted(alpha):
+        row = [NO_EDGE] * (ns * ng)
+        for s, t in enumerate(igraph.partner[c]):
+            if t != NO_EDGE:
+                row[s * ng:(s + 1) * ng] = [t * ng + h for h in group.gen_action[c]]
+        rows[c] = row
+    return partition(ns * ng, list(rows.values())), rows
+
+
+def reference_skeleton(group, igraph, alpha, s, g=0):
+    """The skeleton of (s, g) read off the global partition and its rows."""
+    (ids, members), prows = reference_comp_tables(group, igraph, alpha)
+    ng = group.order
+    block = members[ids[s * ng + g]]
+    local = {x: i for i, x in enumerate(block)}
+    rows = [[NO_EDGE] * len(block) for _ in group.colors]
+    for c, prow in prows.items():
+        for i, x in enumerate(block):
+            if prow[x] != NO_EDGE:
+                rows[c][i] = local[prow[x]]
+    names = [f"{igraph.vertex_names[x // ng]}|{x % ng}" for x in block]
+    return Skeleton(EGraph(names, group.colors, rows), tuple(x // ng for x in block),
+                    frozenset(alpha), s, tuple(x % ng for x in block))

@@ -1,11 +1,16 @@
 import json
 
 from acygroups import serialize as ser
+from acygroups.acyclicity import find_coset_cycle
 from acygroups.cli import main
-from acygroups.covering import Hypergraph
+from acygroups.constraint import trivial_constraint_graph
+from acygroups.covering import Hypergraph, intersection_graph
 from acygroups.egraph import hypercube, disjoint_union
 from acygroups.groupoid import ConstraintPattern
 from acygroups.groups import sym
+
+from conftest import biggs_group
+from test_serialize import _paths
 
 
 def run(capsys, *argv):
@@ -331,3 +336,131 @@ def test_list_valued_egraph_names_are_invalid_input(tmp_path, capsys):
     colour = {"format": "egraph", "vertices": ["0", "1"], "colors": ["a"],
               "edges": [[["a"], "0", "1"]]}
     _invalid(capsys, ["symgroup", write(tmp_path, "c.json", colour)], "/edges/0/0")
+
+
+def test_gamma_with_over_is_invalid_input(tmp_path, capsys):
+    tree = str(tmp_path / "tree.json")
+    run(capsys, "biggs", "-E", "a,b", "-n", "1", "-o", tree)
+    group = str(tmp_path / "g.json")
+    run(capsys, "symgroup", tree, "-o", group)
+    assert json.loads(open(group).read())["order"] == 12
+    trivial = write(tmp_path, "t.json", ser.egraph_to_json(trivial_constraint_graph(["a", "b"])))
+    code, out = run(capsys, "check-acyclic", group, "-N", "12", "--gamma", "1")
+    assert code == 0 and json.loads(out)["holds"]
+    # the template search walks all proper subsets, so a filter would be
+    # recorded in the manifest but not applied
+    code = main(["check-acyclic", group, "-N", "12", "--gamma", "1", "--over", trivial])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "--gamma cannot be combined with --over" in captured.err
+    code, out = run(capsys, "check-acyclic", group, "-N", "12", "--over", trivial)
+    assert code == 1 and len(json.loads(out)["entries"]) == 12
+
+
+def test_negative_biggs_depth_is_invalid_input(capsys):
+    for depth in ("-1", "-4"):
+        code = main(["biggs", "-E", "a,b", "-n", depth])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", depth
+        assert captured.err == f"invalid input: -n must be at least 0, got {depth}\n"
+    code, out = run(capsys, "biggs", "-E", "a,b", "-n", "0")
+    assert code == 0 and json.loads(out)["vertices"] == [""]
+
+
+def test_any_other_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    import acygroups.cli as cli
+
+    def broken(group):
+        raise RuntimeError("no such\nrow")
+
+    monkeypatch.setattr(cli, "girth", broken)
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    code = main(["girth", group])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4 and captured.out == ""
+    assert captured.err == "internal error: RuntimeError: no such row\n"
+
+
+def _fuzz_inputs(work):
+    """(document, argv with {} for its path) pairs of valid inputs; the
+    other files an argv names are written once into work."""
+    import os
+
+    def put(name, doc):
+        path = os.path.join(work, name)
+        with open(path, "wb") as fh:
+            fh.write(ser.canonical_bytes(doc))
+        return path
+
+    s3 = biggs_group(["a", "b"], 1)
+    group = put("g.json", ser.egroup_to_json(s3))
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    hg = Hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])
+    template = intersection_graph(hg)
+    cover_group = put("cg.json", ser.egroup_to_json(
+        sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)))
+    witness = ser.cycle_to_json(s3, find_coset_cycle(s3, 6).entries)
+    return [
+        (ser.egraph_to_json(hypercube(["a", "b"])), ["symgroup", "{}", "--no-hypercube"]),
+        (ser.egroup_to_json(s3), ["check-acyclic", "{}", "-N", "3"]),
+        (ser.egroup_to_json(s3), ["girth", "{}"]),
+        (ser.egraph_to_json(trivial_constraint_graph(s3.colors)),
+         ["check-acyclic", group, "-N", "3", "--over", "{}"]),
+        (ser.pattern_to_json(pattern), ["groupoid-construct", "{}", "-N", "2", "--early-exit"]),
+        (ser.hypergraph_to_json(hg), ["cover-hypergraph", "{}", cover_group]),
+        ({"format": "covering", "kind": "hypergraph", "cover": ser.hypergraph_to_json(hg)},
+         ["verify-cover", "{}", "-N", "3"]),
+        (ser.graph_to_json([("0", "1"), ("1", "2")]), ["export-dot", "{}"]),
+        (witness, ["verify-witness", "{}", group]),
+    ]
+
+
+def _mutate(data, doc):
+    """Overwrite one or two entries anywhere but the format tag."""
+    import copy
+
+    from hypothesis import strategies as st
+
+    values = st.sampled_from([5, -1, 1.5, None, True, "x", "0", "a", [], [5], ["x"], [[1]],
+                              {}, {"a": 1}])
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = copy.deepcopy(data.draw(values))
+    return doc
+
+
+def test_cli_fuzz_over_mutated_documents_never_reports_an_internal_error():
+    import contextlib
+    import copy
+    import io
+    import os
+    import tempfile
+
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    with tempfile.TemporaryDirectory() as work:
+        cases = _fuzz_inputs(work)
+
+        @settings(max_examples=120, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def check(data):
+            doc, argv = copy.deepcopy(data.draw(st.sampled_from(cases)))
+            path = os.path.join(work, "mutated.json")
+            with open(path, "w") as fh:
+                json.dump(_mutate(data, doc), fh)
+            argv = [path if a == "{}" else a for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv[0], code, err.getvalue())
+
+        check()

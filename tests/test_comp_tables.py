@@ -1,0 +1,77 @@
+"""Template component tables served by left translation against the
+partition of the whole product."""
+
+from acygroups import constraint
+from acygroups.acyclicity import all_subsets, proper_subsets
+from acygroups.constraint import IContext, find_i_coset_cycle, is_free_over, trivial_constraint_graph
+from acygroups.egraph import disjoint_union, new_egraph, trivial_completion
+from acygroups.groups import is_compatible
+
+from conftest import corpus
+from oracles import reference_comp_tables, reference_skeleton
+from test_constraint import compat_group, path_igraph, weak_triangle
+
+
+def _cases():
+    """(group, template) pairs: the corpus under the trivial template, and
+    path, triangle, looped and disconnected templates with groups compatible
+    with them (a corpus group where it is, else the group of the template)."""
+    cases = [(g, trivial_constraint_graph(g.colors)) for g in corpus().values()]
+    templates = [
+        path_igraph("a", "ab"),
+        path_igraph("aba", "ab"),
+        path_igraph("ab", "abc"),
+        path_igraph("cab", "abc"),
+        trivial_completion(path_igraph("ab", "ab")),
+        disjoint_union([path_igraph("ab", "abc"), path_igraph("c", "abc")]),
+        new_egraph(["u", "v", "w"], ["a", "b", "c"], [("a", "u", "v"), ("b", "v", "w")]),
+    ]
+    for template in templates:
+        cases.append((compat_group(template), template))
+        for g in corpus().values():
+            if g.colors == tuple(template.colors) and is_compatible(g, template):
+                cases.append((g, template))
+    cases.append(weak_triangle())
+    return cases
+
+
+def test_translated_tables_match_the_global_partition():
+    for group, template in _cases():
+        ctx = IContext(group, template)
+        ng = group.order
+        for alpha in all_subsets(len(group.colors)):
+            ids, members = ctx.comp_tables(alpha)
+            (ref_ids, ref_members), _ = reference_comp_tables(group, template, alpha)
+            assert len(members) == len(ref_members)
+            assert sorted(set(ids)) == list(range(len(members)))
+            assert list(members) == [members[cid] for cid in range(len(members))]
+            for p in range(template.n * ng):
+                block = members[ids[p]]
+                assert p in block
+                assert sorted(block) == sorted(ref_members[ref_ids[p]]), (alpha, p)
+            for s in range(template.n):
+                got, want = ctx.skeleton(alpha, s, 0), reference_skeleton(group, template, alpha, s)
+                assert got.graph.vertex_names == want.graph.vertex_names, (alpha, s)
+                assert got.graph.partner == want.graph.partner, (alpha, s)
+                assert (got.hom, got.elements, got.alpha, got.site) == (
+                    want.hom, want.elements, want.alpha, want.site)
+
+
+def test_proper_subsets_partition_only_the_pairs_over_their_subgroup(monkeypatch):
+    sizes = []
+    partition = constraint.partition
+
+    def recording(n, rows, sort=False):
+        sizes.append(n)
+        return partition(n, rows, sort)
+
+    monkeypatch.setattr(constraint, "partition", recording)
+    template = path_igraph("cab", "abc")
+    group = compat_group(template)
+    alphas = proper_subsets(len(group.colors))
+    bound = template.n * max(len(group.subgroup_elements(a)) for a in alphas)
+    assert bound < template.n * group.order
+    ctx = IContext(group, template)
+    find_i_coset_cycle(group, template, 4, ctx=ctx)
+    assert is_free_over(group, template, alphas=alphas, ctx=ctx)
+    assert len(sizes) == len(alphas) and max(sizes) <= bound
