@@ -1,9 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 success / property holds; 1 property violated (witness
-emitted); 2 resource cap; 3 invalid input (including -N below 2, --cap
-below 1, --gamma below 1, a negative biggs depth, and --gamma with --over);
-4 internal error (any other exception, reported in one line).
+emitted); 2 resource cap; 3 invalid input (including a malformed command
+line, -N below 2, --cap below 1, --gamma below 1, a negative biggs depth,
+and --gamma with --over); 4 internal error (any other exception, reported
+in one line).
 """
 
 from __future__ import annotations
@@ -292,8 +293,20 @@ def cmd_export_dot(args):
     return EXIT_OK
 
 
+class UsageError(AcygroupsError):
+    """A malformed or out-of-range command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would exit with its code 2, which
+    here means a resource cap; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acygroups",
         description="Finite groups and groupoids with coset-acyclic Cayley "
         "graphs, and coverings built from them.",
@@ -389,20 +402,22 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _parse_args(argv):
+    args = build_parser().parse_args(argv)
     for flag, dest, least in (("-N", "n", 2), ("--cap", "cap", 1), ("--gamma", "gamma", 1),
                               ("-n", "depth", 0)):
         value = getattr(args, dest, None)
         if value is not None and value < least:
-            sys.stderr.write(f"invalid input: {flag} must be at least {least}, got {value}\n")
-            return EXIT_INVALID
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     if getattr(args, "over", None) and getattr(args, "gamma", None) is not None:
         # the template search always walks all proper subsets
-        sys.stderr.write("invalid input: --gamma cannot be combined with --over\n")
-        return EXIT_INVALID
+        raise UsageError("--gamma cannot be combined with --over")
+    return args
+
+
+def main(argv=None):
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK

@@ -12,9 +12,7 @@ alpha-components are exactly the template-restricted cosets.
 from __future__ import annotations
 
 from array import array
-from functools import partial
 from itertools import repeat
-from operator import add
 from typing import NamedTuple
 
 from .acyclicity import all_subsets, proper_subsets, search_coset_cycle
@@ -83,8 +81,10 @@ class IContext:
     Sites and elements are packed as s * order + g.  Left multiplication by
     any element is an automorphism of the product, so the alpha-component
     of (s, r*h), h in G[alpha], is the alpha-component of (s, h) translated
-    by r: per generator subset only the n_sites x |G[alpha]| pairs over the
-    subgroup are partitioned, and every other component is a translate.
+    by r: per proper generator subset only the n_sites x |G[alpha]| pairs
+    over the subgroup are partitioned, and a coset's translation is walked
+    when a point of it is first asked for.  Single components, and so
+    skeletons, are walked on their own.
     """
 
     def __init__(self, group, igraph, check=True):
@@ -104,6 +104,29 @@ class IContext:
     def unpair(self, x):
         return divmod(x, self.group.order)
 
+    def component(self, alpha, p):
+        """Packed pairs of the alpha-component of pair p, breadth first from
+        its least pair: the block a partition of the whole product gives."""
+        block = self._walk(alpha, p)
+        least = min(block)
+        return tuple(block if least == p else self._walk(alpha, least))
+
+    def _walk(self, alpha, x0):
+        ng = self.group.order
+        steps = [(self.igraph.partner[c], self.group.gen_action[c]) for c in sorted(alpha)]
+        block = [x0]
+        seen = {x0}
+        for x in block:
+            s, g = divmod(x, ng)
+            for irow, grow in steps:
+                t = irow[s]
+                if t != NO_EDGE:
+                    y = t * ng + grow[g]
+                    if y not in seen:
+                        seen.add(y)
+                        block.append(y)
+        return block
+
     def comp_tables(self, alpha):
         """(ids, members) partition of site/element pairs into alpha-components.
 
@@ -111,8 +134,8 @@ class IContext:
         in component cids[g] * L + lids[s * m + rel[g]]: cids numbers the
         alpha-cosets, and rel[g] indexes r^-1 * g in G[alpha] for the least
         element r of g's coset.  members[cid] is the local block translated
-        by r in breadth-first order, which for r = 0 is the order that a
-        partition of the whole product gives.
+        by r.  For the full colour set all pairs are partitioned, which only
+        a caller that needs every component should ask for.
         """
         alpha = frozenset(alpha)
         cached = self._comp.get(alpha)
@@ -138,28 +161,8 @@ class IContext:
         if m == ng:  # one coset, nothing to translate
             out = self._comp[alpha] = (lids, local)
             return out
-        # trans[i][k] = r_k * sub[i] for the least element r_k of coset k,
-        # along the breadth-first tree of G[alpha]
-        cids, cosets = group.coset_table(alpha)
-        trans = [[b[0] for b in cosets]] + [None] * (m - 1)
-        reached, parents = bfs_parents(sub_rows, m, [0])
-        for i in reached[1:]:
-            prev, k = parents[i]
-            trans[i] = list(map(group.gen_action[colors[k]].__getitem__, trans[prev]))
-        rel = [0] * ng
-        for i, xs in enumerate(trans):
-            for x in xs:
-                rel[x] = i
-        n_local = len(local)
-        base = [k * n_local for k in cids]
-        ids = []
-        for s in range(ns):
-            ids += map(add, base, map(lids[s * m:(s + 1) * m].__getitem__, rel))
-        members = LazyBlocks(
-            len(cosets) * n_local, partial(_translated_block, local, trans, m, ng)
-        )
-        # a machine-int array: the ids are fresh ints, each boxed on its own
-        out = self._comp[alpha] = (array("l", ids), members)
+        ids = CosetIds(group, alpha, sub_rows, m, lids, local)
+        out = self._comp[alpha] = (ids, LazyBlocks(len(ids.cosets) * len(local), ids.block))
         return out
 
     def i_coset(self, alpha, s, g):
@@ -175,9 +178,8 @@ class IContext:
     def skeleton(self, alpha, s, g=0):
         """Embedded skeleton: the alpha-component of (s, g) in the product."""
         alpha = frozenset(alpha)
-        ids, members = self.comp_tables(alpha)
         ng = self.group.order
-        block = members[ids[self.pair(s, g)]]
+        block = self.component(alpha, self.pair(s, g))
         local = {x: i for i, x in enumerate(block)}
         rows = [[NO_EDGE] * len(block) for _ in self.group.colors]
         for c in sorted(alpha):
@@ -193,30 +195,82 @@ class IContext:
         return Skeleton(graph, hom, alpha, s, elements)
 
 
+class CosetIds:
+    """Component ids of the site/element pairs for a proper generator subset,
+    a sequence indexed by packed pair.
+
+    The translation of a coset, r * h for its least element r and every h
+    in G[alpha], is walked along the breadth-first tree of G[alpha] when a
+    point of the coset is first asked for; nothing is tabulated per pair.
+    """
+
+    __slots__ = ("n", "ng", "m", "lids", "local", "cids", "cosets", "tree", "rel", "trans")
+
+    def __init__(self, group, alpha, sub_rows, m, lids, local):
+        self.n, self.ng, self.m = len(lids) // m * group.order, group.order, m
+        self.lids, self.local = lids, local
+        self.cids, self.cosets = group.coset_table(alpha)
+        colors = sorted(alpha)
+        reached, parents = bfs_parents(sub_rows, m, [0])
+        self.tree = [
+            (i, parents[i][0], group.gen_action[colors[parents[i][1]]]) for i in reached[1:]
+        ]
+        self.rel = array("l", [-1]) * self.ng  # rel[g] once g's coset is walked
+        self.trans = [None] * len(self.cosets)
+
+    def translation(self, k):
+        """trans[i] = r * sub[i] for the least element r of coset k."""
+        trans = self.trans[k]
+        if trans is None:
+            trans = self.trans[k] = [self.cosets[k][0]] * self.m
+            for i, prev, grow in self.tree:
+                trans[i] = grow[trans[prev]]
+            rel = self.rel
+            for i, x in enumerate(trans):
+                rel[x] = i
+        return trans
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, p):
+        s, g = divmod(p, self.ng)
+        k = self.cids[g]
+        if self.trans[k] is None:
+            self.translation(k)
+        return k * len(self.local) + self.lids[s * self.m + self.rel[g]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n))
+
+    def block(self, cid):
+        """Packed pairs of component cid: its local block moved to its coset."""
+        k, lid = divmod(cid, len(self.local))
+        trans, m, ng = self.translation(k), self.m, self.ng
+        return tuple(s * ng + trans[i] for s, i in map(divmod, self.local[lid], repeat(m)))
+
+
 class LazyBlocks:
     """Blocks 0..n-1 of a partition, each built by build(cid) on first access
     and then kept; a sequence, so iterating it walks the blocks in order."""
 
-    __slots__ = ("_build", "_blocks")
+    __slots__ = ("_n", "_build", "_blocks")
 
     def __init__(self, n, build):
+        self._n = n
         self._build = build
-        self._blocks = [None] * n
+        self._blocks = {}
 
     def __len__(self):
-        return len(self._blocks)
+        return self._n
 
     def __getitem__(self, cid):
-        block = self._blocks[cid]
+        block = self._blocks.get(cid)
         if block is None:
+            if not 0 <= cid < self._n:
+                raise IndexError("block index out of range")
             block = self._blocks[cid] = self._build(cid)
         return block
-
-
-def _translated_block(local, trans, m, ng, cid):
-    """Packed pairs of component cid: its local block moved to its coset."""
-    k, lid = divmod(cid, len(local))
-    return tuple(s * ng + trans[i][k] for s, i in map(divmod, local[lid], repeat(m)))
 
 
 def i_component(group, igraph, alpha, s, g, ctx=None):

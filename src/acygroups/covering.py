@@ -101,17 +101,11 @@ def graph_cover(base_edges, group, component_of=None):
         raise CompatibilityRequired("group is not compatible with the base graph")
     ctx = IContext(group, template, check=False)
     v0 = component_of if component_of is not None else 0
-    full = frozenset(range(len(group.colors)))
-    ids, members = ctx.comp_tables(full)
-    skel = ctx.skeleton(full, v0)
+    skel = ctx.skeleton(range(len(group.colors)), v0)
+    pairs = tuple(map(ctx.pair, skel.hom, skel.elements))
     return Covering(
-        "graph",
-        template,
-        skel.graph,
-        skel.hom,
-        group,
-        template,
-        {"anchor": (v0, 0), "pairs": members[ids[ctx.pair(v0, 0)]]},
+        "graph", template, skel.graph, skel.hom, group, template,
+        {"anchor": (v0, 0), "pairs": pairs},
     )
 
 
@@ -353,13 +347,18 @@ def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
     Returns (ok, witness).  Fails on a chordless cycle of length 4..n_max or
     a clique of size <= n_max not inside any hyperedge; the witness reports
     the smallest offender, so every proper sub-configuration is clean.
+    Every 2-clique is a Gaifman edge and so inside a hyperedge: the search
+    starts at size 3, and the budget check of the size-2 round, which grows
+    one clique per edge, is made up front.
     """
     adj = hg.gaifman()
     vertex_edges = [set() for _ in range(hg.n)]
     for i, he in enumerate(hg.hyperedges):
         for v in he:
             vertex_edges[v].add(i)
-    for size in range(2, n_max + 1):
+    if n_max >= 2 and sum(map(len, adj)) // 2 > budget:
+        raise ResourceCap(f"clique search budget {budget} exceeded")
+    for size in range(3, n_max + 1):
         for clique in _cliques_up_to(adj, size, budget):
             if len(clique) != size:
                 continue

@@ -34,7 +34,7 @@ class EGroup:
         "parent_alpha",
         "_sub_cache",
         "_coset_cache",
-        "_inv_cache",
+        "_compat_cache",
     )
 
     def __init__(self, colors, gen_action, parents, embedding=None, parent_alpha=None):
@@ -45,7 +45,7 @@ class EGroup:
         self.parent_alpha = parent_alpha
         self._sub_cache = {}
         self._coset_cache = {}
-        self._inv_cache = None
+        self._compat_cache = {}  # template generator perms -> is_compatible verdict
         n = self.order
         for row in self.gen_action:
             if len(row) != n or sorted(row) != list(range(n)):
@@ -301,18 +301,22 @@ def is_compatible(group, h):
     graph: the closure projects injectively onto the group (its size equals
     the group order) exactly under compatibility.  The projective part is the
     group itself, so the closure is walked keyed by group elements, recording
-    the induced action on h and failing on the first conflict.
+    the induced action on h and failing on the first conflict.  The verdict
+    depends on h only through its generator perms, and is kept per group.
     """
     if tuple(h.colors) != group.colors:
         raise UnknownName("group and graph must share a colour registry")
-    perms = graph_generator_perms(h)
-    actions = propagate(
-        group.order,
-        list(enumerate(group.gen_action)),
-        [(0, tuple(range(h.n)))],
-        lambda c, act: tuple(map(perms[c].__getitem__, act)),
-    )
-    return actions is not None
+    perms = tuple(graph_generator_perms(h))
+    verdict = group._compat_cache.get(perms)
+    if verdict is None:
+        actions = propagate(
+            group.order,
+            list(enumerate(group.gen_action)),
+            [(0, tuple(range(h.n)))],
+            lambda c, act: tuple(map(perms[c].__getitem__, act)),
+        )
+        verdict = group._compat_cache[perms] = actions is not None
+    return verdict
 
 
 def homomorphism(ghat, group):

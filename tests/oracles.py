@@ -9,6 +9,7 @@ so on every query both must return the same witness or the same ``None``.
 
 from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
 from acygroups.constraint import IContext, Skeleton
+from acygroups.covering import AcyclicityWitness, _chordless_cycles, _cliques_up_to
 from acygroups.egraph import EGraph
 from acygroups.errors import ResourceCap
 from acygroups.groupoid import inverse_closed_proper_subsets
@@ -211,3 +212,24 @@ def reference_skeleton(group, igraph, alpha, s, g=0):
     names = [f"{igraph.vertex_names[x // ng]}|{x % ng}" for x in block]
     return Skeleton(EGraph(names, group.colors, rows), tuple(x // ng for x in block),
                     frozenset(alpha), s, tuple(x % ng for x in block))
+
+
+def reference_check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
+    """covering.check_n_acyclic_hypergraph before it skipped the size-2
+    clique round: every clique size 2..n_max is searched in turn."""
+    adj = hg.gaifman()
+    vertex_edges = [set() for _ in range(hg.n)]
+    for i, he in enumerate(hg.hyperedges):
+        for v in he:
+            vertex_edges[v].add(i)
+    for size in range(2, n_max + 1):
+        for clique in _cliques_up_to(adj, size, budget):
+            if len(clique) != size:
+                continue
+            common = set.intersection(*[vertex_edges[v] for v in clique])
+            if not common:
+                return False, AcyclicityWitness("nonconformal_clique", clique)
+    for length in range(4, n_max + 1):
+        for cyc in _chordless_cycles(adj, length):
+            return False, AcyclicityWitness("chordless_cycle", cyc)
+    return True, None

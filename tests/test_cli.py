@@ -464,3 +464,28 @@ def test_cli_fuzz_over_mutated_documents_never_reports_an_internal_error():
             assert code in (0, 1, 2, 3), (argv[0], code, err.getvalue())
 
         check()
+
+
+def test_malformed_command_lines_exit_invalid(tmp_path, capsys):
+    import pytest
+
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    for argv, said in [
+        (["check-acyclic", group, "-N", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check-acyclic", group, "-N", "three"], "invalid int value: 'three'"),
+        (["check-acyclic", "-N", "3"], "required: group"),
+        (["no-such-command"], "invalid choice"),
+        ([], "required: command"),
+    ]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ") and said in captured.err, argv
+        assert captured.err.count("\n") == 1, argv
+    for argv in (["--help"], ["check-acyclic", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -1,6 +1,11 @@
 """Template component tables served by left translation against the
 partition of the whole product."""
 
+import gc
+import random
+import types
+from array import array
+
 from acygroups import constraint
 from acygroups.acyclicity import all_subsets, proper_subsets
 from acygroups.constraint import IContext, find_i_coset_cycle, is_free_over, trivial_constraint_graph
@@ -75,3 +80,67 @@ def test_proper_subsets_partition_only_the_pairs_over_their_subgroup(monkeypatch
     find_i_coset_cycle(group, template, 4, ctx=ctx)
     assert is_free_over(group, template, alphas=alphas, ctx=ctx)
     assert len(sizes) == len(alphas) and max(sizes) <= bound
+
+
+def test_ids_do_not_depend_on_the_order_cosets_are_filled():
+    rng = random.Random(8)
+    for group, template in _cases():
+        n = template.n * group.order
+        for alpha in all_subsets(len(group.colors)):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            ids, members = IContext(group, template).comp_tables(alpha)
+            got = {p: ids[p] for p in shuffled}
+            cids = sorted(set(got.values()))
+            rng.shuffle(cids)
+            blocks = {cid: members[cid] for cid in cids}
+            in_order, _ = IContext(group, template).comp_tables(alpha)
+            (ref_ids, ref_members), _ = reference_comp_tables(group, template, alpha)
+            assert [got[p] for p in range(n)] == list(in_order), alpha
+            for p in shuffled:
+                assert sorted(blocks[got[p]]) == sorted(ref_members[ref_ids[p]]), (alpha, p)
+
+
+def test_component_is_the_block_of_the_global_partition():
+    for group, template in _cases():
+        ctx = IContext(group, template)
+        for alpha in all_subsets(len(group.colors)):
+            (ref_ids, ref_members), _ = reference_comp_tables(group, template, alpha)
+            for p in range(template.n * group.order):
+                assert ctx.component(alpha, p) == ref_members[ref_ids[p]], (alpha, p)
+
+
+def _largest_container(root):
+    """Length of the largest list, tuple, dict, set or array reachable from
+    root through object references, not through functions, classes or
+    modules."""
+    seen, stack, largest = set(), [root], 0
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, (list, tuple, dict, set, frozenset, array)):
+            largest = max(largest, len(x))
+        stack.extend(gc.get_referents(x))
+    return largest
+
+
+def test_freeness_and_the_search_never_tabulate_the_whole_product(monkeypatch):
+    sizes = []
+    partition = constraint.partition
+
+    def recording(n, rows, sort=False):
+        sizes.append(n)
+        return partition(n, rows, sort)
+
+    monkeypatch.setattr(constraint, "partition", recording)
+    template = path_igraph("cab", "abc")
+    group = compat_group(template)
+    whole = template.n * group.order
+    ctx = IContext(group, template)
+    assert find_i_coset_cycle(group, template, 4, ctx=ctx) is None
+    assert is_free_over(group, template, ctx=ctx)
+    assert max(sizes) <= template.n * max(
+        len(group.subgroup_elements(a)) for a in proper_subsets(len(group.colors)))
+    assert _largest_container(ctx) < whole

@@ -151,3 +151,34 @@ def test_hyperedge_fibers_are_bijective(triangle_cover_group):
     cov = hypergraph_cover(tri, group)
     for he in cov.cover.hyperedges:
         assert len(he) == 2
+
+
+def test_cover_check_matches_the_search_with_the_size_two_round():
+    """Skipping the size-2 clique round changes no verdict, witness or cap."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    from acygroups.errors import ResourceCap
+    from oracles import reference_check_n_acyclic_hypergraph
+
+    def outcome(check, hg, n_max, budget):
+        try:
+            return check(hg, n_max, budget=budget)
+        except ResourceCap as exc:
+            return "cap", str(exc)
+
+    edges = st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=3),
+                     min_size=1, max_size=8)
+    five_cycle = [frozenset({i, (i + 1) % 5}) for i in range(5)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges, st.integers(1, 6), st.integers(1, 60))
+    @example(five_cycle, 5, 4)
+    @example(five_cycle, 5, 5)
+    @example(five_cycle + [frozenset({0, 2, 6})], 6, 9)
+    def check(hyperedges, n_max, budget):
+        hg = Hypergraph(range(7), [sorted(he) for he in hyperedges])
+        got = outcome(check_n_acyclic_hypergraph, hg, n_max, budget)
+        assert got == outcome(reference_check_n_acyclic_hypergraph, hg, n_max, budget)
+
+    check()

@@ -306,3 +306,26 @@ def test_groupoid_search_honours_a_tiny_budget(weak_groupoid):
     _, _, _, gpd = weak_groupoid
     with pytest.raises(ResourceCap, match="coset-cycle search budget 5 exceeded"):
         find_groupoid_coset_cycle(gpd, 3, budget=5)
+
+
+def test_compatibility_is_walked_once_per_group(monkeypatch):
+    # IContext over the final stage group and groupoid_from_group ask the
+    # same question of the same group; the second answer is the memo's
+    from acygroups import groups
+
+    walks = []
+    propagate = groups.propagate
+
+    def recording(n, rows, seeds, step):
+        if isinstance(seeds[0][1], tuple):  # an action on a template: is_compatible
+            walks.append(rows[0][1])
+        return propagate(n, rows, seeds, step)
+
+    monkeypatch.setattr(groups, "propagate", recording)
+    pattern = one_pair_pattern()
+    res = construct_n_acyclic_groupoid(
+        pattern, pattern_igraph(pattern), 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+    )
+    assert res.checks == {"axioms": True, "acyclic": True, "compatible": True}
+    assert sum(row is res.group.gen_action[0] for row in walks) == 1
+    assert len(walks) == len({id(row) for row in walks})

@@ -224,3 +224,15 @@ def test_registry_mismatch_raises():
     s3 = biggs_group(["a", "b"], 1)
     with pytest.raises(UnknownName):
         is_compatible(s3, hypercube(["a", "c"]))
+
+
+def test_compatibility_verdicts_are_kept_per_template():
+    # one group, a compatible and an incompatible template, asked in both
+    # orders on fresh groups and again from the memo
+    six, four = cycle_graph(6), cayley_graph(hypercube_group(["a", "b"])).graph
+    for order in ((six, four), (four, six)):
+        s3 = biggs_group(["a", "b"], 1)
+        for _ in range(2):
+            for h in order:
+                assert is_compatible(s3, h) == (h is six)
+                assert is_compatible(s3, h) == word_kernel_compatible(s3, h, 2 * s3.order)
