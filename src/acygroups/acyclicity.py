@@ -164,7 +164,7 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     else:
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
     found = search_coset_cycle(
-        alphas, (0,), n_max, group.coset_table, separated_by_ids, budget, deadline
+        alphas, (0,), n_max, group.coset_table, met_by_ids, budget, deadline
     )
     if found is None:
         return None
@@ -174,26 +174,27 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     return cyc
 
 
-def separated_by_ids(p, ta, q, tb):
-    """Separation test for structures whose alpha-components partition the
-    points themselves (groups, groupoids): the component of p in table ta
-    meets no point of the component of q in table tb."""
-    ids_a, members_a = ta
-    ids_b = tb[0]
-    return ids_b[q] not in map(ids_b.__getitem__, members_a[ids_a[p]])
+def met_by_ids(block, tb):
+    """The ``met`` hook for structures whose alpha-components partition the
+    points themselves (groups, groupoids): the ids of the components of
+    table tb that hold a point of block."""
+    return set(map(tb[0].__getitem__, block))
 
 
-def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None, deadline=None):
+def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline=None):
     """The depth-first coset-cycle search behind every searcher.
 
     Points are group elements, packed (site, element) pairs of a template
     product, or groupoid elements.  ``table(alpha)`` is the (ids, members)
     partition of the points into alpha-components, each member tuple
-    ascending; ``separated(p, ta, q, tb)`` tells whether the component of p
-    in table ta and the component of q in table tb are disjoint.  Lengths
-    2..n_max are tried in turn, start subsets in the order of ``alphas``
-    with the anchor points inner; every separation condition determined on
-    the prefix prunes at once.
+    ascending; ``met(block, tb)`` is the set of ids of the components of
+    table tb that meet the component ``block``.  The component of q in tb
+    is then disjoint from block exactly when its id is not in that set, so
+    each prefix node builds the set once per next subset and tests every
+    candidate q by one membership.  Lengths 2..n_max are tried in turn,
+    start subsets in the order of ``alphas`` with the anchor points inner;
+    every separation condition determined on the prefix prunes at once, and
+    the closing entry is checked in the loop of the entry before it.
 
     Rotating and left-translating a coset cycle keeps it one, and moves any
     entry to the front at an anchor point, so only cycles whose first subset
@@ -202,11 +203,12 @@ def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None, de
     is the one the unrestricted walk finds first, since any rotation of a
     cycle with an earlier subset would have been found in an earlier round.
 
-    Returns that cycle as a list of (alpha, point) pairs, or None; more than
-    ``budget`` nodes raise ResourceCap, and so does passing ``deadline`` (a
-    ``time.monotonic()`` value), checked every 4096 nodes.
+    Returns that cycle as a list of (alpha, point) pairs, or None.  Every
+    candidate entry counts as one node; more than ``budget`` nodes raise
+    ResourceCap, and so does passing ``deadline`` (a ``time.monotonic()``
+    value), checked every 4096 nodes.
     """
-    walk = _Walk(alphas, table, separated, budget or DEFAULT_SEARCH_BUDGET, deadline)
+    walk = _Walk(alphas, table, met, budget or DEFAULT_SEARCH_BUDGET, deadline)
     for target in range(2, n_max + 1):
         walk.target = target
         for start in range(len(alphas)):
@@ -225,15 +227,15 @@ class _Walk:
     refers to itself and nothing here outlives the search in a reference
     cycle."""
 
-    __slots__ = ("alphas", "table", "tables", "meets", "separated", "budget", "deadline",
+    __slots__ = ("alphas", "table", "tables", "meets", "met", "budget", "deadline",
                  "nodes", "target", "nexts", "seq")
 
-    def __init__(self, alphas, table, separated, budget, deadline):
+    def __init__(self, alphas, table, met, budget, deadline):
         self.alphas = alphas
         self.table = table
         self.tables = [table(a) for a in alphas]
         self.meets = [[None] * len(alphas) for _ in alphas]
-        self.separated = separated
+        self.met = met
         self.budget = budget
         self.deadline = deadline
         self.nodes = 0
@@ -244,47 +246,83 @@ class _Walk:
             t = self.meets[i][j] = self.meets[j][i] = self.table(self.alphas[i] & self.alphas[j])
         return t
 
-    def count(self):
-        """Count one node against the budget and, every 4096 nodes, the deadline."""
-        self.nodes += 1
-        if self.nodes > self.budget:
+    def tick(self, nodes):
+        """The slow path of node counting, taken past the budget and every
+        4096 nodes: raise on the budget or, if one is set, the deadline."""
+        if nodes > self.budget:
             raise ResourceCap(f"coset-cycle search budget {self.budget} exceeded")
-        if not self.nodes & 4095 and self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout(f"coset-cycle search timed out after {self.nodes} nodes")
+        if not nodes & 4095 and self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout(f"coset-cycle search timed out after {nodes} nodes")
 
 
 def _extend(w, m):
-    """Grow w.seq, whose last entry sits at position m, to a cycle of
-    w.target entries; True when w.seq then holds one."""
+    """Grow w.seq, whose last entry (i_m, p) sits at position m, to a cycle
+    of w.target entries; True when w.seq then holds one.
+
+    Each candidate next entry (j, q) is one node.  With t the table of the
+    meet of i_m and j, it is separated at m when q's component in t is not
+    in ``mids[j]``, the components of t that meet p's component in the meet
+    table of i_m and its predecessor.  A closing entry must also lie in
+    p_0's j-component, have its component in t outside ``closes[j]``, the
+    components of t that meet p_0's in the meet table of i_0 and j, and
+    leave entry 0 separated (``opens[j]``).  Each set is built once per
+    prefix node and j, on first use."""
     seq = w.seq
+    i_0, p_0 = seq[0]
     i_m, p = seq[m]
     ids, members = w.tables[i_m]
-    separated, meet = w.separated, w.meet
-    if m == w.target - 1:
-        (i_0, p_0), (i_1, p_1) = seq[0], seq[1]
-        return (
-            ids[p] == ids[p_0]
-            and separated(p, meet(i_m, seq[m - 1][0]), p_0, meet(i_m, i_0))
-            and separated(p_0, meet(i_0, i_m), p_1, meet(i_0, i_1))
-        )
+    tables, row, meet, met, budget = w.tables, w.meets[i_m], w.meet, w.met, w.budget
+    closing = m == w.target - 2
     if m:
-        t_mid = meet(i_m, seq[m - 1][0])
-        mid_ids = t_mid[0]
+        mid_ids, mid_members = meet(i_m, seq[m - 1][0])
         p_mid = mid_ids[p]
-        row = w.meets[i_m]
+    mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)
+    nodes = w.nodes
     for q in members[ids[p]]:
         if q == p:
             continue
         if m and mid_ids[q] == p_mid:
             continue  # separation at m is then impossible for any next subset
         for j in w.nexts:
-            w.count()
-            if m and not separated(p, t_mid, q, row[j] or meet(i_m, j)):
-                continue
+            nodes += 1
+            if not nodes & 4095 or nodes > budget:
+                w.tick(nodes)
+            if m:
+                t = row[j] or meet(i_m, j)
+                shut = mids[j]
+                if shut is None:
+                    shut = mids[j] = met(mid_members[p_mid], t)
+                if t[0][q] in shut:
+                    continue
+            if closing:
+                ids_j = tables[j][0]
+                if ids_j[q] != ids_j[p_0]:
+                    continue
+                # separation at the closing entry, then at entry 0
+                t = row[j] or meet(i_m, j)
+                shut = closes[j]
+                if shut is None:
+                    t_0 = meet(i_0, j)
+                    shut = closes[j] = met(t_0[1][t_0[0][p_0]], t)
+                if t[0][q] in shut:
+                    continue
+                if m:
+                    ok = opens[j]
+                    if ok is None:
+                        t_0, t_1 = meet(i_0, j), meet(i_0, seq[1][0])
+                        ok = opens[j] = t_1[0][seq[1][1]] not in met(t_0[1][t_0[0][p_0]], t_1)
+                    if not ok:
+                        continue
+                seq.append((j, q))
+                w.nodes = nodes
+                return True
             seq.append((j, q))
+            w.nodes = nodes
             if _extend(w, m + 1):
                 return True
+            nodes = w.nodes
             seq.pop()
+    w.nodes = nodes
     return False
 
 

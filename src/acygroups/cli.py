@@ -3,8 +3,8 @@
 Exit codes: 0 success / property holds; 1 property violated (witness
 emitted); 2 resource cap; 3 invalid input (including a malformed command
 line, -N below 2, --cap below 1, --gamma below 1, a negative biggs depth,
-and --gamma with --over); 4 internal error (any other exception, reported
-in one line).
+and --gamma with --over, and an input file that is missing, unreadable or
+not UTF-8); 4 internal error (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ EXIT_INTERNAL = 4
 
 
 def _read_json(path):
-    data = sys.stdin.read() if path == "-" else open(path, "rb").read().decode()
+    try:
+        if path == "-":
+            data = sys.stdin.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read().decode()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc}", "/") from None
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
@@ -424,7 +431,7 @@ def main(argv=None):
     except ResourceCap as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_CAP
-    except (AcygroupsError, FileNotFoundError) as exc:  # SchemaError among them
+    except (AcygroupsError, OSError) as exc:  # SchemaError, a missing or unreadable file
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
     except Exception as exc:  # a bug: one line and its own code, not a traceback

@@ -175,6 +175,14 @@ class IContext:
         ids, _ = self.comp_tables(alpha)
         return ids[self.pair(s, g)]
 
+    def met(self, block, tb):
+        """The kernel's ``met`` hook: ids of the components of table tb whose
+        element sets meet the element set of block.  The component of (s, e)
+        meets an element set E exactly when it holds some (s', e') with e'
+        in E, so these are the ids of every pair over E."""
+        ids_b, ng = tb[0], self.group.order
+        return {ids_b[s * ng + e] for e in {y % ng for y in block} for s in range(self.igraph.n)}
+
     def skeleton(self, alpha, s, g=0):
         """Embedded skeleton: the alpha-component of (s, g) in the product."""
         alpha = frozenset(alpha)
@@ -429,7 +437,6 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
     the next site.  Separation compares the element sets of components.
     """
     ctx = ctx or IContext(group, igraph)
-    ng = group.order
     views = {}
 
     def table(alpha):
@@ -442,15 +449,9 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
             )
         return view
 
-    def separated(p, ta, q, tb):
-        (ids_a, members_a), (ids_b, members_b) = ta, tb
-        return {y % ng for y in members_a[ids_a[p]]}.isdisjoint(
-            y % ng for y in members_b[ids_b[q]]
-        )
-
     anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
     alphas = proper_subsets(len(group.colors))
-    found = search_coset_cycle(alphas, anchors, n_max, table, separated, budget, deadline)
+    found = search_coset_cycle(alphas, anchors, n_max, table, ctx.met, budget, deadline)
     if found is None:
         return None
     cyc = tuple((a, *ctx.unpair(x)) for a, x in found)

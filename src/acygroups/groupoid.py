@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .acyclicity import DEFAULT_SEARCH_BUDGET, search_coset_cycle, separated_by_ids
+from .acyclicity import DEFAULT_SEARCH_BUDGET, met_by_ids, search_coset_cycle
 from .egraph import EGraph, disjoint_union, hypercube, new_egraph
 from .errors import (
     CompatibilityRequired,
@@ -501,7 +501,7 @@ def find_groupoid_coset_cycle(gpd, n_max, budget=None):
     """
     alphas = inverse_closed_proper_subsets(gpd.pattern)
     found = search_coset_cycle(
-        alphas, gpd.neutral, n_max, gpd.subset_closures, separated_by_ids, budget
+        alphas, gpd.neutral, n_max, gpd.subset_closures, met_by_ids, budget
     )
     if found is None:
         return None

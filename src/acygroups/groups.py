@@ -319,6 +319,17 @@ def is_compatible(group, h):
     return verdict
 
 
+def inherit_compatibility(ghat, group, hom):
+    """Give ghat the True compatibility verdicts of group when hom, the
+    generator-respecting homomorphism ghat -> group, exists: a word trivial
+    in ghat is then trivial in group, so it acts trivially on every
+    template group is compatible with."""
+    if hom is not None:
+        for perms, verdict in group._compat_cache.items():
+            if verdict:
+                ghat._compat_cache.setdefault(perms, True)
+
+
 def homomorphism(ghat, group):
     """The generator-respecting homomorphism ghat -> group, or None.
 

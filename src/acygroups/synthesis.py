@@ -22,7 +22,14 @@ from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
 from .egraph import trivial_completion
 from .errors import CompatibilityRequired, ResourceCap, SearchTimeout
-from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, homomorphism, is_compatible, sym_components
+from .groups import (
+    DEFAULT_ELEMENT_CAP,
+    cayley_graph,
+    homomorphism,
+    inherit_compatibility,
+    is_compatible,
+    sym_components,
+)
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,8 @@ def _combined_group(group, extra_components, colors, cap):
 
 def _conservation(prev, new, k):
     """Subgroup order tables for |alpha| <= k plus injectivity of the
-    restriction of the canonical homomorphism."""
+    restriction of the canonical homomorphism, and that homomorphism
+    new -> prev (or None)."""
     hom = homomorphism(new, prev)
     table = {}
     ok = hom is not None
@@ -224,7 +232,7 @@ def _conservation(prev, new, k):
         key = ",".join(prev.colors[i] for i in sorted(a)) or "-"
         table[key] = (before, after, iso)
         ok = ok and iso
-    return table, ok
+    return table, ok, hom
 
 
 def _stage_verify(new, k, config, mode, igraph, ctx, deadline):
@@ -278,8 +286,9 @@ def _construct(group0, config, mode, igraph):
             _check_deadline(deadline, k, "the stage graph")
             new = _combined_group(current, components[1:], current.colors, config.element_cap)
             _check_deadline(deadline, k, "the closure")
-            table, cons_ok = _conservation(current, new, k)
+            table, cons_ok, hom = _conservation(current, new, k)
             _check_deadline(deadline, k, "conservation")
+            inherit_compatibility(new, current, hom)  # spares IContext its walk of new
             ctx_new = IContext(new, igraph) if mode == "over" else None
             acyclic_ok, free_ok = _stage_verify(new, k, config, mode, igraph, ctx_new, deadline)
             report = StageReport(

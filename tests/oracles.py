@@ -5,13 +5,21 @@ rotation-minimal cycles: after any start, every entry may take every
 subset, and ``separated(p, a, q, b)`` receives the two subsets.  The
 ``reference_*`` searchers feed it as the library's adapters feed theirs,
 so on every query both must return the same witness or the same ``None``.
+
+``pairwise_search_coset_cycle`` is the rotation-minimal kernel before its
+separation test became a set membership: it asks ``separated(p, ta, q, tb)``
+of every candidate entry and checks the closing entry in a call of its own.
+The ``pairwise_*`` searchers feed it as the library's adapters feed theirs
+and return the witness with the node count, which the library must match.
 """
 
+import time
+
 from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
-from acygroups.constraint import IContext, Skeleton
+from acygroups.constraint import IContext, LazyBlocks, Skeleton
 from acygroups.covering import AcyclicityWitness, _chordless_cycles, _cliques_up_to
 from acygroups.egraph import EGraph
-from acygroups.errors import ResourceCap
+from acygroups.errors import ResourceCap, SearchTimeout
 from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms
 from acygroups.traverse import NO_EDGE, partition
@@ -116,6 +124,149 @@ def reference_groupoid_coset_cycle(gpd, n_max, budget=None):
         alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
     )
     return None if found is None else tuple(found)
+
+
+def pairwise_search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None,
+                                deadline=None):
+    """(cycle or None, nodes) of the rotation-minimal pairwise kernel."""
+    walk = _PairwiseWalk(alphas, table, separated, budget or DEFAULT_SEARCH_BUDGET, deadline)
+    for target in range(2, n_max + 1):
+        walk.target = target
+        for start in range(len(alphas)):
+            walk.nexts = range(start, len(alphas))
+            for p_0 in anchors:
+                walk.seq = [(start, p_0)]
+                if _pairwise_extend(walk, 0):
+                    return [(alphas[i], p) for i, p in walk.seq], walk.nodes
+    return None, walk.nodes
+
+
+class _PairwiseWalk:
+    __slots__ = ("alphas", "table", "tables", "meets", "separated", "budget", "deadline",
+                 "nodes", "target", "nexts", "seq")
+
+    def __init__(self, alphas, table, separated, budget, deadline):
+        self.alphas = alphas
+        self.table = table
+        self.tables = [table(a) for a in alphas]
+        self.meets = [[None] * len(alphas) for _ in alphas]
+        self.separated = separated
+        self.budget = budget
+        self.deadline = deadline
+        self.nodes = 0
+
+    def meet(self, i, j):
+        t = self.meets[i][j]
+        if t is None:
+            t = self.meets[i][j] = self.meets[j][i] = self.table(self.alphas[i] & self.alphas[j])
+        return t
+
+    def count(self):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise ResourceCap(f"coset-cycle search budget {self.budget} exceeded")
+        if not self.nodes & 4095 and self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout(f"coset-cycle search timed out after {self.nodes} nodes")
+
+
+def _pairwise_extend(w, m):
+    seq = w.seq
+    i_m, p = seq[m]
+    ids, members = w.tables[i_m]
+    separated, meet = w.separated, w.meet
+    if m == w.target - 1:
+        (i_0, p_0), (i_1, p_1) = seq[0], seq[1]
+        return (
+            ids[p] == ids[p_0]
+            and separated(p, meet(i_m, seq[m - 1][0]), p_0, meet(i_m, i_0))
+            and separated(p_0, meet(i_0, i_m), p_1, meet(i_0, i_1))
+        )
+    if m:
+        t_mid = meet(i_m, seq[m - 1][0])
+        mid_ids = t_mid[0]
+        p_mid = mid_ids[p]
+        row = w.meets[i_m]
+    for q in members[ids[p]]:
+        if q == p:
+            continue
+        if m and mid_ids[q] == p_mid:
+            continue
+        for j in w.nexts:
+            w.count()
+            if m and not separated(p, t_mid, q, row[j] or meet(i_m, j)):
+                continue
+            seq.append((j, q))
+            if _pairwise_extend(w, m + 1):
+                return True
+            seq.pop()
+    return False
+
+
+def pairwise_separated_by_ids(p, ta, q, tb):
+    """Groups and groupoids: the component of p in ta meets no point of the
+    component of q in tb."""
+    ids_a, members_a = ta
+    ids_b = tb[0]
+    return ids_b[q] not in map(ids_b.__getitem__, members_a[ids_a[p]])
+
+
+def pairwise_template_separated(ng):
+    """Templates: the element sets of the two components are disjoint."""
+    def separated(p, ta, q, tb):
+        (ids_a, members_a), (ids_b, members_b) = ta, tb
+        return {y % ng for y in members_a[ids_a[p]]}.isdisjoint(
+            y % ng for y in members_b[ids_b[q]]
+        )
+
+    return separated
+
+
+def template_search_tables(ctx):
+    """table(alpha) as the template searcher hands it to the kernel: its
+    blocks in ascending (site, element) order."""
+    views = {}
+
+    def table(alpha):
+        view = views.get(alpha)
+        if view is None:
+            ids, members = ctx.comp_tables(alpha)
+            view = views[alpha] = (
+                ids, LazyBlocks(len(members), lambda cid: tuple(sorted(members[cid])))
+            )
+        return view
+
+    return table
+
+
+def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
+    n_colors = len(group.colors)
+    if gamma is None:
+        alphas = proper_subsets(n_colors)
+    else:
+        alphas = gamma.subsets(n_colors, allow_full=allow_full)
+    found, nodes = pairwise_search_coset_cycle(
+        alphas, (0,), n_max, group.coset_table, pairwise_separated_by_ids, budget
+    )
+    return (None if found is None else canonical_cycle(group, found)), nodes
+
+
+def pairwise_i_coset_cycle(group, igraph, n_max, budget=None):
+    ctx = IContext(group, igraph)
+    anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
+    alphas = proper_subsets(len(group.colors))
+    found, nodes = pairwise_search_coset_cycle(
+        alphas, anchors, n_max, template_search_tables(ctx),
+        pairwise_template_separated(group.order), budget
+    )
+    return (None if found is None else tuple((a, *ctx.unpair(x)) for a, x in found)), nodes
+
+
+def pairwise_groupoid_coset_cycle(gpd, n_max, budget=None):
+    alphas = inverse_closed_proper_subsets(gpd.pattern)
+    found, nodes = pairwise_search_coset_cycle(
+        alphas, gpd.neutral, n_max, gpd.subset_closures, pairwise_separated_by_ids, budget
+    )
+    return (None if found is None else tuple(found)), nodes
 
 
 def brute_force_isomorphic(g1, g2):

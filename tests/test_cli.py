@@ -367,6 +367,23 @@ def test_negative_biggs_depth_is_invalid_input(capsys):
     assert code == 0 and json.loads(out)["vertices"] == [""]
 
 
+def test_undecodable_input_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"format": "egroup", "name": "caf\xe9"}'.encode("latin-1"))
+    code = main(["check-acyclic", str(path), "-N", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("invalid input: not UTF-8: ")
+    assert captured.err.endswith("(at /)\n") and captured.err.count("\n") == 1
+
+
+def test_unreadable_input_is_invalid_input(tmp_path, capsys):
+    code = main(["check-acyclic", str(tmp_path), "-N", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1
+
+
 def test_any_other_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     import acygroups.cli as cli
 

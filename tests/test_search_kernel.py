@@ -90,6 +90,14 @@ def test_order_2592_group_is_five_acyclic_under_the_default_budget(group_2592):
     assert find_coset_cycle(group_2592, 5) is None
 
 
+@pytest.mark.parametrize("n, nodes", [(4, 25_998), (5, 451_433)])
+def test_order_2592_search_node_count_pinned(group_2592, n, nodes):
+    # the budget bisects to the exact node count of the exhaustive search
+    assert find_coset_cycle(group_2592, n, budget=nodes) is None
+    with pytest.raises(ResourceCap, match=f"budget {nodes - 1} exceeded"):
+        find_coset_cycle(group_2592, n, budget=nodes - 1)
+
+
 def _clock(now):
     """A stand-in for the time module whose monotonic() reads now and
     counts its calls."""

@@ -151,6 +151,45 @@ def test_over_template_synthesis_path():
     assert homomorphism(result, g0) is not None
 
 
+def test_stage_groups_inherit_compatibility_from_the_homomorphism(monkeypatch):
+    # every IContext of a tower finds the verdict for its template already
+    # recorded: the starting group's from the compatibility check, each
+    # stage group's from the homomorphism onto the stage before; a fresh
+    # walk on a copy of each group agrees with it
+    from acygroups import synthesis
+    from acygroups.covering import Hypergraph, intersection_graph
+    from acygroups.groupoid import (
+        ConstraintPattern,
+        construct_n_acyclic_groupoid,
+        pattern_igraph,
+    )
+    from acygroups.groups import EGroup, graph_generator_perms, is_compatible
+
+    seen = []
+    real = synthesis.IContext
+
+    def recording(group, igraph, check=True):
+        seen.append((group, igraph, group._compat_cache.get(tuple(graph_generator_perms(igraph)))))
+        return real(group, igraph, check)
+
+    monkeypatch.setattr(synthesis, "IContext", recording)
+    path = new_egraph(["s0", "s1", "s2"], ["a", "b"], [("a", "s0", "s1"), ("b", "s1", "s2")])
+    triangle = intersection_graph(Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]]))
+    for template, n in ((path, 2), (triangle, 4)):
+        g0 = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
+        construct_n_acyclic_over(g0, template, SynthesisConfig(n_acyclic=n, early_exit=n > 2))
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    construct_n_acyclic_groupoid(
+        pattern, pattern_igraph(pattern), 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+    )
+    stage_groups = 0
+    for group, igraph, verdict in seen:
+        fresh = EGroup(group.colors, group.gen_action, group.parents)
+        assert verdict is True and is_compatible(fresh, igraph)
+        stage_groups += group.order > 48
+    assert stage_groups >= 3
+
+
 def test_over_trivial_template_matches_plain():
     from acygroups.constraint import trivial_constraint_graph
 
