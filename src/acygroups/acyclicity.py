@@ -9,7 +9,8 @@ generality because left translation preserves both conditions.
 
 One search kernel, :func:`search_coset_cycle`, serves groups, reachability
 templates and groupoids alike; each searcher feeds it its own component
-tables and rechecks the result with its own independent validator.
+tables and a ``met`` hook naming the components a block meets, and
+rechecks the result with its own independent validator.
 """
 
 from __future__ import annotations
