@@ -18,6 +18,9 @@ from .groups import coset_graph, subgroup
 
 
 class _UnionFind:
+    """Union-find on 0..n-1.  A union keeps the smaller root and find links
+    the path onto its root, so parent[x] <= x always."""
+
     def __init__(self, n):
         self.parent = list(range(n))
 

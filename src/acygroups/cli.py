@@ -10,6 +10,7 @@ not UTF-8); 4 internal error (any other exception, reported in one line).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -18,6 +19,7 @@ from . import serialize as ser
 from .acyclicity import GammaFilter, find_coset_cycle, girth, validate_coset_cycle
 from .constraint import find_i_coset_cycle, validate_i_coset_cycle
 from .covering import (
+    Hypergraph,
     check_n_acyclic_hypergraph,
     graph_cover,
     hypergraph_cover,
@@ -51,30 +53,41 @@ def _read_json(path):
         raise SchemaError(f"not JSON: {exc}", "/") from None
 
 
+def _digests(args):
+    """The digest record of a run: a dict when it writes a manifest, else
+    None, and then no digest is computed."""
+    return {} if getattr(args, "manifest", None) else None
+
+
 def _load(path, expected=None, inputs=None):
+    """The object of an input document; its digest goes into inputs."""
     doc = _read_json(path)
     obj = ser.load_document(doc)
     if expected and doc.get("format") not in expected:
         raise SchemaError(f"expected one of {expected}", "/format")
     if inputs is not None and path != "-":
         inputs[path] = ser.digest(doc)
-    return obj, doc
+    return obj
 
 
-def _emit(doc, out, outputs):
+def _emit(doc, out, outputs=None):
+    """Write doc's canonical bytes to out (stdout for None or '-'); their
+    digest goes into outputs."""
     data = ser.canonical_bytes(doc)
     if out in (None, "-"):
         sys.stdout.write(data.decode())
-        outputs["stdout"] = ser.digest(doc)
+        out = "stdout"
     else:
         with open(out, "wb") as fh:
             fh.write(data)
-        outputs[out] = ser.digest(doc)
+    if outputs is not None:
+        outputs[out] = hashlib.sha256(data).hexdigest()
 
 
 def _write_manifest(args, command, config, inputs, outputs, reports=None, timings=None):
     if not getattr(args, "manifest", None):
         return
+    reports = None if reports is None else [r.to_json() for r in reports]
     doc = ser.manifest(command, config, inputs, outputs, reports=reports,
                        timings=timings if getattr(args, "timings", False) else None)
     with open(args.manifest, "wb") as fh:
@@ -83,36 +96,36 @@ def _write_manifest(args, command, config, inputs, outputs, reports=None, timing
 
 def cmd_biggs(args):
     graph = biggs_tree([c for c in args.colors.split(",") if c], args.depth)
-    outputs = {}
+    outputs = _digests(args)
     _emit(ser.egraph_to_json(graph), args.output, outputs)
     _write_manifest(args, ["biggs"], {"colors": args.colors, "depth": args.depth}, {}, outputs)
     return EXIT_OK
 
 
 def cmd_symgroup(args):
-    inputs = {}
-    graph, _ = _load(args.graph, {"egraph"}, inputs)
+    inputs = _digests(args)
+    graph = _load(args.graph, {"egraph"}, inputs)
     group = sym(graph, attach_hypercube=not args.no_hypercube)
-    outputs = {}
+    outputs = _digests(args)
     _emit(ser.egroup_to_json(group), args.output, outputs)
     _write_manifest(args, ["symgroup"], {"no_hypercube": args.no_hypercube}, inputs, outputs)
     return EXIT_OK
 
 
 def cmd_cayley(args):
-    inputs = {}
-    group, _ = _load(args.group, {"egroup"}, inputs)
-    outputs = {}
+    inputs = _digests(args)
+    group = _load(args.group, {"egroup"}, inputs)
+    outputs = _digests(args)
     _emit(ser.egraph_to_json(cayley_graph(group).graph), args.output, outputs)
     _write_manifest(args, ["cayley"], {}, inputs, outputs)
     return EXIT_OK
 
 
 def cmd_girth(args):
-    inputs = {}
-    group, _ = _load(args.group, {"egroup"}, inputs)
+    inputs = _digests(args)
+    group = _load(args.group, {"egroup"}, inputs)
     value = girth(cayley_graph(group))
-    outputs = {}
+    outputs = _digests(args)
     doc = {"format": "girth", "girth": "infinite" if value == float("inf") else value}
     _emit(doc, args.output, outputs)
     _write_manifest(args, ["girth"], {}, inputs, outputs)
@@ -120,13 +133,13 @@ def cmd_girth(args):
 
 
 def cmd_check_acyclic(args):
-    inputs = {}
-    group, _ = _load(args.group, {"egroup"}, inputs)
+    inputs = _digests(args)
+    group = _load(args.group, {"egroup"}, inputs)
     gamma = GammaFilter.size(args.gamma) if args.gamma is not None else None
-    outputs = {}
+    outputs = _digests(args)
     t0 = time.monotonic()
     if args.over:
-        template, _ = _load(args.over, {"egraph"}, inputs)
+        template = _load(args.over, {"egraph"}, inputs)
         witness = find_i_coset_cycle(group, template, args.n)
         entries = witness
     else:
@@ -144,43 +157,43 @@ def cmd_check_acyclic(args):
 
 
 def cmd_verify_witness(args):
-    group, _ = _load(args.group, {"egroup"})
+    group = _load(args.group, {"egroup"})
     doc = _read_json(args.witness)
     if args.over:
-        template, _ = _load(args.over, {"egraph"})
+        template = _load(args.over, {"egraph"})
         entries = ser.cycle_from_json(doc, group, n_sites=template.n)
         ok = validate_i_coset_cycle(group, template, entries)
     else:
         ok = validate_coset_cycle(group, ser.cycle_from_json(doc, group))
-    _emit({"format": "check", "witness_valid": ok}, args.output, {})
+    _emit({"format": "check", "witness_valid": ok}, args.output)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
 def _write_reports(args, command, config, inputs, outputs, reports, timings):
     """Stage reports to --reports, or to stderr without one; then the manifest."""
     if getattr(args, "reports", None):
-        doc = ser.reports_to_json(reports)
+        data = ser.canonical_bytes(ser.reports_to_json(reports))
         with open(args.reports, "wb") as fh:
-            fh.write(ser.canonical_bytes(doc))
-        outputs[args.reports] = ser.digest(doc)
+            fh.write(data)
+        if outputs is not None:
+            outputs[args.reports] = hashlib.sha256(data).hexdigest()
     else:
         for rep in reports:
             sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
-    _write_manifest(args, command, config, inputs, outputs,
-                    reports=[r.to_json() for r in reports], timings=timings)
+    _write_manifest(args, command, config, inputs, outputs, reports=reports, timings=timings)
 
 
 def cmd_construct(args):
-    inputs = {}
-    group, _ = _load(args.group, {"egroup"}, inputs)
+    inputs = _digests(args)
+    group = _load(args.group, {"egroup"}, inputs)
     config = SynthesisConfig(
         n_acyclic=args.n,
         element_cap=args.cap,
         early_exit=args.early_exit,
     )
-    template = _load(args.over, {"egraph"}, inputs)[0] if args.over else None
+    template = _load(args.over, {"egraph"}, inputs) if args.over else None
     cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit, "over": bool(args.over)}
-    outputs = {}
+    outputs = _digests(args)
     t0 = time.monotonic()
     try:
         if args.over:
@@ -203,15 +216,15 @@ def cmd_construct(args):
 
 
 def cmd_groupoid_construct(args):
-    inputs = {}
-    pattern, _ = _load(args.pattern, {"pattern"}, inputs)
+    inputs = _digests(args)
+    pattern = _load(args.pattern, {"pattern"}, inputs)
     if args.target:
-        target, _ = _load(args.target, {"igraph"}, inputs)
+        target = _load(args.target, {"igraph"}, inputs)
     else:
         target = pattern_igraph(pattern)
     config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
     cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit}
-    outputs = {}
+    outputs = _digests(args)
     t0 = time.monotonic()
     try:
         res = construct_n_acyclic_groupoid(pattern, target, args.n, config)
@@ -226,7 +239,7 @@ def cmd_groupoid_construct(args):
         with open(args.group_output, "wb") as fh:
             fh.write(ser.canonical_bytes(ser.egroup_to_json(res.group)))
     _write_manifest(args, ["groupoid-construct"], cfg_doc, inputs, outputs,
-                    reports=[r.to_json() for r in res.stage_reports], timings=timings)
+                    reports=res.stage_reports, timings=timings)
     if not all(res.checks.values()):
         sys.stderr.write(f"verification failed: {res.checks}\n")
         return EXIT_VIOLATED
@@ -234,47 +247,52 @@ def cmd_groupoid_construct(args):
 
 
 def cmd_cover_graph(args):
-    inputs = {}
-    edges, _ = _load(args.graph, {"graph"}, inputs)
-    group, _ = _load(args.group, {"egroup"}, inputs)
+    inputs = _digests(args)
+    edges = _load(args.graph, {"graph"}, inputs)
+    group = _load(args.group, {"egroup"}, inputs)
     cov = graph_cover(edges, group)
     report = verify_cover(cov)
-    outputs = {}
+    outputs = _digests(args)
     _emit(ser.covering_to_json(cov), args.output, outputs)
     _write_manifest(args, ["cover-graph"], {}, inputs, outputs)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
 def cmd_cover_hypergraph(args):
-    inputs = {}
-    hg, _ = _load(args.hypergraph, {"hypergraph"}, inputs)
-    group, _ = _load(args.group, {"egroup"}, inputs)
+    inputs = _digests(args)
+    hg = _load(args.hypergraph, {"hypergraph"}, inputs)
+    group = _load(args.group, {"egroup"}, inputs)
     cov = hypergraph_cover(hg, group)
     report = verify_cover(cov)
-    outputs = {}
+    outputs = _digests(args)
     _emit(ser.covering_to_json(cov), args.output, outputs)
     _write_manifest(args, ["cover-hypergraph"], {}, inputs, outputs)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
-def cmd_verify_cover(args):
-    doc = _read_json(args.cover)
+def _cover_of(doc):
+    """The cover hypergraph or edge-labelled graph of a covering document."""
     if ser._need(doc, "format", str, "") != "covering":
         raise SchemaError("expected a covering", "/format")
-    cover_doc = ser._need(doc, "cover", dict, "")
+    inner = ser._need(doc, "cover", dict, "")
     if doc.get("kind") == "hypergraph":
-        cover = ser.hypergraph_from_json(cover_doc, "/cover")
+        return ser.hypergraph_from_json(inner, "/cover")
+    return ser.egraph_from_json(inner, "/cover")
+
+
+def cmd_verify_cover(args):
+    cover = _cover_of(_read_json(args.cover))
+    if isinstance(cover, Hypergraph):
         ok, witness = check_n_acyclic_hypergraph(cover, args.n)
         out = {"format": "check", "N": args.n, "holds": ok}
         if witness:
             out["witness"] = {"kind": witness.kind, "vertices": list(witness.vertices)}
-        _emit(out, args.output, {})
+        _emit(out, args.output)
         return EXIT_OK if ok else EXIT_VIOLATED
-    cover = ser.egraph_from_json(cover_doc, "/cover")
     value = girth(cover)
     ok = value > args.n
     _emit({"format": "check", "N": args.n, "holds": ok,
-           "girth": "infinite" if value == float("inf") else value}, args.output, {})
+           "girth": "infinite" if value == float("inf") else value}, args.output)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
@@ -282,9 +300,7 @@ def cmd_export_dot(args):
     doc = _read_json(args.input)
     fmt = ser._need(doc, "format", str, "")
     if fmt == "covering":
-        inner = ser._need(doc, "cover", dict, "")
-        obj = (ser.hypergraph_from_json(inner, "/cover") if doc.get("kind") == "hypergraph"
-               else ser.egraph_from_json(inner, "/cover"))
+        obj = _cover_of(doc)
     elif fmt == "graph":
         from .covering import graph_template
 

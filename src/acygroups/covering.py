@@ -9,9 +9,11 @@ of the base.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .acyclicity import DEFAULT_SEARCH_BUDGET
+from .amalgam import _UnionFind
 from .constraint import IContext
 from .egraph import NO_EDGE, new_egraph
 from .errors import CompatibilityRequired, PreconditionFailed, ResourceCap, UnknownName
@@ -140,8 +142,14 @@ def hypergraph_cover(hg, group):
     The instance of a shared vertex v in the g-tagged copy of hyperedge s is
     identified with its instance in the g*e-tagged copy of s', where e is the
     colour of the pair {s, s'}.  The quotient is computed by union-find
-    seeded with that generator rule only; the walk characterisation of the
-    classes is kept as an independent oracle for the tests.
+    seeded with that generator rule only; class_oracle_agrees checks the
+    classes against their subgroup characterisation independently.
+
+    Triple (hi, v, g) is the integer base[hi] + r * |G| + g, with r the rank
+    of v in the sorted hyperedge hi, so integer order is the lexicographic
+    order of the triples.  The union-find links every triple to a smaller
+    one, so one ascending scan numbers the classes by least member, each
+    with its members in order.
     """
     template = intersection_graph(hg)
     if tuple(template.colors) != group.colors:
@@ -149,50 +157,49 @@ def hypergraph_cover(hg, group):
     if len(template.colors) and not is_compatible(group, template):
         raise CompatibilityRequired("group is not compatible with the intersection graph")
     ng = group.order
-    triples = []
-    pos = {}
-    for hi, he in enumerate(hg.hyperedges):
-        for v in sorted(he):
-            for g in range(ng):
-                pos[(hi, v, g)] = len(triples)
-                triples.append((hi, v, g))
-
-    from .amalgam import _UnionFind
-
-    uf = _UnionFind(len(triples))
+    hes = [sorted(he) for he in hg.hyperedges]
+    base = list(accumulate((len(he) * ng for he in hes), initial=0))
+    uf = _UnionFind(base[-1])
     for c, name in enumerate(template.colors):
         i, j = (int(x) for x in name[1:].split("~"))
         grow = group.gen_action[c]
         for v in hg.hyperedges[i] & hg.hyperedges[j]:
+            a = base[i] + hes[i].index(v) * ng
+            b = base[j] + hes[j].index(v) * ng
             for g in range(ng):
-                uf.union(pos[(i, v, g)], pos[(j, v, grow[g])])
-    classes = {}
-    for t, triple in enumerate(triples):
-        classes.setdefault(uf.find(t), []).append(triple)
-    class_list = sorted(classes.values(), key=min)
-    class_of = {}
-    for i, members in enumerate(class_list):
-        for m in members:
-            class_of[m] = i
+                uf.union(a + g, b + grow[g])
+    parent = uf.parent
+    class_of = [0] * len(parent)
+    classes = []
+    t = 0
+    for hi, he in enumerate(hes):
+        for v in he:
+            for g in range(ng):
+                p = parent[t]
+                if p == t:
+                    class_of[t] = len(classes)
+                    classes.append([(hi, v, g)])
+                else:
+                    class_of[t] = k = class_of[p]
+                    classes[k].append((hi, v, g))
+                t += 1
     cover_edges = {}
     copies = []
     copy_tags = []
-    for hi, he in enumerate(hg.hyperedges):
+    for hi in range(len(hes)):
+        rows = range(base[hi], base[hi + 1], ng)
         for g in range(ng):
-            key = frozenset(class_of[(hi, v, g)] for v in he)
-            cover_edges.setdefault(key, (hi, g))
-            copies.append(tuple(sorted(key)))
+            copy = tuple(sorted({class_of[r + g] for r in rows}))
+            cover_edges.setdefault(copy, (hi, g))
+            copies.append(copy)
             copy_tags.append((hi, g))
-    names = []
-    for members in class_list:
-        hi, v, g = min(members)
-        names.append(f"{hg.vertex_names[v]}|{hi}.{g}")
-    edge_list = sorted(cover_edges, key=sorted)
-    cover = Hypergraph(names, [[names[v] for v in sorted(he)] for he in edge_list])
-    projection = tuple(min(m)[1] for m in class_list)
+    leasts = [members[0] for members in classes]
+    names = [f"{hg.vertex_names[v]}|{hi}.{g}" for hi, v, g in leasts]
+    cover = Hypergraph(names, [[names[x] for x in he] for he in sorted(cover_edges)])
+    projection = tuple(v for _, v, _ in leasts)
     provenance = {
-        "classes": tuple(tuple(sorted(m)) for m in class_list),
-        "hyperedge_tags": {tuple(sorted(k)): cover_edges[k] for k in cover_edges},
+        "classes": tuple(map(tuple, classes)),
+        "hyperedge_tags": cover_edges,
         "copies": tuple(copies),
         "copy_tags": tuple(copy_tags),
     }
@@ -204,28 +211,42 @@ def class_oracle_agrees(cov):
 
     (s, v, g) and (s', v', g') fall together exactly when v = v' and g' is
     reachable from g along walks labelled by colours of pairs sharing v that
-    run from site s to site s' in the intersection graph.
+    run from site s to site s' in the intersection graph, i.e. when (s, g)
+    and (s', g') lie in one component of comp_tables(alpha_v), alpha_v the
+    colours of the pairs sharing v.  So the classes must be the partition of
+    the triples by the key (v, that component's id): the members of a class
+    share its key, no two classes share a key, and every triple lies in
+    exactly one class.
     """
     hg = cov.base
-    group = cov.group
-    template = cov.template
-    if not len(template.colors):
-        return all(len(m) == 1 for m in cov.provenance["classes"])
-    ctx = IContext(group, template, check=False)
-    vcolors = _vertex_colour_sets(hg, template)
+    n_edges, ng = len(hg.hyperedges), cov.group.order
+    ctx = IContext(cov.group, cov.template, check=False)
+    vcolors = _vertex_colour_sets(hg, cov.template)
+    tables = {}
+    keys = set()
+    members_seen = set()
+    n_members = 0
     for members in cov.provenance["classes"]:
-        hi0, v0, g0 = members[0]
-        alpha = frozenset(vcolors[v0])
-        ids, mem = ctx.comp_tables(alpha)
-        block = set(mem[ids[ctx.pair(hi0, g0)]])
-        expected = set()
-        for x in block:
-            s, g = ctx.unpair(x)
-            if v0 in hg.hyperedges[s]:
-                expected.add((s, v0, g))
-        if set(members) != expected:
+        if not members:
             return False
-    return True
+        v = members[0][1]
+        for s, u, g in members:
+            if u != v or not (0 <= s < n_edges and 0 <= g < ng):
+                return False
+            if v not in hg.hyperedges[s]:
+                return False
+        ids = tables.get(v)
+        if ids is None:
+            ids = tables[v] = ctx.comp_tables(vcolors[v])[0]
+        cids = {ids[s * ng + g] for s, _, g in members}
+        key = (v, cids.pop())
+        if cids or key in keys:
+            return False
+        keys.add(key)
+        members_seen.update(members)
+        n_members += len(members)
+    n_triples = sum(map(len, hg.hyperedges)) * ng
+    return n_members == len(members_seen) == n_triples
 
 
 class CoverReport(NamedTuple):
@@ -315,30 +336,81 @@ def _chordless_paths(adj, length, path, in_path):
         in_path.remove(w)
 
 
-def _cliques_up_to(adj, max_size, budget):
-    """All cliques of sizes 2..max_size in degeneracy-ish order."""
-    order = sorted(range(len(adj)), key=lambda v: len(adj[v]))
-    rank = {v: i for i, v in enumerate(order)}
-    count = [0]
-    for v in order:
-        cands = [w for w in adj[v] if rank[w] > rank[v]]
-        yield from _clique_tree(adj, rank, max_size, [v], cands, budget, count)
+def _grown_cliques(fwd, edges, limit):
+    """Every clique of at least two vertices, in pre-order, of a graph on
+    the ranks 0..n-1.
+
+    fwd[r] is the set of neighbours of r ranked above it and edges[r] the
+    set of hyperedges at r.  A clique grows by its common forward
+    neighbours in ascending order.  Yields (clique, its common hyperedges)
+    for each clique grown; the clique list is reused, so copy it to keep
+    it.  A clique is grown further only while it has fewer than limit[0]
+    vertices; the consumer may lower limit[0] between yields.
+    """
+    clique = []
+    for r, cands in enumerate(fwd):
+        clique.append(r)
+        stack = [(iter(sorted(cands)), cands, edges[r])]
+        while stack:
+            it, pool, common = stack[-1]
+            w = next(it, None) if len(clique) < limit[0] else None
+            if w is None:
+                stack.pop()
+                clique.pop()
+                continue
+            clique.append(w)
+            common_w = common & edges[w]
+            yield clique, common_w
+            grown = pool & fwd[w]
+            if grown and len(clique) < limit[0]:
+                stack.append((iter(sorted(grown)), grown, common_w))
+            else:
+                clique.pop()
 
 
-def _clique_tree(adj, rank, max_size, clique, cands, budget, count):
-    """The cliques of _cliques_up_to that contain clique; count[0] is the
-    number of cliques grown so far, checked against the budget."""
-    yield tuple(clique)
-    if len(clique) == max_size:
-        return
-    for w in sorted(cands, key=rank.__getitem__):
-        count[0] += 1
-        if count[0] > budget:
-            raise ResourceCap(f"clique search budget {budget} exceeded")
-        clique.append(w)
-        grown = [x for x in cands if x in adj[w] and rank[x] > rank[w]]
-        yield from _clique_tree(adj, rank, max_size, clique, grown, budget, count)
-        clique.pop()
+def _nonconformal_clique(hg, adj, n_max, budget):
+    """The clique rounds 3..n_max of check_n_acyclic_hypergraph.
+
+    Round k walks the cliques of sizes 2..k from every vertex in ascending
+    degree, counting the grown cliques against the budget, and ends at its
+    first k-clique inside no hyperedge or past the budget.  The result is
+    that of the smallest round that ends.  One walk serves every round:
+    round k sees the cliques of size <= k in the same pre-order, so its
+    count is the number of grown cliques of sizes 2..k so far, and once it
+    ends, cliques of k or more vertices are no longer grown.
+    """
+    order = sorted(range(hg.n), key=lambda v: len(adj[v]))
+    rank = [0] * hg.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    fwd = [{rank[w] for w in adj[v] if rank[w] > r} for r, v in enumerate(order)]
+    edges = [set() for _ in range(hg.n)]
+    for i, he in enumerate(hg.hyperedges):
+        for v in he:
+            edges[rank[v]].add(i)
+    limit = [min(n_max, hg.n)]  # the largest round still open, shared with the walk
+    if limit[0] < 3:
+        return None
+    grown = [0] * (limit[0] + 1)  # grown cliques per size
+    count = 0  # the count of round limit[0]
+    found = None
+    for clique, common in _grown_cliques(fwd, edges, limit):
+        size = len(clique)
+        grown[size] += 1
+        count += 1
+        while count > budget:
+            found = ResourceCap(f"clique search budget {budget} exceeded")
+            count -= grown[limit[0]]
+            limit[0] -= 1
+        if not common and 3 <= size <= limit[0]:
+            found = AcyclicityWitness("nonconformal_clique", tuple(order[r] for r in clique))
+            limit[0] = size - 1
+            count = sum(grown[:size])
+        if limit[0] < 3:
+            break
+    if isinstance(found, ResourceCap):
+        raise found
+    return found
 
 
 def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
@@ -352,19 +424,11 @@ def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
     one clique per edge, is made up front.
     """
     adj = hg.gaifman()
-    vertex_edges = [set() for _ in range(hg.n)]
-    for i, he in enumerate(hg.hyperedges):
-        for v in he:
-            vertex_edges[v].add(i)
     if n_max >= 2 and sum(map(len, adj)) // 2 > budget:
         raise ResourceCap(f"clique search budget {budget} exceeded")
-    for size in range(3, n_max + 1):
-        for clique in _cliques_up_to(adj, size, budget):
-            if len(clique) != size:
-                continue
-            common = set.intersection(*[vertex_edges[v] for v in clique])
-            if not common:
-                return False, AcyclicityWitness("nonconformal_clique", clique)
+    witness = _nonconformal_clique(hg, adj, n_max, budget)
+    if witness:
+        return False, witness
     for length in range(4, n_max + 1):
         for cyc in _chordless_cycles(adj, length):
             return False, AcyclicityWitness("chordless_cycle", cyc)

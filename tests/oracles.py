@@ -11,17 +11,32 @@ separation test became a set membership: it asks ``separated(p, ta, q, tb)``
 of every candidate entry and checks the closing entry in a call of its own.
 The ``pairwise_*`` searchers feed it as the library's adapters feed theirs
 and return the witness with the node count, which the library must match.
+
+``reference_hypergraph_cover`` and ``reference_class_oracle_agrees`` are the
+cover construction on tuple-keyed triples and the class check that compared
+each class with the template component of its first member; the library's
+cover must equal the first, and its class check must reject whatever the
+second rejects.  ``reference_check_n_acyclic_hypergraph`` restarts its own
+clique walk (``_cliques_up_to``) for every clique size.
 """
 
 import time
 
 from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
 from acygroups.constraint import IContext, LazyBlocks, Skeleton
-from acygroups.covering import AcyclicityWitness, _chordless_cycles, _cliques_up_to
+from acygroups.amalgam import _UnionFind
+from acygroups.covering import (
+    AcyclicityWitness,
+    Covering,
+    Hypergraph,
+    _chordless_cycles,
+    _vertex_colour_sets,
+    intersection_graph,
+)
 from acygroups.egraph import EGraph
-from acygroups.errors import ResourceCap, SearchTimeout
+from acygroups.errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from acygroups.groupoid import inverse_closed_proper_subsets
-from acygroups.groups import graph_generator_perms
+from acygroups.groups import graph_generator_perms, is_compatible
 from acygroups.traverse import NO_EDGE, partition
 
 
@@ -367,7 +382,8 @@ def reference_skeleton(group, igraph, alpha, s, g=0):
 
 def reference_check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
     """covering.check_n_acyclic_hypergraph before it skipped the size-2
-    clique round: every clique size 2..n_max is searched in turn."""
+    clique round and walked the cliques once: every clique size 2..n_max is
+    searched in turn, each by a walk of its own."""
     adj = hg.gaifman()
     vertex_edges = [set() for _ in range(hg.n)]
     for i, he in enumerate(hg.hyperedges):
@@ -384,3 +400,126 @@ def reference_check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET
         for cyc in _chordless_cycles(adj, length):
             return False, AcyclicityWitness("chordless_cycle", cyc)
     return True, None
+
+
+def _cliques_up_to(adj, max_size, budget):
+    """All cliques of sizes 2..max_size in degeneracy-ish order."""
+    order = sorted(range(len(adj)), key=lambda v: len(adj[v]))
+    rank = {v: i for i, v in enumerate(order)}
+    count = [0]
+    for v in order:
+        cands = [w for w in adj[v] if rank[w] > rank[v]]
+        yield from _clique_tree(adj, rank, max_size, [v], cands, budget, count)
+
+
+def _clique_tree(adj, rank, max_size, clique, cands, budget, count):
+    """The cliques of _cliques_up_to that contain clique; count[0] is the
+    number of cliques grown so far, checked against the budget."""
+    yield tuple(clique)
+    if len(clique) == max_size:
+        return
+    for w in sorted(cands, key=rank.__getitem__):
+        count[0] += 1
+        if count[0] > budget:
+            raise ResourceCap(f"clique search budget {budget} exceeded")
+        clique.append(w)
+        grown = [x for x in cands if x in adj[w] and rank[x] > rank[w]]
+        yield from _clique_tree(adj, rank, max_size, clique, grown, budget, count)
+        clique.pop()
+
+
+def reference_hypergraph_cover(hg, group):
+    """covering.hypergraph_cover before it ran on flat triple indices: the
+    union-find runs on positions in a tuple-keyed dict, and the classes are
+    sorted by least member.
+
+    The union runs over triples (hyperedge, vertex in it, group element).
+    The instance of a shared vertex v in the g-tagged copy of hyperedge s is
+    identified with its instance in the g*e-tagged copy of s', where e is the
+    colour of the pair {s, s'}.  The quotient is computed by union-find
+    seeded with that generator rule only; the walk characterisation of the
+    classes is kept as an independent oracle for the tests.
+    """
+    template = intersection_graph(hg)
+    if tuple(template.colors) != group.colors:
+        raise CompatibilityRequired("group must use one generator per hyperedge pair")
+    if len(template.colors) and not is_compatible(group, template):
+        raise CompatibilityRequired("group is not compatible with the intersection graph")
+    ng = group.order
+    triples = []
+    pos = {}
+    for hi, he in enumerate(hg.hyperedges):
+        for v in sorted(he):
+            for g in range(ng):
+                pos[(hi, v, g)] = len(triples)
+                triples.append((hi, v, g))
+
+    uf = _UnionFind(len(triples))
+    for c, name in enumerate(template.colors):
+        i, j = (int(x) for x in name[1:].split("~"))
+        grow = group.gen_action[c]
+        for v in hg.hyperedges[i] & hg.hyperedges[j]:
+            for g in range(ng):
+                uf.union(pos[(i, v, g)], pos[(j, v, grow[g])])
+    classes = {}
+    for t, triple in enumerate(triples):
+        classes.setdefault(uf.find(t), []).append(triple)
+    class_list = sorted(classes.values(), key=min)
+    class_of = {}
+    for i, members in enumerate(class_list):
+        for m in members:
+            class_of[m] = i
+    cover_edges = {}
+    copies = []
+    copy_tags = []
+    for hi, he in enumerate(hg.hyperedges):
+        for g in range(ng):
+            key = frozenset(class_of[(hi, v, g)] for v in he)
+            cover_edges.setdefault(key, (hi, g))
+            copies.append(tuple(sorted(key)))
+            copy_tags.append((hi, g))
+    names = []
+    for members in class_list:
+        hi, v, g = min(members)
+        names.append(f"{hg.vertex_names[v]}|{hi}.{g}")
+    edge_list = sorted(cover_edges, key=sorted)
+    cover = Hypergraph(names, [[names[v] for v in sorted(he)] for he in edge_list])
+    projection = tuple(min(m)[1] for m in class_list)
+    provenance = {
+        "classes": tuple(tuple(sorted(m)) for m in class_list),
+        "hyperedge_tags": {tuple(sorted(k)): cover_edges[k] for k in cover_edges},
+        "copies": tuple(copies),
+        "copy_tags": tuple(copy_tags),
+    }
+    return Covering("hypergraph", hg, cover, projection, group, template, provenance)
+
+
+def reference_class_oracle_agrees(cov):
+    """covering.class_oracle_agrees before it compared partitions: each
+    class is checked against the template component of its first member.
+    It never checks that the classes cover every triple.
+
+    (s, v, g) and (s', v', g') fall together exactly when v = v' and g' is
+    reachable from g along walks labelled by colours of pairs sharing v that
+    run from site s to site s' in the intersection graph.
+    """
+    hg = cov.base
+    group = cov.group
+    template = cov.template
+    if not len(template.colors):
+        return all(len(m) == 1 for m in cov.provenance["classes"])
+    ctx = IContext(group, template, check=False)
+    vcolors = _vertex_colour_sets(hg, template)
+    for members in cov.provenance["classes"]:
+        hi0, v0, g0 = members[0]
+        alpha = frozenset(vcolors[v0])
+        ids, mem = ctx.comp_tables(alpha)
+        block = set(mem[ids[ctx.pair(hi0, g0)]])
+        expected = set()
+        for x in block:
+            s, g = ctx.unpair(x)
+            if v0 in hg.hyperedges[s]:
+                expected.add((s, v0, g))
+        if set(members) != expected:
+            return False
+    return True

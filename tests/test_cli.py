@@ -506,3 +506,46 @@ def test_malformed_command_lines_exit_invalid(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def test_manifest_digests_are_those_of_the_files(tmp_path, capsys):
+    """Output digests hash the written bytes, input digests the parsed
+    documents, and a rerun writes the same manifest."""
+    import hashlib
+
+    def write_loose(name, doc):
+        # not canonical bytes, so a file hash and a document digest differ
+        path = tmp_path / name
+        path.write_text(json.dumps(doc, indent=2))
+        return str(path)
+
+    hg = Hypergraph([0, 1, 2, 3], [[0, 1, 2], [0, 3], [1, 3]])
+    hg_path = write_loose("hg.json", {"format": "hypergraph", "vertices": ["0", "1", "2", "3"],
+                                      "hyperedges": [["0", "1", "2"], ["0", "3"], ["1", "3"]]})
+    cover_group = write_loose("cg.json", ser.egroup_to_json(sym(intersection_graph(hg))))
+    group = write_loose("g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    cover, out, reports = (str(tmp_path / n) for n in ("cover.json", "out.json", "reports.json"))
+    runs = {  # argv, inputs, outputs
+        "cover": (["cover-hypergraph", hg_path, cover_group, "-o", cover],
+                  [hg_path, cover_group], [cover]),
+        "construct": (["construct", group, "-N", "4", "-o", out, "--reports", reports],
+                      [group], [out, reports]),
+    }
+    for key, (argv, inputs, outputs) in runs.items():
+        manifests = []
+        for _ in range(2):
+            manifest = tmp_path / f"{key}_manifest.json"
+            code, _ = run(capsys, *argv, "--manifest", str(manifest))
+            assert code == 0
+            manifests.append(manifest.read_bytes())
+        assert manifests[0] == manifests[1]
+        man = json.loads(manifests[0])
+        assert sorted(man["outputs"]) == sorted(outputs)
+        for path, value in man["outputs"].items():
+            with open(path, "rb") as fh:
+                assert value == hashlib.sha256(fh.read()).hexdigest()
+        assert sorted(man["inputs"]) == sorted(inputs)
+        for path, value in man["inputs"].items():
+            with open(path) as fh:
+                assert value == ser.digest(json.load(fh))

@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from acygroups import serialize as ser
 
 from acygroups.acyclicity import girth
 from acygroups.constraint import is_n_acyclic_over, validate_i_coset_cycle
@@ -176,9 +180,125 @@ def test_cover_check_matches_the_search_with_the_size_two_round():
     @example(five_cycle, 5, 4)
     @example(five_cycle, 5, 5)
     @example(five_cycle + [frozenset({0, 2, 6})], 6, 9)
+    # round 4 runs over the budget, round 3 does not: the cap stands
+    @example([frozenset({2, 5, 1, 4}), frozenset({6, 2, 1}), frozenset({4, 1})], 4, 13)
+    # a nonconformal 4-clique comes before round 3 runs over the budget:
+    # the smaller round's cap stands
+    @example([frozenset({0, 2, 5, 6}), frozenset({0, 2, 4, 6}), frozenset({4}),
+              frozenset({2, 4, 5, 6}), frozenset({0, 4, 5, 6}), frozenset({0, 1, 3, 6})], 4, 15)
+    # rounds 3 and 4 run over the budget at the same nonconformal triangle
+    @example([frozenset({0, 1, 5}), frozenset({0, 2}), frozenset({2, 4, 5})], 4, 7)
+    # after a nonconformal 4-clique, round 3 counts its own cliques only
+    @example([frozenset({0, 1, 4}), frozenset({4, 5, 6}), frozenset({0, 1, 5})], 4, 8)
     def check(hyperedges, n_max, budget):
         hg = Hypergraph(range(7), [sorted(he) for he in hyperedges])
         got = outcome(check_n_acyclic_hypergraph, hg, n_max, budget)
         assert got == outcome(reference_check_n_acyclic_hypergraph, hg, n_max, budget)
 
     check()
+
+
+THREE_EDGES = ([0, 1, 2, 3], [[0, 1, 2], [0, 3], [1, 3]])
+
+
+def _with_classes(cov, classes):
+    return cov._replace(provenance={**cov.provenance, "classes": tuple(map(tuple, classes))})
+
+
+def test_class_check_rejects_a_triple_in_no_class():
+    from oracles import reference_class_oracle_agrees
+
+    hg = Hypergraph(*THREE_EDGES)
+    cov = hypergraph_cover(hg, sym(intersection_graph(hg)))
+    assert verify_cover(cov).ok
+    classes = list(cov.provenance["classes"])
+    # vertex 2 lies in one hyperedge only, so its triples are singletons
+    i, j = classes.index(((0, 2, 0),)), classes.index(((0, 2, 1),))
+    classes[j] = classes[i]  # (0, 2, 1) now lies in no class
+    tampered = _with_classes(cov, classes)
+    assert reference_class_oracle_agrees(tampered)
+    report = verify_cover(tampered)
+    assert not report.ok
+    assert report.issues == ("class structure disagrees with the subgroup rule",)
+
+
+small_hyperedges = st.lists(st.frozensets(st.integers(0, 4), min_size=1, max_size=3),
+                            min_size=1, max_size=4)
+
+
+def _small_cover(hyperedges, hypercube_attached, build=hypergraph_cover):
+    """The cover of a hypergraph on five vertices by the group of its
+    intersection graph (the trivial group when no hyperedges meet)."""
+    from acygroups.groups import EGroup
+
+    hg = Hypergraph(range(5), [sorted(he) for he in hyperedges])
+    ig = intersection_graph(hg)
+    group = (sym(ig, attach_hypercube=hypercube_attached) if ig.colors
+             else EGroup((), [], [None]))
+    return build(hg, group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_hyperedges, st.booleans())
+def test_cover_matches_the_reference_cover(hyperedges, hypercube_attached):
+    from oracles import reference_class_oracle_agrees, reference_hypergraph_cover
+
+    cov = _small_cover(hyperedges, hypercube_attached)
+    ref = _small_cover(hyperedges, hypercube_attached, reference_hypergraph_cover)
+    assert ser.canonical_bytes(ser.covering_to_json(cov)) == ser.canonical_bytes(
+        ser.covering_to_json(ref))
+    assert cov.provenance == ref.provenance
+    assert class_oracle_agrees(cov) == reference_class_oracle_agrees(cov)
+    assert class_oracle_agrees(cov)
+
+
+def _partition(classes):
+    return sorted(tuple(sorted(m)) for m in classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hyperedges, st.booleans(), st.data())
+def test_class_check_rejects_what_the_reference_rejects(hyperedges, hypercube_attached, data):
+    """The classes pass exactly when they are the cover's partition; every
+    tampering the reference check rejects is rejected."""
+    from oracles import reference_class_oracle_agrees
+
+    cov = _small_cover(hyperedges, hypercube_attached)
+    hg, ng = cov.base, cov.group.order
+    classes = [list(m) for m in cov.provenance["classes"]]
+
+    def pick(minimum=1):
+        fits = [i for i, m in enumerate(classes) if len(m) >= minimum]
+        assume(fits)
+        return data.draw(st.sampled_from(fits))
+
+    def triple():
+        return (data.draw(st.integers(0, len(hg.hyperedges) - 1)),
+                data.draw(st.integers(0, hg.n - 1)), data.draw(st.integers(0, ng - 1)))
+
+    kind = data.draw(st.sampled_from(["move", "merge", "split", "retag", "drop", "duplicate"]))
+    i = pick(2 if kind == "split" else 1)
+    k = data.draw(st.integers(0, len(classes[i]) - 1))
+    if kind in ("move", "merge", "duplicate"):
+        j = pick()
+        assume(j != i or kind == "duplicate")
+        if kind == "move":
+            classes[j].append(classes[i].pop(k))
+        elif kind == "merge":
+            classes[j] += classes[i]
+            classes[i] = []
+        else:
+            classes[j].insert(data.draw(st.integers(0, len(classes[j]))), classes[i][k])
+    elif kind == "split":
+        classes.append(classes[i][k:] or classes[i][:1])
+        classes[i] = classes[i][:k] or classes[i][1:]
+    elif kind == "retag":
+        classes[i][k] = triple()
+    else:
+        classes[i].pop(k)
+    classes = [m for m in classes if m]
+    tampered = _with_classes(cov, classes)
+    got = class_oracle_agrees(tampered)
+    assert got == (_partition(classes) == _partition(cov.provenance["classes"]))
+    if not reference_class_oracle_agrees(tampered):
+        assert not got

@@ -8,6 +8,14 @@ from pathlib import Path
 import acygroups
 from acygroups.acyclicity import find_coset_cycle
 from acygroups.constraint import find_i_coset_cycle, trivial_constraint_graph
+from acygroups.covering import (
+    Hypergraph,
+    check_n_acyclic_hypergraph,
+    hypergraph_cover,
+    intersection_graph,
+    verify_cover,
+)
+from acygroups.egraph import disjoint_union, hypercube
 from acygroups.errors import ResourceCap
 from acygroups.groupoid import (
     ConstraintPattern,
@@ -16,7 +24,7 @@ from acygroups.groupoid import (
     hat_translation,
 )
 from acygroups.groups import EGroup, sym
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
 
 from conftest import corpus
 
@@ -115,5 +123,16 @@ def test_searches_and_a_capped_construct_leave_no_cyclic_garbage():
         else:
             raise AssertionError("the construct was not capped")
 
-    for run in (plain, template, groupoid, capped_construct):
+    tri = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
+    ig = intersection_graph(tri)
+    seed = sym(disjoint_union([ig, hypercube(ig.colors)]), attach_hypercube=False)
+    cover_group, _ = construct_n_acyclic_over(seed, ig, SynthesisConfig(n_acyclic=4,
+                                                                       early_exit=True))
+
+    def cover():
+        cov = hypergraph_cover(tri, cover_group)
+        if not verify_cover(cov).ok or not check_n_acyclic_hypergraph(cov.cover, 4)[0]:
+            raise AssertionError("the triangle cover does not check")
+
+    for run in (plain, template, groupoid, capped_construct, cover):
         assert _cyclic_garbage(run) == [], run.__name__
