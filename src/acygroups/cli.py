@@ -38,7 +38,8 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 
-def _read_json(path):
+def _read_json(path, inputs=None):
+    """The JSON document at path; its digest goes into inputs."""
     try:
         if path == "-":
             data = sys.stdin.read()
@@ -48,9 +49,12 @@ def _read_json(path):
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8: {exc}", "/") from None
     try:
-        return json.loads(data)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not JSON: {exc}", "/") from None
+    if inputs is not None and path != "-":
+        inputs[path] = ser.digest(doc)
+    return doc
 
 
 def _digests(args):
@@ -61,19 +65,22 @@ def _digests(args):
 
 def _load(path, expected=None, inputs=None):
     """The object of an input document; its digest goes into inputs."""
-    doc = _read_json(path)
+    doc = _read_json(path, inputs)
     obj = ser.load_document(doc)
     if expected and doc.get("format") not in expected:
         raise SchemaError(f"expected one of {expected}", "/format")
-    if inputs is not None and path != "-":
-        inputs[path] = ser.digest(doc)
     return obj
 
 
 def _emit(doc, out, outputs=None):
     """Write doc's canonical bytes to out (stdout for None or '-'); their
     digest goes into outputs."""
-    data = ser.canonical_bytes(doc)
+    _write(ser.canonical_bytes(doc), out, outputs)
+
+
+def _write(data, out, outputs=None):
+    """Write the bytes data to out (stdout for None or '-'); their digest
+    goes into outputs."""
     if out in (None, "-"):
         sys.stdout.write(data.decode())
         out = "stdout"
@@ -157,15 +164,18 @@ def cmd_check_acyclic(args):
 
 
 def cmd_verify_witness(args):
-    group = _load(args.group, {"egroup"})
-    doc = _read_json(args.witness)
+    inputs = _digests(args)
+    group = _load(args.group, {"egroup"}, inputs)
+    doc = _read_json(args.witness, inputs)
     if args.over:
-        template = _load(args.over, {"egraph"})
+        template = _load(args.over, {"egraph"}, inputs)
         entries = ser.cycle_from_json(doc, group, n_sites=template.n)
         ok = validate_i_coset_cycle(group, template, entries)
     else:
         ok = validate_coset_cycle(group, ser.cycle_from_json(doc, group))
-    _emit({"format": "check", "witness_valid": ok}, args.output)
+    outputs = _digests(args)
+    _emit({"format": "check", "witness_valid": ok}, args.output, outputs)
+    _write_manifest(args, ["verify-witness"], {"over": bool(args.over)}, inputs, outputs)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
@@ -281,23 +291,27 @@ def _cover_of(doc):
 
 
 def cmd_verify_cover(args):
-    cover = _cover_of(_read_json(args.cover))
+    inputs = _digests(args)
+    cover = _cover_of(_read_json(args.cover, inputs))
     if isinstance(cover, Hypergraph):
         ok, witness = check_n_acyclic_hypergraph(cover, args.n)
         out = {"format": "check", "N": args.n, "holds": ok}
         if witness:
             out["witness"] = {"kind": witness.kind, "vertices": list(witness.vertices)}
-        _emit(out, args.output)
-        return EXIT_OK if ok else EXIT_VIOLATED
-    value = girth(cover)
-    ok = value > args.n
-    _emit({"format": "check", "N": args.n, "holds": ok,
-           "girth": "infinite" if value == float("inf") else value}, args.output)
+    else:
+        value = girth(cover)
+        ok = value > args.n
+        out = {"format": "check", "N": args.n, "holds": ok,
+               "girth": "infinite" if value == float("inf") else value}
+    outputs = _digests(args)
+    _emit(out, args.output, outputs)
+    _write_manifest(args, ["verify-cover"], {"N": args.n}, inputs, outputs)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
 def cmd_export_dot(args):
-    doc = _read_json(args.input)
+    inputs = _digests(args)
+    doc = _read_json(args.input, inputs)
     fmt = ser._need(doc, "format", str, "")
     if fmt == "covering":
         obj = _cover_of(doc)
@@ -307,12 +321,9 @@ def cmd_export_dot(args):
         obj = graph_template(ser.graph_from_json(doc))
     else:
         obj = ser.load_document(doc)
-    text = ser.object_to_dot(obj)
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    outputs = _digests(args)
+    _write(ser.object_to_dot(obj).encode(), args.output, outputs)
+    _write_manifest(args, ["export-dot"], {}, inputs, outputs)
     return EXIT_OK
 
 

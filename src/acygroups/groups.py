@@ -173,14 +173,39 @@ def _check_order_bound(parts, cap):
         )
 
 
-def sym_components(colors, parts, cap=None):
+def _essential_parts(tables):
+    """Indices, ascending, of the parts whose group is kept for the closure.
+
+    A part whose group is a generator-respecting quotient of a kept part's
+    group adds no relation: its coordinate is a function of the kept one,
+    so the diagonal walk visits the same elements in the same order without
+    it.  Parts are taken by decreasing order (ties by index) and each is
+    tested, by propagating the identity along the table, against the kept
+    parts whose order it divides, smallest first.
+    """
+    orders = [len(table[0]) for table in tables]
+    kept = []
+    for p in sorted(range(len(tables)), key=lambda i: (-orders[i], i)):
+        images = tables[p]
+        larger = sorted((orders[q], q) for q in kept if orders[q] % orders[p] == 0)
+        if not any(
+            propagate(n, list(enumerate(tables[q])), [(0, 0)], lambda c, x: images[c][x])
+            is not None
+            for n, q in larger
+        ):
+            kept.append(p)
+    return sorted(kept)
+
+
+def sym_components(colors, parts, cap=None, deadline=None):
     """Group generated by per-part involutions acting diagonally.
 
     Each part is either ("tables", per-colour index maps) for a part whose
     action is already known as right multiplication on an enumerated set, or
     ("perms", per-colour permutation tuples) for a raw point set.  Degeneracy
     of the combined generators must be checked by the caller.  A group that
-    provably exceeds the cap is refused before it is enumerated.
+    provably exceeds the cap is refused before it is enumerated; the
+    closures raise ResourceCap once the monotonic clock passes deadline.
     """
     cap = cap or DEFAULT_ELEMENT_CAP
     _check_order_bound(parts, cap)
@@ -191,9 +216,10 @@ def sym_components(colors, parts, cap=None):
         else:
             # a permutation group is the closure of its identity on n points
             n = len(data[0])
-            tables.append(close(tuple(range(n)), [(p,) * n for p in data], cap)[0])
+            tables.append(close(tuple(range(n)), [(p,) * n for p in data], cap, deadline)[0])
+    tables = [tables[i] for i in _essential_parts(tables)]
     rows = [tuple(table[c] for table in tables) for c in range(len(colors))]
-    action, parents = close((0,) * len(tables), rows, cap)
+    action, parents = close((0,) * len(tables), rows, cap, deadline)
     return EGroup(colors, action, parents)
 
 
@@ -205,6 +231,8 @@ def sym(h, attach_hypercube=True, cap=None):
     generators to be pairwise distinct non-identity involutions.
     """
     cap = cap or DEFAULT_ELEMENT_CAP
+    if not h.colors:
+        raise UnknownName("at least one colour required")
     if attach_hypercube:
         h = disjoint_union([h, hypercube(h.colors)])
     hbar = trivial_completion(h)

@@ -204,7 +204,7 @@ def stage_graph(group, k, mode="plain", igraph=None, config=None, ctx=None):
     return dedupe.components, dedupe.inventory
 
 
-def _combined_group(group, extra_components, colors, cap):
+def _combined_group(group, extra_components, colors, cap, deadline):
     """sym of (Cayley graph of group) + extras, with the regular part keyed
     by group elements rather than permutations."""
     parts = [("tables", group.gen_action)]
@@ -212,7 +212,7 @@ def _combined_group(group, extra_components, colors, cap):
         bar = trivial_completion(comp)
         gens = [tuple(row) for row in bar.partner]
         parts.append(("perms", gens))
-    return sym_components(colors, parts, cap=cap)
+    return sym_components(colors, parts, cap=cap, deadline=deadline)
 
 
 def _conservation(prev, new, k):
@@ -284,7 +284,9 @@ def _construct(group0, config, mode, igraph):
                 current, k, mode=mode, igraph=igraph, config=config, ctx=ctx
             )
             _check_deadline(deadline, k, "the stage graph")
-            new = _combined_group(current, components[1:], current.colors, config.element_cap)
+            new = _combined_group(
+                current, components[1:], current.colors, config.element_cap, deadline
+            )
             _check_deadline(deadline, k, "the closure")
             table, cons_ok, hom = _conservation(current, new, k)
             _check_deadline(deadline, k, "conservation")

@@ -11,6 +11,7 @@ Each walk visits the list it appends to, so all of them are breadth first.
 
 from __future__ import annotations
 
+import time
 from operator import getitem
 
 from .errors import ResourceCap
@@ -74,29 +75,34 @@ def propagate(n, rows, seeds, step):
     return values
 
 
-def close(start, rows, cap):
+def close(start, rows, cap, deadline=None):
     """Breadth-first closure of the tuple state start: (action, parents).
 
     Generator c maps a state g to the tuple of rows[c][i][g[i]].  action[c]
     is the generator's table on state indices, with start at 0, and
     parents[k] is (earlier index, c) for every state but start.  Raises
-    ResourceCap when a state beyond the first cap would be added.
+    ResourceCap when a state beyond the first cap would be added, or when
+    the monotonic clock, read once per 4,096 states, has passed deadline.
     """
     index = {start: 0}
+    get = index.get
     states = [start]
     parents = [None]
+    action = [[] for _ in rows]
+    steps = list(enumerate(zip(rows, [table.append for table in action])))
     for k, g in enumerate(states):
-        for c, row in enumerate(rows):
+        if not k & 4095 and k and deadline is not None and time.monotonic() > deadline:
+            raise ResourceCap(f"closure timed out after {k} elements")
+        for c, (row, put) in steps:
             h = tuple(map(getitem, row, g))
-            if h not in index:
-                if len(states) >= cap:
+            j = get(h)
+            if j is None:
+                j = index[h] = len(states)
+                if j >= cap:
                     raise ResourceCap(f"element cap {cap} exceeded in closure")
-                index[h] = len(states)
                 states.append(h)
                 parents.append((k, c))
-    # the tables are built only after the closure succeeds, so a capped
-    # closure never holds them
-    action = [[index[tuple(map(getitem, row, g))] for g in states] for row in rows]
+            put(j)
     return action, parents
 
 

@@ -18,9 +18,15 @@ each class with the template component of its first member; the library's
 cover must equal the first, and its class check must reject whatever the
 second rejects.  ``reference_check_n_acyclic_hypergraph`` restarts its own
 clique walk (``_cliques_up_to``) for every clique size.
+
+``reference_close`` is the closure that walks the states first and then
+recomputes every image in a second pass to build its tables;
+``reference_diagonal_closure`` runs it over every part of a stage, with no
+part dropped, and ``groups.sym_components`` must give the same group.
 """
 
 import time
+from operator import getitem
 
 from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
 from acygroups.constraint import IContext, LazyBlocks, Skeleton
@@ -523,3 +529,33 @@ def reference_class_oracle_agrees(cov):
         if set(members) != expected:
             return False
     return True
+
+
+def reference_close(start, rows, cap):
+    index = {start: 0}
+    states = [start]
+    parents = [None]
+    for k, g in enumerate(states):
+        for c, row in enumerate(rows):
+            h = tuple(map(getitem, row, g))
+            if h not in index:
+                if len(states) >= cap:
+                    raise ResourceCap(f"element cap {cap} exceeded in closure")
+                index[h] = len(states)
+                states.append(h)
+                parents.append((k, c))
+    action = [[index[tuple(map(getitem, row, g))] for g in states] for row in rows]
+    return action, parents
+
+
+def reference_diagonal_closure(n_colors, parts, cap):
+    """(action, parents) of the diagonal group of all parts."""
+    tables = []
+    for kind, data in parts:
+        if kind == "tables":
+            tables.append(data)
+        else:
+            n = len(data[0])
+            tables.append(reference_close(tuple(range(n)), [(p,) * n for p in data], cap)[0])
+    rows = [tuple(table[c] for table in tables) for c in range(n_colors)]
+    return reference_close((0,) * len(tables), rows, cap)

@@ -549,3 +549,52 @@ def test_manifest_digests_are_those_of_the_files(tmp_path, capsys):
         for path, value in man["inputs"].items():
             with open(path) as fh:
                 assert value == ser.digest(json.load(fh))
+
+
+def test_symgroup_without_colours_is_invalid_input(tmp_path, capsys):
+    graph = write(tmp_path, "e.json",
+                  {"format": "egraph", "vertices": ["a"], "colors": [], "edges": []})
+    for flags in ([], ["--no-hypercube"]):
+        code = main(["symgroup", graph, *flags])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", flags
+        assert captured.err == "invalid input: at least one colour required\n", flags
+
+
+def test_checks_and_export_write_their_manifests(tmp_path, capsys):
+    """verify-cover, verify-witness and export-dot record their input
+    documents and output bytes like every other command."""
+    import hashlib
+
+    from acygroups.egraph import biggs_tree
+
+    def loose(name, doc):
+        # not canonical bytes, so a file hash and a document digest differ
+        path = tmp_path / name
+        path.write_text(json.dumps(doc, indent=2))
+        return str(path)
+
+    tree = loose("tree.json", ser.egraph_to_json(biggs_tree(["a", "b"], 1)))
+    group = loose("g.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
+    witness = str(tmp_path / "w.json")
+    assert run(capsys, "check-acyclic", group, "-N", "6", "-o", witness)[0] == 1
+    hg = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
+    cover = loose("cover.json", {"format": "covering", "kind": "hypergraph",
+                                 "cover": ser.hypergraph_to_json(hg)})
+    runs = {  # argv, exit code, inputs
+        "verify-cover": (["verify-cover", cover, "-N", "3"], 1, [cover]),
+        "verify-witness": (["verify-witness", witness, group], 0, [witness, group]),
+        "export-dot": (["export-dot", tree], 0, [tree]),
+    }
+    for command, (argv, expected, inputs) in runs.items():
+        out, manifest = str(tmp_path / f"{command}.out"), tmp_path / f"{command}.json"
+        code, _ = run(capsys, *argv, "-o", out, "--manifest", str(manifest))
+        assert code == expected, command
+        man = json.loads(manifest.read_bytes())
+        assert man["command"] == [command]
+        assert sorted(man["inputs"]) == sorted(inputs)
+        for path, value in man["inputs"].items():
+            with open(path) as fh:
+                assert value == ser.digest(json.load(fh)), (command, path)
+        with open(out, "rb") as fh:
+            assert man["outputs"] == {out: hashlib.sha256(fh.read()).hexdigest()}

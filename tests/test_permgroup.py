@@ -49,9 +49,9 @@ def _closures(monkeypatch):
     calls = []
     close = groups.close
 
-    def recording(start, rows, cap):
+    def recording(start, rows, cap, deadline=None):
         try:
-            out = close(start, rows, cap)
+            out = close(start, rows, cap, deadline)
         except ResourceCap:
             calls.append("raised")
             raise
