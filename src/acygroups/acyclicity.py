@@ -117,9 +117,7 @@ def girth(cg):
 
 def _separated(group, g, alpha_g, h, alpha_h):
     """True when g*G[alpha_g] and h*G[alpha_h] are disjoint."""
-    ids_h, _ = group.coset_table(alpha_h)
-    hid = ids_h[h]
-    return all(ids_h[x] != hid for x in group.coset(g, alpha_g))
+    return set(group.coset(h, alpha_h)).isdisjoint(group.coset(g, alpha_g))
 
 
 def validate_coset_cycle(group, entries):
@@ -178,21 +176,36 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
 def met_by_ids(block, tb):
     """The ``met`` hook for structures whose alpha-components partition the
     points themselves (groups, groupoids): the ids of the components of
-    table tb that hold a point of block."""
-    return set(map(tb[0].__getitem__, block))
+    table tb that hold a point of block, each walked if it was not."""
+    met = set(map(tb.ids.__getitem__, block))
+    if -1 in met:
+        met = set(map(tb.find, block))
+    return met
 
 
 def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline=None):
     """The depth-first coset-cycle search behind every searcher.
 
     Points are group elements, packed (site, element) pairs of a template
-    product, or groupoid elements.  ``table(alpha)`` is the (ids, members)
-    partition of the points into alpha-components, each member tuple
-    ascending; ``met(block, tb)`` is the set of ids of the components of
-    table tb that meet the component ``block``.  The component of q in tb
-    is then disjoint from block exactly when its id is not in that set, so
-    each prefix node builds the set once per next subset and tests every
-    candidate q by one membership.  Lengths 2..n_max are tried in turn,
+    product, or groupoid elements.  ``table(alpha)`` is the partition of
+    the points into alpha-components as a :class:`~acygroups.traverse.Cosets`
+    or :class:`~acygroups.traverse.Table`: ``find(x)`` is the id of x's
+    component, ``members[id]`` that component ascending, and ``ids[x]``
+    the id, or -1 while the component of x is not walked.  ``met(block,
+    tb)`` is the set of ids of the components of table tb that meet the
+    component ``block``.  The component of q in tb is then disjoint from
+    block exactly when its id is not in that set, so each prefix node
+    builds the set once per next subset and tests every candidate q by one
+    membership.
+
+    The per-candidate reads are bare ``ids[q]``, each an equality with the
+    id of a walked component or a membership in a ``met`` set, so a -1
+    never matches.  That holds because the kernel walks each anchor's
+    component in every table once per search and p's component, in its
+    table and in the meet table, once per prefix node, and because ``met``
+    walks every component its block meets before it returns.
+
+    Lengths 2..n_max are tried in turn,
     start subsets in the order of ``alphas`` with the anchor points inner;
     every separation condition determined on the prefix prunes at once, and
     the closing entry is checked in the loop of the entry before it.
@@ -209,7 +222,7 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
     ResourceCap, and so does passing ``deadline`` (a ``time.monotonic()``
     value), checked every 4096 nodes.
     """
-    walk = _Walk(alphas, table, met, budget or DEFAULT_SEARCH_BUDGET, deadline)
+    walk = _Walk(alphas, anchors, table, met, budget or DEFAULT_SEARCH_BUDGET, deadline)
     for target in range(2, n_max + 1):
         walk.target = target
         for start in range(len(alphas)):
@@ -228,23 +241,31 @@ class _Walk:
     refers to itself and nothing here outlives the search in a reference
     cycle."""
 
-    __slots__ = ("alphas", "table", "tables", "meets", "met", "budget", "deadline",
+    __slots__ = ("alphas", "anchors", "table", "tables", "meets", "met", "budget", "deadline",
                  "nodes", "target", "nexts", "seq")
 
-    def __init__(self, alphas, table, met, budget, deadline):
+    def __init__(self, alphas, anchors, table, met, budget, deadline):
         self.alphas = alphas
+        self.anchors = anchors
         self.table = table
-        self.tables = [table(a) for a in alphas]
+        self.tables = [self.fetch(a) for a in alphas]
         self.meets = [[None] * len(alphas) for _ in alphas]
         self.met = met
         self.budget = budget
         self.deadline = deadline
         self.nodes = 0
 
+    def fetch(self, alpha):
+        """table(alpha), with the component of every anchor walked."""
+        t = self.table(alpha)
+        for p_0 in self.anchors:
+            t.find(p_0)
+        return t
+
     def meet(self, i, j):
         t = self.meets[i][j]
         if t is None:
-            t = self.meets[i][j] = self.meets[j][i] = self.table(self.alphas[i] & self.alphas[j])
+            t = self.meets[i][j] = self.meets[j][i] = self.fetch(self.alphas[i] & self.alphas[j])
         return t
 
     def tick(self, nodes):
@@ -271,15 +292,14 @@ def _extend(w, m):
     seq = w.seq
     i_0, p_0 = seq[0]
     i_m, p = seq[m]
-    ids, members = w.tables[i_m]
     tables, row, meet, met, budget = w.tables, w.meets[i_m], w.meet, w.met, w.budget
     closing = m == w.target - 2
     if m:
-        mid_ids, mid_members = meet(i_m, seq[m - 1][0])
-        p_mid = mid_ids[p]
+        mid = meet(i_m, seq[m - 1][0])
+        mid_ids, p_mid = mid.ids, mid.find(p)
     mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)
     nodes = w.nodes
-    for q in members[ids[p]]:
+    for q in tables[i_m].block(p):
         if q == p:
             continue
         if m and mid_ids[q] == p_mid:
@@ -292,26 +312,25 @@ def _extend(w, m):
                 t = row[j] or meet(i_m, j)
                 shut = mids[j]
                 if shut is None:
-                    shut = mids[j] = met(mid_members[p_mid], t)
-                if t[0][q] in shut:
+                    shut = mids[j] = met(mid.members[p_mid], t)
+                if t.ids[q] in shut:
                     continue
             if closing:
-                ids_j = tables[j][0]
+                ids_j = tables[j].ids
                 if ids_j[q] != ids_j[p_0]:
                     continue
                 # separation at the closing entry, then at entry 0
                 t = row[j] or meet(i_m, j)
                 shut = closes[j]
                 if shut is None:
-                    t_0 = meet(i_0, j)
-                    shut = closes[j] = met(t_0[1][t_0[0][p_0]], t)
-                if t[0][q] in shut:
+                    shut = closes[j] = met(meet(i_0, j).block(p_0), t)
+                if t.ids[q] in shut:
                     continue
                 if m:
                     ok = opens[j]
                     if ok is None:
-                        t_0, t_1 = meet(i_0, j), meet(i_0, seq[1][0])
-                        ok = opens[j] = t_1[0][seq[1][1]] not in met(t_0[1][t_0[0][p_0]], t_1)
+                        t_1 = meet(i_0, seq[1][0])
+                        ok = opens[j] = t_1.find(seq[1][1]) not in met(meet(i_0, j).block(p_0), t_1)
                     if not ok:
                         continue
                 seq.append((j, q))

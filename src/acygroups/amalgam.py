@@ -139,11 +139,8 @@ def amalgam_chain(group, items):
             raise PreconditionFailed("chain point lies outside its subgroup")
     n = len(items)
     for i in range(1, n - 1):
-        left = set(group.coset(0, items[i - 1][0] & items[i][0]))
-        a_right = items[i][0] & items[i + 1][0]
-        ids, _ = group.coset_table(a_right)
-        gi = items[i][1]
-        if any(ids[x] == ids[gi] for x in left):
+        left = group.subgroup_elements(items[i - 1][0] & items[i][0])
+        if not set(left).isdisjoint(group.coset(items[i][1], items[i][0] & items[i + 1][0])):
             return None
     glue = []
     for i in range(n - 1):

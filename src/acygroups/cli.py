@@ -10,6 +10,7 @@ not UTF-8); 4 internal error (any other exception, reported in one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -92,11 +93,15 @@ def _write(data, out, outputs=None):
 
 
 def _write_manifest(args, command, config, inputs, outputs, reports=None, timings=None):
-    if not getattr(args, "manifest", None):
+    """Write the run manifest to --manifest, if given.  With --timings it
+    holds the command's phase timings, or else the command's wall time."""
+    if not args.manifest:
         return
     reports = None if reports is None else [r.to_json() for r in reports]
+    if args.timings and timings is None:
+        timings = {"command": time.monotonic() - args.started}
     doc = ser.manifest(command, config, inputs, outputs, reports=reports,
-                       timings=timings if getattr(args, "timings", False) else None)
+                       timings=timings if args.timings else None)
     with open(args.manifest, "wb") as fh:
         fh.write(ser.canonical_bytes(doc))
 
@@ -339,7 +344,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = _Parser(
         prog="acygroups",
         description="Finite groups and groupoids with coset-acyclic Cayley "
@@ -452,6 +459,7 @@ def _parse_args(argv):
 def main(argv=None):
     try:
         args = _parse_args(argv)
+        args.started = time.monotonic()
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK

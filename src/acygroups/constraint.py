@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import is_compatible
-from .traverse import bfs_parents, partition, propagate
+from .traverse import Table, bfs_parents, partition, propagate
 
 
 def trivial_constraint_graph(colors):
@@ -128,14 +128,16 @@ class IContext:
         return block
 
     def comp_tables(self, alpha):
-        """(ids, members) partition of site/element pairs into alpha-components.
+        """(ids, members) partition of site/element pairs into alpha-components,
+        a :class:`~acygroups.traverse.Table`.
 
         With L components of the pairs over G[alpha] (m elements), (s, g) is
-        in component cids[g] * L + lids[s * m + rel[g]]: cids numbers the
-        alpha-cosets, and rel[g] indexes r^-1 * g in G[alpha] for the least
-        element r of g's coset.  members[cid] is the local block translated
-        by r.  For the full colour set all pairs are partitioned, which only
-        a caller that needs every component should ask for.
+        in component r * L + lids[s * m + rel[g]] for the least element r of
+        g's alpha-coset, where rel[g] indexes r^-1 * g in G[alpha].
+        members[cid] is the local block translated by r; an index that is
+        no id raises KeyError.  For the full colour set (r = 0) all pairs
+        are partitioned, which only a caller that needs every component
+        should ask for.
         """
         alpha = frozenset(alpha)
         cached = self._comp.get(alpha)
@@ -159,10 +161,10 @@ class IContext:
             local_rows.append(row)
         lids, local = partition(ns * m, local_rows)
         if m == ng:  # one coset, nothing to translate
-            out = self._comp[alpha] = (lids, local)
+            out = self._comp[alpha] = Table(lids, local)
             return out
         ids = CosetIds(group, alpha, sub_rows, m, lids, local)
-        out = self._comp[alpha] = (ids, LazyBlocks(len(ids.cosets) * len(local), ids.block))
+        out = self._comp[alpha] = Table(ids, LazyBlocks(ng * len(local), ids.block))
         return out
 
     def i_coset(self, alpha, s, g):
@@ -180,7 +182,7 @@ class IContext:
         element sets meet the element set of block.  The component of (s, e)
         meets an element set E exactly when it holds some (s', e') with e'
         in E, so these are the ids of every pair over E."""
-        ids_b, ng = tb[0], self.group.order
+        ids_b, ng = tb.ids, self.group.order
         return {ids_b[s * ng + e] for e in {y % ng for y in block} for s in range(self.igraph.n)}
 
     def skeleton(self, alpha, s, g=0):
@@ -212,25 +214,27 @@ class CosetIds:
     point of the coset is first asked for; nothing is tabulated per pair.
     """
 
-    __slots__ = ("n", "ng", "m", "lids", "local", "cids", "cosets", "tree", "rel", "trans")
+    __slots__ = ("n", "ng", "m", "lids", "local", "table", "tree", "rel", "trans")
 
     def __init__(self, group, alpha, sub_rows, m, lids, local):
         self.n, self.ng, self.m = len(lids) // m * group.order, group.order, m
         self.lids, self.local = lids, local
-        self.cids, self.cosets = group.coset_table(alpha)
+        self.table = group.coset_table(alpha)
         colors = sorted(alpha)
         reached, parents = bfs_parents(sub_rows, m, [0])
         self.tree = [
             (i, parents[i][0], group.gen_action[colors[parents[i][1]]]) for i in reached[1:]
         ]
         self.rel = array("l", [-1]) * self.ng  # rel[g] once g's coset is walked
-        self.trans = [None] * len(self.cosets)
+        self.trans = {}
 
-    def translation(self, k):
-        """trans[i] = r * sub[i] for the least element r of coset k."""
-        trans = self.trans[k]
+    def translation(self, r):
+        """trans[i] = r * sub[i] for the least element r of a coset."""
+        trans = self.trans.get(r)
         if trans is None:
-            trans = self.trans[k] = [self.cosets[k][0]] * self.m
+            if self.table.find(r) != r:
+                raise KeyError(f"{r} is not the least element of its coset")
+            trans = self.trans[r] = [r] * self.m
             for i, prev, grow in self.tree:
                 trans[i] = grow[trans[prev]]
             rel = self.rel
@@ -243,24 +247,26 @@ class CosetIds:
 
     def __getitem__(self, p):
         s, g = divmod(p, self.ng)
-        k = self.cids[g]
-        if self.trans[k] is None:
-            self.translation(k)
-        return k * len(self.local) + self.lids[s * self.m + self.rel[g]]
+        i = self.rel[g]
+        if i == -1:
+            self.translation(self.table.find(g))
+            i = self.rel[g]
+        return self.table.ids[g] * len(self.local) + self.lids[s * self.m + i]
 
     def __iter__(self):
         return map(self.__getitem__, range(self.n))
 
     def block(self, cid):
         """Packed pairs of component cid: its local block moved to its coset."""
-        k, lid = divmod(cid, len(self.local))
-        trans, m, ng = self.translation(k), self.m, self.ng
+        r, lid = divmod(cid, len(self.local))
+        trans, m, ng = self.translation(r), self.m, self.ng
         return tuple(s * ng + trans[i] for s, i in map(divmod, self.local[lid], repeat(m)))
 
 
 class LazyBlocks:
-    """Blocks 0..n-1 of a partition, each built by build(cid) on first access
-    and then kept; a sequence, so iterating it walks the blocks in order."""
+    """The blocks of a partition whose ids lie in 0..n-1, each built by
+    build(cid) on first access and then kept; build raises KeyError for an
+    index that is no id."""
 
     __slots__ = ("_n", "_build", "_blocks")
 
@@ -361,25 +367,25 @@ def is_free_skeleton(ctx, alpha, s, g=0):
             reps.setdefault(cid, (site, elem))
         comp_reps[a] = reps
     for a1 in gammas:
-        ids1, _ = group.coset_table(a1)
+        find1 = group.coset_table(a1).find
         for a2 in gammas:
             # ambient-coset pairs that actually meet, found via shared elements
             plain1 = {}
             for cid, (site, elem) in comp_reps[a1].items():
-                plain1.setdefault(ids1[elem], []).append(cid)
+                plain1.setdefault(find1(elem), []).append(cid)
             for cid2, (site2, elem2) in comp_reps[a2].items():
                 proj2 = set(ctx.i_coset(a2, site2, elem2))
-                for cid1 in _cids_meeting(group, ids1, plain1, elem2, a2):
+                for cid1 in _cids_meeting(group, find1, plain1, elem2, a2):
                     site1, elem1 = comp_reps[a1][cid1]
                     if not (set(ctx.i_coset(a1, site1, elem1)) & proj2):
                         return False
     return True
 
 
-def _cids_meeting(group, ids1, plain1, elem2, a2):
+def _cids_meeting(group, find1, plain1, elem2, a2):
     seen = set()
     for x in group.coset(elem2, a2):
-        for cid in plain1.get(ids1[x], ()):
+        for cid in plain1.get(find1(x), ()):
             if cid not in seen:
                 seen.add(cid)
                 yield cid
@@ -444,7 +450,7 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
         view = views.get(alpha)
         if view is None:
             ids, members = ctx.comp_tables(alpha)
-            view = views[alpha] = (
+            view = views[alpha] = Table(
                 ids, LazyBlocks(len(members), lambda cid: tuple(sorted(members[cid])))
             )
         return view

@@ -23,7 +23,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import sym
-from .traverse import partition, propagate
+from .traverse import Cosets, propagate
 
 
 class ConstraintPattern:
@@ -302,18 +302,17 @@ class IGroupoid:
         return self.apply(self.neutral[start_site], edges)
 
     def subset_closures(self, alpha_edges):
-        """Partition of the universe into alpha-cosets (alpha inverse closed)."""
+        """The alpha-cosets (alpha inverse closed) as a lazy
+        :class:`~acygroups.traverse.Cosets`, ids least elements."""
         alpha_edges = frozenset(alpha_edges)
-        cached = self._closures.get(alpha_edges)
-        if cached is not None:
-            return cached
-        out = partition(self.order, [self.rmul[e] for e in sorted(alpha_edges)], sort=True)
-        self._closures[alpha_edges] = out
-        return out
+        table = self._closures.get(alpha_edges)
+        if table is None:
+            table = self._closures[alpha_edges] = Cosets(
+                self.order, [self.rmul[e] for e in sorted(alpha_edges)])
+        return table
 
     def coset(self, g, alpha_edges):
-        ids, members = self.subset_closures(alpha_edges)
-        return members[ids[g]]
+        return self.subset_closures(alpha_edges).block(g)
 
     def __repr__(self):
         return f"IGroupoid(order {self.order}, {self.pattern!r})"
@@ -483,8 +482,8 @@ def validate_groupoid_coset_cycle(gpd, entries):
         a_i, g_i = entries[i]
         a_n, g_n = entries[(i + 1) % n]
         a_p = entries[(i - 1) % n][0]
-        ids, _ = gpd.subset_closures(a_i)
-        if ids[g_i] != ids[g_n]:
+        table = gpd.subset_closures(a_i)
+        if table.find(g_i) != table.find(g_n):
             return False
         left = set(gpd.coset(g_i, a_i & a_p))
         right = set(gpd.coset(g_n, a_i & a_n))

@@ -18,7 +18,7 @@ from .canon import connected_components
 from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, trivial_completion
 from .errors import DegenerateGenerators, ResourceCap, UnknownName
 from .permgroup import group_order
-from .traverse import bfs_parents, close, partition, propagate
+from .traverse import Cosets, bfs_parents, close, propagate
 
 DEFAULT_ELEMENT_CAP = int(os.environ.get("ACYGROUPS_ELEMENT_CAP", 1_000_000))
 
@@ -32,7 +32,6 @@ class EGroup:
         "parents",
         "embedding",
         "parent_alpha",
-        "_sub_cache",
         "_coset_cache",
         "_compat_cache",
     )
@@ -43,7 +42,6 @@ class EGroup:
         self.parents = tuple(parents)  # per element: (previous element, colour) or None
         self.embedding = embedding  # subgroup -> parent element indices, if any
         self.parent_alpha = parent_alpha
-        self._sub_cache = {}
         self._coset_cache = {}
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
         n = self.order
@@ -102,31 +100,26 @@ class EGroup:
 
     def subgroup_elements(self, alpha):
         """Sorted element indices of the subgroup generated by alpha."""
-        alpha = frozenset(alpha)
-        cached = self._sub_cache.get(alpha)
-        if cached is None:
-            cached = self.coset(0, alpha)
-            self._sub_cache[alpha] = cached
-        return cached
+        return self.coset_table(alpha).block(0)
 
     def coset_table(self, alpha):
-        """(ids, members): partition of all elements into alpha-cosets."""
+        """The alpha-cosets as a lazy :class:`~acygroups.traverse.Cosets`:
+        each coset is walked when one of its elements is first asked for,
+        and its id is its least element."""
         alpha = frozenset(alpha)
-        cached = self._coset_cache.get(alpha)
-        if cached is not None:
-            return cached
-        out = partition(self.order, [self.gen_action[c] for c in sorted(alpha)], sort=True)
-        self._coset_cache[alpha] = out
-        return out
+        table = self._coset_cache.get(alpha)
+        if table is None:
+            table = self._coset_cache[alpha] = Cosets(
+                self.order, [self.gen_action[c] for c in sorted(alpha)])
+        return table
 
     def coset(self, g, alpha):
         """Sorted elements of g * <alpha>, the alpha-component of g."""
-        ids, members = self.coset_table(frozenset(alpha))
-        return members[ids[g]]
+        return self.coset_table(alpha).block(g)
 
     def same_coset(self, g, h, alpha):
-        ids, _ = self.coset_table(frozenset(alpha))
-        return ids[g] == ids[h]
+        table = self.coset_table(alpha)
+        return table.find(g) == table.find(h)
 
     def __repr__(self):
         return f"EGroup(order {self.order}, colours {list(self.colors)})"

@@ -129,9 +129,9 @@ def _chain_pointings(group, subsets, max_len):
         key = (left, here, right)
         points = admissible.get(key)
         if points is None:
-            ids, _ = group.coset_table(here & right)
-            met = {ids[x] for x in group.subgroup_elements(left & here)}
-            points = tuple(g for g in group.subgroup_elements(here) if ids[g] not in met)
+            find = group.coset_table(here & right).find
+            met = set(map(find, group.subgroup_elements(left & here)))
+            points = tuple(g for g in group.subgroup_elements(here) if find(g) not in met)
             admissible[key] = points
         return points
 

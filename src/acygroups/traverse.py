@@ -2,47 +2,103 @@
 
 Every structure in this library is an index set with one successor row per
 generator: ``row[x]`` is the successor of ``x``, or ``NO_EDGE`` when there
-is none.  Cosets, template-restricted cosets and groupoid cosets are blocks
-of :func:`partition`; homomorphisms, compatibility and skeleton maps are
-values forced along the rows by :func:`propagate`; generated groups are
-closures under :func:`close`; witness words come from :func:`bfs_parents`.
-Each walk visits the list it appends to, so all of them are breadth first.
+is none.  Cosets and groupoid cosets are blocks of :class:`Cosets`, walked
+one at a time as they are asked for; the whole-set :func:`partition` serves
+connected components and the local blocks of template tables.
+Homomorphisms, compatibility and skeleton maps are values forced along the
+rows by :func:`propagate`; generated groups are closures under
+:func:`close`; witness words come from :func:`bfs_parents`.  Each walk
+visits the list it appends to, so all of them are breadth first.
 """
 
 from __future__ import annotations
 
 import time
 from operator import getitem
+from typing import NamedTuple, Sequence
 
 from .errors import ResourceCap
 
 NO_EDGE = -1
 
 
-def partition(n, rows, sort=False):
+def partition(n, rows):
     """(ids, members): the components of 0..n-1 under the rows.
 
     Blocks are numbered in order of their least index; each block lists its
-    members in breadth-first order from that index, or ascending with sort.
+    members in breadth-first order from that index.
     """
     ids = [-1] * n
     members = []
     for x0 in range(n):
-        if ids[x0] != -1:
-            continue
-        cid = len(members)
-        ids[x0] = cid
-        block = [x0]
-        for x in block:
-            for row in rows:
-                y = row[x]
-                if y != NO_EDGE and ids[y] == -1:
-                    ids[y] = cid
-                    block.append(y)
-        if sort:
-            block.sort()
-        members.append(tuple(block))
+        if ids[x0] == -1:
+            members.append(tuple(_component(x0, rows, ids, len(members))))
     return tuple(ids), tuple(members)
+
+
+def _component(x0, rows, ids, label):
+    """The points reached from x0 along the rows where ids holds -1, in
+    breadth-first order, each labelled in ids on the way."""
+    ids[x0] = label
+    block = [x0]
+    for x in block:
+        for row in rows:
+            y = row[x]
+            if y != NO_EDGE and ids[y] == -1:
+                ids[y] = label
+                block.append(y)
+    return block
+
+
+class Cosets:
+    """The components of 0..n-1 under the rows, each walked when a point of
+    it is first asked for.
+
+    ids[x] is -1 until the component of x is walked, then its least index;
+    members[least] lists that component in ascending order.  find(x) and
+    block(x) walk when needed.  Read directly, ids[x] equals the id of a
+    walked component exactly when x lies in it, since -1 is no id.
+    """
+
+    __slots__ = ("ids", "members", "rows")
+
+    def __init__(self, n, rows):
+        self.ids = [-1] * n
+        self.members = {}
+        self.rows = rows
+
+    def find(self, x):
+        """The id of x's component, its least index."""
+        least = self.ids[x]
+        return least if least != -1 else self._walk(x)
+
+    def block(self, x):
+        """x's component, ascending."""
+        return self.members[self.find(x)]
+
+    def _walk(self, x0):
+        ids = self.ids
+        block = _component(x0, self.rows, ids, x0)
+        block.sort()
+        least = block[0]
+        if least != x0:
+            for x in block:
+                ids[x] = least
+        self.members[least] = tuple(block)
+        return least
+
+
+class Table(NamedTuple):
+    """A partition whose ids are all known, read as :class:`Cosets` is."""
+
+    ids: Sequence
+    members: Sequence
+
+    def find(self, x):
+        return self.ids[x]
+
+    def block(self, x):
+        return self.members[self.ids[x]]
 
 
 def propagate(n, rows, seeds, step):

@@ -19,12 +19,18 @@ cover must equal the first, and its class check must reject whatever the
 second rejects.  ``reference_check_n_acyclic_hypergraph`` restarts its own
 clique walk (``_cliques_up_to``) for every clique size.
 
+``reference_cosets`` is the eager partition of the whole point set that
+``traverse.Cosets`` replaced, relabelled to least-element ids;
+``reference_group_tables`` and ``reference_groupoid_tables`` serve it as
+the kernels' ``table(alpha)``.
+
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
 part dropped, and ``groups.sym_components`` must give the same group.
 """
 
+import functools
 import time
 from operator import getitem
 
@@ -43,7 +49,28 @@ from acygroups.egraph import EGraph
 from acygroups.errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms, is_compatible
-from acygroups.traverse import NO_EDGE, partition
+from acygroups.traverse import NO_EDGE, Table, partition
+
+
+def reference_cosets(n, rows):
+    """The components of 0..n-1 under the rows, all partitioned at once:
+    a Table whose ids[x] is the least member of x's component and whose
+    members maps that id to the component in ascending order."""
+    ids, members = partition(n, rows)
+    blocks = {min(block): tuple(sorted(block)) for block in members}
+    return Table([min(members[cid]) for cid in ids], blocks)
+
+
+def reference_group_tables(group):
+    """table(alpha) of the eager alpha-coset partitions of a group."""
+    return functools.cache(
+        lambda alpha: reference_cosets(group.order, [group.gen_action[c] for c in sorted(alpha)]))
+
+
+def reference_groupoid_tables(gpd):
+    """table(alpha) of the eager alpha-coset partitions of a groupoid."""
+    return functools.cache(
+        lambda alpha: reference_cosets(gpd.order, [gpd.rmul[e] for e in sorted(alpha)]))
 
 
 def search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None):
@@ -108,7 +135,7 @@ def reference_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=Non
         alphas = proper_subsets(n_colors)
     else:
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
-    table = group.coset_table
+    table = reference_group_tables(group)
     found = search_coset_cycle(alphas, (0,), n_max, table, separated_by_ids(table), budget)
     return None if found is None else canonical_cycle(group, found)
 
@@ -122,7 +149,7 @@ def reference_i_coset_cycle(group, igraph, n_max, budget=None):
         view = views.get(alpha)
         if view is None:
             ids, members = ctx.comp_tables(alpha)
-            view = views[alpha] = (ids, tuple(tuple(sorted(b)) for b in members))
+            view = views[alpha] = (ids, {cid: tuple(sorted(members[cid])) for cid in set(ids)})
         return view
 
     def elements(alpha, x):
@@ -140,7 +167,7 @@ def reference_i_coset_cycle(group, igraph, n_max, budget=None):
 
 def reference_groupoid_coset_cycle(gpd, n_max, budget=None):
     alphas = inverse_closed_proper_subsets(gpd.pattern)
-    table = gpd.subset_closures
+    table = reference_groupoid_tables(gpd)
     found = search_coset_cycle(
         alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
     )
@@ -251,7 +278,7 @@ def template_search_tables(ctx):
         view = views.get(alpha)
         if view is None:
             ids, members = ctx.comp_tables(alpha)
-            view = views[alpha] = (
+            view = views[alpha] = Table(
                 ids, LazyBlocks(len(members), lambda cid: tuple(sorted(members[cid])))
             )
         return view
@@ -266,7 +293,7 @@ def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None
     else:
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
     found, nodes = pairwise_search_coset_cycle(
-        alphas, (0,), n_max, group.coset_table, pairwise_separated_by_ids, budget
+        alphas, (0,), n_max, reference_group_tables(group), pairwise_separated_by_ids, budget
     )
     return (None if found is None else canonical_cycle(group, found)), nodes
 
@@ -285,7 +312,8 @@ def pairwise_i_coset_cycle(group, igraph, n_max, budget=None):
 def pairwise_groupoid_coset_cycle(gpd, n_max, budget=None):
     alphas = inverse_closed_proper_subsets(gpd.pattern)
     found, nodes = pairwise_search_coset_cycle(
-        alphas, gpd.neutral, n_max, gpd.subset_closures, pairwise_separated_by_ids, budget
+        alphas, gpd.neutral, n_max, reference_groupoid_tables(gpd), pairwise_separated_by_ids,
+        budget
     )
     return (None if found is None else tuple(found)), nodes
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from acygroups import serialize as ser
 from acygroups.acyclicity import find_coset_cycle
 from acygroups.cli import main
@@ -484,7 +486,6 @@ def test_cli_fuzz_over_mutated_documents_never_reports_an_internal_error():
 
 
 def test_malformed_command_lines_exit_invalid(tmp_path, capsys):
-    import pytest
 
     group = write(tmp_path, "g.json", ser.egroup_to_json(
         sym(hypercube(["a", "b"]), attach_hypercube=False)))
@@ -598,3 +599,93 @@ def test_checks_and_export_write_their_manifests(tmp_path, capsys):
                 assert value == ser.digest(json.load(fh)), (command, path)
         with open(out, "rb") as fh:
             assert man["outputs"] == {out: hashlib.sha256(fh.read()).hexdigest()}
+
+
+def _every_command(tmp_path, capsys):
+    """argv of one small run of every subcommand, inputs written to tmp_path."""
+    from acygroups.covering import graph_template
+    from acygroups.egraph import biggs_tree
+
+    tree = write(tmp_path, "tree.json", ser.egraph_to_json(biggs_tree(["a", "b"], 1)))
+    group = write(tmp_path, "g.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
+    witness = str(tmp_path / "w.json")
+    assert run(capsys, "check-acyclic", group, "-N", "6", "-o", witness)[0] == 1
+    square = write(tmp_path, "sq.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    pattern = write(tmp_path, "p.json", ser.pattern_to_json(
+        ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])))
+    k3 = write(tmp_path, "k3.json", ser.graph_to_json([(0, 1), (1, 2), (0, 2)]))
+    k3_group = write(tmp_path, "k3g.json", ser.egroup_to_json(
+        sym(graph_template([("0", "1"), ("1", "2"), ("0", "2")]))))
+    hg = Hypergraph([0, 1, 2, 3], [[0, 1, 2], [0, 3], [1, 3]])
+    hg_path = write(tmp_path, "hg.json", ser.hypergraph_to_json(hg))
+    hg_group = write(tmp_path, "hgg.json", ser.egroup_to_json(sym(intersection_graph(hg))))
+    cover = write(tmp_path, "cover.json", {"format": "covering", "kind": "hypergraph",
+                                           "cover": ser.hypergraph_to_json(hg)})
+    return {
+        "biggs": ["-E", "a,b", "-n", "1"],
+        "symgroup": [tree, "--no-hypercube"],
+        "cayley": [group],
+        "girth": [group],
+        "check-acyclic": [group, "-N", "3"],
+        "verify-witness": [witness, group],
+        "construct": [square, "-N", "3"],
+        "groupoid-construct": [pattern, "-N", "2", "--early-exit"],
+        "cover-graph": [k3, k3_group],
+        "cover-hypergraph": [hg_path, hg_group],
+        "verify-cover": [cover, "-N", "3"],
+        "export-dot": [tree],
+    }
+
+
+COMMANDS = ("biggs", "symgroup", "cayley", "girth", "check-acyclic", "verify-witness",
+            "construct", "groupoid-construct", "cover-graph", "cover-hypergraph",
+            "verify-cover", "export-dot")
+
+
+def test_timed_commands_are_every_subcommand():
+    from acygroups.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_timings_flag_writes_timings_on_every_command(tmp_path, capsys, command):
+    argv = _every_command(tmp_path, capsys)[command]
+    for flags, timed in (([], False), (["--timings"], True)):
+        manifest = tmp_path / f"m{len(flags)}.json"
+        code, _ = run(capsys, command, *argv, "-o", str(tmp_path / "out"),
+                      "--manifest", str(manifest), *flags)
+        assert code in (0, 1), (command, flags)
+        man = json.loads(manifest.read_bytes())
+        assert man["command"] == [command]
+        assert ("timings" in man) == timed, (command, flags)
+        if timed:
+            assert man["timings"] and all(v >= 0 for v in man["timings"].values())
+
+
+def test_back_to_back_calls_share_no_parsed_values(tmp_path, capsys):
+    """The parser is built once per process; a second main call sees none
+    of the first call's flags or values."""
+    from acygroups import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    argv = _every_command(tmp_path, capsys)
+    first = ["construct", *argv["construct"], "--early-exit", "--cap", "999",
+             "--reports", str(tmp_path / "r.json"), "--manifest", str(tmp_path / "m1.json"),
+             "--timings", "-o", str(tmp_path / "c.json")]
+    second = ["symgroup", argv["symgroup"][0], "--manifest", str(tmp_path / "m2.json")]
+    third = ["construct", *argv["construct"], "--manifest", str(tmp_path / "m3.json")]
+    for call in (first, second, third):
+        assert run(capsys, *call)[0] == 0
+    man1, man2, man3 = (json.loads((tmp_path / f"m{i}.json").read_bytes()) for i in (1, 2, 3))
+    assert man1["config"] == {"N": 3, "cap": 999, "early_exit": True, "over": False}
+    assert "timings" in man1 and str(tmp_path / "r.json") in man1["outputs"]
+    assert man2["config"] == {"no_hypercube": False} and "timings" not in man2
+    assert list(man2["outputs"]) == ["stdout"]
+    assert man3["config"]["cap"] != 999 and man3["config"]["early_exit"] is False
+    assert "timings" not in man3 and list(man3["outputs"]) == ["stdout"]
+    fresh = cli.build_parser.__wrapped__()
+    for call in (first, second, third):
+        assert vars(cli._parse_args(call)) == vars(fresh.parse_args(call))

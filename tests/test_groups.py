@@ -236,3 +236,25 @@ def test_compatibility_verdicts_are_kept_per_template():
             for h in order:
                 assert is_compatible(s3, h) == (h is six)
                 assert is_compatible(s3, h) == word_kernel_compatible(s3, h, 2 * s3.order)
+
+
+def test_coset_tables_walk_only_what_is_asked_for():
+    from acygroups.acyclicity import proper_subsets
+    from acygroups.groups import EGroup
+    from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
+
+    built, _ = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=10))
+    assert built.order == 5040
+    # the same group with no table walked yet
+    group = EGroup(built.colors, built.gen_action, built.parents)
+
+    def walked(alpha):
+        return sum(x != -1 for x in group.coset_table(alpha).ids)
+
+    for alpha in proper_subsets(2):
+        sub = group.subgroup_elements(alpha)
+        assert walked(alpha) == len(sub) < group.order, alpha
+    asked = [17, 4000, 17, 5039]
+    assert [group.coset(g, []) for g in asked] == [(g,) for g in asked]
+    assert walked([]) == len({0, *asked})
+    assert group.same_coset(17, group.rmul(17, 0), [0]) and walked([0]) == 2 + 2

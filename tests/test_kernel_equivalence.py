@@ -27,6 +27,7 @@ from acygroups.groupoid import (
 )
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig
+from acygroups.traverse import Cosets
 
 from conftest import corpus
 from oracles import (
@@ -36,6 +37,9 @@ from oracles import (
     pairwise_search_coset_cycle,
     pairwise_separated_by_ids,
     pairwise_template_separated,
+    reference_cosets,
+    reference_group_tables,
+    reference_groupoid_tables,
     template_search_tables,
 )
 from test_comp_tables import _cases
@@ -139,18 +143,19 @@ def test_groupoid_kernel_matches_the_pairwise_kernel(walks):
 
 
 def _random_partition(rng, n_points):
-    """(ids, members) of a random partition of 0..n_points-1, blocks
-    ascending and numbered by their least point."""
+    """A random partition of 0..n_points-1 as one successor row that cycles
+    through each block: the lazy table the kernel walks, and the reference
+    table of the same blocks partitioned at once."""
     labels = [rng.randrange(rng.randint(1, n_points)) for _ in range(n_points)]
     blocks = {}
     for x, label in enumerate(labels):
         blocks.setdefault(label, []).append(x)
-    members = sorted(map(tuple, blocks.values()))
-    ids = [0] * n_points
-    for cid, block in enumerate(members):
-        for x in block:
-            ids[x] = cid
-    return ids, members
+    row = [0] * n_points
+    for block in blocks.values():
+        rng.shuffle(block)
+        for x, y in zip(block, block[1:] + block[:1]):
+            row[x] = y
+    return Cosets(n_points, [row]), reference_cosets(n_points, [row])
 
 
 def test_kernels_agree_on_random_partitions(walks):
@@ -162,40 +167,46 @@ def test_kernels_agree_on_random_partitions(walks):
     for _ in range(150):
         n_points, n_colors = rng.randint(2, 9), rng.randint(1, 3)
         subsets = all_subsets(n_colors)
-        table = {a: _random_partition(rng, n_points) for a in subsets}.__getitem__
+        tables = {a: _random_partition(rng, n_points) for a in subsets}
         alphas = [a for a in subsets if rng.random() < 0.7] or subsets
         anchors = sorted(rng.sample(range(n_points), rng.randint(1, 2)))
         for n in range(2, 6):
             cycles += _agrees(
                 walks,
-                lambda b: search_coset_cycle(alphas, anchors, n, table, met_by_ids, b),
-                lambda b: pairwise_search_coset_cycle(alphas, anchors, n, table,
+                lambda b: search_coset_cycle(alphas, anchors, n, lambda a: tables[a][0],
+                                             met_by_ids, b),
+                lambda b: pairwise_search_coset_cycle(alphas, anchors, n,
+                                                      lambda a: tables[a][1],
                                                       pairwise_separated_by_ids, b),
             ) is not None
     assert cycles > 0
 
 
-def _met_matches_separation(ta, tb, met, separated):
-    """For every component X of ta and Y of tb: Y's id is in met(X, tb)
-    exactly when the pairwise test finds X and Y not separated."""
-    (ids_a, members_a), (ids_b, members_b) = ta, tb
-    for cid_a in range(len(members_a)):
-        block = members_a[cid_a]
+def _met_matches_separation(tb, ra, rb, met, separated):
+    """For every component X of ra and Y of rb: Y's id is in met(X, tb)
+    exactly when the pairwise test finds X and Y not separated.  ra and rb
+    hold every id; tb is the table met reads, with rb's ids."""
+    for cid_a in sorted(set(ra.ids)):
+        block = ra.members[cid_a]
         hit = met(block, tb)
-        assert hit <= set(range(len(members_b)))
-        for cid_b in range(len(members_b)):
-            p, q = block[0], members_b[cid_b][0]
-            assert ids_a[p] == cid_a and ids_b[q] == cid_b
-            assert (cid_b in hit) == (not separated(p, ta, q, tb)), (cid_a, cid_b)
+        assert hit <= set(rb.ids)
+        for cid_b in sorted(set(rb.ids)):
+            p, q = block[0], rb.members[cid_b][0]
+            assert ra.ids[p] == cid_a and rb.ids[q] == cid_b
+            assert (cid_b in hit) == (not separated(p, ra, q, rb)), (cid_a, cid_b)
 
 
 def test_group_met_matches_the_pairwise_separation():
     for group in corpus().values():
         subsets = all_subsets(len(group.colors))
+        reference = reference_group_tables(group)
         for a in subsets:
             for b in subsets:
-                _met_matches_separation(group.coset_table(a), group.coset_table(b),
+                # a table of b with nothing walked, so met walks what it reads
+                tb = Cosets(group.order, [group.gen_action[c] for c in sorted(b)])
+                _met_matches_separation(tb, reference(a), reference(b),
                                         met_by_ids, pairwise_separated_by_ids)
+                assert tb.ids == list(reference(b).ids)
 
 
 def test_template_met_matches_the_pairwise_separation():
@@ -208,13 +219,16 @@ def test_template_met_matches_the_pairwise_separation():
         subsets = proper_subsets(len(group.colors))
         for a in subsets:
             for b in subsets:
-                _met_matches_separation(table(a), table(b), ctx.met, separated)
+                _met_matches_separation(table(b), table(a), table(b), ctx.met, separated)
 
 
 def test_groupoid_met_matches_the_pairwise_separation():
     for gpd, _ in _test_groupoids():
         subsets = inverse_closed_proper_subsets(gpd.pattern)
+        reference = reference_groupoid_tables(gpd)
         for a in subsets:
             for b in subsets:
-                _met_matches_separation(gpd.subset_closures(a), gpd.subset_closures(b),
+                tb = Cosets(gpd.order, [gpd.rmul[e] for e in sorted(b)])
+                _met_matches_separation(tb, reference(a), reference(b),
                                         met_by_ids, pairwise_separated_by_ids)
+                assert tb.ids == list(reference(b).ids)

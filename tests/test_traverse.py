@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from acygroups.egraph import EGraph, disjoint_union, hypercube
 from acygroups.errors import ResourceCap
 from acygroups.groups import graph_generator_perms, sym
-from acygroups.traverse import NO_EDGE, close, partition
+from acygroups.traverse import NO_EDGE, Cosets, close, partition
+
+from oracles import reference_cosets
 
 
 def draw_matching(data, n):
@@ -53,6 +55,33 @@ def test_partition_agrees_with_union_find(data):
         assert block[0] == min(block)
     assert [block[0] for block in members] == sorted(block[0] for block in members)
     assert partition(n, [])[1] == tuple((x,) for x in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cosets_walk_the_reference_blocks_in_any_order(data):
+    # involutions with fixed points, loops and NO_EDGE entries, as in the
+    # successor rows of groupoids
+    n = data.draw(st.integers(0, 14))
+    rows = [draw_matching(data, n) for _ in range(data.draw(st.integers(0, 3)))]
+    ref = reference_cosets(n, rows)
+    tables = []
+    for _ in range(2):
+        order = data.draw(st.permutations(range(n)))
+        table = Cosets(n, rows)
+        walked = set()
+        for k, x in enumerate(order):
+            least = table.find(x) if k % 2 else min(table.block(x))
+            assert least == ref.ids[x] == min(ref.block(x))
+            assert table.members[least] == ref.members[least] == tuple(sorted(ref.block(x)))
+            assert table.block(x) == ref.block(x)
+            walked.update(ref.block(x))
+            # nothing outside the components asked for is walked
+            assert {y for y in range(n) if table.ids[y] != -1} == walked
+            assert set(table.members) == {ref.ids[y] for y in walked}
+        tables.append(table)
+    assert tables[0].ids == tables[1].ids == list(ref.ids)
+    assert tables[0].members == tables[1].members == ref.members
 
 
 @settings(max_examples=30, deadline=None)
