@@ -20,6 +20,7 @@ import time
 from typing import NamedTuple
 
 from .canon import canonical_form, connected_components
+from .egraph import NO_EDGE, induced_subgraph
 from .errors import PreconditionFailed, ResourceCap, SearchTimeout
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -104,7 +105,7 @@ def girth(cg):
         pos += 1
         for row in graph.partner:
             w = row[u]
-            if w == -1:
+            if w == NO_EDGE:
                 continue
             if dist[w] == -1:
                 dist[w] = dist[u] + 1
@@ -188,12 +189,13 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
 
     Points are group elements, packed (site, element) pairs of a template
     product, or groupoid elements.  ``table(alpha)`` is the partition of
-    the points into alpha-components as a :class:`~acygroups.traverse.Cosets`
-    or :class:`~acygroups.traverse.Table`: ``find(x)`` is the id of x's
-    component, ``members[id]`` that component ascending, and ``ids[x]``
-    the id, or -1 while the component of x is not walked.  ``met(block,
-    tb)`` is the set of ids of the components of table tb that meet the
-    component ``block``.  The component of q in tb is then disjoint from
+    the points into alpha-components, read through three members, as a
+    :class:`~acygroups.traverse.Cosets` or a template's
+    :class:`~acygroups.constraint.TranslatedCosets` serves them:
+    ``find(x)`` is the id of x's component, ``block(x)`` that component
+    ascending, and ``ids[x]`` the id, or -1 while the component of x is not
+    walked.  ``met(block, tb)`` is the set of ids of the components of
+    table tb that meet the component ``block``.  The component of q in tb is then disjoint from
     block exactly when its id is not in that set, so each prefix node
     builds the set once per next subset and tests every candidate q by one
     membership.
@@ -296,7 +298,9 @@ def _extend(w, m):
     closing = m == w.target - 2
     if m:
         mid = meet(i_m, seq[m - 1][0])
-        mid_ids, p_mid = mid.ids, mid.find(p)
+        mid_block = mid.block(p)
+        mid_ids = mid.ids
+        p_mid = mid_ids[p]
     mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)
     nodes = w.nodes
     for q in tables[i_m].block(p):
@@ -312,7 +316,7 @@ def _extend(w, m):
                 t = row[j] or meet(i_m, j)
                 shut = mids[j]
                 if shut is None:
-                    shut = mids[j] = met(mid.members[p_mid], t)
+                    shut = mids[j] = met(mid_block, t)
                 if t.ids[q] in shut:
                     continue
             if closing:
@@ -451,7 +455,7 @@ def _cluster_components_ok(group, cluster, beta, am):
         predicted = am.amalgam_cluster(
             group, [beta & cluster.constituents[ci][0] for ci in m_b]
         )
-        actual = am.induced_subgraph(cluster.graph, sorted(comp), beta)
+        actual = induced_subgraph(cluster.graph, sorted(comp), beta)
         if canonical_form(predicted.graph) != canonical_form(actual):
             return False
     return True

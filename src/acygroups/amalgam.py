@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .acyclicity import is_two_acyclic
 from .canon import connected_components, find_isomorphism
-from .egraph import NO_EDGE, EGraph
+from .egraph import NO_EDGE, EGraph, induced_subgraph
 from .errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
 from .groups import coset_graph, subgroup
 
@@ -203,18 +203,6 @@ def embed_into_cayley(am, group):
             return FailureWitness(seen[img], v, img)
         seen[img] = v
     return images
-
-
-def induced_subgraph(graph, vertices, beta):
-    """Beta-reduct induced on a vertex subset, keeping the colour registry."""
-    local = {v: i for i, v in enumerate(vertices)}
-    rows = [[NO_EDGE] * len(vertices) for _ in graph.colors]
-    for c in sorted(set(beta)):
-        for v in vertices:
-            w = graph.partner[c][v]
-            if w != NO_EDGE and w in local:
-                rows[c][local[v]] = local[w]
-    return EGraph([graph.vertex_names[v] for v in vertices], graph.colors, rows)
 
 
 class Classification(NamedTuple):

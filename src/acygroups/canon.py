@@ -10,18 +10,21 @@ cheap at the component sizes this library works with.
 from __future__ import annotations
 
 from .egraph import NO_EDGE
-from .traverse import partition
+from .traverse import Cosets
 
 
 def connected_components(g, colors=None):
-    """Vertex tuples of the connected components, in first-vertex order.
+    """Vertex tuples of the connected components, each ascending, in
+    least-vertex order.
 
     With ``colors`` (colour indices) only those colours' edges connect, so
     the result is the component partition of that reduct, singletons
     included.
     """
     rows = g.partner if colors is None else [g.partner[c] for c in sorted(set(colors))]
-    return partition(g.n, rows)[1]
+    table = Cosets(g.n, rows)
+    ids = table.ids
+    return tuple(table.block(x) for x in range(g.n) if ids[x] == -1)
 
 
 def _traversal_code(g, start, members):

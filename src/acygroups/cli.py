@@ -187,11 +187,7 @@ def cmd_verify_witness(args):
 def _write_reports(args, command, config, inputs, outputs, reports, timings):
     """Stage reports to --reports, or to stderr without one; then the manifest."""
     if getattr(args, "reports", None):
-        data = ser.canonical_bytes(ser.reports_to_json(reports))
-        with open(args.reports, "wb") as fh:
-            fh.write(data)
-        if outputs is not None:
-            outputs[args.reports] = hashlib.sha256(data).hexdigest()
+        _emit(ser.reports_to_json(reports), args.reports, outputs)
     else:
         for rep in reports:
             sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
@@ -251,8 +247,7 @@ def cmd_groupoid_construct(args):
     timings = {"construct": time.monotonic() - t0}
     _emit(ser.igroupoid_to_json(res.groupoid), args.output, outputs)
     if args.group_output:
-        with open(args.group_output, "wb") as fh:
-            fh.write(ser.canonical_bytes(ser.egroup_to_json(res.group)))
+        _emit(ser.egroup_to_json(res.group), args.group_output, outputs)
     _write_manifest(args, ["groupoid-construct"], cfg_doc, inputs, outputs,
                     reports=res.stage_reports, timings=timings)
     if not all(res.checks.values()):

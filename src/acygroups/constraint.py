@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .acyclicity import all_subsets, proper_subsets, search_coset_cycle
 from .canon import connected_components
-from .egraph import NO_EDGE, EGraph
+from .egraph import NO_EDGE, EGraph, alpha_component, induced_subgraph
 from .errors import (
     CompatibilityRequired,
     PreconditionFailed,
@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import is_compatible
-from .traverse import Table, bfs_parents, partition, propagate
+from .traverse import Cosets, bfs_parents, propagate
 
 
 def trivial_constraint_graph(colors):
@@ -81,10 +81,10 @@ class IContext:
     Sites and elements are packed as s * order + g.  Left multiplication by
     any element is an automorphism of the product, so the alpha-component
     of (s, r*h), h in G[alpha], is the alpha-component of (s, h) translated
-    by r: per proper generator subset only the n_sites x |G[alpha]| pairs
-    over the subgroup are partitioned, and a coset's translation is walked
-    when a point of it is first asked for.  Single components, and so
-    skeletons, are walked on their own.
+    by r: per generator subset only the n_sites x |G[alpha]| pairs over the
+    subgroup are partitioned, and a coset's translation is walked when a
+    point of it is first asked for (:class:`TranslatedCosets`).  Single
+    components, and so skeletons, are walked on their own.
     """
 
     def __init__(self, group, igraph, check=True):
@@ -128,54 +128,21 @@ class IContext:
         return block
 
     def comp_tables(self, alpha):
-        """(ids, members) partition of site/element pairs into alpha-components,
-        a :class:`~acygroups.traverse.Table`.
-
-        With L components of the pairs over G[alpha] (m elements), (s, g) is
-        in component r * L + lids[s * m + rel[g]] for the least element r of
-        g's alpha-coset, where rel[g] indexes r^-1 * g in G[alpha].
-        members[cid] is the local block translated by r; an index that is
-        no id raises KeyError.  For the full colour set (r = 0) all pairs
-        are partitioned, which only a caller that needs every component
-        should ask for.
-        """
+        """The alpha-components of the site/element pairs, a
+        :class:`TranslatedCosets`."""
         alpha = frozenset(alpha)
-        cached = self._comp.get(alpha)
-        if cached is not None:
-            return cached
-        group, ns, ng = self.group, self.igraph.n, self.group.order
-        colors = sorted(alpha)
-        if len(colors) < len(group.colors):
-            sub = group.subgroup_elements(alpha)
-            pos = {h: i for i, h in enumerate(sub)}
-            sub_rows = [[pos[group.gen_action[c][h]] for h in sub] for c in colors]
-        else:
-            sub, sub_rows = range(ng), [group.gen_action[c] for c in colors]
-        m = len(sub)
-        local_rows = []
-        for c, srow in zip(colors, sub_rows):
-            row = [NO_EDGE] * (ns * m)
-            for s, t in enumerate(self.igraph.partner[c]):
-                if t != NO_EDGE:
-                    row[s * m:(s + 1) * m] = [t * m + i for i in srow]
-            local_rows.append(row)
-        lids, local = partition(ns * m, local_rows)
-        if m == ng:  # one coset, nothing to translate
-            out = self._comp[alpha] = Table(lids, local)
-            return out
-        ids = CosetIds(group, alpha, sub_rows, m, lids, local)
-        out = self._comp[alpha] = Table(ids, LazyBlocks(ng * len(local), ids.block))
-        return out
+        table = self._comp.get(alpha)
+        if table is None:
+            table = self._comp[alpha] = TranslatedCosets(self.group, self.igraph, alpha)
+        return table
 
     def i_coset(self, alpha, s, g):
         """Sorted elements reachable from g along walks the template admits from s."""
-        ids, members = self.comp_tables(alpha)
         ng = self.group.order
-        return tuple(sorted(x % ng for x in members[ids[self.pair(s, g)]]))
+        return tuple(sorted(x % ng for x in self.comp_tables(alpha).block(self.pair(s, g))))
 
     def i_coset_id(self, alpha, s, g):
-        ids, _ = self.comp_tables(alpha)
-        return ids[self.pair(s, g)]
+        return self.comp_tables(alpha).find(self.pair(s, g))
 
     def met(self, block, tb):
         """The kernel's ``met`` hook: ids of the components of table tb whose
@@ -205,85 +172,84 @@ class IContext:
         return Skeleton(graph, hom, alpha, s, elements)
 
 
-class CosetIds:
-    """Component ids of the site/element pairs for a proper generator subset,
-    a sequence indexed by packed pair.
+class TranslatedCosets:
+    """The alpha-components of the site/element pairs of a template product,
+    read as :class:`~acygroups.traverse.Cosets` is: ``ids`` is the table
+    itself, ``table[p]`` and ``find(p)`` are the id of p's component, and
+    ``block(p)`` is that component, ascending.
 
-    The translation of a coset, r * h for its least element r and every h
-    in G[alpha], is walked along the breadth-first tree of G[alpha] when a
-    point of the coset is first asked for; nothing is tabulated per pair.
+    The n_sites x |G[alpha]| pairs over the subgroup are partitioned at
+    once, as ``local`` over the local indices s * m + i, with sub[i] the
+    i-th element of G[alpha] and m = |G[alpha]|.  With K = n_sites * m, the
+    id of (s, g) is r * K plus the least local index of the component of
+    (s, r^-1 * g), r the least element of g's alpha-coset.  The translation
+    of a coset, r * h for every h in G[alpha], is walked along the
+    breadth-first tree of G[alpha] when a point of the coset is first asked
+    for, and a block when it is first asked for; nothing is tabulated per
+    pair.
     """
 
-    __slots__ = ("n", "ng", "m", "lids", "local", "table", "tree", "rel", "trans")
+    __slots__ = ("ng", "m", "k", "local", "cosets", "tree", "rel", "trans", "blocks")
 
-    def __init__(self, group, alpha, sub_rows, m, lids, local):
-        self.n, self.ng, self.m = len(lids) // m * group.order, group.order, m
-        self.lids, self.local = lids, local
-        self.table = group.coset_table(alpha)
+    def __init__(self, group, igraph, alpha):
         colors = sorted(alpha)
+        sub = group.subgroup_elements(alpha)
+        pos = {h: i for i, h in enumerate(sub)}
+        sub_rows = [[pos[group.gen_action[c][h]] for h in sub] for c in colors]
+        m = len(sub)
+        self.ng, self.m, self.k = group.order, m, igraph.n * m
+        local_rows = []
+        for c, srow in zip(colors, sub_rows):
+            row = [NO_EDGE] * self.k
+            for s, t in enumerate(igraph.partner[c]):
+                if t != NO_EDGE:
+                    row[s * m:(s + 1) * m] = [t * m + i for i in srow]
+            local_rows.append(row)
+        self.local = Cosets(self.k, local_rows)
+        for x in range(self.k):
+            self.local.find(x)
+        self.cosets = group.coset_table(alpha)
         reached, parents = bfs_parents(sub_rows, m, [0])
         self.tree = [
             (i, parents[i][0], group.gen_action[colors[parents[i][1]]]) for i in reached[1:]
         ]
         self.rel = array("l", [-1]) * self.ng  # rel[g] once g's coset is walked
-        self.trans = {}
+        self.trans = {}  # trans[r][i] = r * sub[i]
+        self.blocks = {}
 
-    def translation(self, r):
-        """trans[i] = r * sub[i] for the least element r of a coset."""
-        trans = self.trans.get(r)
-        if trans is None:
-            if self.table.find(r) != r:
-                raise KeyError(f"{r} is not the least element of its coset")
-            trans = self.trans[r] = [r] * self.m
-            for i, prev, grow in self.tree:
-                trans[i] = grow[trans[prev]]
-            rel = self.rel
-            for i, x in enumerate(trans):
-                rel[x] = i
-        return trans
-
-    def __len__(self):
-        return self.n
+    @property
+    def ids(self):
+        return self
 
     def __getitem__(self, p):
         s, g = divmod(p, self.ng)
         i = self.rel[g]
         if i == -1:
-            self.translation(self.table.find(g))
-            i = self.rel[g]
-        return self.table.ids[g] * len(self.local) + self.lids[s * self.m + i]
+            i = self._translate(g)
+        return self.cosets.ids[g] * self.k + self.local.ids[s * self.m + i]
 
-    def __iter__(self):
-        return map(self.__getitem__, range(self.n))
+    find = __getitem__
 
-    def block(self, cid):
-        """Packed pairs of component cid: its local block moved to its coset."""
-        r, lid = divmod(cid, len(self.local))
-        trans, m, ng = self.translation(r), self.m, self.ng
-        return tuple(s * ng + trans[i] for s, i in map(divmod, self.local[lid], repeat(m)))
+    def _translate(self, g):
+        """Walk the translation of g's coset; g's index in it."""
+        r = self.cosets.find(g)
+        trans = self.trans[r] = [r] * self.m
+        for i, prev, grow in self.tree:
+            trans[i] = grow[trans[prev]]
+        rel = self.rel
+        for i, x in enumerate(trans):
+            rel[x] = i
+        return rel[g]
 
-
-class LazyBlocks:
-    """The blocks of a partition whose ids lie in 0..n-1, each built by
-    build(cid) on first access and then kept; build raises KeyError for an
-    index that is no id."""
-
-    __slots__ = ("_n", "_build", "_blocks")
-
-    def __init__(self, n, build):
-        self._n = n
-        self._build = build
-        self._blocks = {}
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, cid):
-        block = self._blocks.get(cid)
+    def block(self, p):
+        """p's component, ascending: its local block moved to its coset."""
+        cid = self[p]
+        block = self.blocks.get(cid)
         if block is None:
-            if not 0 <= cid < self._n:
-                raise IndexError("block index out of range")
-            block = self._blocks[cid] = self._build(cid)
+            r, lid = divmod(cid, self.k)
+            trans, m, ng = self.trans[r], self.m, self.ng
+            block = self.blocks[cid] = tuple(sorted(
+                s * ng + trans[i] for s, i in map(divmod, self.local.block(lid), repeat(m))))
         return block
 
 
@@ -311,8 +277,6 @@ def is_skeleton(host, igraph, alpha, s):
     are then verified.
     """
     alpha = frozenset(alpha)
-    from .egraph import alpha_component
-
     target, target_emb = alpha_component(igraph, sorted(alpha), s)
     target_sites = set(target_emb)
     rows = list(enumerate(host.partner))
@@ -443,21 +407,11 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
     the next site.  Separation compares the element sets of components.
     """
     ctx = ctx or IContext(group, igraph)
-    views = {}
-
-    def table(alpha):
-        # the kernel walks components in ascending (site, element) order
-        view = views.get(alpha)
-        if view is None:
-            ids, members = ctx.comp_tables(alpha)
-            view = views[alpha] = Table(
-                ids, LazyBlocks(len(members), lambda cid: tuple(sorted(members[cid])))
-            )
-        return view
-
     anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
     alphas = proper_subsets(len(group.colors))
-    found = search_coset_cycle(alphas, anchors, n_max, table, ctx.met, budget, deadline)
+    found = search_coset_cycle(
+        alphas, anchors, n_max, ctx.comp_tables, ctx.met, budget, deadline
+    )
     if found is None:
         return None
     cyc = tuple((a, *ctx.unpair(x)) for a, x in found)
@@ -511,7 +465,6 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
     # addresses: within each alpha'-component of the host, relative group
     # elements between vertices; verified consistent against the embedded
     # skeleton the component must realise
-    from .amalgam import induced_subgraph
     from .canon import canonical_form
 
     addr = {}  # (alpha', anchor vertex) -> {vertex: element}
@@ -724,7 +677,7 @@ def ce_cluster_property(ce, group):
     substructure isomorphic to the amalgamation cluster of the contributing
     beta-reducts.
     """
-    from .amalgam import amalgam_cluster, induced_subgraph
+    from .amalgam import amalgam_cluster
     from .canon import canonical_form
 
     gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < ce.alpha]

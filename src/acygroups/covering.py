@@ -235,10 +235,10 @@ def class_oracle_agrees(cov):
                 return False
             if v not in hg.hyperedges[s]:
                 return False
-        ids = tables.get(v)
-        if ids is None:
-            ids = tables[v] = ctx.comp_tables(vcolors[v])[0]
-        cids = {ids[s * ng + g] for s, _, g in members}
+        find = tables.get(v)
+        if find is None:
+            find = tables[v] = ctx.comp_tables(vcolors[v]).find
+        cids = {find(s * ng + g) for s, _, g in members}
         key = (v, cids.pop())
         if cids or key in keys:
             return False

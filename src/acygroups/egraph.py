@@ -245,15 +245,19 @@ def alpha_component(g, alpha, v):
     """
     alpha = sorted(set(alpha))
     reach, _ = bfs_parents([g.partner[ci] for ci in alpha], g.n, [v])
-    local = {u: i for i, u in enumerate(reach)}
-    rows = [[NO_EDGE] * len(reach) for _ in g.colors]
-    for ci in alpha:
-        for i, u in enumerate(reach):
-            w = g.partner[ci][u]
+    return induced_subgraph(g, reach, alpha), tuple(reach)
+
+
+def induced_subgraph(graph, vertices, beta):
+    """Beta-reduct induced on a vertex subset, keeping the colour registry."""
+    local = {v: i for i, v in enumerate(vertices)}
+    rows = [[NO_EDGE] * len(vertices) for _ in graph.colors]
+    for c in sorted(set(beta)):
+        for v in vertices:
+            w = graph.partner[c][v]
             if w != NO_EDGE and w in local:
-                rows[ci][i] = local[w]
-    sub = EGraph([g.vertex_names[u] for u in reach], g.colors, rows)
-    return sub, tuple(reach)
+                rows[c][local[v]] = local[w]
+    return EGraph([graph.vertex_names[v] for v in vertices], graph.colors, rows)
 
 
 def disjoint_union(graphs):

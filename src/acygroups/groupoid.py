@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .acyclicity import DEFAULT_SEARCH_BUDGET, met_by_ids, search_coset_cycle
-from .egraph import EGraph, disjoint_union, hypercube, new_egraph
+from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, new_egraph
 from .errors import (
     CompatibilityRequired,
     DegenerateGenerators,
@@ -234,7 +234,7 @@ class IGroupoid:
     """Generated groupoid stored by right-multiplication tables per edge.
 
     Element 0..n-1 with sorts (source, target); rmul[e][g] is g * gen_e when
-    the interface matches, else -1.  Witness edge words come from the
+    the interface matches, else NO_EDGE.  Witness edge words come from the
     breadth-first generation from the per-site neutral elements.
     """
 
@@ -282,7 +282,7 @@ class IGroupoid:
     def apply(self, g, edges):
         for e in edges:
             g = self.rmul[e][g]
-            if g == -1:
+            if g == NO_EDGE:
                 raise PreconditionFailed("composition undefined: interface mismatch")
         return g
 
@@ -367,7 +367,7 @@ def _generate(pattern, seeds, step, label_of=None):
         row = []
         for g, st in enumerate(states):
             if sorts[g][1] != pattern.src[e]:
-                row.append(-1)
+                row.append(NO_EDGE)
             else:
                 row.append(index[step(st, e)])
         rmul.append(row)
@@ -408,7 +408,7 @@ def groupoid_cayley(gpd):
     for e in range(pattern.n_edges):
         for g in range(gpd.order):
             h = gpd.rmul[e][g]
-            if h != -1:
+            if h != NO_EDGE:
                 edges[e].append((g, h))
     return IGraph(
         pattern,
@@ -542,9 +542,9 @@ def verify_groupoid_axioms(gpd, triple_budget=DEFAULT_SEARCH_BUDGET):
     for e in range(pattern.n_edges):
         for g in range(gpd.order):
             h = gpd.rmul[e][g]
-            if (gpd.target(g) == pattern.src[e]) != (h != -1):
+            if (gpd.target(g) == pattern.src[e]) != (h != NO_EDGE):
                 return False
-            if h != -1:
+            if h != NO_EDGE:
                 if gpd.sorts[h] != (gpd.source(g), pattern.tgt[e]):
                     return False
     for g in range(gpd.order):

@@ -105,6 +105,8 @@ def egroup_to_json(group):
 def egroup_from_json(doc, pointer=""):
     colors = _names(doc, "colors", pointer)
     order = _need(doc, "order", int, pointer)
+    if order < 1:
+        raise SchemaError("a group has at least one element", f"{pointer}/order")
     action_doc = _need(doc, "action", dict, pointer)
     action = []
     for c in colors:

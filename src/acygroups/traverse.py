@@ -2,9 +2,9 @@
 
 Every structure in this library is an index set with one successor row per
 generator: ``row[x]`` is the successor of ``x``, or ``NO_EDGE`` when there
-is none.  Cosets and groupoid cosets are blocks of :class:`Cosets`, walked
-one at a time as they are asked for; the whole-set :func:`partition` serves
-connected components and the local blocks of template tables.
+is none.  Cosets, groupoid cosets, connected components and the local
+blocks of template tables are blocks of :class:`Cosets`, walked one at a
+time as they are asked for.
 Homomorphisms, compatibility and skeleton maps are values forced along the
 rows by :func:`propagate`; generated groups are closures under
 :func:`close`; witness words come from :func:`bfs_parents`.  Each walk
@@ -15,39 +15,10 @@ from __future__ import annotations
 
 import time
 from operator import getitem
-from typing import NamedTuple, Sequence
 
 from .errors import ResourceCap
 
 NO_EDGE = -1
-
-
-def partition(n, rows):
-    """(ids, members): the components of 0..n-1 under the rows.
-
-    Blocks are numbered in order of their least index; each block lists its
-    members in breadth-first order from that index.
-    """
-    ids = [-1] * n
-    members = []
-    for x0 in range(n):
-        if ids[x0] == -1:
-            members.append(tuple(_component(x0, rows, ids, len(members))))
-    return tuple(ids), tuple(members)
-
-
-def _component(x0, rows, ids, label):
-    """The points reached from x0 along the rows where ids holds -1, in
-    breadth-first order, each labelled in ids on the way."""
-    ids[x0] = label
-    block = [x0]
-    for x in block:
-        for row in rows:
-            y = row[x]
-            if y != NO_EDGE and ids[y] == -1:
-                ids[y] = label
-                block.append(y)
-    return block
 
 
 class Cosets:
@@ -77,8 +48,15 @@ class Cosets:
         return self.members[self.find(x)]
 
     def _walk(self, x0):
-        ids = self.ids
-        block = _component(x0, self.rows, ids, x0)
+        ids, rows = self.ids, self.rows
+        ids[x0] = x0
+        block = [x0]
+        for x in block:
+            for row in rows:
+                y = row[x]
+                if y != NO_EDGE and ids[y] == -1:
+                    ids[y] = x0
+                    block.append(y)
         block.sort()
         least = block[0]
         if least != x0:
@@ -86,19 +64,6 @@ class Cosets:
                 ids[x] = least
         self.members[least] = tuple(block)
         return least
-
-
-class Table(NamedTuple):
-    """A partition whose ids are all known, read as :class:`Cosets` is."""
-
-    ids: Sequence
-    members: Sequence
-
-    def find(self, x):
-        return self.ids[x]
-
-    def block(self, x):
-        return self.members[self.ids[x]]
 
 
 def propagate(n, rows, seeds, step):

@@ -19,10 +19,13 @@ cover must equal the first, and its class check must reject whatever the
 second rejects.  ``reference_check_n_acyclic_hypergraph`` restarts its own
 clique walk (``_cliques_up_to``) for every clique size.
 
-``reference_cosets`` is the eager partition of the whole point set that
-``traverse.Cosets`` replaced, relabelled to least-element ids;
+``partition`` is the eager partition of the whole point set that
+``traverse.Cosets`` replaced, and ``Table`` the partition whose ids are all
+known, read through ``ids``, ``find`` and ``block`` as the kernel reads its
+tables.  ``reference_cosets`` relabels ``partition`` to least-element ids;
 ``reference_group_tables`` and ``reference_groupoid_tables`` serve it as
-the kernels' ``table(alpha)``.
+the kernels' ``table(alpha)``, and ``walked_table`` walks a lazy table
+into a ``Table``.
 
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
@@ -33,9 +36,10 @@ part dropped, and ``groups.sym_components`` must give the same group.
 import functools
 import time
 from operator import getitem
+from typing import NamedTuple, Sequence
 
 from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
-from acygroups.constraint import IContext, LazyBlocks, Skeleton
+from acygroups.constraint import IContext, Skeleton
 from acygroups.amalgam import _UnionFind
 from acygroups.covering import (
     AcyclicityWitness,
@@ -49,7 +53,49 @@ from acygroups.egraph import EGraph
 from acygroups.errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms, is_compatible
-from acygroups.traverse import NO_EDGE, Table, partition
+from acygroups.traverse import NO_EDGE
+
+
+def partition(n, rows):
+    """(ids, members): the components of 0..n-1 under the rows.
+
+    Blocks are numbered in order of their least index; each block lists its
+    members in breadth-first order from that index.
+    """
+    ids = [-1] * n
+    members = []
+    for x0 in range(n):
+        if ids[x0] == -1:
+            label = len(members)
+            ids[x0] = label
+            block = [x0]
+            for x in block:
+                for row in rows:
+                    y = row[x]
+                    if y != NO_EDGE and ids[y] == -1:
+                        ids[y] = label
+                        block.append(y)
+            members.append(tuple(block))
+    return tuple(ids), tuple(members)
+
+
+class Table(NamedTuple):
+    """A partition whose ids are all known, read as a kernel table is."""
+
+    ids: Sequence
+    members: Sequence
+
+    def find(self, x):
+        return self.ids[x]
+
+    def block(self, x):
+        return self.members[self.ids[x]]
+
+
+def walked_table(table, n):
+    """The Table of a lazy table over 0..n-1, every component walked."""
+    ids = [table.find(x) for x in range(n)]
+    return Table(ids, {cid: table.block(x) for x, cid in enumerate(ids)})
 
 
 def reference_cosets(n, rows):
@@ -148,13 +194,12 @@ def reference_i_coset_cycle(group, igraph, n_max, budget=None):
     def table(alpha):
         view = views.get(alpha)
         if view is None:
-            ids, members = ctx.comp_tables(alpha)
+            ids, members = walked_table(ctx.comp_tables(alpha), igraph.n * ng)
             view = views[alpha] = (ids, {cid: tuple(sorted(members[cid])) for cid in set(ids)})
         return view
 
     def elements(alpha, x):
-        ids, members = ctx.comp_tables(alpha)
-        return {y % ng for y in members[ids[x]]}
+        return {y % ng for y in ctx.comp_tables(alpha).block(x)}
 
     def separated(p, a, q, b):
         return elements(a, p).isdisjoint(elements(b, q))
@@ -270,20 +315,10 @@ def pairwise_template_separated(ng):
 
 
 def template_search_tables(ctx):
-    """table(alpha) as the template searcher hands it to the kernel: its
-    blocks in ascending (site, element) order."""
-    views = {}
-
-    def table(alpha):
-        view = views.get(alpha)
-        if view is None:
-            ids, members = ctx.comp_tables(alpha)
-            view = views[alpha] = Table(
-                ids, LazyBlocks(len(members), lambda cid: tuple(sorted(members[cid])))
-            )
-        return view
-
-    return table
+    """table(alpha) as the template searcher hands it to the kernel, every
+    component walked: its blocks in ascending (site, element) order."""
+    n = ctx.igraph.n * ctx.group.order
+    return functools.cache(lambda alpha: walked_table(ctx.comp_tables(alpha), n))
 
 
 def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
@@ -547,8 +582,7 @@ def reference_class_oracle_agrees(cov):
     for members in cov.provenance["classes"]:
         hi0, v0, g0 = members[0]
         alpha = frozenset(vcolors[v0])
-        ids, mem = ctx.comp_tables(alpha)
-        block = set(mem[ids[ctx.pair(hi0, g0)]])
+        block = set(ctx.comp_tables(alpha).block(ctx.pair(hi0, g0)))
         expected = set()
         for x in block:
             s, g = ctx.unpair(x)

@@ -526,12 +526,17 @@ def test_manifest_digests_are_those_of_the_files(tmp_path, capsys):
     cover_group = write_loose("cg.json", ser.egroup_to_json(sym(intersection_graph(hg))))
     group = write_loose("g.json", ser.egroup_to_json(
         sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    pattern = write_loose("p.json", ser.pattern_to_json(
+        ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])))
     cover, out, reports = (str(tmp_path / n) for n in ("cover.json", "out.json", "reports.json"))
+    gpd, gpd_group = str(tmp_path / "gpd.json"), str(tmp_path / "gpd_group.json")
     runs = {  # argv, inputs, outputs
         "cover": (["cover-hypergraph", hg_path, cover_group, "-o", cover],
                   [hg_path, cover_group], [cover]),
         "construct": (["construct", group, "-N", "4", "-o", out, "--reports", reports],
                       [group], [out, reports]),
+        "groupoid": (["groupoid-construct", pattern, "-N", "2", "--early-exit", "-o", gpd,
+                      "--group-output", gpd_group], [pattern], [gpd, gpd_group]),
     }
     for key, (argv, inputs, outputs) in runs.items():
         manifests = []
@@ -689,3 +694,12 @@ def test_back_to_back_calls_share_no_parsed_values(tmp_path, capsys):
     fresh = cli.build_parser.__wrapped__()
     for call in (first, second, third):
         assert vars(cli._parse_args(call)) == vars(fresh.parse_args(call))
+
+
+def test_empty_group_document_is_invalid_input(tmp_path, capsys):
+    group = write(tmp_path, "g.json",
+                  {"format": "egroup", "colors": ["a"], "order": 0, "action": {"a": []}})
+    code = main(["check-acyclic", group, "-N", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "/order" in captured.err

@@ -9,10 +9,10 @@ from acygroups import groups, synthesis, traverse
 from acygroups.errors import DegenerateGenerators, ResourceCap
 from acygroups.groups import _essential_parts, sym_components
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
-from acygroups.traverse import close, partition
+from acygroups.traverse import close
 
 from conftest import hypercube_group
-from oracles import reference_close, reference_diagonal_closure
+from oracles import partition, reference_close, reference_diagonal_closure
 from test_search_kernel import _clock
 
 TRIANGLE = [(0, 2, 1), (1, 0, 2)]  # S3 on three points, order 6

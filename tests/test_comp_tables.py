@@ -40,31 +40,39 @@ def _cases():
     return cases
 
 
+def _agrees_with_the_global_partition(group, template, alpha):
+    """The template table of alpha against the partition of the whole
+    product: the same blocks, each ascending, under ids r * K + the least
+    local index, K = n_sites x |G[alpha]| and r the least element of the
+    coset."""
+    table = IContext(group, template).comp_tables(alpha)
+    (ref_ids, ref_members), _ = reference_comp_tables(group, template, alpha)
+    ng, n = group.order, template.n * group.order
+    k = template.n * len(group.subgroup_elements(alpha))
+    ids = [table[p] for p in range(n)]
+    assert table.ids is table
+    assert len(set(ids)) == len(ref_members)
+    relabel = {}
+    for p, cid in enumerate(ids):
+        assert 0 <= cid < ng * k
+        assert table.find(p) == cid
+        assert relabel.setdefault(ref_ids[p], cid) == cid, (alpha, p)
+        assert cid // k == min(group.coset(p % ng, alpha)), (alpha, p)
+    assert sorted(relabel.values()) == sorted(set(ids))
+    blocks = {cid: table.block(p) for p, cid in enumerate(ids)}
+    assert sorted(x for block in blocks.values() for x in block) == list(range(n))
+    for p in range(n):
+        block = table.block(p)
+        assert p in block
+        assert sorted(block) == sorted(ref_members[ref_ids[p]]), (alpha, p)
+    return ids, k
+
+
 def test_translated_tables_match_the_global_partition():
     for group, template in _cases():
         ctx = IContext(group, template)
-        ng = group.order
         for alpha in all_subsets(len(group.colors)):
-            ids, members = ctx.comp_tables(alpha)
-            (ref_ids, ref_members), _ = reference_comp_tables(group, template, alpha)
-            # ids are r * L + local id for the least element r of the coset:
-            # the reference blocks, relabelled, with L local ids per coset
-            one_coset = len(group.subgroup_elements(alpha)) == ng
-            n_local = len(members) if one_coset else len(members) // ng
-            assert len(set(ids)) == len(ref_members)
-            relabel = {}
-            for p in range(template.n * ng):
-                cid = ids[p]
-                assert 0 <= cid < len(members)
-                assert relabel.setdefault(ref_ids[p], cid) == cid, (alpha, p)
-                assert cid // n_local == min(group.coset(p % ng, alpha)), (alpha, p)
-            assert sorted(relabel.values()) == sorted(set(ids))
-            assert sorted(x for cid in set(ids) for x in members[cid]) == list(
-                range(template.n * ng))
-            for p in range(template.n * ng):
-                block = members[ids[p]]
-                assert p in block
-                assert sorted(block) == sorted(ref_members[ref_ids[p]]), (alpha, p)
+            _agrees_with_the_global_partition(group, template, alpha)
             for s in range(template.n):
                 got, want = ctx.skeleton(alpha, s, 0), reference_skeleton(group, template, alpha, s)
                 assert got.graph.vertex_names == want.graph.vertex_names, (alpha, s)
@@ -73,15 +81,42 @@ def test_translated_tables_match_the_global_partition():
                     want.hom, want.elements, want.alpha, want.site)
 
 
-def test_proper_subsets_partition_only_the_pairs_over_their_subgroup(monkeypatch):
+def test_a_proper_subset_generating_the_group_is_one_coset():
+    seen = 0
+    for group, template in _cases():
+        for alpha in proper_subsets(len(group.colors)):
+            if len(group.subgroup_elements(alpha)) == group.order:
+                ids, k = _agrees_with_the_global_partition(group, template, alpha)
+                assert max(ids) < k  # r = 0 for every pair
+                seen += 1
+    assert seen > 0
+
+
+def test_template_blocks_are_ascending():
+    for group, template in _cases():
+        ctx = IContext(group, template)
+        for alpha in all_subsets(len(group.colors)):
+            table = ctx.comp_tables(alpha)
+            for p in range(template.n * group.order):
+                block = table.block(p)
+                assert list(block) == sorted(block), (alpha, p)
+
+
+def _recorded_cosets(monkeypatch):
+    """The sizes of the Cosets the template tables build, in order."""
     sizes = []
-    partition = constraint.partition
+    cosets = constraint.Cosets
 
     def recording(n, rows):
         sizes.append(n)
-        return partition(n, rows)
+        return cosets(n, rows)
 
-    monkeypatch.setattr(constraint, "partition", recording)
+    monkeypatch.setattr(constraint, "Cosets", recording)
+    return sizes
+
+
+def test_proper_subsets_partition_only_the_pairs_over_their_subgroup(monkeypatch):
+    sizes = _recorded_cosets(monkeypatch)
     template = path_igraph("cab", "abc")
     group = compat_group(template)
     alphas = proper_subsets(len(group.colors))
@@ -100,16 +135,22 @@ def test_ids_do_not_depend_on_the_order_cosets_are_filled():
         for alpha in all_subsets(len(group.colors)):
             shuffled = list(range(n))
             rng.shuffle(shuffled)
-            ids, members = IContext(group, template).comp_tables(alpha)
-            got = {p: ids[p] for p in shuffled}
-            cids = sorted(set(got.values()))
+            table = IContext(group, template).comp_tables(alpha)
+            got = {p: table[p] for p in shuffled}
+            points = {}
+            for p in shuffled:
+                points.setdefault(got[p], p)
+            cids = sorted(points)
             rng.shuffle(cids)
-            blocks = {cid: members[cid] for cid in cids}
-            in_order, _ = IContext(group, template).comp_tables(alpha)
+            blocks = {cid: table.block(points[cid]) for cid in cids}
+            in_order = IContext(group, template).comp_tables(alpha)
+            blocks_first = IContext(group, template).comp_tables(alpha)
             (ref_ids, ref_members), _ = reference_comp_tables(group, template, alpha)
-            assert [got[p] for p in range(n)] == list(in_order), alpha
+            assert [got[p] for p in range(n)] == [in_order[p] for p in range(n)], alpha
             for p in shuffled:
                 assert sorted(blocks[got[p]]) == sorted(ref_members[ref_ids[p]]), (alpha, p)
+                assert blocks_first.block(p) == blocks[got[p]], (alpha, p)
+            assert [blocks_first[p] for p in range(n)] == [got[p] for p in range(n)], alpha
 
 
 def test_component_is_the_block_of_the_global_partition():
@@ -138,14 +179,7 @@ def _largest_container(root):
 
 
 def test_freeness_and_the_search_never_tabulate_the_whole_product(monkeypatch):
-    sizes = []
-    partition = constraint.partition
-
-    def recording(n, rows):
-        sizes.append(n)
-        return partition(n, rows)
-
-    monkeypatch.setattr(constraint, "partition", recording)
+    sizes = _recorded_cosets(monkeypatch)
     template = path_igraph("cab", "abc")
     group = compat_group(template)
     whole = template.n * group.order

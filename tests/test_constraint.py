@@ -68,8 +68,9 @@ def test_component_projection_injectivity():
     g = compat_group(ig)
     ctx = IContext(g, ig)
     full = frozenset(range(len(g.colors)))
-    ids, members = ctx.comp_tables(full)
-    for block in members:
+    table = ctx.comp_tables(full)
+    blocks = {table.find(p): table.block(p) for p in range(ig.n * g.order)}
+    for block in blocks.values():
         seen = {}
         for x in block:
             s, elem = ctx.unpair(x)
@@ -104,8 +105,7 @@ def test_walk_lift_uniqueness():
         # direct lift: apply the word in the group; product view must agree
         lifted = g.evaluate(word)
         ctx = IContext(g, ig)
-        ids, members = ctx.comp_tables(frozenset({0, 1}))
-        block = members[ids[ctx.pair(0, 0)]]
+        block = ctx.comp_tables(frozenset({0, 1})).block(ctx.pair(0, 0))
         assert ctx.pair(t, lifted) in block
 
 
@@ -402,8 +402,8 @@ def brute_force_template_cycle(group, igraph, n_max):
         for alpha_seq in iproduct(alphas, repeat=length):
             chains = [[ctx.pair(s, 0)] for s in range(igraph.n)]
             for a in alpha_seq[:-1]:
-                ids, members = ctx.comp_tables(a)
-                chains = [c + [x] for c in chains for x in members[ids[c[-1]]]]
+                table = ctx.comp_tables(a)
+                chains = [c + [x] for c in chains for x in table.block(c[-1])]
             for chain in chains:
                 entries = [(a, *ctx.unpair(x)) for a, x in zip(alpha_seq, chain)]
                 if validate_i_coset_cycle(group, igraph, entries, ctx=ctx):

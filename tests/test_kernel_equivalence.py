@@ -219,7 +219,8 @@ def test_template_met_matches_the_pairwise_separation():
         subsets = proper_subsets(len(group.colors))
         for a in subsets:
             for b in subsets:
-                _met_matches_separation(table(b), table(a), table(b), ctx.met, separated)
+                _met_matches_separation(ctx.comp_tables(b), table(a), table(b), ctx.met,
+                                        separated)
 
 
 def test_groupoid_met_matches_the_pairwise_separation():

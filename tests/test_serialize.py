@@ -199,6 +199,13 @@ def test_egroup_action_row_with_a_non_integer_is_a_schema_error():
     assert err.value.pointer == "/action/b"
 
 
+def test_egroup_of_order_zero_is_a_schema_error():
+    doc = {"format": "egroup", "colors": ["a"], "order": 0, "action": {"a": []}}
+    with pytest.raises(SchemaError) as err:
+        ser.load_document(doc)
+    assert err.value.pointer == "/order"
+
+
 def test_cycle_from_json_range_checks_elements_and_sites():
     s3 = biggs_group(["a", "b"], 1)
     entries = [{"alpha": ["a"], "g": 0, "site": 0}, {"alpha": ["b"], "g": 6, "site": 1}]

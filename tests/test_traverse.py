@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from acygroups.egraph import EGraph, disjoint_union, hypercube
 from acygroups.errors import ResourceCap
 from acygroups.groups import graph_generator_perms, sym
-from acygroups.traverse import NO_EDGE, Cosets, close, partition
+from acygroups.traverse import NO_EDGE, Cosets, close
 
-from oracles import reference_cosets
+from oracles import partition, reference_cosets
 
 
 def draw_matching(data, n):
