@@ -11,16 +11,18 @@ alpha-components are exactly the template-restricted cosets.
 
 from __future__ import annotations
 
+import time
 from array import array
 from itertools import repeat
 from typing import NamedTuple
 
-from .acyclicity import all_subsets, proper_subsets, search_coset_cycle
+from .acyclicity import all_subsets, met_by_ids, proper_subsets, search_coset_cycle
 from .canon import connected_components
 from .egraph import NO_EDGE, EGraph, alpha_component, induced_subgraph
 from .errors import (
     CompatibilityRequired,
     PreconditionFailed,
+    SearchTimeout,
     StrictnessViolation,
     TransitivityViolation,
     UnknownName,
@@ -95,6 +97,7 @@ class IContext:
         self.group = group
         self.igraph = igraph
         self._comp = {}
+        self._elements = {}
 
     def pair(self, s, g):
         if not (0 <= g < self.group.order and 0 <= s < self.igraph.n):
@@ -140,6 +143,18 @@ class IContext:
         """Sorted elements reachable from g along walks the template admits from s."""
         ng = self.group.order
         return tuple(sorted(x % ng for x in self.comp_tables(alpha).block(self.pair(s, g))))
+
+    def elements(self, alpha, p):
+        """The elements of the alpha-component of pair p, a frozenset built
+        once per alpha and component id."""
+        alpha = frozenset(alpha)
+        table = self.comp_tables(alpha)
+        key = (alpha, table[p])
+        found = self._elements.get(key)
+        if found is None:
+            ng = self.group.order
+            found = self._elements[key] = frozenset(x % ng for x in table.block(p))
+        return found
 
     def i_coset_id(self, alpha, s, g):
         return self.comp_tables(alpha).find(self.pair(s, g))
@@ -311,69 +326,58 @@ def is_skeleton(host, igraph, alpha, s):
 def is_free_skeleton(ctx, alpha, s, g=0):
     """Freeness of the embedded skeleton anchored at (s, g).
 
-    Any two proper-subset cosets of skeleton vertices that overlap in the
-    ambient Cayley graph must already overlap template-restrictedly inside
-    the skeleton.  Pairs are driven by the ambient coset partition, so only
-    genuinely intersecting cosets are examined.
+    Any two proper-subset components of the skeleton whose ambient cosets
+    meet must already share an element.  The condition is symmetric, so
+    each unordered pair of subsets is visited once.  Per subset the
+    components are indexed by their ambient coset, the quotient of their id
+    by K (see :class:`TranslatedCosets`), and the cosets of the later
+    subset that meet one of the earlier are found by ``met_by_ids``.
     """
     alpha = frozenset(alpha)
     group = ctx.group
-    skel = ctx.skeleton(alpha, s, g)
-    gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < alpha]
-    # per proper subset: skeleton vertices grouped by their product component
-    comp_reps = {}
+    block = ctx.component(alpha, ctx.pair(s, g))
+    gammas = [a for a in all_subsets(len(group.colors)) if a < alpha]
+    indexes = []  # per subset: ambient coset id -> element sets of its components
     for a in gammas:
-        reps = {}
-        for v in range(skel.graph.n):
-            elem = skel.elements[v]
-            site = skel.hom[v]
-            cid = ctx.i_coset_id(a, site, elem)
-            reps.setdefault(cid, (site, elem))
-        comp_reps[a] = reps
-    for a1 in gammas:
-        find1 = group.coset_table(a1).find
-        for a2 in gammas:
-            # ambient-coset pairs that actually meet, found via shared elements
-            plain1 = {}
-            for cid, (site, elem) in comp_reps[a1].items():
-                plain1.setdefault(find1(elem), []).append(cid)
-            for cid2, (site2, elem2) in comp_reps[a2].items():
-                proj2 = set(ctx.i_coset(a2, site2, elem2))
-                for cid1 in _cids_meeting(group, find1, plain1, elem2, a2):
-                    site1, elem1 = comp_reps[a1][cid1]
-                    if not (set(ctx.i_coset(a1, site1, elem1)) & proj2):
-                        return False
+        table, index = ctx.comp_tables(a), {}
+        for cid, p in {table[p]: p for p in block}.items():
+            index.setdefault(cid // table.k, []).append(ctx.elements(a, p))
+        indexes.append(index)
+    for i, (a1, index1) in enumerate(zip(gammas, indexes)):
+        cosets1 = group.coset_table(a1)
+        for a2, index2 in zip(gammas[i:], indexes[i:]):
+            cosets2 = group.coset_table(a2)
+            for r1, sets1 in index1.items():
+                for r2 in met_by_ids(cosets1.block(r1), cosets2):
+                    for set2 in index2.get(r2, ()):
+                        if any(set1.isdisjoint(set2) for set1 in sets1):
+                            return False
     return True
 
 
-def _cids_meeting(group, find1, plain1, elem2, a2):
-    seen = set()
-    for x in group.coset(elem2, a2):
-        for cid in plain1.get(find1(x), ()):
-            if cid not in seen:
-                seen.add(cid)
-                yield cid
-
-
-def find_freeness_violation(group, igraph, alphas=None, ctx=None):
+def find_freeness_violation(group, igraph, alphas=None, ctx=None, deadline=None):
     """First (alpha, site) whose anchored skeleton is not free, or None.
 
     Left translation moves any skeleton onto one anchored at the identity,
-    so those anchors exhaust all skeletons up to translation.
+    so those anchors exhaust all skeletons up to translation.  Past
+    ``deadline`` (a ``time.monotonic()`` value), read once per skeleton,
+    raises SearchTimeout.
     """
     ctx = ctx or IContext(group, igraph)
     if alphas is None:
         alphas = all_subsets(len(group.colors))
     for alpha in alphas:
         for s in range(igraph.n):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout(f"freeness check timed out at subset {sorted(alpha)}, site {s}")
             if not is_free_skeleton(ctx, alpha, s):
                 return frozenset(alpha), s
     return None
 
 
-def is_free_over(group, igraph, alphas=None, ctx=None):
+def is_free_over(group, igraph, alphas=None, ctx=None, deadline=None):
     """Freeness of every embedded skeleton, anchored per site at the identity."""
-    return find_freeness_violation(group, igraph, alphas=alphas, ctx=ctx) is None
+    return find_freeness_violation(group, igraph, alphas, ctx, deadline) is None
 
 
 def validate_i_coset_cycle(group, igraph, entries, ctx=None):

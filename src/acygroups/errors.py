@@ -18,7 +18,8 @@ class IncompleteGraph(AcygroupsError):
 
 
 class DegenerateGenerators(AcygroupsError):
-    """Two generator permutations coincide, or one equals the identity."""
+    """Two generator permutations coincide, one equals the identity, or one
+    is not an involution."""
 
 
 class ResourceCap(AcygroupsError):

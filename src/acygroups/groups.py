@@ -199,8 +199,13 @@ def sym_components(colors, parts, cap=None, deadline=None):
     of the combined generators must be checked by the caller.  A group that
     provably exceeds the cap is refused before it is enumerated; the
     closures raise ResourceCap once the monotonic clock passes deadline.
+    Every part's rows must be involutions, as the closures require.
     """
     cap = cap or DEFAULT_ELEMENT_CAP
+    for i, (kind, data) in enumerate(parts):
+        for c, row in enumerate(data):
+            if list(map(row.__getitem__, row)) != list(range(len(row))):
+                raise DegenerateGenerators(f"generator {colors[c]!r} not involutive on part {i}")
     _check_order_bound(parts, cap)
     tables = []
     for kind, data in parts:

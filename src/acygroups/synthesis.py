@@ -244,7 +244,7 @@ def _stage_verify(new, k, config, mode, igraph, ctx, deadline):
     free_ok = None
     if mode == "over":
         alphas = all_subsets(len(new.colors), max_size=k)
-        free_ok = is_free_over(new, igraph, alphas=alphas, ctx=ctx)
+        free_ok = is_free_over(new, igraph, alphas=alphas, ctx=ctx, deadline=deadline)
     return acyclic_ok, free_ok
 
 
@@ -255,7 +255,7 @@ def _final_verify(group, config, mode, igraph, ctx, n_acyclic=None, deadline=Non
         n_acyclic = find_coset_cycle(group, config.n_acyclic, **limits) is None
     checks = {"n_acyclic": n_acyclic}
     if mode == "over":
-        checks["free_over"] = is_free_over(group, igraph, ctx=ctx)
+        checks["free_over"] = is_free_over(group, igraph, ctx=ctx, deadline=deadline)
         checks["n_acyclic_over"] = (
             find_i_coset_cycle(group, igraph, config.n_acyclic, ctx=ctx, **limits) is None
         )

@@ -14,6 +14,7 @@ visits the list it appends to, so all of them are breadth first.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from operator import getitem
 
 from .errors import ResourceCap
@@ -99,22 +100,29 @@ def propagate(n, rows, seeds, step):
 def close(start, rows, cap, deadline=None):
     """Breadth-first closure of the tuple state start: (action, parents).
 
-    Generator c maps a state g to the tuple of rows[c][i][g[i]].  action[c]
-    is the generator's table on state indices, with start at 0, and
-    parents[k] is (earlier index, c) for every state but start.  Raises
-    ResourceCap when a state beyond the first cap would be added, or when
-    the monotonic clock, read once per 4,096 states, has passed deadline.
+    Generator c maps a state g to the tuple of rows[c][i][g[i]], and every
+    row must be an involution.  action[c] is the generator's table on state
+    indices, with start at 0, and parents[k] is (earlier index, c) for
+    every state but start.  Computing j = c(k) also gives action[c][j] = k,
+    so each generator edge is walked from its earlier end only; a state
+    whose image is known adds no state, so states and parents come out as
+    a walk of every edge would give them.  Raises ResourceCap when a state
+    beyond the first cap would be added, or when the monotonic clock, read
+    once per 4,096 states, has passed deadline.
     """
     index = {start: 0}
     get = index.get
     states = [start]
     parents = [None]
-    action = [[] for _ in rows]
-    steps = list(enumerate(zip(rows, [table.append for table in action])))
+    size = 64  # the tables grow by doubling and are cut to the states at the end
+    action = [[-1] * size for _ in rows]
+    steps = list(zip(range(len(rows)), rows, action))
     for k, g in enumerate(states):
         if not k & 4095 and k and deadline is not None and time.monotonic() > deadline:
             raise ResourceCap(f"closure timed out after {k} elements")
-        for c, (row, put) in steps:
+        for c, row, table in steps:
+            if table[k] != -1:
+                continue
             h = tuple(map(getitem, row, g))
             j = get(h)
             if j is None:
@@ -123,7 +131,14 @@ def close(start, rows, cap, deadline=None):
                     raise ResourceCap(f"element cap {cap} exceeded in closure")
                 states.append(h)
                 parents.append((k, c))
-            put(j)
+                if j == size:
+                    for t in action:
+                        t.extend(repeat(-1, size))
+                    size *= 2
+            table[k] = j
+            table[j] = k
+    for table in action:
+        del table[len(states):]
     return action, parents
 
 

@@ -27,6 +27,12 @@ tables.  ``reference_cosets`` relabels ``partition`` to least-element ids;
 the kernels' ``table(alpha)``, and ``walked_table`` walks a lazy table
 into a ``Table``.
 
+``reference_is_free_skeleton`` and ``reference_freeness_violation`` are
+the freeness check that walked the skeleton's graph, and tested every
+ordered pair of proper subsets against sorted element tuples rebuilt per
+pair; the library's check must return the same verdicts and the same first
+violation.
+
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
@@ -38,7 +44,12 @@ import time
 from operator import getitem
 from typing import NamedTuple, Sequence
 
-from acygroups.acyclicity import DEFAULT_SEARCH_BUDGET, canonical_cycle, proper_subsets
+from acygroups.acyclicity import (
+    DEFAULT_SEARCH_BUDGET,
+    all_subsets,
+    canonical_cycle,
+    proper_subsets,
+)
 from acygroups.constraint import IContext, Skeleton
 from acygroups.amalgam import _UnionFind
 from acygroups.covering import (
@@ -447,6 +458,57 @@ def reference_skeleton(group, igraph, alpha, s, g=0):
     names = [f"{igraph.vertex_names[x // ng]}|{x % ng}" for x in block]
     return Skeleton(EGraph(names, group.colors, rows), tuple(x // ng for x in block),
                     frozenset(alpha), s, tuple(x % ng for x in block))
+
+
+def reference_is_free_skeleton(ctx, alpha, s, g=0):
+    alpha = frozenset(alpha)
+    group = ctx.group
+    skel = ctx.skeleton(alpha, s, g)
+    gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < alpha]
+    # per proper subset: skeleton vertices grouped by their product component
+    comp_reps = {}
+    for a in gammas:
+        reps = {}
+        for v in range(skel.graph.n):
+            elem = skel.elements[v]
+            site = skel.hom[v]
+            cid = ctx.i_coset_id(a, site, elem)
+            reps.setdefault(cid, (site, elem))
+        comp_reps[a] = reps
+    for a1 in gammas:
+        find1 = group.coset_table(a1).find
+        for a2 in gammas:
+            # ambient-coset pairs that actually meet, found via shared elements
+            plain1 = {}
+            for cid, (site, elem) in comp_reps[a1].items():
+                plain1.setdefault(find1(elem), []).append(cid)
+            for cid2, (site2, elem2) in comp_reps[a2].items():
+                proj2 = set(ctx.i_coset(a2, site2, elem2))
+                for cid1 in _cids_meeting(group, find1, plain1, elem2, a2):
+                    site1, elem1 = comp_reps[a1][cid1]
+                    if not (set(ctx.i_coset(a1, site1, elem1)) & proj2):
+                        return False
+    return True
+
+
+def _cids_meeting(group, find1, plain1, elem2, a2):
+    seen = set()
+    for x in group.coset(elem2, a2):
+        for cid in plain1.get(find1(x), ()):
+            if cid not in seen:
+                seen.add(cid)
+                yield cid
+
+
+def reference_freeness_violation(group, igraph, alphas=None, ctx=None):
+    ctx = ctx or IContext(group, igraph)
+    if alphas is None:
+        alphas = all_subsets(len(group.colors))
+    for alpha in alphas:
+        for s in range(igraph.n):
+            if not reference_is_free_skeleton(ctx, alpha, s):
+                return frozenset(alpha), s
+    return None
 
 
 def reference_check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):

@@ -104,6 +104,16 @@ def test_one_pass_close_matches_the_two_pass_close(data):
     assert close(start, rows, cap) == expected
 
 
+def test_a_part_that_is_not_an_involution_is_refused():
+    three_cycle = (1, 2, 0)
+    swap = (1, 0, 2)
+    with pytest.raises(DegenerateGenerators, match="'b' not involutive on part 0"):
+        sym_components(["a", "b"], [("perms", [swap, three_cycle])])
+    # a table that is a permutation but not an involution
+    with pytest.raises(DegenerateGenerators, match="'a' not involutive on part 1"):
+        sym_components(["a"], [("perms", [swap]), ("tables", [three_cycle])])
+
+
 def _tables(*perm_parts):
     return [close(tuple(range(len(gens[0]))), [(p,) * len(gens[0]) for p in gens], 100)[0]
             for gens in perm_parts]
