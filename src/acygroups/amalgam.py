@@ -15,29 +15,7 @@ from .canon import connected_components, find_isomorphism
 from .egraph import NO_EDGE, EGraph, induced_subgraph
 from .errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
 from .groups import coset_graph, subgroup
-
-
-class _UnionFind:
-    """Union-find on 0..n-1.  A union keeps the smaller root and find links
-    the path onto its root, so parent[x] <= x always."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+from .traverse import UnionFind
 
 
 class Amalgam:
@@ -68,51 +46,51 @@ class FailureWitness(NamedTuple):
     image: int
 
 
+def quotient_graph(names, colors, edges):
+    """The strict graph on the quotient classes with the (colour, u, w) edges.
+
+    Raises StrictnessViolation when an edge is a loop, when a colour class
+    branches at a vertex, or when the result is not strict.
+    """
+    rows = [[NO_EDGE] * len(names) for _ in colors]
+    for c, u, w in edges:
+        if u == w:
+            raise StrictnessViolation(f"quotient induced a loop at {names[u]}")
+        row = rows[c]
+        for x, y in ((u, w), (w, u)):
+            if row[x] not in (NO_EDGE, y):
+                raise StrictnessViolation(f"quotient branches colour {colors[c]!r} at {names[x]}")
+        row[u] = w
+        row[w] = u
+    graph = EGraph(names, colors, rows)
+    if not graph.strict:
+        raise StrictnessViolation("quotient is not a strict graph")
+    return graph
+
+
 def _build(group, alphas, glue, anchors, kind):
     """Assemble the quotient of the CG[alpha_i] copies by the glue pairs.
 
     glue is a list of ((i, parent_elem), (j, parent_elem)) identifications.
+    The (i, element) pairs are numbered in sorted order, so the classes come
+    out numbered by their least pair.
     """
     elements = [group.subgroup_elements(a) for a in alphas]
-    offsets = []
-    total = 0
-    for els in elements:
-        offsets.append(total)
-        total += len(els)
-    pos = [{g: offsets[i] + k for k, g in enumerate(els)} for i, els in enumerate(elements)]
-    uf = _UnionFind(total)
-    for (i, x), (j, y) in glue:
-        uf.union(pos[i][x], pos[j][y])
-    roots = {}
-    for i, els in enumerate(elements):
-        for g in els:
-            roots.setdefault(uf.find(pos[i][g]), []).append((i, g))
-    classes = sorted(roots.values(), key=min)
-    vert_of = {}
-    for v, members in enumerate(classes):
-        for m in members:
-            vert_of[m] = v
-    names = [f"{min(m)[0]}:{min(m)[1]}" for m in classes]
-    rows = [[NO_EDGE] * len(classes) for _ in group.colors]
-    for i, a in enumerate(alphas):
-        for c in sorted(a):
-            row = rows[c]
-            for g in elements[i]:
-                u = vert_of[(i, g)]
-                w = vert_of[(i, group.gen_action[c][g])]
-                if u == w:
-                    raise StrictnessViolation(f"quotient induced a loop at {names[u]}")
-                for x, y in ((u, w), (w, u)):
-                    if row[x] not in (NO_EDGE, y):
-                        raise StrictnessViolation(
-                            f"quotient branches colour {group.colors[c]!r} at {names[x]}"
-                        )
-                row[u] = w
-                row[w] = u
-    graph = EGraph(names, group.colors, rows)
-    if not graph.strict:
-        raise StrictnessViolation("amalgam is not a strict graph")
-    provenance = tuple(frozenset(m) for m in classes)
+    pairs = [(i, g) for i, els in enumerate(elements) for g in els]
+    index = {p: t for t, p in enumerate(pairs)}
+    uf = UnionFind(len(pairs))
+    for p, q in glue:
+        uf.union(index[p], index[q])
+    class_of, classes = uf.classes()
+    names = [f"{i}:{g}" for i, g in (pairs[members[0]] for members in classes)]
+    edges = (
+        (c, class_of[index[i, g]], class_of[index[i, group.gen_action[c][g]]])
+        for i, a in enumerate(alphas)
+        for c in sorted(a)
+        for g in elements[i]
+    )
+    graph = quotient_graph(names, group.colors, edges)
+    provenance = tuple(frozenset(pairs[m] for m in members) for members in classes)
     constituents = tuple((frozenset(a), f"{kind}{i}") for i, a in enumerate(alphas))
     return Amalgam(graph, group, constituents, provenance, tuple(anchors), kind)
 

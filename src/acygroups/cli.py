@@ -23,6 +23,7 @@ from .covering import (
     Hypergraph,
     check_n_acyclic_hypergraph,
     graph_cover,
+    graph_template,
     hypergraph_cover,
     verify_cover,
 )
@@ -316,8 +317,6 @@ def cmd_export_dot(args):
     if fmt == "covering":
         obj = _cover_of(doc)
     elif fmt == "graph":
-        from .covering import graph_template
-
         obj = graph_template(ser.graph_from_json(doc))
     else:
         obj = ser.load_document(doc)

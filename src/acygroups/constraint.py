@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
-from .acyclicity import all_subsets, met_by_ids, proper_subsets, search_coset_cycle
-from .canon import connected_components
+from .acyclicity import all_subsets, is_two_acyclic, met_by_ids, proper_subsets, search_coset_cycle
+from .amalgam import amalgam_cluster, quotient_graph
+from .canon import canonical_form, connected_components
 from .egraph import NO_EDGE, EGraph, alpha_component, induced_subgraph
 from .errors import (
     CompatibilityRequired,
@@ -27,8 +28,8 @@ from .errors import (
     TransitivityViolation,
     UnknownName,
 )
-from .groups import is_compatible
-from .traverse import Cosets, bfs_parents, propagate
+from .groups import is_compatible, subgroup
+from .traverse import Cosets, UnionFind, bfs_parents, propagate
 
 
 def trivial_constraint_graph(colors):
@@ -458,10 +459,10 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
     alpha = frozenset(alpha)
     ctx = ctx or IContext(group, igraph)
     host = skel.graph
-    gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < alpha]
+    gammas = [a for a in all_subsets(len(group.colors)) if a < alpha]
     if verify_preconditions:
         for a in gammas:
-            if not _subgroup_two_acyclic(group, a):
+            if not is_two_acyclic(subgroup(group, sorted(a))):
                 raise PreconditionFailed(f"subgroup {sorted(a)} is not 2-acyclic")
         if not is_free_over(group, igraph, alphas=gammas, ctx=ctx):
             raise PreconditionFailed("proper subgroups are not free over the template")
@@ -469,8 +470,6 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
     # addresses: within each alpha'-component of the host, relative group
     # elements between vertices; verified consistent against the embedded
     # skeleton the component must realise
-    from .canon import canonical_form
-
     addr = {}  # (alpha', anchor vertex) -> {vertex: element}
     comp_of = {}  # (alpha', vertex) -> component tuple
     for a in gammas:
@@ -494,27 +493,14 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
 
     tags = [(v, a) for v in range(host.n) for a in gammas]
     sub_elems = {a: group.subgroup_elements(a) for a in gammas}
-    sub_pos = {a: {g: i for i, g in enumerate(els)} for a, els in sub_elems.items()}
-    tag_base = {}
-    total = host.n  # host vertices come first
-    origin = [None] * host.n
-    for t in tags:
-        tag_base[t] = total
-        v, a = t
-        for g in sub_elems[a]:
-            origin.append((g, v, a))
-        total += len(sub_elems[a])
-
-    from .amalgam import _UnionFind
-
-    uf = _UnionFind(total)
+    # host vertices come first, then the (g, v, a) vertices of the copies
+    origin = [None] * host.n + [(g, v, a) for v, a in tags for g in sub_elems[a]]
+    index = {o: t for t, o in enumerate(origin) if o is not None}
+    uf = UnionFind(len(origin))
     sim_pairs = set()
 
-    def tag_vertex(v, a, g):
-        return tag_base[(v, a)] + sub_pos[a][g]
-
     for v, a in tags:
-        uf.union(v, tag_vertex(v, a, 0))
+        uf.union(v, index[0, v, a])
     for i1, (v1, a1) in enumerate(tags):
         comp1 = comp_of[(a1, v1)]
         for v2, a2 in tags[i1:]:
@@ -528,58 +514,27 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
                 for h in sub_elems[a0]:
                     g1 = group.product(x1, h)
                     g2 = group.product(x2, h)
-                    p = tag_vertex(v1, a1, g1)
-                    q = tag_vertex(v2, a2, g2)
+                    p = index[g1, v1, a1]
+                    q = index[g2, v2, a2]
                     uf.union(p, q)
                     sim_pairs.add((p, q) if p <= q else (q, p))
 
-    classes = {}
-    for x in range(total):
-        classes.setdefault(uf.find(x), []).append(x)
-    class_list = sorted(classes.values(), key=min)
-    vert_of = {}
-    for v, members in enumerate(class_list):
-        for m in members:
-            vert_of[m] = v
-
+    vert_of, class_list = uf.classes()
     _assert_sim_transitive(class_list, sim_pairs, host.n)
 
-    host_image = tuple(vert_of[u] for u in range(host.n))
+    host_image = tuple(vert_of[:host.n])
     if len(set(host_image)) != host.n:
         raise PreconditionFailed("host does not embed injectively into its extension")
 
-    names = []
-    for members in class_list:
-        m = min(members)
-        names.append(f"h{m}" if m < host.n else str(m))
-    rows = [[NO_EDGE] * len(class_list) for _ in group.colors]
-
-    def put_edge(c, u, w):
-        if u == w:
-            raise StrictnessViolation("extension induced a loop")
-        row = rows[c]
-        for x, y in ((u, w), (w, u)):
-            if row[x] not in (NO_EDGE, y):
-                raise StrictnessViolation("extension branches a colour class")
-        row[u] = w
-        row[w] = u
-
-    for c in range(len(group.colors)):
-        for u in range(host.n):
-            w = host.partner[c][u]
-            if w != NO_EDGE and u <= w:
-                put_edge(c, vert_of[u], vert_of[w])
-    for v, a in tags:
-        for c in sorted(a):
-            grow = group.gen_action[c]
-            for g in sub_elems[a]:
-                h = grow[g]
-                if g <= h:
-                    put_edge(c, vert_of[tag_vertex(v, a, g)], vert_of[tag_vertex(v, a, h)])
-
-    graph = EGraph(names, group.colors, rows)
-    if not graph.strict:
-        raise StrictnessViolation("extension is not strict")
+    names = [f"h{ms[0]}" if ms[0] < host.n else str(ms[0]) for ms in class_list]
+    copy_edges = (
+        (c, vert_of[index[g, v, a]], vert_of[index[group.gen_action[c][g], v, a]])
+        for v, a in tags
+        for c in sorted(a)
+        for g in sub_elems[a]
+    )
+    host_edges = ((c, vert_of[u], vert_of[w]) for c, u, w in host.all_edges())
+    graph = quotient_graph(names, group.colors, chain(host_edges, copy_edges))
 
     provenance = []
     for members in class_list:
@@ -589,7 +544,7 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
     copies = []
     for a in gammas:
         for comp in connected_components(host, a):
-            vs = tuple(sorted({vert_of[tag_vertex(comp[0], a, g)] for g in sub_elems[a]}))
+            vs = tuple(sorted({vert_of[index[g, comp[0], a]] for g in sub_elems[a]}))
             copies.append((a, tuple(comp), vs))
 
     ce = SmallCosetAmalgam(
@@ -603,13 +558,6 @@ def _component_addresses(host, comp, alpha_sub, group):
     """Element addresses inside one host component, or None if inconsistent."""
     rows = [(c, host.partner[c]) for c in sorted(alpha_sub)]
     return propagate(host.n, rows, [(comp[0], 0)], lambda c, g: group.gen_action[c][g])
-
-
-def _subgroup_two_acyclic(group, alpha):
-    from .acyclicity import is_two_acyclic
-    from .groups import subgroup
-
-    return is_two_acyclic(subgroup(group, sorted(alpha)))
 
 
 def _assert_sim_transitive(class_list, sim_pairs, n_host):
@@ -681,10 +629,7 @@ def ce_cluster_property(ce, group):
     substructure isomorphic to the amalgamation cluster of the contributing
     beta-reducts.
     """
-    from .amalgam import amalgam_cluster
-    from .canon import canonical_form
-
-    gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < ce.alpha]
+    gammas = [a for a in all_subsets(len(group.colors)) if a < ce.alpha]
     copy_sets = {i: set(vs) for i, (_, _, vs) in enumerate(ce.copies)}
     supports = [
         frozenset.intersection(*[frozenset(a) for _, _, a in prov]) if prov else frozenset()

@@ -13,11 +13,11 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .acyclicity import DEFAULT_SEARCH_BUDGET
-from .amalgam import _UnionFind
 from .constraint import IContext
 from .egraph import NO_EDGE, new_egraph
 from .errors import CompatibilityRequired, PreconditionFailed, ResourceCap, UnknownName
 from .groups import is_compatible
+from .traverse import UnionFind
 
 
 class Hypergraph:
@@ -147,9 +147,8 @@ def hypergraph_cover(hg, group):
 
     Triple (hi, v, g) is the integer base[hi] + r * |G| + g, with r the rank
     of v in the sorted hyperedge hi, so integer order is the lexicographic
-    order of the triples.  The union-find links every triple to a smaller
-    one, so one ascending scan numbers the classes by least member, each
-    with its members in order.
+    order of the triples and UnionFind.classes numbers the classes by
+    least member, each with its members in order.
     """
     template = intersection_graph(hg)
     if tuple(template.colors) != group.colors:
@@ -159,7 +158,7 @@ def hypergraph_cover(hg, group):
     ng = group.order
     hes = [sorted(he) for he in hg.hyperedges]
     base = list(accumulate((len(he) * ng for he in hes), initial=0))
-    uf = _UnionFind(base[-1])
+    uf = UnionFind(base[-1])
     for c, name in enumerate(template.colors):
         i, j = (int(x) for x in name[1:].split("~"))
         grow = group.gen_action[c]
@@ -168,21 +167,9 @@ def hypergraph_cover(hg, group):
             b = base[j] + hes[j].index(v) * ng
             for g in range(ng):
                 uf.union(a + g, b + grow[g])
-    parent = uf.parent
-    class_of = [0] * len(parent)
-    classes = []
-    t = 0
-    for hi, he in enumerate(hes):
-        for v in he:
-            for g in range(ng):
-                p = parent[t]
-                if p == t:
-                    class_of[t] = len(classes)
-                    classes.append([(hi, v, g)])
-                else:
-                    class_of[t] = k = class_of[p]
-                    classes[k].append((hi, v, g))
-                t += 1
+    class_of, classes = uf.classes()
+    triples = [(hi, v, g) for hi, he in enumerate(hes) for v in he for g in range(ng)]
+    classes = [tuple(map(triples.__getitem__, members)) for members in classes]
     cover_edges = {}
     copies = []
     copy_tags = []
@@ -198,7 +185,7 @@ def hypergraph_cover(hg, group):
     cover = Hypergraph(names, [[names[x] for x in he] for he in sorted(cover_edges)])
     projection = tuple(v for _, v, _ in leasts)
     provenance = {
-        "classes": tuple(map(tuple, classes)),
+        "classes": tuple(classes),
         "hyperedge_tags": cover_edges,
         "copies": tuple(copies),
         "copy_tags": tuple(copy_tags),
@@ -442,10 +429,6 @@ def _copy_members(cov):
     return out
 
 
-def _alpha_of_base_vertex(cov, v):
-    return frozenset(_vertex_colour_sets(cov.base, cov.template)[v])
-
-
 def translate_chordless_cycle(cov, cycle):
     """Template coset cycle induced by a chordless cycle of the cover.
 
@@ -462,11 +445,11 @@ def translate_chordless_cycle(cov, cycle):
         if not cands:
             raise PreconditionFailed("not a Gaifman cycle: consecutive pair unshared")
         chosen.append(cands[0])
+    vcolors = _vertex_colour_sets(cov.base, cov.template)
     entries = []
     for i in range(n):
         s_i, g_i = chosen[i - 1]  # the copy shared by the i-1 and i vertices
-        v_i = cov.projection[cycle[i]]
-        alpha_i = _alpha_of_base_vertex(cov, v_i)
+        alpha_i = frozenset(vcolors[cov.projection[cycle[i]]])
         entries.append((alpha_i, cov.template.vertex_index(f"h{s_i}"), g_i))
     return tuple(entries)
 
@@ -483,7 +466,8 @@ def translate_nonconformal_clique(cov, clique):
         if not cands:
             raise PreconditionFailed("clique is not a minimal conformality violation")
         chosen.append(cands[0])
-    alphas = [_alpha_of_base_vertex(cov, cov.projection[x]) for x in m]
+    vcolors = _vertex_colour_sets(cov.base, cov.template)
+    alphas = [frozenset(vcolors[cov.projection[x]]) for x in m]
     entries = []
     for i in range(n):
         beta_i = frozenset.intersection(*[alphas[j] for j in range(n) if j != (i - 1) % n])

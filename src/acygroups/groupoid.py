@@ -22,7 +22,8 @@ from .errors import (
     ResourceCap,
     UnknownName,
 )
-from .groups import sym
+from .groups import is_compatible, sym
+from .synthesis import SynthesisConfig, construct_n_acyclic_over
 from .traverse import Cosets, propagate
 
 
@@ -339,38 +340,29 @@ def _generate(pattern, seeds, step, label_of=None):
         sorts.append((s, s))
         parents.append(None)
         labels.append(st if label_of is None else label_of(st))
-    pos = 0
-    while pos < len(states):
-        st = states[pos]
+    rmul = [[] for _ in range(pattern.n_edges)]
+    for pos, st in enumerate(states):
         s0, t0 = sorts[pos]
-        for e in range(pattern.n_edges):
+        for e, row in enumerate(rmul):
             if pattern.src[e] != t0:
+                row.append(NO_EDGE)
                 continue
             nxt = step(st, e)
             if nxt is None:
                 raise CompatibilityRequired("generator action undefined on its sort")
-            if nxt not in index:
-                index[nxt] = len(states)
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(states)
                 states.append(nxt)
                 sorts.append((s0, pattern.tgt[e]))
                 parents.append((pos, e))
                 labels.append(nxt if label_of is None else label_of(nxt))
-            else:
-                if sorts[index[nxt]] != (s0, pattern.tgt[e]):
-                    raise CompatibilityRequired(
-                        "sort clash during generation; the source structure is "
-                        "not compatible with the pattern"
-                    )
-        pos += 1
-    rmul = []
-    for e in range(pattern.n_edges):
-        row = []
-        for g, st in enumerate(states):
-            if sorts[g][1] != pattern.src[e]:
-                row.append(NO_EDGE)
-            else:
-                row.append(index[step(st, e)])
-        rmul.append(row)
+            elif sorts[j] != (s0, pattern.tgt[e]):
+                raise CompatibilityRequired(
+                    "sort clash during generation; the source structure is "
+                    "not compatible with the pattern"
+                )
+            row.append(j)
     gen_elem = []
     for e in range(pattern.n_edges):
         gen_elem.append(rmul[e][neutral[pattern.src[e]]])
@@ -385,8 +377,6 @@ def groupoid_from_group(group, pattern, hat=None, igraph=None):
     """
     hat = hat or hat_translation(pattern)
     template = igraph if igraph is not None else hat.igraph
-    from .groups import is_compatible
-
     if not is_compatible(group, hat.igraph):
         raise CompatibilityRequired("group is not compatible with the encoded template")
     triplets = [hat.triplet(e) for e in range(pattern.n_edges)]
@@ -591,8 +581,6 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, n_max, config=None):
     encoded template until it is acyclic over it, extract the groupoid, and
     re-verify the groupoid axioms, acyclicity and compatibility directly.
     """
-    from .synthesis import SynthesisConfig, construct_n_acyclic_over
-
     config = config or SynthesisConfig(n_acyclic=n_max)
     hat = hat_translation(pattern)
     encoded_target = translate_igraph(hat, target_igraph)

@@ -9,6 +9,8 @@ Homomorphisms, compatibility and skeleton maps are values forced along the
 rows by :func:`propagate`; generated groups are closures under
 :func:`close`; witness words come from :func:`bfs_parents`.  Each walk
 visits the list it appends to, so all of them are breadth first.
+Quotients by an identification relation (amalgams, skeleton extensions,
+hypergraph covers) are the classes of a :class:`UnionFind`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,43 @@ class Cosets:
                 ids[x] = least
         self.members[least] = tuple(block)
         return least
+
+
+class UnionFind:
+    """Union-find on 0..n-1.  A union keeps the smaller root and find links
+    the path onto its root, so parent[x] <= x always."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def classes(self):
+        """(class_of, classes): the classes numbered by least member, each
+        listed ascending, and class_of[x] the number of x's class.  Every x
+        links to a smaller index of its class, so one ascending scan serves."""
+        class_of, classes = [], []
+        for x, p in enumerate(self.parent):
+            if p == x:
+                class_of.append(len(classes))
+                classes.append([x])
+            else:
+                class_of.append(class_of[p])
+                classes[class_of[p]].append(x)
+        return class_of, classes
 
 
 def propagate(n, rows, seeds, step):

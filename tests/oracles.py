@@ -51,7 +51,6 @@ from acygroups.acyclicity import (
     proper_subsets,
 )
 from acygroups.constraint import IContext, Skeleton
-from acygroups.amalgam import _UnionFind
 from acygroups.covering import (
     AcyclicityWitness,
     Covering,
@@ -64,7 +63,7 @@ from acygroups.egraph import EGraph
 from acygroups.errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms, is_compatible
-from acygroups.traverse import NO_EDGE
+from acygroups.traverse import NO_EDGE, UnionFind
 
 
 def partition(n, rows):
@@ -585,7 +584,7 @@ def reference_hypergraph_cover(hg, group):
                 pos[(hi, v, g)] = len(triples)
                 triples.append((hi, v, g))
 
-    uf = _UnionFind(len(triples))
+    uf = UnionFind(len(triples))
     for c, name in enumerate(template.colors):
         i, j = (int(x) for x in name[1:].split("~"))
         grow = group.gen_action[c]

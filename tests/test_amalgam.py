@@ -7,11 +7,12 @@ from acygroups.amalgam import (
     beta_components,
     embed_into_cayley,
     free_amalgam,
+    quotient_graph,
     rebuild_renamed,
 )
 from acygroups.canon import canonical_form
 from acygroups.egraph import rename
-from acygroups.errors import PreconditionFailed
+from acygroups.errors import PreconditionFailed, StrictnessViolation
 from acygroups.groups import evaluate_word
 
 from conftest import biggs_group, hypercube_group, s3_three_generators
@@ -36,6 +37,16 @@ def test_free_amalgam_two_squares_share_an_edge():
     assert am.graph.n == 6
     assert len(am.graph.all_edges()) == 7
     assert am.graph.strict
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 0, 1), (0, 2, 2)], "loop at z"),
+    ([(0, 0, 1), (0, 1, 0), (0, 1, 2)], "branches colour 'a' at y"),
+    ([(0, 0, 1), (1, 1, 0)], "not a strict graph"),
+])
+def test_quotient_graph_refuses_what_is_not_strict(edges, message):
+    with pytest.raises(StrictnessViolation, match=message):
+        quotient_graph(["x", "y", "z"], ["a", "b"], edges)
 
 
 def test_amalgam_embedding_injective_on_two_acyclic():

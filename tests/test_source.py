@@ -61,6 +61,21 @@ def test_library_does_not_import_sympy():
     assert offenders == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is made public where it lives, so a
+    # leading underscore keeps meaning "used by this module alone"
+    offenders = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [
+                    f"{name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert offenders == []
+
+
 def test_no_nested_function_refers_to_itself():
     # a nested function that calls itself holds itself through its closure:
     # it and everything it closes over stay alive until a full collection

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from acygroups.egraph import EGraph, disjoint_union, hypercube
 from acygroups.errors import ResourceCap
 from acygroups.groups import graph_generator_perms, sym
-from acygroups.traverse import NO_EDGE, Cosets, close
+from acygroups.traverse import NO_EDGE, Cosets, UnionFind, close
 
 from oracles import partition, reference_cosets
 
@@ -82,6 +82,24 @@ def test_cosets_walk_the_reference_blocks_in_any_order(data):
         tables.append(table)
     assert tables[0].ids == tables[1].ids == list(ref.ids)
     assert tables[0].members == tables[1].members == ref.members
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_union_find_classes_group_indices_by_root(data):
+    n = data.draw(st.integers(0, 16))
+    uf = UnionFind(n)
+    if n:
+        point = st.integers(0, n - 1)
+        for a, b in data.draw(st.lists(st.tuples(point, point), max_size=2 * n)):
+            uf.union(a, b)
+    assert all(p <= x for x, p in enumerate(uf.parent))
+    class_of, classes = uf.classes()
+    by_root = {}
+    for x in range(n):
+        by_root.setdefault(uf.find(x), []).append(x)
+    assert classes == sorted(by_root.values(), key=min)
+    assert class_of == [next(k for k, c in enumerate(classes) if x in c) for x in range(n)]
 
 
 @settings(max_examples=30, deadline=None)
