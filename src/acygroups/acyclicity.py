@@ -9,8 +9,10 @@ generality because left translation preserves both conditions.
 
 One search kernel, :func:`search_coset_cycle`, serves groups, reachability
 templates and groupoids alike; each searcher feeds it its own component
-tables and a ``met`` hook naming the components a block meets, and
-rechecks the result with its own independent validator.
+tables and a ``met`` hook naming the components a block meets.  One
+validator, :func:`validate_cycle`, rechecks every result from the same
+tables read through ``find`` and ``block`` alone, sharing no code with the
+kernel.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class CosetCycle(NamedTuple):
     def __len__(self):
         return len(self.entries)
 
-    def alphas(self):
-        return [a for a, _ in self.entries]
-
 
 def girth(cg):
     """Length of the shortest graph cycle of a Cayley graph, or math.inf.
@@ -116,25 +115,36 @@ def girth(cg):
     return best
 
 
-def _separated(group, g, alpha_g, h, alpha_h):
-    """True when g*G[alpha_g] and h*G[alpha_h] are disjoint."""
-    return set(group.coset(h, alpha_h)).isdisjoint(group.coset(g, alpha_g))
+def validate_cycle(table, entries, element=None):
+    """Independent recheck of connectivity and separation of (alpha, point)
+    entries in cyclic order, from the raw components of ``table(alpha)``.
 
-
-def validate_coset_cycle(group, entries):
-    """Independent recheck of connectivity and separation from raw cosets."""
+    Consecutive points must share their ``find`` id in the table of the
+    first's subset, and the components pivoting at each point, of its meets
+    with the neighbouring subsets, must hold disjoint elements;
+    ``element(x)`` is the element of point x (x itself when None).
+    """
     n = len(entries)
     if n < 2:
         return False
-    for i in range(n):
-        a_i, g_i = entries[i]
-        a_next, g_next = entries[(i + 1) % n]
-        a_prev = entries[(i - 1) % n][0]
-        if not group.same_coset(g_i, g_next, a_i):
+    for i, (a_i, p_i) in enumerate(entries):
+        a_prev = entries[i - 1][0]
+        a_next, p_next = entries[(i + 1) % n]
+        t = table(a_i)
+        if t.find(p_i) != t.find(p_next):
             return False
-        if not _separated(group, g_i, a_i & a_prev, g_next, a_i & a_next):
+        left = table(a_i & a_prev).block(p_i)
+        right = table(a_i & a_next).block(p_next)
+        if element is not None:
+            left, right = map(element, left), map(element, right)
+        if not set(left).isdisjoint(right):
             return False
     return True
+
+
+def validate_coset_cycle(group, entries):
+    """Recheck of (alpha, element) entries over the group's cosets."""
+    return validate_cycle(group.coset_table, entries)
 
 
 def canonical_cycle(group, entries):

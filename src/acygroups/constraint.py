@@ -16,7 +16,14 @@ from array import array
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .acyclicity import all_subsets, is_two_acyclic, met_by_ids, proper_subsets, search_coset_cycle
+from .acyclicity import (
+    all_subsets,
+    is_two_acyclic,
+    met_by_ids,
+    proper_subsets,
+    search_coset_cycle,
+    validate_cycle,
+)
 from .amalgam import amalgam_cluster, quotient_graph
 from .canon import canonical_form, connected_components
 from .egraph import NO_EDGE, EGraph, alpha_component, induced_subgraph
@@ -156,9 +163,6 @@ class IContext:
             ng = self.group.order
             found = self._elements[key] = frozenset(x % ng for x in table.block(p))
         return found
-
-    def i_coset_id(self, alpha, s, g):
-        return self.comp_tables(alpha).find(self.pair(s, g))
 
     def met(self, block, tb):
         """The kernel's ``met`` hook: ids of the components of table tb whose
@@ -384,23 +388,14 @@ def is_free_over(group, igraph, alphas=None, ctx=None, deadline=None):
 def validate_i_coset_cycle(group, igraph, entries, ctx=None):
     """Recheck template connectivity and separation for a candidate cycle.
 
-    Entries are (alpha, site, element) triples in cyclic order.
+    Entries are (alpha, site, element) triples in cyclic order; separation
+    compares the element sets of the components.
     """
     ctx = ctx or IContext(group, igraph)
-    n = len(entries)
-    if n < 2:
+    if len(entries) < 2:
         return False
-    for i in range(n):
-        a_i, s_i, g_i = entries[i]
-        a_n, s_n, g_n = entries[(i + 1) % n]
-        a_p = entries[(i - 1) % n][0]
-        if ctx.i_coset_id(a_i, s_i, g_i) != ctx.i_coset_id(a_i, s_n, g_n):
-            return False
-        left = set(ctx.i_coset(a_i & a_p, s_i, g_i))
-        right = set(ctx.i_coset(a_i & a_n, s_n, g_n))
-        if left & right:
-            return False
-    return True
+    points = [(a, ctx.pair(s, g)) for a, s, g in entries]
+    return validate_cycle(ctx.comp_tables, points, lambda x: x % group.order)
 
 
 def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=None):
@@ -609,8 +604,8 @@ def minimal_tag_support(ce, x):
         u = ce.host_image.index(x)
         return frozenset(), (u,)
     supports = [a for _, _, a in ce.provenance[x]]
-    alpha_x = frozenset.intersection(*[frozenset(a) for a in supports])
-    anchors = tuple(sorted({v for _, v, a in ce.provenance[x] if frozenset(a) == alpha_x}))
+    alpha_x = frozenset.intersection(*supports)
+    anchors = tuple(sorted({v for _, v, a in ce.provenance[x] if a == alpha_x}))
     if not anchors:
         raise StrictnessViolation("no representation realises the minimal tag support")
     comps = connected_components(ce.skeleton.graph, alpha_x)
@@ -632,7 +627,7 @@ def ce_cluster_property(ce, group):
     gammas = [a for a in all_subsets(len(group.colors)) if a < ce.alpha]
     copy_sets = {i: set(vs) for i, (_, _, vs) in enumerate(ce.copies)}
     supports = [
-        frozenset.intersection(*[frozenset(a) for _, _, a in prov]) if prov else frozenset()
+        frozenset.intersection(*[a for _, _, a in prov]) if prov else frozenset()
         for prov in ce.provenance
     ]
     for beta in gammas:

@@ -88,13 +88,13 @@ def graph_template(base):
     return new_egraph(vertices, colors, edges)
 
 
-def graph_cover(base_edges, group, component_of=None):
+def graph_cover(base_edges, group):
     """Unbranched covering of a simple graph from a compatible group.
 
     base_edges is a list of vertex pairs.  The cover is the connected
     component of (v0, 1) in the product of the edge-labelled base with the
-    Cayley graph (v0 defaults to the smallest base vertex), projected on the
-    first coordinate.
+    Cayley graph, v0 the smallest base vertex, projected on the first
+    coordinate.
     """
     template = graph_template(base_edges)
     if tuple(template.colors) != group.colors:
@@ -102,12 +102,11 @@ def graph_cover(base_edges, group, component_of=None):
     if not is_compatible(group, template):
         raise CompatibilityRequired("group is not compatible with the base graph")
     ctx = IContext(group, template, check=False)
-    v0 = component_of if component_of is not None else 0
-    skel = ctx.skeleton(range(len(group.colors)), v0)
+    skel = ctx.skeleton(range(len(group.colors)), 0)
     pairs = tuple(map(ctx.pair, skel.hom, skel.elements))
     return Covering(
         "graph", template, skel.graph, skel.hom, group, template,
-        {"anchor": (v0, 0), "pairs": pairs},
+        {"anchor": (0, 0), "pairs": pairs},
     )
 
 
@@ -124,13 +123,18 @@ def intersection_graph(hg):
     return new_egraph([f"h{i}" for i in range(len(hg.hyperedges))], colors, edges)
 
 
+def _hyperedge_pair(template, c):
+    """The hyperedge indices (i, j) of colour c of an intersection graph."""
+    i, j = template.colors[c][1:].split("~")
+    return int(i), int(j)
+
+
 def _vertex_colour_sets(hg, template):
     """Per base vertex: the template colours of hyperedge pairs sharing it."""
     out = [set() for _ in range(hg.n)]
-    for c, name in enumerate(template.colors):
-        i, j = name[1:].split("~")
-        shared = hg.hyperedges[int(i)] & hg.hyperedges[int(j)]
-        for v in shared:
+    for c in range(len(template.colors)):
+        i, j = _hyperedge_pair(template, c)
+        for v in hg.hyperedges[i] & hg.hyperedges[j]:
             out[v].add(c)
     return out
 
@@ -159,9 +163,8 @@ def hypergraph_cover(hg, group):
     hes = [sorted(he) for he in hg.hyperedges]
     base = list(accumulate((len(he) * ng for he in hes), initial=0))
     uf = UnionFind(base[-1])
-    for c, name in enumerate(template.colors):
-        i, j = (int(x) for x in name[1:].split("~"))
-        grow = group.gen_action[c]
+    for c, grow in enumerate(group.gen_action):
+        i, j = _hyperedge_pair(template, c)
         for v in hg.hyperedges[i] & hg.hyperedges[j]:
             a = base[i] + hes[i].index(v) * ng
             b = base[j] + hes[j].index(v) * ng

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .acyclicity import DEFAULT_SEARCH_BUDGET, met_by_ids, search_coset_cycle
+from .acyclicity import DEFAULT_SEARCH_BUDGET, met_by_ids, search_coset_cycle, validate_cycle
 from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, new_egraph
 from .errors import (
     CompatibilityRequired,
@@ -319,7 +319,7 @@ class IGroupoid:
         return f"IGroupoid(order {self.order}, {self.pattern!r})"
 
 
-def _generate(pattern, seeds, step, label_of=None):
+def _generate(pattern, seeds, step):
     """Breadth-first generation from per-site seeds under the edge actions.
 
     seeds: per site, a hashable state; step(state, e) -> state or None.
@@ -328,7 +328,6 @@ def _generate(pattern, seeds, step, label_of=None):
     index = {}
     sorts = []
     parents = []
-    labels = []
     states = []
     neutral = []
     for s, st in enumerate(seeds):
@@ -339,7 +338,6 @@ def _generate(pattern, seeds, step, label_of=None):
         states.append(st)
         sorts.append((s, s))
         parents.append(None)
-        labels.append(st if label_of is None else label_of(st))
     rmul = [[] for _ in range(pattern.n_edges)]
     for pos, st in enumerate(states):
         s0, t0 = sorts[pos]
@@ -356,7 +354,6 @@ def _generate(pattern, seeds, step, label_of=None):
                 states.append(nxt)
                 sorts.append((s0, pattern.tgt[e]))
                 parents.append((pos, e))
-                labels.append(nxt if label_of is None else label_of(nxt))
             elif sorts[j] != (s0, pattern.tgt[e]):
                 raise CompatibilityRequired(
                     "sort clash during generation; the source structure is "
@@ -366,7 +363,7 @@ def _generate(pattern, seeds, step, label_of=None):
     gen_elem = []
     for e in range(pattern.n_edges):
         gen_elem.append(rmul[e][neutral[pattern.src[e]]])
-    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents, labels)
+    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents, states)
 
 
 def groupoid_from_group(group, pattern, hat=None, igraph=None):
@@ -464,22 +461,8 @@ def inverse_closed_proper_subsets(pattern):
 
 
 def validate_groupoid_coset_cycle(gpd, entries):
-    """Recheck connectivity and separation for (alpha, element) entries."""
-    n = len(entries)
-    if n < 2:
-        return False
-    for i in range(n):
-        a_i, g_i = entries[i]
-        a_n, g_n = entries[(i + 1) % n]
-        a_p = entries[(i - 1) % n][0]
-        table = gpd.subset_closures(a_i)
-        if table.find(g_i) != table.find(g_n):
-            return False
-        left = set(gpd.coset(g_i, a_i & a_p))
-        right = set(gpd.coset(g_n, a_i & a_n))
-        if left & right:
-            return False
-    return True
+    """Recheck of (alpha, element) entries over the groupoid's alpha-cosets."""
+    return validate_cycle(gpd.subset_closures, entries)
 
 
 def find_groupoid_coset_cycle(gpd, n_max, budget=None):
@@ -520,8 +503,8 @@ def translate_groupoid_cycle(gpd, hat, entries):
     return tuple(out)
 
 
-def verify_groupoid_axioms(gpd, triple_budget=DEFAULT_SEARCH_BUDGET):
-    """Exhaustive check of the groupoid laws up to a triple budget.
+def verify_groupoid_axioms(gpd):
+    """Exhaustive check of the groupoid laws up to DEFAULT_SEARCH_BUDGET triples.
 
     Checks sort discipline of the tables, two-sided neutrality, generator
     inverses, generatedness, and associativity over all sort-matching
@@ -559,8 +542,8 @@ def verify_groupoid_axioms(gpd, triple_budget=DEFAULT_SEARCH_BUDGET):
             ab = gpd.compose(a, b)
             for c in by_source.get(gpd.target(b), ()):
                 count += 1
-                if count > triple_budget:
-                    raise ResourceCap(f"associativity budget {triple_budget} exceeded")
+                if count > DEFAULT_SEARCH_BUDGET:
+                    raise ResourceCap(f"associativity budget {DEFAULT_SEARCH_BUDGET} exceeded")
                 if gpd.compose(ab, c) != gpd.compose(a, gpd.compose(b, c)):
                     return False
     return True

@@ -30,18 +30,14 @@ class EGroup:
         "colors",
         "gen_action",
         "parents",
-        "embedding",
-        "parent_alpha",
         "_coset_cache",
         "_compat_cache",
     )
 
-    def __init__(self, colors, gen_action, parents, embedding=None, parent_alpha=None):
+    def __init__(self, colors, gen_action, parents):
         self.colors = tuple(colors)
         self.gen_action = tuple(tuple(row) for row in gen_action)
         self.parents = tuple(parents)  # per element: (previous element, colour) or None
-        self.embedding = embedding  # subgroup -> parent element indices, if any
-        self.parent_alpha = parent_alpha
         self._coset_cache = {}
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
         n = self.order
@@ -298,20 +294,15 @@ def evaluate_word(group, word):
 
 
 def subgroup(group, alpha):
-    """Generated subgroup as its own EGroup with an embedding into the parent."""
+    """Generated subgroup as its own EGroup, its elements numbered in the
+    ascending order of their indices in the parent."""
     alpha = sorted(set(alpha))
     elements = group.subgroup_elements(alpha)  # sorted, so identity is index 0
     local = {g: i for i, g in enumerate(elements)}
     action = [[local[group.gen_action[c][g]] for g in elements] for c in alpha]
     _, parents = bfs_parents(action, len(elements), [0])
     colors = tuple(group.colors[c] for c in alpha)
-    return EGroup(
-        colors,
-        action,
-        parents,
-        embedding=tuple(elements),
-        parent_alpha=frozenset(alpha),
-    )
+    return EGroup(colors, action, parents)
 
 
 def graph_generator_perms(h):

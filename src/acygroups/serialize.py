@@ -169,6 +169,8 @@ def igraph_from_json(doc, pointer=""):
     pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), f"{pointer}/pattern")
     vertices = _names(doc, "vertices", pointer)
     site_names = _need(doc, "site_of", list, pointer)
+    if len(site_names) != len(vertices):
+        raise SchemaError("one site per vertex expected", f"{pointer}/site_of")
     vidx = {v: i for i, v in enumerate(vertices)}
     try:
         site_of = [pattern.sites.index(s) for s in site_names]

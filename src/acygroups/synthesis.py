@@ -32,13 +32,13 @@ from .groups import (
 )
 
 
+MAX_COMPONENTS = 20_000
+
+
 @dataclass(frozen=True)
 class SynthesisConfig:
     n_acyclic: int = 2
     element_cap: int = DEFAULT_ELEMENT_CAP
-    chain_length: int | None = None  # defaults to max(1, N - 2)
-    dedupe: bool = True
-    max_components: int = 20_000
     stage_timeout: float | None = None
     search_budget: int = DEFAULT_SEARCH_BUDGET
     early_exit: bool = False
@@ -46,14 +46,8 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.n_acyclic < 2:
             raise ValueError("target acyclicity must be at least 2")
-        if self.element_cap <= 0 or self.max_components <= 0:
-            raise ValueError("caps must be positive")
-
-    @property
-    def chains_up_to(self):
-        if self.chain_length is not None:
-            return self.chain_length
-        return max(1, self.n_acyclic - 2)
+        if self.element_cap <= 0:
+            raise ValueError("the element cap must be positive")
 
 
 @dataclass
@@ -85,33 +79,29 @@ class StageReport:
 
 
 class _Deduper:
-    """Canonical-form keyed store of stage components with an inventory."""
+    """Canonical-form keyed store of stage components with an inventory,
+    the Cayley graph first."""
 
-    def __init__(self, enabled, max_components):
-        self.enabled = enabled
-        self.max_components = max_components
-        self.seen = set()
-        self.components = []
-        self.inventory = {}
-
-    def add(self, kind, graph, keyed=True, key=None):
-        """Count graph and keep it unless its canonical form (key, computed
-        when not given) was kept before."""
+    def __init__(self, cayley):
         # the Cayley-graph component is unique and vertex transitive; keying
         # it would cost a quadratic canonical labelling for nothing
-        if not (self.enabled and keyed):
-            key = None
-        elif key is None:
+        self.seen = set()
+        self.components = [cayley]
+        self.inventory = {f"cayley[{cayley.n}v]": 1}
+
+    def add(self, kind, graph, key=None):
+        """Count graph and keep it unless its canonical form (key, computed
+        when not given) was kept before."""
+        if key is None:
             key = canonical_form(graph)
         label = f"{kind}[{graph.n}v]"
         self.inventory[label] = self.inventory.get(label, 0) + 1
-        if key is not None and key in self.seen:
+        if key in self.seen:
             return
-        if key is not None:
-            self.seen.add(key)
+        self.seen.add(key)
         self.components.append(graph)
-        if len(self.components) > self.max_components:
-            raise ResourceCap(f"component cap {self.max_components} exceeded")
+        if len(self.components) > MAX_COMPONENTS:
+            raise ResourceCap(f"component cap {MAX_COMPONENTS} exceeded")
 
 
 def _chain_pointings(group, subsets, max_len):
@@ -157,7 +147,7 @@ def _extend_chain(group, subsets, interior, alphas, points, length):
         yield from _extend_chain(group, subsets, interior, alphas + [a], grown, length)
 
 
-def _enumerate_chains(group, subsets, max_len, dedupe):
+def _enumerate_chains(group, subsets, max_len):
     """(canonical form, graph) of the deduplicated free amalgamation chains
     with constituents from subsets."""
     store = []
@@ -168,27 +158,27 @@ def _enumerate_chains(group, subsets, max_len, dedupe):
             if am is None:
                 continue
             key = canonical_form(am.graph)
-            if dedupe and key in seen:
+            if key in seen:
                 continue
             seen.add(key)
             store.append((key, am.graph))
     return store
 
 
-def stage_graph(group, k, mode="plain", igraph=None, config=None, ctx=None):
+def stage_graph(group, k, igraph=None, config=None, ctx=None):
     """Components of the stage graph for level k, with an inventory.
 
-    Always contains the Cayley graph; chains (and clusters plus skeleton
-    extensions in template mode) over the subsets of size <= k join it,
-    deduplicated up to colour isomorphism.
+    Always contains the Cayley graph; chains of up to max(1, N - 2)
+    constituents (and, given a template igraph, clusters plus skeleton
+    extensions) over the subsets of size <= k join it, deduplicated up to
+    colour isomorphism.
     """
     config = config or SynthesisConfig()
-    dedupe = _Deduper(config.dedupe, config.max_components)
-    dedupe.add("cayley", cayley_graph(group).graph, keyed=False)
+    dedupe = _Deduper(cayley_graph(group).graph)
     gamma = [a for a in all_subsets(len(group.colors), max_size=k) if a]
-    for key, graph in _enumerate_chains(group, gamma, config.chains_up_to, config.dedupe):
+    for key, graph in _enumerate_chains(group, gamma, max(1, config.n_acyclic - 2)):
         dedupe.add("chain", graph, key=key)
-    if mode == "over":
+    if igraph is not None:
         for size in range(2, len(gamma) + 1):
             for alphas in combinations(gamma, size):
                 cluster = amalgam_cluster(group, list(alphas))
@@ -235,26 +225,26 @@ def _conservation(prev, new, k):
     return table, ok, hom
 
 
-def _stage_verify(new, k, config, mode, igraph, ctx, deadline):
+def _stage_verify(new, k, config, igraph, ctx, deadline):
     gamma = GammaFilter.size(k + 1)
     cyc = find_coset_cycle(
         new, config.n_acyclic, gamma=gamma, budget=config.search_budget, deadline=deadline
     )
     acyclic_ok = cyc is None
     free_ok = None
-    if mode == "over":
+    if igraph is not None:
         alphas = all_subsets(len(new.colors), max_size=k)
         free_ok = is_free_over(new, igraph, alphas=alphas, ctx=ctx, deadline=deadline)
     return acyclic_ok, free_ok
 
 
-def _final_verify(group, config, mode, igraph, ctx, n_acyclic=None, deadline=None):
+def _final_verify(group, config, igraph, ctx, n_acyclic=None, deadline=None):
     """Final checks; n_acyclic is the plain verdict when already searched."""
     limits = {"budget": config.search_budget, "deadline": deadline}
     if n_acyclic is None:
         n_acyclic = find_coset_cycle(group, config.n_acyclic, **limits) is None
     checks = {"n_acyclic": n_acyclic}
-    if mode == "over":
+    if igraph is not None:
         checks["free_over"] = is_free_over(group, igraph, ctx=ctx, deadline=deadline)
         checks["n_acyclic_over"] = (
             find_i_coset_cycle(group, igraph, config.n_acyclic, ctx=ctx, **limits) is None
@@ -267,9 +257,10 @@ def _check_deadline(deadline, k, phase):
         raise ResourceCap(f"stage {k} timed out after {phase}")
 
 
-def _construct(group0, config, mode, igraph):
-    """The tower; a ResourceCap raised on the way carries the last finished
-    group as ``partial`` and the reports of the finished stages."""
+def _construct(group0, config, igraph):
+    """The tower, over the template igraph unless it is None; a ResourceCap
+    raised on the way carries the last finished group as ``partial`` and the
+    reports of the finished stages."""
     reports = []
     current = group0
     n_colors = len(group0.colors)
@@ -279,10 +270,8 @@ def _construct(group0, config, mode, igraph):
         for k in range(n_colors):
             if config.stage_timeout is not None:
                 deadline = time.monotonic() + config.stage_timeout
-            ctx = IContext(current, igraph) if mode == "over" else None
-            components, inventory = stage_graph(
-                current, k, mode=mode, igraph=igraph, config=config, ctx=ctx
-            )
+            ctx = IContext(current, igraph) if igraph is not None else None
+            components, inventory = stage_graph(current, k, igraph=igraph, config=config, ctx=ctx)
             _check_deadline(deadline, k, "the stage graph")
             new = _combined_group(
                 current, components[1:], current.colors, config.element_cap, deadline
@@ -291,8 +280,8 @@ def _construct(group0, config, mode, igraph):
             table, cons_ok, hom = _conservation(current, new, k)
             _check_deadline(deadline, k, "conservation")
             inherit_compatibility(new, current, hom)  # spares IContext its walk of new
-            ctx_new = IContext(new, igraph) if mode == "over" else None
-            acyclic_ok, free_ok = _stage_verify(new, k, config, mode, igraph, ctx_new, deadline)
+            ctx_new = IContext(new, igraph) if igraph is not None else None
+            acyclic_ok, free_ok = _stage_verify(new, k, config, igraph, ctx_new, deadline)
             report = StageReport(
                 stage=k,
                 inventory=inventory,
@@ -309,14 +298,14 @@ def _construct(group0, config, mode, igraph):
             if config.early_exit or last:
                 # the last stage searched all proper subsets: the final plain search
                 final = _final_verify(
-                    current, config, mode, igraph, ctx_new, acyclic_ok if last else None, deadline
+                    current, config, igraph, ctx_new, acyclic_ok if last else None, deadline
                 )
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")
                     break
         if final is None:
-            ctx = IContext(current, igraph) if mode == "over" else None
-            final = _final_verify(current, config, mode, igraph, ctx)
+            ctx = IContext(current, igraph) if igraph is not None else None
+            final = _final_verify(current, config, igraph, ctx)
     except SearchTimeout:
         raise ResourceCap(f"stage {k} timed out after the search", current, reports) from None
     except ResourceCap as exc:
@@ -338,7 +327,7 @@ def construct_n_acyclic(group0, config=None):
     verified conservation data per stage.
     """
     config = config or SynthesisConfig()
-    group, reports, final = _construct(group0, config, "plain", None)
+    group, reports, final = _construct(group0, config, None)
     return group, reports
 
 
@@ -354,5 +343,5 @@ def construct_n_acyclic_over(group0, igraph, config=None):
         raise CompatibilityRequired("template and group must share a colour registry")
     if not is_compatible(group0, igraph):
         raise CompatibilityRequired("starting group is not compatible with the template")
-    group, reports, final = _construct(group0, config, "over", igraph)
+    group, reports, final = _construct(group0, config, igraph)
     return group, reports

@@ -33,6 +33,12 @@ ordered pair of proper subsets against sorted element tuples rebuilt per
 pair; the library's check must return the same verdicts and the same first
 violation.
 
+``reference_validate_coset_cycle``, ``reference_validate_i_coset_cycle``
+and ``reference_validate_groupoid_coset_cycle`` are the three validators
+that ``acyclicity.validate_cycle`` replaced, each reading its own cosets;
+the library's validators must give the same verdicts on every list of
+entries.
+
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
@@ -227,6 +233,59 @@ def reference_groupoid_coset_cycle(gpd, n_max, budget=None):
         alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
     )
     return None if found is None else tuple(found)
+
+
+def reference_validate_coset_cycle(group, entries):
+    n = len(entries)
+    if n < 2:
+        return False
+    for i in range(n):
+        a_i, g_i = entries[i]
+        a_next, g_next = entries[(i + 1) % n]
+        a_prev = entries[(i - 1) % n][0]
+        if not group.same_coset(g_i, g_next, a_i):
+            return False
+        right = set(group.coset(g_next, a_i & a_next))
+        if not right.isdisjoint(group.coset(g_i, a_i & a_prev)):
+            return False
+    return True
+
+
+def reference_validate_i_coset_cycle(group, igraph, entries, ctx=None):
+    ctx = ctx or IContext(group, igraph)
+    n = len(entries)
+    if n < 2:
+        return False
+    for i in range(n):
+        a_i, s_i, g_i = entries[i]
+        a_n, s_n, g_n = entries[(i + 1) % n]
+        a_p = entries[(i - 1) % n][0]
+        table = ctx.comp_tables(a_i)
+        if table.find(ctx.pair(s_i, g_i)) != table.find(ctx.pair(s_n, g_n)):
+            return False
+        left = set(ctx.i_coset(a_i & a_p, s_i, g_i))
+        right = set(ctx.i_coset(a_i & a_n, s_n, g_n))
+        if left & right:
+            return False
+    return True
+
+
+def reference_validate_groupoid_coset_cycle(gpd, entries):
+    n = len(entries)
+    if n < 2:
+        return False
+    for i in range(n):
+        a_i, g_i = entries[i]
+        a_n, g_n = entries[(i + 1) % n]
+        a_p = entries[(i - 1) % n][0]
+        table = gpd.subset_closures(a_i)
+        if table.find(g_i) != table.find(g_n):
+            return False
+        left = set(gpd.coset(g_i, a_i & a_p))
+        right = set(gpd.coset(g_n, a_i & a_n))
+        if left & right:
+            return False
+    return True
 
 
 def pairwise_search_coset_cycle(alphas, anchors, n_max, table, separated, budget=None,
@@ -471,7 +530,7 @@ def reference_is_free_skeleton(ctx, alpha, s, g=0):
         for v in range(skel.graph.n):
             elem = skel.elements[v]
             site = skel.hom[v]
-            cid = ctx.i_coset_id(a, site, elem)
+            cid = ctx.comp_tables(a).find(ctx.pair(site, elem))
             reps.setdefault(cid, (site, elem))
         comp_reps[a] = reps
     for a1 in gammas:

@@ -51,7 +51,7 @@ def test_biggs_s3_cycle_threshold():
     assert find_coset_cycle(s3, 5) is None
     cyc = find_coset_cycle(s3, 6)
     assert cyc is not None and len(cyc) == 6
-    alphas = {tuple(sorted(a)) for a in cyc.alphas()}
+    alphas = {tuple(sorted(a)) for a, _ in cyc.entries}
     assert alphas == {(0,), (1,)}
     assert validate_coset_cycle(s3, cyc.entries)
 

@@ -332,6 +332,16 @@ def test_igraph_edge_pair_that_is_not_a_list_is_invalid_input(tmp_path, capsys):
              "/edges/e/0")
 
 
+def test_igraph_without_one_site_per_vertex_is_invalid_input(tmp_path, capsys):
+    pattern = ConstraintPattern(["s"], [("e", "s", "s", "f"), ("f", "s", "s", "e")])
+    doc = {"format": "igraph", "pattern": ser.pattern_to_json(pattern),
+           "vertices": ["a", "b"], "site_of": ["s"],
+           "edges": {"e": [["a", "b"]], "f": [["b", "a"]]}}
+    _invalid(capsys, ["groupoid-construct", write(tmp_path, "p.json", doc["pattern"]),
+                      "--target", write(tmp_path, "ig.json", doc), "-N", "2"],
+             "/site_of")
+
+
 def test_list_valued_egraph_names_are_invalid_input(tmp_path, capsys):
     vertex = {"format": "egraph", "vertices": ["0", ["1"]], "colors": ["a"], "edges": []}
     _invalid(capsys, ["symgroup", write(tmp_path, "v.json", vertex)], "/vertices/1")

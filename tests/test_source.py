@@ -2,6 +2,9 @@
 
 import ast
 import gc
+import importlib
+import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -74,6 +77,31 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # perfbench/tracer.py patches functions by name: a module entry must be
+    # an attribute of its module, and a Class.meth entry must sit in the
+    # class's own __dict__, or a traced benchmark run fails on install
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracer)
+    entries = [(module, attr) for module, attr, *_ in tracer.TIMED + tracer.COUNTED]
+    assert entries
+    missing = []
+    for module_name, attr in entries:
+        module = importlib.import_module(f"acygroups.{module_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            owner = vars(module).get(cls_name)
+            found = isinstance(owner, type) and meth in vars(owner)
+        else:
+            found = callable(vars(module).get(attr))
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
 
 
 def test_no_nested_function_refers_to_itself():

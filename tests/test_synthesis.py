@@ -51,12 +51,17 @@ def test_stage_one_chain_inventory():
 
 
 def test_dedupe_soundness():
+    # the stage graph keeps one chain per isomorphism type: the group it
+    # generates is that of the Cayley graph with every chain kept
     h2 = hypercube_group(["a", "b"])
-    comps, _ = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4, dedupe=True))
-    dup, _ = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4, dedupe=False))
+    comps, _ = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
+    singletons = [frozenset({0}), frozenset({1})]
+    chains = _product_then_filter_chains(h2, singletons, 2, dedupe=False)
+    dup = [cayley_graph(h2).graph] + [graph for _, graph in chains]
     g1 = sym(disjoint_union(comps), attach_hypercube=False)
     g2 = sym(disjoint_union(dup), attach_hypercube=False)
     assert g1.order == g2.order
+    assert len(comps) < len(dup)
 
 
 def test_full_plain_synthesis_two_colors():
@@ -350,7 +355,7 @@ def test_chain_enumeration_matches_product_then_filter(small_groups, name):
         # the smallest two-colour groups also reach three interior positions
         if (n, k) == (2, 2) and group.order <= 6:
             max_len = 5
-        got = _enumerate_chains(group, subsets, max_len, True)
+        got = _enumerate_chains(group, subsets, max_len)
         want = _product_then_filter_chains(group, subsets, max_len, True)
         assert [key for key, _ in got] == [key for key, _ in want], k
         for (_, g1), (_, g2) in zip(got, want):
