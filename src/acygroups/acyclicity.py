@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .canon import canonical_form, connected_components
 from .egraph import NO_EDGE, induced_subgraph
 from .errors import PreconditionFailed, ResourceCap, SearchTimeout
+from .groups import CayleyGraph
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -84,34 +85,37 @@ class CosetCycle(NamedTuple):
 
 
 def girth(cg):
-    """Length of the shortest graph cycle of a Cayley graph, or math.inf.
+    """Length of the shortest graph cycle, or math.inf.
 
-    Cayley graphs are vertex transitive, so one breadth-first sweep from the
-    identity vertex realises the girth.
+    A Cayley graph is vertex transitive, so one breadth-first sweep from the
+    identity realises its girth.  Any other graph, such as a graph cover,
+    is swept from every vertex.  A sweep stops at the first depth d with
+    2d >= the best length found, since no edge leaving that depth closes a
+    shorter cycle.
     """
     graph = cg.graph if hasattr(cg, "graph") else cg
-    n = graph.n
-    if n == 0:
-        return math.inf
-    dist = [-1] * n
-    par = [-1] * n
-    dist[0] = 0
-    queue = [0]
-    pos = 0
+    sources = range(graph.n)
+    if isinstance(cg, CayleyGraph):
+        sources = sources[:1]
     best = math.inf
-    while pos < len(queue):
-        u = queue[pos]
-        pos += 1
-        for row in graph.partner:
-            w = row[u]
-            if w == NO_EDGE:
-                continue
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                par[w] = u
-                queue.append(w)
-            elif w != par[u] and u != par[w]:
-                best = min(best, dist[u] + dist[w] + 1)
+    for source in sources:
+        dist = [-1] * graph.n
+        par = [-1] * graph.n
+        dist[source] = 0
+        queue = [source]
+        for u in queue:
+            if 2 * dist[u] >= best:
+                break
+            for row in graph.partner:
+                w = row[u]
+                if w == NO_EDGE:
+                    continue
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    par[w] = u
+                    queue.append(w)
+                elif w != par[u] and u != par[w]:
+                    best = min(best, dist[u] + dist[w] + 1)
     return best
 
 

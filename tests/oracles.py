@@ -39,6 +39,9 @@ that ``acyclicity.validate_cycle`` replaced, each reading its own cosets;
 the library's validators must give the same verdicts on every list of
 entries.
 
+``reference_girth`` is the girth as the shortest detour around an edge:
+for each edge, one plus the distance between its ends without it.
+
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
@@ -46,6 +49,7 @@ part dropped, and ``groups.sym_components`` must give the same group.
 """
 
 import functools
+import math
 import time
 from operator import getitem
 from typing import NamedTuple, Sequence
@@ -741,3 +745,21 @@ def reference_diagonal_closure(n_colors, parts, cap):
             tables.append(reference_close(tuple(range(n)), [(p,) * n for p in data], cap)[0])
     rows = [tuple(table[c] for table in tables) for c in range(n_colors)]
     return reference_close((0,) * len(tables), rows, cap)
+
+
+def reference_girth(graph):
+    """Shortest cycle length of an edge-coloured graph, or math.inf."""
+    best = math.inf
+    for c, u, v in graph.all_edges():
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            for c2, row in enumerate(graph.partner):
+                y = row[x]
+                if y == NO_EDGE or y in dist or (c2 == c and {x, y} == {u, v}):
+                    continue
+                dist[y] = dist[x] + 1
+                queue.append(y)
+        if v in dist:
+            best = min(best, dist[v] + 1)
+    return best

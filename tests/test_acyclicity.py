@@ -13,17 +13,35 @@ from acygroups.acyclicity import (
     minimal_support,
     validate_coset_cycle,
 )
+from acygroups.covering import graph_cover, graph_template
 from acygroups.egraph import disjoint_union
 from acygroups.errors import PreconditionFailed, ResourceCap
 from acygroups.groups import cayley_graph, coset_graph, evaluate_word, homomorphism, subgroup, sym
 
 from conftest import biggs_group, hypercube_group, s3_three_generators
+from oracles import reference_girth
 
 
 def test_girth_values():
     assert girth(cayley_graph(biggs_group(["a", "b"], 1))) == 6
     assert girth(cayley_graph(hypercube_group(["a", "b"]))) == 4
     assert girth(cayley_graph(hypercube_group(["a"]))) == math.inf
+
+
+def test_cayley_girth_is_that_of_every_vertex(small_groups):
+    # one sweep from the identity suffices for a vertex-transitive graph
+    for name, g in small_groups.items():
+        cg = cayley_graph(g)
+        assert girth(cg) == girth(cg.graph) == reference_girth(cg.graph), name
+
+
+def test_girth_of_a_graph_cover_sweeps_every_vertex():
+    # the paw: a triangle v1 v2 v3 with a pendant edge v0-v1; its 8-vertex
+    # cover is a 6-cycle with two pendant edges, and vertex 0 lies on no cycle
+    paw = [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v1", "v3")]
+    cover = graph_cover(paw, sym(graph_template(paw))).cover
+    assert cover.n == 8
+    assert girth(cover) == reference_girth(cover) == 6
 
 
 def test_two_acyclicity_examples():

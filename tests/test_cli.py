@@ -155,6 +155,21 @@ def test_cover_graph_command(tmp_path, capsys):
     assert json.loads(out)["kind"] == "graph"
 
 
+def test_verify_cover_finds_a_cycle_off_vertex_zero(tmp_path, capsys):
+    # vertex 0 of the paw graph's 8-vertex cover is on no cycle; its 6-cycle
+    # is found only by sweeping the other vertices
+    from acygroups.covering import graph_template
+
+    paw = [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v1", "v3")]
+    graph = write(tmp_path, "paw.json", ser.graph_to_json(paw))
+    group = write(tmp_path, "group.json", ser.egroup_to_json(sym(graph_template(paw))))
+    cover = str(tmp_path / "cover.json")
+    assert run(capsys, "cover-graph", graph, group, "-o", cover)[0] == 0
+    for n, code in ((5, 0), (6, 1), (7, 1)):
+        assert run(capsys, "verify-cover", cover, "-N", str(n)) == (
+            code, ser.canonical_bytes({"format": "check", "N": n, "holds": n < 6, "girth": 6}).decode())
+
+
 def test_export_dot(tmp_path, capsys):
     tree = str(tmp_path / "tree.json")
     run(capsys, "biggs", "-E", "a,b", "-n", "1", "-o", tree)

@@ -32,6 +32,12 @@ K3_TEMPLATE = {"format": "egraph", "vertices": ["0", "1", "2"], "colors": ["0~1"
 PATTERN = {"format": "pattern", "sites": ["s", "t"],
            "edges": [{"id": "e", "src": "s", "tgt": "t", "inv": "f"},
                      {"id": "f", "src": "t", "tgt": "s", "inv": "e"}]}
+PAW = {"format": "graph", "vertices": ["v0", "v1", "v2", "v3"],
+       "edges": [["v0", "v1"], ["v1", "v2"], ["v1", "v3"], ["v2", "v3"]]}
+PAW_TEMPLATE = {"format": "egraph", "vertices": ["v0", "v1", "v2", "v3"],
+                "colors": ["v0~v1", "v1~v2", "v1~v3", "v2~v3"],
+                "edges": [["v0~v1", "v0", "v1"], ["v1~v2", "v1", "v2"], ["v1~v3", "v1", "v3"],
+                          ["v2~v3", "v2", "v3"]]}
 IGRAPH = {"format": "igraph", "pattern": PATTERN, "vertices": ["s", "t"], "site_of": ["s", "t"],
           "edges": {"e": [["s", "t"]], "f": [["t", "s"]]}}
 DOCS = {
@@ -41,6 +47,8 @@ DOCS = {
     "tri_t.json": TRIANGLE_TEMPLATE,
     "k3.json": K3,
     "k3_t.json": K3_TEMPLATE,
+    "paw.json": PAW,
+    "paw_t.json": PAW_TEMPLATE,
     "p.json": PATTERN,
     "ig.json": IGRAPH,
     "base_cov.json": {"format": "covering", "kind": "hypergraph", "cover": TRIANGLE},
@@ -91,6 +99,10 @@ CASES = (
     ("verify-cover-graph", "verify-cover k3_cov.json -N 5 --manifest m_vc_graph.json"),
     ("verify-cover-graph-fails", "verify-cover k3_cov.json -N 6 -o vc_fails.json"
                                  " --manifest m_vc_fails.json"),
+    ("symgroup-paw", "symgroup paw_t.json -o paw_g.json"),
+    ("cover-graph-paw", "cover-graph paw.json paw_g.json -o paw_cov.json"),
+    ("verify-cover-paw-holds", "verify-cover paw_cov.json -N 5 --manifest m_vc_paw.json"),
+    ("verify-cover-paw-fails", "verify-cover paw_cov.json -N 6 --manifest m_vc_paw_fails.json"),
     ("cover-hypergraph", "cover-hypergraph tri.json tri_good.json -o tri_cov.json"
                          " --manifest m_cover_hg.json"),
     ("verify-cover-hypergraph", "verify-cover tri_cov.json -N 4 --manifest m_vc_hg.json"),
@@ -277,6 +289,21 @@ PINS = {
         "e89c2e85bfc36c619adec25519763ed2ffbbe14b33160ef1b171257aa324aaff",
     "verify-cover-graph-fails m_vc_fails.json":
         "9f10e4adafe311fe3722061585573c5b4031fdccb6c8e36427f05130a470de3d",
+    "symgroup-paw exit": 0,
+    "symgroup-paw paw_g.json": "8ccef2daa83d3a5b058ffa5c55da08780fbffaa9cb9b51655628eaac563eb051",
+    "cover-graph-paw exit": 0,
+    "cover-graph-paw paw_cov.json":
+        "9b03cfc2a74cf0d21213b4dc954048a4407a5d67e95205976e8633004d72e91e",
+    "verify-cover-paw-holds exit": 0,
+    "verify-cover-paw-holds stdout":
+        "cd220813b0cfc44d1669dab2a47d87c26fbb138bd7ca264b95ffe888d97b7aa9",
+    "verify-cover-paw-holds m_vc_paw.json":
+        "f16104a40ac16b8304d9e609f491379209d1f280d90e04bff041cdf41876decf",
+    "verify-cover-paw-fails exit": 1,
+    "verify-cover-paw-fails stdout":
+        "e89c2e85bfc36c619adec25519763ed2ffbbe14b33160ef1b171257aa324aaff",
+    "verify-cover-paw-fails m_vc_paw_fails.json":
+        "978cb80c5b5abbd7ef9050b4a9e4862e2c422521bab1ab172b92e5806a5943b9",
     "cover-hypergraph exit": 0,
     "cover-hypergraph tri_cov.json":
         "6b7eca423f29ad2f265624c4a48d2e23305e8ed7892a543625c23ac1b0b4e52d",
