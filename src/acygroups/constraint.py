@@ -147,11 +147,6 @@ class IContext:
             table = self._comp[alpha] = TranslatedCosets(self.group, self.igraph, alpha)
         return table
 
-    def i_coset(self, alpha, s, g):
-        """Sorted elements reachable from g along walks the template admits from s."""
-        ng = self.group.order
-        return tuple(sorted(x % ng for x in self.comp_tables(alpha).block(self.pair(s, g))))
-
     def elements(self, alpha, p):
         """The elements of the alpha-component of pair p, a frozenset built
         once per alpha and component id."""

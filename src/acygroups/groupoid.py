@@ -312,9 +312,6 @@ class IGroupoid:
                 self.order, [self.rmul[e] for e in sorted(alpha_edges)])
         return table
 
-    def coset(self, g, alpha_edges):
-        return self.subset_closures(alpha_edges).block(g)
-
     def __repr__(self):
         return f"IGroupoid(order {self.order}, {self.pattern!r})"
 

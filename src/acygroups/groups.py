@@ -113,10 +113,6 @@ class EGroup:
         """Sorted elements of g * <alpha>, the alpha-component of g."""
         return self.coset_table(alpha).block(g)
 
-    def same_coset(self, g, h, alpha):
-        table = self.coset_table(alpha)
-        return table.find(g) == table.find(h)
-
     def __repr__(self):
         return f"EGroup(order {self.order}, colours {list(self.colors)})"
 

@@ -65,17 +65,14 @@ def _known(x, known, what, pointer):
     return x
 
 
-def egraph_to_json(g, role=None):
-    doc = {
+def egraph_to_json(g):
+    return {
         "format": "egraph",
         "vertices": [str(v) for v in g.vertex_names],
         "colors": list(g.colors),
         "edges": [[g.colors[c], str(g.vertex_names[u]), str(g.vertex_names[v])]
                   for c, u, v in g.all_edges()],
     }
-    if role:
-        doc["role"] = role
-    return doc
 
 
 def egraph_from_json(doc, pointer=""):

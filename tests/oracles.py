@@ -37,7 +37,8 @@ violation.
 and ``reference_validate_groupoid_coset_cycle`` are the three validators
 that ``acyclicity.validate_cycle`` replaced, each reading its own cosets;
 the library's validators must give the same verdicts on every list of
-entries.
+entries.  ``component_elements`` reads the elements of a template component
+from ``IContext.comp_tables(alpha).block``, as the library does.
 
 ``reference_girth`` is the girth as the shortest detour around an edge:
 for each edge, one plus the distance between its ends without it.
@@ -247,12 +248,20 @@ def reference_validate_coset_cycle(group, entries):
         a_i, g_i = entries[i]
         a_next, g_next = entries[(i + 1) % n]
         a_prev = entries[(i - 1) % n][0]
-        if not group.same_coset(g_i, g_next, a_i):
+        table = group.coset_table(a_i)
+        if table.find(g_i) != table.find(g_next):
             return False
         right = set(group.coset(g_next, a_i & a_next))
         if not right.isdisjoint(group.coset(g_i, a_i & a_prev)):
             return False
     return True
+
+
+def component_elements(ctx, alpha, s, g):
+    """The elements of the alpha-component of site s and element g, read
+    from the template's component table."""
+    ng = ctx.group.order
+    return {x % ng for x in ctx.comp_tables(alpha).block(ctx.pair(s, g))}
 
 
 def reference_validate_i_coset_cycle(group, igraph, entries, ctx=None):
@@ -267,8 +276,8 @@ def reference_validate_i_coset_cycle(group, igraph, entries, ctx=None):
         table = ctx.comp_tables(a_i)
         if table.find(ctx.pair(s_i, g_i)) != table.find(ctx.pair(s_n, g_n)):
             return False
-        left = set(ctx.i_coset(a_i & a_p, s_i, g_i))
-        right = set(ctx.i_coset(a_i & a_n, s_n, g_n))
+        left = component_elements(ctx, a_i & a_p, s_i, g_i)
+        right = component_elements(ctx, a_i & a_n, s_n, g_n)
         if left & right:
             return False
     return True
@@ -285,8 +294,8 @@ def reference_validate_groupoid_coset_cycle(gpd, entries):
         table = gpd.subset_closures(a_i)
         if table.find(g_i) != table.find(g_n):
             return False
-        left = set(gpd.coset(g_i, a_i & a_p))
-        right = set(gpd.coset(g_n, a_i & a_n))
+        left = set(gpd.subset_closures(a_i & a_p).block(g_i))
+        right = set(gpd.subset_closures(a_i & a_n).block(g_n))
         if left & right:
             return False
     return True
@@ -545,10 +554,10 @@ def reference_is_free_skeleton(ctx, alpha, s, g=0):
             for cid, (site, elem) in comp_reps[a1].items():
                 plain1.setdefault(find1(elem), []).append(cid)
             for cid2, (site2, elem2) in comp_reps[a2].items():
-                proj2 = set(ctx.i_coset(a2, site2, elem2))
+                proj2 = component_elements(ctx, a2, site2, elem2)
                 for cid1 in _cids_meeting(group, find1, plain1, elem2, a2):
                     site1, elem1 = comp_reps[a1][cid1]
-                    if not (set(ctx.i_coset(a1, site1, elem1)) & proj2):
+                    if not (component_elements(ctx, a1, site1, elem1) & proj2):
                         return False
     return True
 

@@ -24,6 +24,7 @@ from acygroups.errors import CompatibilityRequired, ResourceCap
 from acygroups.groups import cayley_graph, sym
 
 from conftest import biggs_group, corpus, hypercube_group
+from oracles import component_elements
 
 
 def path_igraph(colors_seq, all_colors):
@@ -135,8 +136,8 @@ def test_two_acyclicity_over_template_characterisation():
     for s in range(ig.n):
         for a1 in proper_subsets(2):
             for a2 in proper_subsets(2):
-                lhs = set(ctx.i_coset(a1, s, 0)) & set(ctx.i_coset(a2, s, 0))
-                rhs = set(ctx.i_coset(a1 & a2, s, 0))
+                lhs = component_elements(ctx, a1, s, 0) & component_elements(ctx, a2, s, 0)
+                rhs = component_elements(ctx, a1 & a2, s, 0)
                 if lhs != rhs:
                     condition = False
     assert condition == no_two_cycle

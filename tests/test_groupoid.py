@@ -287,7 +287,7 @@ def brute_force_groupoid_cycle(gpd, n_max):
         for alpha_seq in iproduct(alphas, repeat=length):
             chains = [[g0] for g0 in gpd.neutral]
             for i in range(1, length):
-                chains = [c + [g] for c in chains for g in gpd.coset(c[-1], alpha_seq[i - 1])]
+                chains = [c + [g] for c in chains for g in gpd.subset_closures(alpha_seq[i - 1]).block(c[-1])]
             for chain in chains:
                 if validate_groupoid_coset_cycle(gpd, list(zip(alpha_seq, chain))):
                     return length
