@@ -1,5 +1,11 @@
 """Command-line driver.
 
+Each ``cmd_*`` function does its reading and writing through the
+:class:`_Run` that :func:`main` hands it.  The run writes the --manifest
+once: when the command returns 0 or 1, and when a capped ``construct`` or
+``groupoid-construct`` has written the stages it finished (exit 2); never
+on any other cap, nor on exit 3 or 4.
+
 Exit codes: 0 success / property holds; 1 property violated (witness
 emitted); 2 resource cap; 3 invalid input (including a malformed command
 line, -N below 2, --cap below 1, --gamma below 1, a negative biggs depth,
@@ -10,6 +16,7 @@ not UTF-8); 4 internal error (any other exception, reported in one line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -23,7 +30,6 @@ from .covering import (
     Hypergraph,
     check_n_acyclic_hypergraph,
     graph_cover,
-    graph_template,
     hypergraph_cover,
     verify_cover,
 )
@@ -40,186 +46,178 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 
-def _read_json(path, inputs=None):
-    """The JSON document at path; its digest goes into inputs."""
-    try:
-        if path == "-":
-            data = sys.stdin.read()
+class _Run:
+    """The I/O of one command.  It reads and loads the inputs and writes the
+    outputs; with --manifest it records their digests (and computes none
+    without), and ``finish`` writes the manifest with the command's config,
+    stage reports and timings."""
+
+    def __init__(self, args):
+        self.args = args
+        self.started = time.monotonic()
+        self.inputs = {} if args.manifest else None
+        self.outputs = {} if args.manifest else None
+        self.config = {}
+        self.reports = None
+        self.timings = None
+
+    def read(self, path):
+        """The JSON document at path ('-' for stdin)."""
+        try:
+            if path == "-":
+                data = sys.stdin.read()
+            else:
+                with open(path, "rb") as fh:
+                    data = fh.read().decode()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8: {exc}", "/") from None
+        try:
+            doc = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not JSON: {exc}", "/") from None
+        if self.inputs is not None and path != "-":
+            self.inputs[path] = ser.digest(doc)
+        return doc
+
+    def load(self, path, formats=None):
+        """The object of the document at path, which is parsed first and
+        then must have one of the formats."""
+        doc = self.read(path)
+        obj = ser.load_document(doc)
+        if formats and doc.get("format") not in formats:
+            raise SchemaError(f"expected one of {formats}", "/format")
+        return obj
+
+    def emit(self, doc, out):
+        """Write doc's canonical bytes to out."""
+        self.write(ser.canonical_bytes(doc), out)
+
+    def write(self, data, out):
+        """Write the bytes data to out, stdout for None or '-'."""
+        if out in (None, "-"):
+            sys.stdout.write(data.decode())
+            out = "stdout"
         else:
-            with open(path, "rb") as fh:
-                data = fh.read().decode()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not UTF-8: {exc}", "/") from None
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not JSON: {exc}", "/") from None
-    if inputs is not None and path != "-":
-        inputs[path] = ser.digest(doc)
-    return doc
+            with open(out, "wb") as fh:
+                fh.write(data)
+        if self.outputs is not None:
+            self.outputs[out] = hashlib.sha256(data).hexdigest()
+
+    def stages(self, reports):
+        """Stage reports, for the manifest and to --reports, or to stderr
+        (one line each) where the command has no --reports."""
+        self.reports = reports
+        if getattr(self.args, "reports", None):
+            self.emit(ser.reports_to_json(reports), self.args.reports)
+        else:
+            for rep in reports:
+                sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
+
+    @contextlib.contextmanager
+    def construction(self):
+        """Time a construction.  A cap inside it writes the stages finished
+        before it and the manifest, and propagates: no result is written."""
+        t0 = time.monotonic()
+        try:
+            yield
+        except ResourceCap as exc:
+            self.timings = {"construct": time.monotonic() - t0}
+            self.stages(exc.stage_reports or [])
+            self.finish()
+            raise
+        self.timings = {"construct": time.monotonic() - t0}
+
+    def finish(self):
+        """Write the manifest to --manifest, if given.  With --timings it
+        holds the command's phase timings, or else its wall time."""
+        args = self.args
+        if not args.manifest:
+            return
+        timings = None
+        if args.timings:
+            timings = self.timings or {"command": time.monotonic() - self.started}
+        reports = None if self.reports is None else [r.to_json() for r in self.reports]
+        doc = ser.manifest([args.command], self.config, self.inputs, self.outputs,
+                           reports=reports, timings=timings)
+        with open(args.manifest, "wb") as fh:
+            fh.write(ser.canonical_bytes(doc))
 
 
-def _digests(args):
-    """The digest record of a run: a dict when it writes a manifest, else
-    None, and then no digest is computed."""
-    return {} if getattr(args, "manifest", None) else None
+def _girth_json(value):
+    return "infinite" if value == float("inf") else value
 
 
-def _load(path, expected=None, inputs=None):
-    """The object of an input document; its digest goes into inputs."""
-    doc = _read_json(path, inputs)
-    obj = ser.load_document(doc)
-    if expected and doc.get("format") not in expected:
-        raise SchemaError(f"expected one of {expected}", "/format")
-    return obj
-
-
-def _emit(doc, out, outputs=None):
-    """Write doc's canonical bytes to out (stdout for None or '-'); their
-    digest goes into outputs."""
-    _write(ser.canonical_bytes(doc), out, outputs)
-
-
-def _write(data, out, outputs=None):
-    """Write the bytes data to out (stdout for None or '-'); their digest
-    goes into outputs."""
-    if out in (None, "-"):
-        sys.stdout.write(data.decode())
-        out = "stdout"
-    else:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    if outputs is not None:
-        outputs[out] = hashlib.sha256(data).hexdigest()
-
-
-def _write_manifest(args, command, config, inputs, outputs, reports=None, timings=None):
-    """Write the run manifest to --manifest, if given.  With --timings it
-    holds the command's phase timings, or else the command's wall time."""
-    if not args.manifest:
-        return
-    reports = None if reports is None else [r.to_json() for r in reports]
-    if args.timings and timings is None:
-        timings = {"command": time.monotonic() - args.started}
-    doc = ser.manifest(command, config, inputs, outputs, reports=reports,
-                       timings=timings if args.timings else None)
-    with open(args.manifest, "wb") as fh:
-        fh.write(ser.canonical_bytes(doc))
-
-
-def cmd_biggs(args):
+def cmd_biggs(args, run):
+    run.config = {"colors": args.colors, "depth": args.depth}
     graph = biggs_tree([c for c in args.colors.split(",") if c], args.depth)
-    outputs = _digests(args)
-    _emit(ser.egraph_to_json(graph), args.output, outputs)
-    _write_manifest(args, ["biggs"], {"colors": args.colors, "depth": args.depth}, {}, outputs)
+    run.emit(ser.egraph_to_json(graph), args.output)
     return EXIT_OK
 
 
-def cmd_symgroup(args):
-    inputs = _digests(args)
-    graph = _load(args.graph, {"egraph"}, inputs)
-    group = sym(graph, attach_hypercube=not args.no_hypercube)
-    outputs = _digests(args)
-    _emit(ser.egroup_to_json(group), args.output, outputs)
-    _write_manifest(args, ["symgroup"], {"no_hypercube": args.no_hypercube}, inputs, outputs)
+def cmd_symgroup(args, run):
+    run.config = {"no_hypercube": args.no_hypercube}
+    group = sym(run.load(args.graph, {"egraph"}), attach_hypercube=not args.no_hypercube)
+    run.emit(ser.egroup_to_json(group), args.output)
     return EXIT_OK
 
 
-def cmd_cayley(args):
-    inputs = _digests(args)
-    group = _load(args.group, {"egroup"}, inputs)
-    outputs = _digests(args)
-    _emit(ser.egraph_to_json(cayley_graph(group).graph), args.output, outputs)
-    _write_manifest(args, ["cayley"], {}, inputs, outputs)
+def cmd_cayley(args, run):
+    group = run.load(args.group, {"egroup"})
+    run.emit(ser.egraph_to_json(cayley_graph(group).graph), args.output)
     return EXIT_OK
 
 
-def cmd_girth(args):
-    inputs = _digests(args)
-    group = _load(args.group, {"egroup"}, inputs)
-    value = girth(cayley_graph(group))
-    outputs = _digests(args)
-    doc = {"format": "girth", "girth": "infinite" if value == float("inf") else value}
-    _emit(doc, args.output, outputs)
-    _write_manifest(args, ["girth"], {}, inputs, outputs)
+def cmd_girth(args, run):
+    value = girth(cayley_graph(run.load(args.group, {"egroup"})))
+    run.emit({"format": "girth", "girth": _girth_json(value)}, args.output)
     return EXIT_OK
 
 
-def cmd_check_acyclic(args):
-    inputs = _digests(args)
-    group = _load(args.group, {"egroup"}, inputs)
+def cmd_check_acyclic(args, run):
+    run.config = {"N": args.n, "gamma": args.gamma, "over": bool(args.over)}
+    group = run.load(args.group, {"egroup"})
     gamma = GammaFilter.size(args.gamma) if args.gamma is not None else None
-    outputs = _digests(args)
     t0 = time.monotonic()
     if args.over:
-        template = _load(args.over, {"egraph"}, inputs)
-        witness = find_i_coset_cycle(group, template, args.n)
-        entries = witness
+        entries = find_i_coset_cycle(group, run.load(args.over, {"egraph"}), args.n)
     else:
         cyc = find_coset_cycle(group, args.n, gamma=gamma)
         entries = cyc.entries if cyc else None
-    timings = {"search": time.monotonic() - t0}
-    config = {"N": args.n, "gamma": args.gamma, "over": bool(args.over)}
+    run.timings = {"search": time.monotonic() - t0}
     if entries is None:
-        _emit({"format": "check", "holds": True, "N": args.n}, args.output, outputs)
-        _write_manifest(args, ["check-acyclic"], config, inputs, outputs, timings=timings)
+        run.emit({"format": "check", "holds": True, "N": args.n}, args.output)
         return EXIT_OK
-    _emit(ser.cycle_to_json(group, entries), args.output, outputs)
-    _write_manifest(args, ["check-acyclic"], config, inputs, outputs, timings=timings)
+    run.emit(ser.cycle_to_json(group, entries), args.output)
     return EXIT_VIOLATED
 
 
-def cmd_verify_witness(args):
-    inputs = _digests(args)
-    group = _load(args.group, {"egroup"}, inputs)
-    doc = _read_json(args.witness, inputs)
+def cmd_verify_witness(args, run):
+    run.config = {"over": bool(args.over)}
+    group = run.load(args.group, {"egroup"})
+    doc = run.read(args.witness)
     if args.over:
-        template = _load(args.over, {"egraph"}, inputs)
+        template = run.load(args.over, {"egraph"})
         entries = ser.cycle_from_json(doc, group, n_sites=template.n)
         ok = validate_i_coset_cycle(group, template, entries)
     else:
         ok = validate_coset_cycle(group, ser.cycle_from_json(doc, group))
-    outputs = _digests(args)
-    _emit({"format": "check", "witness_valid": ok}, args.output, outputs)
-    _write_manifest(args, ["verify-witness"], {"over": bool(args.over)}, inputs, outputs)
+    run.emit({"format": "check", "witness_valid": ok}, args.output)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
-def _write_reports(args, command, config, inputs, outputs, reports, timings):
-    """Stage reports to --reports, or to stderr without one; then the manifest."""
-    if getattr(args, "reports", None):
-        _emit(ser.reports_to_json(reports), args.reports, outputs)
-    else:
-        for rep in reports:
-            sys.stderr.write(json.dumps(rep.to_json(), sort_keys=True) + "\n")
-    _write_manifest(args, command, config, inputs, outputs, reports=reports, timings=timings)
-
-
-def cmd_construct(args):
-    inputs = _digests(args)
-    group = _load(args.group, {"egroup"}, inputs)
-    config = SynthesisConfig(
-        n_acyclic=args.n,
-        element_cap=args.cap,
-        early_exit=args.early_exit,
-    )
-    template = _load(args.over, {"egraph"}, inputs) if args.over else None
-    cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit, "over": bool(args.over)}
-    outputs = _digests(args)
-    t0 = time.monotonic()
-    try:
+def cmd_construct(args, run):
+    run.config = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit,
+                  "over": bool(args.over)}
+    group = run.load(args.group, {"egroup"})
+    config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
+    template = run.load(args.over, {"egraph"}) if args.over else None
+    with run.construction():
         if args.over:
             result, reports = construct_n_acyclic_over(group, template, config)
         else:
             result, reports = construct_n_acyclic(group, config)
-    except ResourceCap as exc:
-        # the finished stages explain the cap; no group is emitted
-        _write_reports(args, ["construct"], cfg_doc, inputs, outputs, exc.stage_reports or [],
-                       {"construct": time.monotonic() - t0})
-        raise
-    timings = {"construct": time.monotonic() - t0}
-    _emit(ser.egroup_to_json(result), args.output, outputs)
-    _write_reports(args, ["construct"], cfg_doc, inputs, outputs, reports, timings)
+    run.emit(ser.egroup_to_json(result), args.output)
+    run.stages(reports)
     final = reports[-1].final_checks if reports else None
     if final is not None and not all(final.values()):
         sys.stderr.write(f"final verification failed: {final}\n")
@@ -227,73 +225,39 @@ def cmd_construct(args):
     return EXIT_OK
 
 
-def cmd_groupoid_construct(args):
-    inputs = _digests(args)
-    pattern = _load(args.pattern, {"pattern"}, inputs)
-    if args.target:
-        target = _load(args.target, {"igraph"}, inputs)
-    else:
-        target = pattern_igraph(pattern)
+def cmd_groupoid_construct(args, run):
+    run.config = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit}
+    pattern = run.load(args.pattern, {"pattern"})
+    target = run.load(args.target, {"igraph"}) if args.target else pattern_igraph(pattern)
     config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
-    cfg_doc = {"N": args.n, "cap": args.cap, "early_exit": args.early_exit}
-    outputs = _digests(args)
-    t0 = time.monotonic()
-    try:
+    with run.construction():
         res = construct_n_acyclic_groupoid(pattern, target, args.n, config)
-    except ResourceCap as exc:
-        # as for construct: the finished stages explain the cap
-        _write_reports(args, ["groupoid-construct"], cfg_doc, inputs, outputs,
-                       exc.stage_reports or [], {"construct": time.monotonic() - t0})
-        raise
-    timings = {"construct": time.monotonic() - t0}
-    _emit(ser.igroupoid_to_json(res.groupoid), args.output, outputs)
+    run.reports = res.stage_reports  # into the manifest alone
+    run.emit(ser.igroupoid_to_json(res.groupoid), args.output)
     if args.group_output:
-        _emit(ser.egroup_to_json(res.group), args.group_output, outputs)
-    _write_manifest(args, ["groupoid-construct"], cfg_doc, inputs, outputs,
-                    reports=res.stage_reports, timings=timings)
+        run.emit(ser.egroup_to_json(res.group), args.group_output)
     if not all(res.checks.values()):
         sys.stderr.write(f"verification failed: {res.checks}\n")
         return EXIT_VIOLATED
     return EXIT_OK
 
 
-def cmd_cover_graph(args):
-    inputs = _digests(args)
-    edges = _load(args.graph, {"graph"}, inputs)
-    group = _load(args.group, {"egroup"}, inputs)
-    cov = graph_cover(edges, group)
-    report = verify_cover(cov)
-    outputs = _digests(args)
-    _emit(ser.covering_to_json(cov), args.output, outputs)
-    _write_manifest(args, ["cover-graph"], {}, inputs, outputs)
-    return EXIT_OK if report.ok else EXIT_VIOLATED
+def cmd_cover(args, run):
+    """cover-graph and cover-hypergraph: the base's covering from a group."""
+    base = run.load(args.base, {args.kind})
+    group = run.load(args.group, {"egroup"})
+    cov = (graph_cover if args.kind == "graph" else hypergraph_cover)(base, group)
+    ok = verify_cover(cov).ok
+    run.emit(ser.covering_to_json(cov), args.output)
+    return EXIT_OK if ok else EXIT_VIOLATED
 
 
-def cmd_cover_hypergraph(args):
-    inputs = _digests(args)
-    hg = _load(args.hypergraph, {"hypergraph"}, inputs)
-    group = _load(args.group, {"egroup"}, inputs)
-    cov = hypergraph_cover(hg, group)
-    report = verify_cover(cov)
-    outputs = _digests(args)
-    _emit(ser.covering_to_json(cov), args.output, outputs)
-    _write_manifest(args, ["cover-hypergraph"], {}, inputs, outputs)
-    return EXIT_OK if report.ok else EXIT_VIOLATED
-
-
-def _cover_of(doc):
-    """The cover hypergraph or edge-labelled graph of a covering document."""
+def cmd_verify_cover(args, run):
+    run.config = {"N": args.n}
+    doc = run.read(args.cover)
     if ser._need(doc, "format", str, "") != "covering":
         raise SchemaError("expected a covering", "/format")
-    inner = ser._need(doc, "cover", dict, "")
-    if doc.get("kind") == "hypergraph":
-        return ser.hypergraph_from_json(inner, "/cover")
-    return ser.egraph_from_json(inner, "/cover")
-
-
-def cmd_verify_cover(args):
-    inputs = _digests(args)
-    cover = _cover_of(_read_json(args.cover, inputs))
+    cover = ser.load_document(doc)
     if isinstance(cover, Hypergraph):
         ok, witness = check_n_acyclic_hypergraph(cover, args.n)
         out = {"format": "check", "N": args.n, "holds": ok}
@@ -302,27 +266,13 @@ def cmd_verify_cover(args):
     else:
         value = girth(cover)
         ok = value > args.n
-        out = {"format": "check", "N": args.n, "holds": ok,
-               "girth": "infinite" if value == float("inf") else value}
-    outputs = _digests(args)
-    _emit(out, args.output, outputs)
-    _write_manifest(args, ["verify-cover"], {"N": args.n}, inputs, outputs)
+        out = {"format": "check", "N": args.n, "holds": ok, "girth": _girth_json(value)}
+    run.emit(out, args.output)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
-def cmd_export_dot(args):
-    inputs = _digests(args)
-    doc = _read_json(args.input, inputs)
-    fmt = ser._need(doc, "format", str, "")
-    if fmt == "covering":
-        obj = _cover_of(doc)
-    elif fmt == "graph":
-        obj = graph_template(ser.graph_from_json(doc))
-    else:
-        obj = ser.load_document(doc)
-    outputs = _digests(args)
-    _write(ser.object_to_dot(obj).encode(), args.output, outputs)
-    _write_manifest(args, ["export-dot"], {}, inputs, outputs)
+def cmd_export_dot(args, run):
+    run.write(ser.object_to_dot(run.load(args.input)).encode(), args.output)
     return EXIT_OK
 
 
@@ -348,92 +298,67 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-o", "--output", help="output file (default stdout)")
-        p.add_argument("--manifest", help="write a run manifest here")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings in the manifest")
+    def command(name, func, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("biggs", help="tree of reduced words over a colour set")
+    p = command("biggs", cmd_biggs, "tree of reduced words over a colour set")
     p.add_argument("-E", "--colors", required=True, help="comma-separated colours")
     p.add_argument("-n", "--depth", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_biggs)
 
-    p = sub.add_parser("symgroup", help="group generated by a graph's matchings")
+    p = command("symgroup", cmd_symgroup, "group generated by a graph's matchings")
     p.add_argument("graph", help="egraph JSON ('-' for stdin)")
     p.add_argument("--no-hypercube", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_symgroup)
 
-    p = sub.add_parser("cayley", help="Cayley graph of a group")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_cayley)
+    command("cayley", cmd_cayley, "Cayley graph of a group").add_argument("group")
+    command("girth", cmd_girth, "girth of a group's Cayley graph").add_argument("group")
 
-    p = sub.add_parser("girth", help="girth of a group's Cayley graph")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_girth)
-
-    p = sub.add_parser("check-acyclic", help="search for coset cycles up to N")
+    p = command("check-acyclic", cmd_check_acyclic, "search for coset cycles up to N")
     p.add_argument("group")
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--gamma", type=int, help="restrict subsets to size < gamma")
     p.add_argument("--over", help="template egraph JSON")
-    common(p)
-    p.set_defaults(func=cmd_check_acyclic)
 
-    p = sub.add_parser("verify-witness", help="revalidate a cycle witness")
+    p = command("verify-witness", cmd_verify_witness, "revalidate a cycle witness")
     p.add_argument("witness")
     p.add_argument("group")
     p.add_argument("--over")
-    common(p)
-    p.set_defaults(func=cmd_verify_witness)
 
-    p = sub.add_parser("construct", help="grow an N-acyclic extension")
+    p = command("construct", cmd_construct, "grow an N-acyclic extension")
     p.add_argument("group")
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--over", help="template egraph JSON")
     p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--early-exit", action="store_true")
     p.add_argument("--reports", help="write stage reports here")
-    common(p)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("groupoid-construct", help="N-acyclic groupoid pipeline")
+    p = command("groupoid-construct", cmd_groupoid_construct, "N-acyclic groupoid pipeline")
     p.add_argument("pattern")
     p.add_argument("--target", help="complete pattern-graph JSON")
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--early-exit", action="store_true")
     p.add_argument("--group-output", help="also write the backing group")
-    common(p)
-    p.set_defaults(func=cmd_groupoid_construct)
 
-    p = sub.add_parser("cover-graph", help="unbranched covering of a simple graph")
-    p.add_argument("graph")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_cover_graph)
+    for kind, text in (("graph", "unbranched covering of a simple graph"),
+                       ("hypergraph", "branched covering of a hypergraph")):
+        p = command(f"cover-{kind}", cmd_cover, text)
+        p.add_argument("base", metavar=kind)
+        p.add_argument("group")
+        p.set_defaults(kind=kind)
 
-    p = sub.add_parser("cover-hypergraph", help="branched covering of a hypergraph")
-    p.add_argument("hypergraph")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_cover_hypergraph)
-
-    p = sub.add_parser("verify-cover", help="acyclicity check of a covering")
+    p = command("verify-cover", cmd_verify_cover, "acyclicity check of a covering")
     p.add_argument("cover")
     p.add_argument("-N", dest="n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_cover)
 
-    p = sub.add_parser("export-dot", help="DOT rendering of a JSON object")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_export_dot)
+    command("export-dot", cmd_export_dot, "DOT rendering of a JSON object").add_argument("input")
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", help="output file (default stdout)")
+        p.add_argument("--manifest", help="write a run manifest here")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the manifest")
     return parser
 
 
@@ -453,8 +378,10 @@ def _parse_args(argv):
 def main(argv=None):
     try:
         args = _parse_args(argv)
-        args.started = time.monotonic()
-        return args.func(args)
+        run = _Run(args)
+        code = args.func(args, run)
+        run.finish()
+        return code
     except BrokenPipeError:
         return EXIT_OK
     except ResourceCap as exc:

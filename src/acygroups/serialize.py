@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .covering import Covering, Hypergraph
+from .covering import Hypergraph, graph_template
 from .egraph import EGraph, new_egraph
 from .errors import SchemaError
 from .groupoid import ConstraintPattern, IGraph, IGroupoid
@@ -310,6 +310,15 @@ def covering_to_json(cov):
     return doc
 
 
+def covering_from_json(doc, pointer=""):
+    """The cover of a covering document: a hypergraph, or an edge-labelled
+    graph."""
+    inner = _need(doc, "cover", dict, pointer)
+    if doc.get("kind") == "hypergraph":
+        return hypergraph_from_json(inner, f"{pointer}/cover")
+    return egraph_from_json(inner, f"{pointer}/cover")
+
+
 def cycle_to_json(group, entries):
     out = []
     for entry in entries:
@@ -374,6 +383,7 @@ FORMATS = {
     "igroupoid": igroupoid_from_json,
     "hypergraph": hypergraph_from_json,
     "graph": graph_from_json,
+    "covering": covering_from_json,
 }
 
 
@@ -440,12 +450,14 @@ def hypergraph_to_dot(hg):
 
 
 def object_to_dot(obj):
+    """DOT form of a loaded document; a simple graph's edge list is drawn
+    as its edge-labelled template."""
+    if isinstance(obj, list):
+        obj = graph_template(obj)
     if isinstance(obj, EGraph):
         return egraph_to_dot(obj)
     if isinstance(obj, Hypergraph):
         return hypergraph_to_dot(obj)
     if isinstance(obj, IGraph):
         return igraph_to_dot(obj)
-    if isinstance(obj, Covering):
-        return object_to_dot(obj.cover)
     raise SchemaError("object has no DOT form", "/")

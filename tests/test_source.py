@@ -104,6 +104,25 @@ def test_every_traced_name_resolves(monkeypatch):
     assert missing == []
 
 
+def test_commands_do_their_io_through_the_runner():
+    # a command reads and writes through the runner main hands it, which
+    # writes the manifest once; no cmd_* opens a file or writes a manifest
+    tree = ast.parse((Path(acygroups.__file__).parent / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) >= 10
+    offenders = []
+    for command in commands:
+        for node in ast.walk(command):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name == "open" or "manifest" in name:
+                offenders.append(f"{command.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
 def test_no_nested_function_refers_to_itself():
     # a nested function that calls itself holds itself through its closure:
     # it and everything it closes over stay alive until a full collection
