@@ -258,6 +258,7 @@ def cmd_verify_cover(args, run):
     if ser._need(doc, "format", str, "") != "covering":
         raise SchemaError("expected a covering", "/format")
     cover = ser.load_document(doc)
+    del doc  # as large as the cover: not kept through the check
     if isinstance(cover, Hypergraph):
         ok, witness = check_n_acyclic_hypergraph(cover, args.n)
         out = {"format": "check", "N": args.n, "holds": ok}
