@@ -294,36 +294,44 @@ class AcyclicityWitness(NamedTuple):
     vertices: tuple
 
 
-def _chordless_cycles(adj, length):
-    """Chordless cycles of exactly the given length, canonical start vertex."""
+def _chordless_cycle(adj, n_max):
+    """The shortest chordless cycle of length 4..n_max, from its least
+    vertex, the first of its length in lexicographic order; or None.
+
+    One depth-first walk, neighbours ascending, meets the cycles of each
+    length in that order.  Once a cycle is found, a path is only extended
+    while it can close a shorter one.
+    """
+    nbrs = [sorted(a) for a in adj]
+    best, limit = None, n_max  # limit: the longest cycle still wanted
     for v0 in range(len(adj)):
-        yield from _chordless_paths(adj, length, [v0], {v0})
-
-
-def _chordless_paths(adj, length, path, in_path):
-    """The cycles of _chordless_cycles that continue path."""
-    v0, last = path[0], path[-1]
-    if len(path) == length:
-        if v0 in adj[last]:
-            yield tuple(path)
-        return
-    for w in sorted(adj[last]):
-        if w <= v0 or w in in_path:
-            continue
-        # chordlessness: w may only touch the previous vertex (and v0
-        # when closing)
-        bad = False
-        for p in path[:-1]:
-            if w in adj[p] and not (p == v0 and len(path) == length - 1):
-                bad = True
-                break
-        if bad:
-            continue
-        path.append(w)
-        in_path.add(w)
-        yield from _chordless_paths(adj, length, path, in_path)
-        path.pop()
-        in_path.remove(w)
+        if limit < 4:
+            break
+        if len(nbrs[v0]) < 2 or nbrs[v0][-2] < v0:
+            continue  # v0 is the least vertex of no cycle
+        ends = adj[v0]  # a level holds its neighbours left and the inner vertices' ones
+        path, stack = [v0], [(iter(nbrs[v0]), set())]
+        while stack:
+            it, inner = stack[-1]
+            w = next(it, None) if len(path) < limit else None
+            if w is None:
+                stack.pop()
+                path.pop()
+                continue
+            # chordlessness: w may touch the last vertex, and v0 only to close
+            if w <= v0 or w in inner or w in path:
+                continue
+            if len(path) > 1 and w in ends:
+                if len(path) >= 3:
+                    best, limit = (*path, w), len(path)
+                continue
+            if len(path) + 2 <= limit:
+                inner = inner | adj[path[-1]] if len(path) > 1 else inner
+                path.append(w)
+                # a path one short of the limit can only close, through v0's neighbours
+                nxt = sorted(adj[w] & ends) if len(path) + 1 == limit else nbrs[w]
+                stack.append((iter(nxt), inner))
+    return best
 
 
 def _grown_cliques(fwd, edges, limit):
@@ -419,9 +427,9 @@ def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
     witness = _nonconformal_clique(hg, adj, n_max, budget)
     if witness:
         return False, witness
-    for length in range(4, n_max + 1):
-        for cyc in _chordless_cycles(adj, length):
-            return False, AcyclicityWitness("chordless_cycle", cyc)
+    cycle = _chordless_cycle(adj, n_max)
+    if cycle:
+        return False, AcyclicityWitness("chordless_cycle", cycle)
     return True, None
 
 

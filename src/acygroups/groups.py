@@ -30,6 +30,7 @@ class EGroup:
         "colors",
         "gen_action",
         "parents",
+        "projection",
         "_coset_cache",
         "_compat_cache",
     )
@@ -38,18 +39,18 @@ class EGroup:
         self.colors = tuple(colors)
         self.gen_action = tuple(tuple(row) for row in gen_action)
         self.parents = tuple(parents)  # per element: (previous element, colour) or None
+        self.projection = None  # from sym_components: each element's point of a tables part 0
         self._coset_cache = {}
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
-        n = self.order
+        identity = list(range(self.order))
         for row in self.gen_action:
-            if len(row) != n or sorted(row) != list(range(n)):
+            if len(row) != self.order or sorted(row) != identity:
                 raise DegenerateGenerators("generator table is not a permutation")
             if row[0] == 0:
                 raise DegenerateGenerators("generator equals the identity")
         for c, row in enumerate(self.gen_action):
-            for g in range(n):
-                if row[row[g]] != g:
-                    raise DegenerateGenerators(f"generator {self.colors[c]!r} not involutive")
+            if list(map(row.__getitem__, row)) != identity:
+                raise DegenerateGenerators(f"generator {self.colors[c]!r} not involutive")
         seen = set()
         for row in self.gen_action:
             if row[0] in seen:
@@ -118,20 +119,19 @@ class EGroup:
 
 
 def _check_order_bound(parts, cap):
-    """Raise ResourceCap when the diagonal group of the parts provably has
-    more than cap elements, before anything is enumerated.
+    """The orders of the parts' groups; ResourceCap when the diagonal group
+    of the parts provably has more than cap elements, before any enumeration.
 
     The group maps onto each part's group (a tables part acts regularly, a
     perms part is sized by Schreier-Sims) and onto the group of all perms
     parts together, so the orders of these groups, and their lcm, divide
     its order.
     """
-    bound = 1
+    bound, orders = 1, []
     for i, (kind, data) in enumerate(parts):
-        if not data:
-            continue  # no colours: the trivial group
-        n = len(data[0])
-        order = n if kind == "tables" else group_order(data, n, limit=cap)
+        n = len(data[0]) if data else 1  # no colours: the trivial group
+        order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
+        orders.append(order)
         # past the limit the search stops early and order is only a lower bound
         bound = order if order > cap else lcm(bound, order)
         if bound > cap:
@@ -142,7 +142,7 @@ def _check_order_bound(parts, cap):
             )
     perms = [data for kind, data in parts if kind == "perms" and data]
     if len(perms) < 2:
-        return
+        return orders
     offsets = list(accumulate((len(data[0]) for data in perms), initial=0))
     union = [
         tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
@@ -156,10 +156,12 @@ def _check_order_bound(parts, cap):
             f"element cap {cap} exceeded: the group has order at least {bound} "
             f"({len(perms)} components together: {offsets[-1]} points)"
         )
+    return orders
 
 
 def _essential_parts(tables):
-    """Indices, ascending, of the parts whose group is kept for the closure.
+    """(kept, quotients): the parts kept for the closure, ascending, and for
+    each other part p, (q, images[x] = p's point over the point x of kept q).
 
     A part whose group is a generator-respecting quotient of a kept part's
     group adds no relation: its coordinate is a function of the kept one,
@@ -169,17 +171,17 @@ def _essential_parts(tables):
     parts whose order it divides, smallest first.
     """
     orders = [len(table[0]) for table in tables]
-    kept = []
+    kept, quotients = [], {}
     for p in sorted(range(len(tables)), key=lambda i: (-orders[i], i)):
         images = tables[p]
-        larger = sorted((orders[q], q) for q in kept if orders[q] % orders[p] == 0)
-        if not any(
-            propagate(n, list(enumerate(tables[q])), [(0, 0)], lambda c, x: images[c][x])
-            is not None
-            for n, q in larger
-        ):
+        for n, q in sorted((orders[q], q) for q in kept if orders[q] % orders[p] == 0):
+            values = propagate(n, list(enumerate(tables[q])), [(0, 0)], lambda c, x: images[c][x])
+            if values is not None:
+                quotients[p] = (q, values)
+                break
+        else:
             kept.append(p)
-    return sorted(kept)
+    return sorted(kept), quotients
 
 
 def sym_components(colors, parts, cap=None, deadline=None):
@@ -192,25 +194,38 @@ def sym_components(colors, parts, cap=None, deadline=None):
     provably exceeds the cap is refused before it is enumerated; the
     closures raise ResourceCap once the monotonic clock passes deadline.
     Every part's rows must be involutions, as the closures require.
+    Tables fold pairwise by :func:`close` from one point: a perms part's
+    point actions (point i from i) until its order, then the kept parts,
+    smallest order first.  Each intermediate is an image of the group, so
+    its cap is the group's; the last walk numbers the group's own Cayley
+    graph.  Part 0's coordinate carried down the fold is the projection.
     """
     cap = cap or DEFAULT_ELEMENT_CAP
     for i, (kind, data) in enumerate(parts):
         for c, row in enumerate(data):
             if list(map(row.__getitem__, row)) != list(range(len(row))):
                 raise DegenerateGenerators(f"generator {colors[c]!r} not involutive on part {i}")
-    _check_order_bound(parts, cap)
+    orders = _check_order_bound(parts, cap)
+    point = [(0,)] * len(colors)
     tables = []
-    for kind, data in parts:
-        if kind == "tables":
-            tables.append(data)
-        else:
-            # a permutation group is the closure of its identity on n points
-            n = len(data[0])
-            tables.append(close(tuple(range(n)), [(p,) * n for p in data], cap, deadline)[0])
-    tables = [tables[i] for i in _essential_parts(tables)]
-    rows = [tuple(table[c] for table in tables) for c in range(len(colors))]
-    action, parents = close((0,) * len(tables), rows, cap, deadline)
-    return EGroup(colors, action, parents)
+    for (kind, data), order in zip(parts, orders):
+        table, parents, i = point, [None], 0
+        while kind == "perms" and len(parents) < order:
+            table, parents, _, _ = close(table, data, (0, i), cap, deadline)
+            i += 1
+        tables.append(table if kind == "perms" else data)
+    kept, quotients = _essential_parts(tables)
+    carrier, images = (0, None) if 0 in kept else quotients[0]
+    action, parents, projection = point, [None], None
+    for p in sorted(kept, key=lambda i: (len(tables[i][0]), i)):
+        action, parents, xs, ys = close(action, tables[p], (0, 0), cap, deadline)
+        if projection is not None:
+            projection = list(map(projection.__getitem__, xs))
+        elif p == carrier and parts[0][0] == "tables":
+            projection = ys if images is None else list(map(images.__getitem__, ys))
+    group = EGroup(colors, action, parents)
+    group.projection = projection
+    return group
 
 
 def sym(h, attach_hypercube=True, cap=None):

@@ -25,7 +25,6 @@ from .errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     cayley_graph,
-    homomorphism,
     inherit_compatibility,
     is_compatible,
     sym_components,
@@ -209,7 +208,11 @@ def _conservation(prev, new, k):
     """Subgroup order tables for |alpha| <= k plus injectivity of the
     restriction of the canonical homomorphism, and that homomorphism
     new -> prev (or None)."""
-    hom = homomorphism(new, prev)
+    hom = new.projection  # accepted once it fixes the identity and commutes with the generators
+    if hom is not None and (hom[0] != 0 or any(
+            list(map(hom.__getitem__, row)) != list(map(before.__getitem__, hom))
+            for row, before in zip(new.gen_action, prev.gen_action))):
+        hom = None
     table = {}
     ok = hom is not None
     for a in all_subsets(len(prev.colors), max_size=k):

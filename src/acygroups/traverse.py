@@ -6,9 +6,10 @@ is none.  Cosets, groupoid cosets, connected components and the local
 blocks of template tables are blocks of :class:`Cosets`, walked one at a
 time as they are asked for.
 Homomorphisms, compatibility and skeleton maps are values forced along the
-rows by :func:`propagate`; generated groups are closures under
-:func:`close`; witness words come from :func:`bfs_parents`.  Each walk
-visits the list it appends to, so all of them are breadth first.
+rows by :func:`propagate`; witness words come from :func:`bfs_parents`.
+Groups are folds of :func:`close` of one table against the next, whose
+coordinates carry a projection down the fold.  Each walk visits the list
+it appends to, so all of them are breadth first.
 Quotients by an identification relation (amalgams, skeleton extensions,
 hypergraph covers) are the classes of a :class:`UnionFind`.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
-from operator import getitem
 
 from .errors import ResourceCap
 
@@ -136,39 +136,43 @@ def propagate(n, rows, seeds, step):
     return values
 
 
-def close(start, rows, cap, deadline=None):
-    """Breadth-first closure of the tuple state start: (action, parents).
-
-    Generator c maps a state g to the tuple of rows[c][i][g[i]], and every
-    row must be an involution.  action[c] is the generator's table on state
-    indices, with start at 0, and parents[k] is (earlier index, c) for
-    every state but start.  Computing j = c(k) also gives action[c][j] = k,
+def close(a, b, start, cap, deadline=None):
+    """Breadth-first closure of the state start = (x0, y0): (action, parents,
+    xs, ys).  Generator c maps (x, y) to (a[c][x], b[c][y]), keyed by the
+    int x * len(b[0]) + y, and every row must be an involution.  action[c]
+    is the generator's table on state indices, with start at 0, parents[k]
+    is (earlier index, c) for every state but start, and state k is
+    (xs[k], ys[k]).  Computing j = c(k) also gives action[c][j] = k,
     so each generator edge is walked from its earlier end only; a state
     whose image is known adds no state, so states and parents come out as
     a walk of every edge would give them.  Raises ResourceCap when a state
     beyond the first cap would be added, or when the monotonic clock, read
     once per 4,096 states, has passed deadline.
     """
-    index = {start: 0}
+    (x0, y0), m = start, len(b[0])
+    index = {x0 * m + y0: 0}
     get = index.get
-    states = [start]
+    xs, ys = [x0], [y0]
     parents = [None]
     size = 64  # the tables grow by doubling and are cut to the states at the end
-    action = [[-1] * size for _ in rows]
-    steps = list(zip(range(len(rows)), rows, action))
-    for k, g in enumerate(states):
+    action = [[-1] * size for _ in a]
+    steps = list(zip(range(len(a)), a, b, action))
+    for k, x in enumerate(xs):
         if not k & 4095 and k and deadline is not None and time.monotonic() > deadline:
             raise ResourceCap(f"closure timed out after {k} elements")
-        for c, row, table in steps:
+        y = ys[k]
+        for c, row_a, row_b, table in steps:
             if table[k] != -1:
                 continue
-            h = tuple(map(getitem, row, g))
+            u, v = row_a[x], row_b[y]
+            h = u * m + v
             j = get(h)
             if j is None:
-                j = index[h] = len(states)
+                j = index[h] = len(xs)
                 if j >= cap:
                     raise ResourceCap(f"element cap {cap} exceeded in closure")
-                states.append(h)
+                xs.append(u)
+                ys.append(v)
                 parents.append((k, c))
                 if j == size:
                     for t in action:
@@ -177,8 +181,8 @@ def close(start, rows, cap, deadline=None):
             table[k] = j
             table[j] = k
     for table in action:
-        del table[len(states):]
-    return action, parents
+        del table[len(xs):]
+    return action, parents, xs, ys
 
 
 def bfs_parents(rows, n, roots):

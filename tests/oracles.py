@@ -17,7 +17,8 @@ cover construction on tuple-keyed triples and the class check that compared
 each class with the template component of its first member; the library's
 cover must equal the first, and its class check must reject whatever the
 second rejects.  ``reference_check_n_acyclic_hypergraph`` restarts its own
-clique walk (``_cliques_up_to``) for every clique size.
+clique walk (``_cliques_up_to``) for every clique size, and its chordless
+cycle walk (``reference_chordless_cycles``) for every cycle length.
 
 ``partition`` is the eager partition of the whole point set that
 ``traverse.Cosets`` replaced, and ``Table`` the partition whose ids are all
@@ -66,7 +67,6 @@ from acygroups.covering import (
     AcyclicityWitness,
     Covering,
     Hypergraph,
-    _chordless_cycles,
     _vertex_colour_sets,
     intersection_graph,
 )
@@ -599,9 +599,42 @@ def reference_check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET
             if not common:
                 return False, AcyclicityWitness("nonconformal_clique", clique)
     for length in range(4, n_max + 1):
-        for cyc in _chordless_cycles(adj, length):
+        for cyc in reference_chordless_cycles(adj, length):
             return False, AcyclicityWitness("chordless_cycle", cyc)
     return True, None
+
+
+def reference_chordless_cycles(adj, length):
+    """Chordless cycles of exactly the given length, canonical start vertex,
+    each length walked from every vertex anew."""
+    for v0 in range(len(adj)):
+        yield from _chordless_paths(adj, length, [v0], {v0})
+
+
+def _chordless_paths(adj, length, path, in_path):
+    """The cycles of reference_chordless_cycles that continue path."""
+    v0, last = path[0], path[-1]
+    if len(path) == length:
+        if v0 in adj[last]:
+            yield tuple(path)
+        return
+    for w in sorted(adj[last]):
+        if w <= v0 or w in in_path:
+            continue
+        # chordlessness: w may only touch the previous vertex (and v0
+        # when closing)
+        bad = False
+        for p in path[:-1]:
+            if w in adj[p] and not (p == v0 and len(path) == length - 1):
+                bad = True
+                break
+        if bad:
+            continue
+        path.append(w)
+        in_path.add(w)
+        yield from _chordless_paths(adj, length, path, in_path)
+        path.pop()
+        in_path.remove(w)
 
 
 def _cliques_up_to(adj, max_size, budget):

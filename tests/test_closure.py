@@ -1,5 +1,6 @@
-"""The closure of the stage groups: one pass over the essential parts only,
-against the two-pass closure over every part, its cap and its deadline."""
+"""The closure of the stage groups: pairwise folds over the essential parts
+only, against the two-pass closure over every part, its cap, its deadline
+and the projection onto the stage before."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 from acygroups import groups, synthesis, traverse
 from acygroups.errors import DegenerateGenerators, ResourceCap
-from acygroups.groups import _essential_parts, sym_components
+from acygroups.groups import _essential_parts, homomorphism, sym_components
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 from acygroups.traverse import close
 
-from conftest import hypercube_group
+from conftest import corpus, hypercube_group
 from oracles import partition, reference_close, reference_diagonal_closure
 from test_search_kernel import _clock
 
@@ -87,21 +88,76 @@ def test_sym_components_matches_the_closure_over_all_parts(data):
     assert group.parents == tuple(parents)
 
 
+def _respects_generators(group, table):
+    """group.projection is a generator-respecting map onto the points of
+    the regular table, the identity to point 0."""
+    proj = group.projection
+    return proj[0] == 0 and all(
+        proj[row[g]] == target[proj[g]]
+        for row, target in zip(group.gen_action, table) for g in range(group.order))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_the_fold_matches_the_diagonal_closure(data):
+    # the shapes the fold must get right: one part, one-point parts,
+    # quotient parts and three colours, with a regular part in front
+    shape = data.draw(st.sampled_from(["one part", "one-point parts", "quotients", "three"]))
+    n_colors = 3 if shape == "three" else data.draw(st.integers(1, 3))
+    colors = ["a", "b", "c"][:n_colors]
+    n = data.draw(st.integers(2, 5))
+    perms = [[_involution(data, n) for _ in range(n_colors)]]
+    if data.draw(st.integers(0, 3)):
+        # a cube part keeps the generators distinct and non-trivial
+        cube = [tuple(x ^ (1 << c) for x in range(2**n_colors)) for c in range(n_colors)]
+        perms = [cube] if shape == "one part" else perms + [cube]
+    if shape == "one-point parts":
+        perms += [[(0,)] * n_colors] * data.draw(st.integers(1, 2))
+    if shape in ("quotients", "three"):
+        for _ in range(data.draw(st.integers(1, 3))):
+            perms.append(_derived(data, data.draw(st.sampled_from(perms))))
+    perms = data.draw(st.permutations(perms))
+    parts = [("perms", gens) for gens in perms]
+    if shape != "one part" or data.draw(st.booleans()):
+        gens = data.draw(st.sampled_from(perms))
+        regular = reference_close(tuple(range(len(gens[0]))), [(p,) * len(gens[0]) for p in gens],
+                                  10**6)[0]
+        parts.insert(0, ("tables", regular))
+    action, parents = reference_diagonal_closure(n_colors, parts, 10**6)
+    firsts = [row[0] for row in action]
+    if 0 in firsts or len(set(firsts)) < n_colors:
+        return  # degenerate generators are the caller's to refuse
+    group = sym_components(colors, parts)
+    assert group.gen_action == tuple(map(tuple, action))
+    assert group.parents == tuple(parents)
+    if parts[0][0] == "tables":
+        assert _respects_generators(group, parts[0][1])
+    else:
+        assert group.projection is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_one_pass_close_matches_the_two_pass_close(data):
     n_colors = data.draw(st.integers(1, 3))
-    widths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    rows = [tuple(_involution(data, n) for n in widths) for _ in range(n_colors)]
-    start = tuple(0 for _ in widths)
+    widths = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))
+    a, b = ([_involution(data, n) for _ in range(n_colors)] for n in widths)
+    start = tuple(data.draw(st.integers(0, n - 1)) for n in widths)
     cap = data.draw(st.integers(1, 200))
     try:
-        expected = reference_close(start, rows, cap)
+        expected = reference_close(start, list(zip(a, b)), cap)
     except ResourceCap:
         with pytest.raises(ResourceCap, match=f"^element cap {cap} exceeded in closure$"):
-            close(start, rows, cap)
+            close(a, b, start, cap)
         return
-    assert close(start, rows, cap) == expected
+    action, parents, xs, ys = close(a, b, start, cap)
+    assert (action, parents) == expected
+    # each state's coordinates, in the order the reference numbers them
+    index = {start: 0}
+    for x, y in zip(xs, ys):
+        for row_a, row_b in zip(a, b):
+            index.setdefault((row_a[x], row_b[y]), len(index))
+    assert list(index) == list(zip(xs, ys))
 
 
 def test_a_part_that_is_not_an_involution_is_refused():
@@ -115,19 +171,27 @@ def test_a_part_that_is_not_an_involution_is_refused():
 
 
 def _tables(*perm_parts):
-    return [close(tuple(range(len(gens[0]))), [(p,) * len(gens[0]) for p in gens], 100)[0]
+    return [reference_close(tuple(range(len(gens[0]))), [(p,) * len(gens[0]) for p in gens],
+                            100)[0]
             for gens in perm_parts]
 
 
 def test_quotient_parts_are_dropped():
+    # each dropped part comes with its map from the kept part's points:
+    # the BFS-numbered S3 is 1, a, b, ab, ba, aba and D4 1, a, b, ab, ba,
+    # aba, bab, abab, so the parity of a word reads 0 1 1 0 0 1 (1 0)
     sign = [(1, 0), (1, 0)]  # S3 -> Z2 by the parity of a word
-    assert _essential_parts(_tables(sign, TRIANGLE, SQUARE, TRIANGLE)) == [1, 2]
+    parity = [0, 1, 1, 0, 0, 1]
+    assert _essential_parts(_tables(sign, TRIANGLE, SQUARE, TRIANGLE)) == (
+        [1, 2], {3: (1, [0, 1, 2, 3, 4, 5]), 0: (1, parity)})
     # the parity is also a quotient of the square's reflection group
-    assert _essential_parts(_tables(sign, SQUARE)) == [1]
-    # TRIANGLE with its points renamed by (0 2), so a and b change places
-    assert _essential_parts(_tables(TRIANGLE, [(1, 0, 2), (0, 2, 1)])) == [0]
+    assert _essential_parts(_tables(sign, SQUARE)) == ([1], {0: (1, parity + [1, 0])})
+    # TRIANGLE with its points renamed by (0 2), so a and b change places;
+    # the regular actions agree
+    assert _essential_parts(_tables(TRIANGLE, [(1, 0, 2), (0, 2, 1)])) == (
+        [0], {1: (0, [0, 1, 2, 3, 4, 5])})
     # isomorphic groups, but no generator-respecting map between them
-    assert _essential_parts(_tables([(1, 0), (0, 1)], [(0, 1), (1, 0)])) == [0, 1]
+    assert _essential_parts(_tables([(1, 0), (0, 1)], [(0, 1), (1, 0)])) == ([0, 1], {})
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +207,7 @@ def stage_55440():
 
     def recording_essential(tables):
         out = essential(tables)
-        kept.append((len(tables), len(out)))
+        kept.append((len(tables), len(out[0])))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -172,29 +236,97 @@ def test_the_closure_cap_with_parts_dropped(stage_55440, monkeypatch):
     colors, parts, _ = stage_55440
     with pytest.raises(ResourceCap, match="^element cap 55439 exceeded: "):
         sym_components(colors, parts, cap=55439)
-    monkeypatch.setattr(groups, "_check_order_bound", lambda parts, cap: None)
+    bound = groups._check_order_bound
+    monkeypatch.setattr(groups, "_check_order_bound", lambda parts, cap: bound(parts, 10**6))
     with pytest.raises(ResourceCap, match="^element cap 55439 exceeded in closure$"):
         sym_components(colors, parts, cap=55439)
     assert sym_components(colors, parts, cap=55440).order == 55440
 
 
+# the adjacent transpositions of 8 points generate S8, of order 40,320
+S8 = [tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(8)) for j in range(7)]
+S8_COLORS = list("abcdefg")
+
+
+def _fold_sizes(monkeypatch):
+    """Record the size of every walk sym_components makes."""
+    sizes = []
+    walk = groups.close
+
+    def recording(a, b, start, cap, deadline=None):
+        out = walk(a, b, start, cap, deadline)
+        sizes.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(groups, "close", recording)
+    return sizes
+
+
+def test_a_perms_part_folds_its_points_until_its_order(monkeypatch):
+    sizes = _fold_sizes(monkeypatch)
+    group = sym_components(S8_COLORS, [("perms", S8)])
+    # points 0..6 give 8, 8*7, ..., 8!/1! states, the part's order, so
+    # point 7 is not folded; the last walk numbers the group's own table
+    assert sizes == [8, 56, 336, 1680, 6720, 20160, 40320, 40320]
+    action, parents = reference_diagonal_closure(7, [("perms", S8)], 10**6)
+    assert group.gen_action == tuple(map(tuple, action))
+    assert group.parents == tuple(parents)
+
+
+def test_a_deadline_inside_an_intermediate_fold(monkeypatch):
+    # only the fold of point 4, with 6,720 states, is long enough to read
+    # the clock
+    monkeypatch.setattr(traverse, "time", _clock(2.0))
+    with pytest.raises(ResourceCap, match="^closure timed out after 4096 elements$"):
+        sym_components(S8_COLORS, [("perms", S8)], deadline=1.0)
+
+
+def test_a_cap_inside_an_intermediate_fold(monkeypatch):
+    # the order bound is taken out; the fold of point 4 has 6,720 states
+    bound = groups._check_order_bound
+    monkeypatch.setattr(groups, "_check_order_bound", lambda parts, cap: bound(parts, 10**6))
+    sizes = _fold_sizes(monkeypatch)
+    with pytest.raises(ResourceCap, match="^element cap 5000 exceeded in closure$"):
+        sym_components(S8_COLORS, [("perms", S8)], cap=5000)
+    assert sizes == [8, 56, 336, 1680]
+
+
+def test_the_projection_is_the_homomorphism_onto_the_stage_before(monkeypatch):
+    # every stage of the corpus towers and of the cube_2 tower at N = 12
+    seen = []
+    conservation = synthesis._conservation
+
+    def recording(prev, new, k):
+        seen.append((prev, new))
+        return conservation(prev, new, k)
+
+    monkeypatch.setattr(synthesis, "_conservation", recording)
+    towers = [(group, 2) for group in corpus().values()] + [(hypercube_group(["a", "b"]), 12)]
+    for group, n in towers:
+        construct_n_acyclic(group, SynthesisConfig(n_acyclic=n, early_exit=True))
+    assert len(seen) >= len(towers)
+    for prev, new in seen:
+        assert new.projection is not None
+        assert tuple(new.projection) == homomorphism(new, prev)
+    assert max(new.order for _, new in seen) == 55440
+
+
 def test_closure_reads_the_clock_every_4096_states(monkeypatch):
-    # the adjacent transpositions of 8 points generate S8, of order 40,320
-    gens = [tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(8))
-            for j in range(7)]
-    rows = [(p,) * 8 for p in gens]
+    # S8's regular table against its points, started at the identity and
+    # point 0: 40,320 states
+    regular = sym_components(S8_COLORS, [("perms", S8)]).gen_action
     clock = _clock(0.0)
     monkeypatch.setattr(traverse, "time", clock)
-    action, parents = close(tuple(range(8)), rows, 10**6, deadline=1.0)
+    action, parents, _, _ = close(regular, S8, (0, 0), 10**6, deadline=1.0)
     assert len(parents) == 40320
     assert clock.calls == 40320 // 4096
     clock.calls = 0
-    close(tuple(range(8)), rows, 10**6)
+    close(regular, S8, (0, 0), 10**6)
     assert clock.calls == 0
     clock = _clock(2.0)
     monkeypatch.setattr(traverse, "time", clock)
     with pytest.raises(ResourceCap, match="^closure timed out after 4096 elements$"):
-        close(tuple(range(8)), rows, 10**6, deadline=1.0)
+        close(regular, S8, (0, 0), 10**6, deadline=1.0)
     assert clock.calls == 1
 
 

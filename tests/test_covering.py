@@ -8,6 +8,7 @@ from acygroups.acyclicity import girth
 from acygroups.constraint import is_n_acyclic_over, validate_i_coset_cycle
 from acygroups.covering import (
     Hypergraph,
+    _chordless_cycle,
     check_n_acyclic_hypergraph,
     class_oracle_agrees,
     graph_cover,
@@ -199,6 +200,36 @@ def test_cover_check_matches_the_search_with_the_size_two_round():
 
 
 THREE_EDGES = ([0, 1, 2, 3], [[0, 1, 2], [0, 3], [1, 3]])
+
+
+def _per_length_witness(adj, n_max):
+    from oracles import reference_chordless_cycles
+
+    for length in range(4, n_max + 1):
+        for cycle in reference_chordless_cycles(adj, length):
+            return cycle
+    return None
+
+
+@pytest.mark.parametrize("base", [([0, 1, 2], [[0, 1], [1, 2], [0, 2]]), THREE_EDGES])
+def test_one_chordless_walk_finds_the_per_length_witness(base):
+    # the covers by the order-24 seed groups have chordless 6-cycles
+    hg = Hypergraph(*base)
+    ig = intersection_graph(hg)
+    group = base_group(ig)
+    assert group.order == 24
+    adj = hypergraph_cover(hg, group).cover.gaifman()
+    for n_max in (3, 4, 5, 6, 7):
+        assert _chordless_cycle(adj, n_max) == _per_length_witness(adj, n_max)
+    assert len(_chordless_cycle(adj, 6)) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 8), min_size=2, max_size=3), min_size=1, max_size=12),
+       st.integers(4, 6))
+def test_one_chordless_walk_matches_the_walk_per_length(hyperedges, n_max):
+    adj = Hypergraph(range(9), [sorted(he) for he in hyperedges]).gaifman()
+    assert _chordless_cycle(adj, n_max) == _per_length_witness(adj, n_max)
 
 
 def _with_classes(cov, classes):

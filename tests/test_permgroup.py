@@ -49,9 +49,9 @@ def _closures(monkeypatch):
     calls = []
     close = groups.close
 
-    def recording(start, rows, cap, deadline=None):
+    def recording(a, b, start, cap, deadline=None):
         try:
-            out = close(start, rows, cap, deadline)
+            out = close(a, b, start, cap, deadline)
         except ResourceCap:
             calls.append("raised")
             raise
@@ -80,7 +80,9 @@ def test_sym_components_cap_on_the_lcm_of_two_parts(monkeypatch):
         sym_components(["a", "b"], parts, cap=23)
     assert calls == []
     assert sym_components(["a", "b"], parts, cap=24).order == 24
-    assert calls == [6, 8, 24]
+    # each part folds its points until its order, then the group folds the
+    # two regular tables, the smaller first
+    assert calls == [3, 6, 4, 8, 6, 24]
 
 
 def test_sym_components_cap_on_the_components_together(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from acygroups import serialize as ser
 from acygroups.covering import Hypergraph, hypergraph_cover, intersection_graph
 from acygroups.egraph import disjoint_union, hypercube
-from acygroups.errors import AcygroupsError, SchemaError
+from acygroups.errors import AcygroupsError, DegenerateGenerators, SchemaError
 from acygroups.groupoid import ConstraintPattern, groupoid_from_group, hat_translation, pattern_igraph
 from acygroups.groups import cayley_graph, sym
 
@@ -142,6 +142,26 @@ def test_egroup_from_json_rejects_nongenerating_tables():
         "action": {"a": [1, 0, 3, 2]},  # two orbits: not generated from 0
     }
     with pytest.raises(SchemaError):
+        ser.egroup_from_json(doc)
+
+
+@pytest.mark.parametrize("action, error, message", [
+    ({"a": [1, 2]}, SchemaError, r"^action row is not a permutation \(at /action/a\)$"),
+    ({"a": [1, -1]}, SchemaError, r"^action row is not a permutation \(at /action/a\)$"),
+    ({"a": [1, 1]}, SchemaError, r"^action row is not a permutation \(at /action/a\)$"),
+    ({"a": [0]}, DegenerateGenerators, "^generator equals the identity$"),
+    ({"a": [1, 2, 0]}, DegenerateGenerators, "^generator 'a' not involutive$"),
+    ({"a": [1, 0], "b": [1, 0]}, DegenerateGenerators, "^two generators coincide$"),
+    # a later row that is the identity is refused before an earlier
+    # row's failure to be an involution, and that before a coincidence
+    ({"a": [1, 2, 0], "b": [0, 1, 2]}, DegenerateGenerators, "^generator equals the identity$"),
+    ({"a": [1, 2, 0], "b": [1, 2, 0]}, DegenerateGenerators, "^generator 'a' not involutive$"),
+], ids=["out-of-range", "negative", "repeated", "identity", "not-involutive", "coinciding",
+        "identity-first", "not-involutive-first"])
+def test_egroup_from_json_pins_each_degenerate_table(action, error, message):
+    doc = {"format": "egroup", "colors": sorted(action), "order": len(action["a"]),
+           "action": action}
+    with pytest.raises(error, match=message):
         ser.egroup_from_json(doc)
 
 

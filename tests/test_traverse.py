@@ -114,11 +114,10 @@ def test_sym_order_matches_sympy_and_close_stops_at_cap(data):
     perms = graph_generator_perms(disjoint_union([h, hypercube(h.colors)]))
     assert group.order == PermutationGroup([Permutation(list(p)) for p in perms]).order()
 
-    points = len(perms[0])
-    start, rows = tuple(range(points)), [(p,) * points for p in perms]
-    action, parents = close(start, rows, group.order)
+    # the group's regular table against its points has one state per element
+    action, parents, _, _ = close(group.gen_action, perms, (0, 0), group.order)
     assert len(parents) == len(action[0]) == group.order
     with pytest.raises(ResourceCap):
-        close(start, rows, group.order - 1)
+        close(group.gen_action, perms, (0, 0), group.order - 1)
     with pytest.raises(ResourceCap):
         sym(h, cap=group.order - 1)
