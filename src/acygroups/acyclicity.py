@@ -119,14 +119,13 @@ def girth(cg):
     return best
 
 
-def validate_cycle(table, entries, element=None):
+def validate_cycle(table, entries):
     """Independent recheck of connectivity and separation of (alpha, point)
     entries in cyclic order, from the raw components of ``table(alpha)``.
 
     Consecutive points must share their ``find`` id in the table of the
     first's subset, and the components pivoting at each point, of its meets
-    with the neighbouring subsets, must hold disjoint elements;
-    ``element(x)`` is the element of point x (x itself when None).
+    with the neighbouring subsets, must be disjoint.
     """
     n = len(entries)
     if n < 2:
@@ -139,8 +138,6 @@ def validate_cycle(table, entries, element=None):
             return False
         left = table(a_i & a_prev).block(p_i)
         right = table(a_i & a_next).block(p_next)
-        if element is not None:
-            left, right = map(element, left), map(element, right)
         if not set(left).isdisjoint(right):
             return False
     return True
@@ -405,18 +402,14 @@ def minimal_support(group, g, assume_two_acyclic=False):
     return Support(inter, verified)
 
 
-def coset_support(group, alpha, g, assume_three_acyclic=False):
+def coset_support(group, alpha, g):
     """Minimal generator set whose subgroup meets the alpha-coset of g."""
-    verified = True
-    if not assume_three_acyclic:
-        if not is_n_acyclic(group, 3):
-            raise PreconditionFailed("group is not 3-acyclic")
-    else:
-        verified = False
+    if not is_n_acyclic(group, 3):
+        raise PreconditionFailed("group is not 3-acyclic")
     inter = frozenset(range(len(group.colors)))
     for h in group.coset(g, alpha):
         inter &= minimal_support(group, h, assume_two_acyclic=True).support
-    return Support(inter, verified)
+    return Support(inter, True)
 
 
 def has_cluster_property(group, max_constituents=3):

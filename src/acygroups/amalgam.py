@@ -246,7 +246,6 @@ def _classify_chain_component(am, comp, touching, beta, actual):
     lo, hi = touching[0], touching[-1]
     if touching != list(range(lo, hi + 1)):
         return Classification("chain", {"range": touching}, False, None)
-    comp_set = set(comp)
     betas = [beta & am.constituents[ci][0] for ci in range(lo, hi + 1)]
 
     def members_in(ci):

@@ -80,13 +80,15 @@ class _Run:
         return doc
 
     def load(self, path, formats=None):
-        """The object of the document at path, which is parsed first and
-        then must have one of the formats."""
+        """The object of the document at path.  With formats, an object
+        document must have one of them, which is checked before it is
+        parsed; any other document fails in the parse."""
         doc = self.read(path)
-        obj = ser.load_document(doc)
-        if formats and doc.get("format") not in formats:
-            raise SchemaError(f"expected one of {formats}", "/format")
-        return obj
+        if formats and isinstance(doc, dict):
+            fmt = doc.get("format")
+            if not isinstance(fmt, str) or fmt not in formats:
+                raise SchemaError(f"expected one of {formats}", "/format")
+        return ser.load_document(doc)
 
     def emit(self, doc, out):
         """Write doc's canonical bytes to out."""
@@ -231,7 +233,7 @@ def cmd_groupoid_construct(args, run):
     target = run.load(args.target, {"igraph"}) if args.target else pattern_igraph(pattern)
     config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
     with run.construction():
-        res = construct_n_acyclic_groupoid(pattern, target, args.n, config)
+        res = construct_n_acyclic_groupoid(pattern, target, config)
     run.reports = res.stage_reports  # into the manifest alone
     run.emit(ser.igroupoid_to_json(res.groupoid), args.output)
     if args.group_output:
@@ -254,11 +256,7 @@ def cmd_cover(args, run):
 
 def cmd_verify_cover(args, run):
     run.config = {"N": args.n}
-    doc = run.read(args.cover)
-    if ser._need(doc, "format", str, "") != "covering":
-        raise SchemaError("expected a covering", "/format")
-    cover = ser.load_document(doc)
-    del doc  # as large as the cover: not kept through the check
+    cover = run.load(args.cover, {"covering"})
     if isinstance(cover, Hypergraph):
         ok, witness = check_n_acyclic_hypergraph(cover, args.n)
         out = {"format": "check", "N": args.n, "holds": ok}

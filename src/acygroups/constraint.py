@@ -26,7 +26,7 @@ from .acyclicity import (
 )
 from .amalgam import amalgam_cluster, quotient_graph
 from .canon import canonical_form, connected_components
-from .egraph import NO_EDGE, EGraph, alpha_component, induced_subgraph
+from .egraph import NO_EDGE, EGraph, induced_subgraph
 from .errors import (
     CompatibilityRequired,
     PreconditionFailed,
@@ -292,8 +292,8 @@ def is_skeleton(host, igraph, alpha, s):
     are then verified.
     """
     alpha = frozenset(alpha)
-    target, target_emb = alpha_component(igraph, sorted(alpha), s)
-    target_sites = set(target_emb)
+    reached, _ = bfs_parents([igraph.partner[c] for c in sorted(alpha)], igraph.n, [s])
+    target_sites = set(reached)
     rows = list(enumerate(host.partner))
 
     def step(c, site):
@@ -383,14 +383,21 @@ def is_free_over(group, igraph, alphas=None, ctx=None, deadline=None):
 def validate_i_coset_cycle(group, igraph, entries, ctx=None):
     """Recheck template connectivity and separation for a candidate cycle.
 
-    Entries are (alpha, site, element) triples in cyclic order; separation
-    compares the element sets of the components.
+    Entries are (alpha, site, element) triples in cyclic order.  Separation
+    asks the element sets of the two components pivoting at an entry to be
+    disjoint; their packed pairs are compared instead, with the same
+    verdict.  The context checks that the group is compatible with the
+    template (CompatibilityRequired otherwise), and under compatibility the
+    map from pairs to elements is injective on every alpha-component of the
+    product.  Both pivoting components lie in the alpha_i-component of the
+    entry, which the connectivity check has just established, so they share
+    an element exactly when they share a pair.
     """
     ctx = ctx or IContext(group, igraph)
     if len(entries) < 2:
         return False
     points = [(a, ctx.pair(s, g)) for a, s, g in entries]
-    return validate_cycle(ctx.comp_tables, points, lambda x: x % group.order)
+    return validate_cycle(ctx.comp_tables, points)
 
 
 def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=None):

@@ -199,11 +199,6 @@ class IGraph:
                 return False
         return True
 
-    def bijection(self, e):
-        if not self.is_complete():
-            raise IncompleteGraph("edge classes are not bijections")
-        return dict(self.edges[e])
-
     def __repr__(self):
         return f"IGraph({self.n} vertices over {self.pattern!r})"
 
@@ -363,14 +358,13 @@ def _generate(pattern, seeds, step):
     return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents, states)
 
 
-def groupoid_from_group(group, pattern, hat=None, igraph=None):
+def groupoid_from_group(group, pattern, hat=None):
     """Extract the pattern groupoid from a group compatible with the encoding.
 
     Elements are (site, group element) pairs where the element is a product
     of encoded edge triplets read along pattern walks from the site.
     """
     hat = hat or hat_translation(pattern)
-    template = igraph if igraph is not None else hat.igraph
     if not is_compatible(group, hat.igraph):
         raise CompatibilityRequired("group is not compatible with the encoded template")
     triplets = [hat.triplet(e) for e in range(pattern.n_edges)]
@@ -407,7 +401,7 @@ def sym_igraph(igraph):
     if not igraph.is_complete():
         raise IncompleteGraph("sym needs a complete pattern graph")
     pattern = igraph.pattern
-    bijections = [igraph.bijection(e) for e in range(pattern.n_edges)]
+    bijections = [dict(igraph.edges[e]) for e in range(pattern.n_edges)]
     sites = {s: tuple(igraph.vertices_of_site(s)) for s in range(pattern.n_sites)}
 
     def step(state, e):
@@ -433,7 +427,7 @@ def is_compatible_groupoid(gpd, igraph):
     if not igraph.is_complete():
         raise IncompleteGraph("compatibility target must be complete")
     pattern = gpd.pattern
-    bijections = [igraph.bijection(e) for e in range(pattern.n_edges)]
+    bijections = [dict(igraph.edges[e]) for e in range(pattern.n_edges)]
     seeds = [(x, tuple(igraph.vertices_of_site(s))) for s, x in enumerate(gpd.neutral)]
     actions = propagate(
         gpd.order,
@@ -554,14 +548,15 @@ class GroupoidSynthesisResult(NamedTuple):
     checks: dict
 
 
-def construct_n_acyclic_groupoid(pattern, target_igraph, n_max, config=None):
-    """Pattern groupoid with verified coset acyclicity and compatibility.
+def construct_n_acyclic_groupoid(pattern, target_igraph, config=None):
+    """Pattern groupoid with verified coset acyclicity up to
+    ``config.n_acyclic`` and compatibility with the target graph.
 
     Pipeline: encode the pattern and the target graph, grow a group over the
     encoded template until it is acyclic over it, extract the groupoid, and
     re-verify the groupoid axioms, acyclicity and compatibility directly.
     """
-    config = config or SynthesisConfig(n_acyclic=n_max)
+    config = config or SynthesisConfig()
     hat = hat_translation(pattern)
     encoded_target = translate_igraph(hat, target_igraph)
     start_graph = disjoint_union(
@@ -572,7 +567,7 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, n_max, config=None):
     gpd = groupoid_from_group(group, pattern, hat=hat)
     checks = {
         "axioms": verify_groupoid_axioms(gpd),
-        "acyclic": is_n_acyclic_groupoid(gpd, n_max, budget=config.search_budget),
+        "acyclic": is_n_acyclic_groupoid(gpd, config.n_acyclic, budget=config.search_budget),
         "compatible": is_compatible_groupoid(gpd, target_igraph),
     }
     return GroupoidSynthesisResult(gpd, group, hat, reports, checks)

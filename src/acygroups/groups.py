@@ -281,14 +281,14 @@ def cayley_graph(group):
     return CayleyGraph(g, group)
 
 
-def coset_graph(group, alpha, anchor=0):
-    """Weak subgraph of the Cayley graph on the alpha-coset of anchor.
+def coset_graph(group, alpha):
+    """Weak subgraph of the Cayley graph on the subgroup G[alpha].
 
     Returns (graph, elements): the graph keeps the full colour registry and
     elements[i] is the group element at the graph's vertex i.
     """
     alpha = sorted(set(alpha))
-    elements = group.coset(anchor, alpha)
+    elements = group.subgroup_elements(alpha)
     local = {g: i for i, g in enumerate(elements)}
     rows = [[NO_EDGE] * len(elements) for _ in group.colors]
     for c in alpha:
@@ -347,15 +347,14 @@ def is_compatible(group, h):
     return verdict
 
 
-def inherit_compatibility(ghat, group, hom):
-    """Give ghat the True compatibility verdicts of group when hom, the
-    generator-respecting homomorphism ghat -> group, exists: a word trivial
+def inherit_compatibility(ghat, group):
+    """Give ghat the True compatibility verdicts of group, for a ghat that
+    maps onto group by a generator-respecting homomorphism: a word trivial
     in ghat is then trivial in group, so it acts trivially on every
     template group is compatible with."""
-    if hom is not None:
-        for perms, verdict in group._compat_cache.items():
-            if verdict:
-                ghat._compat_cache.setdefault(perms, True)
+    for perms, verdict in group._compat_cache.items():
+        if verdict:
+            ghat._compat_cache.setdefault(perms, True)
 
 
 def homomorphism(ghat, group):

@@ -426,7 +426,7 @@ def igraph_to_dot(ig):
     for v, name in enumerate(ig.vertex_names):
         site = ig.pattern.sites[ig.site_of[v]]
         lines.append(f'  v{v} [label="{name}@{site}"];')
-    for e, einv in ig.pattern.pairs():
+    for e, _ in ig.pattern.pairs():
         for u, v in ig.edges[e]:
             lines.append(
                 f'  v{u} -> v{v} [label="{ig.pattern.edge_ids[e]}",{_style(e)},dir=both,arrowtail=none];'

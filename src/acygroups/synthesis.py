@@ -261,14 +261,15 @@ def _check_deadline(deadline, k, phase):
 
 
 def _construct(group0, config, igraph):
-    """The tower, over the template igraph unless it is None; a ResourceCap
-    raised on the way carries the last finished group as ``partial`` and the
-    reports of the finished stages."""
+    """The tower, over the template igraph unless it is None: (group,
+    stage reports), the last report carrying the final checks.  A group
+    without colours has no stage and comes back unchanged, with no reports.
+    A ResourceCap raised on the way carries the last finished group as
+    ``partial`` and the reports of the finished stages."""
     reports = []
     current = group0
     n_colors = len(group0.colors)
     deadline = None
-    final = None
     try:
         for k in range(n_colors):
             if config.stage_timeout is not None:
@@ -282,7 +283,8 @@ def _construct(group0, config, igraph):
             _check_deadline(deadline, k, "the closure")
             table, cons_ok, hom = _conservation(current, new, k)
             _check_deadline(deadline, k, "conservation")
-            inherit_compatibility(new, current, hom)  # spares IContext its walk of new
+            if hom is not None:
+                inherit_compatibility(new, current)  # spares IContext its walk of new
             ctx_new = IContext(new, igraph) if igraph is not None else None
             acyclic_ok, free_ok = _stage_verify(new, k, config, igraph, ctx_new, deadline)
             report = StageReport(
@@ -306,9 +308,6 @@ def _construct(group0, config, igraph):
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")
                     break
-        if final is None:
-            ctx = IContext(current, igraph) if igraph is not None else None
-            final = _final_verify(current, config, igraph, ctx)
     except SearchTimeout:
         raise ResourceCap(f"stage {k} timed out after the search", current, reports) from None
     except ResourceCap as exc:
@@ -319,7 +318,7 @@ def _construct(group0, config, igraph):
         reports[-1].final_checks = dict(final)
         if not all(final.values()):
             reports[-1].notes.append("final verification FAILED")
-    return current, reports, final
+    return current, reports
 
 
 def construct_n_acyclic(group0, config=None):
@@ -330,8 +329,7 @@ def construct_n_acyclic(group0, config=None):
     verified conservation data per stage.
     """
     config = config or SynthesisConfig()
-    group, reports, final = _construct(group0, config, None)
-    return group, reports
+    return _construct(group0, config, None)
 
 
 def construct_n_acyclic_over(group0, igraph, config=None):
@@ -346,5 +344,4 @@ def construct_n_acyclic_over(group0, igraph, config=None):
         raise CompatibilityRequired("template and group must share a colour registry")
     if not is_compatible(group0, igraph):
         raise CompatibilityRequired("starting group is not compatible with the template")
-    group, reports, final = _construct(group0, config, igraph)
-    return group, reports
+    return _construct(group0, config, igraph)

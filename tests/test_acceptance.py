@@ -177,7 +177,7 @@ def test_criterion_08_groupoid_pipeline():
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
     target = pattern_igraph(pattern)
     res = construct_n_acyclic_groupoid(
-        pattern, target, 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+        pattern, target, SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     assert res.checks == {"axioms": True, "acyclic": True, "compatible": True}
     assert verify_groupoid_axioms(res.groupoid)
@@ -258,7 +258,7 @@ def test_criterion_10_determinism(tmp_path):
 
         pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
         res = construct_n_acyclic_groupoid(
-            pattern, pattern_igraph(pattern), 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+            pattern, pattern_igraph(pattern), SynthesisConfig(n_acyclic=2, early_exit=True)
         )
         docs["groupoid"] = ser.igroupoid_to_json(res.groupoid)
 

@@ -170,6 +170,30 @@ def test_verify_cover_finds_a_cycle_off_vertex_zero(tmp_path, capsys):
             code, ser.canonical_bytes({"format": "check", "N": n, "holds": n < 6, "girth": 6}).decode())
 
 
+def test_verify_cover_holds_no_parsed_document_through_the_check(tmp_path, capsys, monkeypatch):
+    # the parsed document is as large as the cover: it is dropped once the
+    # cover is loaded, before the check runs
+    import gc
+
+    from acygroups import cli
+
+    names = ["held-0", "held-1", "held-2"]
+    doc = {"format": "covering", "kind": "hypergraph", "cover": ser.hypergraph_to_json(
+        Hypergraph(names, [names[:2], names[1:], names[::2]]))}
+    cover = write(tmp_path, "c.json", doc)
+    held = []
+
+    def check(hg, n_max):
+        held.extend(obj for obj in gc.get_objects()
+                    if type(obj) is dict and obj == doc and obj is not doc)
+        return real(hg, n_max)
+
+    real = cli.check_n_acyclic_hypergraph
+    monkeypatch.setattr(cli, "check_n_acyclic_hypergraph", check)
+    assert run(capsys, "verify-cover", cover, "-N", "3")[0] == 1
+    assert held == []
+
+
 def test_export_dot(tmp_path, capsys):
     tree = str(tmp_path / "tree.json")
     run(capsys, "biggs", "-E", "a,b", "-n", "1", "-o", tree)

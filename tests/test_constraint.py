@@ -328,6 +328,16 @@ def test_validate_i_coset_cycle_rejects_junk():
     assert not validate_i_coset_cycle(g, ig, [(frozenset({0}), 0, 0), (frozenset({0}), 0, 0)])
 
 
+def test_validate_i_coset_cycle_requires_a_compatible_group():
+    # the pair comparison of the template validator rests on compatibility
+    from conftest import cycle_graph
+
+    h2 = hypercube_group(["a", "b"])
+    alpha = frozenset({0})
+    with pytest.raises(CompatibilityRequired):
+        validate_i_coset_cycle(h2, cycle_graph(6), [(alpha, 0, 0), (alpha, 1, 1)])
+
+
 def test_freeness_violation_witness_located():
     from acygroups.constraint import find_freeness_violation
 

@@ -348,7 +348,7 @@ PINS = {
     "no-dot-form m_no_dot.json": "absent",
     "verify-cover-not-covering exit": 3,
     "verify-cover-not-covering stderr":
-        "4bf8149ae640985c2126adfceaf701561f704d3538f167a8001730d9c4d78966",
+        "c5f43e6baaa70e6acfdc7f6eacb4a9e188ad9b3ae582616db5294e502e872fd4",
     "verify-cover-not-covering m_not_cov.json": "absent",
     "verify-cover-without-cover exit": 3,
     "verify-cover-without-cover stderr":

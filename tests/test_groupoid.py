@@ -183,6 +183,19 @@ def test_sym_igraph_requires_complete():
         IGraph(pattern, ig.vertex_names, ig.site_of, [ig.edges[0], ()])
 
 
+def test_sym_and_compatibility_need_a_complete_target():
+    from acygroups.errors import IncompleteGraph
+    from acygroups.groupoid import IGraph
+
+    pattern = one_pair_pattern()
+    ig = pattern_igraph(pattern)
+    bare = IGraph(pattern, ig.vertex_names, ig.site_of, [(), ()])
+    with pytest.raises(IncompleteGraph):
+        sym_igraph(bare)
+    with pytest.raises(IncompleteGraph):
+        is_compatible_groupoid(sym_igraph(ig), bare)
+
+
 def test_compatibility_with_own_cayley_graph(weak_groupoid):
     _, _, _, gpd = weak_groupoid
     assert is_compatible_groupoid(gpd, groupoid_cayley(gpd))
@@ -224,7 +237,7 @@ def test_full_pipeline_one_pair():
     pattern = one_pair_pattern()
     target = pattern_igraph(pattern)
     res = construct_n_acyclic_groupoid(
-        pattern, target, 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+        pattern, target, SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     assert res.checks == {"axioms": True, "acyclic": True, "compatible": True}
     assert is_n_acyclic_groupoid(res.groupoid, 2)
@@ -270,7 +283,7 @@ def test_compatibility_transfer_both_sides():
     pattern = one_pair_pattern()
     target = pattern_igraph(pattern)
     res = construct_n_acyclic_groupoid(
-        pattern, target, 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+        pattern, target, SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     encoded = translate_igraph(res.hat, target)
     assert is_compatible(res.group, encoded)
@@ -325,7 +338,7 @@ def test_compatibility_is_walked_once_per_group(monkeypatch):
     monkeypatch.setattr(groups, "propagate", recording)
     pattern = one_pair_pattern()
     res = construct_n_acyclic_groupoid(
-        pattern, pattern_igraph(pattern), 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+        pattern, pattern_igraph(pattern), SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     assert res.checks == {"axioms": True, "acyclic": True, "compatible": True}
     assert sum(row is res.group.gen_action[0] for row in walks) == 0

@@ -121,7 +121,7 @@ def _test_groupoids():
     cubed = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
     out.append((groupoid_from_group(cubed, one_pair_pattern(), hat=hat), (2, 4, 6)))
     res = construct_n_acyclic_groupoid(
-        one_pair_pattern(), pattern_igraph(one_pair_pattern()), 2,
+        one_pair_pattern(), pattern_igraph(one_pair_pattern()),
         SynthesisConfig(n_acyclic=2, early_exit=True),
     )
     out.append((res.groupoid, (2,)))

@@ -79,6 +79,54 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def _own_scope(func):
+    """The nodes of func's own scope: the bodies of nested functions,
+    lambdas and classes are left out."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # a local nobody reads is dead work or a forgotten argument; a read in
+    # a nested function counts, and _ names a value dropped on purpose
+    offenders = []
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored = {node.id: node.lineno for node in _own_scope(func)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            offenders += [f"{name}:{line} {func.name} {local}" for local, line in stored.items()
+                          if local != "_" and local not in read]
+    assert offenders == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module uses what it imports
+    offenders = []
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        offenders += [f"{name}:{line} {imp}" for imp, line in imported.items() if imp not in used]
+    assert offenders == []
+
+
 def test_every_traced_name_resolves(monkeypatch):
     # perfbench/tracer.py patches functions by name: a module entry must be
     # an attribute of its module, and a Class.meth entry must sit in the
@@ -102,6 +150,47 @@ def test_every_traced_name_resolves(monkeypatch):
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_the_tracer_hooks_bind_on_a_small_traced_pass(monkeypatch, tmp_path, capsys):
+    # the tracer's hooks bind find_coset_cycle's arguments by name (gamma,
+    # allow_full, n_max) and read results by attribute; cli.main turns a
+    # hook's exception into exit 4, so the exit codes and the derived
+    # counts show that they bind
+    from acygroups import cli
+    from acygroups import serialize as ser
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracer_module)
+
+    tri = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
+    for name, doc in (("square.json", ser.egraph_to_json(hypercube(["a", "b"]))),
+                      ("tri.json", ser.hypergraph_to_json(tri)),
+                      ("tri_t.json", ser.egraph_to_json(intersection_graph(tri)))):
+        (tmp_path / name).write_bytes(ser.canonical_bytes(doc))
+    monkeypatch.chdir(tmp_path)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv.split()) for argv in (
+            "symgroup square.json --no-hypercube -o g.json",
+            "construct g.json -N 4 -o tower.json",
+            "check-acyclic g.json -N 4 --gamma 2",
+            "symgroup tri_t.json -o tri_g.json",
+            "construct tri_g.json -N 4 --over tri_t.json --early-exit -o over.json",
+            "cover-hypergraph tri.json over.json -o cov.json",
+            "verify-cover cov.json -N 4",
+        )]
+    finally:
+        tracer.restore()
+    assert codes == [0, 0, 1, 0, 0, 0, 0], capsys.readouterr().err
+    metrics = tracer.metrics()
+    for name in ("groups.closure_elements", "acyclicity.find_coset_cycle.calls",
+                 "synthesis.components_kept", "covering.cover_vertices"):
+        assert metrics.get(name, 0) > 0, name
 
 
 def test_commands_do_their_io_through_the_runner():

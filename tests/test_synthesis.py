@@ -32,6 +32,16 @@ def test_single_color_is_vacuously_acyclic():
     assert is_n_acyclic(result, 4)
 
 
+def test_a_group_without_colours_comes_back_unchanged_without_reports():
+    from acygroups.constraint import trivial_constraint_graph
+    from acygroups.groups import EGroup
+
+    trivial = EGroup((), [], [None])
+    assert construct_n_acyclic(trivial) == (trivial, [])
+    over = construct_n_acyclic_over(trivial, trivial_constraint_graph(()))
+    assert over[0] is trivial and over[1] == []
+
+
 def test_stage_zero_graph_is_cayley_only():
     h2 = hypercube_group(["a", "b"])
     comps, inventory = stage_graph(h2, 0)
@@ -185,7 +195,7 @@ def test_stage_groups_inherit_compatibility_from_the_homomorphism(monkeypatch):
         construct_n_acyclic_over(g0, template, SynthesisConfig(n_acyclic=n, early_exit=n > 2))
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
     construct_n_acyclic_groupoid(
-        pattern, pattern_igraph(pattern), 2, SynthesisConfig(n_acyclic=2, early_exit=True)
+        pattern, pattern_igraph(pattern), SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     stage_groups = 0
     for group, igraph, verdict in seen:
