@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import islice, permutations
 from typing import NamedTuple
 
 from .canon import canonical_form, connected_components
 from .egraph import NO_EDGE, induced_subgraph
 from .errors import PreconditionFailed, ResourceCap, SearchTimeout
-from .groups import CayleyGraph
+from .groups import CayleyGraph, is_group_symmetry
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -168,14 +169,20 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     """Shortest coset cycle of length <= n_max with subsets from the filter.
 
     Returns a canonical CosetCycle or None.  g_0 is fixed at the identity.
+    The search skips the branches that a colour symmetry of the group maps
+    to earlier ones.  It looks for the symmetries once it has spent
+    |G| * k * (k! - 1) nodes on k colours, the most their propagation
+    costs, so a search that ends before spends nothing on them.
     """
     n_colors = len(group.colors)
     if gamma is None:
         alphas = proper_subsets(n_colors)
     else:
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
+    after = group.order * n_colors * (math.factorial(n_colors) - 1)
     found = search_coset_cycle(
-        alphas, (0,), n_max, group.coset_table, met_by_ids, budget, deadline
+        alphas, (0,), n_max, group.coset_table, met_by_ids, budget, deadline,
+        symmetries=(after, lambda: _colour_symmetries(group, alphas)),
     )
     if found is None:
         return None
@@ -183,6 +190,28 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     if not validate_coset_cycle(group, cyc.entries):
         raise RuntimeError("coset-cycle search returned a cycle its validator rejects")
     return cyc
+
+
+def _colour_symmetries(group, alphas):
+    """The colour symmetries of group but the identity that map the family
+    alphas onto itself, as (element map, index map on alphas) pairs.
+
+    A renaming rho of the generators that maps each subset of alphas to
+    one of alphas is kept when :func:`~acygroups.groups.is_group_symmetry`
+    extends it to an automorphism, which then maps each alpha-coset of g
+    onto the rho(alpha)-coset of its image.
+    """
+    index = {a: i for i, a in enumerate(alphas)}
+    colors = group.colors
+    out = []
+    for rho in islice(permutations(range(len(colors))), 1, None):  # the identity comes first
+        images = [index.get(frozenset(rho[c] for c in a)) for a in alphas]
+        if None in images:
+            continue
+        perm = is_group_symmetry(group, dict(zip(colors, map(colors.__getitem__, rho))))
+        if perm is not None:
+            out.append((perm, images))
+    return out
 
 
 def met_by_ids(block, tb):
@@ -195,7 +224,8 @@ def met_by_ids(block, tb):
     return met
 
 
-def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline=None):
+def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline=None,
+                       symmetries=None):
     """The depth-first coset-cycle search behind every searcher.
 
     Points are group elements, packed (site, element) pairs of a template
@@ -230,15 +260,29 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
     is the one the unrestricted walk finds first, since any rotation of a
     cycle with an earlier subset would have been found in an earlier round.
 
+    ``symmetries``, when given, is a pair (after, find): once ``after``
+    nodes are spent, ``find()`` gives symmetries of the structure as
+    (point map, index map on alphas) pairs, each fixing every anchor and
+    mapping cycles to cycles.  From then on a start subset that one of them
+    maps to an earlier one is skipped, and so is a candidate (q, j) when
+    one that fixes every entry of the prefix maps it to (q', j') < (q, j).
+    Its image cycles lie in an earlier sibling, or take an earlier subset
+    and so come from an earlier start, and the walk would have returned
+    there; so the first cycle found stays the same, and only empty
+    branches are skipped.
+
     Returns that cycle as a list of (alpha, point) pairs, or None.  Every
     candidate entry counts as one node; more than ``budget`` nodes raise
     ResourceCap, and so does passing ``deadline`` (a ``time.monotonic()``
-    value), checked every 4096 nodes.
+    value), checked every 4096 nodes and once the symmetries are found.
     """
-    walk = _Walk(alphas, anchors, table, met, budget or DEFAULT_SEARCH_BUDGET, deadline)
+    walk = _Walk(alphas, anchors, table, met, budget or DEFAULT_SEARCH_BUDGET, deadline,
+                 symmetries, n_max)
     for target in range(2, n_max + 1):
         walk.target = target
         for start in range(len(alphas)):
+            if any(images[start] < start for _, images in walk.fix[0]):
+                continue
             walk.nexts = range(start, len(alphas))
             for p_0 in anchors:
                 walk.seq = [(start, p_0)]
@@ -250,14 +294,15 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
 class _Walk:
     """State of one search: subsets are indices into ``alphas``, their tables
     fetched once, the tables of meets alphas[i] & alphas[j] memoised as first
-    needed.  The walk itself is the module-level ``_extend``, so no function
-    refers to itself and nothing here outlives the search in a reference
-    cycle."""
+    needed.  fix[m] holds the symmetries that fix the first m entries, empty
+    until they are found.  The walk itself is the module-level ``_extend``,
+    so no function refers to itself and nothing here outlives the search in
+    a reference cycle."""
 
     __slots__ = ("alphas", "anchors", "table", "tables", "meets", "met", "budget", "deadline",
-                 "nodes", "target", "nexts", "seq")
+                 "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq")
 
-    def __init__(self, alphas, anchors, table, met, budget, deadline):
+    def __init__(self, alphas, anchors, table, met, budget, deadline, symmetries, n_max):
         self.alphas = alphas
         self.anchors = anchors
         self.table = table
@@ -266,6 +311,10 @@ class _Walk:
         self.met = met
         self.budget = budget
         self.deadline = deadline
+        self.after, self.find = symmetries or (math.inf, None)
+        # the kernel calls tick past limit, so at the node that finds the symmetries
+        self.limit = min(budget, self.after - 1)
+        self.fix = [()] * (n_max + 1)
         self.nodes = 0
 
     def fetch(self, alpha):
@@ -282,12 +331,43 @@ class _Walk:
         return t
 
     def tick(self, nodes):
-        """The slow path of node counting, taken past the budget and every
-        4096 nodes: raise on the budget or, if one is set, the deadline."""
+        """The slow path of node counting, taken past the limit and every
+        4096 nodes: raise on the budget; find the symmetries once ``after``
+        nodes are spent; raise on the deadline, if one is set, every 4096
+        nodes and after the symmetries are found."""
         if nodes > self.budget:
             raise ResourceCap(f"coset-cycle search budget {self.budget} exceeded")
-        if not nodes & 4095 and self.deadline is not None and time.monotonic() > self.deadline:
+        found = nodes >= self.after
+        if found:
+            self.after, self.limit = math.inf, self.budget
+            self.fix[0] = tuple(self.find())
+            for m, entry in enumerate(self.seq):
+                self.fix[m + 1] = _fixing(self.fix[m], entry)
+        if (found or not nodes & 4095) and self.deadline is not None \
+                and time.monotonic() > self.deadline:
             raise SearchTimeout(f"coset-cycle search timed out after {nodes} nodes")
+
+
+def _fixing(syms, entry):
+    """The symmetries of syms that fix the entry (i, p)."""
+    i, p = entry
+    return tuple(s for s in syms if s[1][i] == i and s[0][p] == p)
+
+
+def _unmoved(fix, q, nexts):
+    """The j of nexts for which no symmetry of fix maps the candidate (q, j)
+    to an earlier one: none when one maps q below q, else those that no
+    symmetry fixing q maps below j."""
+    lower = []
+    for perm, images in fix:
+        image = perm[q]
+        if image < q:
+            return ()
+        if image == q:
+            lower.append(images)
+    if not lower:
+        return nexts
+    return [j for j in nexts if all(images[j] >= j for images in lower)]
 
 
 def _extend(w, m):
@@ -301,12 +381,17 @@ def _extend(w, m):
     p_0's j-component, have its component in t outside ``closes[j]``, the
     components of t that meet p_0's in the meet table of i_0 and j, and
     leave entry 0 separated (``opens[j]``).  Each set is built once per
-    prefix node and j, on first use."""
+    prefix node and j, on first use.  Candidates that a symmetry fixing
+    the prefix maps to earlier ones are left out before they are counted."""
     seq = w.seq
     i_0, p_0 = seq[0]
     i_m, p = seq[m]
-    tables, row, meet, met, budget = w.tables, w.meets[i_m], w.meet, w.met, w.budget
+    tables, row, meet, met, budget, nexts = w.tables, w.meets[i_m], w.meet, w.met, w.limit, w.nexts
     closing = m == w.target - 2
+    fix = w.fix[m]
+    if fix:
+        fix = _fixing(fix, seq[m])
+    w.fix[m + 1] = fix
     if m:
         mid = meet(i_m, seq[m - 1][0])
         mid_block = mid.block(p)
@@ -319,7 +404,7 @@ def _extend(w, m):
             continue
         if m and mid_ids[q] == p_mid:
             continue  # separation at m is then impossible for any next subset
-        for j in w.nexts:
+        for j in _unmoved(fix, q, nexts) if fix else nexts:
             nodes += 1
             if not nodes & 4095 or nodes > budget:
                 w.tick(nodes)

@@ -234,10 +234,10 @@ def cmd_groupoid_construct(args, run):
     config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
     with run.construction():
         res = construct_n_acyclic_groupoid(pattern, target, config)
-    run.reports = res.stage_reports  # into the manifest alone
     run.emit(ser.igroupoid_to_json(res.groupoid), args.output)
     if args.group_output:
         run.emit(ser.egroup_to_json(res.group), args.group_output)
+    run.stages(res.stage_reports)
     if not all(res.checks.values()):
         sys.stderr.write(f"verification failed: {res.checks}\n")
         return EXIT_VIOLATED

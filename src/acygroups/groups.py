@@ -43,14 +43,22 @@ class EGroup:
         self._coset_cache = {}
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
         identity = list(range(self.order))
-        for row in self.gen_action:
-            if len(row) != self.order or sorted(row) != identity:
+        not_involutive = None
+        for c, row in enumerate(self.gen_action):
+            # row[row[x]] == x for every x hits every x, so the row is then a
+            # permutation with no entry out of range; only a failure is sorted
+            try:
+                involutive = list(map(row.__getitem__, row)) == identity
+            except IndexError:
+                involutive = False
+            if not involutive and sorted(row) != identity:
                 raise DegenerateGenerators("generator table is not a permutation")
             if row[0] == 0:
                 raise DegenerateGenerators("generator equals the identity")
-        for c, row in enumerate(self.gen_action):
-            if list(map(row.__getitem__, row)) != identity:
-                raise DegenerateGenerators(f"generator {self.colors[c]!r} not involutive")
+            if not involutive and not_involutive is None:
+                not_involutive = c
+        if not_involutive is not None:
+            raise DegenerateGenerators(f"generator {self.colors[not_involutive]!r} not involutive")
         seen = set()
         for row in self.gen_action:
             if row[0] in seen:
@@ -372,7 +380,8 @@ def homomorphism(ghat, group):
 
 
 def is_group_symmetry(group, rho):
-    """True when renaming generators along rho gives an isomorphic group.
+    """The automorphism that renames generators along rho, as the list of
+    each element's image, or None when renaming gives no isomorphic group.
 
     Decided by colour-aware Cayley-graph isomorphism fixing the identity:
     the candidate map 1 -> 1 with f(g * e) = f(g) * rho(e) is propagated and
@@ -382,4 +391,4 @@ def is_group_symmetry(group, rho):
         raise UnknownName("rho must permute the colour registry")
     renamed = {group.color_index(e): group.gen_action[group.color_index(t)] for e, t in rho.items()}
     rows = list(enumerate(group.gen_action))
-    return propagate(group.order, rows, [(0, 0)], lambda c, g: renamed[c][g]) is not None
+    return propagate(group.order, rows, [(0, 0)], lambda c, g: renamed[c][g])

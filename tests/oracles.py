@@ -11,6 +11,10 @@ separation test became a set membership: it asks ``separated(p, ta, q, tb)``
 of every candidate entry and checks the closing entry in a call of its own.
 The ``pairwise_*`` searchers feed it as the library's adapters feed theirs
 and return the witness with the node count, which the library must match.
+``unpruned_coset_cycle`` is ``find_coset_cycle`` before it skipped the
+branches a colour symmetry maps to earlier ones: the library kernel, given
+no symmetries.  Its node counts are the pairwise kernel's, and the pruned
+search must find its witness in no more nodes.
 
 ``reference_hypergraph_cover`` and ``reference_class_oracle_agrees`` are the
 cover construction on tuple-keyed triples and the class check that compared
@@ -56,10 +60,12 @@ import time
 from operator import getitem
 from typing import NamedTuple, Sequence
 
+from acygroups import acyclicity
 from acygroups.acyclicity import (
     DEFAULT_SEARCH_BUDGET,
     all_subsets,
     canonical_cycle,
+    met_by_ids,
     proper_subsets,
 )
 from acygroups.constraint import IContext, Skeleton
@@ -415,6 +421,18 @@ def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None
     return (None if found is None else canonical_cycle(group, found)), nodes
 
 
+def unpruned_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
+    n_colors = len(group.colors)
+    if gamma is None:
+        alphas = proper_subsets(n_colors)
+    else:
+        alphas = gamma.subsets(n_colors, allow_full=allow_full)
+    found = acyclicity.search_coset_cycle(
+        alphas, (0,), n_max, group.coset_table, met_by_ids, budget
+    )
+    return None if found is None else canonical_cycle(group, found)
+
+
 def pairwise_i_coset_cycle(group, igraph, n_max, budget=None):
     ctx = IContext(group, igraph)
     anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
@@ -553,7 +571,7 @@ def reference_is_free_skeleton(ctx, alpha, s, g=0):
             plain1 = {}
             for cid, (site, elem) in comp_reps[a1].items():
                 plain1.setdefault(find1(elem), []).append(cid)
-            for cid2, (site2, elem2) in comp_reps[a2].items():
+            for site2, elem2 in comp_reps[a2].values():
                 proj2 = component_elements(ctx, a2, site2, elem2)
                 for cid1 in _cids_meeting(group, find1, plain1, elem2, a2):
                     site1, elem1 = comp_reps[a1][cid1]

@@ -19,7 +19,7 @@ from acygroups.errors import PreconditionFailed, ResourceCap
 from acygroups.groups import cayley_graph, coset_graph, evaluate_word, homomorphism, subgroup, sym
 
 from conftest import biggs_group, hypercube_group, s3_three_generators
-from oracles import reference_girth
+from oracles import reference_girth, unpruned_coset_cycle
 
 
 def test_girth_values():
@@ -206,7 +206,6 @@ def brute_force_cycle_exists(group, n_max):
     alphas = proper_subsets(len(group.colors))
     for length in range(2, n_max + 1):
         for alpha_seq in iproduct(alphas, repeat=length):
-            pools = [group.coset(0, alpha_seq[0])]
             candidates = [[0]]
             # grow connectivity-respecting chains, then validate wholesale
             for i in range(1, length):
@@ -253,11 +252,13 @@ def test_pinned_biggs_3_1_four_cycle(small_groups):
 
 
 def test_plain_search_node_count_pinned(small_groups):
-    # the search that finds the biggs_3_1 4-cycle visits exactly 1036 nodes
+    # the search that finds the biggs_3_1 4-cycle visits exactly 703 nodes;
+    # without the symmetry pruning, past its 24 * 3 * 5 = 360 nodes, 1036
     group = small_groups["biggs_3_1"]
-    assert find_coset_cycle(group, 4, budget=1036) is not None
-    with pytest.raises(ResourceCap, match="coset-cycle search budget 1035 exceeded"):
-        find_coset_cycle(group, 4, budget=1035)
+    for search, nodes in ((find_coset_cycle, 703), (unpruned_coset_cycle, 1036)):
+        assert search(group, 4, budget=nodes) == find_coset_cycle(group, 4)
+        with pytest.raises(ResourceCap, match=f"coset-cycle search budget {nodes - 1} exceeded"):
+            search(group, 4, budget=nodes - 1)
 
 
 def test_plain_search_honours_a_tiny_budget(small_groups):

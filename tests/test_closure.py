@@ -317,7 +317,7 @@ def test_closure_reads_the_clock_every_4096_states(monkeypatch):
     regular = sym_components(S8_COLORS, [("perms", S8)]).gen_action
     clock = _clock(0.0)
     monkeypatch.setattr(traverse, "time", clock)
-    action, parents, _, _ = close(regular, S8, (0, 0), 10**6, deadline=1.0)
+    _, parents, _, _ = close(regular, S8, (0, 0), 10**6, deadline=1.0)
     assert len(parents) == 40320
     assert clock.calls == 40320 // 4096
     clock.calls = 0

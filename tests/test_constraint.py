@@ -94,6 +94,7 @@ def test_i_component_respects_template():
     pa = g.gen_action[0][0]
     elems, edges = i_component(g, ig, frozenset({0, 1}), 0, 0, ctx=ctx)
     assert elems == tuple(sorted((0, pa)))
+    assert edges == [(0, 0, pa)]  # the template's one a-edge, and no b-edge
     assert i_component(g, ig, frozenset(), 0, 3, ctx=ctx)[0] == (3,)
 
 
@@ -279,7 +280,7 @@ def test_small_coset_amalgam_against_pairwise_oracle():
     ce = small_coset_amalgam(skel, g, alpha, ig, ctx=ctx)
     oracle = naive_ce_classes(skel, g, alpha, ig, ctx)
     mine = set()
-    for v, prov in enumerate(ce.provenance):
+    for prov in ce.provenance:
         if prov:
             mine.add(frozenset(prov))
     assert mine == oracle
@@ -395,6 +396,7 @@ def test_template_search_honours_a_tiny_budget():
 
 def test_trivial_template_search_spends_the_plain_nodes():
     # over the trivial template the template search is the plain search
+    # given no symmetries (unpruned_coset_cycle)
     group = corpus()["biggs_3_1"]
     trivial = trivial_constraint_graph(group.colors)
     assert find_i_coset_cycle(group, trivial, 4, budget=1036) is not None

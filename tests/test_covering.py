@@ -69,7 +69,7 @@ def test_graph_cover_requires_compatibility():
 
 
 def test_graph_cover_unfolds_triangle(triangle_cover_group):
-    tri, ig, group = triangle_cover_group
+    _, ig, group = triangle_cover_group
     # the same template doubles as an edge-labelled triangle graph
     cov = graph_cover([(0, 1), (1, 2), (0, 2)], _relabel(group, ig))
     report = verify_cover(cov)
@@ -88,7 +88,7 @@ def _relabel(group, template):
 
 
 def test_hypergraph_cover_of_triangle(triangle_cover_group):
-    tri, ig, group = triangle_cover_group
+    tri, _, group = triangle_cover_group
     cov = hypergraph_cover(tri, group)
     report = verify_cover(cov)
     assert report.ok, report.issues
@@ -152,7 +152,7 @@ def test_cover_is_trivial_for_disjoint_hyperedges():
 
 
 def test_hyperedge_fibers_are_bijective(triangle_cover_group):
-    tri, ig, group = triangle_cover_group
+    tri, _, group = triangle_cover_group
     cov = hypergraph_cover(tri, group)
     for he in cov.cover.hyperedges:
         assert len(he) == 2

@@ -136,12 +136,14 @@ def test_alpha_component_single_color_of_cycle():
     g = new_egraph(list(range(6)), ["a", "b"], edges)
     comp, emb = alpha_component(g, [g.color_index("a")], 0)
     assert comp.n == 2 and len(comp.all_edges()) == 1
+    assert emb == (0, 1)
 
 
 def test_alpha_component_full_colors_connected():
     g = hypercube(["a", "b"])
     comp, emb = alpha_component(g, [0, 1], 0)
     assert comp.n == g.n
+    assert emb == tuple(range(g.n))
 
 
 def test_alpha_component_of_cube_is_square():

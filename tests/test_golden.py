@@ -258,6 +258,8 @@ PINS = {
     "verify-witness-over m_verify_over.json":
         "4a418a13cb7a39c11cf76d4dfffd07893d834ce042ea55d17a88ba2a14c07e5c",
     "groupoid-construct exit": 0,
+    "groupoid-construct stderr":
+        "5f300435ead5f91e0a4a4fda4f92381ecbca87d7dd2350efe8be4882a1b71923",
     "groupoid-construct gpd.json":
         "fdf132e7665fd2274a4cefba7b02a839651c8eff0c7380b89ea426a1adb3199f",
     "groupoid-construct gpd_g.json":
@@ -265,6 +267,8 @@ PINS = {
     "groupoid-construct m_gpd.json":
         "3902b3560e3f966e5522b754362efdb17a58b5a3e03fcef8dbbd2c03997c71b3",
     "groupoid-construct-target exit": 0,
+    "groupoid-construct-target stderr":
+        "5f300435ead5f91e0a4a4fda4f92381ecbca87d7dd2350efe8be4882a1b71923",
     "groupoid-construct-target stdout":
         "fdf132e7665fd2274a4cefba7b02a839651c8eff0c7380b89ea426a1adb3199f",
     "groupoid-construct-target m_gpd_target.json":

@@ -140,7 +140,7 @@ def test_extracted_groupoid_axioms(weak_groupoid):
 
 
 def test_extracted_groupoid_sorts_disjoint(weak_groupoid):
-    pattern, hat, group, gpd = weak_groupoid
+    _, _, _, gpd = weak_groupoid
     assert gpd.labels is not None
     seen = {}
     for g in range(gpd.order):
@@ -157,7 +157,7 @@ def test_neutral_laws(weak_groupoid):
 
 
 def test_reduced_word_evaluation_insensitive_to_inverse_pairs(weak_groupoid):
-    pattern, _, _, gpd = weak_groupoid
+    _, _, _, gpd = weak_groupoid
     word = [0, 3, 0]  # e fi e
     base = gpd.evaluate(word, start_site=0)
     padded = [0, 1, 0, 3, 0]  # insert e ei mid-way
@@ -173,13 +173,12 @@ def test_groupoid_cayley_roundtrip(weak_groupoid):
     assert verify_groupoid_axioms(back)
 
 
-def test_sym_igraph_requires_complete():
+def test_igraph_requires_each_class_to_be_the_converse_of_its_reverse():
     pattern = one_pair_pattern()
     ig = pattern_igraph(pattern)
-    broken = ig.edges[:1] + ((),)
     from acygroups.groupoid import IGraph
 
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match="must be the converse relation"):
         IGraph(pattern, ig.vertex_names, ig.site_of, [ig.edges[0], ()])
 
 
@@ -222,7 +221,7 @@ def test_degenerate_extraction_detected():
 
 
 def test_negative_control_cycle_translation(weak_groupoid):
-    pattern, hat, group, gpd = weak_groupoid
+    _, hat, group, gpd = weak_groupoid
     cyc = find_groupoid_coset_cycle(gpd, 10, budget=50_000_000)
     # pinned: the first witness shows any change of the search order
     e_pair, f_pair = frozenset({0, 1}), frozenset({2, 3})

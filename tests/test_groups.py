@@ -152,7 +152,7 @@ def test_left_translation_is_cayley_automorphism():
         mapping = [g.product(h, x) for x in range(g.order)]
         for c in range(len(g.colors)):
             for u in range(g.order):
-                assert mapping[g.gen_action[c][u]] == g.gen_action[c][mapping[u]]
+                assert mapping[cg.partner[c][u]] == cg.partner[c][mapping[u]]
 
 
 def test_compat_with_own_cayley_graph(small_groups):
@@ -211,6 +211,16 @@ def test_group_symmetry():
     assert is_group_symmetry(g3, {"a": "b", "b": "c", "c": "a"})
 
 
+def test_group_symmetry_is_the_element_map():
+    g = biggs_group(["a", "b", "c"], 1)
+    assert is_group_symmetry(g, {"a": "a", "b": "b", "c": "c"}) == list(range(g.order))
+    rho = [1, 2, 0]
+    f = is_group_symmetry(g, {"a": "b", "b": "c", "c": "a"})
+    assert sorted(f) == list(range(g.order)) and f[0] == 0
+    for c, row in enumerate(g.gen_action):
+        assert all(f[row[x]] == g.gen_action[rho[c]][f[x]] for x in range(g.order))
+
+
 def test_asymmetric_group_symmetry_false():
     # ord(ab) = 3 but ord(cb) = 2, so transposing a and c is not a symmetry
     g = sym(new_egraph([0, 1, 2, 3, 4], ["a", "b", "c"],
@@ -259,3 +269,26 @@ def test_coset_tables_walk_only_what_is_asked_for():
     assert walked([]) == len({0, *asked})
     table = group.coset_table([0])
     assert table.find(17) == table.find(group.rmul(17, 0)) and walked([0]) == 2 + 2
+
+
+@pytest.mark.parametrize("order, rows, message", [
+    (2, [(1, 2)], "generator table is not a permutation"),
+    (2, [(1, -1)], "generator table is not a permutation"),
+    (3, [(-1, 1, 0)], "generator table is not a permutation"),
+    (2, [(1, 1)], "generator table is not a permutation"),
+    (2, [(1, 0, 2)], "generator table is not a permutation"),
+    (3, [(1, 2, 0)], "generator 'c0' not involutive"),
+    (2, [(1, 0), (0, 1)], "generator equals the identity"),
+    (3, [(1, 2, 0), (0, 1, 2)], "generator equals the identity"),
+    (3, [(1, 2, 0), (1, 0, 3)], "generator table is not a permutation"),
+    (2, [(1, 0), (1, 0)], "two generators coincide"),
+], ids=["out-of-range", "negative", "negative-wrapping", "repeated", "too-long",
+        "not-involutive", "identity", "identity-first", "range-first", "coinciding"])
+def test_egroup_refuses_each_degenerate_table(order, rows, message):
+    # the involution test alone passes only permutations, so a failure is
+    # then told apart; every row is checked to be a permutation and not the
+    # identity before any is called not involutive
+    from acygroups.groups import EGroup
+
+    with pytest.raises(DegenerateGenerators, match=f"^{message}$"):
+        EGroup([f"c{i}" for i in range(len(rows))], rows, [None] + [(0, 0)] * (order - 1))

@@ -15,7 +15,12 @@ from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
 from conftest import biggs_group, corpus, hypercube_group
-from oracles import reference_coset_cycle, reference_groupoid_coset_cycle, reference_i_coset_cycle
+from oracles import (
+    reference_coset_cycle,
+    reference_groupoid_coset_cycle,
+    reference_i_coset_cycle,
+    unpruned_coset_cycle,
+)
 from test_constraint import compat_group, path_igraph, weak_triangle
 from test_groupoid import one_pair_pattern, parallel_pairs_pattern
 
@@ -92,10 +97,24 @@ def test_order_2592_group_is_five_acyclic_under_the_default_budget(group_2592):
 
 @pytest.mark.parametrize("n, nodes", [(4, 25_998), (5, 451_433)])
 def test_order_2592_search_node_count_pinned(group_2592, n, nodes):
-    # the budget bisects to the exact node count of the exhaustive search
-    assert find_coset_cycle(group_2592, n, budget=nodes) is None
+    # the budget bisects to the exact node count of the exhaustive search,
+    # here without the symmetry pruning
+    assert unpruned_coset_cycle(group_2592, n, budget=nodes) is None
+    with pytest.raises(ResourceCap, match=f"budget {nodes - 1} exceeded"):
+        unpruned_coset_cycle(group_2592, n, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("n, nodes", [(4, 25_998), (5, 199_721), (6, 680_027)])
+def test_order_2592_pruned_search_node_count_pinned(group_2592, n, nodes):
+    # the group has all six renamings of a, b and c as symmetries; N = 4
+    # ends below the 38,880 nodes at which the search looks for them, and
+    # N = 6 finds the 6-cycle the unpruned search finds in 1,403,881 nodes
+    found = find_coset_cycle(group_2592, n, budget=nodes)
+    assert (found is None) == (n < 6)
     with pytest.raises(ResourceCap, match=f"budget {nodes - 1} exceeded"):
         find_coset_cycle(group_2592, n, budget=nodes - 1)
+    if found is not None:
+        assert found == unpruned_coset_cycle(group_2592, n)
 
 
 def _clock(now):
@@ -139,6 +158,21 @@ def test_stage_timeout_reaches_into_the_search(monkeypatch):
         construct_n_acyclic(g0, config)
     except ResourceCap as exc:
         message, partial, reports = str(exc), exc.partial, exc.stage_reports
-    assert message == "stage 1 timed out after the search"
-    assert partial.order == 2592
-    assert [r.order for r in reports] == [24, 2592]
+    # the first clock read is the one after the symmetries are found, in the
+    # final search of stage 0 (1036 unpruned nodes past 24 * 3 * 5)
+    assert message == "stage 0 timed out after the search"
+    assert partial.order == 24
+    assert [r.order for r in reports] == [24]
+
+
+def test_search_reads_the_clock_right_after_finding_the_symmetries(monkeypatch, group_2592):
+    clock = _clock(0.0)
+    monkeypatch.setattr(acyclicity, "time", clock)
+    assert find_coset_cycle(group_2592, 5, deadline=1.0) is None
+    assert clock.calls == 199_721 // 4096 + 1
+    # a clock past the deadline from its tenth read on stops the search at
+    # 38,880 = 2592 * 3 * 5 nodes, between the ninth and tenth multiple of 4096
+    reads = iter([0.0] * 9)
+    clock.monotonic = lambda: next(reads, 2.0)
+    with pytest.raises(SearchTimeout, match="timed out after 38880 nodes"):
+        find_coset_cycle(group_2592, 5, deadline=1.0)

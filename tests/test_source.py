@@ -32,9 +32,10 @@ from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_
 from conftest import corpus
 
 
-def _modules():
-    """(file name, syntax tree) of every module of the library."""
-    for path in sorted(Path(acygroups.__file__).parent.glob("*.py")):
+def _modules(directory=Path(acygroups.__file__).parent):
+    """(file name, syntax tree) of every module of the library, or of the
+    modules in directory."""
+    for path in sorted(directory.glob("*.py")):
         yield path.name, ast.parse(path.read_text(), filename=str(path))
 
 
@@ -91,10 +92,11 @@ def _own_scope(func):
 
 
 def test_no_function_assigns_a_local_it_never_reads():
-    # a local nobody reads is dead work or a forgotten argument; a read in
-    # a nested function counts, and _ names a value dropped on purpose
+    # a local nobody reads is dead work or a forgotten argument, in the
+    # library and in its tests; a read in a nested function counts, and _
+    # names a value dropped on purpose
     offenders = []
-    for name, tree in _modules():
+    for name, tree in [*_modules(), *_modules(Path(__file__).parent)]:
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

@@ -30,6 +30,7 @@ def test_single_color_is_vacuously_acyclic():
     result, reports = construct_n_acyclic(z2, SynthesisConfig(n_acyclic=4))
     assert result.order == 2
     assert is_n_acyclic(result, 4)
+    assert [(r.order, r.acyclic_ok) for r in reports] == [(2, True)]
 
 
 def test_a_group_without_colours_comes_back_unchanged_without_reports():
@@ -58,6 +59,7 @@ def test_stage_one_chain_inventory():
     assert len(comps) == len(keys)
     shapes = sorted(c.n for c in comps)
     assert shapes == [2, 2, 3, 4]
+    assert inventory == {"cayley[4v]": 1, "chain[2v]": 2, "chain[3v]": 1}
 
 
 def test_dedupe_soundness():
@@ -259,6 +261,8 @@ def test_already_acyclic_seed_is_conserved():
     h3 = hypercube_group(["a", "b", "c"])
     result, reports = construct_n_acyclic(h3, SynthesisConfig(n_acyclic=3))
     assert result.order == 8
+    assert [r.order for r in reports] == [8, 8, 8]
+    assert all(r.conservation_ok for r in reports)
     assert is_n_acyclic(result, 3)
     assert is_group_symmetry(result, {"a": "b", "b": "c", "c": "a"})
 
@@ -308,7 +312,7 @@ def _repeats(log):
 
 def test_plain_tower_searches_each_group_once(monkeypatch):
     log = _record_searches(monkeypatch)
-    result, reports = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=4))
+    _, reports = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=4))
     assert len(log) == 2 and _repeats(log) == 0
     assert reports[-1].final_checks == {"n_acyclic": True}
 
