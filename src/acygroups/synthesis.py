@@ -111,6 +111,13 @@ def _chain_pointings(group, subsets, max_len):
     G[alpha_{i-1} & alpha_i] * G[alpha_i & alpha_{i+1}], which depends on
     that subset triple alone; a prefix is dropped as soon as one of its
     interior positions admits none.  The last point is the identity.
+
+    So is the first point g_0.  Only glue 0, (0, g_0*h) ~ (1, h), reads it:
+    the interior checks and the quotient do not.  On copy 0, x -> g_0^-1*x
+    commutes with the right action of the generators, so it is a colour
+    isomorphism onto the chain with g_0 = 1.  Subgroup elements are sorted,
+    so the identity comes first in product order, and the first chain of
+    every isomorphism class, the one the dedupe keeps, already has g_0 = 1.
     """
     admissible = {}
 
@@ -125,10 +132,10 @@ def _chain_pointings(group, subsets, max_len):
         return points
 
     for length in range(1, max_len + 1):
-        yield from _extend_chain(group, subsets, interior, [], [], length)
+        yield from _extend_chain(subsets, interior, [], [], length)
 
 
-def _extend_chain(group, subsets, interior, alphas, points, length):
+def _extend_chain(subsets, interior, alphas, points, length):
     """The admissible chains of the given length that start with alphas."""
     if len(alphas) == length:
         yield alphas, points + [(0,)]
@@ -140,19 +147,24 @@ def _extend_chain(group, subsets, interior, alphas, points, length):
                 continue
             grown = points + [here]
         elif alphas:
-            grown = [group.subgroup_elements(alphas[0])]
+            grown = [(0,)]
         else:
             grown = []
-        yield from _extend_chain(group, subsets, interior, alphas + [a], grown, length)
+        yield from _extend_chain(subsets, interior, alphas + [a], grown, length)
 
 
-def _enumerate_chains(group, subsets, max_len):
+def _enumerate_chains(group, subsets, max_len, deadline=None):
     """(canonical form, graph) of the deduplicated free amalgamation chains
-    with constituents from subsets."""
+    with constituents from subsets; ResourceCap once the monotonic clock,
+    read before each chain is offered, has passed deadline."""
     store = []
     seen = set()
+    offered = 0
     for alphas, pointings in _chain_pointings(group, subsets, max_len):
         for gs in product(*pointings):
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceCap(f"stage graph timed out after {offered} chains")
+            offered += 1
             am = amalgam_chain(group, list(zip(alphas, gs)))
             if am is None:
                 continue
@@ -164,18 +176,18 @@ def _enumerate_chains(group, subsets, max_len):
     return store
 
 
-def stage_graph(group, k, igraph=None, config=None, ctx=None):
+def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
     """Components of the stage graph for level k, with an inventory.
 
     Always contains the Cayley graph; chains of up to max(1, N - 2)
     constituents (and, given a template igraph, clusters plus skeleton
     extensions) over the subsets of size <= k join it, deduplicated up to
-    colour isomorphism.
+    colour isomorphism.  The chain enumeration honours deadline.
     """
     config = config or SynthesisConfig()
     dedupe = _Deduper(cayley_graph(group).graph)
     gamma = [a for a in all_subsets(len(group.colors), max_size=k) if a]
-    for key, graph in _enumerate_chains(group, gamma, max(1, config.n_acyclic - 2)):
+    for key, graph in _enumerate_chains(group, gamma, max(1, config.n_acyclic - 2), deadline):
         dedupe.add("chain", graph, key=key)
     if igraph is not None:
         for size in range(2, len(gamma) + 1):
@@ -275,7 +287,9 @@ def _construct(group0, config, igraph):
             if config.stage_timeout is not None:
                 deadline = time.monotonic() + config.stage_timeout
             ctx = IContext(current, igraph) if igraph is not None else None
-            components, inventory = stage_graph(current, k, igraph=igraph, config=config, ctx=ctx)
+            components, inventory = stage_graph(
+                current, k, igraph=igraph, config=config, ctx=ctx, deadline=deadline
+            )
             _check_deadline(deadline, k, "the stage graph")
             new = _combined_group(
                 current, components[1:], current.colors, config.element_cap, deadline

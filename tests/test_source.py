@@ -109,6 +109,26 @@ def test_no_function_assigns_a_local_it_never_reads():
     assert offenders == []
 
 
+def test_no_function_has_a_parameter_it_never_reads():
+    # an argument nobody reads is a dead argument its callers still pass; a
+    # read in a nested function counts, and self, cls and _ names are exempt
+    offenders = []
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            offenders += [f"{name}:{func.lineno} {getattr(func, 'name', 'lambda')} {p.arg}"
+                          for p in params
+                          if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                          and p.arg not in read]
+    assert offenders == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # __init__ imports to re-export; every other module uses what it imports
     offenders = []

@@ -392,4 +392,87 @@ def test_cube_tower_offers_amalgam_chain_only_admissible_chains(monkeypatch):
     monkeypatch.setattr(synthesis, "amalgam_chain", amalgam_chain)
     _, reports = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=10))
     assert [r.order for r in reports] == [4, 5040]
-    assert len(calls) == len(built) == 34
+    assert len(calls) == len(built) == 18
+
+
+def test_cube_3_refusal_offers_amalgam_chain_only_identity_first_points(monkeypatch):
+    # the refused cube_3 tower at N = 4 builds each chain once: 54 chains,
+    # every one with its first and last points at the identity
+    from acygroups import synthesis
+
+    calls, closures = [], []
+    chain, combined = synthesis.amalgam_chain, synthesis._combined_group
+
+    def amalgam_chain(group, items):
+        calls.append(items)
+        return chain(group, items)
+
+    def combined_group(*args, **kwargs):
+        new = combined(*args, **kwargs)
+        closures.append(new.order)
+        return new
+
+    monkeypatch.setattr(synthesis, "amalgam_chain", amalgam_chain)
+    monkeypatch.setattr(synthesis, "_combined_group", combined_group)
+    config = SynthesisConfig(n_acyclic=4, early_exit=True)
+    with pytest.raises(ResourceCap) as info:
+        construct_n_acyclic(hypercube_group(["a", "b", "c"]), config)
+    assert str(info.value) == (
+        "element cap 1000000 exceeded: the group has order at least 1058400 "
+        "(part 9: 13 points, order at least 1058400)"
+    )
+    assert closures == [8, 216]
+    assert [r.order for r in info.value.stage_reports] == [8, 216]
+    assert len(calls) == 54
+    assert all(items[0][1] == items[-1][1] == 0 for items in calls)
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_chains_differing_in_their_first_point_are_isomorphic(small_groups, name):
+    # the first point g_0 is read only by the glue between copies 0 and 1,
+    # and x -> g_0^-1 * x on copy 0 maps the chain onto the one with g_0 = 1:
+    # both are undefined together, or colour isomorphic
+    from itertools import product
+
+    from acygroups.acyclicity import all_subsets
+    from acygroups.amalgam import amalgam_chain
+
+    group = small_groups[name]
+    subsets = [a for a in all_subsets(len(group.colors), max_size=2) if a]
+    for length in (2, 3):
+        for alphas in product(subsets, repeat=length):
+            interiors = [group.subgroup_elements(a) for a in alphas[1:-1]]
+            for middle in product(*interiors):
+                rest = list(zip(alphas[1:], [*middle, 0]))
+                pinned = amalgam_chain(group, [(alphas[0], 0), *rest])
+                key = None if pinned is None else canonical_form(pinned.graph)
+                for x in group.subgroup_elements(alphas[0]):
+                    am = amalgam_chain(group, [(alphas[0], x), *rest])
+                    assert (am is None) == (pinned is None), (alphas, x, middle)
+                    if am is not None:
+                        assert canonical_form(am.graph) == key, (alphas, x, middle)
+
+
+def test_stage_timeout_reaches_into_the_chain_enumeration(monkeypatch):
+    # the clock is read before each chain is offered: a clock that passes
+    # the deadline during the first chain of stage 1 stops the enumeration
+    # at the second, with stage 0 reported
+    from types import SimpleNamespace
+
+    from acygroups import synthesis
+
+    clock = [0.0]
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    chain = synthesis.amalgam_chain
+
+    def amalgam_chain(group, items):
+        clock[0] += 100.0
+        return chain(group, items)
+
+    monkeypatch.setattr(synthesis, "amalgam_chain", amalgam_chain)
+    h2 = hypercube_group(["a", "b"])
+    config = SynthesisConfig(n_acyclic=4, stage_timeout=10.0)
+    with pytest.raises(ResourceCap, match="^stage graph timed out after 1 chains$") as info:
+        construct_n_acyclic(h2, config)
+    assert [r.order for r in info.value.stage_reports] == [4]
+    assert info.value.partial.order == 4
