@@ -422,7 +422,6 @@ def test_cube_3_refusal_offers_amalgam_chain_only_identity_first_points(monkeypa
         "(part 9: 13 points, order at least 1058400)"
     )
     assert closures == [8, 216]
-    assert [r.order for r in info.value.stage_reports] == [8, 216]
     assert len(calls) == 54
     assert all(items[0][1] == items[-1][1] == 0 for items in calls)
 
