@@ -35,7 +35,8 @@ def _need(doc, key, types, pointer):
     if key not in doc:
         raise SchemaError(f"missing key {key!r}", f"{pointer}/{key}")
     val = doc[key]
-    if types is not None and not isinstance(val, types):
+    # JSON true and false are not integers, though Python's bool is an int
+    if types is not None and (not isinstance(val, types) or isinstance(val, bool)):
         raise SchemaError(f"wrong type for {key!r}", f"{pointer}/{key}")
     return val
 
@@ -44,7 +45,7 @@ def _indices(doc, key, low, high, pointer):
     """doc[key]: a list of ints in low..high-1, checked entry by entry."""
     row = _need(doc, key, list, pointer)
     for i, x in enumerate(row):
-        if not (isinstance(x, int) and low <= x < high):
+        if not (type(x) is int and low <= x < high):
             raise SchemaError(f"entry out of range {low}..{high - 1}", f"{pointer}/{key}/{i}")
     return row
 
@@ -111,7 +112,7 @@ def egroup_from_json(doc, pointer=""):
             raise SchemaError(f"missing action for colour {c!r}", f"{pointer}/action/{c}")
         row = action_doc[c]
         if (not isinstance(row, list) or len(row) != order
-                or not all(isinstance(x, int) for x in row) or sorted(row) != list(range(order))):
+                or not all(type(x) is int for x in row) or sorted(row) != list(range(order))):
             raise SchemaError("action row is not a permutation", f"{pointer}/action/{c}")
         action.append(row)
     # rebuild witness links by breadth-first closure from the identity
@@ -140,11 +141,14 @@ def pattern_to_json(pattern):
 def pattern_from_json(doc, pointer=""):
     sites = _names(doc, "sites", pointer)
     edges_doc = _need(doc, "edges", list, pointer)
+    ids = [_need(e, "id", str, f"{pointer}/edges/{i}") for i, e in enumerate(edges_doc)]
+    known_s, known_e = set(sites), set(ids)
     edges = []
-    for i, e in enumerate(edges_doc):
+    for i, (eid, e) in enumerate(zip(ids, edges_doc)):
         p = f"{pointer}/edges/{i}"
-        edges.append((_need(e, "id", str, p), _need(e, "src", str, p),
-                      _need(e, "tgt", str, p), _need(e, "inv", str, p)))
+        edges.append((eid, _known(_need(e, "src", str, p), known_s, "site", f"{p}/src"),
+                      _known(_need(e, "tgt", str, p), known_s, "site", f"{p}/tgt"),
+                      _known(_need(e, "inv", str, p), known_e, "edge", f"{p}/inv")))
     return ConstraintPattern(sites, edges)
 
 
@@ -333,12 +337,15 @@ def cycle_to_json(group, entries):
 
 def cycle_from_json(doc, group, pointer="", n_sites=None):
     """(alpha, g) entries, or (alpha, site, g) when n_sites (the template's
-    vertex count) is given; elements and sites are range-checked."""
+    vertex count) is given; colours are looked up and elements and sites
+    range-checked, each with a pointer."""
     entries = _need(doc, "entries", list, pointer)
+    colors = {c: i for i, c in enumerate(group.colors)}
     out = []
     for i, e in enumerate(entries):
         p = f"{pointer}/entries/{i}"
-        alpha = frozenset(group.color_index(c) for c in _need(e, "alpha", list, p))
+        alpha = frozenset(colors[_known(c, colors, "colour", f"{p}/alpha/{j}")]
+                          for j, c in enumerate(_need(e, "alpha", list, p)))
         g = _need(e, "g", int, p)
         if not 0 <= g < group.order:
             raise SchemaError(f"element out of range 0..{group.order - 1}", f"{p}/g")

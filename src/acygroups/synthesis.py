@@ -20,11 +20,10 @@ from .acyclicity import DEFAULT_SEARCH_BUDGET, GammaFilter, all_subsets, find_co
 from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
-from .egraph import trivial_completion
 from .errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from .groups import (
     DEFAULT_ELEMENT_CAP,
-    cayley_graph,
+    graph_generator_perms,
     inherit_compatibility,
     is_compatible,
     sym_components,
@@ -75,32 +74,6 @@ class StageReport:
             "final_checks": self.final_checks,
             "notes": list(self.notes),
         }
-
-
-class _Deduper:
-    """Canonical-form keyed store of stage components with an inventory,
-    the Cayley graph first."""
-
-    def __init__(self, cayley):
-        # the Cayley-graph component is unique and vertex transitive; keying
-        # it would cost a quadratic canonical labelling for nothing
-        self.seen = set()
-        self.components = [cayley]
-        self.inventory = {f"cayley[{cayley.n}v]": 1}
-
-    def add(self, kind, graph, key=None):
-        """Count graph and keep it unless its canonical form (key, computed
-        when not given) was kept before."""
-        if key is None:
-            key = canonical_form(graph)
-        label = f"{kind}[{graph.n}v]"
-        self.inventory[label] = self.inventory.get(label, 0) + 1
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.components.append(graph)
-        if len(self.components) > MAX_COMPONENTS:
-            raise ResourceCap(f"component cap {MAX_COMPONENTS} exceeded")
 
 
 def _chain_pointings(group, subsets, max_len):
@@ -162,8 +135,7 @@ def _enumerate_chains(group, subsets, max_len, deadline=None):
     offered = 0
     for alphas, pointings in _chain_pointings(group, subsets, max_len):
         for gs in product(*pointings):
-            if deadline is not None and time.monotonic() > deadline:
-                raise ResourceCap(f"stage graph timed out after {offered} chains")
+            _check_deadline(deadline, f"stage graph timed out after {offered} chains")
             offered += 1
             am = amalgam_chain(group, list(zip(alphas, gs)))
             if am is None:
@@ -177,42 +149,53 @@ def _enumerate_chains(group, subsets, max_len, deadline=None):
 
 
 def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
-    """Components of the stage graph for level k, with an inventory.
+    """The components that join the Cayley graph of group in the stage
+    graph for level k, with an inventory of the whole stage graph.
 
-    Always contains the Cayley graph; chains of up to max(1, N - 2)
-    constituents (and, given a template igraph, clusters plus skeleton
-    extensions) over the subsets of size <= k join it, deduplicated up to
-    colour isomorphism.  The chain enumeration honours deadline.
+    Chains of up to max(1, N - 2) constituents (and, given a template
+    igraph, clusters plus skeleton extensions) over the subsets of size
+    <= k are kept once per colour-isomorphism type.  The Cayley graph is
+    never built: the closure takes the group's tables for it, and the
+    inventory counts it as one component on |G| vertices.  The deadline is
+    read before each chain, cluster and extension.
     """
     config = config or SynthesisConfig()
-    dedupe = _Deduper(cayley_graph(group).graph)
+    inventory = {f"cayley[{group.order}v]": 1}
+    components, seen = [], set()
+
+    def keep(kind, graph, key=None):
+        label = f"{kind}[{graph.n}v]"
+        inventory[label] = inventory.get(label, 0) + 1
+        key = canonical_form(graph) if key is None else key
+        if key in seen:
+            return
+        seen.add(key)
+        components.append(graph)
+        if len(components) >= MAX_COMPONENTS:  # with the Cayley graph, one more than the cap
+            raise ResourceCap(f"component cap {MAX_COMPONENTS} exceeded")
+
     gamma = [a for a in all_subsets(len(group.colors), max_size=k) if a]
     for key, graph in _enumerate_chains(group, gamma, max(1, config.n_acyclic - 2), deadline):
-        dedupe.add("chain", graph, key=key)
+        keep("chain", graph, key)
     if igraph is not None:
-        for size in range(2, len(gamma) + 1):
-            for alphas in combinations(gamma, size):
-                cluster = amalgam_cluster(group, list(alphas))
-                dedupe.add("cluster", cluster.graph)
+        clusters = (c for size in range(2, len(gamma) + 1) for c in combinations(gamma, size))
+        for made, alphas in enumerate(clusters):
+            _check_deadline(deadline, f"stage graph timed out after {made} clusters")
+            keep("cluster", amalgam_cluster(group, list(alphas)).graph)
         ctx = ctx or IContext(group, igraph)
-        for a in gamma:
-            for s in range(igraph.n):
-                skel = ctx.skeleton(a, s)
-                ce = small_coset_amalgam(
-                    skel, group, a, igraph, ctx=ctx, verify_preconditions=False
-                )
-                dedupe.add("extension", ce.graph)
-    return dedupe.components, dedupe.inventory
+        for made, (a, s) in enumerate(product(gamma, range(igraph.n))):
+            _check_deadline(deadline, f"stage graph timed out after {made} extensions")
+            skel = ctx.skeleton(a, s)
+            ce = small_coset_amalgam(skel, group, a, igraph, ctx=ctx, verify_preconditions=False)
+            keep("extension", ce.graph)
+    return components, inventory
 
 
 def _combined_group(group, extra_components, colors, cap, deadline):
     """sym of (Cayley graph of group) + extras, with the regular part keyed
     by group elements rather than permutations."""
     parts = [("tables", group.gen_action)]
-    for comp in extra_components:
-        bar = trivial_completion(comp)
-        gens = [tuple(row) for row in bar.partner]
-        parts.append(("perms", gens))
+    parts += [("perms", graph_generator_perms(comp)) for comp in extra_components]
     return sym_components(colors, parts, cap=cap, deadline=deadline)
 
 
@@ -267,9 +250,10 @@ def _final_verify(group, config, igraph, ctx, n_acyclic=None, deadline=None):
     return checks
 
 
-def _check_deadline(deadline, k, phase):
+def _check_deadline(deadline, message):
+    """ResourceCap(message) once the monotonic clock has passed deadline."""
     if deadline is not None and time.monotonic() > deadline:
-        raise ResourceCap(f"stage {k} timed out after {phase}")
+        raise ResourceCap(message)
 
 
 def _construct(group0, config, igraph):
@@ -282,25 +266,25 @@ def _construct(group0, config, igraph):
     current = group0
     n_colors = len(group0.colors)
     deadline = None
+    # one template context per group: built for each stage group, it serves
+    # the next stage graph too
+    ctx = IContext(current, igraph) if igraph is not None else None
     try:
         for k in range(n_colors):
             if config.stage_timeout is not None:
                 deadline = time.monotonic() + config.stage_timeout
-            ctx = IContext(current, igraph) if igraph is not None else None
             components, inventory = stage_graph(
                 current, k, igraph=igraph, config=config, ctx=ctx, deadline=deadline
             )
-            _check_deadline(deadline, k, "the stage graph")
-            new = _combined_group(
-                current, components[1:], current.colors, config.element_cap, deadline
-            )
-            _check_deadline(deadline, k, "the closure")
+            _check_deadline(deadline, f"stage {k} timed out after the stage graph")
+            new = _combined_group(current, components, current.colors, config.element_cap, deadline)
+            _check_deadline(deadline, f"stage {k} timed out after the closure")
             table, cons_ok, hom = _conservation(current, new, k)
-            _check_deadline(deadline, k, "conservation")
+            _check_deadline(deadline, f"stage {k} timed out after conservation")
             if hom is not None:
                 inherit_compatibility(new, current)  # spares IContext its walk of new
-            ctx_new = IContext(new, igraph) if igraph is not None else None
-            acyclic_ok, free_ok = _stage_verify(new, k, config, igraph, ctx_new, deadline)
+            ctx = IContext(new, igraph) if igraph is not None else None
+            acyclic_ok, free_ok = _stage_verify(new, k, config, igraph, ctx, deadline)
             report = StageReport(
                 stage=k,
                 inventory=inventory,
@@ -317,7 +301,7 @@ def _construct(group0, config, igraph):
             if config.early_exit or last:
                 # the last stage searched all proper subsets: the final plain search
                 final = _final_verify(
-                    current, config, igraph, ctx_new, acyclic_ok if last else None, deadline
+                    current, config, igraph, ctx, acyclic_ok if last else None, deadline
                 )
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")

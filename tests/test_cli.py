@@ -389,6 +389,26 @@ def test_list_valued_egraph_names_are_invalid_input(tmp_path, capsys):
     _invalid(capsys, ["symgroup", write(tmp_path, "c.json", colour)], "/edges/0/0")
 
 
+def test_json_booleans_are_invalid_input(tmp_path, capsys):
+    group = {"format": "egroup", "colors": ["a"], "order": 2, "action": {"a": [True, False]}}
+    _invalid(capsys, ["girth", write(tmp_path, "g.json", group)], "/action/a")
+    s3 = write(tmp_path, "s3.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
+    witness = {"format": "coset_cycle", "entries": [{"alpha": ["a"], "g": True}]}
+    _invalid(capsys, ["verify-witness", write(tmp_path, "w.json", witness), s3], "/entries/0/g")
+
+
+def test_unknown_names_are_invalid_input_with_a_pointer(tmp_path, capsys):
+    pattern = {"format": "pattern", "sites": ["s", "t"],
+               "edges": [{"id": "e", "src": "s", "tgt": "t", "inv": "f"},
+                         {"id": "f", "src": "t", "tgt": "zz", "inv": "e"}]}
+    _invalid(capsys, ["groupoid-construct", write(tmp_path, "p.json", pattern), "-N", "2"],
+             "/edges/1/tgt")
+    s3 = write(tmp_path, "s3.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
+    witness = {"format": "coset_cycle", "entries": [{"alpha": ["a", "c"], "g": 0}]}
+    _invalid(capsys, ["verify-witness", write(tmp_path, "w.json", witness), s3],
+             "/entries/0/alpha/1")
+
+
 def test_gamma_with_over_is_invalid_input(tmp_path, capsys):
     tree = str(tmp_path / "tree.json")
     run(capsys, "biggs", "-E", "a,b", "-n", "1", "-o", tree)

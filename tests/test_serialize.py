@@ -244,6 +244,71 @@ def test_cycle_from_json_range_checks_elements_and_sites():
     assert err.value.pointer == "/entries/0/site"
 
 
+def _s3_witness_doc():
+    s3 = biggs_group(["a", "b"], 1)
+    entries = [{"alpha": ["a"], "g": 0, "site": 0}, {"alpha": ["a", "b"], "g": 1, "site": 1}]
+    return {"format": "coset_cycle", "entries": entries}, s3
+
+
+def _load(doc):
+    """The object of doc; a witness is read against S3, with two sites."""
+    if doc["format"] == "coset_cycle":
+        return ser.cycle_from_json(doc, _s3_witness_doc()[1], n_sites=2)
+    return ser.load_document(doc)
+
+
+# every integer a loader reads, set to JSON true
+@pytest.mark.parametrize("kind,path,pointer", [
+    ("egroup", ("order",), "/order"),
+    ("egroup", ("action", "a", 0), "/action/a"),
+    ("igroupoid", ("order",), "/order"),
+    ("igroupoid", ("neutrals", 0), "/neutrals/0"),
+    ("igroupoid", ("rmul", "e", 0), "/rmul/e/0"),
+    ("igroupoid", ("generators", "f"), "/generators/f"),
+    ("witness", ("entries", 1, "g"), "/entries/1/g"),
+    ("witness", ("entries", 1, "site"), "/entries/1/site"),
+])
+def test_json_booleans_are_not_integers(kind, path, pointer):
+    doc = {
+        "egroup": lambda: {"format": "egroup", "colors": ["a"], "order": 2,
+                           "action": {"a": [1, 0]}},
+        "igroupoid": _two_site_groupoid_doc,
+        "witness": lambda: _s3_witness_doc()[0],
+    }[kind]()
+    _load(doc)
+    with pytest.raises(SchemaError) as err:
+        _load(_mutated(doc, path, True))
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("src", "zz", "unknown site 'zz'"),
+    ("tgt", "zz", "unknown site 'zz'"),
+    ("inv", "zz", "unknown edge 'zz'"),
+    ("inv", "s", "unknown edge 's'"),
+])
+def test_pattern_edge_names_are_checked_with_a_pointer(key, value, message):
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    doc = _mutated(ser.pattern_to_json(pattern), ("edges", 1, key), value)
+    with pytest.raises(SchemaError, match=f"^{message} ") as err:
+        ser.load_document(doc)
+    assert err.value.pointer == f"/edges/1/{key}"
+    inner = _mutated(ser.igraph_to_json(pattern_igraph(pattern)), ("pattern", "edges", 1, key),
+                     value)
+    with pytest.raises(SchemaError) as err:
+        ser.load_document(inner)
+    assert err.value.pointer == f"/pattern/edges/1/{key}"
+
+
+@pytest.mark.parametrize("value", ["c", 5, None, ["a"]])
+def test_witness_colours_are_checked_with_a_pointer(value):
+    doc, s3 = _s3_witness_doc()
+    doc = _mutated(doc, ("entries", 1, "alpha", 1), value)
+    with pytest.raises(SchemaError) as err:
+        ser.cycle_from_json(doc, s3)
+    assert err.value.pointer == "/entries/1/alpha/1"
+
+
 def _paths(doc, prefix=()):
     """Every key path into a JSON document but the format tag."""
     children = doc.items() if isinstance(doc, dict) else (
@@ -254,26 +319,58 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
+def _retyped(before, after):
+    """Whether a value at a path of before (and of after) other than a
+    format tag has changed its JSON type; a bool is a type of its own."""
+    for path in _paths(before):
+        if "format" in path:
+            continue
+        old, new = before, after
+        for key in path:
+            if type(old) is not type(new) or key not in (
+                    new if isinstance(new, dict) else range(len(new))):
+                break
+            old, new = old[key], new[key]
+        else:
+            if type(old) is not type(new):
+                return True
+    return False
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_loaders_reject_mutated_documents_with_schema_errors_only(data):
+    import copy
+
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
-    doc = data.draw(st.sampled_from([
+    original = data.draw(st.sampled_from([
         ser.egraph_to_json(hypercube(["a", "b"])),
         ser.egroup_to_json(biggs_group(["a", "b"], 1)),
         ser.pattern_to_json(pattern),
         ser.igraph_to_json(pattern_igraph(pattern)),
         ser.hypergraph_to_json(Hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])),
         ser.graph_to_json([("0", "1"), ("1", "2")]),
+        _s3_witness_doc()[0],
     ]))
+    doc = copy.deepcopy(original)
     values = st.sampled_from([5, -1, 1.5, None, True, "x", "0", [], [5], ["x"], [[1]], {}, {"a": 1}])
+    every_mutation_retypes = True
     for _ in range(data.draw(st.integers(1, 2))):
-        path = data.draw(st.sampled_from(list(_paths(doc))))
+        # no loader reads the format tags below the top level
+        path = data.draw(st.sampled_from([p for p in _paths(doc) if "format" not in p]))
+        before = copy.deepcopy(doc)
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = data.draw(values)
-    try:
-        ser.load_document(doc)
-    except AcygroupsError:
-        pass  # SchemaError, or a precondition of the built object
+        every_mutation_retypes = every_mutation_retypes and _retyped(before, doc)
+    if not _retyped(original, doc):
+        try:
+            _load(doc)
+        except AcygroupsError:
+            pass  # a value of the same type may fail a precondition of the object
+        return
+    # a value of another JSON type is a schema error, unless a mutation of
+    # the same type failed a precondition first
+    with pytest.raises(SchemaError if every_mutation_retypes else AcygroupsError):
+        _load(doc)

@@ -44,36 +44,72 @@ def test_a_group_without_colours_comes_back_unchanged_without_reports():
 
 
 def test_stage_zero_graph_is_cayley_only():
+    # the Cayley graph is counted in the inventory but never built: the
+    # closure takes the group's tables for it
     h2 = hypercube_group(["a", "b"])
-    comps, inventory = stage_graph(h2, 0)
-    assert len(comps) == 1
-    assert list(inventory) == ["cayley[4v]"]
+    assert stage_graph(h2, 0) == ([], {"cayley[4v]": 1})
 
 
 def test_stage_one_chain_inventory():
     h2 = hypercube_group(["a", "b"])
     comps, inventory = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
     # chains over singletons of length <= 2 dedupe to: single a-edge, single
-    # b-edge, and the two-edge alternating path (plus the Cayley graph)
+    # b-edge, and the two-edge alternating path; the Cayley graph is only
+    # counted
     keys = {canonical_form(c) for c in comps}
     assert len(comps) == len(keys)
     shapes = sorted(c.n for c in comps)
-    assert shapes == [2, 2, 3, 4]
+    assert shapes == [2, 2, 3]
     assert inventory == {"cayley[4v]": 1, "chain[2v]": 2, "chain[3v]": 1}
 
 
 def test_dedupe_soundness():
-    # the stage graph keeps one chain per isomorphism type: the group it
-    # generates is that of the Cayley graph with every chain kept
+    # the stage graph keeps one chain per isomorphism type: with the Cayley
+    # graph, it generates the group of the Cayley graph with every chain
     h2 = hypercube_group(["a", "b"])
     comps, _ = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
     singletons = [frozenset({0}), frozenset({1})]
     chains = _product_then_filter_chains(h2, singletons, 2, dedupe=False)
+    kept = [cayley_graph(h2).graph] + comps
     dup = [cayley_graph(h2).graph] + [graph for _, graph in chains]
-    g1 = sym(disjoint_union(comps), attach_hypercube=False)
+    g1 = sym(disjoint_union(kept), attach_hypercube=False)
     g2 = sym(disjoint_union(dup), attach_hypercube=False)
     assert g1.order == g2.order
-    assert len(comps) < len(dup)
+    assert len(kept) < len(dup)
+
+
+def test_stage_graph_builds_no_cayley_graph(monkeypatch):
+    # no graph on |G| = 4 vertices is made: the chains have 2 and 3
+    from acygroups.egraph import EGraph
+
+    h2 = hypercube_group(["a", "b"])
+    sizes = []
+    init = EGraph.__init__
+
+    def counting(self, vertex_names, *args, **kwargs):
+        sizes.append(len(vertex_names))
+        init(self, vertex_names, *args, **kwargs)
+
+    monkeypatch.setattr(EGraph, "__init__", counting)
+    stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
+    assert sizes and 4 not in sizes
+
+
+@pytest.mark.parametrize("cap,refused", [(4, False), (3, True)])
+def test_component_cap_counts_the_cayley_graph(monkeypatch, cap, refused):
+    # three chains and the Cayley graph: four components, refused only
+    # when the cap is below four
+    from acygroups import synthesis
+
+    monkeypatch.setattr(synthesis, "MAX_COMPONENTS", cap)
+    h2 = hypercube_group(["a", "b"])
+    config = SynthesisConfig(n_acyclic=4)
+    if refused:
+        with pytest.raises(ResourceCap, match=f"^component cap {cap} exceeded$"):
+            stage_graph(h2, 1, config=config)
+    else:
+        inventory = stage_graph(h2, 1, config=config)[1]
+        assert inventory == {"cayley[4v]": 1, "chain[2v]": 2, "chain[3v]": 1}
 
 
 def test_full_plain_synthesis_two_colors():
@@ -475,3 +511,37 @@ def test_stage_timeout_reaches_into_the_chain_enumeration(monkeypatch):
         construct_n_acyclic(h2, config)
     assert [r.order for r in info.value.stage_reports] == [4]
     assert info.value.partial.order == 4
+
+
+@pytest.mark.parametrize("step,kind", [
+    ("amalgam_cluster", "clusters"),
+    ("small_coset_amalgam", "extensions"),
+])
+def test_stage_timeout_reaches_into_the_template_components(monkeypatch, step, kind):
+    # the clock is read before each cluster and each skeleton extension: a
+    # clock that passes the deadline during the first of them in stage 1 of
+    # the triangle's template tower stops it at the second, with stage 0
+    # reported; the searches and freeness checks read the same clock
+    from types import SimpleNamespace
+
+    from acygroups import acyclicity, constraint, synthesis, traverse
+    from acygroups.covering import Hypergraph, intersection_graph
+
+    template = intersection_graph(Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]]))
+    seed = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
+    clock = [0.0]
+    fake = SimpleNamespace(monotonic=lambda: clock[0])
+    for module in (acyclicity, constraint, synthesis, traverse):
+        monkeypatch.setattr(module, "time", fake)
+    original = getattr(synthesis, step)
+
+    def slow(*args, **kwargs):
+        clock[0] += 100.0
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, step, slow)
+    config = SynthesisConfig(n_acyclic=4, early_exit=True, stage_timeout=10.0)
+    with pytest.raises(ResourceCap, match=f"^stage graph timed out after 1 {kind}$") as info:
+        construct_n_acyclic_over(seed, template, config)
+    assert [r.order for r in info.value.stage_reports] == [24]
+    assert info.value.partial.order == 24
