@@ -8,12 +8,10 @@ applies everything to finite graph and hypergraph coverings.
 """
 
 from .acyclicity import (
-    CosetCycle,
     GammaFilter,
     coset_support,
     find_coset_cycle,
     girth,
-    has_cluster_property,
     is_n_acyclic,
     is_two_acyclic,
     minimal_support,
@@ -27,8 +25,9 @@ from .amalgam import (
     beta_components,
     embed_into_cayley,
     free_amalgam,
+    has_cluster_property,
 )
-from .canon import canonical_form, find_isomorphism, isomorphic
+from .canon import canonical_form, find_isomorphism, is_symmetry, isomorphic
 from .constraint import (
     IContext,
     Skeleton,
@@ -61,7 +60,6 @@ from .egraph import (
     biggs_tree,
     disjoint_union,
     hypercube,
-    is_symmetry,
     new_egraph,
     reduce_word,
     rename,
@@ -99,7 +97,6 @@ from .groupoid import (
     verify_groupoid_axioms,
 )
 from .groups import (
-    CayleyGraph,
     EGroup,
     cayley_graph,
     coset_graph,

@@ -1,4 +1,4 @@
-"""Coset cycles, graded acyclicity, girth, minimal supports, cluster property.
+"""Coset cycles, graded acyclicity, girth, minimal supports.
 
 A coset cycle of length n is a cyclic sequence of pointed cosets
 (g_i * G[alpha_i], g_i) such that consecutive cosets share their link element
@@ -20,12 +20,10 @@ from __future__ import annotations
 import math
 import time
 from itertools import islice, permutations
-from typing import NamedTuple
 
-from .canon import canonical_form, connected_components
-from .egraph import NO_EDGE, induced_subgraph
+from .egraph import NO_EDGE
 from .errors import PreconditionFailed, ResourceCap, SearchTimeout
-from .groups import CayleyGraph, is_group_symmetry
+from .groups import EGroup, is_group_symmetry
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -76,38 +74,30 @@ def proper_subsets(n_colors):
     return all_subsets(n_colors, max_size=max(n_colors - 1, 0))
 
 
-class CosetCycle(NamedTuple):
-    """Witness: cyclic (alpha, g) entries in rotation/reflection canonical form."""
-
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def girth(cg):
-    """Length of the shortest graph cycle, or math.inf.
+def girth(g):
+    """Length of the shortest cycle of a graph, or of a group's Cayley
+    graph, or math.inf.
 
     A Cayley graph is vertex transitive, so one breadth-first sweep from the
-    identity realises its girth.  Any other graph, such as a graph cover,
-    is swept from every vertex.  A sweep stops at the first depth d with
-    2d >= the best length found, since no edge leaving that depth closes a
-    shorter cycle.
+    identity over the group's generator tables realises its girth.  A graph,
+    such as a graph cover, is swept from every vertex.  A sweep stops at the
+    first depth d with 2d >= the best length found, since no edge leaving
+    that depth closes a shorter cycle.
     """
-    graph = cg.graph if hasattr(cg, "graph") else cg
-    sources = range(graph.n)
-    if isinstance(cg, CayleyGraph):
-        sources = sources[:1]
+    if isinstance(g, EGroup):
+        n, rows, sources = g.order, g.gen_action, (0,)
+    else:
+        n, rows, sources = g.n, g.partner, range(g.n)
     best = math.inf
     for source in sources:
-        dist = [-1] * graph.n
-        par = [-1] * graph.n
+        dist = [-1] * n
+        par = [-1] * n
         dist[source] = 0
         queue = [source]
         for u in queue:
             if 2 * dist[u] >= best:
                 break
-            for row in graph.partner:
+            for row in rows:
                 w = row[u]
                 if w == NO_EDGE:
                     continue
@@ -162,17 +152,18 @@ def canonical_cycle(group, entries):
             key = tuple((tuple(sorted(a)), g) for a, g in ent)
             if best is None or key < best[0]:
                 best = (key, ent)
-    return CosetCycle(best[1])
+    return best[1]
 
 
 def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, deadline=None):
     """Shortest coset cycle of length <= n_max with subsets from the filter.
 
-    Returns a canonical CosetCycle or None.  g_0 is fixed at the identity.
-    The search skips the branches that a colour symmetry of the group maps
-    to earlier ones.  It looks for the symmetries once it has spent
-    |G| * k * (k! - 1) nodes on k colours, the most their propagation
-    costs, so a search that ends before spends nothing on them.
+    Returns the canonical tuple of (alpha, g) entries, or None.  g_0 is
+    fixed at the identity.  The search skips the branches that a colour
+    symmetry of the group maps to earlier ones.  It looks for the
+    symmetries once it has spent |G| * k * (k! - 1) nodes on k colours, the
+    most their propagation costs, so a search that ends before spends
+    nothing on them.
     """
     n_colors = len(group.colors)
     if gamma is None:
@@ -187,7 +178,7 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     if found is None:
         return None
     cyc = canonical_cycle(group, found)
-    if not validate_coset_cycle(group, cyc.entries):
+    if not validate_coset_cycle(group, cyc):
         raise RuntimeError("coset-cycle search returned a cycle its validator rejects")
     return cyc
 
@@ -462,29 +453,19 @@ def is_two_acyclic(group):
     return True
 
 
-class Support(NamedTuple):
-    support: frozenset
-    verified: bool
-
-
 def minimal_support(group, g, assume_two_acyclic=False):
     """The unique minimal generator set whose subgroup contains g.
 
-    Needs 2-acyclicity; when assumed rather than verified the result is
-    flagged unverified.
+    Needs 2-acyclicity, which is checked unless it is assumed.
     """
-    verified = True
-    if not assume_two_acyclic:
-        if not is_two_acyclic(group):
-            raise PreconditionFailed("group is not 2-acyclic")
-    else:
-        verified = False
+    if not assume_two_acyclic and not is_two_acyclic(group):
+        raise PreconditionFailed("group is not 2-acyclic")
     n_colors = len(group.colors)
     inter = frozenset(range(n_colors))
     for a in all_subsets(n_colors):
         if g in group.subgroup_elements(a):
             inter &= a
-    return Support(inter, verified)
+    return inter
 
 
 def coset_support(group, alpha, g):
@@ -493,61 +474,5 @@ def coset_support(group, alpha, g):
         raise PreconditionFailed("group is not 3-acyclic")
     inter = frozenset(range(len(group.colors)))
     for h in group.coset(g, alpha):
-        inter &= minimal_support(group, h, assume_two_acyclic=True).support
-    return Support(inter, True)
-
-
-def has_cluster_property(group, max_constituents=3):
-    """Bounded check of the cluster property over amalgamation clusters.
-
-    For every cluster of up to max_constituents nonempty proper generator
-    subsets and every proper beta, each beta-connected component must contain
-    an element realising the component's minimal support, and must be
-    isomorphic to the cluster of the beta-reducts of its contributing
-    constituents.  Requires (and checks) 2-acyclicity of all proper
-    subgroups.
-    """
-    from itertools import combinations
-
-    from . import amalgam as am
-    from .groups import subgroup
-
-    n_colors = len(group.colors)
-    for a in proper_subsets(n_colors):
-        if not is_two_acyclic(subgroup(group, a)):
-            raise PreconditionFailed(
-                f"subgroup for {sorted(group.colors[i] for i in a)} is not 2-acyclic"
-            )
-    family = [a for a in proper_subsets(n_colors) if a]
-    for size in range(1, max_constituents + 1):
-        for alphas in combinations(family, size):
-            cluster = am.amalgam_cluster(group, list(alphas))
-            for beta in proper_subsets(n_colors):
-                if not _cluster_components_ok(group, cluster, beta, am):
-                    return False
-    return True
-
-
-def _cluster_components_ok(group, cluster, beta, am):
-    for comp in connected_components(cluster.graph, beta):
-        elems = {v: min(cluster.provenance[v])[1] for v in comp}
-        supports = {
-            v: minimal_support(group, elems[v], assume_two_acyclic=True).support
-            for v in comp
-        }
-        alpha_b = frozenset.intersection(*supports.values())
-        if not any(s == alpha_b for s in supports.values()):
-            return False
-        touching = {ci for v in comp for ci, _ in cluster.provenance[v]}
-        m_b = [ci for ci in sorted(touching) if beta & cluster.constituents[ci][0]]
-        if not m_b:
-            if len(comp) != 1:
-                return False
-            continue
-        predicted = am.amalgam_cluster(
-            group, [beta & cluster.constituents[ci][0] for ci in m_b]
-        )
-        actual = induced_subgraph(cluster.graph, sorted(comp), beta)
-        if canonical_form(predicted.graph) != canonical_form(actual):
-            return False
-    return True
+        inter &= minimal_support(group, h, assume_two_acyclic=True)
+    return inter

@@ -8,10 +8,11 @@ quotients of tagged copies; class representatives are the minimal
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
-from .acyclicity import is_two_acyclic
-from .canon import connected_components, find_isomorphism
+from .acyclicity import is_two_acyclic, minimal_support, proper_subsets
+from .canon import canonical_form, connected_components, find_isomorphism
 from .egraph import NO_EDGE, EGraph, induced_subgraph
 from .errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
 from .groups import coset_graph, subgroup
@@ -207,7 +208,7 @@ def beta_components(am, beta):
         single = _single_constituent(am, comp, touching)
         if single is not None:
             ci = single
-            predicted, _ = coset_graph(group, beta & am.constituents[ci][0])
+            predicted = coset_graph(group, beta & am.constituents[ci][0])
             iso = find_isomorphism(actual, predicted)
             out.append(
                 Classification("single", {"constituent": ci}, iso is not None, iso)
@@ -285,3 +286,49 @@ def rebuild_renamed(am, rho):
     if am.kind == "cluster":
         return amalgam_cluster(group, alphas)
     raise ValueError("rebuild_renamed supports binary and cluster amalgams")
+
+
+def has_cluster_property(group, max_constituents=3):
+    """Bounded check of the cluster property over amalgamation clusters.
+
+    For every cluster of up to max_constituents nonempty proper generator
+    subsets and every proper beta, each beta-connected component must contain
+    an element realising the component's minimal support, and must be
+    isomorphic to the cluster of the beta-reducts of its contributing
+    constituents.  Requires (and checks) 2-acyclicity of all proper
+    subgroups.
+    """
+    n_colors = len(group.colors)
+    for a in proper_subsets(n_colors):
+        if not is_two_acyclic(subgroup(group, a)):
+            raise PreconditionFailed(
+                f"subgroup for {sorted(group.colors[i] for i in a)} is not 2-acyclic"
+            )
+    family = [a for a in proper_subsets(n_colors) if a]
+    for size in range(1, max_constituents + 1):
+        for alphas in combinations(family, size):
+            cluster = amalgam_cluster(group, list(alphas))
+            for beta in proper_subsets(n_colors):
+                if not _cluster_components_ok(group, cluster, beta):
+                    return False
+    return True
+
+
+def _cluster_components_ok(group, cluster, beta):
+    for comp in connected_components(cluster.graph, beta):
+        elems = {v: min(cluster.provenance[v])[1] for v in comp}
+        supports = {v: minimal_support(group, elems[v], assume_two_acyclic=True) for v in comp}
+        alpha_b = frozenset.intersection(*supports.values())
+        if not any(s == alpha_b for s in supports.values()):
+            return False
+        touching = {ci for v in comp for ci, _ in cluster.provenance[v]}
+        m_b = [ci for ci in sorted(touching) if beta & cluster.constituents[ci][0]]
+        if not m_b:
+            if len(comp) != 1:
+                return False
+            continue
+        predicted = amalgam_cluster(group, [beta & cluster.constituents[ci][0] for ci in m_b])
+        actual = induced_subgraph(cluster.graph, sorted(comp), beta)
+        if canonical_form(predicted.graph) != canonical_form(actual):
+            return False
+    return True

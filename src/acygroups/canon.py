@@ -9,7 +9,7 @@ cheap at the component sizes this library works with.
 
 from __future__ import annotations
 
-from .egraph import NO_EDGE
+from .egraph import NO_EDGE, rename
 from .traverse import Cosets
 
 
@@ -98,3 +98,8 @@ def find_isomorphism(g1, g2):
 
 def isomorphic(g1, g2):
     return find_isomorphism(g1, g2) is not None
+
+
+def is_symmetry(g, rho):
+    """True when renaming by rho yields a graph isomorphic to g."""
+    return canonical_form(g) == canonical_form(rename(g, rho))

@@ -9,8 +9,9 @@ on any other cap, nor on exit 3 or 4.
 Exit codes: 0 success / property holds; 1 property violated (witness
 emitted); 2 resource cap; 3 invalid input (including a malformed command
 line, -N below 2, --cap below 1, --gamma below 1, a negative biggs depth,
-and --gamma with --over, and an input file that is missing, unreadable or
-not UTF-8); 4 internal error (any other exception, reported in one line).
+and --gamma with --over, an ACYGROUPS_ELEMENT_CAP that is not a positive
+integer, and an input file that is missing, unreadable or not UTF-8); 4
+internal error (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .covering import (
 from .egraph import biggs_tree
 from .errors import AcygroupsError, ResourceCap, SchemaError
 from .groupoid import construct_n_acyclic_groupoid, pattern_igraph
-from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, sym
+from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, default_cap, sym
 from .synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
 
 EXIT_OK = 0
@@ -165,12 +166,12 @@ def cmd_symgroup(args, run):
 
 def cmd_cayley(args, run):
     group = run.load(args.group, {"egroup"})
-    run.emit(ser.egraph_to_json(cayley_graph(group).graph), args.output)
+    run.emit(ser.egraph_to_json(cayley_graph(group)), args.output)
     return EXIT_OK
 
 
 def cmd_girth(args, run):
-    value = girth(cayley_graph(run.load(args.group, {"egroup"})))
+    value = girth(run.load(args.group, {"egroup"}))
     run.emit({"format": "girth", "girth": _girth_json(value)}, args.output)
     return EXIT_OK
 
@@ -183,8 +184,7 @@ def cmd_check_acyclic(args, run):
     if args.over:
         entries = find_i_coset_cycle(group, run.load(args.over, {"egraph"}), args.n)
     else:
-        cyc = find_coset_cycle(group, args.n, gamma=gamma)
-        entries = cyc.entries if cyc else None
+        entries = find_coset_cycle(group, args.n, gamma=gamma)
     run.timings = {"search": time.monotonic() - t0}
     if entries is None:
         run.emit({"format": "check", "holds": True, "N": args.n}, args.output)
@@ -376,6 +376,7 @@ def _parse_args(argv):
 
 def main(argv=None):
     try:
+        default_cap()  # refuses an ACYGROUPS_ELEMENT_CAP that is not a positive integer
         args = _parse_args(argv)
         run = _Run(args)
         code = args.func(args, run)

@@ -45,13 +45,12 @@ def trivial_constraint_graph(colors):
     return EGraph(["s"], sorted(colors), rows)
 
 
-def direct_product(igraph, cg):
-    """Product of a template with a Cayley graph on site/element pairs.
+def direct_product(igraph, group):
+    """Product of a template with a group's Cayley graph on site/element pairs.
 
     An e-edge joins (s, g) and (s', g*e) exactly when I has an e-edge (s, s').
     The group must be compatible with the template.
     """
-    group = cg.group
     if not is_compatible(group, igraph):
         raise CompatibilityRequired("group is not compatible with the template graph")
     ns, ng = igraph.n, group.order

@@ -288,10 +288,3 @@ def rename(g, rho):
     for e, target in rho.items():
         rows[g.color_index(target)] = g.partner[g.color_index(e)]
     return EGraph(g.vertex_names, g.colors, rows)
-
-
-def is_symmetry(g, rho):
-    """True when renaming by rho yields a graph isomorphic to g."""
-    from .canon import canonical_form
-
-    return canonical_form(g) == canonical_form(rename(g, rho))

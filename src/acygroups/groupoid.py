@@ -45,16 +45,9 @@ class ConstraintPattern:
         self.src = tuple(self._site(e[1]) for e in edges)
         self.tgt = tuple(self._site(e[2]) for e in edges)
         self.inv = tuple(self._edge(e[3]) for e in edges)
-        for i in range(len(edges)):
-            if self.inv[i] == i:
-                raise PreconditionFailed("edge reversal must be fixpoint free")
-            if self.inv[self.inv[i]] != i:
-                raise PreconditionFailed("edge reversal must be involutive")
-            if self.src[self.inv[i]] != self.tgt[i] or self.tgt[self.inv[i]] != self.src[i]:
-                raise PreconditionFailed("edge reversal must swap source and target")
-        incident = set(self.src) | set(self.tgt)
-        if incident != set(range(len(self.sites))):
-            raise PreconditionFailed("incidence maps must be surjective onto the sites")
+        fault = pattern_fault(len(self.sites), self.src, self.tgt, self.inv)
+        if fault is not None:
+            raise PreconditionFailed(fault[0])
 
     def _site(self, name):
         try:
@@ -82,6 +75,23 @@ class ConstraintPattern:
 
     def __repr__(self):
         return f"ConstraintPattern({len(self.sites)} sites, {self.n_edges} directed edges)"
+
+
+def pattern_fault(n_sites, src, tgt, inv):
+    """(message, "edge", e) for the first edge e that inv does not reverse,
+    else (message, "site", s) for the first site s no edge touches, or None."""
+    for e, r in enumerate(inv):
+        if r == e:
+            return "edge reversal must be fixpoint free", "edge", e
+        if inv[r] != e:
+            return "edge reversal must be involutive", "edge", e
+        if src[r] != tgt[e] or tgt[r] != src[e]:
+            return "edge reversal must swap source and target", "edge", e
+    incident = set(src) | set(tgt)
+    for s in range(n_sites):
+        if s not in incident:
+            return "incidence maps must be surjective onto the sites", "site", s
+    return None
 
 
 class HatTranslation(NamedTuple):
@@ -169,6 +179,8 @@ class IGraph:
         self.vertex_names = tuple(vertex_names)
         self.site_of = tuple(site_of)
         self._vidx = {nm: i for i, nm in enumerate(self.vertex_names)}
+        if len(self._vidx) != len(self.vertex_names):
+            raise UnknownName("duplicate vertex names")
         self.edges = tuple(tuple(sorted(es)) for es in edges)
         sites_present = set(self.site_of)
         if sites_present != set(range(pattern.n_sites)):

@@ -16,11 +16,32 @@ from math import lcm
 
 from .canon import connected_components
 from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, trivial_completion
-from .errors import DegenerateGenerators, ResourceCap, UnknownName
+from .errors import DegenerateGenerators, PreconditionFailed, ResourceCap, UnknownName
 from .permgroup import group_order
 from .traverse import Cosets, bfs_parents, close, propagate
 
-DEFAULT_ELEMENT_CAP = int(os.environ.get("ACYGROUPS_ELEMENT_CAP", 1_000_000))
+
+def _positive(text):
+    """text as a positive integer, or None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value > 0 else None
+
+
+# None when the variable is set to anything but a positive integer: the
+# import never fails, and default_cap refuses it
+_CAP_TEXT = os.environ.get("ACYGROUPS_ELEMENT_CAP", "1000000")
+DEFAULT_ELEMENT_CAP = _positive(_CAP_TEXT)
+
+
+def default_cap():
+    """The default element cap, which ACYGROUPS_ELEMENT_CAP sets."""
+    if DEFAULT_ELEMENT_CAP is None:
+        raise PreconditionFailed(
+            f"ACYGROUPS_ELEMENT_CAP must be a positive integer, got {_CAP_TEXT!r}")
+    return DEFAULT_ELEMENT_CAP
 
 
 class EGroup:
@@ -208,7 +229,7 @@ def sym_components(colors, parts, cap=None, deadline=None):
     its cap is the group's; the last walk numbers the group's own Cayley
     graph.  Part 0's coordinate carried down the fold is the projection.
     """
-    cap = cap or DEFAULT_ELEMENT_CAP
+    cap = cap or default_cap()
     for i, (kind, data) in enumerate(parts):
         for c, row in enumerate(data):
             if list(map(row.__getitem__, row)) != list(range(len(row))):
@@ -243,7 +264,7 @@ def sym(h, attach_hypercube=True, cap=None):
     hypercube over the colour registry is appended first, which forces the
     generators to be pairwise distinct non-identity involutions.
     """
-    cap = cap or DEFAULT_ELEMENT_CAP
+    cap = cap or default_cap()
     if not h.colors:
         raise UnknownName("at least one colour required")
     if attach_hypercube:
@@ -269,31 +290,18 @@ def sym(h, attach_hypercube=True, cap=None):
     return sym_components(hbar.colors, parts, cap=cap)
 
 
-class CayleyGraph:
-    """Cayley graph of an EGroup; a strict complete graph on element indices."""
-
-    __slots__ = ("graph", "group")
-
-    def __init__(self, graph, group):
-        self.graph = graph
-        self.group = group
-
-    def __repr__(self):
-        return f"CayleyGraph(order {self.group.order})"
-
-
 def cayley_graph(group):
+    """The Cayley graph of group as an EGraph on its element indices."""
     names = [str(i) for i in range(group.order)]
     # the generator tables are involutions, hence already partner rows
-    g = EGraph(names, group.colors, group.gen_action)
-    return CayleyGraph(g, group)
+    return EGraph(names, group.colors, group.gen_action)
 
 
 def coset_graph(group, alpha):
     """Weak subgraph of the Cayley graph on the subgroup G[alpha].
 
-    Returns (graph, elements): the graph keeps the full colour registry and
-    elements[i] is the group element at the graph's vertex i.
+    The graph keeps the full colour registry; its vertex i is the i-th
+    element of G[alpha] ascending, named by its index in the group.
     """
     alpha = sorted(set(alpha))
     elements = group.subgroup_elements(alpha)
@@ -302,8 +310,7 @@ def coset_graph(group, alpha):
     for c in alpha:
         for i, g in enumerate(elements):
             rows[c][i] = local[group.gen_action[c][g]]
-    graph = EGraph([str(g) for g in elements], group.colors, rows)
-    return graph, elements
+    return EGraph([str(g) for g in elements], group.colors, rows)
 
 
 def evaluate_word(group, word):

@@ -13,7 +13,7 @@ import json
 from .covering import Hypergraph, graph_template
 from .egraph import EGraph, new_egraph
 from .errors import SchemaError
-from .groupoid import ConstraintPattern, IGraph, IGroupoid
+from .groupoid import ConstraintPattern, IGraph, IGroupoid, pattern_fault
 from .groups import EGroup
 from .traverse import NO_EDGE, bfs_parents
 
@@ -51,11 +51,15 @@ def _indices(doc, key, low, high, pointer):
 
 
 def _names(doc, key, pointer):
-    """doc[key]: a list of vertex, colour or site names, all strings."""
+    """doc[key]: a list of distinct vertex, colour or site names, all strings."""
     row = _need(doc, key, list, pointer)
+    seen = set()
     for i, x in enumerate(row):
         if not isinstance(x, str):
             raise SchemaError("a name must be a string", f"{pointer}/{key}/{i}")
+        if x in seen:
+            raise SchemaError(f"duplicate name {x!r}", f"{pointer}/{key}/{i}")
+        seen.add(x)
     return row
 
 
@@ -142,13 +146,22 @@ def pattern_from_json(doc, pointer=""):
     sites = _names(doc, "sites", pointer)
     edges_doc = _need(doc, "edges", list, pointer)
     ids = [_need(e, "id", str, f"{pointer}/edges/{i}") for i, e in enumerate(edges_doc)]
-    known_s, known_e = set(sites), set(ids)
+    sidx, eidx = {s: i for i, s in enumerate(sites)}, {}
+    for i, eid in enumerate(ids):
+        if eidx.setdefault(eid, i) != i:
+            raise SchemaError("duplicate edge ids", f"{pointer}/edges/{i}/id")
     edges = []
     for i, (eid, e) in enumerate(zip(ids, edges_doc)):
         p = f"{pointer}/edges/{i}"
-        edges.append((eid, _known(_need(e, "src", str, p), known_s, "site", f"{p}/src"),
-                      _known(_need(e, "tgt", str, p), known_s, "site", f"{p}/tgt"),
-                      _known(_need(e, "inv", str, p), known_e, "edge", f"{p}/inv")))
+        edges.append((eid, _known(_need(e, "src", str, p), sidx, "site", f"{p}/src"),
+                      _known(_need(e, "tgt", str, p), sidx, "site", f"{p}/tgt"),
+                      _known(_need(e, "inv", str, p), eidx, "edge", f"{p}/inv")))
+    fault = pattern_fault(len(sites), [sidx[e[1]] for e in edges], [sidx[e[2]] for e in edges],
+                          [eidx[e[3]] for e in edges])
+    if fault is not None:
+        message, kind, i = fault
+        raise SchemaError(message, f"{pointer}/edges/{i}/inv" if kind == "edge"
+                          else f"{pointer}/sites/{i}")
     return ConstraintPattern(sites, edges)
 
 
@@ -173,10 +186,9 @@ def igraph_from_json(doc, pointer=""):
     if len(site_names) != len(vertices):
         raise SchemaError("one site per vertex expected", f"{pointer}/site_of")
     vidx = {v: i for i, v in enumerate(vertices)}
-    try:
-        site_of = [pattern.sites.index(s) for s in site_names]
-    except ValueError:
-        raise SchemaError("unknown site name", f"{pointer}/site_of") from None
+    sidx = {s: i for i, s in enumerate(pattern.sites)}
+    site_of = [sidx[_known(s, sidx, "site", f"{pointer}/site_of/{i}")]
+               for i, s in enumerate(site_names)]
     edges_doc = _need(doc, "edges", dict, pointer)
     edges = []
     for e in range(pattern.n_edges):

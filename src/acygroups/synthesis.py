@@ -22,7 +22,7 @@ from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
 from .errors import CompatibilityRequired, ResourceCap, SearchTimeout
 from .groups import (
-    DEFAULT_ELEMENT_CAP,
+    default_cap,
     graph_generator_perms,
     inherit_compatibility,
     is_compatible,
@@ -36,7 +36,7 @@ MAX_COMPONENTS = 20_000
 @dataclass(frozen=True)
 class SynthesisConfig:
     n_acyclic: int = 2
-    element_cap: int = DEFAULT_ELEMENT_CAP
+    element_cap: int = field(default_factory=default_cap)
     stage_timeout: float | None = None
     search_budget: int = DEFAULT_SEARCH_BUDGET
     early_exit: bool = False

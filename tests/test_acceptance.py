@@ -13,11 +13,16 @@ from acygroups import serialize as ser
 from acygroups.acyclicity import (
     find_coset_cycle,
     girth,
-    has_cluster_property,
     is_n_acyclic,
     is_two_acyclic,
 )
-from acygroups.amalgam import FailureWitness, amalgam_chain, embed_into_cayley, free_amalgam
+from acygroups.amalgam import (
+    FailureWitness,
+    amalgam_chain,
+    embed_into_cayley,
+    free_amalgam,
+    has_cluster_property,
+)
 from acygroups.constraint import is_free_over, is_n_acyclic_over, validate_i_coset_cycle
 from acygroups.covering import (
     Hypergraph,
@@ -66,7 +71,7 @@ def test_criterion_01_biggs_girth_bound():
     for colors, depth in [(["a", "b"], 1), (["a", "b"], 2), (["a", "b", "c"], 1)]:
         t0 = time.monotonic()
         group = sym(biggs_tree(colors, depth), attach_hypercube=False)
-        value = girth(cayley_graph(group))
+        value = girth(group)
         assert value >= 4 * depth + 2, (colors, depth, value)
         observed[(len(colors), depth)] = value
         _budget(t0, 10, f"girth for ({len(colors)},{depth})")
@@ -103,8 +108,8 @@ def test_criterion_03_three_acyclicity_lemma():
     }
     for name, g0 in seeds.items():
         t0 = time.monotonic()
-        comps = [cayley_graph(g0).graph]
-        comps += [coset_graph(g0, sorted(a))[0] for a in proper_subsets(len(g0.colors))]
+        comps = [cayley_graph(g0)]
+        comps += [coset_graph(g0, sorted(a)) for a in proper_subsets(len(g0.colors))]
         lifted = sym(disjoint_union(comps), attach_hypercube=False)
         assert is_n_acyclic(lifted, 3), name
         _budget(t0, 120, f"criterion 3 seed {name}")
@@ -236,9 +241,9 @@ def test_criterion_10_determinism(tmp_path):
         docs = {}
         t_group = sym(biggs_tree(["a", "b"], 1), attach_hypercube=False)
         docs["tree_group"] = ser.egroup_to_json(t_group)
-        docs["tree_cayley"] = ser.egraph_to_json(cayley_graph(t_group).graph)
+        docs["tree_cayley"] = ser.egraph_to_json(cayley_graph(t_group))
         cyc = find_coset_cycle(t_group, 6)
-        docs["witness"] = ser.cycle_to_json(t_group, cyc.entries)
+        docs["witness"] = ser.cycle_to_json(t_group, cyc)
 
         seed = hypercube_group(["a", "b"])
         result, reports = construct_n_acyclic(seed, SynthesisConfig(n_acyclic=4))

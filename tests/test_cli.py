@@ -11,7 +11,7 @@ from acygroups.egraph import hypercube, disjoint_union
 from acygroups.groupoid import ConstraintPattern
 from acygroups.groups import sym
 
-from conftest import biggs_group
+from conftest import biggs_group, hypercube_group
 from test_serialize import _paths
 
 
@@ -278,7 +278,7 @@ def _cli_subprocess(env_cap, *argv):
     env = {**os.environ, "ACYGROUPS_ELEMENT_CAP": env_cap, "PYTHONPATH": src}
     code = "import sys; from acygroups.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True).returncode
+                          capture_output=True, text=True)
 
 
 def test_construct_cap_follows_environment(tmp_path):
@@ -287,16 +287,31 @@ def test_construct_cap_follows_environment(tmp_path):
     pattern = write(tmp_path, "p.json", ser.pattern_to_json(
         ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])))
     # the N = 4 extension of the four-group has order 12
-    assert _cli_subprocess("10", "construct", group, "-N", "4", "-o", str(tmp_path / "o.json")) == 2
+    out = str(tmp_path / "o.json")
+    assert _cli_subprocess("10", "construct", group, "-N", "4", "-o", out).returncode == 2
     assert _cli_subprocess("10", "groupoid-construct", pattern, "-N", "2",
-                           "-o", str(tmp_path / "gpd.json")) == 2
+                           "-o", str(tmp_path / "gpd.json")).returncode == 2
     manifest = tmp_path / "m.json"
-    assert _cli_subprocess("50", "construct", group, "-N", "4", "-o", str(tmp_path / "o.json"),
-                           "--manifest", str(manifest)) == 0
+    assert _cli_subprocess("50", "construct", group, "-N", "4", "-o", out,
+                           "--manifest", str(manifest)).returncode == 0
     assert json.loads(manifest.read_text())["config"]["cap"] == 50
     # an explicit --cap still wins over the environment
     assert _cli_subprocess("50", "construct", group, "-N", "4", "--cap", "5",
-                           "-o", str(tmp_path / "o.json")) == 2
+                           "-o", out).returncode == 2
+
+
+@pytest.mark.parametrize("env_cap", ["abc", "1e6", "0", "-3"])
+def test_an_element_cap_that_is_not_a_positive_integer_is_invalid_input(tmp_path, env_cap):
+    # before, abc and 1e6 ended in a traceback (exit 1, "violated"), -3
+    # capped symgroup and 0 was blamed on a --cap that was never given
+    group = write(tmp_path, "g.json", ser.egroup_to_json(hypercube_group(["a", "b"])))
+    tree = write(tmp_path, "t.json", ser.egraph_to_json(hypercube(["a", "b"])))
+    for argv in (("biggs", "-E", "a,b", "-n", "1"), ("symgroup", tree),
+                 ("construct", group, "-N", "4")):
+        done = _cli_subprocess(env_cap, *argv, "-o", str(tmp_path / "o.json"))
+        assert done.returncode == 3 and done.stdout == "", (env_cap, argv, done.stderr)
+        assert done.stderr == ("invalid input: ACYGROUPS_ELEMENT_CAP must be a positive "
+                               f"integer, got {env_cap!r}\n"), argv
 
 
 def test_verify_witness_element_out_of_range_is_invalid_input(tmp_path, capsys):
@@ -403,6 +418,10 @@ def test_unknown_names_are_invalid_input_with_a_pointer(tmp_path, capsys):
                          {"id": "f", "src": "t", "tgt": "zz", "inv": "e"}]}
     _invalid(capsys, ["groupoid-construct", write(tmp_path, "p.json", pattern), "-N", "2"],
              "/edges/1/tgt")
+    # a site that no edge touches
+    bare = {"format": "pattern", "sites": ["s"], "edges": []}
+    _invalid(capsys, ["groupoid-construct", write(tmp_path, "bare.json", bare), "-N", "2"],
+             "/sites/0")
     s3 = write(tmp_path, "s3.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
     witness = {"format": "coset_cycle", "entries": [{"alpha": ["a", "c"], "g": 0}]}
     _invalid(capsys, ["verify-witness", write(tmp_path, "w.json", witness), s3],
@@ -488,7 +507,7 @@ def _fuzz_inputs(work):
     template = intersection_graph(hg)
     cover_group = put("cg.json", ser.egroup_to_json(
         sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)))
-    witness = ser.cycle_to_json(s3, find_coset_cycle(s3, 6).entries)
+    witness = ser.cycle_to_json(s3, find_coset_cycle(s3, 6))
     return [
         (ser.egraph_to_json(hypercube(["a", "b"])), ["symgroup", "{}", "--no-hypercube"]),
         (ser.egroup_to_json(s3), ["check-acyclic", "{}", "-N", "3"]),

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acygroups.canon import canonical_form, isomorphic
+from acygroups.canon import canonical_form, is_symmetry, isomorphic
 from acygroups.egraph import (
     alpha_component,
     biggs_tree,
     disjoint_union,
     hypercube,
-    is_symmetry,
     new_egraph,
     reduce_word,
     rename,

@@ -182,6 +182,17 @@ def test_igraph_requires_each_class_to_be_the_converse_of_its_reverse():
         IGraph(pattern, ig.vertex_names, ig.site_of, [ig.edges[0], ()])
 
 
+def test_igraph_refuses_duplicate_vertex_names():
+    from acygroups.errors import UnknownName
+    from acygroups.groupoid import IGraph
+
+    pattern = one_pair_pattern()
+    ig = pattern_igraph(pattern)
+    names = [ig.vertex_names[0]] * ig.n
+    with pytest.raises(UnknownName, match="duplicate vertex names"):
+        IGraph(pattern, names, ig.site_of, ig.edges)
+
+
 def test_sym_and_compatibility_need_a_complete_target():
     from acygroups.errors import IncompleteGraph
     from acygroups.groupoid import IGraph
@@ -257,7 +268,7 @@ def test_pipeline_symmetry_transport():
         pair = (min(a, b), max(a, b))
         image = (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
         rho[hat.color_of[pair]] = hat.color_of[image]
-    from acygroups.egraph import is_symmetry
+    from acygroups.canon import is_symmetry
     from acygroups.groups import is_group_symmetry
 
     assert is_symmetry(hat.igraph, rho)

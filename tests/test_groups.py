@@ -94,21 +94,21 @@ def test_words_evaluate_to_their_elements(small_groups):
 def test_cayley_graph_shapes():
     z2 = hypercube_group(["a"])
     cg = cayley_graph(z2)
-    assert cg.graph.n == 2 and len(cg.graph.all_edges()) == 1
+    assert cg.n == 2 and len(cg.all_edges()) == 1
 
     h2 = hypercube_group(["a", "b"])
-    cg2 = cayley_graph(h2).graph
+    cg2 = cayley_graph(h2)
     assert isomorphic(cg2, hypercube(["a", "b"]))
 
     s3 = biggs_group(["a", "b"], 1)
-    cg3 = cayley_graph(s3).graph
+    cg3 = cayley_graph(s3)
     assert isomorphic(cg3, cycle_graph(6))
     assert girth(cg3) == 6
 
 
 def test_cayley_regularity(small_groups):
     for g in small_groups.values():
-        cg = cayley_graph(g).graph
+        cg = cayley_graph(g)
         assert cg.strict and cg.complete
 
 
@@ -116,7 +116,7 @@ def test_round_trip_order(small_groups):
     for name, g in small_groups.items():
         if g.order > 60:
             continue
-        back = sym(cayley_graph(g).graph, attach_hypercube=False)
+        back = sym(cayley_graph(g), attach_hypercube=False)
         assert back.order == g.order, name
 
 
@@ -147,7 +147,7 @@ def test_coset_partition_invariant(small_groups):
 
 def test_left_translation_is_cayley_automorphism():
     g = biggs_group(["a", "b"], 1)
-    cg = cayley_graph(g).graph
+    cg = cayley_graph(g)
     for h in range(g.order):
         mapping = [g.product(h, x) for x in range(g.order)]
         for c in range(len(g.colors)):
@@ -157,7 +157,7 @@ def test_left_translation_is_cayley_automorphism():
 
 def test_compat_with_own_cayley_graph(small_groups):
     for g in small_groups.values():
-        assert is_compatible(g, cayley_graph(g).graph)
+        assert is_compatible(g, cayley_graph(g))
 
 
 def test_incompatibility_example():
@@ -168,7 +168,7 @@ def test_incompatibility_example():
 def test_compat_with_union_iff_components():
     s3 = biggs_group(["a", "b"], 1)
     six = cycle_graph(6)
-    four = cayley_graph(hypercube_group(["a", "b"])).graph
+    four = cayley_graph(hypercube_group(["a", "b"]))
     assert is_compatible(s3, six)
     assert not is_compatible(s3, four)
     assert not is_compatible(s3, disjoint_union([six, four]))
@@ -177,7 +177,7 @@ def test_compat_with_union_iff_components():
 
 
 def test_compatibility_closure_criterion_against_word_kernel(small_groups):
-    targets = [cycle_graph(6), cayley_graph(hypercube_group(["a", "b"])).graph, cycle_graph(4)]
+    targets = [cycle_graph(6), cayley_graph(hypercube_group(["a", "b"])), cycle_graph(4)]
     for name in ["biggs_2_1", "cube_2", "six_cycle", "eight_cycle", "path_aba"]:
         g = small_groups[name]
         for h in targets:
@@ -196,7 +196,7 @@ def test_homomorphism_identity_and_absent():
 
 def test_homomorphism_onto_component_group():
     s3 = biggs_group(["a", "b"], 1)
-    combined = sym(disjoint_union([cayley_graph(s3).graph, cycle_graph(6)]), attach_hypercube=False)
+    combined = sym(disjoint_union([cayley_graph(s3), cycle_graph(6)]), attach_hypercube=False)
     hom = homomorphism(combined, s3)
     assert hom is not None
     assert set(hom) == set(range(s3.order))
@@ -239,7 +239,7 @@ def test_registry_mismatch_raises():
 def test_compatibility_verdicts_are_kept_per_template():
     # one group, a compatible and an incompatible template, asked in both
     # orders on fresh groups and again from the memo
-    six, four = cycle_graph(6), cayley_graph(hypercube_group(["a", "b"])).graph
+    six, four = cycle_graph(6), cayley_graph(hypercube_group(["a", "b"]))
     for order in ((six, four), (four, six)):
         s3 = biggs_group(["a", "b"], 1)
         for _ in range(2):

@@ -44,10 +44,10 @@ def test_egroup_roundtrip_including_parents():
 
 def test_egroup_digest_stable_over_cayley_rebuild():
     g = hypercube_group(["a", "b"])
-    doc = ser.egraph_to_json(cayley_graph(g).graph)
+    doc = ser.egraph_to_json(cayley_graph(g))
     d1 = ser.digest(doc)
     g2 = ser.egroup_from_json(ser.egroup_to_json(g))
-    d2 = ser.digest(ser.egraph_to_json(cayley_graph(g2).graph))
+    d2 = ser.digest(ser.egraph_to_json(cayley_graph(g2)))
     assert d1 == d2
 
 
@@ -120,7 +120,7 @@ def test_cycle_witness_roundtrip():
 
     s3 = biggs_group(["a", "b"], 1)
     cyc = find_coset_cycle(s3, 6)
-    doc = ser.cycle_to_json(s3, cyc.entries)
+    doc = ser.cycle_to_json(s3, cyc)
     back = ser.cycle_from_json(doc, s3)
     assert validate_coset_cycle(s3, back)
 
@@ -298,6 +298,60 @@ def test_pattern_edge_names_are_checked_with_a_pointer(key, value, message):
     with pytest.raises(SchemaError) as err:
         ser.load_document(inner)
     assert err.value.pointer == f"/pattern/edges/1/{key}"
+
+
+_PAIR = [{"id": "e", "src": "s", "tgt": "t", "inv": "f"},
+         {"id": "f", "src": "t", "tgt": "s", "inv": "e"}]
+
+
+# a repeated name in each kind of document that lists names
+@pytest.mark.parametrize("doc,pointer", [
+    ({"format": "egraph", "vertices": ["u", "v", "u"], "colors": ["a"], "edges": []},
+     "/vertices/2"),
+    ({"format": "egraph", "vertices": ["u"], "colors": ["a", "a"], "edges": []}, "/colors/1"),
+    ({"format": "egroup", "colors": ["a", "a"], "order": 2, "action": {"a": [1, 0]}},
+     "/colors/1"),
+    ({"format": "hypergraph", "vertices": ["0", "1", "0"], "hyperedges": [["0", "1"]]},
+     "/vertices/2"),
+    ({"format": "graph", "vertices": ["0", "1", "1"], "edges": [["0", "1"]]}, "/vertices/2"),
+    ({"format": "pattern", "sites": ["s", "t", "s"], "edges": _PAIR}, "/sites/2"),
+    # before, the edges bound to the last "u" and the document loaded
+    ({"format": "igraph", "pattern": {"format": "pattern", "sites": ["s", "t"], "edges": _PAIR},
+      "vertices": ["u", "v", "u"], "site_of": ["s", "t", "s"],
+      "edges": {"e": [["u", "v"]], "f": [["v", "u"]]}}, "/vertices/2"),
+])
+def test_repeated_names_are_refused_with_a_pointer(doc, pointer):
+    with pytest.raises(SchemaError, match="^duplicate name ") as err:
+        ser.load_document(doc)
+    assert err.value.pointer == pointer
+
+
+def test_igraph_unknown_site_is_refused_at_its_index():
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    doc = _mutated(ser.igraph_to_json(pattern_igraph(pattern)), ("site_of", 1), "zz")
+    with pytest.raises(SchemaError, match="^unknown site 'zz' ") as err:
+        ser.load_document(doc)
+    assert err.value.pointer == "/site_of/1"
+
+
+# the structural checks of a pattern, each at the edge or site at fault
+@pytest.mark.parametrize("path,value,pointer,message", [
+    (("edges", 1, "id"), "e", "/edges/1/id", "duplicate edge ids"),
+    (("edges", 0, "inv"), "e", "/edges/0/inv", "edge reversal must be fixpoint free"),
+    (("edges", 1, "inv"), "f", "/edges/0/inv", "edge reversal must be involutive"),
+    (("edges", 1, "src"), "s", "/edges/0/inv", "edge reversal must swap source and target"),
+    (("sites",), ["s", "t", "u"], "/sites/2", "incidence maps must be surjective onto the sites"),
+    (("edges",), [], "/sites/0", "incidence maps must be surjective onto the sites"),
+])
+def test_pattern_structure_is_checked_with_a_pointer(path, value, pointer, message):
+    doc = _mutated({"format": "pattern", "sites": ["s", "t"], "edges": _PAIR}, path, value)
+    with pytest.raises(SchemaError, match=f"^{message} ") as err:
+        ser.load_document(doc)
+    assert err.value.pointer == pointer
+    igraph = {"format": "igraph", "pattern": doc, "vertices": [], "site_of": [], "edges": {}}
+    with pytest.raises(SchemaError) as err:
+        ser.load_document(igraph)
+    assert err.value.pointer == f"/pattern{pointer}"
 
 
 @pytest.mark.parametrize("value", ["c", 5, None, ["a"]])

@@ -80,6 +80,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def test_no_function_body_imports():
+    # a module imports at its top, where its dependencies show and where an
+    # import cycle between modules fails at once instead of hiding in a body
+    offenders = []
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [f"{name}:{node.lineno}" for node in ast.walk(func)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offenders == []
+
+
 def _own_scope(func):
     """The nodes of func's own scope: the bodies of nested functions,
     lambdas and classes are left out."""

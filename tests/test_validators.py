@@ -80,7 +80,7 @@ def test_group_validator_agrees_with_its_reference():
             for gamma, full in _gamma_filters(len(group.colors)):
                 cyc = find_coset_cycle(group, n, gamma=gamma, allow_full=full)
                 if cyc is not None:
-                    witnesses.add(cyc.entries)
+                    witnesses.add(cyc)
         found += len(witnesses)
 
         def validate(entries):
