@@ -262,6 +262,15 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
     there; so the first cycle found stays the same, and only empty
     branches are skipped.
 
+    Closing levels, the last entry of a cycle, hold most of a search's
+    nodes, and a closing entry must lie in p_0's component of its subset.
+    When no symmetry fixes the prefix and no candidate lies in p_0's
+    component of any next subset, none can close: the level adds its
+    nodes at once and builds no ``met`` set.  It does so only when no
+    budget check, symmetry search or clock read falls within those nodes,
+    so the node counts, the errors, the clock reads and the first cycle
+    are those of the walk one by one.
+
     Returns that cycle as a list of (alpha, point) pairs, or None.  Every
     candidate entry counts as one node; more than ``budget`` nodes raise
     ResourceCap, and so does passing ``deadline`` (a ``time.monotonic()``
@@ -284,14 +293,15 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
 
 class _Walk:
     """State of one search: subsets are indices into ``alphas``, their tables
-    fetched once, the tables of meets alphas[i] & alphas[j] memoised as first
-    needed.  fix[m] holds the symmetries that fix the first m entries, empty
-    until they are found.  The walk itself is the module-level ``_extend``,
-    so no function refers to itself and nothing here outlives the search in
-    a reference cycle."""
+    fetched once, the tables of meets alphas[i] & alphas[j] and the anchors'
+    components as sets (``home``) memoised as first needed.  fix[m] holds
+    the symmetries that fix the first m entries, empty until they are
+    found.  The walk itself is the module-level ``_extend``, so no function
+    refers to itself and nothing here outlives the search in a reference
+    cycle."""
 
     __slots__ = ("alphas", "anchors", "table", "tables", "meets", "met", "budget", "deadline",
-                 "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq")
+                 "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq", "homes")
 
     def __init__(self, alphas, anchors, table, met, budget, deadline, symmetries, n_max):
         self.alphas = alphas
@@ -307,6 +317,7 @@ class _Walk:
         self.limit = min(budget, self.after - 1)
         self.fix = [()] * (n_max + 1)
         self.nodes = 0
+        self.homes = {}
 
     def fetch(self, alpha):
         """table(alpha), with the component of every anchor walked."""
@@ -320,6 +331,13 @@ class _Walk:
         if t is None:
             t = self.meets[i][j] = self.meets[j][i] = self.fetch(self.alphas[i] & self.alphas[j])
         return t
+
+    def home(self, j, p_0):
+        """The component of anchor p_0 in the table of alphas[j], as a set."""
+        h = self.homes.get((j, p_0))
+        if h is None:
+            h = self.homes[j, p_0] = frozenset(self.tables[j].block(p_0))
+        return h
 
     def tick(self, nodes):
         """The slow path of node counting, taken past the limit and every
@@ -373,7 +391,9 @@ def _extend(w, m):
     components of t that meet p_0's in the meet table of i_0 and j, and
     leave entry 0 separated (``opens[j]``).  Each set is built once per
     prefix node and j, on first use.  Candidates that a symmetry fixing
-    the prefix maps to earlier ones are left out before they are counted."""
+    the prefix maps to earlier ones are left out before they are counted.
+    A closing level that cannot close is counted in bulk, as
+    :func:`search_coset_cycle` describes."""
     seq = w.seq
     i_0, p_0 = seq[0]
     i_m, p = seq[m]
@@ -388,9 +408,18 @@ def _extend(w, m):
         mid_block = mid.block(p)
         mid_ids = mid.ids
         p_mid = mid_ids[p]
-    mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)
+    block = tables[i_m].block(p)
     nodes = w.nodes
-    for q in tables[i_m].block(p):
+    if closing and not fix:
+        qs = set(block)
+        qs.difference_update(mid_block if m else (p,))
+        count = nodes + len(qs) * len(nexts)
+        if count <= budget and count >> 12 == nodes >> 12 \
+                and all(w.home(j, p_0).isdisjoint(qs) for j in nexts):
+            w.nodes = count
+            return False
+    mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)
+    for q in block:
         if q == p:
             continue
         if m and mid_ids[q] == p_mid:

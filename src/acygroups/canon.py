@@ -27,42 +27,60 @@ def connected_components(g, colors=None):
     return tuple(table.block(x) for x in range(g.n) if ids[x] == -1)
 
 
-def _traversal_code(g, start, members):
-    """Deterministic BFS code from start; also returns the discovery order."""
+def _traversal_code(g, start, members, bound=None):
+    """Deterministic BFS code from start, as a list, and the discovery order.
+
+    Given ``bound``, the code of another start in the same component, it
+    returns None as soon as its code cannot be less.  Codes of one component
+    have the same length, so the first entry that differs decides, and an
+    equal code leaves the earlier start in place.
+    """
     disc = {start: 0}
     order = [start]
     code = []
-    pos = 0
-    while pos < len(order):
-        u = order[pos]
-        pos += 1
-        for row in g.partner:
+    append, rows = code.append, g.partner
+    tight = bound is not None  # the code so far equals bound's prefix
+    for u in order:
+        k = len(code)
+        for row in rows:
             w = row[u]
             if w == NO_EDGE:
-                code.append(-2)
+                append(-2)
             elif w == u:
-                code.append(-1)
+                append(-1)
             else:
                 if w not in disc:
                     disc[w] = len(order)
                     order.append(w)
-                code.append(disc[w])
+                append(disc[w])
+        if tight:
+            head, ref = code[k:], bound[k:len(code)]
+            if head != ref:
+                if head > ref:
+                    return None
+                tight = False
+    if tight:
+        return None
     if len(order) != len(members):
         raise ValueError("members must be one connected component containing start")
-    return tuple(code), order
+    return code, order
 
 
 def canonical_component(g, members):
-    """(code, labelling) for one connected component; labelling maps old->canonical."""
-    best = None
-    best_order = None
-    for start in members:
-        code, order = _traversal_code(g, start, members)
-        if best is None or code < best:
-            best = code
-            best_order = order
+    """(code, labelling) for one connected component; labelling maps old->canonical.
+
+    The code is the least traversal code over all starts, the first such
+    start gives the labelling, and a start is dropped at its first entry
+    above the least code so far.
+    """
+    starts = iter(members)
+    best, best_order = _traversal_code(g, next(starts), members)
+    for start in starts:
+        found = _traversal_code(g, start, members, best)
+        if found is not None:
+            best, best_order = found
     labelling = {v: i for i, v in enumerate(best_order)}
-    return (len(members),) + best, labelling
+    return (len(members), *best), labelling
 
 
 def canonical_form(g):

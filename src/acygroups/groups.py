@@ -58,6 +58,8 @@ class EGroup:
 
     def __init__(self, colors, gen_action, parents):
         self.colors = tuple(colors)
+        if len(set(self.colors)) != len(self.colors):
+            raise UnknownName("duplicate colour names")
         self.gen_action = tuple(tuple(row) for row in gen_action)
         self.parents = tuple(parents)  # per element: (previous element, colour) or None
         self.projection = None  # from sym_components: each element's point of a tables part 0

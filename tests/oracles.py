@@ -48,6 +48,12 @@ from ``IContext.comp_tables(alpha).block``, as the library does.
 ``reference_girth`` is the girth as the shortest detour around an edge:
 for each edge, one plus the distance between its ends without it.
 
+``reference_canonical_component`` builds the full traversal code from
+every start of a component before it compares them, as
+``canon.canonical_component`` did before it dropped a start at its first
+entry above the least code so far; both must give the same code and the
+same labelling.
+
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
@@ -822,4 +828,30 @@ def reference_girth(graph):
                 queue.append(y)
         if v in dist:
             best = min(best, dist[v] + 1)
+    return best
+
+
+def reference_canonical_component(g, members):
+    """(code, labelling) from the full breadth-first code of every start:
+    the least code, labelled by the first start in members that gives it."""
+    best = None
+    for start in members:
+        disc = {start: 0}
+        order = [start]
+        code = [len(members)]
+        for u in order:
+            for row in g.partner:
+                w = row[u]
+                if w == NO_EDGE:
+                    code.append(-2)
+                elif w == u:
+                    code.append(-1)
+                else:
+                    if w not in disc:
+                        disc[w] = len(order)
+                        order.append(w)
+                    code.append(disc[w])
+        assert len(order) == len(members)
+        if best is None or tuple(code) < best[0]:
+            best = tuple(code), {v: i for i, v in enumerate(order)}
     return best

@@ -292,3 +292,14 @@ def test_egroup_refuses_each_degenerate_table(order, rows, message):
 
     with pytest.raises(DegenerateGenerators, match=f"^{message}$"):
         EGroup([f"c{i}" for i in range(len(rows))], rows, [None] + [(0, 0)] * (order - 1))
+
+
+def test_egroup_refuses_repeated_colour_names():
+    # as EGraph does: a repeated name would leave the second generator unnamed
+    from acygroups.groups import EGroup
+
+    rows = [[1, 0, 3, 2], [2, 3, 0, 1]]
+    parents = [None, (0, 0), (0, 1), (1, 1)]
+    with pytest.raises(UnknownName, match="^duplicate colour names$"):
+        EGroup(["a", "a"], rows, parents)
+    assert EGroup(["a", "b"], rows, parents).color_index("b") == 1

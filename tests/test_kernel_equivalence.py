@@ -3,8 +3,11 @@ witness, verdict and node count on every query, the same budget edge, and
 each adapter's ``met`` hook against the pairwise separation test."""
 
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acygroups import acyclicity
 from acygroups.acyclicity import (
@@ -15,7 +18,7 @@ from acygroups.acyclicity import (
     search_coset_cycle,
 )
 from acygroups.constraint import IContext, find_i_coset_cycle
-from acygroups.egraph import disjoint_union, hypercube
+from acygroups.egraph import disjoint_union, hypercube, new_egraph
 from acygroups.errors import ResourceCap
 from acygroups.groupoid import (
     construct_n_acyclic_groupoid,
@@ -115,6 +118,32 @@ def test_template_kernel_matches_the_pairwise_kernel(walks):
     assert cycles == 13
 
 
+def triangle_template():
+    """The triangle template on sites h0, h1, h2, one colour per side, and
+    the group of its hypercube completion (order 24)."""
+    template = new_egraph(["h0", "h1", "h2"], ["a", "b", "c"],
+                          [("a", "h0", "h1"), ("b", "h0", "h2"), ("c", "h1", "h2")])
+    return sym(template), template
+
+
+def test_template_kernel_matches_the_pairwise_kernel_from_every_anchor(walks):
+    # the 3-cycle starts at site h1, so the searches from h0 and h1 close
+    # against the components of different anchors; a closing level that
+    # took h0's components for h1's would count that level in bulk and
+    # miss the cycle
+    group, template = triangle_template()
+    found = [
+        _agrees(
+            walks,
+            lambda b: find_i_coset_cycle(group, template, n, budget=b),
+            lambda b: pairwise_i_coset_cycle(group, template, n, budget=b),
+        )
+        for n in range(2, 5)
+    ]
+    assert found[0] is None
+    assert len(found[1]) == 3 and found[1][0][1] == 1
+
+
 def _test_groupoids():
     """(groupoid, lengths) of the groupoid queries made across the tests."""
     out = []
@@ -145,6 +174,46 @@ def test_groupoid_kernel_matches_the_pairwise_kernel(walks):
             )
             lengths.append(found and len(found))
     assert 10 in lengths
+
+
+def _budget_queries(kind, group_2592):
+    """(search, reference) pairs of one searcher, each called with a budget:
+    the library's witness, and the pairwise kernel's (witness, nodes)."""
+    if kind == "plain":
+        queries = [(partial(unpruned_coset_cycle, group, n),
+                    partial(pairwise_coset_cycle, group, n))
+                   for group in corpus().values() for n in (3, 6)]
+        # 25,998 nodes: its closing levels cross multiples of 4096
+        queries.append((partial(find_coset_cycle, group_2592, 4),
+                        partial(pairwise_coset_cycle, group_2592, 4)))
+    elif kind == "template":
+        queries = [(partial(find_i_coset_cycle, group, template, n),
+                    partial(pairwise_i_coset_cycle, group, template, n))
+                   for group, template in (*_cases(), triangle_template()) for n in (3, 5)]
+    else:
+        queries = [(partial(find_groupoid_coset_cycle, gpd, n),
+                    partial(pairwise_groupoid_coset_cycle, gpd, n))
+                   for gpd, ns in _test_groupoids() for n in ns]
+    return queries
+
+
+@pytest.mark.parametrize("kind", ["plain", "template", "groupoid"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_raises_at_the_pairwise_kernels_budgets(group_2592, kind, data):
+    # the kernel counts a closing level in bulk only when the count stays
+    # within the budget, so any budget up to the full node count must stop
+    # both kernels alike, or let both find the same witness
+    queries = _budget_queries(kind, group_2592)
+    search, reference = queries[data.draw(st.integers(0, len(queries) - 1))]
+    budget = data.draw(st.integers(1, max(reference(budget=None)[1], 1)))
+    try:
+        expected = reference(budget=budget)[0]
+    except ResourceCap:
+        with pytest.raises(ResourceCap, match=f"budget {budget} exceeded"):
+            search(budget=budget)
+    else:
+        assert search(budget=budget) == expected
 
 
 def _random_partition(rng, n_points):

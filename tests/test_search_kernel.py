@@ -117,6 +117,21 @@ def test_order_2592_pruned_search_node_count_pinned(group_2592, n, nodes):
         assert found == unpruned_coset_cycle(group_2592, n)
 
 
+def test_order_2592_search_met_calls_pinned(monkeypatch, group_2592):
+    # 182,420 of the 199,721 nodes are counted in bulk, at closing levels
+    # where no candidate lies in the anchor's component, with no met call
+    # (23,393 calls when every candidate was walked)
+    calls, met_by_ids = [], acyclicity.met_by_ids
+
+    def met(block, tb):
+        calls.append(len(block))
+        return met_by_ids(block, tb)
+
+    monkeypatch.setattr(acyclicity, "met_by_ids", met)
+    assert find_coset_cycle(group_2592, 5) is None
+    assert len(calls) == 2_049
+
+
 def _clock(now):
     """A stand-in for the time module whose monotonic() reads now and
     counts its calls."""

@@ -1,7 +1,7 @@
 import pytest
 
 from acygroups.acyclicity import girth, is_n_acyclic, proper_subsets
-from acygroups.canon import canonical_form
+from acygroups.canon import canonical_component, canonical_form, connected_components
 from acygroups.constraint import is_free_over, is_n_acyclic_over
 from acygroups.egraph import disjoint_union, hypercube, new_egraph
 from acygroups.errors import CompatibilityRequired, ResourceCap
@@ -14,6 +14,7 @@ from acygroups.synthesis import (
 )
 
 from conftest import corpus, hypercube_group
+from oracles import reference_canonical_component
 
 
 def path_igraph(colors_seq, all_colors):
@@ -545,3 +546,19 @@ def test_stage_timeout_reaches_into_the_template_components(monkeypatch, step, k
         construct_n_acyclic_over(seed, template, config)
     assert [r.order for r in info.value.stage_reports] == [24]
     assert info.value.partial.order == 24
+
+
+def test_canonical_component_matches_the_full_codes_on_the_stage_graphs():
+    # in ascending and descending start order, so that a tie between two
+    # starts must keep the earlier one's labelling
+    compared = 0
+    for group in corpus().values():
+        for k in range(1, len(group.colors) + 1):
+            graphs, _ = stage_graph(group, k, config=SynthesisConfig(n_acyclic=5))
+            for graph in graphs:
+                for members in connected_components(graph):
+                    for starts in (members, members[::-1]):
+                        assert canonical_component(graph, starts) == \
+                            reference_canonical_component(graph, starts)
+                        compared += 1
+    assert compared > 100
