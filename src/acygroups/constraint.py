@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from array import array
 from itertools import chain, repeat
+from operator import add
 from typing import NamedTuple
 
 from .acyclicity import (
@@ -200,7 +201,7 @@ class TranslatedCosets:
     of a coset, r * h for every h in G[alpha], is walked along the
     breadth-first tree of G[alpha] when a point of the coset is first asked
     for, and a block when it is first asked for; nothing is tabulated per
-    pair.
+    pair but by ``id_list``, which reads every id at once.
     """
 
     __slots__ = ("ng", "m", "k", "local", "cosets", "tree", "rel", "trans", "blocks")
@@ -254,6 +255,20 @@ class TranslatedCosets:
         for i, x in enumerate(trans):
             rel[x] = i
         return rel[g]
+
+    def id_list(self):
+        """``[table[p] for p in range(n_sites * order)]``, read in one pass
+        over the cosets: the id of (s, g) is g's coset id times K plus the
+        local id of (s, g's index in its coset)."""
+        rel, m = self.rel, self.m
+        for g in range(self.ng):
+            if rel[g] == -1:
+                self._translate(g)
+        coset_bases = [c * self.k for c in self.cosets.ids]
+        ids = array("l")
+        for s in range(0, self.k, m):
+            ids.extend(map(add, coset_bases, map(self.local.ids[s:s + m].__getitem__, rel)))
+        return ids
 
     def block(self, p):
         """p's component, ascending: its local block moved to its coset."""

@@ -9,7 +9,8 @@ of the base.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain, product, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .acyclicity import DEFAULT_SEARCH_BUDGET
@@ -21,22 +22,36 @@ from .traverse import UnionFind
 
 
 class Hypergraph:
-    """Vertex set with a family of nonempty hyperedges."""
+    """Vertex set with a family of nonempty hyperedges.
 
-    __slots__ = ("vertex_names", "hyperedges", "_vidx")
+    The hyperedges are given as lists of vertex names; ``from_index_sets``
+    takes them as sets of vertex indices, and the name constructor maps its
+    names to such sets and goes through the same path.
+    """
+
+    __slots__ = ("vertex_names", "hyperedges")
 
     def __init__(self, vertex_names, hyperedges):
-        self.vertex_names = tuple(vertex_names)
-        self._vidx = {nm: i for i, nm in enumerate(self.vertex_names)}
-        if len(self._vidx) != len(self.vertex_names):
+        names = tuple(vertex_names)
+        vidx = {nm: i for i, nm in enumerate(names)}
+        self._fill(names, [[vidx[v] if v in vidx else self._bad(v) for v in he]
+                           for he in hyperedges])
+
+    @classmethod
+    def from_index_sets(cls, vertex_names, index_sets):
+        """The hypergraph whose hyperedges are the given sets of indices
+        into vertex_names; the indices are not range-checked."""
+        hg = cls.__new__(cls)
+        hg._fill(tuple(vertex_names), index_sets)
+        return hg
+
+    def _fill(self, names, index_sets):
+        if len(set(names)) != len(names):
             raise UnknownName("duplicate vertex names")
-        out = []
-        for he in hyperedges:
-            idx = frozenset(self._vidx[v] if v in self._vidx else self._bad(v) for v in he)
-            if not idx:
-                raise PreconditionFailed("hyperedges must be nonempty")
-            out.append(idx)
-        self.hyperedges = tuple(out)
+        self.vertex_names = names
+        self.hyperedges = tuple(map(frozenset, index_sets))
+        if not all(self.hyperedges):
+            raise PreconditionFailed("hyperedges must be nonempty")
 
     def _bad(self, v):
         raise UnknownName(f"unknown vertex {v!r}")
@@ -171,24 +186,28 @@ def hypergraph_cover(hg, group):
             for g in range(ng):
                 uf.union(a + g, b + grow[g])
     class_of, classes = uf.classes()
-    triples = [(hi, v, g) for hi, he in enumerate(hes) for v in he for g in range(ng)]
-    classes = [tuple(map(triples.__getitem__, members)) for members in classes]
-    cover_edges = {}
+    triples = []
+    for hi, he in enumerate(hes):
+        triples += product((hi,), he, range(ng))
+    # each class's members, read off as triples
+    classes = tuple(map(tuple, map(map, repeat(triples.__getitem__), classes)))
     copies = []
     copy_tags = []
-    for hi in range(len(hes)):
-        rows = range(base[hi], base[hi + 1], ng)
-        for g in range(ng):
-            copy = tuple(sorted({class_of[r + g] for r in rows}))
-            cover_edges.setdefault(copy, (hi, g))
-            copies.append(copy)
-            copy_tags.append((hi, g))
+    for hi, start in enumerate(base[:-1]):
+        # copy (hi, g) is column g of the hyperedge's rows of class numbers;
+        # a class holds one base vertex, so a copy repeats no class
+        rows = [class_of[a:a + ng] for a in range(start, base[hi + 1], ng)]
+        copies += map(tuple, map(sorted, zip(*rows)))
+        copy_tags += zip(repeat(hi), range(ng))
+    cover_edges = {}
+    for copy, tag in zip(copies, copy_tags):
+        cover_edges.setdefault(copy, tag)
     leasts = [members[0] for members in classes]
     names = [f"{hg.vertex_names[v]}|{hi}.{g}" for hi, v, g in leasts]
-    cover = Hypergraph(names, [[names[x] for x in he] for he in sorted(cover_edges)])
-    projection = tuple(v for _, v, _ in leasts)
+    cover = Hypergraph.from_index_sets(names, sorted(cover_edges))
+    projection = tuple(map(itemgetter(1), leasts))
     provenance = {
-        "classes": tuple(classes),
+        "classes": classes,
         "hyperedge_tags": cover_edges,
         "copies": tuple(copies),
         "copy_tags": tuple(copy_tags),
@@ -207,36 +226,51 @@ def class_oracle_agrees(cov):
     the triples by the key (v, that component's id): the members of a class
     share its key, no two classes share a key, and every triple lies in
     exactly one class.
+
+    Each base vertex reads the component ids of all its pairs at once.  A
+    triple (s, v, g) is counted at its own offset of a flat mark per triple,
+    with v's position in hyperedge s (in the hyperedge's own iteration
+    order), and a class key is the integer id * n + v.
     """
     hg = cov.base
-    n_edges, ng = len(hg.hyperedges), cov.group.order
+    hes, n_edges, ng = hg.hyperedges, len(hg.hyperedges), cov.group.order
     ctx = IContext(cov.group, cov.template, check=False)
-    vcolors = _vertex_colour_sets(hg, cov.template)
-    tables = {}
+    by_alpha = {}
+    ids = [None] * hg.n  # per base vertex: the component id of every pair
+    for v, alpha in enumerate(_vertex_colour_sets(hg, cov.template)):
+        alpha = frozenset(alpha)
+        if alpha not in by_alpha:
+            by_alpha[alpha] = ctx.comp_tables(alpha).id_list()
+        ids[v] = by_alpha[alpha]
+    position = [{v: r for r, v in enumerate(he)} for he in hes]
+    offset = list(accumulate((len(he) * ng for he in hes), initial=0))
+    met = bytearray(offset[-1])
     keys = set()
-    members_seen = set()
     n_members = 0
     for members in cov.provenance["classes"]:
         if not members:
             return False
-        v = members[0][1]
+        s, v, g = members[0]
+        if not (0 <= s < n_edges and 0 <= g < ng and v in hes[s]):
+            return False
+        table = ids[v]
+        cid = table[s * ng + g]
         for s, u, g in members:
             if u != v or not (0 <= s < n_edges and 0 <= g < ng):
                 return False
-            if v not in hg.hyperedges[s]:
+            r = position[s].get(v)
+            if r is None or table[s * ng + g] != cid:
                 return False
-        find = tables.get(v)
-        if find is None:
-            find = tables[v] = ctx.comp_tables(vcolors[v]).find
-        cids = {find(s * ng + g) for s, _, g in members}
-        key = (v, cids.pop())
-        if cids or key in keys:
+            t = offset[s] + r * ng + g
+            if met[t]:
+                return False
+            met[t] = 1
+        key = cid * hg.n + v
+        if key in keys:
             return False
         keys.add(key)
-        members_seen.update(members)
         n_members += len(members)
-    n_triples = sum(map(len, hg.hyperedges)) * ng
-    return n_members == len(members_seen) == n_triples
+    return n_members == len(met)
 
 
 class CoverReport(NamedTuple):
@@ -300,7 +334,9 @@ def _chordless_cycle(adj, n_max):
 
     One depth-first walk, neighbours ascending, meets the cycles of each
     length in that order.  Once a cycle is found, a path is only extended
-    while it can close a shorter one.
+    while it can close a shorter one.  A path one short of the limit can
+    only close, through its least valid neighbour among v0's neighbours,
+    so that closing level is checked in place rather than walked.
     """
     nbrs = [sorted(a) for a in adj]
     best, limit = None, n_max  # limit: the longest cycle still wanted
@@ -325,45 +361,20 @@ def _chordless_cycle(adj, n_max):
                 if len(path) >= 3:
                     best, limit = (*path, w), len(path)
                 continue
-            if len(path) + 2 <= limit:
+            if len(path) + 2 < limit:
                 inner = inner | adj[path[-1]] if len(path) > 1 else inner
                 path.append(w)
-                # a path one short of the limit can only close, through v0's neighbours
-                nxt = sorted(adj[w] & ends) if len(path) + 1 == limit else nbrs[w]
-                stack.append((iter(nxt), inner))
+                stack.append((iter(nbrs[w]), inner))
+            elif len(path) + 2 == limit and len(path) > 1:
+                # the path through w is one short of the limit: it can only
+                # close, through the least neighbour of w and v0 that
+                # touches no inner vertex
+                last = adj[path[-1]]
+                for x in sorted(adj[w] & ends):
+                    if x > v0 and x not in inner and x not in last and x not in path:
+                        best, limit = (*path, w, x), len(path) + 1
+                        break
     return best
-
-
-def _grown_cliques(fwd, edges, limit):
-    """Every clique of at least two vertices, in pre-order, of a graph on
-    the ranks 0..n-1.
-
-    fwd[r] is the set of neighbours of r ranked above it and edges[r] the
-    set of hyperedges at r.  A clique grows by its common forward
-    neighbours in ascending order.  Yields (clique, its common hyperedges)
-    for each clique grown; the clique list is reused, so copy it to keep
-    it.  A clique is grown further only while it has fewer than limit[0]
-    vertices; the consumer may lower limit[0] between yields.
-    """
-    clique = []
-    for r, cands in enumerate(fwd):
-        clique.append(r)
-        stack = [(iter(sorted(cands)), cands, edges[r])]
-        while stack:
-            it, pool, common = stack[-1]
-            w = next(it, None) if len(clique) < limit[0] else None
-            if w is None:
-                stack.pop()
-                clique.pop()
-                continue
-            clique.append(w)
-            common_w = common & edges[w]
-            yield clique, common_w
-            grown = pool & fwd[w]
-            if grown and len(clique) < limit[0]:
-                stack.append((iter(sorted(grown)), grown, common_w))
-            else:
-                clique.pop()
 
 
 def _nonconformal_clique(hg, adj, n_max, budget):
@@ -376,35 +387,75 @@ def _nonconformal_clique(hg, adj, n_max, budget):
     round k sees the cliques of size <= k in the same pre-order, so its
     count is the number of grown cliques of sizes 2..k so far, and once it
     ends, cliques of k or more vertices are no longer grown.
+
+    A clique grows by its common forward neighbours in ascending order.
+    A 2-clique is inside a hyperedge, so it is never a witness: a run of
+    2-cliques that grow no triangle is counted at once, before the next
+    growing 2-clique or the end of its vertex; a count that crosses the
+    budget within the run closes the same rounds either way.
     """
     order = sorted(range(hg.n), key=lambda v: len(adj[v]))
     rank = [0] * hg.n
     for r, v in enumerate(order):
         rank[v] = r
     fwd = [{rank[w] for w in adj[v] if rank[w] > r} for r, v in enumerate(order)]
-    edges = [set() for _ in range(hg.n)]
-    for i, he in enumerate(hg.hyperedges):
-        for v in he:
-            edges[rank[v]].add(i)
-    limit = [min(n_max, hg.n)]  # the largest round still open, shared with the walk
-    if limit[0] < 3:
+    edges = None  # per rank, the hyperedges at it: built when a first 2-clique grows
+    limit = min(n_max, hg.n)  # the largest round still open
+    if limit < 3:
         return None
-    grown = [0] * (limit[0] + 1)  # grown cliques per size
-    count = 0  # the count of round limit[0]
+    grown = [0] * (limit + 1)  # grown cliques per size
+    count = 0  # the count of round limit
     found = None
-    for clique, common in _grown_cliques(fwd, edges, limit):
-        size = len(clique)
-        grown[size] += 1
-        count += 1
-        while count > budget:
-            found = ResourceCap(f"clique search budget {budget} exceeded")
-            count -= grown[limit[0]]
-            limit[0] -= 1
-        if not common and 3 <= size <= limit[0]:
-            found = AcyclicityWitness("nonconformal_clique", tuple(order[r] for r in clique))
-            limit[0] = size - 1
-            count = sum(grown[:size])
-        if limit[0] < 3:
+    for r, cands in enumerate(fwd):
+        run = 0  # 2-cliques {r, w} not yet counted
+        for w in chain(sorted(cands), [None]):  # None counts the last run
+            if w is not None and cands.isdisjoint(fwd[w]):
+                run += 1
+                continue
+            run += w is not None  # a growing 2-clique is counted before its triangles
+            grown[2] += run
+            count += run
+            run = 0
+            while count > budget:
+                found = ResourceCap(f"clique search budget {budget} exceeded")
+                count -= grown[limit]
+                limit -= 1
+            if w is None or limit < 3:
+                break
+            if edges is None:
+                edges = [set() for _ in range(hg.n)]
+                for i, he in enumerate(hg.hyperedges):
+                    for v in he:
+                        edges[rank[v]].add(i)
+            clique, pool = [r, w], cands & fwd[w]
+            stack = [(iter(sorted(pool)), pool, edges[r] & edges[w])]
+            while stack and limit >= 3:
+                it, pool, common = stack[-1]
+                x = next(it, None) if len(clique) < limit else None
+                if x is None:
+                    stack.pop()
+                    clique.pop()
+                    continue
+                clique.append(x)
+                size = len(clique)
+                grown[size] += 1
+                count += 1
+                while count > budget:
+                    found = ResourceCap(f"clique search budget {budget} exceeded")
+                    count -= grown[limit]
+                    limit -= 1
+                if size <= limit and common.isdisjoint(edges[x]):
+                    found = AcyclicityWitness("nonconformal_clique", tuple(order[c] for c in clique))
+                    limit = size - 1
+                    count = sum(grown[:size])
+                if size < limit and not pool.isdisjoint(fwd[x]):
+                    more = pool & fwd[x]
+                    stack.append((iter(sorted(more)), more, common & edges[x]))
+                else:
+                    clique.pop()
+            if limit < 3:
+                break
+        if limit < 3:
             break
     if isinstance(found, ResourceCap):
         raise found

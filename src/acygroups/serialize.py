@@ -22,7 +22,10 @@ COMPOSITION_DUMP_LIMIT = 200
 
 
 def canonical_bytes(doc):
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    # the documents built here are trees, so the encoder's circular-reference
+    # bookkeeping (one marker per list and object) has nothing to find
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                       check_circular=False) + "\n").encode()
 
 
 def digest(doc):
@@ -264,23 +267,34 @@ def igroupoid_from_json(doc, pointer=""):
 
 
 def hypergraph_to_json(hg):
+    names = [str(v) for v in hg.vertex_names]
     return {
         "format": "hypergraph",
-        "vertices": [str(v) for v in hg.vertex_names],
-        "hyperedges": [sorted(str(hg.vertex_names[v]) for v in he) for he in hg.hyperedges],
+        "vertices": names,
+        "hyperedges": [sorted(map(names.__getitem__, he)) for he in hg.hyperedges],
     }
 
 
 def hypergraph_from_json(doc, pointer=""):
+    """The hypergraph of doc; its names are mapped to indices by one dict,
+    and a hyperedge's names are walked one by one only to point at a name
+    that fails."""
     vertices = _names(doc, "vertices", pointer)
     hyperedges = _need(doc, "hyperedges", list, pointer)
-    known = set(vertices)
+    vidx = {v: i for i, v in enumerate(vertices)}
+    index_sets = []
     for i, he in enumerate(hyperedges):
         if not isinstance(he, list):
             raise SchemaError("a hyperedge must be a list", f"{pointer}/hyperedges/{i}")
-        for j, v in enumerate(he):
-            _known(v, known, "vertex", f"{pointer}/hyperedges/{i}/{j}")
-    return Hypergraph(vertices, hyperedges)
+        if not he:
+            raise SchemaError("a hyperedge must be nonempty", f"{pointer}/hyperedges/{i}")
+        try:
+            index_sets.append(frozenset(map(vidx.__getitem__, he)))
+        except (KeyError, TypeError):
+            for j, v in enumerate(he):
+                _known(v, vidx, "vertex", f"{pointer}/hyperedges/{i}/{j}")
+            raise
+    return Hypergraph.from_index_sets(vertices, index_sets)
 
 
 def graph_to_json(edges):
@@ -319,9 +333,10 @@ def covering_to_json(cov):
     else:
         doc["base"] = hypergraph_to_json(cov.base)
         doc["cover"] = hypergraph_to_json(cov.cover)
+        # tuples encode as JSON arrays: the provenance is written as it is
         doc["provenance"] = {
-            "classes": [[list(t) for t in m] for m in cov.provenance["classes"]],
-            "copy_tags": [list(t) for t in cov.provenance["copy_tags"]],
+            "classes": cov.provenance["classes"],
+            "copy_tags": cov.provenance["copy_tags"],
         }
     return doc
 
@@ -329,8 +344,11 @@ def covering_to_json(cov):
 def covering_from_json(doc, pointer=""):
     """The cover of a covering document: a hypergraph, or an edge-labelled
     graph."""
+    kind = _need(doc, "kind", str, pointer)
+    if kind not in ("graph", "hypergraph"):
+        raise SchemaError(f"unknown covering kind {kind!r}", f"{pointer}/kind")
     inner = _need(doc, "cover", dict, pointer)
-    if doc.get("kind") == "hypergraph":
+    if kind == "hypergraph":
         return hypergraph_from_json(inner, f"{pointer}/cover")
     return egraph_from_json(inner, f"{pointer}/cover")
 

@@ -376,6 +376,24 @@ def test_hyperedge_that_is_not_a_list_is_invalid_input(tmp_path, capsys):
     _invalid(capsys, ["cover-hypergraph", hg, group], "/hyperedges/1")
 
 
+def test_empty_hyperedge_is_invalid_input_with_a_pointer(tmp_path, capsys):
+    group = write(tmp_path, "g.json", ser.egroup_to_json(
+        sym(hypercube(["a", "b"]), attach_hypercube=False)))
+    hg = {"format": "hypergraph", "vertices": ["0", "1"], "hyperedges": [["0", "1"], []]}
+    _invalid(capsys, ["cover-hypergraph", write(tmp_path, "hg.json", hg), group],
+             "/hyperedges/1")
+    cover = {"format": "covering", "kind": "hypergraph", "cover": hg}
+    _invalid(capsys, ["verify-cover", write(tmp_path, "cov.json", cover), "-N", "3"],
+             "/cover/hyperedges/1")
+
+
+def test_unknown_or_missing_covering_kind_is_invalid_input_at_kind(tmp_path, capsys):
+    hg = ser.hypergraph_to_json(Hypergraph(["0", "1"], [["0", "1"]]))
+    for name, doc in (("hyper.json", {"format": "covering", "kind": "hyper", "cover": hg}),
+                      ("none.json", {"format": "covering", "cover": hg})):
+        _invalid(capsys, ["verify-cover", write(tmp_path, name, doc), "-N", "3"], "/kind")
+
+
 def test_igraph_edge_pair_that_is_not_a_list_is_invalid_input(tmp_path, capsys):
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
     doc = {"format": "igraph", "pattern": ser.pattern_to_json(pattern),

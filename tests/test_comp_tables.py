@@ -189,3 +189,19 @@ def test_freeness_and_the_search_never_tabulate_the_whole_product(monkeypatch):
     assert max(sizes) <= template.n * max(
         len(group.subgroup_elements(a)) for a in proper_subsets(len(group.colors)))
     assert _largest_container(ctx) < whole
+
+
+def test_the_bulk_id_list_reads_every_pair_as_the_table_does():
+    # the cover's class check reads each vertex's ids through id_list: on a
+    # fresh table, on one half read pair by pair, and for every subset up
+    # to the full colour set, it lists table[p] for every pair p
+    for group, template in _cases():
+        n = template.n * group.order
+        for alpha in all_subsets(len(group.colors)):
+            want = [IContext(group, template).comp_tables(alpha)[p] for p in range(n)]
+            assert list(IContext(group, template).comp_tables(alpha).id_list()) == want, alpha
+            half_read = IContext(group, template).comp_tables(alpha)
+            for p in range(0, n, 2):
+                half_read[p]
+            assert list(half_read.id_list()) == want, alpha
+            assert [half_read[p] for p in range(n)] == want, alpha

@@ -41,6 +41,29 @@ def base_group(template):
     return sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
 
 
+def test_hypergraph_from_names_equals_the_one_from_index_sets():
+    names = ["u", "v", "w", "x"]
+    by_name = Hypergraph(names, [["u", "v"], ["w", "v", "x"], ["x"]])
+    by_index = Hypergraph.from_index_sets(names, [{0, 1}, frozenset({1, 2, 3}), (3,)])
+    assert by_name.vertex_names == by_index.vertex_names == tuple(names)
+    assert by_name.hyperedges == by_index.hyperedges == (
+        frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3}))
+    assert by_name.gaifman() == by_index.gaifman()
+
+
+@pytest.mark.parametrize("build", [
+    lambda names, edges: Hypergraph(names, [[names[i] for i in he] for he in edges]),
+    Hypergraph.from_index_sets,
+])
+def test_both_hypergraph_constructors_refuse_repeated_names_and_empty_hyperedges(build):
+    from acygroups.errors import PreconditionFailed, UnknownName
+
+    with pytest.raises(UnknownName, match="duplicate vertex names"):
+        build(["a", "b", "a"], [[0, 1]])
+    with pytest.raises(PreconditionFailed, match="hyperedges must be nonempty"):
+        build(["a", "b"], [[0, 1], []])
+
+
 def test_intersection_graph_shapes():
     tri = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
     ig = intersection_graph(tri)
@@ -191,6 +214,27 @@ def test_cover_check_matches_the_search_with_the_size_two_round():
     @example([frozenset({0, 1, 5}), frozenset({0, 2}), frozenset({2, 4, 5})], 4, 7)
     # after a nonconformal 4-clique, round 3 counts its own cliques only
     @example([frozenset({0, 1, 4}), frozenset({4, 5, 6}), frozenset({0, 1, 5})], 4, 8)
+    # two edges that grow no triangle end the vertex before the one whose
+    # first edge grows the nonconformal triangle (1, 2, 3): at budget 13 the
+    # count crosses between them and the cap stands; at 15 the triangle wins
+    @example([frozenset({0, 1, 2, 4}), frozenset({2, 3}), frozenset({3, 5, 6}), frozenset({5, 6}),
+              frozenset({4, 5, 6}), frozenset({1, 3})], 4, 13)
+    @example([frozenset({0, 1, 2, 4}), frozenset({2, 3}), frozenset({3, 5, 6}), frozenset({5, 6}),
+              frozenset({4, 5, 6}), frozenset({1, 3})], 4, 15)
+    # an edge that grows no triangle comes right before the edge, from the
+    # same vertex, that grows the nonconformal triangle (1, 5, 3): counted
+    # first, it puts the triangle past budget 15; at 16 the triangle wins
+    @example([frozenset({1, 5}), frozenset({0, 3, 5, 6}), frozenset({1, 2, 4}),
+              frozenset({1, 3, 4}), frozenset({0, 2, 6})], 3, 15)
+    @example([frozenset({1, 5}), frozenset({0, 3, 5, 6}), frozenset({1, 2, 4}),
+              frozenset({1, 3, 4}), frozenset({0, 2, 6})], 3, 16)
+    # two edges that grow no triangle follow the nonconformal triangle
+    # (0, 2, 6) from its least vertex: at budget 13 the triangle is the last
+    # clique within the budget and wins; at 12 it is the first past it
+    @example([frozenset({0, 1, 3}), frozenset({0, 1, 6}), frozenset({2, 3, 4}),
+              frozenset({2, 4, 6}), frozenset({0, 2, 3})], 3, 13)
+    @example([frozenset({0, 1, 3}), frozenset({0, 1, 6}), frozenset({2, 3, 4}),
+              frozenset({2, 4, 6}), frozenset({0, 2, 3})], 3, 12)
     def check(hyperedges, n_max, budget):
         hg = Hypergraph(range(7), [sorted(he) for he in hyperedges])
         got = outcome(check_n_acyclic_hypergraph, hg, n_max, budget)
