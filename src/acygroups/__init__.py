@@ -9,40 +9,21 @@ applies everything to finite graph and hypergraph coverings.
 
 from .acyclicity import (
     GammaFilter,
-    coset_support,
     find_coset_cycle,
     girth,
-    is_n_acyclic,
     is_two_acyclic,
-    minimal_support,
     validate_coset_cycle,
 )
-from .amalgam import (
-    Amalgam,
-    FailureWitness,
-    amalgam_chain,
-    amalgam_cluster,
-    beta_components,
-    embed_into_cayley,
-    free_amalgam,
-    has_cluster_property,
-)
-from .canon import canonical_form, find_isomorphism, is_symmetry, isomorphic
+from .amalgam import Amalgam, amalgam_chain, amalgam_cluster
+from .canon import canonical_form
 from .constraint import (
     IContext,
     Skeleton,
     SmallCosetAmalgam,
-    ce_cluster_property,
-    direct_product,
     find_i_coset_cycle,
-    i_component,
     is_free_over,
     is_free_skeleton,
-    is_n_acyclic_over,
-    is_skeleton,
-    minimal_tag_support,
     small_coset_amalgam,
-    trivial_constraint_graph,
     validate_i_coset_cycle,
 )
 from .covering import (
@@ -54,18 +35,7 @@ from .covering import (
     intersection_graph,
     verify_cover,
 )
-from .egraph import (
-    EGraph,
-    alpha_component,
-    biggs_tree,
-    disjoint_union,
-    hypercube,
-    new_egraph,
-    reduce_word,
-    rename,
-    trivial_completion,
-    walk_target,
-)
+from .egraph import EGraph, biggs_tree, disjoint_union, hypercube, new_egraph, trivial_completion
 from .errors import (
     AcygroupsError,
     CompatibilityRequired,
@@ -90,7 +60,6 @@ from .groupoid import (
     groupoid_from_group,
     hat_translation,
     is_compatible_groupoid,
-    is_n_acyclic_groupoid,
     pattern_igraph,
     sym_igraph,
     translate_igraph,
@@ -99,8 +68,6 @@ from .groupoid import (
 from .groups import (
     EGroup,
     cayley_graph,
-    coset_graph,
-    evaluate_word,
     homomorphism,
     is_compatible,
     is_group_symmetry,

@@ -1,4 +1,4 @@
-"""Coset cycles, graded acyclicity, girth, minimal supports.
+"""Coset cycles, graded acyclicity, girth.
 
 A coset cycle of length n is a cyclic sequence of pointed cosets
 (g_i * G[alpha_i], g_i) such that consecutive cosets share their link element
@@ -22,7 +22,7 @@ import time
 from itertools import islice, permutations
 
 from .egraph import NO_EDGE
-from .errors import PreconditionFailed, ResourceCap, SearchTimeout
+from .errors import ResourceCap, SearchTimeout
 from .groups import EGroup, is_group_symmetry
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -466,11 +466,6 @@ def _extend(w, m):
     return False
 
 
-def is_n_acyclic(group, n_max, gamma=None, allow_full=False, budget=None):
-    """No coset cycles of lengths 2..n_max with subsets from the filter."""
-    return find_coset_cycle(group, n_max, gamma=gamma, allow_full=allow_full, budget=budget) is None
-
-
 def is_two_acyclic(group):
     """Intersection criterion: G[a] meet G[b] = G[a & b] for proper a, b."""
     n_colors = len(group.colors)
@@ -481,27 +476,3 @@ def is_two_acyclic(group):
                 return False
     return True
 
-
-def minimal_support(group, g, assume_two_acyclic=False):
-    """The unique minimal generator set whose subgroup contains g.
-
-    Needs 2-acyclicity, which is checked unless it is assumed.
-    """
-    if not assume_two_acyclic and not is_two_acyclic(group):
-        raise PreconditionFailed("group is not 2-acyclic")
-    n_colors = len(group.colors)
-    inter = frozenset(range(n_colors))
-    for a in all_subsets(n_colors):
-        if g in group.subgroup_elements(a):
-            inter &= a
-    return inter
-
-
-def coset_support(group, alpha, g):
-    """Minimal generator set whose subgroup meets the alpha-coset of g."""
-    if not is_n_acyclic(group, 3):
-        raise PreconditionFailed("group is not 3-acyclic")
-    inter = frozenset(range(len(group.colors)))
-    for h in group.coset(g, alpha):
-        inter &= minimal_support(group, h, assume_two_acyclic=True)
-    return inter

@@ -1,4 +1,4 @@
-"""Free amalgams of subgroup Cayley graphs: binary, chains, clusters.
+"""Free amalgams of subgroup Cayley graphs: chains and clusters.
 
 Amalgams glue disjoint copies of generated-subgroup Cayley graphs along the
 identifications forced by shared subgroups.  They are built as union-find
@@ -8,14 +8,10 @@ quotients of tagged copies; class representatives are the minimal
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import NamedTuple
-
-from .acyclicity import is_two_acyclic, minimal_support, proper_subsets
-from .canon import canonical_form, connected_components, find_isomorphism
-from .egraph import NO_EDGE, EGraph, induced_subgraph
+from .acyclicity import is_two_acyclic
+from .egraph import NO_EDGE, EGraph
 from .errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
-from .groups import coset_graph, subgroup
+from .groups import subgroup
 from .traverse import UnionFind
 
 
@@ -39,12 +35,6 @@ class Amalgam:
 
     def __repr__(self):
         return f"Amalgam({self.kind}, {self.graph.n} vertices, {len(self.constituents)} constituents)"
-
-
-class FailureWitness(NamedTuple):
-    vertex_a: int
-    vertex_b: int
-    image: int
 
 
 def quotient_graph(names, colors, edges):
@@ -94,14 +84,6 @@ def _build(group, alphas, glue, anchors, kind):
     provenance = tuple(frozenset(pairs[m] for m in members) for members in classes)
     constituents = tuple((frozenset(a), f"{kind}{i}") for i, a in enumerate(alphas))
     return Amalgam(graph, group, constituents, provenance, tuple(anchors), kind)
-
-
-def free_amalgam(group, alpha1, alpha2):
-    """Two subgroup Cayley graphs glued along their shared subgroup."""
-    alpha1, alpha2 = frozenset(alpha1), frozenset(alpha2)
-    overlap = group.subgroup_elements(alpha1 & alpha2)
-    glue = [((0, g), (1, g)) for g in overlap]
-    return _build(group, [alpha1, alpha2], glue, [0, 0], "binary")
 
 
 def amalgam_chain(group, items):
@@ -163,172 +145,3 @@ def amalgam_cluster(group, alphas):
                     )
     return am
 
-
-def embed_into_cayley(am, group):
-    """Canonical homomorphism into the ambient Cayley graph, checked injective.
-
-    Returns the vertex -> element map when injective, otherwise a
-    FailureWitness holding two vertices with the same image.
-    """
-    images = []
-    for v, members in enumerate(am.provenance):
-        vals = {group.product(am.anchors[i], x) for i, x in members}
-        if len(vals) != 1:
-            raise StrictnessViolation("inconsistent provenance in amalgam")
-        images.append(vals.pop())
-    seen = {}
-    for v, img in enumerate(images):
-        if img in seen:
-            return FailureWitness(seen[img], v, img)
-        seen[img] = v
-    return images
-
-
-class Classification(NamedTuple):
-    kind: str
-    detail: dict
-    ok: bool
-    iso: object
-
-
-def beta_components(am, beta):
-    """Classify every beta-component against its predicted amalgam shape.
-
-    Components inside one constituent must be that constituent's
-    beta-subgroup Cayley graph; components crossing constituents must be the
-    free amalgam / chain / cluster of the beta-reducts.  Each classification
-    carries an explicit isomorphism (or ok=False on mismatch).
-    """
-    beta = frozenset(beta)
-    group = am.group
-    out = []
-    for comp in connected_components(am.graph, beta):
-        actual = induced_subgraph(am.graph, sorted(comp), beta)
-        touching = sorted({ci for v in comp for ci, _ in am.provenance[v]})
-        single = _single_constituent(am, comp, touching)
-        if single is not None:
-            ci = single
-            predicted = coset_graph(group, beta & am.constituents[ci][0])
-            iso = find_isomorphism(actual, predicted)
-            out.append(
-                Classification("single", {"constituent": ci}, iso is not None, iso)
-            )
-            continue
-        if am.kind == "binary":
-            a1 = beta & am.constituents[0][0]
-            a2 = beta & am.constituents[1][0]
-            predicted = free_amalgam(group, a1, a2).graph
-            iso = find_isomorphism(actual, predicted)
-            out.append(Classification("amalgam", {"alphas": [a1, a2]}, iso is not None, iso))
-        elif am.kind == "chain":
-            cls = _classify_chain_component(am, comp, touching, beta, actual)
-            out.append(cls)
-        else:
-            betas = [beta & am.constituents[ci][0] for ci in touching]
-            betas = [b for b in betas if b]
-            if not betas:
-                out.append(Classification("cluster", {"alphas": []}, len(comp) == 1, None))
-                continue
-            predicted = amalgam_cluster(group, betas).graph
-            iso = find_isomorphism(actual, predicted)
-            out.append(Classification("cluster", {"alphas": betas}, iso is not None, iso))
-    return out
-
-
-def _single_constituent(am, comp, touching):
-    for ci in touching:
-        if all(any(c == ci for c, _ in am.provenance[v]) for v in comp):
-            return ci
-    return None
-
-
-def _classify_chain_component(am, comp, touching, beta, actual):
-    group = am.group
-    lo, hi = touching[0], touching[-1]
-    if touching != list(range(lo, hi + 1)):
-        return Classification("chain", {"range": touching}, False, None)
-    betas = [beta & am.constituents[ci][0] for ci in range(lo, hi + 1)]
-
-    def members_in(ci):
-        out = {}
-        for v in comp:
-            for c, x in am.provenance[v]:
-                if c == ci:
-                    out[v] = x
-        return out
-
-    entry = min(members_in(lo).values())
-    items = []
-    for k, ci in enumerate(range(lo, hi)):
-        here = members_in(ci)
-        nxt = members_in(ci + 1)
-        shared = sorted(set(here) & set(nxt))
-        if not shared:
-            return Classification("chain", {"range": touching}, False, None)
-        exit_elem = here[shared[0]]
-        items.append((betas[k], group.product(group.inverse(entry), exit_elem)))
-        entry = nxt[shared[0]]
-    items.append((betas[-1], 0))
-    predicted = amalgam_chain(group, items)
-    if predicted is None:
-        return Classification("chain", {"items": items}, False, None)
-    iso = find_isomorphism(actual, predicted.graph)
-    return Classification("chain", {"items": items}, iso is not None, iso)
-
-
-def rebuild_renamed(am, rho):
-    """Rebuild the amalgam from renamed data; used to test isomorphism invariance."""
-    group = am.group
-    rho_idx = {group.color_index(e): group.color_index(t) for e, t in rho.items()}
-    alphas = [frozenset(rho_idx[c] for c in a) for a, _ in am.constituents]
-    if am.kind == "binary":
-        return free_amalgam(group, alphas[0], alphas[1])
-    if am.kind == "cluster":
-        return amalgam_cluster(group, alphas)
-    raise ValueError("rebuild_renamed supports binary and cluster amalgams")
-
-
-def has_cluster_property(group, max_constituents=3):
-    """Bounded check of the cluster property over amalgamation clusters.
-
-    For every cluster of up to max_constituents nonempty proper generator
-    subsets and every proper beta, each beta-connected component must contain
-    an element realising the component's minimal support, and must be
-    isomorphic to the cluster of the beta-reducts of its contributing
-    constituents.  Requires (and checks) 2-acyclicity of all proper
-    subgroups.
-    """
-    n_colors = len(group.colors)
-    for a in proper_subsets(n_colors):
-        if not is_two_acyclic(subgroup(group, a)):
-            raise PreconditionFailed(
-                f"subgroup for {sorted(group.colors[i] for i in a)} is not 2-acyclic"
-            )
-    family = [a for a in proper_subsets(n_colors) if a]
-    for size in range(1, max_constituents + 1):
-        for alphas in combinations(family, size):
-            cluster = amalgam_cluster(group, list(alphas))
-            for beta in proper_subsets(n_colors):
-                if not _cluster_components_ok(group, cluster, beta):
-                    return False
-    return True
-
-
-def _cluster_components_ok(group, cluster, beta):
-    for comp in connected_components(cluster.graph, beta):
-        elems = {v: min(cluster.provenance[v])[1] for v in comp}
-        supports = {v: minimal_support(group, elems[v], assume_two_acyclic=True) for v in comp}
-        alpha_b = frozenset.intersection(*supports.values())
-        if not any(s == alpha_b for s in supports.values()):
-            return False
-        touching = {ci for v in comp for ci, _ in cluster.provenance[v]}
-        m_b = [ci for ci in sorted(touching) if beta & cluster.constituents[ci][0]]
-        if not m_b:
-            if len(comp) != 1:
-                return False
-            continue
-        predicted = amalgam_cluster(group, [beta & cluster.constituents[ci][0] for ci in m_b])
-        actual = induced_subgraph(cluster.graph, sorted(comp), beta)
-        if canonical_form(predicted.graph) != canonical_form(actual):
-            return False
-    return True

@@ -9,7 +9,7 @@ cheap at the component sizes this library works with.
 
 from __future__ import annotations
 
-from .egraph import NO_EDGE, rename
+from .egraph import NO_EDGE
 from .traverse import Cosets
 
 
@@ -93,31 +93,3 @@ def canonical_form(g):
     codes = sorted(canonical_component(g, comp)[0] for comp in comps)
     return (g.colors, g.n, tuple(codes))
 
-
-def find_isomorphism(g1, g2):
-    """A colour-preserving isomorphism g1 -> g2 as a vertex map, or None."""
-    if g1.colors != g2.colors or g1.n != g2.n:
-        return None
-    comps1 = connected_components(g1)
-    comps2 = connected_components(g2)
-    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
-        return None
-    coded1 = sorted((canonical_component(g1, c) for c in comps1), key=lambda t: t[0])
-    coded2 = sorted((canonical_component(g2, c) for c in comps2), key=lambda t: t[0])
-    mapping = [None] * g1.n
-    for (code1, lab1), (code2, lab2) in zip(coded1, coded2):
-        if code1 != code2:
-            return None
-        inv2 = {i: v for v, i in lab2.items()}
-        for v, i in lab1.items():
-            mapping[v] = inv2[i]
-    return mapping
-
-
-def isomorphic(g1, g2):
-    return find_isomorphism(g1, g2) is not None
-
-
-def is_symmetry(g, rho):
-    """True when renaming by rho yields a graph isomorphic to g."""
-    return canonical_form(g) == canonical_form(rename(g, rho))

@@ -1,5 +1,5 @@
-"""Reachability templates: products, template-restricted cosets, skeletons,
-freeness, and small coset amalgams.
+"""Reachability templates: template-restricted cosets, skeletons, freeness,
+and small coset amalgams.
 
 A constraint graph is an ordinary edge-coloured matching graph I over a site
 set S.  It restricts reachability in a Cayley graph: only walks whose label
@@ -17,17 +17,10 @@ from itertools import chain, repeat
 from operator import add
 from typing import NamedTuple
 
-from .acyclicity import (
-    all_subsets,
-    is_two_acyclic,
-    met_by_ids,
-    proper_subsets,
-    search_coset_cycle,
-    validate_cycle,
-)
-from .amalgam import amalgam_cluster, quotient_graph
-from .canon import canonical_form, connected_components
-from .egraph import NO_EDGE, EGraph, induced_subgraph
+from .acyclicity import all_subsets, met_by_ids, proper_subsets, search_coset_cycle, validate_cycle
+from .amalgam import quotient_graph
+from .canon import connected_components
+from .egraph import NO_EDGE, EGraph
 from .errors import (
     CompatibilityRequired,
     PreconditionFailed,
@@ -36,34 +29,8 @@ from .errors import (
     TransitivityViolation,
     UnknownName,
 )
-from .groups import is_compatible, subgroup
+from .groups import is_compatible
 from .traverse import Cosets, UnionFind, bfs_parents, propagate
-
-
-def trivial_constraint_graph(colors):
-    """One site with a loop of every colour; restricts nothing."""
-    rows = [[0] for _ in colors]
-    return EGraph(["s"], sorted(colors), rows)
-
-
-def direct_product(igraph, group):
-    """Product of a template with a group's Cayley graph on site/element pairs.
-
-    An e-edge joins (s, g) and (s', g*e) exactly when I has an e-edge (s, s').
-    The group must be compatible with the template.
-    """
-    if not is_compatible(group, igraph):
-        raise CompatibilityRequired("group is not compatible with the template graph")
-    ns, ng = igraph.n, group.order
-    names = [f"{igraph.vertex_names[s]}|{g}" for s in range(ns) for g in range(ng)]
-    rows = []
-    for irow, grow in zip(igraph.partner, group.gen_action):
-        row = [NO_EDGE] * (ns * ng)
-        for s, t in enumerate(irow):
-            if t != NO_EDGE:
-                row[s * ng:(s + 1) * ng] = [t * ng + h for h in grow]
-        rows.append(row)
-    return EGraph(names, igraph.colors, rows)
 
 
 class Skeleton(NamedTuple):
@@ -80,11 +47,6 @@ class Skeleton(NamedTuple):
     elements: tuple
 
 
-class SkeletonFailure(NamedTuple):
-    reason: str
-    detail: object
-
-
 class IContext:
     """Cached template-restricted reachability data for one (group, template).
 
@@ -97,10 +59,10 @@ class IContext:
     components, and so skeletons, are walked on their own.
     """
 
-    def __init__(self, group, igraph, check=True):
+    def __init__(self, group, igraph):
         if tuple(igraph.colors) != group.colors:
             raise CompatibilityRequired("template and group must share a colour registry")
-        if check and not is_compatible(group, igraph):
+        if not is_compatible(group, igraph):
             raise CompatibilityRequired("group is not compatible with the template graph")
         self.group = group
         self.igraph = igraph
@@ -282,61 +244,6 @@ class TranslatedCosets:
         return block
 
 
-def i_component(group, igraph, alpha, s, g, ctx=None):
-    """Template-restricted coset with its traversed edges.
-
-    Returns (elements, edges) where edges are (colour, element, element)
-    pairs actually reachable along admitted walks.
-    """
-    ctx = ctx or IContext(group, igraph)
-    skel = ctx.skeleton(alpha, s, g)
-    elements = tuple(sorted(skel.elements))
-    edges = []
-    for c, u, v in skel.graph.all_edges():
-        edges.append((c, skel.elements[u], skel.elements[v]))
-    return elements, sorted(edges)
-
-
-def is_skeleton(host, igraph, alpha, s):
-    """Check the defining properties of a skeleton host; find its site map.
-
-    The map is propagated from anchor candidates: along an edge of the host
-    the image is forced because template colour classes are matchings.
-    Surjectivity onto the alpha-component of s and the edge-lifting property
-    are then verified.
-    """
-    alpha = frozenset(alpha)
-    reached, _ = bfs_parents([igraph.partner[c] for c in sorted(alpha)], igraph.n, [s])
-    target_sites = set(reached)
-    rows = list(enumerate(host.partner))
-
-    def step(c, site):
-        # the image of an edge is forced: template colour classes are matchings
-        t = igraph.partner[c][site] if c in alpha else NO_EDGE
-        return t if t in target_sites else None
-
-    hom = [None] * host.n
-    for comp in connected_components(host):
-        assigned = None
-        for site in sorted(target_sites):
-            assigned = propagate(host.n, rows, [(comp[0], site)], step)
-            if assigned is not None:
-                break
-        if assigned is None:
-            return SkeletonFailure("no site homomorphism for a component", comp[0])
-        for v in comp:
-            hom[v] = assigned[v]
-    covered = set(hom)
-    if not target_sites <= covered:
-        return SkeletonFailure("homomorphism not surjective onto the component", None)
-    for v in range(host.n):
-        for c in sorted(alpha):
-            t = igraph.partner[c][hom[v]]
-            if t != NO_EDGE and t in target_sites and host.partner[c][v] == NO_EDGE:
-                return SkeletonFailure("edge-lifting fails", (v, igraph.colors[c]))
-    return Skeleton(host, tuple(hom), alpha, s, None)
-
-
 def is_free_skeleton(ctx, alpha, s, g=0):
     """Freeness of the embedded skeleton anchored at (s, g).
 
@@ -436,10 +343,6 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
     return cyc
 
 
-def is_n_acyclic_over(group, igraph, n_max, ctx=None, budget=None):
-    return find_i_coset_cycle(group, igraph, n_max, ctx=ctx, budget=budget) is None
-
-
 class SmallCosetAmalgam(NamedTuple):
     """Quotient extension of a skeleton by tagged proper-subset Cayley copies.
 
@@ -456,31 +359,24 @@ class SmallCosetAmalgam(NamedTuple):
     copies: tuple  # (alpha', host component tuple, vertex tuple) per constituent
 
 
-def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditions=True):
+def small_coset_amalgam(skel, group, alpha):
     """Free extension of a skeleton by proper-subset Cayley-graph copies.
 
     A copy of the alpha'-subgroup Cayley graph is attached at every host
     vertex for every proper alpha'; copies are glued where a shared host
     vertex forces equal group elements, shifted through the common subgroup.
     The one-step relation is provably transitive under the preconditions
-    (proper subgroups 2-acyclic and free over the template); transitivity is
-    recomputed and checked, and the result is validated as a strict graph
-    and as a free extension of the host.
+    (proper subgroups 2-acyclic and free over the template, host components
+    isomorphic to embedded skeletons).  They are not checked here:
+    transitivity is recomputed and checked instead, and the result is
+    validated as a strict graph and as a free extension of the host.
     """
     alpha = frozenset(alpha)
-    ctx = ctx or IContext(group, igraph)
     host = skel.graph
     gammas = [a for a in all_subsets(len(group.colors)) if a < alpha]
-    if verify_preconditions:
-        for a in gammas:
-            if not is_two_acyclic(subgroup(group, sorted(a))):
-                raise PreconditionFailed(f"subgroup {sorted(a)} is not 2-acyclic")
-        if not is_free_over(group, igraph, alphas=gammas, ctx=ctx):
-            raise PreconditionFailed("proper subgroups are not free over the template")
 
     # addresses: within each alpha'-component of the host, relative group
-    # elements between vertices; verified consistent against the embedded
-    # skeleton the component must realise
+    # elements between vertices, which must be consistent
     addr = {}  # (alpha', anchor vertex) -> {vertex: element}
     comp_of = {}  # (alpha', vertex) -> component tuple
     for a in gammas:
@@ -490,13 +386,6 @@ def small_coset_amalgam(skel, group, alpha, igraph, ctx=None, verify_preconditio
                 raise PreconditionFailed(
                     "host component carries inconsistent walk addresses"
                 )
-            if verify_preconditions:
-                want = ctx.skeleton(a, skel.hom[comp[0]], 0).graph
-                got = induced_subgraph(host, sorted(comp), a)
-                if canonical_form(want) != canonical_form(got):
-                    raise PreconditionFailed(
-                        "host component is not isomorphic to an embedded skeleton"
-                    )
             for v in comp:
                 comp_of[(a, v)] = comp
             for v in comp:
@@ -610,71 +499,3 @@ def _validate_free_extension(ce, gammas):
                         "disjoint host components merged in the extension"
                     )
 
-
-def minimal_tag_support(ce, x):
-    """Minimal tag subset representing x, with its single anchoring component.
-
-    Host vertices have empty support and anchor at themselves.
-    """
-    if not ce.provenance[x]:
-        u = ce.host_image.index(x)
-        return frozenset(), (u,)
-    supports = [a for _, _, a in ce.provenance[x]]
-    alpha_x = frozenset.intersection(*supports)
-    anchors = tuple(sorted({v for _, v, a in ce.provenance[x] if a == alpha_x}))
-    if not anchors:
-        raise StrictnessViolation("no representation realises the minimal tag support")
-    comps = connected_components(ce.skeleton.graph, alpha_x)
-    holding = [c for c in comps if set(anchors) <= set(c)]
-    if len(holding) != 1 or set(anchors) != set(holding[0]):
-        raise StrictnessViolation("anchor vertices do not form one full component")
-    return alpha_x, anchors
-
-
-def ce_cluster_property(ce, group):
-    """Cluster property of the extension.
-
-    Every proper-subset component B must (i) contain an element whose minimal
-    tag support equals the component's intersection support, held in a core
-    copy contained in every copy meeting B, and (ii) be contained in a weak
-    substructure isomorphic to the amalgamation cluster of the contributing
-    beta-reducts.
-    """
-    gammas = [a for a in all_subsets(len(group.colors)) if a < ce.alpha]
-    copy_sets = {i: set(vs) for i, (_, _, vs) in enumerate(ce.copies)}
-    supports = [
-        frozenset.intersection(*[a for _, _, a in prov]) if prov else frozenset()
-        for prov in ce.provenance
-    ]
-    for beta in gammas:
-        for comp in connected_components(ce.graph, beta):
-            comp_set = set(comp)
-            alpha_b = frozenset.intersection(*[supports[v] for v in comp])
-            touching = [
-                i
-                for i, vs in copy_sets.items()
-                if vs & comp_set and beta & ce.copies[i][0]
-            ]
-            cores = [
-                c
-                for c, (a, _, vs) in enumerate(ce.copies)
-                if a == alpha_b
-                and any(supports[v] == alpha_b and v in vs for v in comp)
-            ]
-            if not any(
-                all(copy_sets[c] <= copy_sets[i] for i in touching) for c in cores
-            ):
-                return False
-            betas = sorted(
-                {beta & ce.copies[i][0] for i in touching if beta & ce.copies[i][0]},
-                key=sorted,
-            )
-            if not betas:
-                if len(comp) != 1:
-                    return False
-                continue
-            predicted = amalgam_cluster(group, betas).graph
-            actual = induced_subgraph(ce.graph, sorted(comp), beta)
-            if canonical_form(predicted) != canonical_form(actual):
-                return False
-    return True

@@ -116,7 +116,7 @@ def graph_cover(base_edges, group):
         raise CompatibilityRequired("group must use one generator per base edge")
     if not is_compatible(group, template):
         raise CompatibilityRequired("group is not compatible with the base graph")
-    ctx = IContext(group, template, check=False)
+    ctx = IContext(group, template)
     skel = ctx.skeleton(range(len(group.colors)), 0)
     pairs = tuple(map(ctx.pair, skel.hom, skel.elements))
     return Covering(
@@ -234,7 +234,7 @@ def class_oracle_agrees(cov):
     """
     hg = cov.base
     hes, n_edges, ng = hg.hyperedges, len(hg.hyperedges), cov.group.order
-    ctx = IContext(cov.group, cov.template, check=False)
+    ctx = IContext(cov.group, cov.template)
     by_alpha = {}
     ids = [None] * hg.n  # per base vertex: the component id of every pair
     for v, alpha in enumerate(_vertex_colour_sets(hg, cov.template)):

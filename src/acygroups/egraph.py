@@ -8,19 +8,8 @@ A loop contributes degree 1, so the matching condition is structural.
 
 from __future__ import annotations
 
-from .errors import IncompleteGraph, MatchingViolation, ResourceCap, UnknownName
-from .traverse import NO_EDGE, bfs_parents
-
-
-def reduce_word(word):
-    """Cancel adjacent equal letters (involutive alphabet), iterated."""
-    out = []
-    for letter in word:
-        if out and out[-1] == letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+from .errors import MatchingViolation, ResourceCap, UnknownName
+from .traverse import NO_EDGE
 
 
 class EGraph:
@@ -92,14 +81,6 @@ class EGraph:
         for c in range(len(self.colors)):
             out.extend((c, u, v) for u, v in self.edges(c))
         return out
-
-    def degree_profile(self, v):
-        """Per colour: 0 unmatched, 1 loop, 2 proper edge.  Iso-invariant."""
-        out = []
-        for row in self.partner:
-            w = row[v]
-            out.append(0 if w == NO_EDGE else (1 if w == v else 2))
-        return tuple(out)
 
     def __eq__(self, other):
         return (
@@ -227,39 +208,6 @@ def hypercube(colors, cap=1_000_000):
     return EGraph([name(m) for m in subsets], colors, rows)
 
 
-def walk_target(g, v, word):
-    """Endpoint of the walk labelled by word from v; needs a complete graph."""
-    if not g.complete:
-        raise IncompleteGraph("walk_target needs a complete graph; complete it first")
-    for ci in word:
-        v = g.partner[ci][v]
-    return v
-
-
-def alpha_component(g, alpha, v):
-    """Weak subgraph on the alpha-reachable vertices of v, with an embedding.
-
-    Returns (component, embedding) where embedding[i] is the parent index of
-    the component's vertex i.  The component keeps the full colour registry;
-    colours outside alpha have no edges.
-    """
-    alpha = sorted(set(alpha))
-    reach, _ = bfs_parents([g.partner[ci] for ci in alpha], g.n, [v])
-    return induced_subgraph(g, reach, alpha), tuple(reach)
-
-
-def induced_subgraph(graph, vertices, beta):
-    """Beta-reduct induced on a vertex subset, keeping the colour registry."""
-    local = {v: i for i, v in enumerate(vertices)}
-    rows = [[NO_EDGE] * len(vertices) for _ in graph.colors]
-    for c in sorted(set(beta)):
-        for v in vertices:
-            w = graph.partner[c][v]
-            if w != NO_EDGE and w in local:
-                rows[c][local[v]] = local[w]
-    return EGraph([graph.vertex_names[v] for v in vertices], graph.colors, rows)
-
-
 def disjoint_union(graphs):
     """Disjoint union over a shared colour registry; names carry provenance."""
     graphs = list(graphs)
@@ -278,13 +226,3 @@ def disjoint_union(graphs):
             rows[ci].extend(w if w == NO_EDGE else w + off for w in g.partner[ci])
     return EGraph(names, colors, rows)
 
-
-def rename(g, rho):
-    """Renaming along a colour permutation rho: the rho(e)-edges are the old e-edges."""
-    missing = set(rho) - set(g.colors)
-    if missing or sorted(rho.values()) != sorted(g.colors) or set(rho) != set(g.colors):
-        raise UnknownName("rho must be a permutation of the colour registry")
-    rows = [None] * len(g.colors)
-    for e, target in rho.items():
-        rows[g.color_index(target)] = g.partner[g.color_index(e)]
-    return EGraph(g.vertex_names, g.colors, rows)

@@ -103,13 +103,6 @@ class HatTranslation(NamedTuple):
     color_of: dict  # edge index -> singleton colour name; pairs -> middle name
     site_of: dict  # pattern site index -> encoded-graph vertex name
 
-    def word(self, edges):
-        """Encoded colour word of a directed edge word."""
-        out = []
-        for e in edges:
-            out.extend(self.triplet(e))
-        return out
-
     def triplet(self, e):
         ig = self.igraph
         return [
@@ -124,22 +117,6 @@ class HatTranslation(NamedTuple):
         for e in alpha_edges:
             out.update(self.triplet(e))
         return frozenset(out)
-
-    def unword(self, colors):
-        """Directed edge word of an encoded colour word; validates shape."""
-        ig = self.igraph
-        names = [ig.colors[c] for c in colors]
-        if len(names) % 3 != 0:
-            raise UnknownName("encoded word length must be a multiple of 3")
-        singles = {v: k for k, v in self.color_of.items() if not isinstance(k, tuple)}
-        out = []
-        for i in range(0, len(names), 3):
-            e = singles.get(names[i])
-            e_inv = singles.get(names[i + 2])
-            if e is None or e_inv != self.pattern.inv[e]:
-                raise UnknownName(f"not an encoded edge triplet at position {i}")
-            out.append(e)
-        return out
 
 
 def hat_translation(pattern):
@@ -486,10 +463,6 @@ def find_groupoid_coset_cycle(gpd, n_max, budget=None):
     return cyc
 
 
-def is_n_acyclic_groupoid(gpd, n_max, budget=None):
-    return find_groupoid_coset_cycle(gpd, n_max, budget=budget) is None
-
-
 def translate_groupoid_cycle(gpd, hat, entries):
     """Encoded template cycle of a groupoid coset cycle.
 
@@ -574,12 +547,13 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, config=None):
     start_graph = disjoint_union(
         [hat.igraph, encoded_target, hypercube(hat.igraph.colors)]
     )
-    group0 = sym(start_graph, attach_hypercube=False)
+    group0 = sym(start_graph, attach_hypercube=False, cap=config.element_cap)
     group, reports = construct_n_acyclic_over(group0, hat.igraph, config)
     gpd = groupoid_from_group(group, pattern, hat=hat)
     checks = {
         "axioms": verify_groupoid_axioms(gpd),
-        "acyclic": is_n_acyclic_groupoid(gpd, config.n_acyclic, budget=config.search_budget),
+        "acyclic": find_groupoid_coset_cycle(gpd, config.n_acyclic,
+                                             budget=config.search_budget) is None,
         "compatible": is_compatible_groupoid(gpd, target_igraph),
     }
     return GroupoidSynthesisResult(gpd, group, hat, reports, checks)

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import lcm
 
 from .canon import connected_components
-from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, trivial_completion
+from .egraph import EGraph, disjoint_union, hypercube, trivial_completion
 from .errors import DegenerateGenerators, PreconditionFailed, ResourceCap, UnknownName
 from .permgroup import group_order
 from .traverse import Cosets, bfs_parents, close, propagate
@@ -297,28 +297,6 @@ def cayley_graph(group):
     names = [str(i) for i in range(group.order)]
     # the generator tables are involutions, hence already partner rows
     return EGraph(names, group.colors, group.gen_action)
-
-
-def coset_graph(group, alpha):
-    """Weak subgraph of the Cayley graph on the subgroup G[alpha].
-
-    The graph keeps the full colour registry; its vertex i is the i-th
-    element of G[alpha] ascending, named by its index in the group.
-    """
-    alpha = sorted(set(alpha))
-    elements = group.subgroup_elements(alpha)
-    local = {g: i for i, g in enumerate(elements)}
-    rows = [[NO_EDGE] * len(elements) for _ in group.colors]
-    for c in alpha:
-        for i, g in enumerate(elements):
-            rows[c][i] = local[group.gen_action[c][g]]
-    return EGraph([str(g) for g in elements], group.colors, rows)
-
-
-def evaluate_word(group, word):
-    """Product of a word given by colour names or indices."""
-    idxs = [c if isinstance(c, int) else group.color_index(c) for c in word]
-    return group.evaluate(idxs)
 
 
 def subgroup(group, alpha):

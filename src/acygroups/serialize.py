@@ -442,20 +442,14 @@ def _style(c):
     )
 
 
-def egraph_to_dot(g, tooltips=None):
+def egraph_to_dot(g):
     lines = ["graph {"]
     for v, name in enumerate(g.vertex_names):
-        tip = f',tooltip="{tooltips[v]}"' if tooltips else ""
-        lines.append(f'  v{v} [label="{name}"{tip}];')
+        lines.append(f'  v{v} [label="{name}"];')
     for c, u, v in g.all_edges():
         lines.append(f'  v{u} -- v{v} [label="{g.colors[c]}",{_style(c)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def amalgam_to_dot(am):
-    tips = [";".join(f"{i}:{x}" for i, x in sorted(prov)) for prov in am.provenance]
-    return egraph_to_dot(am.graph, tooltips=tips)
 
 
 def igraph_to_dot(ig):

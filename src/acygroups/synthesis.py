@@ -185,9 +185,7 @@ def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
         ctx = ctx or IContext(group, igraph)
         for made, (a, s) in enumerate(product(gamma, range(igraph.n))):
             _check_deadline(deadline, f"stage graph timed out after {made} extensions")
-            skel = ctx.skeleton(a, s)
-            ce = small_coset_amalgam(skel, group, a, igraph, ctx=ctx, verify_preconditions=False)
-            keep("extension", ce.graph)
+            keep("extension", small_coset_amalgam(ctx.skeleton(a, s), group, a).graph)
     return components, inventory
 
 

@@ -1,7 +1,9 @@
 import pytest
 
-from acygroups.egraph import biggs_tree, hypercube, new_egraph
+from acygroups.egraph import EGraph, biggs_tree, hypercube, new_egraph
+from acygroups.errors import UnknownName
 from acygroups.groups import sym
+from acygroups.traverse import NO_EDGE
 
 
 def biggs_group(colors, depth):
@@ -30,6 +32,42 @@ def path_graph(color_seq):
     colors = sorted(set(color_seq))
     edges = [(c, i, i + 1) for i, c in enumerate(color_seq)]
     return new_egraph(list(range(n)), colors, edges)
+
+
+def trivial_constraint_graph(colors):
+    """One site with a loop of every colour; restricts nothing."""
+    return EGraph(["s"], sorted(colors), [[0] for _ in colors])
+
+
+def evaluate_word(group, word):
+    """Product of a word given by colour names or indices."""
+    return group.evaluate([c if isinstance(c, int) else group.color_index(c) for c in word])
+
+
+def coset_graph(group, alpha):
+    """Weak subgraph of the Cayley graph on the subgroup G[alpha].
+
+    The graph keeps the full colour registry; its vertex i is the i-th
+    element of G[alpha] ascending, named by its index in the group.
+    """
+    alpha = sorted(set(alpha))
+    elements = group.subgroup_elements(alpha)
+    local = {g: i for i, g in enumerate(elements)}
+    rows = [[NO_EDGE] * len(elements) for _ in group.colors]
+    for c in alpha:
+        for i, g in enumerate(elements):
+            rows[c][i] = local[group.gen_action[c][g]]
+    return EGraph([str(g) for g in elements], group.colors, rows)
+
+
+def rename(g, rho):
+    """Renaming along a colour permutation rho: the rho(e)-edges are the old e-edges."""
+    if sorted(rho.values()) != sorted(g.colors) or set(rho) != set(g.colors):
+        raise UnknownName("rho must be a permutation of the colour registry")
+    rows = [None] * len(g.colors)
+    for e, target in rho.items():
+        rows[g.color_index(target)] = g.partner[g.color_index(e)]
+    return EGraph(g.vertex_names, g.colors, rows)
 
 
 def corpus():

@@ -58,6 +58,11 @@ same labelling.
 recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
 part dropped, and ``groups.sym_components`` must give the same group.
+
+The graph helpers at the end (``walk_target``, ``alpha_component``,
+``induced_subgraph``, ``find_isomorphism``, ``is_symmetry``,
+``rebuild_renamed``) are what the tests read graphs with; no pipeline
+needs them.
 """
 
 import functools
@@ -82,11 +87,15 @@ from acygroups.covering import (
     _vertex_colour_sets,
     intersection_graph,
 )
+from acygroups.amalgam import amalgam_chain, amalgam_cluster
+from acygroups.canon import canonical_component, canonical_form, connected_components
 from acygroups.egraph import EGraph
-from acygroups.errors import CompatibilityRequired, ResourceCap, SearchTimeout
+from acygroups.errors import CompatibilityRequired, IncompleteGraph, ResourceCap, SearchTimeout
 from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms, is_compatible
-from acygroups.traverse import NO_EDGE, UnionFind
+from acygroups.traverse import NO_EDGE, UnionFind, bfs_parents
+
+from conftest import rename
 
 
 def partition(n, rows):
@@ -465,7 +474,7 @@ def brute_force_isomorphic(g1, g2):
         return False
     profiles2 = {}
     for v in range(g2.n):
-        profiles2.setdefault(g2.degree_profile(v), []).append(v)
+        profiles2.setdefault(_degree_profile(g2, v), []).append(v)
     mapping = {}
     used = set()
 
@@ -489,7 +498,7 @@ def brute_force_isomorphic(g1, g2):
     def extend(u):
         if u == g1.n:
             return True
-        for mu in profiles2.get(g1.degree_profile(u), []):
+        for mu in profiles2.get(_degree_profile(g1, u), []):
             if mu in used or not edges_ok(u, mu):
                 continue
             mapping[u] = mu
@@ -501,6 +510,11 @@ def brute_force_isomorphic(g1, g2):
         return False
 
     return extend(0)
+
+
+def _degree_profile(g, v):
+    """Per colour: 0 unmatched, 1 loop, 2 proper edge.  Iso-invariant."""
+    return tuple(0 if w == NO_EDGE else (1 if w == v else 2) for w in (row[v] for row in g.partner))
 
 
 def word_kernel_compatible(group, h, max_len):
@@ -767,7 +781,7 @@ def reference_class_oracle_agrees(cov):
     template = cov.template
     if not len(template.colors):
         return all(len(m) == 1 for m in cov.provenance["classes"])
-    ctx = IContext(group, template, check=False)
+    ctx = IContext(group, template)
     vcolors = _vertex_colour_sets(hg, template)
     for members in cov.provenance["classes"]:
         hi0, v0, g0 = members[0]
@@ -855,3 +869,75 @@ def reference_canonical_component(g, members):
         if best is None or tuple(code) < best[0]:
             best = tuple(code), {v: i for i, v in enumerate(order)}
     return best
+
+
+def walk_target(g, v, word):
+    """Endpoint of the walk labelled by word from v; needs a complete graph."""
+    if not g.complete:
+        raise IncompleteGraph("walk_target needs a complete graph; complete it first")
+    for ci in word:
+        v = g.partner[ci][v]
+    return v
+
+
+def induced_subgraph(graph, vertices, beta):
+    """Beta-reduct induced on a vertex subset, keeping the colour registry."""
+    local = {v: i for i, v in enumerate(vertices)}
+    rows = [[NO_EDGE] * len(vertices) for _ in graph.colors]
+    for c in sorted(set(beta)):
+        for v in vertices:
+            w = graph.partner[c][v]
+            if w != NO_EDGE and w in local:
+                rows[c][local[v]] = local[w]
+    return EGraph([graph.vertex_names[v] for v in vertices], graph.colors, rows)
+
+
+def alpha_component(g, alpha, v):
+    """Weak subgraph on the alpha-reachable vertices of v, with an embedding.
+
+    Returns (component, embedding) where embedding[i] is the parent index of
+    the component's vertex i.  The component keeps the full colour registry;
+    colours outside alpha have no edges.
+    """
+    alpha = sorted(set(alpha))
+    reach, _ = bfs_parents([g.partner[ci] for ci in alpha], g.n, [v])
+    return induced_subgraph(g, reach, alpha), tuple(reach)
+
+
+def find_isomorphism(g1, g2):
+    """A colour-preserving isomorphism g1 -> g2 as a vertex map, or None."""
+    if g1.colors != g2.colors or g1.n != g2.n:
+        return None
+    comps1 = connected_components(g1)
+    comps2 = connected_components(g2)
+    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
+        return None
+    coded1 = sorted((canonical_component(g1, c) for c in comps1), key=lambda t: t[0])
+    coded2 = sorted((canonical_component(g2, c) for c in comps2), key=lambda t: t[0])
+    mapping = [None] * g1.n
+    for (code1, lab1), (code2, lab2) in zip(coded1, coded2):
+        if code1 != code2:
+            return None
+        inv2 = {i: v for v, i in lab2.items()}
+        for v, i in lab1.items():
+            mapping[v] = inv2[i]
+    return mapping
+
+
+def is_symmetry(g, rho):
+    """True when renaming by rho yields a graph isomorphic to g."""
+    return canonical_form(g) == canonical_form(rename(g, rho))
+
+
+def rebuild_renamed(am, rho):
+    """Rebuild a cluster, or a chain pointed at the identity, on its
+    constituents' colour sets renamed along rho; used to test isomorphism
+    invariance."""
+    group = am.group
+    rho_idx = {group.color_index(e): group.color_index(t) for e, t in rho.items()}
+    alphas = [frozenset(rho_idx[c] for c in a) for a, _ in am.constituents]
+    if am.kind == "cluster":
+        return amalgam_cluster(group, alphas)
+    if am.kind == "chain" and not any(am.anchors):
+        return amalgam_chain(group, [(a, 0) for a in alphas])
+    raise ValueError("rebuild_renamed supports clusters and chains pointed at the identity")

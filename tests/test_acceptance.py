@@ -10,20 +10,9 @@ import time
 import pytest
 
 from acygroups import serialize as ser
-from acygroups.acyclicity import (
-    find_coset_cycle,
-    girth,
-    is_n_acyclic,
-    is_two_acyclic,
-)
-from acygroups.amalgam import (
-    FailureWitness,
-    amalgam_chain,
-    embed_into_cayley,
-    free_amalgam,
-    has_cluster_property,
-)
-from acygroups.constraint import is_free_over, is_n_acyclic_over, validate_i_coset_cycle
+from acygroups.acyclicity import find_coset_cycle, girth, is_two_acyclic
+from acygroups.amalgam import amalgam_chain
+from acygroups.constraint import find_i_coset_cycle, is_free_over, validate_i_coset_cycle
 from acygroups.covering import (
     Hypergraph,
     check_n_acyclic_hypergraph,
@@ -43,16 +32,18 @@ from acygroups.groupoid import (
     translate_groupoid_cycle,
     verify_groupoid_axioms,
 )
-from acygroups.groups import (
-    cayley_graph,
-    coset_graph,
-    evaluate_word,
-    is_group_symmetry,
-    sym,
-)
+from acygroups.groups import cayley_graph, is_group_symmetry, sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
 
-from conftest import biggs_group, corpus, hypercube_group, s3_three_generators
+from conftest import (
+    biggs_group,
+    corpus,
+    coset_graph,
+    evaluate_word,
+    hypercube_group,
+    s3_three_generators,
+)
+from paper_checks import FailureWitness, embed_into_cayley, has_cluster_property
 
 
 def _report(num, label, started):
@@ -111,7 +102,7 @@ def test_criterion_03_three_acyclicity_lemma():
         comps = [cayley_graph(g0)]
         comps += [coset_graph(g0, sorted(a)) for a in proper_subsets(len(g0.colors))]
         lifted = sym(disjoint_union(comps), attach_hypercube=False)
-        assert is_n_acyclic(lifted, 3), name
+        assert find_coset_cycle(lifted, 3) is None, name
         _budget(t0, 120, f"criterion 3 seed {name}")
     _report(3, "three seed groups lift to 3-acyclic groups", started)
 
@@ -120,7 +111,7 @@ def test_criterion_04_amalgam_embedding():
     started = time.monotonic()
     # injective on 2-acyclic constituents
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
+    am = amalgam_chain(h3, [([0, 1], 0), ([1, 2], 0)])
     assert not isinstance(embed_into_cayley(am, h3), FailureWitness)
     # injective for chains within the acyclicity bound
     s3 = biggs_group(["a", "b"], 1)
@@ -130,7 +121,7 @@ def test_criterion_04_amalgam_embedding():
     assert not isinstance(embed_into_cayley(chain, s3), FailureWitness)
     # witness on the non-2-acyclic triangle group
     tri = s3_three_generators()
-    bad = free_amalgam(tri, [0, 1], [0, 2])
+    bad = amalgam_chain(tri, [([0, 1], 0), ([0, 2], 0)])
     witness = embed_into_cayley(bad, tri)
     assert isinstance(witness, FailureWitness)
     _report(4, "embeddings injective exactly within acyclicity; witness found", started)
@@ -172,7 +163,7 @@ def test_criterion_07_over_template_synthesis_and_transfer():
     result, reports = construct_n_acyclic_over(seed, template, SynthesisConfig(n_acyclic=2))
     assert all(rep.conservation_ok for rep in reports)
     assert is_free_over(result, template)
-    assert is_n_acyclic_over(result, template, 2)
+    assert find_i_coset_cycle(result, template, 2) is None
     _budget(started, 600, "criterion 7")
     _report(7, f"order {result.order} group free and 2-acyclic over the template", started)
 
@@ -222,7 +213,7 @@ def test_criterion_09_hypergraph_covering(triangle_setup):
     started = time.monotonic()
     tri, template, group = triangle_setup
     assert is_free_over(group, template)
-    assert is_n_acyclic_over(group, template, 4)
+    assert find_i_coset_cycle(group, template, 4) is None
     cov = hypergraph_cover(tri, group)
     report = verify_cover(cov)
     assert report.ok, report.issues

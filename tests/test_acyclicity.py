@@ -4,22 +4,19 @@ import pytest
 
 from acygroups.acyclicity import (
     GammaFilter,
-    coset_support,
     find_coset_cycle,
     girth,
-    is_n_acyclic,
     is_two_acyclic,
-    minimal_support,
     validate_coset_cycle,
 )
-from acygroups.amalgam import has_cluster_property
 from acygroups.covering import graph_cover, graph_template
 from acygroups.egraph import disjoint_union
 from acygroups.errors import PreconditionFailed, ResourceCap
-from acygroups.groups import cayley_graph, coset_graph, evaluate_word, homomorphism, subgroup, sym
+from acygroups.groups import cayley_graph, homomorphism, subgroup, sym
 
-from conftest import biggs_group, hypercube_group, s3_three_generators
+from conftest import biggs_group, coset_graph, evaluate_word, hypercube_group, s3_three_generators
 from oracles import reference_girth, unpruned_coset_cycle
+from paper_checks import coset_support, has_cluster_property, minimal_support
 
 
 def test_girth_values():
@@ -98,15 +95,15 @@ def test_girth_equivalence_with_gamma_two(small_groups):
     for name, g in small_groups.items():
         gi = girth(g)
         for n in (2, 3, 4, 5, 6, 7):
-            ok = is_n_acyclic(g, n, gamma=GammaFilter.size(2))
+            ok = find_coset_cycle(g, n, gamma=GammaFilter.size(2)) is None
             assert ok == (gi > n), (name, n, gi)
 
 
 def test_monotonicity(small_groups):
     for g in small_groups.values():
         for n in (3, 4, 5):
-            if is_n_acyclic(g, n):
-                assert all(is_n_acyclic(g, m) for m in range(2, n))
+            if find_coset_cycle(g, n) is None:
+                assert all(find_coset_cycle(g, m) is None for m in range(2, n))
 
 
 def test_preservation_under_inverse_homomorphisms(small_groups):
@@ -135,7 +132,7 @@ def test_three_acyclicity_sufficient_condition(small_groups):
         comps = [cayley_graph(g0)]
         comps += [coset_graph(g0, sorted(a)) for a in proper_subsets(len(g0.colors))]
         g = sym(disjoint_union(comps), attach_hypercube=False)
-        assert is_n_acyclic(g, 3), name
+        assert find_coset_cycle(g, 3) is None, name
 
 
 def test_minimal_support_examples():

@@ -1,39 +1,30 @@
 import pytest
 
-from acygroups.amalgam import (
-    FailureWitness,
-    amalgam_chain,
-    amalgam_cluster,
-    beta_components,
-    embed_into_cayley,
-    free_amalgam,
-    quotient_graph,
-    rebuild_renamed,
-)
+from acygroups.amalgam import amalgam_chain, amalgam_cluster, quotient_graph
 from acygroups.canon import canonical_form
-from acygroups.egraph import rename
 from acygroups.errors import PreconditionFailed, StrictnessViolation
-from acygroups.groups import evaluate_word
 
-from conftest import biggs_group, hypercube_group, s3_three_generators
+from conftest import biggs_group, evaluate_word, hypercube_group, rename, s3_three_generators
+from oracles import rebuild_renamed
+from paper_checks import FailureWitness, beta_components, embed_into_cayley
 
 
 def test_free_amalgam_disjoint_overlap_glues_identity():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0], [1])
+    am = amalgam_chain(h3, [([0], 0), ([1], 0)])
     assert am.graph.n == 3  # two edges wedged at the identity
     assert len(am.graph.all_edges()) == 2
 
 
 def test_free_amalgam_full_overlap_is_single_copy():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [0, 1])
+    am = amalgam_chain(h3, [([0, 1], 0), ([0, 1], 0)])
     assert am.graph.n == 4 and len(am.graph.all_edges()) == 4
 
 
 def test_free_amalgam_two_squares_share_an_edge():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
+    am = amalgam_chain(h3, [([0, 1], 0), ([1, 2], 0)])
     assert am.graph.n == 6
     assert len(am.graph.all_edges()) == 7
     assert am.graph.strict
@@ -51,7 +42,7 @@ def test_quotient_graph_refuses_what_is_not_strict(edges, message):
 
 def test_amalgam_embedding_injective_on_two_acyclic():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
+    am = amalgam_chain(h3, [([0, 1], 0), ([1, 2], 0)])
     images = embed_into_cayley(am, h3)
     assert not isinstance(images, FailureWitness)
     assert len(set(images)) == am.graph.n
@@ -59,7 +50,7 @@ def test_amalgam_embedding_injective_on_two_acyclic():
 
 def test_amalgam_embedding_fails_on_triangle_group():
     g = s3_three_generators()
-    am = free_amalgam(g, [0, 1], [0, 2])
+    am = amalgam_chain(g, [([0, 1], 0), ([0, 2], 0)])
     assert am.graph.n == 10  # 6 + 6 - |G[{a}]|
     witness = embed_into_cayley(am, g)
     assert isinstance(witness, FailureWitness)
@@ -166,7 +157,7 @@ def test_cluster_requires_two_acyclic_constituents():
 
 def test_isomorphism_invariance_under_renaming():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
+    am = amalgam_chain(h3, [([0, 1], 0), ([1, 2], 0)])
     renamed = rebuild_renamed(am, {"a": "b", "b": "c", "c": "a"})
     assert canonical_form(rename(am.graph, {"a": "b", "b": "c", "c": "a"})) == canonical_form(
         renamed.graph
@@ -175,7 +166,7 @@ def test_isomorphism_invariance_under_renaming():
 
 def test_beta_components_binary():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
+    am = amalgam_chain(h3, [([0, 1], 0), ([1, 2], 0)])
     # beta = {b}: single b-edges
     comps = beta_components(am, [1])
     assert all(cls.ok for cls in comps)
@@ -183,14 +174,14 @@ def test_beta_components_binary():
     comps_ab = beta_components(am, [0, 1])
     assert all(cls.ok for cls in comps_ab)
     kinds = {cls.kind for cls in comps_ab}
-    assert "single" in kinds or "amalgam" in kinds
+    assert "single" in kinds or "chain" in kinds
 
 
 def test_beta_components_disjoint_beta_gives_singletons():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0], [1])
+    am = amalgam_chain(h3, [([0], 0), ([1], 0)])
     comps = beta_components(am, [2])
-    assert all(cls.ok and cls.kind in ("single", "amalgam") for cls in comps)
+    assert all(cls.ok and cls.kind in ("single", "chain") for cls in comps)
 
 
 def test_beta_components_chain():
@@ -213,9 +204,9 @@ def test_beta_components_cluster():
 
 def test_beta_components_of_two_squares_are_b_edges():
     h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
+    am = amalgam_chain(h3, [([0, 1], 0), ([1, 2], 0)])
     comps = beta_components(am, [1])
     assert len(comps) == 3  # 6 vertices in single b-edges
     for cls in comps:
         assert cls.ok
-        assert cls.kind in ("single", "amalgam")
+        assert cls.kind in ("single", "chain")

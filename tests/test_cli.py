@@ -5,13 +5,12 @@ import pytest
 from acygroups import serialize as ser
 from acygroups.acyclicity import find_coset_cycle
 from acygroups.cli import main
-from acygroups.constraint import trivial_constraint_graph
 from acygroups.covering import Hypergraph, intersection_graph
 from acygroups.egraph import hypercube, disjoint_union
 from acygroups.groupoid import ConstraintPattern
 from acygroups.groups import sym
 
-from conftest import biggs_group, hypercube_group
+from conftest import biggs_group, hypercube_group, trivial_constraint_graph
 from test_serialize import _paths
 
 
@@ -118,6 +117,19 @@ def test_groupoid_construct(tmp_path, capsys):
     doc = json.loads(open(out).read())
     assert doc["format"] == "igroupoid"
     assert "composition" in doc
+
+
+def test_groupoid_construct_cap_reaches_the_start_group(tmp_path, capsys):
+    # the start group of the path of two edge pairs has order 161,280: the
+    # cap refuses it from its order bound, before it is enumerated
+    pattern = write(tmp_path, "p.json", ser.pattern_to_json(ConstraintPattern(
+        ["s", "t", "u"], [("e", "s", "t", "f"), ("f", "t", "s", "e"),
+                          ("g", "t", "u", "h"), ("h", "u", "t", "g")])))
+    code = main(["groupoid-construct", pattern, "-N", "2", "--cap", "100"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "resource cap: element cap 100 exceeded: the group has order at least 120"
+        " (part 0: 7 points, order at least 120)\n")
 
 
 def test_cover_hypergraph_and_verify(tmp_path, capsys):

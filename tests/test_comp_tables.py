@@ -8,11 +8,11 @@ from array import array
 
 from acygroups import constraint
 from acygroups.acyclicity import all_subsets, proper_subsets
-from acygroups.constraint import IContext, find_i_coset_cycle, is_free_over, trivial_constraint_graph
+from acygroups.constraint import IContext, find_i_coset_cycle, is_free_over
 from acygroups.egraph import disjoint_union, new_egraph, trivial_completion
 from acygroups.groups import is_compatible
 
-from conftest import corpus
+from conftest import corpus, trivial_constraint_graph
 from oracles import reference_comp_tables, reference_skeleton
 from test_constraint import compat_group, path_igraph, weak_triangle
 

@@ -1,30 +1,29 @@
 import pytest
 
 from acygroups.acyclicity import find_coset_cycle, is_two_acyclic, proper_subsets
-from acygroups.canon import canonical_form, isomorphic
+from acygroups.canon import canonical_form
 from acygroups.constraint import (
     IContext,
     Skeleton,
-    SkeletonFailure,
-    ce_cluster_property,
-    direct_product,
     find_i_coset_cycle,
-    i_component,
     is_free_over,
     is_free_skeleton,
-    is_n_acyclic_over,
-    is_skeleton,
-    minimal_tag_support,
     small_coset_amalgam,
-    trivial_constraint_graph,
     validate_i_coset_cycle,
 )
-from acygroups.egraph import disjoint_union, hypercube, new_egraph, trivial_completion, walk_target
+from acygroups.egraph import disjoint_union, hypercube, new_egraph, trivial_completion
 from acygroups.errors import CompatibilityRequired, ResourceCap
 from acygroups.groups import cayley_graph, sym
 
-from conftest import biggs_group, corpus, hypercube_group
-from oracles import component_elements
+from conftest import biggs_group, corpus, hypercube_group, trivial_constraint_graph
+from oracles import alpha_component, component_elements, find_isomorphism, walk_target
+from paper_checks import (
+    SkeletonFailure,
+    ce_cluster_property,
+    is_skeleton,
+    minimal_tag_support,
+    small_coset_preconditions_hold,
+)
 
 
 def path_igraph(colors_seq, all_colors):
@@ -40,19 +39,27 @@ def compat_group(igraph):
     return sym(disjoint_union([igraph, hypercube(igraph.colors)]), attach_hypercube=False)
 
 
+def extension(skel, group, alpha, igraph, ctx):
+    """The small coset amalgam of a skeleton whose preconditions hold."""
+    assert small_coset_preconditions_hold(skel, group, alpha, igraph, ctx)
+    return small_coset_amalgam(skel, group, alpha)
+
+
 def test_trivial_template_product_is_cayley_graph():
+    # the product over the one-site template is connected: its one
+    # full-colour component is the Cayley graph
     g = biggs_group(["a", "b"], 1)
-    trivial = trivial_constraint_graph(g.colors)
-    prod = direct_product(trivial, g)
-    assert isomorphic(prod, cayley_graph(g))
+    ctx = IContext(g, trivial_constraint_graph(g.colors))
+    prod = ctx.skeleton(range(len(g.colors)), 0).graph
+    assert find_isomorphism(prod, cayley_graph(g)) is not None
 
 
 def test_product_of_single_edge_with_z2():
+    # four site/element pairs in two a-edges: (s, 1)-(t, a) and (s, a)-(t, 1)
     ig = new_egraph(["s", "t"], ["a"], [("a", "s", "t")])
     z2 = hypercube_group(["a"])
-    prod = direct_product(ig, z2)
-    assert prod.n == 4
-    assert len(prod.all_edges()) == 2
+    ctx = IContext(z2, ig)
+    assert {ctx.component([0], p) for p in range(4)} == {(0, 3), (1, 2)}
 
 
 def test_product_requires_compatibility():
@@ -61,7 +68,7 @@ def test_product_requires_compatibility():
 
     h2 = hypercube_group(["a", "b"])
     with pytest.raises(CompatibilityRequired):
-        direct_product(cycle_graph(6), h2)
+        IContext(h2, cycle_graph(6))
 
 
 def test_component_projection_injectivity():
@@ -80,11 +87,10 @@ def test_component_projection_injectivity():
 
 def test_i_component_with_loops_equals_plain_coset():
     g = biggs_group(["a", "b"], 1)
-    trivial = trivial_constraint_graph(g.colors)
+    ctx = IContext(g, trivial_constraint_graph(g.colors))
     for alpha in proper_subsets(2) + [frozenset({0, 1})]:
         for x in range(g.order):
-            elems, _ = i_component(g, trivial, alpha, 0, x)
-            assert elems == g.coset(x, alpha)
+            assert tuple(sorted(ctx.skeleton(alpha, 0, x).elements)) == g.coset(x, alpha)
 
 
 def test_i_component_respects_template():
@@ -92,10 +98,12 @@ def test_i_component_respects_template():
     g = compat_group(ig)
     ctx = IContext(g, ig)
     pa = g.gen_action[0][0]
-    elems, edges = i_component(g, ig, frozenset({0, 1}), 0, 0, ctx=ctx)
-    assert elems == tuple(sorted((0, pa)))
-    assert edges == [(0, 0, pa)]  # the template's one a-edge, and no b-edge
-    assert i_component(g, ig, frozenset(), 0, 3, ctx=ctx)[0] == (3,)
+    skel = ctx.skeleton(frozenset({0, 1}), 0, 0)
+    assert tuple(sorted(skel.elements)) == tuple(sorted((0, pa)))
+    # the template's one a-edge, and no b-edge
+    assert [(c, skel.elements[u], skel.elements[v]) for c, u, v in skel.graph.all_edges()] == [
+        (0, 0, pa)]
+    assert ctx.skeleton(frozenset(), 0, 3).elements == (3,)
 
 
 def test_walk_lift_uniqueness():
@@ -146,8 +154,6 @@ def test_two_acyclicity_over_template_characterisation():
 
 def test_is_skeleton_on_template_component():
     ig = path_igraph("ab", "ab")
-    from acygroups.egraph import alpha_component
-
     comp, emb = alpha_component(ig, [0], 0)
     res = is_skeleton(comp, ig, frozenset({0}), 0)
     assert isinstance(res, Skeleton)
@@ -205,7 +211,7 @@ def test_small_coset_amalgam_singleton_alpha():
     g = compat_group(ig)
     ctx = IContext(g, ig)
     skel = ctx.skeleton(frozenset({0}), 0)
-    ce = small_coset_amalgam(skel, g, frozenset({0}), ig, ctx=ctx)
+    ce = extension(skel, g, frozenset({0}), ig, ctx)
     assert ce.graph.n == skel.graph.n
     assert canonical_form(ce.graph) == canonical_form(skel.graph)
 
@@ -215,9 +221,20 @@ def test_small_coset_amalgam_trivial_template_square():
     trivial = trivial_constraint_graph(h2.colors)
     ctx = IContext(h2, trivial)
     skel = ctx.skeleton(frozenset({0, 1}), 0)
-    ce = small_coset_amalgam(skel, h2, frozenset({0, 1}), trivial, ctx=ctx)
+    ce = extension(skel, h2, frozenset({0, 1}), trivial, ctx)
     assert ce.graph.n == 4
     assert canonical_form(ce.graph) == canonical_form(cayley_graph(h2))
+
+
+def test_small_coset_preconditions_fail_on_a_subgroup_that_is_not_two_acyclic():
+    # the {a,b,c}-subgroup is the triangle group of three transpositions
+    g = sym(new_egraph([0, 1, 2, 3, 4], ["a", "b", "c", "d"],
+                       [("a", 0, 1), ("b", 1, 2), ("c", 0, 2), ("d", 3, 4)]),
+            attach_hypercube=False)
+    trivial = trivial_constraint_graph(g.colors)
+    ctx = IContext(g, trivial)
+    full = frozenset(range(4))
+    assert not small_coset_preconditions_hold(ctx.skeleton(full, 0), g, full, trivial, ctx)
 
 
 def naive_ce_classes(skel, group, alpha, igraph, ctx):
@@ -277,7 +294,7 @@ def test_small_coset_amalgam_against_pairwise_oracle():
     ctx = IContext(g, ig)
     alpha = frozenset({0, 1})
     skel = ctx.skeleton(alpha, 0)
-    ce = small_coset_amalgam(skel, g, alpha, ig, ctx=ctx)
+    ce = extension(skel, g, alpha, ig, ctx)
     oracle = naive_ce_classes(skel, g, alpha, ig, ctx)
     mine = set()
     for prov in ce.provenance:
@@ -293,7 +310,7 @@ def test_minimal_tag_support():
     ctx = IContext(g, ig)
     alpha = frozenset({0, 1})
     skel = ctx.skeleton(alpha, 0)
-    ce = small_coset_amalgam(skel, g, alpha, ig, ctx=ctx)
+    ce = extension(skel, g, alpha, ig, ctx)
     for u in range(skel.graph.n):
         sup, anchors = minimal_tag_support(ce, ce.host_image[u])
         assert sup == frozenset() and anchors == (u,)
@@ -311,7 +328,7 @@ def test_ce_cluster_property_on_fixtures():
     ctx = IContext(g, ig)
     alpha = frozenset({0, 1})
     skel = ctx.skeleton(alpha, 0)
-    ce = small_coset_amalgam(skel, g, alpha, ig, ctx=ctx)
+    ce = extension(skel, g, alpha, ig, ctx)
     assert ce_cluster_property(ce, g)
 
 
@@ -320,7 +337,7 @@ def test_transfer_plain_acyclicity_and_freeness():
     g = compat_group(ig)
     assert is_two_acyclic(g)
     assert is_free_over(g, ig)
-    assert is_n_acyclic_over(g, ig, 2)
+    assert find_i_coset_cycle(g, ig, 2) is None
 
 
 def test_validate_i_coset_cycle_rejects_junk():
@@ -359,9 +376,9 @@ def test_ce_unique_up_to_iso_against_translated_rebuild():
     g = compat_group(ig)
     ctx = IContext(g, ig)
     alpha = frozenset({0, 1})
-    ce0 = small_coset_amalgam(ctx.skeleton(alpha, 0, 0), g, alpha, ig, ctx=ctx)
+    ce0 = extension(ctx.skeleton(alpha, 0, 0), g, alpha, ig, ctx)
     h = g.gen_action[0][0]  # translate the anchor by a generator
-    ce1 = small_coset_amalgam(ctx.skeleton(alpha, 0, h), g, alpha, ig, ctx=ctx)
+    ce1 = extension(ctx.skeleton(alpha, 0, h), g, alpha, ig, ctx)
     assert canonical_form(ce0.graph) == canonical_form(ce1.graph)
 
 

@@ -2,21 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acygroups.canon import canonical_form, is_symmetry, isomorphic
-from acygroups.egraph import (
-    alpha_component,
-    biggs_tree,
-    disjoint_union,
-    hypercube,
-    new_egraph,
-    reduce_word,
-    rename,
-    trivial_completion,
-    walk_target,
-)
+from acygroups.canon import canonical_form
+from acygroups.egraph import biggs_tree, disjoint_union, hypercube, new_egraph, trivial_completion
 from acygroups.errors import IncompleteGraph, MatchingViolation, UnknownName
 
-from oracles import brute_force_isomorphic
+from conftest import rename
+from oracles import (
+    alpha_component,
+    brute_force_isomorphic,
+    find_isomorphism,
+    is_symmetry,
+    walk_target,
+)
 
 
 def test_single_edge_is_strict_and_complete():
@@ -94,7 +91,7 @@ def test_hypercube_shapes():
     assert g2.n == 4 and g2.complete
     # a 4-cycle alternating colours
     six = new_egraph(list(range(4)), ["a", "b"], [("a", 0, 1), ("b", 1, 2), ("a", 2, 3), ("b", 3, 0)])
-    assert isomorphic(g2, six)
+    assert find_isomorphism(g2, six) is not None
 
 
 def test_walk_target_on_hypercube():
@@ -189,17 +186,9 @@ def test_disjoint_union_counts():
 def test_canonical_form_agrees_with_brute_force():
     g1 = hypercube(["a", "b"])
     g2 = rename(g1, {"a": "b", "b": "a"})
-    assert isomorphic(g1, g2) == brute_force_isomorphic(g1, g2)
+    assert (find_isomorphism(g1, g2) is not None) == brute_force_isomorphic(g1, g2)
     h = new_egraph(list(range(4)), ["a", "b"], [("a", 0, 1), ("b", 1, 2), ("a", 2, 3)])
-    assert isomorphic(g1, h) == brute_force_isomorphic(g1, h) is False
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 2), max_size=12))
-def test_reduce_word_reduced_and_stable(word):
-    red = reduce_word(word)
-    assert all(red[i] != red[i + 1] for i in range(len(red) - 1))
-    assert reduce_word(red) == red
+    assert (find_isomorphism(g1, h) is not None) == brute_force_isomorphic(g1, h) is False
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,14 +12,13 @@ from acygroups.constraint import (
     find_freeness_violation,
     is_free_over,
     is_free_skeleton,
-    trivial_constraint_graph,
 )
 from acygroups.egraph import disjoint_union, hypercube, new_egraph
 from acygroups.errors import ResourceCap, SearchTimeout
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
 
-from conftest import corpus
+from conftest import corpus, trivial_constraint_graph
 from oracles import reference_freeness_violation, reference_is_free_skeleton
 from test_constraint import compat_group, path_igraph, weak_triangle
 from test_search_kernel import _clock

@@ -1,7 +1,7 @@
 import pytest
 
 from acygroups.constraint import validate_i_coset_cycle
-from acygroups.egraph import disjoint_union, hypercube, trivial_completion, walk_target
+from acygroups.egraph import disjoint_union, hypercube, trivial_completion
 from acygroups.errors import DegenerateGenerators, PreconditionFailed, ResourceCap
 from acygroups.groupoid import (
     ConstraintPattern,
@@ -12,7 +12,6 @@ from acygroups.groupoid import (
     hat_translation,
     inverse_closed_proper_subsets,
     is_compatible_groupoid,
-    is_n_acyclic_groupoid,
     pattern_igraph,
     sym_igraph,
     translate_groupoid_cycle,
@@ -21,6 +20,8 @@ from acygroups.groupoid import (
 )
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig
+
+from oracles import walk_target
 
 
 def one_pair_pattern():
@@ -64,13 +65,6 @@ def test_hat_translation_loop_is_triangle():
     v = hat.igraph.vertex_index("s:s")
     w = walk_target(bar, v, hat.triplet(0))
     assert w == v
-
-
-def test_hat_word_roundtrip():
-    pattern = one_pair_pattern()
-    hat = hat_translation(pattern)
-    word = [0, 1, 0]  # e f e, a walk s->t->s->t
-    assert hat.unword(hat.word(word)) == word
 
 
 def test_hat_word_bijection_counts():
@@ -218,7 +212,7 @@ def test_one_pair_groupoid_has_no_cycles():
     group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
     gpd = groupoid_from_group(group, pattern, hat=hat)
     for n in (2, 4, 6):
-        assert is_n_acyclic_groupoid(gpd, n)
+        assert find_groupoid_coset_cycle(gpd, n) is None
 
 
 def test_degenerate_extraction_detected():
@@ -250,7 +244,7 @@ def test_full_pipeline_one_pair():
         pattern, target, SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     assert res.checks == {"axioms": True, "acyclic": True, "compatible": True}
-    assert is_n_acyclic_groupoid(res.groupoid, 2)
+    assert find_groupoid_coset_cycle(res.groupoid, 2) is None
     assert is_compatible_groupoid(res.groupoid, target)
 
 
@@ -268,7 +262,7 @@ def test_pipeline_symmetry_transport():
         pair = (min(a, b), max(a, b))
         image = (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
         rho[hat.color_of[pair]] = hat.color_of[image]
-    from acygroups.canon import is_symmetry
+    from oracles import is_symmetry
     from acygroups.groups import is_group_symmetry
 
     assert is_symmetry(hat.igraph, rho)
@@ -280,9 +274,9 @@ def test_translate_igraph_matches_template():
     pattern = one_pair_pattern()
     hat = hat_translation(pattern)
     enc = translate_igraph(hat, pattern_igraph(pattern))
-    from acygroups.canon import isomorphic
+    from oracles import find_isomorphism
 
-    assert isomorphic(enc, hat.igraph)
+    assert find_isomorphism(enc, hat.igraph) is not None
 
 
 def test_compatibility_transfer_both_sides():

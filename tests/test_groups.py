@@ -2,11 +2,9 @@ import pytest
 
 from acygroups.acyclicity import girth
 from acygroups.egraph import biggs_tree, disjoint_union, hypercube, new_egraph, trivial_completion
-from acygroups.canon import isomorphic
 from acygroups.errors import DegenerateGenerators, ResourceCap, UnknownName
 from acygroups.groups import (
     cayley_graph,
-    evaluate_word,
     homomorphism,
     is_compatible,
     is_group_symmetry,
@@ -14,8 +12,8 @@ from acygroups.groups import (
     sym,
 )
 
-from conftest import biggs_group, cycle_graph, hypercube_group
-from oracles import word_kernel_compatible
+from conftest import biggs_group, cycle_graph, evaluate_word, hypercube_group
+from oracles import find_isomorphism, word_kernel_compatible
 
 
 def naive_closure_order(graph):
@@ -98,11 +96,11 @@ def test_cayley_graph_shapes():
 
     h2 = hypercube_group(["a", "b"])
     cg2 = cayley_graph(h2)
-    assert isomorphic(cg2, hypercube(["a", "b"]))
+    assert find_isomorphism(cg2, hypercube(["a", "b"])) is not None
 
     s3 = biggs_group(["a", "b"], 1)
     cg3 = cayley_graph(s3)
-    assert isomorphic(cg3, cycle_graph(6))
+    assert find_isomorphism(cg3, cycle_graph(6)) is not None
     assert girth(cg3) == 6
 
 

@@ -7,14 +7,14 @@ import pytest
 
 from acygroups import acyclicity
 from acygroups.acyclicity import GammaFilter, find_coset_cycle
-from acygroups.constraint import find_i_coset_cycle, trivial_constraint_graph
+from acygroups.constraint import find_i_coset_cycle
 from acygroups.egraph import biggs_tree
 from acygroups.errors import ResourceCap, SearchTimeout
 from acygroups.groupoid import find_groupoid_coset_cycle, groupoid_from_group, hat_translation
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
-from conftest import biggs_group, corpus, hypercube_group
+from conftest import biggs_group, corpus, hypercube_group, trivial_constraint_graph
 from oracles import (
     reference_coset_cycle,
     reference_groupoid_coset_cycle,

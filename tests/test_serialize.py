@@ -106,15 +106,6 @@ def test_dot_exports_render():
     assert "graph {" in ser.hypergraph_to_dot(tri)
 
 
-def test_amalgam_dot_has_provenance_tooltips():
-    from acygroups.amalgam import free_amalgam
-
-    h3 = hypercube_group(["a", "b", "c"])
-    am = free_amalgam(h3, [0, 1], [1, 2])
-    text = ser.amalgam_to_dot(am)
-    assert "tooltip=" in text
-
-
 def test_cycle_witness_roundtrip():
     from acygroups.acyclicity import find_coset_cycle, validate_coset_cycle
 
