@@ -118,11 +118,7 @@ def graph_cover(base_edges, group):
         raise CompatibilityRequired("group is not compatible with the base graph")
     ctx = IContext(group, template)
     skel = ctx.skeleton(range(len(group.colors)), 0)
-    pairs = tuple(map(ctx.pair, skel.hom, skel.elements))
-    return Covering(
-        "graph", template, skel.graph, skel.hom, group, template,
-        {"anchor": (0, 0), "pairs": pairs},
-    )
+    return Covering("graph", template, skel.graph, skel.hom, group, template, {"anchor": (0, 0)})
 
 
 def intersection_graph(hg):
@@ -199,16 +195,12 @@ def hypergraph_cover(hg, group):
         rows = [class_of[a:a + ng] for a in range(start, base[hi + 1], ng)]
         copies += map(tuple, map(sorted, zip(*rows)))
         copy_tags += zip(repeat(hi), range(ng))
-    cover_edges = {}
-    for copy, tag in zip(copies, copy_tags):
-        cover_edges.setdefault(copy, tag)
     leasts = [members[0] for members in classes]
     names = [f"{hg.vertex_names[v]}|{hi}.{g}" for hi, v, g in leasts]
-    cover = Hypergraph.from_index_sets(names, sorted(cover_edges))
+    cover = Hypergraph.from_index_sets(names, sorted(set(copies)))
     projection = tuple(map(itemgetter(1), leasts))
     provenance = {
         "classes": classes,
-        "hyperedge_tags": cover_edges,
         "copies": tuple(copies),
         "copy_tags": tuple(copy_tags),
     }

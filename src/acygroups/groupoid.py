@@ -12,8 +12,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .acyclicity import DEFAULT_SEARCH_BUDGET, met_by_ids, search_coset_cycle, validate_cycle
-from .egraph import NO_EDGE, EGraph, disjoint_union, hypercube, new_egraph
+from .acyclicity import (
+    DEFAULT_SEARCH_BUDGET,
+    met_by_ids,
+    proper_subsets,
+    search_coset_cycle,
+    validate_cycle,
+)
+from .egraph import NO_EDGE, EGraph, disjoint_union, new_egraph
 from .errors import (
     CompatibilityRequired,
     DegenerateGenerators,
@@ -101,7 +107,6 @@ class HatTranslation(NamedTuple):
     pattern: ConstraintPattern
     igraph: EGraph
     color_of: dict  # edge index -> singleton colour name; pairs -> middle name
-    site_of: dict  # pattern site index -> encoded-graph vertex name
 
     def triplet(self, e):
         ig = self.igraph
@@ -120,28 +125,16 @@ class HatTranslation(NamedTuple):
 
 
 def hat_translation(pattern):
-    """Encode a pattern as an undirected template over involutive colours."""
+    """Encode a pattern as an undirected template over involutive colours:
+    the encoding of the pattern itself as a pattern graph."""
     color_of = {}
-    vertices = [f"s:{s}" for s in pattern.sites]
-    site_of = {i: f"s:{pattern.sites[i]}" for i in range(pattern.n_sites)}
-    colors = []
-    edges = []
     for e, einv in pattern.pairs():
-        ce = f"[{pattern.edge_ids[e]}]"
-        cm = f"[{pattern.edge_ids[e]}|{pattern.edge_ids[einv]}]"
-        ci = f"[{pattern.edge_ids[einv]}]"
-        color_of[e] = ce
-        color_of[einv] = ci
-        color_of[(e, einv)] = cm
-        colors.extend([ce, cm, ci])
-        me = f"m:{pattern.edge_ids[e]}"
-        mi = f"m:{pattern.edge_ids[einv]}"
-        vertices.extend([me, mi])
-        edges.append((ce, site_of[pattern.src[e]], me))
-        edges.append((cm, me, mi))
-        edges.append((ci, mi, site_of[pattern.tgt[e]]))
-    igraph = new_egraph(vertices, colors, edges)
-    return HatTranslation(pattern, igraph, color_of, site_of)
+        color_of[e] = f"[{pattern.edge_ids[e]}]"
+        color_of[einv] = f"[{pattern.edge_ids[einv]}]"
+        color_of[(e, einv)] = f"[{pattern.edge_ids[e]}|{pattern.edge_ids[einv]}]"
+    # translate_igraph reads only the pattern and the colours
+    hat = HatTranslation(pattern, None, color_of)
+    return hat._replace(igraph=translate_igraph(hat, pattern_igraph(pattern)))
 
 
 class IGraph:
@@ -199,7 +192,9 @@ def pattern_igraph(pattern):
 
 
 def translate_igraph(hat, igraph):
-    """Involutive encoding of a pattern graph, matching the template encoding."""
+    """Involutive encoding of a pattern graph over the colours of
+    ``hat.color_of``: each edge pair becomes a three-edge path through two
+    fresh vertices."""
     pattern = hat.pattern
     vertices = [f"v:{nm}" for nm in igraph.vertex_names]
     edges = []
@@ -212,7 +207,7 @@ def translate_igraph(hat, igraph):
             edges.append((ce, f"v:{igraph.vertex_names[u]}", me))
             edges.append((cm, me, mi))
             edges.append((ci, mi, f"v:{igraph.vertex_names[v]}"))
-    return new_egraph(vertices, list(hat.igraph.colors), edges)
+    return new_egraph(vertices, hat.color_of.values(), edges)
 
 
 class IGroupoid:
@@ -275,16 +270,6 @@ class IGroupoid:
         if self.target(a) != self.source(b):
             raise PreconditionFailed("composition undefined: interface mismatch")
         return self.apply(a, self.word_of(b))
-
-    def inverse(self, g):
-        return self.apply(self.neutral[self.target(g)], [self.pattern.inv[e] for e in reversed(self.word_of(g))])
-
-    def evaluate(self, edges, start_site=None):
-        if start_site is None:
-            if not edges:
-                raise PreconditionFailed("evaluating the empty word needs a site")
-            start_site = self.pattern.src[edges[0]]
-        return self.apply(self.neutral[start_site], edges)
 
     def subset_closures(self, alpha_edges):
         """The alpha-cosets (alpha inverse closed) as a lazy
@@ -430,19 +415,8 @@ def is_compatible_groupoid(gpd, igraph):
 def inverse_closed_proper_subsets(pattern):
     """Inverse-closed proper subsets of the edge set, smallest first."""
     pairs = pattern.pairs()
-    out = []
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if len(chosen) == len(pairs):
-            continue
-        edges = frozenset(e for p in chosen for e in p)
-        out.append(edges)
-    return sorted(out, key=lambda a: (len(a), sorted(a)))
-
-
-def validate_groupoid_coset_cycle(gpd, entries):
-    """Recheck of (alpha, element) entries over the groupoid's alpha-cosets."""
-    return validate_cycle(gpd.subset_closures, entries)
+    return [frozenset(e for i in chosen for e in pairs[i])
+            for chosen in proper_subsets(len(pairs))]
 
 
 def find_groupoid_coset_cycle(gpd, n_max, budget=None):
@@ -458,7 +432,7 @@ def find_groupoid_coset_cycle(gpd, n_max, budget=None):
     if found is None:
         return None
     cyc = tuple(found)
-    if not validate_groupoid_coset_cycle(gpd, cyc):
+    if not validate_cycle(gpd.subset_closures, cyc):
         raise RuntimeError("groupoid coset-cycle search returned a cycle its validator rejects")
     return cyc
 
@@ -544,10 +518,7 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, config=None):
     config = config or SynthesisConfig()
     hat = hat_translation(pattern)
     encoded_target = translate_igraph(hat, target_igraph)
-    start_graph = disjoint_union(
-        [hat.igraph, encoded_target, hypercube(hat.igraph.colors)]
-    )
-    group0 = sym(start_graph, attach_hypercube=False, cap=config.element_cap)
+    group0 = sym(disjoint_union([hat.igraph, encoded_target]), cap=config.element_cap)
     group, reports = construct_n_acyclic_over(group0, hat.igraph, config)
     gpd = groupoid_from_group(group, pattern, hat=hat)
     checks = {

@@ -98,10 +98,6 @@ class EGroup:
         except ValueError:
             raise UnknownName(f"unknown colour {name!r}") from None
 
-    def rmul(self, g, c):
-        """g * e for the generator of colour index c."""
-        return self.gen_action[c][g]
-
     def evaluate(self, word, start=0):
         """Left-to-right product of a generator word, applied after start."""
         g = start

@@ -73,6 +73,14 @@ def _known(x, known, what, pointer):
     return x
 
 
+def _keyed(doc, key, names, what, pointer):
+    """doc[key]: an object whose keys are all among names."""
+    obj = _need(doc, key, dict, pointer)
+    for k in obj:
+        _known(k, names, what, f"{pointer}/{key}/{k}")
+    return obj
+
+
 def egraph_to_json(g):
     return {
         "format": "egraph",
@@ -112,7 +120,7 @@ def egroup_from_json(doc, pointer=""):
     order = _need(doc, "order", int, pointer)
     if order < 1:
         raise SchemaError("a group has at least one element", f"{pointer}/order")
-    action_doc = _need(doc, "action", dict, pointer)
+    action_doc = _keyed(doc, "action", colors, "colour", pointer)
     action = []
     for c in colors:
         if c not in action_doc:
@@ -192,7 +200,7 @@ def igraph_from_json(doc, pointer=""):
     sidx = {s: i for i, s in enumerate(pattern.sites)}
     site_of = [sidx[_known(s, sidx, "site", f"{pointer}/site_of/{i}")]
                for i, s in enumerate(site_names)]
-    edges_doc = _need(doc, "edges", dict, pointer)
+    edges_doc = _keyed(doc, "edges", pattern.edge_ids, "edge", pointer)
     edges = []
     for e in range(pattern.n_edges):
         eid = pattern.edge_ids[e]
@@ -246,8 +254,8 @@ def igroupoid_from_json(doc, pointer=""):
     neutral = _indices(doc, "neutrals", 0, order, pointer)
     if len(neutral) != pattern.n_sites:
         raise SchemaError("one neutral element per site expected", f"{pointer}/neutrals")
-    gen_doc = _need(doc, "generators", dict, pointer)
-    rmul_doc = _need(doc, "rmul", dict, pointer)
+    gen_doc = _keyed(doc, "generators", pattern.edge_ids, "edge", pointer)
+    rmul_doc = _keyed(doc, "rmul", pattern.edge_ids, "edge", pointer)
     rmul = []
     gen_elem = []
     for e in range(pattern.n_edges):

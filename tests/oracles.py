@@ -32,6 +32,14 @@ tables.  ``reference_cosets`` relabels ``partition`` to least-element ids;
 the kernels' ``table(alpha)``, and ``walked_table`` walks a lazy table
 into a ``Table``.
 
+``reference_hat_igraph`` and ``reference_inverse_closed_subsets`` are the
+path-building loop and the mask loop that ``groupoid.hat_translation`` and
+``groupoid.inverse_closed_proper_subsets`` ran before they called
+``groupoid.translate_igraph`` and ``acyclicity.proper_subsets``; the
+library must give the same partner rows and colours, and the same subsets
+in the same order.  The reference groupoid searchers take their subsets
+from the second.
+
 ``reference_is_free_skeleton`` and ``reference_freeness_violation`` are
 the freeness check that walked the skeleton's graph, and tested every
 ordered pair of proper subsets against sorted element tuples rebuilt per
@@ -89,9 +97,8 @@ from acygroups.covering import (
 )
 from acygroups.amalgam import amalgam_chain, amalgam_cluster
 from acygroups.canon import canonical_component, canonical_form, connected_components
-from acygroups.egraph import EGraph
+from acygroups.egraph import EGraph, new_egraph
 from acygroups.errors import CompatibilityRequired, IncompleteGraph, ResourceCap, SearchTimeout
-from acygroups.groupoid import inverse_closed_proper_subsets
 from acygroups.groups import graph_generator_perms, is_compatible
 from acygroups.traverse import NO_EDGE, UnionFind, bfs_parents
 
@@ -252,8 +259,40 @@ def reference_i_coset_cycle(group, igraph, n_max, budget=None):
     return None if found is None else tuple((a, *ctx.unpair(x)) for a, x in found)
 
 
+def reference_hat_igraph(pattern):
+    """The encoded template of a pattern, each edge pair a three-edge path
+    through two fresh vertices between its sites."""
+    vertices = [f"s:{s}" for s in pattern.sites]
+    colors = []
+    edges = []
+    for e, einv in pattern.pairs():
+        ce = f"[{pattern.edge_ids[e]}]"
+        cm = f"[{pattern.edge_ids[e]}|{pattern.edge_ids[einv]}]"
+        ci = f"[{pattern.edge_ids[einv]}]"
+        colors.extend([ce, cm, ci])
+        me = f"m:{pattern.edge_ids[e]}"
+        mi = f"m:{pattern.edge_ids[einv]}"
+        vertices.extend([me, mi])
+        edges.append((ce, vertices[pattern.src[e]], me))
+        edges.append((cm, me, mi))
+        edges.append((ci, mi, vertices[pattern.tgt[e]]))
+    return new_egraph(vertices, colors, edges)
+
+
+def reference_inverse_closed_subsets(pattern):
+    """Inverse-closed proper subsets of the edge set, smallest first."""
+    pairs = pattern.pairs()
+    out = []
+    for mask in range(1 << len(pairs)):
+        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        if len(chosen) == len(pairs):
+            continue
+        out.append(frozenset(e for p in chosen for e in p))
+    return sorted(out, key=lambda a: (len(a), sorted(a)))
+
+
 def reference_groupoid_coset_cycle(gpd, n_max, budget=None):
-    alphas = inverse_closed_proper_subsets(gpd.pattern)
+    alphas = reference_inverse_closed_subsets(gpd.pattern)
     table = reference_groupoid_tables(gpd)
     found = search_coset_cycle(
         alphas, gpd.neutral, n_max, table, separated_by_ids(table), budget
@@ -460,7 +499,7 @@ def pairwise_i_coset_cycle(group, igraph, n_max, budget=None):
 
 
 def pairwise_groupoid_coset_cycle(gpd, n_max, budget=None):
-    alphas = inverse_closed_proper_subsets(gpd.pattern)
+    alphas = reference_inverse_closed_subsets(gpd.pattern)
     found, nodes = pairwise_search_coset_cycle(
         alphas, gpd.neutral, n_max, reference_groupoid_tables(gpd), pairwise_separated_by_ids,
         budget
@@ -760,7 +799,6 @@ def reference_hypergraph_cover(hg, group):
     projection = tuple(min(m)[1] for m in class_list)
     provenance = {
         "classes": tuple(tuple(sorted(m)) for m in class_list),
-        "hyperedge_tags": {tuple(sorted(k)): cover_edges[k] for k in cover_edges},
         "copies": tuple(copies),
         "copy_tags": tuple(copy_tags),
     }

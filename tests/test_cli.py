@@ -7,7 +7,12 @@ from acygroups.acyclicity import find_coset_cycle
 from acygroups.cli import main
 from acygroups.covering import Hypergraph, intersection_graph
 from acygroups.egraph import hypercube, disjoint_union
-from acygroups.groupoid import ConstraintPattern
+from acygroups.groupoid import (
+    ConstraintPattern,
+    groupoid_from_group,
+    hat_translation,
+    pattern_igraph,
+)
 from acygroups.groups import sym
 
 from conftest import biggs_group, hypercube_group, trivial_constraint_graph
@@ -440,6 +445,43 @@ def test_json_booleans_are_invalid_input(tmp_path, capsys):
     s3 = write(tmp_path, "s3.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
     witness = {"format": "coset_cycle", "entries": [{"alpha": ["a"], "g": True}]}
     _invalid(capsys, ["verify-witness", write(tmp_path, "w.json", witness), s3], "/entries/0/g")
+
+
+def test_egroup_action_row_of_an_unlisted_colour_is_invalid_input(tmp_path, capsys):
+    # before, a row for a colour the group does not list was ignored
+    group = {"format": "egroup", "colors": ["a"], "order": 2,
+             "action": {"a": [1, 0], "bogus": [0, 1]}}
+    _invalid(capsys, ["girth", write(tmp_path, "g.json", group)], "/action/bogus")
+
+
+def test_igraph_edge_class_of_an_unknown_edge_is_invalid_input(tmp_path, capsys):
+    # before, groupoid-construct accepted the target and ran
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    doc = ser.igraph_to_json(pattern_igraph(pattern))
+    doc["edges"]["zz"] = []
+    _invalid(capsys, ["groupoid-construct", write(tmp_path, "p.json", doc["pattern"]),
+                      "--target", write(tmp_path, "ig.json", doc), "-N", "2"], "/edges/zz")
+
+
+def _igroupoid_doc():
+    pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+    hat = hat_translation(pattern)
+    gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), pattern, hat=hat)
+    return ser.igroupoid_to_json(gpd)
+
+
+def test_igroupoid_rmul_row_of_an_unknown_edge_is_invalid_input(tmp_path, capsys):
+    # before, the row was ignored and the document loaded
+    doc = _igroupoid_doc()
+    doc["rmul"]["zz"] = doc["rmul"]["e"]
+    _invalid(capsys, ["export-dot", write(tmp_path, "gpd.json", doc)], "/rmul/zz")
+
+
+def test_igroupoid_generator_of_an_unknown_edge_is_invalid_input(tmp_path, capsys):
+    # before, the generator was ignored and the document loaded
+    doc = _igroupoid_doc()
+    doc["generators"]["zz"] = 0
+    _invalid(capsys, ["export-dot", write(tmp_path, "gpd.json", doc)], "/generators/zz")
 
 
 def test_unknown_names_are_invalid_input_with_a_pointer(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acygroups.constraint import validate_i_coset_cycle
 from acygroups.egraph import disjoint_union, hypercube, trivial_completion
@@ -21,7 +23,7 @@ from acygroups.groupoid import (
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig
 
-from oracles import walk_target
+from oracles import reference_hat_igraph, reference_inverse_closed_subsets, walk_target
 
 
 def one_pair_pattern():
@@ -62,9 +64,34 @@ def test_hat_translation_loop_is_triangle():
     assert len(hat.igraph.all_edges()) == 3
     # the three edges form a cycle on {site, two midpoints}
     bar = trivial_completion(hat.igraph)
-    v = hat.igraph.vertex_index("s:s")
+    v = hat.igraph.vertex_index("v:s")
     w = walk_target(bar, v, hat.triplet(0))
     assert w == v
+
+
+@st.composite
+def patterns(draw):
+    """Patterns of 1-5 edge pairs, loops included, on the 1-4 sites they
+    touch, with their directed edges in any order."""
+    ends = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5))
+    sites = sorted({s for pair in ends for s in pair})
+    ids = draw(st.permutations(["a", "b", "c", "d", "e", "f", "g", "h", "x1", "x2"]))
+    edges = []
+    for i, (u, v) in enumerate(ends):
+        e, einv = ids[2 * i], ids[2 * i + 1]
+        edges += [(e, f"s{u}", f"s{v}", einv), (einv, f"s{v}", f"s{u}", e)]
+    return ConstraintPattern([f"s{s}" for s in sites], draw(st.permutations(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns())
+def test_encoding_and_subset_family_match_their_references(pattern):
+    # the encoding is translate_igraph of the pattern graph, and the subsets
+    # are proper_subsets over the edge pairs
+    encoded, reference = hat_translation(pattern).igraph, reference_hat_igraph(pattern)
+    assert encoded.colors == reference.colors
+    assert encoded.partner == reference.partner
+    assert inverse_closed_proper_subsets(pattern) == reference_inverse_closed_subsets(pattern)
 
 
 def test_hat_word_bijection_counts():
@@ -100,8 +127,8 @@ def _count_reduced_pattern_words(pattern, s, t, max_len):
 def _count_encoded_walk_words(pattern, hat, bar, s, t, max_len):
     # encoded reduced words labelling walks between the original sites are
     # exactly the concatenations of generator triplets; enumerate them
-    start = hat.igraph.vertex_index(hat.site_of[s])
-    goal = hat.igraph.vertex_index(hat.site_of[t])
+    start = hat.igraph.vertex_index(f"v:{pattern.sites[s]}")
+    goal = hat.igraph.vertex_index(f"v:{pattern.sites[t]}")
     count = 0
     stack = [((), start)]
     while stack:
@@ -111,7 +138,7 @@ def _count_encoded_walk_words(pattern, hat, bar, s, t, max_len):
         if len(word) == max_len:
             continue
         for e in range(pattern.n_edges):
-            if hat.igraph.vertex_index(hat.site_of[pattern.src[e]]) != v:
+            if hat.igraph.vertex_index(f"v:{pattern.sites[pattern.src[e]]}") != v:
                 continue
             if word and pattern.inv[word[-1]] == e:
                 continue
@@ -153,9 +180,9 @@ def test_neutral_laws(weak_groupoid):
 def test_reduced_word_evaluation_insensitive_to_inverse_pairs(weak_groupoid):
     _, _, _, gpd = weak_groupoid
     word = [0, 3, 0]  # e fi e
-    base = gpd.evaluate(word, start_site=0)
+    base = gpd.apply(gpd.neutral[0], word)
     padded = [0, 1, 0, 3, 0]  # insert e ei mid-way
-    assert gpd.evaluate(padded, start_site=0) == base
+    assert gpd.apply(gpd.neutral[0], padded) == base
 
 
 def test_groupoid_cayley_roundtrip(weak_groupoid):
@@ -297,7 +324,8 @@ def test_compatibility_transfer_both_sides():
 def brute_force_groupoid_cycle(gpd, n_max):
     from itertools import product as iproduct
 
-    from acygroups.groupoid import inverse_closed_proper_subsets, validate_groupoid_coset_cycle
+    from acygroups.acyclicity import validate_cycle
+    from acygroups.groupoid import inverse_closed_proper_subsets
 
     alphas = inverse_closed_proper_subsets(gpd.pattern)
     for length in range(2, n_max + 1):
@@ -306,7 +334,7 @@ def brute_force_groupoid_cycle(gpd, n_max):
             for i in range(1, length):
                 chains = [c + [g] for c in chains for g in gpd.subset_closures(alpha_seq[i - 1]).block(c[-1])]
             for chain in chains:
-                if validate_groupoid_coset_cycle(gpd, list(zip(alpha_seq, chain))):
+                if validate_cycle(gpd.subset_closures, list(zip(alpha_seq, chain))):
                     return length
     return None
 

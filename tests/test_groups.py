@@ -266,7 +266,7 @@ def test_coset_tables_walk_only_what_is_asked_for():
     assert [group.coset(g, []) for g in asked] == [(g,) for g in asked]
     assert walked([]) == len({0, *asked})
     table = group.coset_table([0])
-    assert table.find(17) == table.find(group.rmul(17, 0)) and walked([0]) == 2 + 2
+    assert table.find(17) == table.find(group.gen_action[0][17]) and walked([0]) == 2 + 2
 
 
 @pytest.mark.parametrize("order, rows, message", [

@@ -1,18 +1,16 @@
-"""The one coset-cycle validator, through the three public validators that
-call it, against the three validators it replaced: the same verdict on every
-witness the searchers return, on mutated witnesses, and on every connected
-list of two or three entries over small groups, templates and groupoids."""
+"""The one coset-cycle validator, through the group and template validators
+that call it and directly over a groupoid's alpha-cosets (as
+find_groupoid_coset_cycle rechecks), against the three validators it
+replaced: the same verdict on every witness the searchers return, on
+mutated witnesses, and on every connected list of two or three entries over
+small groups, templates and groupoids."""
 
 import pytest
 
-from acygroups.acyclicity import find_coset_cycle, proper_subsets, validate_coset_cycle
+from acygroups.acyclicity import find_coset_cycle, proper_subsets, validate_coset_cycle, validate_cycle
 from acygroups.constraint import IContext, find_i_coset_cycle, validate_i_coset_cycle
 from acygroups.errors import ResourceCap, UnknownName
-from acygroups.groupoid import (
-    find_groupoid_coset_cycle,
-    inverse_closed_proper_subsets,
-    validate_groupoid_coset_cycle,
-)
+from acygroups.groupoid import find_groupoid_coset_cycle, inverse_closed_proper_subsets
 
 from conftest import corpus
 from oracles import (
@@ -169,7 +167,7 @@ def test_groupoid_validator_agrees_with_its_reference():
         found += len(witnesses)
 
         def validate(entries):
-            return validate_groupoid_coset_cycle(gpd, entries)
+            return validate_cycle(gpd.subset_closures, entries)
 
         def reference(entries):
             return reference_validate_groupoid_coset_cycle(gpd, entries)
