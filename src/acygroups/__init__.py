@@ -74,6 +74,7 @@ from .groups import (
     subgroup,
     sym,
 )
+from .serialize import TOOL_VERSION as __version__
 from .synthesis import (
     StageReport,
     SynthesisConfig,
@@ -81,5 +82,3 @@ from .synthesis import (
     construct_n_acyclic_over,
     stage_graph,
 )
-
-__version__ = "0.1.0"

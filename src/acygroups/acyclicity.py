@@ -19,55 +19,32 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 from .egraph import NO_EDGE
-from .errors import ResourceCap, SearchTimeout
+from .errors import ResourceCap
 from .groups import EGroup, is_group_symmetry
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 class GammaFilter:
-    """Family of admissible generator subsets for coset cycles.
+    """The generator subsets of fewer than k colours, which grade
+    acyclicity; proper subsets only, unless the full set is allowed."""
 
-    Either all subsets of size < k, or an explicit family.  Proper subsets
-    only, unless full sets are explicitly allowed at call time.
-    """
-
-    def __init__(self, size_bound=None, family=None):
-        if (size_bound is None) == (family is None):
-            raise ValueError("give exactly one of size_bound / family")
-        self.size_bound = size_bound
-        self.family = None if family is None else [frozenset(a) for a in family]
-
-    @classmethod
-    def size(cls, k):
-        return cls(size_bound=k)
-
-    @classmethod
-    def explicit(cls, family):
-        return cls(family=family)
+    def __init__(self, k):
+        self.k = k
 
     def subsets(self, n_colors, allow_full=False):
-        full = frozenset(range(n_colors))
-        if self.family is not None:
-            cands = self.family
-        else:
-            cands = all_subsets(n_colors, max_size=self.size_bound - 1)
-        out = [a for a in cands if allow_full or a != full]
-        return sorted(set(out), key=lambda a: (len(a), sorted(a)))
+        return [a for a in all_subsets(n_colors, self.k - 1) if allow_full or len(a) < n_colors]
 
 
 def all_subsets(n_colors, max_size=None):
+    """The subsets of at most max_size colours, by size and then by sorted
+    members."""
     if max_size is None:
         max_size = n_colors
-    out = []
-    for mask in range(1 << n_colors):
-        a = frozenset(i for i in range(n_colors) if mask >> i & 1)
-        if len(a) <= max_size:
-            out.append(a)
-    return sorted(out, key=lambda a: (len(a), sorted(a)))
+    return [frozenset(a) for size in range(max_size + 1) for a in combinations(range(n_colors), size)]
 
 
 def proper_subsets(n_colors):
@@ -184,24 +161,22 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
 
 
 def _colour_symmetries(group, alphas):
-    """The colour symmetries of group but the identity that map the family
-    alphas onto itself, as (element map, index map on alphas) pairs.
+    """The colour symmetries of group but the identity, as (element map,
+    index map on alphas) pairs.
 
-    A renaming rho of the generators that maps each subset of alphas to
-    one of alphas is kept when :func:`~acygroups.groups.is_group_symmetry`
-    extends it to an automorphism, which then maps each alpha-coset of g
-    onto the rho(alpha)-coset of its image.
+    The family alphas is size-bounded, so every renaming rho of the
+    generators maps it onto itself.  rho is kept when
+    :func:`~acygroups.groups.is_group_symmetry` extends it to an
+    automorphism, which then maps each alpha-coset of g onto the
+    rho(alpha)-coset of its image.
     """
     index = {a: i for i, a in enumerate(alphas)}
     colors = group.colors
     out = []
     for rho in islice(permutations(range(len(colors))), 1, None):  # the identity comes first
-        images = [index.get(frozenset(rho[c] for c in a)) for a in alphas]
-        if None in images:
-            continue
         perm = is_group_symmetry(group, dict(zip(colors, map(colors.__getitem__, rho))))
         if perm is not None:
-            out.append((perm, images))
+            out.append((perm, [index[frozenset(rho[c] for c in a)] for a in alphas]))
     return out
 
 
@@ -354,7 +329,7 @@ class _Walk:
                 self.fix[m + 1] = _fixing(self.fix[m], entry)
         if (found or not nodes & 4095) and self.deadline is not None \
                 and time.monotonic() > self.deadline:
-            raise SearchTimeout(f"coset-cycle search timed out after {nodes} nodes")
+            raise ResourceCap(f"coset-cycle search timed out after {nodes} nodes")
 
 
 def _fixing(syms, entry):

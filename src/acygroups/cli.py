@@ -179,7 +179,7 @@ def cmd_girth(args, run):
 def cmd_check_acyclic(args, run):
     run.config = {"N": args.n, "gamma": args.gamma, "over": bool(args.over)}
     group = run.load(args.group, {"egroup"})
-    gamma = GammaFilter.size(args.gamma) if args.gamma is not None else None
+    gamma = GammaFilter(args.gamma) if args.gamma is not None else None
     t0 = time.monotonic()
     if args.over:
         entries = find_i_coset_cycle(group, run.load(args.over, {"egraph"}), args.n)

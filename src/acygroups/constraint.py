@@ -24,7 +24,7 @@ from .egraph import NO_EDGE, EGraph
 from .errors import (
     CompatibilityRequired,
     PreconditionFailed,
-    SearchTimeout,
+    ResourceCap,
     StrictnessViolation,
     TransitivityViolation,
     UnknownName,
@@ -282,7 +282,7 @@ def find_freeness_violation(group, igraph, alphas=None, ctx=None, deadline=None)
     Left translation moves any skeleton onto one anchored at the identity,
     so those anchors exhaust all skeletons up to translation.  Past
     ``deadline`` (a ``time.monotonic()`` value), read once per skeleton,
-    raises SearchTimeout.
+    raises ResourceCap.
     """
     ctx = ctx or IContext(group, igraph)
     if alphas is None:
@@ -290,7 +290,7 @@ def find_freeness_violation(group, igraph, alphas=None, ctx=None, deadline=None)
     for alpha in alphas:
         for s in range(igraph.n):
             if deadline is not None and time.monotonic() > deadline:
-                raise SearchTimeout(f"freeness check timed out at subset {sorted(alpha)}, site {s}")
+                raise ResourceCap(f"freeness check timed out at subset {sorted(alpha)}, site {s}")
             if not is_free_skeleton(ctx, alpha, s):
                 return frozenset(alpha), s
     return None

@@ -135,9 +135,9 @@ def intersection_graph(hg):
 
 
 def _hyperedge_pair(template, c):
-    """The hyperedge indices (i, j) of colour c of an intersection graph."""
-    i, j = template.colors[c][1:].split("~")
-    return int(i), int(j)
+    """The hyperedge indices (i, j), i < j, of colour c of an intersection
+    graph: the ends of its one edge."""
+    return template.edges(c)[0]
 
 
 def _vertex_colour_sets(hg, template):
@@ -504,7 +504,7 @@ def translate_chordless_cycle(cov, cycle):
     for i in range(n):
         s_i, g_i = chosen[i - 1]  # the copy shared by the i-1 and i vertices
         alpha_i = frozenset(vcolors[cov.projection[cycle[i]]])
-        entries.append((alpha_i, cov.template.vertex_index(f"h{s_i}"), g_i))
+        entries.append((alpha_i, s_i, g_i))
     return tuple(entries)
 
 
@@ -526,5 +526,5 @@ def translate_nonconformal_clique(cov, clique):
     for i in range(n):
         beta_i = frozenset.intersection(*[alphas[j] for j in range(n) if j != (i - 1) % n])
         s_i, g_i = chosen[i]
-        entries.append((beta_i, cov.template.vertex_index(f"h{s_i}"), g_i))
+        entries.append((beta_i, s_i, g_i))
     return tuple(entries)

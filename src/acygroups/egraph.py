@@ -15,15 +15,14 @@ from .traverse import NO_EDGE
 class EGraph:
     """Immutable edge-coloured graph with partial-matching colour classes."""
 
-    __slots__ = ("vertex_names", "colors", "partner", "strict", "complete", "_vidx", "_cidx")
+    __slots__ = ("vertex_names", "colors", "partner", "strict", "complete", "_cidx")
 
     def __init__(self, vertex_names, colors, partner):
         self.vertex_names = tuple(vertex_names)
         self.colors = tuple(colors)
         self.partner = tuple(tuple(row) for row in partner)
-        self._vidx = {nm: i for i, nm in enumerate(self.vertex_names)}
         self._cidx = {nm: i for i, nm in enumerate(self.colors)}
-        if len(self._vidx) != len(self.vertex_names):
+        if len(set(self.vertex_names)) != len(self.vertex_names):
             raise UnknownName("duplicate vertex names")
         if len(self._cidx) != len(self.colors):
             raise UnknownName("duplicate colour names")
@@ -57,12 +56,6 @@ class EGraph:
     @property
     def n(self):
         return len(self.vertex_names)
-
-    def vertex_index(self, name):
-        try:
-            return self._vidx[name]
-        except KeyError:
-            raise UnknownName(f"unknown vertex {name!r}") from None
 
     def color_index(self, name):
         try:

@@ -35,10 +35,6 @@ class ResourceCap(AcygroupsError):
         self.stage_reports = stage_reports
 
 
-class SearchTimeout(ResourceCap):
-    """A coset-cycle search passed the deadline it was given."""
-
-
 class CompatibilityRequired(AcygroupsError):
     """The group is not compatible with the template graph it is used with."""
 

@@ -141,15 +141,14 @@ class IGraph:
     """Site-partitioned directed graph over a pattern; edge classes respect
     the incidence sorts and reversal."""
 
-    __slots__ = ("pattern", "vertex_names", "site_of", "edges", "_vidx")
+    __slots__ = ("pattern", "vertex_names", "site_of", "edges")
 
     def __init__(self, pattern, vertex_names, site_of, edges):
         """edges: per edge index, list of (u, v) vertex-index pairs."""
         self.pattern = pattern
         self.vertex_names = tuple(vertex_names)
         self.site_of = tuple(site_of)
-        self._vidx = {nm: i for i, nm in enumerate(self.vertex_names)}
-        if len(self._vidx) != len(self.vertex_names):
+        if len(set(self.vertex_names)) != len(self.vertex_names):
             raise UnknownName("duplicate vertex names")
         self.edges = tuple(tuple(sorted(es)) for es in edges)
         sites_present = set(self.site_of)
@@ -332,13 +331,14 @@ def _generate(pattern, seeds, step):
     return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents, states)
 
 
-def groupoid_from_group(group, pattern, hat=None):
-    """Extract the pattern groupoid from a group compatible with the encoding.
+def groupoid_from_group(group, hat):
+    """Extract the groupoid of hat's pattern from a group compatible with
+    the encoding.
 
     Elements are (site, group element) pairs where the element is a product
     of encoded edge triplets read along pattern walks from the site.
     """
-    hat = hat or hat_translation(pattern)
+    pattern = hat.pattern
     if not is_compatible(group, hat.igraph):
         raise CompatibilityRequired("group is not compatible with the encoded template")
     triplets = [hat.triplet(e) for e in range(pattern.n_edges)]
@@ -520,7 +520,7 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, config=None):
     encoded_target = translate_igraph(hat, target_igraph)
     group0 = sym(disjoint_union([hat.igraph, encoded_target]), cap=config.element_cap)
     group, reports = construct_n_acyclic_over(group0, hat.igraph, config)
-    gpd = groupoid_from_group(group, pattern, hat=hat)
+    gpd = groupoid_from_group(group, hat)
     checks = {
         "axioms": verify_groupoid_axioms(gpd),
         "acyclic": find_groupoid_coset_cycle(gpd, config.n_acyclic,

@@ -20,7 +20,7 @@ from .acyclicity import DEFAULT_SEARCH_BUDGET, GammaFilter, all_subsets, find_co
 from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
-from .errors import CompatibilityRequired, ResourceCap, SearchTimeout
+from .errors import CompatibilityRequired, ResourceCap
 from .groups import (
     default_cap,
     graph_generator_perms,
@@ -222,10 +222,8 @@ def _conservation(prev, new, k):
 
 
 def _stage_verify(new, k, config, igraph, ctx, deadline):
-    gamma = GammaFilter.size(k + 1)
-    cyc = find_coset_cycle(
-        new, config.n_acyclic, gamma=gamma, budget=config.search_budget, deadline=deadline
-    )
+    cyc = find_coset_cycle(new, config.n_acyclic, gamma=GammaFilter(k + 1),
+                           budget=config.search_budget, deadline=deadline)
     acyclic_ok = cyc is None
     free_ok = None
     if igraph is not None:
@@ -304,8 +302,6 @@ def _construct(group0, config, igraph):
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")
                     break
-    except SearchTimeout:
-        raise ResourceCap(f"stage {k} timed out after the search", current, reports) from None
     except ResourceCap as exc:
         exc.partial = current
         exc.stage_reports = reports

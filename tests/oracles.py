@@ -38,7 +38,9 @@ path-building loop and the mask loop that ``groupoid.hat_translation`` and
 ``groupoid.translate_igraph`` and ``acyclicity.proper_subsets``; the
 library must give the same partner rows and colours, and the same subsets
 in the same order.  The reference groupoid searchers take their subsets
-from the second.
+from the second.  ``reference_all_subsets`` is the mask loop and sort that
+``acyclicity.all_subsets`` ran before it took each size's combinations in
+turn; both must give the same subsets in the same order.
 
 ``reference_is_free_skeleton`` and ``reference_freeness_violation`` are
 the freeness check that walked the skeleton's graph, and tested every
@@ -98,7 +100,7 @@ from acygroups.covering import (
 from acygroups.amalgam import amalgam_chain, amalgam_cluster
 from acygroups.canon import canonical_component, canonical_form, connected_components
 from acygroups.egraph import EGraph, new_egraph
-from acygroups.errors import CompatibilityRequired, IncompleteGraph, ResourceCap, SearchTimeout
+from acygroups.errors import CompatibilityRequired, IncompleteGraph, ResourceCap
 from acygroups.groups import graph_generator_perms, is_compatible
 from acygroups.traverse import NO_EDGE, UnionFind, bfs_parents
 
@@ -224,12 +226,17 @@ def separated_by_ids(table):
     return separated
 
 
-def reference_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
-    n_colors = len(group.colors)
-    if gamma is None:
-        alphas = proper_subsets(n_colors)
-    else:
-        alphas = gamma.subsets(n_colors, allow_full=allow_full)
+def group_family(group, gamma, allow_full, alphas):
+    """alphas, or else the family that find_coset_cycle searches for gamma
+    and allow_full."""
+    if alphas is None:
+        n_colors = len(group.colors)
+        alphas = proper_subsets(n_colors) if gamma is None else gamma.subsets(n_colors, allow_full)
+    return alphas
+
+
+def reference_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, alphas=None):
+    alphas = group_family(group, gamma, allow_full, alphas)
     table = reference_group_tables(group)
     found = search_coset_cycle(alphas, (0,), n_max, table, separated_by_ids(table), budget)
     return None if found is None else canonical_cycle(group, found)
@@ -288,6 +295,19 @@ def reference_inverse_closed_subsets(pattern):
         if len(chosen) == len(pairs):
             continue
         out.append(frozenset(e for p in chosen for e in p))
+    return sorted(out, key=lambda a: (len(a), sorted(a)))
+
+
+def reference_all_subsets(n_colors, max_size=None):
+    """The subsets of at most max_size colours, one frozenset per mask,
+    sorted by size and then by sorted members."""
+    if max_size is None:
+        max_size = n_colors
+    out = []
+    for mask in range(1 << n_colors):
+        a = frozenset(i for i in range(n_colors) if mask >> i & 1)
+        if len(a) <= max_size:
+            out.append(a)
     return sorted(out, key=lambda a: (len(a), sorted(a)))
 
 
@@ -401,7 +421,7 @@ class _PairwiseWalk:
         if self.nodes > self.budget:
             raise ResourceCap(f"coset-cycle search budget {self.budget} exceeded")
         if not self.nodes & 4095 and self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout(f"coset-cycle search timed out after {self.nodes} nodes")
+            raise ResourceCap(f"coset-cycle search timed out after {self.nodes} nodes")
 
 
 def _pairwise_extend(w, m):
@@ -463,24 +483,16 @@ def template_search_tables(ctx):
     return functools.cache(lambda alpha: walked_table(ctx.comp_tables(alpha), n))
 
 
-def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
-    n_colors = len(group.colors)
-    if gamma is None:
-        alphas = proper_subsets(n_colors)
-    else:
-        alphas = gamma.subsets(n_colors, allow_full=allow_full)
+def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, alphas=None):
+    alphas = group_family(group, gamma, allow_full, alphas)
     found, nodes = pairwise_search_coset_cycle(
         alphas, (0,), n_max, reference_group_tables(group), pairwise_separated_by_ids, budget
     )
     return (None if found is None else canonical_cycle(group, found)), nodes
 
 
-def unpruned_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None):
-    n_colors = len(group.colors)
-    if gamma is None:
-        alphas = proper_subsets(n_colors)
-    else:
-        alphas = gamma.subsets(n_colors, allow_full=allow_full)
+def unpruned_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, alphas=None):
+    alphas = group_family(group, gamma, allow_full, alphas)
     found = acyclicity.search_coset_cycle(
         alphas, (0,), n_max, group.coset_table, met_by_ids, budget
     )

@@ -189,7 +189,7 @@ def test_criterion_08_groupoid_pipeline():
     )
     hat = hat_translation(weak_pattern)
     weak_group = sym(hat.igraph, attach_hypercube=False)
-    weak_gpd = groupoid_from_group(weak_group, weak_pattern, hat=hat)
+    weak_gpd = groupoid_from_group(weak_group, hat)
     injected = find_groupoid_coset_cycle(weak_gpd, 10, budget=50_000_000)
     assert injected is not None
     translated = translate_groupoid_cycle(weak_gpd, hat, injected)

@@ -1,9 +1,13 @@
 import math
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acygroups.acyclicity import (
     GammaFilter,
+    all_subsets,
     find_coset_cycle,
     girth,
     is_two_acyclic,
@@ -15,7 +19,7 @@ from acygroups.errors import PreconditionFailed, ResourceCap
 from acygroups.groups import cayley_graph, homomorphism, subgroup, sym
 
 from conftest import biggs_group, coset_graph, evaluate_word, hypercube_group, s3_three_generators
-from oracles import reference_girth, unpruned_coset_cycle
+from oracles import reference_all_subsets, reference_girth, unpruned_coset_cycle
 from paper_checks import coset_support, has_cluster_property, minimal_support
 
 
@@ -95,7 +99,7 @@ def test_girth_equivalence_with_gamma_two(small_groups):
     for name, g in small_groups.items():
         gi = girth(g)
         for n in (2, 3, 4, 5, 6, 7):
-            ok = find_coset_cycle(g, n, gamma=GammaFilter.size(2)) is None
+            ok = find_coset_cycle(g, n, gamma=GammaFilter(2)) is None
             assert ok == (gi > n), (name, n, gi)
 
 
@@ -182,13 +186,25 @@ def test_cluster_property_holds_for_triangle_group_itself():
     assert has_cluster_property(s3_three_generators(), max_constituents=3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 8), st.booleans())
+def test_gamma_filter_is_the_ordered_size_bounded_family(n_colors, k, allow_full):
+    family = GammaFilter(k).subsets(n_colors, allow_full=allow_full)
+    everything = all_subsets(n_colors)
+    assert everything == reference_all_subsets(n_colors)
+    assert all_subsets(n_colors, k - 1) == reference_all_subsets(n_colors, k - 1)
+    assert family == [a for a in everything if len(a) < k and (allow_full or len(a) < n_colors)]
+    assert family == sorted(set(family), key=lambda a: (len(a), sorted(a)))
+    for rho in permutations(range(n_colors)):
+        assert {frozenset(rho[c] for c in a) for a in family} == set(family)
+
+
 def test_gamma_filter_families():
-    f = GammaFilter.size(2)
+    f = GammaFilter(2)
     subs = f.subsets(3)
     assert frozenset() in subs and all(len(a) < 2 for a in subs)
-    e = GammaFilter.explicit([{0}, {0, 1, 2}])
-    assert e.subsets(3) == [frozenset({0})]
-    assert frozenset({0, 1, 2}) in e.subsets(3, allow_full=True)
+    assert frozenset({0, 1, 2}) not in GammaFilter(4).subsets(3)
+    assert frozenset({0, 1, 2}) in GammaFilter(4).subsets(3, allow_full=True)
 
 
 def brute_force_cycle_exists(group, n_max):

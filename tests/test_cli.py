@@ -466,7 +466,7 @@ def test_igraph_edge_class_of_an_unknown_edge_is_invalid_input(tmp_path, capsys)
 def _igroupoid_doc():
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
     hat = hat_translation(pattern)
-    gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), pattern, hat=hat)
+    gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), hat)
     return ser.igroupoid_to_json(gpd)
 
 

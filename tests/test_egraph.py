@@ -60,8 +60,8 @@ def test_trivial_completion_idempotent():
 def test_completion_of_depth_one_tree_loops_leaves():
     t = biggs_tree(["a", "b"], 1)
     bar = trivial_completion(t)
-    b_vertex = t.vertex_index("b")
-    a_vertex = t.vertex_index("a")
+    b_vertex = t.vertex_names.index("b")
+    a_vertex = t.vertex_names.index("a")
     assert bar.partner[t.color_index("a")][b_vertex] == b_vertex
     assert bar.partner[t.color_index("b")][a_vertex] == a_vertex
 
@@ -96,7 +96,7 @@ def test_hypercube_shapes():
 
 def test_walk_target_on_hypercube():
     g = hypercube(["a", "b"])
-    v = g.vertex_index("{}")
+    v = g.vertex_names.index("{}")
     w = walk_target(g, v, [g.color_index("a"), g.color_index("b")])
     assert g.vertex_names[w] == "{a,b}"
 
@@ -114,7 +114,7 @@ def test_walk_target_requires_complete():
 
 def test_walk_target_on_completed_tree():
     t = trivial_completion(biggs_tree(["a", "b"], 1))
-    v = t.vertex_index("b")
+    v = t.vertex_names.index("b")
     word = [t.color_index("b"), t.color_index("a")]
     assert t.vertex_names[walk_target(t, v, word)] == "a"
 
@@ -145,7 +145,7 @@ def test_alpha_component_full_colors_connected():
 def test_alpha_component_of_cube_is_square():
     g = hypercube(["a", "b", "c"])
     a, b = g.color_index("a"), g.color_index("b")
-    comp, emb = alpha_component(g, [a, b], g.vertex_index("{}"))
+    comp, emb = alpha_component(g, [a, b], g.vertex_names.index("{}"))
     assert comp.n == 4
     assert sorted(g.vertex_names[v] for v in emb) == ["{a,b}", "{a}", "{b}", "{}"]
 

@@ -14,7 +14,7 @@ from acygroups.constraint import (
     is_free_skeleton,
 )
 from acygroups.egraph import disjoint_union, hypercube, new_egraph
-from acygroups.errors import ResourceCap, SearchTimeout
+from acygroups.errors import ResourceCap
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
 
@@ -123,7 +123,7 @@ def test_freeness_past_its_deadline_stops(monkeypatch):
     group = compat_group(ig)
     clock = _clock(2.0)
     monkeypatch.setattr(constraint, "time", clock)
-    with pytest.raises(SearchTimeout, match=r"^freeness check timed out at subset \[\], site 0$"):
+    with pytest.raises(ResourceCap, match=r"^freeness check timed out at subset \[\], site 0$"):
         find_freeness_violation(group, ig, deadline=1.0)
     assert clock.calls == 1
 
@@ -135,7 +135,23 @@ def test_stage_timeout_reaches_into_the_freeness_check(monkeypatch):
     ig = path_igraph("ab", "ab")
     group = compat_group(ig)
     config = SynthesisConfig(n_acyclic=3, stage_timeout=3600.0)
-    with pytest.raises(ResourceCap, match="^stage 0 timed out after the search$") as info:
+    with pytest.raises(ResourceCap, match=r"^freeness check timed out at subset \[\], site 0$") as info:
         construct_n_acyclic_over(group, ig, config)
     assert info.value.stage_reports == []
     assert info.value.partial is group
+
+
+def test_a_later_stage_keeps_the_freeness_timeout_message(monkeypatch):
+    # the clock passes the deadline after the three reads of stage 0's
+    # check and the three of stage 1's at the empty subset, so stage 1 times
+    # out at its next skeleton and reports where, with stage 0 finished
+    reads = iter([0.0] * 6)
+    clock = _clock(0.0)
+    clock.monotonic = lambda: next(reads, float("inf"))
+    monkeypatch.setattr(constraint, "time", clock)
+    ig = path_igraph("ab", "ab")
+    config = SynthesisConfig(n_acyclic=3, stage_timeout=3600.0)
+    with pytest.raises(ResourceCap, match=r"^freeness check timed out at subset \[0\], site 0$") as info:
+        construct_n_acyclic_over(compat_group(ig), ig, config)
+    assert [r.stage for r in info.value.stage_reports] == [0]
+    assert info.value.partial.order == info.value.stage_reports[0].order

@@ -64,7 +64,7 @@ def test_hat_translation_loop_is_triangle():
     assert len(hat.igraph.all_edges()) == 3
     # the three edges form a cycle on {site, two midpoints}
     bar = trivial_completion(hat.igraph)
-    v = hat.igraph.vertex_index("v:s")
+    v = hat.igraph.vertex_names.index("v:s")
     w = walk_target(bar, v, hat.triplet(0))
     assert w == v
 
@@ -127,8 +127,8 @@ def _count_reduced_pattern_words(pattern, s, t, max_len):
 def _count_encoded_walk_words(pattern, hat, bar, s, t, max_len):
     # encoded reduced words labelling walks between the original sites are
     # exactly the concatenations of generator triplets; enumerate them
-    start = hat.igraph.vertex_index(f"v:{pattern.sites[s]}")
-    goal = hat.igraph.vertex_index(f"v:{pattern.sites[t]}")
+    start = hat.igraph.vertex_names.index(f"v:{pattern.sites[s]}")
+    goal = hat.igraph.vertex_names.index(f"v:{pattern.sites[t]}")
     count = 0
     stack = [((), start)]
     while stack:
@@ -138,7 +138,7 @@ def _count_encoded_walk_words(pattern, hat, bar, s, t, max_len):
         if len(word) == max_len:
             continue
         for e in range(pattern.n_edges):
-            if hat.igraph.vertex_index(f"v:{pattern.sites[pattern.src[e]]}") != v:
+            if hat.igraph.vertex_names.index(f"v:{pattern.sites[pattern.src[e]]}") != v:
                 continue
             if word and pattern.inv[word[-1]] == e:
                 continue
@@ -152,7 +152,7 @@ def weak_groupoid():
     pattern = parallel_pairs_pattern()
     hat = hat_translation(pattern)
     group = sym(hat.igraph, attach_hypercube=False)
-    return pattern, hat, group, groupoid_from_group(group, pattern, hat=hat)
+    return pattern, hat, group, groupoid_from_group(group, hat)
 
 
 def test_extracted_groupoid_axioms(weak_groupoid):
@@ -237,7 +237,7 @@ def test_one_pair_groupoid_has_no_cycles():
     assert inverse_closed_proper_subsets(pattern) == [frozenset()]
     hat = hat_translation(pattern)
     group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
-    gpd = groupoid_from_group(group, pattern, hat=hat)
+    gpd = groupoid_from_group(group, hat)
     for n in (2, 4, 6):
         assert find_groupoid_coset_cycle(gpd, n) is None
 
@@ -249,7 +249,7 @@ def test_degenerate_extraction_detected():
     hat = hat_translation(pattern)
     group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
     with pytest.raises(DegenerateGenerators):
-        groupoid_from_group(group, pattern, hat=hat)
+        groupoid_from_group(group, hat)
 
 
 def test_negative_control_cycle_translation(weak_groupoid):

@@ -48,7 +48,7 @@ from oracles import (
 )
 from test_comp_tables import _cases
 from test_groupoid import one_pair_pattern, parallel_pairs_pattern
-from test_search_kernel import _gamma_filters, group_2592  # noqa: F401  (fixture)
+from test_search_kernel import _gamma_filters, _listed_families, group_2592  # noqa: F401  (fixture)
 
 
 @pytest.fixture
@@ -85,13 +85,14 @@ def test_plain_kernel_matches_the_pairwise_kernel_on_the_corpus(walks):
     cycles = 0
     for group in corpus().values():
         for n in range(2, 7):
-            for gamma, full in _gamma_filters(len(group.colors)):
+            queries = [{"gamma": gamma, "allow_full": full}
+                       for gamma, full in _gamma_filters(len(group.colors))]
+            queries += [{"alphas": alphas} for alphas in _listed_families(len(group.colors))]
+            for query in queries:
                 cycles += _agrees(
                     walks,
-                    lambda b: unpruned_coset_cycle(group, n, gamma=gamma, allow_full=full,
-                                                   budget=b),
-                    lambda b: pairwise_coset_cycle(group, n, gamma=gamma, allow_full=full,
-                                                   budget=b),
+                    lambda b: unpruned_coset_cycle(group, n, budget=b, **query),
+                    lambda b: pairwise_coset_cycle(group, n, budget=b, **query),
                 ) is not None
     assert cycles == 94
 
@@ -150,10 +151,10 @@ def _test_groupoids():
     for pattern in (one_pair_pattern(), parallel_pairs_pattern()):
         hat = hat_translation(pattern)
         bare = sym(hat.igraph, attach_hypercube=False)
-        out.append((groupoid_from_group(bare, pattern, hat=hat), (2, 3, 4, 6, 10)))
+        out.append((groupoid_from_group(bare, hat), (2, 3, 4, 6, 10)))
     hat = hat_translation(one_pair_pattern())
     cubed = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
-    out.append((groupoid_from_group(cubed, one_pair_pattern(), hat=hat), (2, 4, 6)))
+    out.append((groupoid_from_group(cubed, hat), (2, 4, 6)))
     res = construct_n_acyclic_groupoid(
         one_pair_pattern(), pattern_igraph(one_pair_pattern()),
         SynthesisConfig(n_acyclic=2, early_exit=True),

@@ -9,7 +9,7 @@ from acygroups import acyclicity
 from acygroups.acyclicity import GammaFilter, find_coset_cycle
 from acygroups.constraint import find_i_coset_cycle
 from acygroups.egraph import biggs_tree
-from acygroups.errors import ResourceCap, SearchTimeout
+from acygroups.errors import ResourceCap
 from acygroups.groupoid import find_groupoid_coset_cycle, groupoid_from_group, hat_translation
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
@@ -34,14 +34,18 @@ def group_2592():
 
 
 def _gamma_filters(n_colors):
-    """(gamma, allow_full) of every size filter, two explicit families and
-    the full set allowed."""
+    """(gamma, allow_full) of every size filter and the full set allowed."""
     filters = [(None, False)]
-    filters += [(GammaFilter.size(k), False) for k in range(1, n_colors + 2)]
-    filters.append((GammaFilter.size(n_colors + 1), True))
-    filters.append((GammaFilter.explicit([{i} for i in range(n_colors)]), False))
-    filters.append((GammaFilter.explicit([{0, i} for i in range(n_colors)]), False))
+    filters += [(GammaFilter(k), False) for k in range(1, n_colors + 2)]
+    filters.append((GammaFilter(n_colors + 1), True))
     return filters
+
+
+def _listed_families(n_colors):
+    """The families {i} and {0, i}: the groupoid and template searchers
+    hand the kernel families that are not size-bounded, and it is checked
+    on these two, given no symmetries."""
+    return [[frozenset({i}) for i in range(n_colors)], [frozenset({0, i}) for i in range(n_colors)]]
 
 
 def test_plain_kernel_matches_the_reference_on_the_corpus():
@@ -51,13 +55,17 @@ def test_plain_kernel_matches_the_reference_on_the_corpus():
             for gamma, allow_full in _gamma_filters(len(group.colors)):
                 found = find_coset_cycle(group, n, gamma=gamma, allow_full=allow_full)
                 expected = reference_coset_cycle(group, n, gamma=gamma, allow_full=allow_full)
-                assert found == expected, (name, n, gamma and gamma.size_bound, allow_full)
+                assert found == expected, (name, n, gamma and gamma.k, allow_full)
+                cycles += found is not None
+            for alphas in _listed_families(len(group.colors)):
+                found = unpruned_coset_cycle(group, n, alphas=alphas)
+                assert found == reference_coset_cycle(group, n, alphas=alphas), (name, n, alphas)
                 cycles += found is not None
     assert cycles == 94
 
 
 def test_plain_kernel_matches_the_reference_on_the_order_2592_group(group_2592):
-    for gamma in (None, GammaFilter.size(2)):
+    for gamma in (None, GammaFilter(2)):
         assert find_coset_cycle(group_2592, 4, gamma=gamma) is None
         assert reference_coset_cycle(group_2592, 4, gamma=gamma) is None
 
@@ -83,7 +91,7 @@ def test_template_kernel_matches_the_reference():
 def test_groupoid_kernel_matches_the_reference():
     for pattern in (one_pair_pattern(), parallel_pairs_pattern()):
         hat = hat_translation(pattern)
-        gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), pattern, hat=hat)
+        gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), hat)
         for n in (2, 3, 4, 6, 10):
             budget = 50_000_000
             found = find_groupoid_coset_cycle(gpd, n, budget=budget)
@@ -158,7 +166,7 @@ def test_search_reads_the_clock_every_4096_nodes(monkeypatch, group_2592):
 def test_search_past_its_deadline_stops(monkeypatch, group_2592):
     clock = _clock(2.0)
     monkeypatch.setattr(acyclicity, "time", clock)
-    with pytest.raises(SearchTimeout, match="timed out after 4096 nodes"):
+    with pytest.raises(ResourceCap, match="timed out after 4096 nodes"):
         find_coset_cycle(group_2592, 4, deadline=1.0)
     assert clock.calls == 1
 
@@ -175,7 +183,7 @@ def test_stage_timeout_reaches_into_the_search(monkeypatch):
         message, partial, reports = str(exc), exc.partial, exc.stage_reports
     # the first clock read is the one after the symmetries are found, in the
     # final search of stage 0 (1036 unpruned nodes past 24 * 3 * 5)
-    assert message == "stage 0 timed out after the search"
+    assert message == "coset-cycle search timed out after 360 nodes"
     assert partial.order == 24
     assert [r.order for r in reports] == [24]
 
@@ -189,5 +197,5 @@ def test_search_reads_the_clock_right_after_finding_the_symmetries(monkeypatch, 
     # 38,880 = 2592 * 3 * 5 nodes, between the ninth and tenth multiple of 4096
     reads = iter([0.0] * 9)
     clock.monotonic = lambda: next(reads, 2.0)
-    with pytest.raises(SearchTimeout, match="timed out after 38880 nodes"):
+    with pytest.raises(ResourceCap, match="timed out after 38880 nodes"):
         find_coset_cycle(group_2592, 5, deadline=1.0)

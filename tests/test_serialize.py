@@ -66,7 +66,7 @@ def test_igroupoid_roundtrip_with_composition_table():
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
     hat = hat_translation(pattern)
     group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
-    gpd = groupoid_from_group(group, pattern, hat=hat)
+    gpd = groupoid_from_group(group, hat)
     doc = ser.igroupoid_to_json(gpd)
     assert "composition" in doc
     for a, b, c in doc["composition"]:
@@ -160,7 +160,7 @@ def _two_site_groupoid_doc():
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
     hat = hat_translation(pattern)
     group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
-    return ser.igroupoid_to_json(groupoid_from_group(group, pattern, hat=hat))
+    return ser.igroupoid_to_json(groupoid_from_group(group, hat))
 
 
 _DELETE = object()

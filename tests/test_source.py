@@ -186,8 +186,6 @@ def _public_definitions(trees):
 # to, each kept for the reason given
 UNREFERENCED_PUBLIC = {
     "groups.homomorphism": "perfbench/tracer.py times it by name",
-    "acyclicity.GammaFilter.explicit":
-        "perfbench/tracer.py binds GammaFilter; ROADMAP item 8 replaces the class",
     "covering.translate_chordless_cycle": "cover witnesses up to the deck group (ROADMAP item 6)",
     "covering.translate_nonconformal_clique": "cover witnesses up to the deck group (ROADMAP item 6)",
     "groupoid.translate_groupoid_cycle": "groupoids past one edge pair (ROADMAP item 7)",
@@ -227,7 +225,6 @@ def test_every_public_name_has_a_caller():
 # reason given
 UNRUN_PUBLIC = {
     **UNREFERENCED_PUBLIC,
-    "egraph.EGraph.vertex_index": "only the cover-witness translations call it (ROADMAP item 6)",
     "groupoid.HatTranslation.subset": "only translate_groupoid_cycle calls it (ROADMAP item 7)",
     "serialize.igroupoid_from_json": "no golden case reads a groupoid document back",
 }
@@ -398,7 +395,7 @@ def test_searches_and_a_capped_construct_leave_no_cyclic_garbage():
              ("f", "s", "t", "fi"), ("fi", "t", "s", "f")],
         )
         hat = hat_translation(pattern)
-        gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), pattern, hat=hat)
+        gpd = groupoid_from_group(sym(hat.igraph, attach_hypercube=False), hat)
         find_groupoid_coset_cycle(gpd, 4)
 
     def capped_construct():

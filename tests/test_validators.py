@@ -17,10 +17,11 @@ from oracles import (
     reference_validate_coset_cycle,
     reference_validate_groupoid_coset_cycle,
     reference_validate_i_coset_cycle,
+    unpruned_coset_cycle,
 )
 from test_comp_tables import _cases
 from test_kernel_equivalence import _test_groupoids
-from test_search_kernel import _gamma_filters
+from test_search_kernel import _gamma_filters, _listed_families
 
 
 def _first_off(table, points, p):
@@ -75,10 +76,11 @@ def test_group_validator_agrees_with_its_reference():
     for group in corpus().values():
         witnesses = set()
         for n in range(2, 7):
-            for gamma, full in _gamma_filters(len(group.colors)):
-                cyc = find_coset_cycle(group, n, gamma=gamma, allow_full=full)
-                if cyc is not None:
-                    witnesses.add(cyc)
+            cycles = [find_coset_cycle(group, n, gamma=gamma, allow_full=full)
+                      for gamma, full in _gamma_filters(len(group.colors))]
+            cycles += [unpruned_coset_cycle(group, n, alphas=alphas)
+                       for alphas in _listed_families(len(group.colors))]
+            witnesses.update(cyc for cyc in cycles if cyc is not None)
         found += len(witnesses)
 
         def validate(entries):
