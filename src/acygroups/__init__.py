@@ -71,7 +71,6 @@ from .groups import (
     homomorphism,
     is_compatible,
     is_group_symmetry,
-    subgroup,
     sym,
 )
 from .serialize import TOOL_VERSION as __version__

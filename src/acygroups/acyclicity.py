@@ -441,13 +441,11 @@ def _extend(w, m):
     return False
 
 
-def is_two_acyclic(group):
-    """Intersection criterion: G[a] meet G[b] = G[a & b] for proper a, b."""
-    n_colors = len(group.colors)
-    subs = {a: set(group.subgroup_elements(a)) for a in proper_subsets(n_colors)}
-    for a1 in subs:
-        for a2 in subs:
-            if subs[a1] & subs[a2] != set(group.subgroup_elements(a1 & a2)):
-                return False
-    return True
+def is_two_acyclic(group, alpha):
+    """Intersection criterion for the subgroup G[alpha], read from the
+    group's own subgroup tables: G[a] meet G[b] = G[a & b] for proper
+    subsets a, b of alpha."""
+    alpha = frozenset(alpha)
+    subs = {a: set(group.subgroup_elements(a)) for a in all_subsets(len(group.colors)) if a < alpha}
+    return all(subs[a1] & subs[a2] == subs[a1 & a2] for a1, a2 in combinations(subs, 2))
 

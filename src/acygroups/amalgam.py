@@ -8,14 +8,15 @@ quotients of tagged copies; class representatives are the minimal
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .acyclicity import is_two_acyclic
 from .egraph import NO_EDGE, EGraph
 from .errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
-from .groups import subgroup
 from .traverse import UnionFind
 
 
-class Amalgam:
+class Amalgam(NamedTuple):
     """Quotient of tagged subgroup-Cayley-graph copies.
 
     provenance[v] is the frozen set of (constituent index, parent group
@@ -23,18 +24,12 @@ class Amalgam:
     the canonical homomorphism sends constituent i's identity to.
     """
 
-    __slots__ = ("graph", "group", "constituents", "provenance", "anchors", "kind")
-
-    def __init__(self, graph, group, constituents, provenance, anchors, kind):
-        self.graph = graph
-        self.group = group
-        self.constituents = constituents
-        self.provenance = provenance
-        self.anchors = anchors
-        self.kind = kind
-
-    def __repr__(self):
-        return f"Amalgam({self.kind}, {self.graph.n} vertices, {len(self.constituents)} constituents)"
+    graph: EGraph
+    group: object
+    constituents: tuple
+    provenance: tuple
+    anchors: tuple
+    kind: str
 
 
 def quotient_graph(names, colors, edges):
@@ -118,13 +113,13 @@ def amalgam_chain(group, items):
 def amalgam_cluster(group, alphas):
     """Simultaneous amalgam identifying equal elements of pairwise overlaps.
 
-    Every constituent subgroup must be 2-acyclic (verified); the one-step
-    identification relation is then provably transitive, which is reasserted
-    on the built quotient.
+    Every constituent subgroup must be 2-acyclic (verified on the group's
+    own subgroup tables); the one-step identification relation is then
+    provably transitive, which is reasserted on the built quotient.
     """
     alphas = [frozenset(a) for a in alphas]
     for a in alphas:
-        if not is_two_acyclic(subgroup(group, a)):
+        if not is_two_acyclic(group, a):
             raise PreconditionFailed(
                 f"cluster constituent {sorted(group.colors[i] for i in a)} is not 2-acyclic"
             )

@@ -1,4 +1,4 @@
-"""Canonical labelling and isomorphism for edge-coloured matching graphs.
+"""Canonical codes and isomorphism types of edge-coloured matching graphs.
 
 Because every colour class has degree <= 1, a breadth-first traversal from a
 fixed start vertex visits a connected graph deterministically: each (vertex,
@@ -28,7 +28,7 @@ def connected_components(g, colors=None):
 
 
 def _traversal_code(g, start, members, bound=None):
-    """Deterministic BFS code from start, as a list, and the discovery order.
+    """Deterministic BFS code from start, as a list.
 
     Given ``bound``, the code of another start in the same component, it
     returns None as soon as its code cannot be less.  Codes of one component
@@ -63,24 +63,20 @@ def _traversal_code(g, start, members, bound=None):
         return None
     if len(order) != len(members):
         raise ValueError("members must be one connected component containing start")
-    return code, order
+    return code
 
 
 def canonical_component(g, members):
-    """(code, labelling) for one connected component; labelling maps old->canonical.
-
-    The code is the least traversal code over all starts, the first such
-    start gives the labelling, and a start is dropped at its first entry
-    above the least code so far.
-    """
+    """The code of one connected component: its size and the least
+    traversal code over all starts, a start dropped at its first entry
+    above the least code so far."""
     starts = iter(members)
-    best, best_order = _traversal_code(g, next(starts), members)
+    best = _traversal_code(g, next(starts), members)
     for start in starts:
         found = _traversal_code(g, start, members, best)
         if found is not None:
-            best, best_order = found
-    labelling = {v: i for i, v in enumerate(best_order)}
-    return (len(members), *best), labelling
+            best = found
+    return (len(members), *best)
 
 
 def canonical_form(g):
@@ -90,6 +86,6 @@ def canonical_form(g):
     the form).
     """
     comps = connected_components(g)
-    codes = sorted(canonical_component(g, comp)[0] for comp in comps)
+    codes = sorted(canonical_component(g, comp) for comp in comps)
     return (g.colors, g.n, tuple(codes))
 

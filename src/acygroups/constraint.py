@@ -30,7 +30,7 @@ from .errors import (
     UnknownName,
 )
 from .groups import is_compatible
-from .traverse import Cosets, UnionFind, bfs_parents, propagate
+from .traverse import Cosets, UnionFind, bfs_parents
 
 
 class Skeleton(NamedTuple):
@@ -359,37 +359,31 @@ class SmallCosetAmalgam(NamedTuple):
     copies: tuple  # (alpha', host component tuple, vertex tuple) per constituent
 
 
-def small_coset_amalgam(skel, group, alpha):
+def small_coset_amalgam(skel, group):
     """Free extension of a skeleton by proper-subset Cayley-graph copies.
 
     A copy of the alpha'-subgroup Cayley graph is attached at every host
-    vertex for every proper alpha'; copies are glued where a shared host
-    vertex forces equal group elements, shifted through the common subgroup.
+    vertex for every alpha' properly inside alpha = skel.alpha; copies are
+    glued where a shared host vertex forces equal group elements, shifted
+    through the common subgroup.  From v, a host vertex u of its
+    alpha'-component sits at elements[v]^-1 * elements[u]: the skeleton's
+    elements are read once they are checked to follow the host's edges
+    (PreconditionFailed otherwise, and for a skeleton without elements).
     The one-step relation is provably transitive under the preconditions
     (proper subgroups 2-acyclic and free over the template, host components
     isomorphic to embedded skeletons).  They are not checked here:
     transitivity is recomputed and checked instead, and the result is
     validated as a strict graph and as a free extension of the host.
     """
-    alpha = frozenset(alpha)
-    host = skel.graph
+    alpha, host, elements = skel.alpha, skel.graph, skel.elements
+    if elements is None or any(
+        group.gen_action[c][elements[u]] != elements[w] for c, u, w in host.all_edges()
+    ):
+        raise PreconditionFailed("skeleton elements do not follow the host's edges")
     gammas = [a for a in all_subsets(len(group.colors)) if a < alpha]
-
-    # addresses: within each alpha'-component of the host, relative group
-    # elements between vertices, which must be consistent
-    addr = {}  # (alpha', anchor vertex) -> {vertex: element}
-    comp_of = {}  # (alpha', vertex) -> component tuple
-    for a in gammas:
-        for comp in connected_components(host, a):
-            maps = _component_addresses(host, comp, a, group)
-            if maps is None:
-                raise PreconditionFailed(
-                    "host component carries inconsistent walk addresses"
-                )
-            for v in comp:
-                comp_of[(a, v)] = comp
-            for v in comp:
-                addr[(a, v)] = {u: group.product(group.inverse(maps[v]), maps[u]) for u in comp}
+    comps = {a: connected_components(host, a) for a in gammas}
+    comp_of = {(a, v): comp for a in gammas for comp in comps[a] for v in comp}
+    inverses = [group.inverse(g) for g in elements]
 
     tags = [(v, a) for v in range(host.n) for a in gammas]
     sub_elems = {a: group.subgroup_elements(a) for a in gammas}
@@ -409,8 +403,8 @@ def small_coset_amalgam(skel, group, alpha):
                 continue
             a0 = a1 & a2
             for u in shared:
-                x1 = addr[(a1, v1)][u]
-                x2 = addr[(a2, v2)][u]
+                x1 = group.product(inverses[v1], elements[u])
+                x2 = group.product(inverses[v2], elements[u])
                 for h in sub_elems[a0]:
                     g1 = group.product(x1, h)
                     g2 = group.product(x2, h)
@@ -442,22 +436,16 @@ def small_coset_amalgam(skel, group, alpha):
         provenance.append(tuple(sorted(prov, key=lambda t: (t[0], t[1], sorted(t[2])))))
 
     copies = []
-    for a in gammas:
-        for comp in connected_components(host, a):
+    for a, host_comps in comps.items():
+        for comp in host_comps:
             vs = tuple(sorted({vert_of[index[g, comp[0], a]] for g in sub_elems[a]}))
-            copies.append((a, tuple(comp), vs))
+            copies.append((a, comp, vs))
 
     ce = SmallCosetAmalgam(
         graph, skel, group, alpha, tuple(provenance), host_image, tuple(copies)
     )
-    _validate_free_extension(ce, gammas)
+    _validate_free_extension(ce, comps)
     return ce
-
-
-def _component_addresses(host, comp, alpha_sub, group):
-    """Element addresses inside one host component, or None if inconsistent."""
-    rows = [(c, host.partner[c]) for c in sorted(alpha_sub)]
-    return propagate(host.n, rows, [(comp[0], 0)], lambda c, g: group.gen_action[c][g])
 
 
 def _assert_sim_transitive(class_list, sim_pairs, n_host):
@@ -473,9 +461,10 @@ def _assert_sim_transitive(class_list, sim_pairs, n_host):
                     )
 
 
-def _validate_free_extension(ce, gammas):
+def _validate_free_extension(ce, comps):
+    """comps maps each proper subset alpha' to the alpha'-components of the
+    host."""
     graph = ce.graph
-    host = ce.skeleton.graph
     # (i) the host is a weak subgraph via host_image (edges were installed)
     # (ii) every alpha'-component of the host sits inside a full copy
     for a, comp, vs in ce.copies:
@@ -483,19 +472,15 @@ def _validate_free_extension(ce, gammas):
             raise StrictnessViolation("host component escapes its copy")
         if len(vs) != len(ce.group.subgroup_elements(a)):
             raise StrictnessViolation("copy collapsed; extension is not free")
-    # (iii) disjoint host components extend into disjoint extension components
-    for a in gammas:
-        comp_sets = [set(c) for c in connected_components(host, a)]
-        ext = {}
-        for k, vs in enumerate(connected_components(graph, a)):
-            for v in vs:
-                ext[v] = k
-        for i, c1 in enumerate(comp_sets):
-            for c2 in comp_sets[i + 1 :]:
-                e1 = {ext[ce.host_image[u]] for u in c1}
-                e2 = {ext[ce.host_image[u]] for u in c2}
-                if e1 & e2:
+    # (iii) disjoint host components extend into disjoint extension
+    # components: each extension component holds the images of one host
+    # component at most
+    for a, host_comps in comps.items():
+        ext = Cosets(graph.n, [graph.partner[c] for c in sorted(a)])
+        owner = {}
+        for k, comp in enumerate(host_comps):
+            for u in comp:
+                if owner.setdefault(ext.find(ce.host_image[u]), k) != k:
                     raise StrictnessViolation(
                         "disjoint host components merged in the extension"
                     )
-

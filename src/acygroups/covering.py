@@ -134,17 +134,11 @@ def intersection_graph(hg):
     return new_egraph([f"h{i}" for i in range(len(hg.hyperedges))], colors, edges)
 
 
-def _hyperedge_pair(template, c):
-    """The hyperedge indices (i, j), i < j, of colour c of an intersection
-    graph: the ends of its one edge."""
-    return template.edges(c)[0]
-
-
 def _vertex_colour_sets(hg, template):
     """Per base vertex: the template colours of hyperedge pairs sharing it."""
     out = [set() for _ in range(hg.n)]
     for c in range(len(template.colors)):
-        i, j = _hyperedge_pair(template, c)
+        i, j = template.edges(c)[0]  # colour c's one edge: hyperedges i < j
         for v in hg.hyperedges[i] & hg.hyperedges[j]:
             out[v].add(c)
     return out
@@ -175,7 +169,7 @@ def hypergraph_cover(hg, group):
     base = list(accumulate((len(he) * ng for he in hes), initial=0))
     uf = UnionFind(base[-1])
     for c, grow in enumerate(group.gen_action):
-        i, j = _hyperedge_pair(template, c)
+        i, j = template.edges(c)[0]  # colour c's one edge: hyperedges i < j
         for v in hg.hyperedges[i] & hg.hyperedges[j]:
             a = base[i] + hes[i].index(v) * ng
             b = base[j] + hes[j].index(v) * ng
@@ -474,57 +468,3 @@ def check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):
     if cycle:
         return False, AcyclicityWitness("chordless_cycle", cycle)
     return True, None
-
-
-def _copy_members(cov):
-    out = {}
-    for copy, tag in zip(cov.provenance["copies"], cov.provenance["copy_tags"]):
-        out[tag] = frozenset(copy)
-    return out
-
-
-def translate_chordless_cycle(cov, cycle):
-    """Template coset cycle induced by a chordless cycle of the cover.
-
-    For consecutive cover vertices a shared hyperedge copy is chosen; the
-    cycle of the copies' tags, with the subsets of the pivot vertices,
-    validates as a template coset cycle in the covering group.
-    """
-    copies = _copy_members(cov)
-    n = len(cycle)
-    chosen = []
-    for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
-        cands = sorted(tag for tag, mem in copies.items() if a in mem and b in mem)
-        if not cands:
-            raise PreconditionFailed("not a Gaifman cycle: consecutive pair unshared")
-        chosen.append(cands[0])
-    vcolors = _vertex_colour_sets(cov.base, cov.template)
-    entries = []
-    for i in range(n):
-        s_i, g_i = chosen[i - 1]  # the copy shared by the i-1 and i vertices
-        alpha_i = frozenset(vcolors[cov.projection[cycle[i]]])
-        entries.append((alpha_i, s_i, g_i))
-    return tuple(entries)
-
-
-def translate_nonconformal_clique(cov, clique):
-    """Template coset cycle induced by a minimal non-conformal clique."""
-    copies = _copy_members(cov)
-    m = sorted(clique)
-    n = len(m)
-    chosen = []
-    for i in range(n):
-        rest = frozenset(x for j, x in enumerate(m) if j != (i - 1) % n)
-        cands = sorted(tag for tag, mem in copies.items() if rest <= mem)
-        if not cands:
-            raise PreconditionFailed("clique is not a minimal conformality violation")
-        chosen.append(cands[0])
-    vcolors = _vertex_colour_sets(cov.base, cov.template)
-    alphas = [frozenset(vcolors[cov.projection[x]]) for x in m]
-    entries = []
-    for i in range(n):
-        beta_i = frozenset.intersection(*[alphas[j] for j in range(n) if j != (i - 1) % n])
-        s_i, g_i = chosen[i]
-        entries.append((beta_i, s_i, g_i))
-    return tuple(entries)

@@ -18,7 +18,7 @@ from .canon import connected_components
 from .egraph import EGraph, disjoint_union, hypercube, trivial_completion
 from .errors import DegenerateGenerators, PreconditionFailed, ResourceCap, UnknownName
 from .permgroup import group_order
-from .traverse import Cosets, bfs_parents, close, propagate
+from .traverse import Cosets, close, propagate
 
 
 def _positive(text):
@@ -293,18 +293,6 @@ def cayley_graph(group):
     names = [str(i) for i in range(group.order)]
     # the generator tables are involutions, hence already partner rows
     return EGraph(names, group.colors, group.gen_action)
-
-
-def subgroup(group, alpha):
-    """Generated subgroup as its own EGroup, its elements numbered in the
-    ascending order of their indices in the parent."""
-    alpha = sorted(set(alpha))
-    elements = group.subgroup_elements(alpha)  # sorted, so identity is index 0
-    local = {g: i for i, g in enumerate(elements)}
-    action = [[local[group.gen_action[c][g]] for g in elements] for c in alpha]
-    _, parents = bfs_parents(action, len(elements), [0])
-    colors = tuple(group.colors[c] for c in alpha)
-    return EGroup(colors, action, parents)
 
 
 def graph_generator_perms(h):

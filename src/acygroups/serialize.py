@@ -32,15 +32,21 @@ def digest(doc):
     return hashlib.sha256(canonical_bytes(doc)).hexdigest()
 
 
+def _at(pointer, *keys):
+    """The JSON pointer (RFC 6901) to keys below pointer: array members are
+    indices, and each name escapes ~ as ~0 and / as ~1."""
+    return pointer + "".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in keys)
+
+
 def _need(doc, key, types, pointer):
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", pointer)
     if key not in doc:
-        raise SchemaError(f"missing key {key!r}", f"{pointer}/{key}")
+        raise SchemaError(f"missing key {key!r}", _at(pointer, key))
     val = doc[key]
     # JSON true and false are not integers, though Python's bool is an int
     if types is not None and (not isinstance(val, types) or isinstance(val, bool)):
-        raise SchemaError(f"wrong type for {key!r}", f"{pointer}/{key}")
+        raise SchemaError(f"wrong type for {key!r}", _at(pointer, key))
     return val
 
 
@@ -49,7 +55,7 @@ def _indices(doc, key, low, high, pointer):
     row = _need(doc, key, list, pointer)
     for i, x in enumerate(row):
         if not (type(x) is int and low <= x < high):
-            raise SchemaError(f"entry out of range {low}..{high - 1}", f"{pointer}/{key}/{i}")
+            raise SchemaError(f"entry out of range {low}..{high - 1}", _at(pointer, key, i))
     return row
 
 
@@ -59,9 +65,9 @@ def _names(doc, key, pointer):
     seen = set()
     for i, x in enumerate(row):
         if not isinstance(x, str):
-            raise SchemaError("a name must be a string", f"{pointer}/{key}/{i}")
+            raise SchemaError("a name must be a string", _at(pointer, key, i))
         if x in seen:
-            raise SchemaError(f"duplicate name {x!r}", f"{pointer}/{key}/{i}")
+            raise SchemaError(f"duplicate name {x!r}", _at(pointer, key, i))
         seen.add(x)
     return row
 
@@ -77,7 +83,7 @@ def _keyed(doc, key, names, what, pointer):
     """doc[key]: an object whose keys are all among names."""
     obj = _need(doc, key, dict, pointer)
     for k in obj:
-        _known(k, names, what, f"{pointer}/{key}/{k}")
+        _known(k, names, what, _at(pointer, key, k))
     return obj
 
 
@@ -99,10 +105,10 @@ def egraph_from_json(doc, pointer=""):
     known_c = set(colors)
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 3):
-            raise SchemaError("edge must be [color,u,v]", f"{pointer}/edges/{i}")
-        _known(e[0], known_c, "colour", f"{pointer}/edges/{i}/0")
-        _known(e[1], known_v, "vertex", f"{pointer}/edges/{i}/u")
-        _known(e[2], known_v, "vertex", f"{pointer}/edges/{i}/v")
+            raise SchemaError("edge must be [color,u,v]", _at(pointer, "edges", i))
+        _known(e[0], known_c, "colour", _at(pointer, "edges", i, 0))
+        _known(e[1], known_v, "vertex", _at(pointer, "edges", i, 1))
+        _known(e[2], known_v, "vertex", _at(pointer, "edges", i, 2))
     return new_egraph(vertices, colors, [tuple(e) for e in edges])
 
 
@@ -119,21 +125,21 @@ def egroup_from_json(doc, pointer=""):
     colors = _names(doc, "colors", pointer)
     order = _need(doc, "order", int, pointer)
     if order < 1:
-        raise SchemaError("a group has at least one element", f"{pointer}/order")
+        raise SchemaError("a group has at least one element", _at(pointer, "order"))
     action_doc = _keyed(doc, "action", colors, "colour", pointer)
     action = []
     for c in colors:
         if c not in action_doc:
-            raise SchemaError(f"missing action for colour {c!r}", f"{pointer}/action/{c}")
+            raise SchemaError(f"missing action for colour {c!r}", _at(pointer, "action", c))
         row = action_doc[c]
         if (not isinstance(row, list) or len(row) != order
                 or not all(type(x) is int for x in row) or sorted(row) != list(range(order))):
-            raise SchemaError("action row is not a permutation", f"{pointer}/action/{c}")
+            raise SchemaError("action row is not a permutation", _at(pointer, "action", c))
         action.append(row)
     # rebuild witness links by breadth-first closure from the identity
     reached, parents = bfs_parents(action, order, [0])
     if len(reached) != order:
-        raise SchemaError("action tables do not generate all elements", f"{pointer}/action")
+        raise SchemaError("action tables do not generate all elements", _at(pointer, "action"))
     return EGroup(colors, action, parents)
 
 
@@ -156,23 +162,23 @@ def pattern_to_json(pattern):
 def pattern_from_json(doc, pointer=""):
     sites = _names(doc, "sites", pointer)
     edges_doc = _need(doc, "edges", list, pointer)
-    ids = [_need(e, "id", str, f"{pointer}/edges/{i}") for i, e in enumerate(edges_doc)]
+    ids = [_need(e, "id", str, _at(pointer, "edges", i)) for i, e in enumerate(edges_doc)]
     sidx, eidx = {s: i for i, s in enumerate(sites)}, {}
     for i, eid in enumerate(ids):
         if eidx.setdefault(eid, i) != i:
-            raise SchemaError("duplicate edge ids", f"{pointer}/edges/{i}/id")
+            raise SchemaError("duplicate edge ids", _at(pointer, "edges", i, "id"))
     edges = []
     for i, (eid, e) in enumerate(zip(ids, edges_doc)):
-        p = f"{pointer}/edges/{i}"
-        edges.append((eid, _known(_need(e, "src", str, p), sidx, "site", f"{p}/src"),
-                      _known(_need(e, "tgt", str, p), sidx, "site", f"{p}/tgt"),
-                      _known(_need(e, "inv", str, p), eidx, "edge", f"{p}/inv")))
+        p = _at(pointer, "edges", i)
+        edges.append((eid, _known(_need(e, "src", str, p), sidx, "site", _at(p, "src")),
+                      _known(_need(e, "tgt", str, p), sidx, "site", _at(p, "tgt")),
+                      _known(_need(e, "inv", str, p), eidx, "edge", _at(p, "inv"))))
     fault = pattern_fault(len(sites), [sidx[e[1]] for e in edges], [sidx[e[2]] for e in edges],
                           [eidx[e[3]] for e in edges])
     if fault is not None:
         message, kind, i = fault
-        raise SchemaError(message, f"{pointer}/edges/{i}/inv" if kind == "edge"
-                          else f"{pointer}/sites/{i}")
+        raise SchemaError(message, _at(pointer, "edges", i, "inv") if kind == "edge"
+                          else _at(pointer, "sites", i))
     return ConstraintPattern(sites, edges)
 
 
@@ -191,14 +197,14 @@ def igraph_to_json(ig):
 
 
 def igraph_from_json(doc, pointer=""):
-    pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), f"{pointer}/pattern")
+    pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), _at(pointer, "pattern"))
     vertices = _names(doc, "vertices", pointer)
     site_names = _need(doc, "site_of", list, pointer)
     if len(site_names) != len(vertices):
-        raise SchemaError("one site per vertex expected", f"{pointer}/site_of")
+        raise SchemaError("one site per vertex expected", _at(pointer, "site_of"))
     vidx = {v: i for i, v in enumerate(vertices)}
     sidx = {s: i for i, s in enumerate(pattern.sites)}
-    site_of = [sidx[_known(s, sidx, "site", f"{pointer}/site_of/{i}")]
+    site_of = [sidx[_known(s, sidx, "site", _at(pointer, "site_of", i))]
                for i, s in enumerate(site_names)]
     edges_doc = _keyed(doc, "edges", pattern.edge_ids, "edge", pointer)
     edges = []
@@ -206,14 +212,14 @@ def igraph_from_json(doc, pointer=""):
         eid = pattern.edge_ids[e]
         rows = edges_doc.get(eid, [])
         if not isinstance(rows, list):
-            raise SchemaError("an edge class must be a list", f"{pointer}/edges/{eid}")
+            raise SchemaError("an edge class must be a list", _at(pointer, "edges", eid))
         pairs = []
         for i, pair in enumerate(rows):
-            p = f"{pointer}/edges/{eid}/{i}"
+            p = _at(pointer, "edges", eid, i)
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SchemaError("edge must be [u,v]", p)
-            pairs.append((vidx[_known(pair[0], vidx, "vertex", f"{p}/0")],
-                          vidx[_known(pair[1], vidx, "vertex", f"{p}/1")]))
+            pairs.append((vidx[_known(pair[0], vidx, "vertex", _at(p, 0))],
+                          vidx[_known(pair[1], vidx, "vertex", _at(p, 1))]))
         edges.append(pairs)
     return IGraph(pattern, vertices, site_of, edges)
 
@@ -241,36 +247,36 @@ def igroupoid_to_json(gpd):
 
 
 def igroupoid_from_json(doc, pointer=""):
-    pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), f"{pointer}/pattern")
+    pattern = pattern_from_json(_need(doc, "pattern", dict, pointer), _at(pointer, "pattern"))
     order = _need(doc, "order", int, pointer)
     sorts_doc = _need(doc, "sorts", list, pointer)
     if len(sorts_doc) != order:
-        raise SchemaError("one sort per element expected", f"{pointer}/sorts")
+        raise SchemaError("one sort per element expected", _at(pointer, "sorts"))
     sorts = []
     for i, st in enumerate(sorts_doc):
         if not (isinstance(st, list) and len(st) == 2 and all(s in pattern.sites for s in st)):
-            raise SchemaError("sort must be [site,site]", f"{pointer}/sorts/{i}")
+            raise SchemaError("sort must be [site,site]", _at(pointer, "sorts", i))
         sorts.append(tuple(pattern.sites.index(s) for s in st))
     neutral = _indices(doc, "neutrals", 0, order, pointer)
     if len(neutral) != pattern.n_sites:
-        raise SchemaError("one neutral element per site expected", f"{pointer}/neutrals")
+        raise SchemaError("one neutral element per site expected", _at(pointer, "neutrals"))
     gen_doc = _keyed(doc, "generators", pattern.edge_ids, "edge", pointer)
     rmul_doc = _keyed(doc, "rmul", pattern.edge_ids, "edge", pointer)
     rmul = []
     gen_elem = []
     for e in range(pattern.n_edges):
         eid = pattern.edge_ids[e]
-        row = _indices(rmul_doc, eid, NO_EDGE, order, f"{pointer}/rmul")
+        row = _indices(rmul_doc, eid, NO_EDGE, order, _at(pointer, "rmul"))
         if len(row) != order:
-            raise SchemaError("rmul row has wrong length", f"{pointer}/rmul/{eid}")
+            raise SchemaError("rmul row has wrong length", _at(pointer, "rmul", eid))
         rmul.append(row)
-        gen = _need(gen_doc, eid, int, f"{pointer}/generators")
+        gen = _need(gen_doc, eid, int, _at(pointer, "generators"))
         if not 0 <= gen < order:
-            raise SchemaError("generator out of range", f"{pointer}/generators/{eid}")
+            raise SchemaError("generator out of range", _at(pointer, "generators", eid))
         gen_elem.append(gen)
     reached, parents = bfs_parents(rmul, order, neutral)
     if len(reached) != order:
-        raise SchemaError("tables do not generate all elements", f"{pointer}/rmul")
+        raise SchemaError("tables do not generate all elements", _at(pointer, "rmul"))
     return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents)
 
 
@@ -293,14 +299,14 @@ def hypergraph_from_json(doc, pointer=""):
     index_sets = []
     for i, he in enumerate(hyperedges):
         if not isinstance(he, list):
-            raise SchemaError("a hyperedge must be a list", f"{pointer}/hyperedges/{i}")
+            raise SchemaError("a hyperedge must be a list", _at(pointer, "hyperedges", i))
         if not he:
-            raise SchemaError("a hyperedge must be nonempty", f"{pointer}/hyperedges/{i}")
+            raise SchemaError("a hyperedge must be nonempty", _at(pointer, "hyperedges", i))
         try:
             index_sets.append(frozenset(map(vidx.__getitem__, he)))
         except (KeyError, TypeError):
             for j, v in enumerate(he):
-                _known(v, vidx, "vertex", f"{pointer}/hyperedges/{i}/{j}")
+                _known(v, vidx, "vertex", _at(pointer, "hyperedges", i, j))
             raise
     return Hypergraph.from_index_sets(vertices, index_sets)
 
@@ -321,9 +327,9 @@ def graph_from_json(doc, pointer=""):
     out = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
-            raise SchemaError("edge must be [u,v]", f"{pointer}/edges/{i}")
-        out.append((_known(e[0], known, "vertex", f"{pointer}/edges/{i}/u"),
-                     _known(e[1], known, "vertex", f"{pointer}/edges/{i}/v")))
+            raise SchemaError("edge must be [u,v]", _at(pointer, "edges", i))
+        out.append((_known(e[0], known, "vertex", _at(pointer, "edges", i, 0)),
+                     _known(e[1], known, "vertex", _at(pointer, "edges", i, 1))))
     return out
 
 
@@ -354,11 +360,11 @@ def covering_from_json(doc, pointer=""):
     graph."""
     kind = _need(doc, "kind", str, pointer)
     if kind not in ("graph", "hypergraph"):
-        raise SchemaError(f"unknown covering kind {kind!r}", f"{pointer}/kind")
+        raise SchemaError(f"unknown covering kind {kind!r}", _at(pointer, "kind"))
     inner = _need(doc, "cover", dict, pointer)
     if kind == "hypergraph":
-        return hypergraph_from_json(inner, f"{pointer}/cover")
-    return egraph_from_json(inner, f"{pointer}/cover")
+        return hypergraph_from_json(inner, _at(pointer, "cover"))
+    return egraph_from_json(inner, _at(pointer, "cover"))
 
 
 def cycle_to_json(group, entries):
@@ -381,18 +387,18 @@ def cycle_from_json(doc, group, pointer="", n_sites=None):
     colors = {c: i for i, c in enumerate(group.colors)}
     out = []
     for i, e in enumerate(entries):
-        p = f"{pointer}/entries/{i}"
-        alpha = frozenset(colors[_known(c, colors, "colour", f"{p}/alpha/{j}")]
+        p = _at(pointer, "entries", i)
+        alpha = frozenset(colors[_known(c, colors, "colour", _at(p, "alpha", j))]
                           for j, c in enumerate(_need(e, "alpha", list, p)))
         g = _need(e, "g", int, p)
         if not 0 <= g < group.order:
-            raise SchemaError(f"element out of range 0..{group.order - 1}", f"{p}/g")
+            raise SchemaError(f"element out of range 0..{group.order - 1}", _at(p, "g"))
         if n_sites is None:
             out.append((alpha, g))
             continue
         s = _need(e, "site", int, p)
         if not 0 <= s < n_sites:
-            raise SchemaError(f"site out of range 0..{n_sites - 1}", f"{p}/site")
+            raise SchemaError(f"site out of range 0..{n_sites - 1}", _at(p, "site"))
         out.append((alpha, s, g))
     return out
 

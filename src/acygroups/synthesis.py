@@ -185,7 +185,7 @@ def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
         ctx = ctx or IContext(group, igraph)
         for made, (a, s) in enumerate(product(gamma, range(igraph.n))):
             _check_deadline(deadline, f"stage graph timed out after {made} extensions")
-            keep("extension", small_coset_amalgam(ctx.skeleton(a, s), group, a).graph)
+            keep("extension", small_coset_amalgam(ctx.skeleton(a, s), group).graph)
     return components, inventory
 
 

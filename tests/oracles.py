@@ -61,8 +61,12 @@ for each edge, one plus the distance between its ends without it.
 ``reference_canonical_component`` builds the full traversal code from
 every start of a component before it compares them, as
 ``canon.canonical_component`` did before it dropped a start at its first
-entry above the least code so far; both must give the same code and the
-same labelling.
+entry above the least code so far; both must give the same code.  Its
+labelling is what ``find_isomorphism`` maps vertices by.
+
+``subgroup`` builds a generated subgroup as an ``EGroup`` of its own, with
+its own tables: ``acyclicity.is_two_acyclic(group, alpha)``, which reads
+the parent's tables, must agree with it taken over all its colours.
 
 ``reference_close`` is the closure that walks the states first and then
 recomputes every image in a second pass to build its tables;
@@ -98,10 +102,10 @@ from acygroups.covering import (
     intersection_graph,
 )
 from acygroups.amalgam import amalgam_chain, amalgam_cluster
-from acygroups.canon import canonical_component, canonical_form, connected_components
+from acygroups.canon import canonical_form, connected_components
 from acygroups.egraph import EGraph, new_egraph
 from acygroups.errors import CompatibilityRequired, IncompleteGraph, ResourceCap
-from acygroups.groups import graph_generator_perms, is_compatible
+from acygroups.groups import EGroup, graph_generator_perms, is_compatible
 from acygroups.traverse import NO_EDGE, UnionFind, bfs_parents
 
 from conftest import rename
@@ -921,6 +925,18 @@ def reference_canonical_component(g, members):
     return best
 
 
+def subgroup(group, alpha):
+    """Generated subgroup as its own EGroup, its elements numbered in the
+    ascending order of their indices in the parent."""
+    alpha = sorted(set(alpha))
+    elements = group.subgroup_elements(alpha)  # sorted, so identity is index 0
+    local = {g: i for i, g in enumerate(elements)}
+    action = [[local[group.gen_action[c][g]] for g in elements] for c in alpha]
+    _, parents = bfs_parents(action, len(elements), [0])
+    colors = tuple(group.colors[c] for c in alpha)
+    return EGroup(colors, action, parents)
+
+
 def walk_target(g, v, word):
     """Endpoint of the walk labelled by word from v; needs a complete graph."""
     if not g.complete:
@@ -962,8 +978,8 @@ def find_isomorphism(g1, g2):
     comps2 = connected_components(g2)
     if sorted(map(len, comps1)) != sorted(map(len, comps2)):
         return None
-    coded1 = sorted((canonical_component(g1, c) for c in comps1), key=lambda t: t[0])
-    coded2 = sorted((canonical_component(g2, c) for c in comps2), key=lambda t: t[0])
+    coded1 = sorted((reference_canonical_component(g1, c) for c in comps1), key=lambda t: t[0])
+    coded2 = sorted((reference_canonical_component(g2, c) for c in comps2), key=lambda t: t[0])
     mapping = [None] * g1.n
     for (code1, lab1), (code2, lab2) in zip(coded1, coded2):
         if code1 != code2:

@@ -4,8 +4,9 @@ library's outputs.
 No pipeline runs these: each restates a definition (minimal supports,
 embeddings of amalgams into the Cayley graph, the cluster property,
 skeletons, the preconditions and the cluster property of small coset
-amalgams) as directly as it can, so that a test can hold a construction
-of the library against it.
+amalgams, the template coset cycles that a cover's witnesses induce) as
+directly as it can, so that a test can hold a construction of the library
+against it.
 """
 
 from itertools import combinations
@@ -15,8 +16,8 @@ from acygroups.acyclicity import all_subsets, find_coset_cycle, is_two_acyclic, 
 from acygroups.amalgam import amalgam_chain, amalgam_cluster
 from acygroups.canon import canonical_form, connected_components
 from acygroups.constraint import Skeleton, is_free_over
+from acygroups.covering import _vertex_colour_sets
 from acygroups.errors import PreconditionFailed, StrictnessViolation
-from acygroups.groups import subgroup
 from acygroups.traverse import NO_EDGE, bfs_parents, propagate
 
 from conftest import coset_graph
@@ -28,7 +29,7 @@ def minimal_support(group, g, assume_two_acyclic=False):
 
     Needs 2-acyclicity, which is checked unless it is assumed.
     """
-    if not assume_two_acyclic and not is_two_acyclic(group):
+    if not assume_two_acyclic and not is_two_acyclic(group, range(len(group.colors))):
         raise PreconditionFailed("group is not 2-acyclic")
     n_colors = len(group.colors)
     inter = frozenset(range(n_colors))
@@ -167,7 +168,7 @@ def has_cluster_property(group, max_constituents=3):
     """
     n_colors = len(group.colors)
     for a in proper_subsets(n_colors):
-        if not is_two_acyclic(subgroup(group, a)):
+        if not is_two_acyclic(group, a):
             raise PreconditionFailed(
                 f"subgroup for {sorted(group.colors[i] for i in a)} is not 2-acyclic"
             )
@@ -252,7 +253,7 @@ def small_coset_preconditions_hold(skel, group, alpha, igraph, ctx):
     over the template on those subsets, and every proper-subset component
     of the host is isomorphic to the embedded skeleton at its site."""
     gammas = [a for a in all_subsets(len(group.colors)) if a < frozenset(alpha)]
-    if not all(is_two_acyclic(subgroup(group, sorted(a))) for a in gammas):
+    if not all(is_two_acyclic(group, a) for a in gammas):
         return False
     if not is_free_over(group, igraph, alphas=gammas, ctx=ctx):
         return False
@@ -332,3 +333,57 @@ def ce_cluster_property(ce, group):
             if canonical_form(predicted) != canonical_form(actual):
                 return False
     return True
+
+
+def _copy_members(cov):
+    out = {}
+    for copy, tag in zip(cov.provenance["copies"], cov.provenance["copy_tags"]):
+        out[tag] = frozenset(copy)
+    return out
+
+
+def translate_chordless_cycle(cov, cycle):
+    """Template coset cycle induced by a chordless cycle of the cover.
+
+    For consecutive cover vertices a shared hyperedge copy is chosen; the
+    cycle of the copies' tags, with the subsets of the pivot vertices,
+    validates as a template coset cycle in the covering group.
+    """
+    copies = _copy_members(cov)
+    n = len(cycle)
+    chosen = []
+    for i in range(n):
+        a, b = cycle[i], cycle[(i + 1) % n]
+        cands = sorted(tag for tag, mem in copies.items() if a in mem and b in mem)
+        if not cands:
+            raise PreconditionFailed("not a Gaifman cycle: consecutive pair unshared")
+        chosen.append(cands[0])
+    vcolors = _vertex_colour_sets(cov.base, cov.template)
+    entries = []
+    for i in range(n):
+        s_i, g_i = chosen[i - 1]  # the copy shared by the i-1 and i vertices
+        alpha_i = frozenset(vcolors[cov.projection[cycle[i]]])
+        entries.append((alpha_i, s_i, g_i))
+    return tuple(entries)
+
+
+def translate_nonconformal_clique(cov, clique):
+    """Template coset cycle induced by a minimal non-conformal clique."""
+    copies = _copy_members(cov)
+    m = sorted(clique)
+    n = len(m)
+    chosen = []
+    for i in range(n):
+        rest = frozenset(x for j, x in enumerate(m) if j != (i - 1) % n)
+        cands = sorted(tag for tag, mem in copies.items() if rest <= mem)
+        if not cands:
+            raise PreconditionFailed("clique is not a minimal conformality violation")
+        chosen.append(cands[0])
+    vcolors = _vertex_colour_sets(cov.base, cov.template)
+    alphas = [frozenset(vcolors[cov.projection[x]]) for x in m]
+    entries = []
+    for i in range(n):
+        beta_i = frozenset.intersection(*[alphas[j] for j in range(n) if j != (i - 1) % n])
+        s_i, g_i = chosen[i]
+        entries.append((beta_i, s_i, g_i))
+    return tuple(entries)

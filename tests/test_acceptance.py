@@ -79,7 +79,7 @@ def test_criterion_02_two_acyclicity_characterisation():
     assert all(g.order <= 48 for g in groups.values())
     disagreements = []
     for name, group in groups.items():
-        via_intersections = is_two_acyclic(group)
+        via_intersections = is_two_acyclic(group, range(len(group.colors)))
         via_search = find_coset_cycle(group, 2) is None
         if via_intersections != via_search:
             disagreements.append(name)
@@ -146,7 +146,7 @@ def test_criterion_06_cluster_property():
     started = time.monotonic()
     failures = []
     for name, group in corpus().items():
-        if not is_two_acyclic(group):
+        if not is_two_acyclic(group, range(len(group.colors))):
             continue
         if not has_cluster_property(group, max_constituents=3):
             failures.append(name)

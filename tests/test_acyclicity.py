@@ -16,10 +16,10 @@ from acygroups.acyclicity import (
 from acygroups.covering import graph_cover, graph_template
 from acygroups.egraph import disjoint_union
 from acygroups.errors import PreconditionFailed, ResourceCap
-from acygroups.groups import cayley_graph, homomorphism, subgroup, sym
+from acygroups.groups import cayley_graph, homomorphism, sym
 
 from conftest import biggs_group, coset_graph, evaluate_word, hypercube_group, s3_three_generators
-from oracles import reference_all_subsets, reference_girth, unpruned_coset_cycle
+from oracles import reference_all_subsets, reference_girth, subgroup, unpruned_coset_cycle
 from paper_checks import coset_support, has_cluster_property, minimal_support
 
 
@@ -46,10 +46,10 @@ def test_girth_of_a_graph_cover_sweeps_every_vertex():
 
 
 def test_two_acyclicity_examples():
-    assert is_two_acyclic(hypercube_group(["a", "b"]))
-    assert is_two_acyclic(hypercube_group(["a", "b", "c"]))
-    assert is_two_acyclic(biggs_group(["a", "b"], 1))
-    assert not is_two_acyclic(s3_three_generators())
+    assert is_two_acyclic(hypercube_group(["a", "b"]), range(2))
+    assert is_two_acyclic(hypercube_group(["a", "b", "c"]), range(3))
+    assert is_two_acyclic(biggs_group(["a", "b"], 1), range(2))
+    assert not is_two_acyclic(s3_three_generators(), range(3))
 
 
 def test_s3_three_gen_subgroup_intersection():
@@ -87,12 +87,25 @@ def test_s3_three_gen_has_two_cycle():
     cyc = find_coset_cycle(g, 2)
     assert cyc is not None and len(cyc) == 2
     assert validate_coset_cycle(g, cyc)
-    assert is_two_acyclic(g) is False
+    assert is_two_acyclic(g, range(3)) is False
+
+
+def test_two_acyclicity_reads_the_subgroup_from_the_parent_tables(small_groups):
+    # the criterion on G[alpha], read from the parent's tables, is the
+    # criterion on G[alpha] built as a group of its own over all its colours
+    verdicts = []
+    for name, g in small_groups.items():
+        for alpha in all_subsets(len(g.colors)):
+            verdict = is_two_acyclic(g, alpha)
+            assert verdict == is_two_acyclic(subgroup(g, alpha), range(len(alpha))), \
+                (name, sorted(alpha))
+            verdicts.append(verdict)
+    assert len(verdicts) > 50 and not all(verdicts)
 
 
 def test_two_acyclicity_agrees_with_search(small_groups):
     for name, g in small_groups.items():
-        assert is_two_acyclic(g) == (find_coset_cycle(g, 2) is None), name
+        assert is_two_acyclic(g, range(len(g.colors))) == (find_coset_cycle(g, 2) is None), name
 
 
 def test_girth_equivalence_with_gamma_two(small_groups):
@@ -175,7 +188,7 @@ def test_cluster_property_precondition():
                    [("a", 0, 1), ("b", 1, 2), ("c", 0, 2), ("d", 3, 4)]),
         attach_hypercube=False,
     )
-    assert not is_two_acyclic(subgroup(g, [0, 1, 2]))
+    assert not is_two_acyclic(g, [0, 1, 2])
     with pytest.raises(PreconditionFailed):
         has_cluster_property(g)
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from acygroups.acyclicity import find_coset_cycle, is_two_acyclic, proper_subsets
@@ -11,9 +14,10 @@ from acygroups.constraint import (
     small_coset_amalgam,
     validate_i_coset_cycle,
 )
-from acygroups.egraph import disjoint_union, hypercube, new_egraph, trivial_completion
-from acygroups.errors import CompatibilityRequired, ResourceCap
+from acygroups.egraph import NO_EDGE, disjoint_union, hypercube, new_egraph, trivial_completion
+from acygroups.errors import CompatibilityRequired, PreconditionFailed, ResourceCap
 from acygroups.groups import cayley_graph, sym
+from acygroups.traverse import propagate
 
 from conftest import biggs_group, corpus, hypercube_group, trivial_constraint_graph
 from oracles import alpha_component, component_elements, find_isomorphism, walk_target
@@ -41,8 +45,9 @@ def compat_group(igraph):
 
 def extension(skel, group, alpha, igraph, ctx):
     """The small coset amalgam of a skeleton whose preconditions hold."""
+    assert skel.alpha == alpha
     assert small_coset_preconditions_hold(skel, group, alpha, igraph, ctx)
-    return small_coset_amalgam(skel, group, alpha)
+    return small_coset_amalgam(skel, group)
 
 
 def test_trivial_template_product_is_cayley_graph():
@@ -242,7 +247,6 @@ def naive_ce_classes(skel, group, alpha, igraph, ctx):
     one-step identification predicate pairwise."""
     from acygroups.acyclicity import all_subsets
     from acygroups.canon import connected_components
-    from acygroups.constraint import _component_addresses
 
     host = skel.graph
     gammas = [frozenset(a) for a in all_subsets(len(group.colors)) if frozenset(a) < alpha]
@@ -250,7 +254,9 @@ def naive_ce_classes(skel, group, alpha, igraph, ctx):
     addr = {}
     for a in gammas:
         for comp in connected_components(host, a):
-            maps = _component_addresses(host, comp, a, group)
+            # element addresses walked along the host's edges from comp[0]
+            rows = [(c, host.partner[c]) for c in sorted(a)]
+            maps = propagate(host.n, rows, [(comp[0], 0)], lambda c, g: group.gen_action[c][g])
             for v in comp:
                 comp_of[(a, v)] = comp
                 addr[(a, v)] = {
@@ -304,6 +310,51 @@ def test_small_coset_amalgam_against_pairwise_oracle():
     assert ce.graph.n == len(oracle)
 
 
+def _extension_record(ce):
+    """What an extension holds, with subsets as sorted lists."""
+    return [
+        [list(row) for row in ce.graph.partner],
+        list(ce.graph.vertex_names),
+        [[[g, v, sorted(a)] for g, v, a in prov] for prov in ce.provenance],
+        list(ce.host_image),
+        [[sorted(a), list(comp), list(vs)] for a, comp, vs in ce.copies],
+    ]
+
+
+def test_every_small_coset_amalgam_is_pinned():
+    # every proper alpha and every site of the templates above: the partner
+    # rows, names, provenance, host images and copies of all 55 extensions
+    tri = sym(new_egraph([0, 1, 2, 3, 4], ["a", "b", "c", "d"],
+                         [("a", 0, 1), ("b", 1, 2), ("c", 0, 2), ("d", 3, 4)]),
+              attach_hypercube=False)
+    h2 = hypercube_group(["a", "b"])
+    cases = [(compat_group(path_igraph(seq, seq)), path_igraph(seq, seq)) for seq in ("ab", "abc")]
+    cases += [(g, trivial_constraint_graph(g.colors)) for g in (h2, tri)]
+    digest, made = hashlib.sha256(), 0
+    for g, ig in cases:
+        ctx = IContext(g, ig)
+        for a in proper_subsets(len(g.colors)):
+            for s in range(ig.n):
+                ce = small_coset_amalgam(ctx.skeleton(a, s), g)
+                digest.update(json.dumps(_extension_record(ce)).encode())
+                made += 1
+    assert made == 55
+    assert digest.hexdigest() == "51e0360db9f214030e2dbca6cc9dd7fa4a449f3e0e12485af51dcbfa3215e147"
+
+
+def test_small_coset_amalgam_refuses_skeletons_whose_elements_do_not_follow_the_host():
+    ig = path_igraph("ab", "ab")
+    g = compat_group(ig)
+    skel = IContext(g, ig).skeleton(frozenset({0, 1}), 0)
+    u = next(v for v in range(skel.graph.n) if skel.graph.partner[0][v] != NO_EDGE)
+    broken = list(skel.elements)
+    broken[u] = g.gen_action[1][broken[u]]  # u moved off its a-edge
+    for bad in (skel._replace(elements=None), skel._replace(elements=tuple(broken))):
+        with pytest.raises(PreconditionFailed, match="skeleton elements do not follow"):
+            small_coset_amalgam(bad, g)
+    assert small_coset_amalgam(skel, g).graph.n > skel.graph.n
+
+
 def test_minimal_tag_support():
     ig = path_igraph("ab", "ab")
     g = compat_group(ig)
@@ -335,7 +386,7 @@ def test_ce_cluster_property_on_fixtures():
 def test_transfer_plain_acyclicity_and_freeness():
     ig = path_igraph("ab", "ab")
     g = compat_group(ig)
-    assert is_two_acyclic(g)
+    assert is_two_acyclic(g, range(len(g.colors)))
     assert is_free_over(g, ig)
     assert find_i_coset_cycle(g, ig, 2) is None
 

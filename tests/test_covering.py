@@ -15,14 +15,14 @@ from acygroups.covering import (
     graph_template,
     hypergraph_cover,
     intersection_graph,
-    translate_chordless_cycle,
-    translate_nonconformal_clique,
     verify_cover,
 )
 from acygroups.egraph import disjoint_union, hypercube
 from acygroups.errors import CompatibilityRequired
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
+
+from paper_checks import translate_chordless_cycle, translate_nonconformal_clique
 
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2)]
 

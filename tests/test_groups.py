@@ -8,12 +8,11 @@ from acygroups.groups import (
     homomorphism,
     is_compatible,
     is_group_symmetry,
-    subgroup,
     sym,
 )
 
 from conftest import biggs_group, cycle_graph, evaluate_word, hypercube_group
-from oracles import find_isomorphism, word_kernel_compatible
+from oracles import find_isomorphism, subgroup, word_kernel_compatible
 
 
 def naive_closure_order(graph):

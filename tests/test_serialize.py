@@ -29,7 +29,7 @@ def test_egraph_schema_error_location():
     }
     with pytest.raises(SchemaError) as err:
         ser.egraph_from_json(doc)
-    assert "/edges/1/v" in str(err.value)
+    assert "/edges/1/2" in str(err.value)
 
 
 def test_egroup_roundtrip_including_parents():
@@ -419,3 +419,72 @@ def test_loaders_reject_mutated_documents_with_schema_errors_only(data):
     # the same type failed a precondition first
     with pytest.raises(SchemaError if every_mutation_retypes else AcygroupsError):
         _load(doc)
+
+
+def _resolve(doc, pointer):
+    """The value an RFC 6901 pointer names: each token, ~1 read as / and
+    then ~0 as ~, is a key of an object or the decimal index of an array."""
+    node = doc
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        node = node[int(token)] if isinstance(node, list) else node[token]
+    return node
+
+
+def _named_pair_pattern():
+    # edge names that a pointer must escape
+    return ConstraintPattern(["s", "t"], [("e/1", "s", "t", "f~2"), ("f~2", "t", "s", "e/1")])
+
+
+def _named_pair_groupoid_doc():
+    hat = hat_translation(_named_pair_pattern())
+    group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
+    return ser.igroupoid_to_json(groupoid_from_group(group, hat))
+
+
+# the value at fault, set at path, is what the error's pointer resolves to
+@pytest.mark.parametrize("make,path,value,pointer", [
+    (lambda: {"format": "egraph", "vertices": ["0", "1"], "colors": ["a"],
+              "edges": [["a", "0", "1"]]}, ("edges", 0, 2), "7", "/edges/0/2"),
+    (lambda: {"format": "egraph", "vertices": ["0", "1"], "colors": ["a"],
+              "edges": [["a", "0", "1"]]}, ("edges", 0, 1), "7", "/edges/0/1"),
+    (lambda: {"format": "graph", "vertices": ["0", "1"], "edges": [["0", "1"]]},
+     ("edges", 0, 0), "9", "/edges/0/0"),
+    (lambda: {"format": "graph", "vertices": ["0", "1"], "edges": [["0", "1"]]},
+     ("edges", 0, 1), "9", "/edges/0/1"),
+    # intersection-graph colours are named e<i>~<j>
+    (lambda: ser.egroup_to_json(sym(intersection_graph(
+        Hypergraph([0, 1, 2], [[0, 1], [1, 2]])), attach_hypercube=False)),
+     ("action", "e0~1"), [0, 0], "/action/e0~01"),
+    (lambda: {"format": "egroup", "colors": ["e0/2"], "order": 2, "action": {"e0/2": [1, 0]}},
+     ("action", "e0/2"), [1, 1], "/action/e0~12"),
+    (lambda: {"format": "egroup", "colors": ["a"], "order": 2, "action": {"a": [1, 0]}},
+     ("action", "x~y"), [1, 0], "/action/x~0y"),
+    (lambda: ser.igraph_to_json(pattern_igraph(_named_pair_pattern())),
+     ("edges", "e/1", 0, 1), "zz", "/edges/e~11/0/1"),
+    (_named_pair_groupoid_doc, ("rmul", "e/1", 0), 99, "/rmul/e~11/0"),
+    (_named_pair_groupoid_doc, ("rmul", "f~2"), 7, "/rmul/f~02"),
+    (_named_pair_groupoid_doc, ("generators", "f~2"), 99, "/generators/f~02"),
+    (_named_pair_groupoid_doc, ("generators", "e/1"), "x", "/generators/e~11"),
+], ids=["egraph-v", "egraph-u", "graph-u", "graph-v", "intersection-colour", "slash-colour",
+        "tilde-key", "igraph-edge", "rmul-entry", "rmul-row", "generator-range", "generator-type"])
+def test_error_pointers_resolve_to_the_value_at_fault(make, path, value, pointer):
+    doc = _mutated(make(), path, value)
+    with pytest.raises(SchemaError) as err:
+        ser.load_document(doc)
+    assert err.value.pointer == pointer
+    assert _resolve(doc, pointer) == value
+
+
+def test_a_missing_name_is_pointed_at_escaped():
+    doc = {"format": "egroup", "colors": ["e0/2"], "order": 2, "action": {}}
+    with pytest.raises(SchemaError, match="^missing action for colour 'e0/2' ") as err:
+        ser.load_document(doc)
+    assert err.value.pointer == "/action/e0~12"
+    parent, token = err.value.pointer.rsplit("/", 1)
+    assert _resolve(doc, parent) == {}
+    assert token.replace("~1", "/").replace("~0", "~") == "e0/2"
+    groupoid = _mutated(_named_pair_groupoid_doc(), ("rmul", "e/1"), _DELETE)
+    with pytest.raises(SchemaError, match="^missing key 'e/1' ") as err:
+        ser.load_document(groupoid)
+    assert err.value.pointer == "/rmul/e~11"

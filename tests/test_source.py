@@ -8,6 +8,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import acygroups
 from acygroups import cli
 from acygroups.acyclicity import find_coset_cycle
@@ -186,8 +188,6 @@ def _public_definitions(trees):
 # to, each kept for the reason given
 UNREFERENCED_PUBLIC = {
     "groups.homomorphism": "perfbench/tracer.py times it by name",
-    "covering.translate_chordless_cycle": "cover witnesses up to the deck group (ROADMAP item 6)",
-    "covering.translate_nonconformal_clique": "cover witnesses up to the deck group (ROADMAP item 6)",
     "groupoid.translate_groupoid_cycle": "groupoids past one edge pair (ROADMAP item 7)",
     "groupoid.sym_igraph": "groupoids past one edge pair (ROADMAP item 7)",
     "groupoid.groupoid_cayley": "groupoids past one edge pair (ROADMAP item 7)",
@@ -420,3 +420,17 @@ def test_searches_and_a_capped_construct_leave_no_cyclic_garbage():
 
     for run in (plain, template, groupoid, capped_construct, cover):
         assert _cyclic_garbage(run) == [], run.__name__
+
+
+def test_the_version_is_written_once():
+    # pyproject.toml reads the package version from serialize.TOOL_VERSION,
+    # the version the manifests carry, instead of repeating it
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "acygroups.serialize.TOOL_VERSION"
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == acygroups.__version__
