@@ -9,8 +9,8 @@ generality because left translation preserves both conditions.
 
 One search kernel, :func:`search_coset_cycle`, serves groups, reachability
 templates and groupoids alike; each searcher feeds it its own component
-tables and a ``met`` hook naming the components a block meets.  One
-validator, :func:`validate_cycle`, rechecks every result from the same
+tables, and every separation test reads component ids (:func:`met_by_ids`).
+One validator, :func:`validate_cycle`, rechecks every result from the same
 tables read through ``find`` and ``block`` alone, sharing no code with the
 kernel.
 """
@@ -149,7 +149,7 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
         alphas = gamma.subsets(n_colors, allow_full=allow_full)
     after = group.order * n_colors * (math.factorial(n_colors) - 1)
     found = search_coset_cycle(
-        alphas, (0,), n_max, group.coset_table, met_by_ids, budget, deadline,
+        alphas, (0,), n_max, group.coset_table, budget, deadline,
         symmetries=(after, lambda: _colour_symmetries(group, alphas)),
     )
     if found is None:
@@ -181,16 +181,15 @@ def _colour_symmetries(group, alphas):
 
 
 def met_by_ids(block, tb):
-    """The ``met`` hook for structures whose alpha-components partition the
-    points themselves (groups, groupoids): the ids of the components of
-    table tb that hold a point of block, each walked if it was not."""
+    """The ids of the components of table tb that share a point with
+    block, each walked if it was not."""
     met = set(map(tb.ids.__getitem__, block))
     if -1 in met:
         met = set(map(tb.find, block))
     return met
 
 
-def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline=None,
+def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None,
                        symmetries=None):
     """The depth-first coset-cycle search behind every searcher.
 
@@ -201,18 +200,21 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
     :class:`~acygroups.constraint.TranslatedCosets` serves them:
     ``find(x)`` is the id of x's component, ``block(x)`` that component
     ascending, and ``ids[x]`` the id, or -1 while the component of x is not
-    walked.  ``met(block, tb)`` is the set of ids of the components of
-    table tb that meet the component ``block``.  The component of q in tb is then disjoint from
-    block exactly when its id is not in that set, so each prefix node
-    builds the set once per next subset and tests every candidate q by one
-    membership.
+    walked.  :func:`met_by_ids` gives the ids of the components of a table
+    tb that share a point with a component ``block``.  The component of q
+    in tb is then disjoint from block exactly when its id is not in that
+    set, so each prefix node builds the set once per next subset and tests
+    every candidate q by one membership.  The two components of each test
+    pivot at one entry and lie in that entry's component, where sharing a
+    pair of a template product is sharing an element (the lemma of
+    :func:`~acygroups.constraint.validate_i_coset_cycle`).
 
     The per-candidate reads are bare ``ids[q]``, each an equality with the
-    id of a walked component or a membership in a ``met`` set, so a -1
-    never matches.  That holds because the kernel walks each anchor's
+    id of a walked component or a membership in a ``met_by_ids`` set, so a
+    -1 never matches.  That holds because the kernel walks each anchor's
     component in every table once per search and p's component, in its
-    table and in the meet table, once per prefix node, and because ``met``
-    walks every component its block meets before it returns.
+    table and in the meet table, once per prefix node, and ``met_by_ids``
+    every component its block meets before it returns.
 
     Lengths 2..n_max are tried in turn,
     start subsets in the order of ``alphas`` with the anchor points inner;
@@ -241,7 +243,7 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
     nodes, and a closing entry must lie in p_0's component of its subset.
     When no symmetry fixes the prefix and no candidate lies in p_0's
     component of any next subset, none can close: the level adds its
-    nodes at once and builds no ``met`` set.  It does so only when no
+    nodes at once and builds no ``met_by_ids`` set.  It does so only when no
     budget check, symmetry search or clock read falls within those nodes,
     so the node counts, the errors, the clock reads and the first cycle
     are those of the walk one by one.
@@ -251,8 +253,8 @@ def search_coset_cycle(alphas, anchors, n_max, table, met, budget=None, deadline
     ResourceCap, and so does passing ``deadline`` (a ``time.monotonic()``
     value), checked every 4096 nodes and once the symmetries are found.
     """
-    walk = _Walk(alphas, anchors, table, met, budget or DEFAULT_SEARCH_BUDGET, deadline,
-                 symmetries, n_max)
+    walk = _Walk(alphas, anchors, table, budget or DEFAULT_SEARCH_BUDGET, deadline, symmetries,
+                 n_max)
     for target in range(2, n_max + 1):
         walk.target = target
         for start in range(len(alphas)):
@@ -275,16 +277,15 @@ class _Walk:
     refers to itself and nothing here outlives the search in a reference
     cycle."""
 
-    __slots__ = ("alphas", "anchors", "table", "tables", "meets", "met", "budget", "deadline",
+    __slots__ = ("alphas", "anchors", "table", "tables", "meets", "budget", "deadline",
                  "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq", "homes")
 
-    def __init__(self, alphas, anchors, table, met, budget, deadline, symmetries, n_max):
+    def __init__(self, alphas, anchors, table, budget, deadline, symmetries, n_max):
         self.alphas = alphas
         self.anchors = anchors
         self.table = table
         self.tables = [self.fetch(a) for a in alphas]
         self.meets = [[None] * len(alphas) for _ in alphas]
-        self.met = met
         self.budget = budget
         self.deadline = deadline
         self.after, self.find = symmetries or (math.inf, None)
@@ -364,15 +365,16 @@ def _extend(w, m):
     table of i_m and its predecessor.  A closing entry must also lie in
     p_0's j-component, have its component in t outside ``closes[j]``, the
     components of t that meet p_0's in the meet table of i_0 and j, and
-    leave entry 0 separated (``opens[j]``).  Each set is built once per
-    prefix node and j, on first use.  Candidates that a symmetry fixing
-    the prefix maps to earlier ones are left out before they are counted.
+    leave entry 0 separated (``opens[j]``).  Each set is built by
+    :func:`met_by_ids` once per prefix node and j, on first use.
+    Candidates that a symmetry fixing the prefix maps to earlier ones are
+    left out before they are counted.
     A closing level that cannot close is counted in bulk, as
     :func:`search_coset_cycle` describes."""
     seq = w.seq
     i_0, p_0 = seq[0]
     i_m, p = seq[m]
-    tables, row, meet, met, budget, nexts = w.tables, w.meets[i_m], w.meet, w.met, w.limit, w.nexts
+    tables, row, meet, budget, nexts = w.tables, w.meets[i_m], w.meet, w.limit, w.nexts
     closing = m == w.target - 2
     fix = w.fix[m]
     if fix:
@@ -407,7 +409,7 @@ def _extend(w, m):
                 t = row[j] or meet(i_m, j)
                 shut = mids[j]
                 if shut is None:
-                    shut = mids[j] = met(mid_block, t)
+                    shut = mids[j] = met_by_ids(mid_block, t)
                 if t.ids[q] in shut:
                     continue
             if closing:
@@ -418,14 +420,15 @@ def _extend(w, m):
                 t = row[j] or meet(i_m, j)
                 shut = closes[j]
                 if shut is None:
-                    shut = closes[j] = met(meet(i_0, j).block(p_0), t)
+                    shut = closes[j] = met_by_ids(meet(i_0, j).block(p_0), t)
                 if t.ids[q] in shut:
                     continue
                 if m:
                     ok = opens[j]
                     if ok is None:
                         t_1 = meet(i_0, seq[1][0])
-                        ok = opens[j] = t_1.find(seq[1][1]) not in met(meet(i_0, j).block(p_0), t_1)
+                        shut = met_by_ids(meet(i_0, j).block(p_0), t_1)
+                        ok = opens[j] = t_1.find(seq[1][1]) not in shut
                     if not ok:
                         continue
                 seq.append((j, q))

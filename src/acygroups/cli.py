@@ -71,11 +71,11 @@ class _Run:
                 with open(path, "rb") as fh:
                     data = fh.read().decode()
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8: {exc}", "/") from None
+            raise SchemaError(f"not UTF-8: {exc}") from None
         try:
             doc = json.loads(data)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"not JSON: {exc}", "/") from None
+            raise SchemaError(f"not JSON: {exc}") from None
         if self.inputs is not None and path != "-":
             self.inputs[path] = ser.digest(doc)
         return doc

@@ -67,7 +67,6 @@ class IContext:
         self.group = group
         self.igraph = igraph
         self._comp = {}
-        self._elements = {}
 
     def pair(self, s, g):
         if not (0 <= g < self.group.order and 0 <= s < self.igraph.n):
@@ -108,26 +107,6 @@ class IContext:
         if table is None:
             table = self._comp[alpha] = TranslatedCosets(self.group, self.igraph, alpha)
         return table
-
-    def elements(self, alpha, p):
-        """The elements of the alpha-component of pair p, a frozenset built
-        once per alpha and component id."""
-        alpha = frozenset(alpha)
-        table = self.comp_tables(alpha)
-        key = (alpha, table[p])
-        found = self._elements.get(key)
-        if found is None:
-            ng = self.group.order
-            found = self._elements[key] = frozenset(x % ng for x in table.block(p))
-        return found
-
-    def met(self, block, tb):
-        """The kernel's ``met`` hook: ids of the components of table tb whose
-        element sets meet the element set of block.  The component of (s, e)
-        meets an element set E exactly when it holds some (s', e') with e'
-        in E, so these are the ids of every pair over E."""
-        ids_b, ng = tb.ids, self.group.order
-        return {ids_b[s * ng + e] for e in {y % ng for y in block} for s in range(self.igraph.n)}
 
     def skeleton(self, alpha, s, g=0):
         """Embedded skeleton: the alpha-component of (s, g) in the product."""
@@ -248,30 +227,37 @@ def is_free_skeleton(ctx, alpha, s, g=0):
     """Freeness of the embedded skeleton anchored at (s, g).
 
     Any two proper-subset components of the skeleton whose ambient cosets
-    meet must already share an element.  The condition is symmetric, so
-    each unordered pair of subsets is visited once.  Per subset the
-    components are indexed by their ambient coset, the quotient of their id
-    by K (see :class:`TranslatedCosets`), and the cosets of the later
-    subset that meet one of the earlier are found by ``met_by_ids``.
+    meet must already share an element.  Both lie in the skeleton's block,
+    where sharing an element is sharing a pair (the lemma of
+    :func:`validate_i_coset_cycle`), so per subset the id of every pair of
+    the block is read once, and two components share a pair exactly when
+    their ids occur together on one.  The condition is symmetric, so each
+    unordered pair of subsets is visited once.  Per subset the components
+    are indexed by their ambient coset, the quotient of their id by K (see
+    :class:`TranslatedCosets`), and the cosets of the later subset that
+    meet one of the earlier are found by ``met_by_ids``.
     """
     alpha = frozenset(alpha)
     group = ctx.group
     block = ctx.component(alpha, ctx.pair(s, g))
     gammas = [a for a in all_subsets(len(group.colors)) if a < alpha]
-    indexes = []  # per subset: ambient coset id -> element sets of its components
+    ids, indexes = [], []  # per subset: the id of each pair; ambient coset id -> component ids
     for a in gammas:
         table, index = ctx.comp_tables(a), {}
-        for cid, p in {table[p]: p for p in block}.items():
-            index.setdefault(cid // table.k, []).append(ctx.elements(a, p))
+        ids_a = list(map(table.__getitem__, block))
+        for cid in set(ids_a):
+            index.setdefault(cid // table.k, []).append(cid)
+        ids.append(ids_a)
         indexes.append(index)
-    for i, (a1, index1) in enumerate(zip(gammas, indexes)):
+    for i, (a1, index1, ids1) in enumerate(zip(gammas, indexes, ids)):
         cosets1 = group.coset_table(a1)
-        for a2, index2 in zip(gammas[i:], indexes[i:]):
+        for a2, index2, ids2 in zip(gammas[i:], indexes[i:], ids[i:]):
             cosets2 = group.coset_table(a2)
-            for r1, sets1 in index1.items():
+            shared = set(zip(ids1, ids2))
+            for r1, cids1 in index1.items():
                 for r2 in met_by_ids(cosets1.block(r1), cosets2):
-                    for set2 in index2.get(r2, ()):
-                        if any(set1.isdisjoint(set2) for set1 in sets1):
+                    for c2 in index2.get(r2, ()):
+                        if any((c1, c2) not in shared for c1 in cids1):
                             return False
     return True
 
@@ -307,12 +293,19 @@ def validate_i_coset_cycle(group, igraph, entries, ctx=None):
     Entries are (alpha, site, element) triples in cyclic order.  Separation
     asks the element sets of the two components pivoting at an entry to be
     disjoint; their packed pairs are compared instead, with the same
-    verdict.  The context checks that the group is compatible with the
-    template (CompatibilityRequired otherwise), and under compatibility the
-    map from pairs to elements is injective on every alpha-component of the
-    product.  Both pivoting components lie in the alpha_i-component of the
-    entry, which the connectivity check has just established, so they share
-    an element exactly when they share a pair.
+    verdict, by this lemma, on which every template separation test rests
+    (the search kernel's through ``met_by_ids``, and :func:`is_free_skeleton`):
+
+    Under compatibility, which the context checks (CompatibilityRequired
+    otherwise), the map from pairs to elements is injective on every
+    component of the product.  Two pairs (s, g) and (t, g) of one component
+    are joined by a walk whose label word is trivial in the group; that
+    word then acts trivially on the template, so it leads s to s, and
+    t = s.  Two components inside one component therefore share an element
+    exactly when they share a pair.
+
+    Both pivoting components lie in the alpha_i-component of the entry,
+    which the connectivity check has just established.
     """
     ctx = ctx or IContext(group, igraph)
     if len(entries) < 2:
@@ -327,14 +320,14 @@ def find_i_coset_cycle(group, igraph, n_max, ctx=None, budget=None, deadline=Non
     Entries are (alpha, site, element) with the first element at the
     identity; connectivity requires the next pair to lie in the
     alpha-component of the current pair in the product graph, which fixes
-    the next site.  Separation compares the element sets of components.
+    the next site.  Separation asks the element sets of components to be
+    disjoint; the kernel compares their pairs, which decides the same by
+    the lemma of :func:`validate_i_coset_cycle`.
     """
     ctx = ctx or IContext(group, igraph)
     anchors = [ctx.pair(s, 0) for s in range(igraph.n)]
     alphas = proper_subsets(len(group.colors))
-    found = search_coset_cycle(
-        alphas, anchors, n_max, ctx.comp_tables, ctx.met, budget, deadline
-    )
+    found = search_coset_cycle(alphas, anchors, n_max, ctx.comp_tables, budget, deadline)
     if found is None:
         return None
     cyc = tuple((a, *ctx.unpair(x)) for a, x in found)

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .acyclicity import (
     DEFAULT_SEARCH_BUDGET,
-    met_by_ids,
     proper_subsets,
     search_coset_cycle,
     validate_cycle,
@@ -426,9 +425,7 @@ def find_groupoid_coset_cycle(gpd, n_max, budget=None):
     element is normalised to a neutral element by left translation.
     """
     alphas = inverse_closed_proper_subsets(gpd.pattern)
-    found = search_coset_cycle(
-        alphas, gpd.neutral, n_max, gpd.subset_closures, met_by_ids, budget
-    )
+    found = search_coset_cycle(alphas, gpd.neutral, n_max, gpd.subset_closures, budget)
     if found is None:
         return None
     cyc = tuple(found)

@@ -505,4 +505,4 @@ def object_to_dot(obj):
         return hypergraph_to_dot(obj)
     if isinstance(obj, IGraph):
         return igraph_to_dot(obj)
-    raise SchemaError("object has no DOT form", "/")
+    raise SchemaError("object has no DOT form")

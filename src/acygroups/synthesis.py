@@ -197,10 +197,10 @@ def _combined_group(group, extra_components, colors, cap, deadline):
     return sym_components(colors, parts, cap=cap, deadline=deadline)
 
 
-def _conservation(prev, new, k):
+def _conservation(prev, new, k, deadline):
     """Subgroup order tables for |alpha| <= k plus injectivity of the
     restriction of the canonical homomorphism, and that homomorphism
-    new -> prev (or None)."""
+    new -> prev (or None).  The deadline is read before each subset."""
     hom = new.projection  # accepted once it fixes the identity and commutes with the generators
     if hom is not None and (hom[0] != 0 or any(
             list(map(hom.__getitem__, row)) != list(map(before.__getitem__, hom))
@@ -209,6 +209,7 @@ def _conservation(prev, new, k):
     table = {}
     ok = hom is not None
     for a in all_subsets(len(prev.colors), max_size=k):
+        _check_deadline(deadline, f"conservation timed out at subset {sorted(a)}")
         before = len(prev.subgroup_elements(a))
         after = len(new.subgroup_elements(a))
         iso = False
@@ -275,7 +276,7 @@ def _construct(group0, config, igraph):
             _check_deadline(deadline, f"stage {k} timed out after the stage graph")
             new = _combined_group(current, components, current.colors, config.element_cap, deadline)
             _check_deadline(deadline, f"stage {k} timed out after the closure")
-            table, cons_ok, hom = _conservation(current, new, k)
+            table, cons_ok, hom = _conservation(current, new, k, deadline)
             _check_deadline(deadline, f"stage {k} timed out after conservation")
             if hom is not None:
                 inherit_compatibility(new, current)  # spares IContext its walk of new

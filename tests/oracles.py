@@ -53,7 +53,8 @@ and ``reference_validate_groupoid_coset_cycle`` are the three validators
 that ``acyclicity.validate_cycle`` replaced, each reading its own cosets;
 the library's validators must give the same verdicts on every list of
 entries.  ``component_elements`` reads the elements of a template component
-from ``IContext.comp_tables(alpha).block``, as the library does.
+from ``IContext.comp_tables(alpha).block``; the library compares pairs
+instead.
 
 ``reference_girth`` is the girth as the shortest detour around an edge:
 for each edge, one plus the distance between its ends without it.
@@ -90,7 +91,6 @@ from acygroups.acyclicity import (
     DEFAULT_SEARCH_BUDGET,
     all_subsets,
     canonical_cycle,
-    met_by_ids,
     proper_subsets,
 )
 from acygroups.constraint import IContext, Skeleton
@@ -497,9 +497,7 @@ def pairwise_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None
 
 def unpruned_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, alphas=None):
     alphas = group_family(group, gamma, allow_full, alphas)
-    found = acyclicity.search_coset_cycle(
-        alphas, (0,), n_max, group.coset_table, met_by_ids, budget
-    )
+    found = acyclicity.search_coset_cycle(alphas, (0,), n_max, group.coset_table, budget)
     return None if found is None else canonical_cycle(group, found)
 
 

@@ -296,9 +296,9 @@ def test_the_projection_is_the_homomorphism_onto_the_stage_before(monkeypatch):
     seen = []
     conservation = synthesis._conservation
 
-    def recording(prev, new, k):
+    def recording(prev, new, *rest):
         seen.append((prev, new))
-        return conservation(prev, new, k)
+        return conservation(prev, new, *rest)
 
     monkeypatch.setattr(synthesis, "_conservation", recording)
     towers = [(group, 2) for group in corpus().values()] + [(hypercube_group(["a", "b"]), 12)]

@@ -85,27 +85,6 @@ def test_freeness_matches_the_reference_on_free_and_non_free_pairs():
     assert verdicts.count(True) >= 5
 
 
-class _CountingDict(dict):
-    stores = 0
-
-    def __setitem__(self, key, value):
-        self.stores += 1
-        super().__setitem__(key, value)
-
-
-def test_element_sets_are_built_once_per_component():
-    # the final check over every subset reuses the sets of the stage check
-    group, tri = weak_triangle()
-    ctx = IContext(group, tri)
-    ctx._elements = _CountingDict()
-    stage = all_subsets(len(group.colors), max_size=1)
-    assert is_free_over(group, tri, alphas=stage, ctx=ctx)
-    assert is_free_over(group, tri, alphas=stage, ctx=ctx)
-    assert ctx._elements.stores == len(ctx._elements) > 0
-    assert not is_free_over(group, tri, ctx=ctx)
-    assert ctx._elements.stores == len(ctx._elements)
-
-
 def test_freeness_reads_the_clock_once_per_skeleton(monkeypatch):
     ig = path_igraph("ab", "ab")
     group = compat_group(ig)

@@ -1,6 +1,7 @@
 """The coset-cycle kernel against the pairwise kernel it replaced: the same
 witness, verdict and node count on every query, the same budget edge, and
-each adapter's ``met`` hook against the pairwise separation test."""
+``met_by_ids`` against the pairwise separation test on the tables of each
+searcher."""
 
 import random
 from functools import partial
@@ -248,8 +249,7 @@ def test_kernels_agree_on_random_partitions(walks):
         for n in range(2, 6):
             cycles += _agrees(
                 walks,
-                lambda b: search_coset_cycle(alphas, anchors, n, lambda a: tables[a][0],
-                                             met_by_ids, b),
+                lambda b: search_coset_cycle(alphas, anchors, n, lambda a: tables[a][0], b),
                 lambda b: pairwise_search_coset_cycle(alphas, anchors, n,
                                                       lambda a: tables[a][1],
                                                       pairwise_separated_by_ids, b),
@@ -257,18 +257,25 @@ def test_kernels_agree_on_random_partitions(walks):
     assert cycles > 0
 
 
-def _met_matches_separation(tb, ra, rb, met, separated):
-    """For every component X of ra and Y of rb: Y's id is in met(X, tb)
+def _met_matches_separation(tb, ra, rb, separated, within=None):
+    """For every component X of ra and Y of rb, those in one component of
+    the table within when it is given: Y's id is in met_by_ids(X, tb)
     exactly when the pairwise test finds X and Y not separated.  ra and rb
-    hold every id; tb is the table met reads, with rb's ids."""
+    hold every id; tb is the table met_by_ids reads, with rb's ids.
+    Returns the number of pairs compared."""
+    compared = 0
     for cid_a in sorted(set(ra.ids)):
         block = ra.members[cid_a]
-        hit = met(block, tb)
+        hit = met_by_ids(block, tb)
         assert hit <= set(rb.ids)
         for cid_b in sorted(set(rb.ids)):
             p, q = block[0], rb.members[cid_b][0]
             assert ra.ids[p] == cid_a and rb.ids[q] == cid_b
+            if within is not None and within.ids[p] != within.ids[q]:
+                continue
             assert (cid_b in hit) == (not separated(p, ra, q, rb)), (cid_a, cid_b)
+            compared += 1
+    return compared
 
 
 def test_group_met_matches_the_pairwise_separation():
@@ -279,23 +286,39 @@ def test_group_met_matches_the_pairwise_separation():
             for b in subsets:
                 # a table of b with nothing walked, so met walks what it reads
                 tb = Cosets(group.order, [group.gen_action[c] for c in sorted(b)])
-                _met_matches_separation(tb, reference(a), reference(b),
-                                        met_by_ids, pairwise_separated_by_ids)
+                _met_matches_separation(tb, reference(a), reference(b), pairwise_separated_by_ids)
                 assert tb.ids == list(reference(b).ids)
 
 
 def test_template_met_matches_the_pairwise_separation():
+    # the kernel compares two components only inside one component of the
+    # product, where pairs and elements correspond one to one; across
+    # components, sharing an element need not be sharing a pair
     small = [(g, t) for g, t in _cases() if t.n * g.order <= 100]
     assert len(small) == 27
+    compared = 0
     for group, template in small:
         ctx = IContext(group, template)
         table = template_search_tables(ctx)
+        full = table(frozenset(range(len(group.colors))))
         separated = pairwise_template_separated(group.order)
         subsets = proper_subsets(len(group.colors))
         for a in subsets:
             for b in subsets:
-                _met_matches_separation(ctx.comp_tables(b), table(a), table(b), ctx.met,
-                                        separated)
+                compared += _met_matches_separation(ctx.comp_tables(b), table(a), table(b),
+                                                    separated, within=full)
+    assert compared == 33_304
+
+
+def test_no_product_component_holds_two_pairs_over_one_element():
+    # the lemma of validate_i_coset_cycle, on every subset of every case
+    for group, template in _cases():
+        ctx = IContext(group, template)
+        for a in all_subsets(len(group.colors)):
+            table = ctx.comp_tables(a)
+            for cid, p in {table[p]: p for p in range(template.n * group.order)}.items():
+                block = table.block(p)
+                assert len({x % group.order for x in block}) == len(block), (a, cid)
 
 
 def test_groupoid_met_matches_the_pairwise_separation():
@@ -305,6 +328,5 @@ def test_groupoid_met_matches_the_pairwise_separation():
         for a in subsets:
             for b in subsets:
                 tb = Cosets(gpd.order, [gpd.rmul[e] for e in sorted(b)])
-                _met_matches_separation(tb, reference(a), reference(b),
-                                        met_by_ids, pairwise_separated_by_ids)
+                _met_matches_separation(tb, reference(a), reference(b), pairwise_separated_by_ids)
                 assert tb.ids == list(reference(b).ids)

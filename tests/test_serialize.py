@@ -1,7 +1,10 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acygroups import cli
 from acygroups import serialize as ser
 from acygroups.covering import Hypergraph, hypergraph_cover, intersection_graph
 from acygroups.egraph import disjoint_union, hypercube
@@ -474,6 +477,21 @@ def test_error_pointers_resolve_to_the_value_at_fault(make, path, value, pointer
         ser.load_document(doc)
     assert err.value.pointer == pointer
     assert _resolve(doc, pointer) == value
+
+
+def test_whole_document_errors_point_at_the_document(tmp_path):
+    # RFC 6901: "" names the whole document, "/" the member named ""
+    doc = ser.egroup_to_json(hypercube_group(["a", "b"]))
+    with pytest.raises(SchemaError, match=r"^object has no DOT form \(at /\)$") as err:
+        ser.object_to_dot(ser.load_document(doc))
+    assert err.value.pointer == "" and _resolve(doc, err.value.pointer) is doc
+    run = cli._Run(types.SimpleNamespace(manifest=None))
+    for data in ('{"name": "caf\xe9"}'.encode("latin-1"), b'{"name": '):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=r"^not (UTF-8|JSON): .* \(at /\)$") as err:
+            run.read(str(path))
+        assert err.value.pointer == ""
 
 
 def test_a_missing_name_is_pointed_at_escaped():

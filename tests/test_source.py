@@ -345,6 +345,23 @@ def test_commands_do_their_io_through_the_runner():
     assert offenders == []
 
 
+def test_no_schema_error_points_at_the_member_named_empty():
+    # in RFC 6901 the pointer "" names the whole document and "/" the member
+    # named "", so a whole-document error leaves the pointer at its default
+    offenders = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) != "SchemaError":
+                continue
+            pointers = node.args[1:2] + [k.value for k in node.keywords if k.arg == "pointer"]
+            if any(isinstance(p, ast.Constant) and p.value == "/" for p in pointers):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_no_nested_function_refers_to_itself():
     # a nested function that calls itself holds itself through its closure:
     # it and everything it closes over stay alive until a full collection

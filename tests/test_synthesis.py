@@ -514,6 +514,41 @@ def test_stage_timeout_reaches_into_the_chain_enumeration(monkeypatch):
     assert info.value.partial.order == 4
 
 
+def test_stage_timeout_reaches_into_conservation(monkeypatch):
+    # the clock is read before each subset conservation walks: a clock that
+    # passes the deadline after the closure check and conservation's first
+    # subset (the empty one) in stage 1 stops it at the next, with stage 0
+    # reported
+    from types import SimpleNamespace
+
+    from acygroups import synthesis
+
+    reads = []  # the reads left before the clock passes, once armed
+
+    def monotonic():
+        if not reads:
+            return 0.0
+        reads[0] -= 1
+        return 0.0 if reads[0] >= 0 else 100.0
+
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=monotonic))
+    combined, calls = synthesis._combined_group, []
+
+    def combined_group(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            reads.append(2)
+        return combined(*args)
+
+    monkeypatch.setattr(synthesis, "_combined_group", combined_group)
+    h2 = hypercube_group(["a", "b"])
+    config = SynthesisConfig(n_acyclic=4, stage_timeout=10.0)
+    with pytest.raises(ResourceCap, match=r"^conservation timed out at subset \[0\]$") as info:
+        construct_n_acyclic(h2, config)
+    assert [r.order for r in info.value.stage_reports] == [4]
+    assert info.value.partial.order == 4
+
+
 @pytest.mark.parametrize("step,kind", [
     ("amalgam_cluster", "clusters"),
     ("small_coset_amalgam", "extensions"),
