@@ -229,9 +229,8 @@ def is_free_skeleton(ctx, alpha, s, g=0):
     Any two proper-subset components of the skeleton whose ambient cosets
     meet must already share an element.  Both lie in the skeleton's block,
     where sharing an element is sharing a pair (the lemma of
-    :func:`validate_i_coset_cycle`), so per subset the id of every pair of
-    the block is read once, and two components share a pair exactly when
-    their ids occur together on one.  The condition is symmetric, so each
+    :func:`validate_i_coset_cycle`), so each component is read as the set
+    of its pairs, once per subset.  The condition is symmetric, so each
     unordered pair of subsets is visited once.  Per subset the components
     are indexed by their ambient coset, the quotient of their id by K (see
     :class:`TranslatedCosets`), and the cosets of the later subset that
@@ -241,23 +240,22 @@ def is_free_skeleton(ctx, alpha, s, g=0):
     group = ctx.group
     block = ctx.component(alpha, ctx.pair(s, g))
     gammas = [a for a in all_subsets(len(group.colors)) if a < alpha]
-    ids, indexes = [], []  # per subset: the id of each pair; ambient coset id -> component ids
+    indexes = []  # per subset: ambient coset id -> pair sets of its components
     for a in gammas:
-        table, index = ctx.comp_tables(a), {}
-        ids_a = list(map(table.__getitem__, block))
-        for cid in set(ids_a):
-            index.setdefault(cid // table.k, []).append(cid)
-        ids.append(ids_a)
+        table, comps, index = ctx.comp_tables(a), {}, {}
+        for p in block:
+            comps.setdefault(table[p], []).append(p)
+        for cid, pairs in comps.items():
+            index.setdefault(cid // table.k, []).append(frozenset(pairs))
         indexes.append(index)
-    for i, (a1, index1, ids1) in enumerate(zip(gammas, indexes, ids)):
+    for i, (a1, index1) in enumerate(zip(gammas, indexes)):
         cosets1 = group.coset_table(a1)
-        for a2, index2, ids2 in zip(gammas[i:], indexes[i:], ids[i:]):
+        for a2, index2 in zip(gammas[i:], indexes[i:]):
             cosets2 = group.coset_table(a2)
-            shared = set(zip(ids1, ids2))
-            for r1, cids1 in index1.items():
+            for r1, sets1 in index1.items():
                 for r2 in met_by_ids(cosets1.block(r1), cosets2):
-                    for c2 in index2.get(r2, ()):
-                        if any((c1, c2) not in shared for c1 in cids1):
+                    for set2 in index2.get(r2, ()):
+                        if any(set1.isdisjoint(set2) for set1 in sets1):
                             return False
     return True
 
