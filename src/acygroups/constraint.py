@@ -200,12 +200,17 @@ class TranslatedCosets:
     def id_list(self):
         """``[table[p] for p in range(n_sites * order)]``, read in one pass
         over the cosets: the id of (s, g) is g's coset id times K plus the
-        local id of (s, g's index in its coset)."""
+        local id of (s, g's index in its coset).  Over a trivial subgroup
+        every g is its own coset, with id g and index 0, and nothing is
+        walked."""
         rel, m = self.rel, self.m
-        for g in range(self.ng):
-            if rel[g] == -1:
-                self._translate(g)
-        coset_bases = [c * self.k for c in self.cosets.ids]
+        if m == 1:
+            coset_bases, rel = range(0, self.ng * self.k, self.k), bytes(self.ng)
+        else:
+            for g in range(self.ng):
+                if rel[g] == -1:
+                    self._translate(g)
+            coset_bases = [c * self.k for c in self.cosets.ids]
         ids = array("l")
         for s in range(0, self.k, m):
             ids.extend(map(add, coset_bases, map(self.local.ids[s:s + m].__getitem__, rel)))

@@ -561,6 +561,63 @@ def test_any_other_exception_is_an_internal_error(tmp_path, capsys, monkeypatch)
     assert captured.err == "internal error: RuntimeError: no such row\n"
 
 
+def test_main_pauses_the_collector_and_restores_the_callers(tmp_path, capsys, monkeypatch):
+    # the cyclic collector is paused inside every command; whatever the exit,
+    # a collector that ran runs again, one the caller paused stays paused and
+    # the objects the caller froze stay frozen
+    import gc
+
+    import acygroups.cli as cli
+    from acygroups.errors import ResourceCap
+
+    group = write(tmp_path, "g.json", ser.egroup_to_json(biggs_group(["a", "b"], 1)))
+    raised = []  # what the patched search raises, if anything
+    during = []  # the collector's state inside each search
+    held = [during]  # a tracked object of the caller's
+
+    def search(*args, **kwargs):
+        during.append(gc.isenabled())
+        if raised:
+            raise raised[0]
+        return real(*args, **kwargs)
+
+    real = cli.find_coset_cycle
+    monkeypatch.setattr(cli, "find_coset_cycle", search)
+    runs = [  # argv, what the search raises, exit code
+        (["check-acyclic", group, "-N", "5"], None, 0),
+        (["check-acyclic", group, "-N", "6"], None, 1),
+        (["check-acyclic", group, "-N", "5"], ResourceCap("budget"), 2),
+        (["check-acyclic", group, "-N", "5", "--bogus"], None, 3),
+        (["check-acyclic", group, "-N", "5"], RuntimeError("bug"), 4),
+        (["check-acyclic", group, "-N", "5"], BrokenPipeError(), 0),
+        (["check-acyclic", "--help"], None, SystemExit),
+    ]
+    for enabled, frozen in ((True, False), (False, False), (True, True)):
+        for argv, exc, code in runs:
+            raised[:] = [exc] if exc else []
+            if not enabled:
+                gc.disable()
+            if frozen:
+                gc.freeze()  # held among them
+            count = gc.get_freeze_count()
+            try:
+                if code is SystemExit:
+                    with pytest.raises(SystemExit):
+                        main(argv)
+                else:
+                    assert main(argv) == code, argv
+                assert gc.isenabled() == enabled, (argv, enabled, frozen)
+                # the command may free frozen objects but freezes no more, and
+                # the frozen generation is apart from those the collector scans
+                assert gc.get_freeze_count() <= count, (argv, enabled, frozen)
+                assert frozen != any(obj is held for obj in gc.get_objects()), argv
+            finally:
+                gc.unfreeze()
+                gc.enable()
+            capsys.readouterr()
+    assert len(during) == 3 * 5 and not any(during)
+
+
 def _fuzz_inputs(work):
     """(document, argv with {} for its path) pairs of valid inputs; the
     other files an argv names are written once into work."""

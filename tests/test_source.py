@@ -5,7 +5,6 @@ import gc
 import importlib
 import importlib.util
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ from acygroups.groupoid import (
     groupoid_from_group,
     hat_translation,
 )
-from acygroups.groups import EGroup, sym
+from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
 
 from conftest import corpus, trivial_constraint_graph
@@ -53,9 +52,9 @@ def test_no_assert_statements_in_library():
     assert offenders == []
 
 
-def test_library_does_not_import_sympy():
-    # sympy is a test oracle only; the library must run without it
-    offenders = []
+def _importers(top):
+    """name:line of every import of the top-level module top in the library."""
+    found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -64,9 +63,20 @@ def test_library_does_not_import_sympy():
                 imported = [node.module or ""]
             else:
                 continue
-            if any(module.split(".")[0] == "sympy" for module in imported):
-                offenders.append(f"{name}:{node.lineno}")
-    assert offenders == []
+            if any(module.split(".")[0] == top for module in imported):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_library_does_not_import_sympy():
+    # sympy is a test oracle only; the library must run without it
+    assert _importers("sympy") == []
+
+
+def test_only_the_cli_imports_gc():
+    # the collector is interpreter-wide state: the CLI, which owns the
+    # process, pauses it for each command, and no library function changes it
+    assert [found.split(":")[0] for found in _importers("gc")] == ["cli.py"]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -379,18 +389,14 @@ def test_no_nested_function_refers_to_itself():
 
 
 def _cyclic_garbage(run):
-    """Library functions and groups that run() leaves in reference cycles."""
+    """The type names of the objects that run() leaves in reference cycles."""
     gc.collect()
     gc.disable()
     try:
         run()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        return [
-            obj for obj in gc.garbage
-            if isinstance(obj, EGroup)
-            or (isinstance(obj, types.FunctionType) and obj.__module__.startswith("acygroups"))
-        ]
+        return [type(obj).__name__ for obj in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -437,6 +443,17 @@ def test_searches_and_a_capped_construct_leave_no_cyclic_garbage():
 
     for run in (plain, template, groupoid, capped_construct, cover):
         assert _cyclic_garbage(run) == [], run.__name__
+
+
+def test_every_command_leaves_no_cyclic_garbage(capsys, monkeypatch, tmp_path):
+    # cli.main pauses the collector for a command on this premise: every
+    # golden case (each subcommand, exits 0 to 3) run again on the files the
+    # first round left, after that round built the parser, leaves nothing a
+    # collection would free
+    run_cases(CASES, capsys, monkeypatch, tmp_path)
+    for case in CASES:
+        assert _cyclic_garbage(lambda: run_cases((case,), capsys, monkeypatch, tmp_path)) == [], \
+            case[0]
 
 
 def test_the_version_is_written_once():
