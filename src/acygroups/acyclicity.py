@@ -241,12 +241,17 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
 
     Closing levels, the last entry of a cycle, hold most of a search's
     nodes, and a closing entry must lie in p_0's component of its subset.
-    When no symmetry fixes the prefix and no candidate lies in p_0's
-    component of any next subset, none can close: the level adds its
-    nodes at once and builds no ``met_by_ids`` set.  It does so only when no
-    budget check, symmetry search or clock read falls within those nodes,
-    so the node counts, the errors, the clock reads and the first cycle
-    are those of the walk one by one.
+    When no symmetry fixes the prefix, the next subsets are those from the
+    start on, and their components of p_0 are one set per (start, p_0).
+    When no candidate lies in it, none can close: the level adds its nodes
+    at once and builds no ``met_by_ids`` set.  The candidates, and so the
+    level's node count and that verdict, depend only on the start, p_0,
+    p's component in the table of its subset and, past the first entry,
+    p's component in the meet table with the entry before, so each such
+    configuration is decided once per walk.  A level is added at once only
+    when no budget check, symmetry search or clock read falls within its
+    nodes, so the node counts, the errors, the clock reads and the first
+    cycle are those of the walk one by one.
 
     Returns that cycle as a list of (alpha, point) pairs, or None.  Every
     candidate entry counts as one node; more than ``budget`` nodes raise
@@ -270,15 +275,16 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
 
 class _Walk:
     """State of one search: subsets are indices into ``alphas``, their tables
-    fetched once, the tables of meets alphas[i] & alphas[j] and the anchors'
-    components as sets (``home``) memoised as first needed.  fix[m] holds
-    the symmetries that fix the first m entries, empty until they are
-    found.  The walk itself is the module-level ``_extend``, so no function
-    refers to itself and nothing here outlives the search in a reference
-    cycle."""
+    fetched once, the tables of meets alphas[i] & alphas[j] memoised as
+    first needed, and so are the closing decisions (``closings``) and the
+    anchor sets they read (``reach``).  fix[m] holds the symmetries that
+    fix the first m entries, empty until they are found.  The walk itself
+    is the module-level ``_extend``, so no function refers to itself and
+    nothing here outlives the search in a reference cycle."""
 
     __slots__ = ("alphas", "anchors", "table", "tables", "meets", "budget", "deadline",
-                 "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq", "homes")
+                 "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq", "reaches",
+                 "closings")
 
     def __init__(self, alphas, anchors, table, budget, deadline, symmetries, n_max):
         self.alphas = alphas
@@ -293,7 +299,8 @@ class _Walk:
         self.limit = min(budget, self.after - 1)
         self.fix = [()] * (n_max + 1)
         self.nodes = 0
-        self.homes = {}
+        self.reaches = {}
+        self.closings = {}
 
     def fetch(self, alpha):
         """table(alpha), with the component of every anchor walked."""
@@ -308,12 +315,14 @@ class _Walk:
             t = self.meets[i][j] = self.meets[j][i] = self.fetch(self.alphas[i] & self.alphas[j])
         return t
 
-    def home(self, j, p_0):
-        """The component of anchor p_0 in the table of alphas[j], as a set."""
-        h = self.homes.get((j, p_0))
-        if h is None:
-            h = self.homes[j, p_0] = frozenset(self.tables[j].block(p_0))
-        return h
+    def reach(self, start, p_0):
+        """The union of anchor p_0's components in the tables of
+        alphas[start:], as one set."""
+        r = self.reaches.get((start, p_0))
+        if r is None:
+            r = self.reaches[start, p_0] = frozenset().union(
+                *(t.block(p_0) for t in self.tables[start:]))
+        return r
 
     def tick(self, nodes):
         """The slow path of node counting, taken past the limit and every
@@ -370,7 +379,13 @@ def _extend(w, m):
     Candidates that a symmetry fixing the prefix maps to earlier ones are
     left out before they are counted.
     A closing level that cannot close is counted in bulk, as
-    :func:`search_coset_cycle` describes."""
+    :func:`search_coset_cycle` describes: ``w.closings`` keeps its node
+    count, its candidates times the next subsets, or -1 when a candidate
+    lies in the start's anchor set (``w.reach``), keyed by the start, p_0,
+    i_m with the least point of p's component and, past entry 0, i_{m-1}
+    with p's id in the meet table.  The candidates are that component less
+    p's component in the meet table, taken as sets, since a meet table need
+    not refine the table of i_m."""
     seq = w.seq
     i_0, p_0 = seq[0]
     i_m, p = seq[m]
@@ -388,11 +403,15 @@ def _extend(w, m):
     block = tables[i_m].block(p)
     nodes = w.nodes
     if closing and not fix:
-        qs = set(block)
-        qs.difference_update(mid_block if m else (p,))
-        count = nodes + len(qs) * len(nexts)
-        if count <= budget and count >> 12 == nodes >> 12 \
-                and all(w.home(j, p_0).isdisjoint(qs) for j in nexts):
+        key = (i_0, p_0, i_m, block[0], seq[m - 1][0], p_mid) if m else (i_0, p_0)
+        size = w.closings.get(key)
+        if size is None:
+            qs = set(block)
+            qs.difference_update(mid_block if m else (p,))
+            size = w.closings[key] = \
+                len(qs) * len(nexts) if w.reach(i_0, p_0).isdisjoint(qs) else -1
+        count = nodes + size
+        if size >= 0 and count <= budget and count >> 12 == nodes >> 12:
             w.nodes = count
             return False
     mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)

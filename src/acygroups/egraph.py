@@ -100,8 +100,8 @@ def new_egraph(vertices, colors, edges):
     """Build an EGraph from names and (colour, u, v) triples.
 
     The colour registry is sorted; vertex order is kept as given.  Raises
-    MatchingViolation when a vertex would carry two edges of one colour and
-    UnknownName for dangling references.
+    MatchingViolation, with the number of the edge, when a vertex would carry
+    two edges of one colour and UnknownName for dangling references.
     """
     vertices = list(vertices)
     colors = sorted(colors)
@@ -110,7 +110,7 @@ def new_egraph(vertices, colors, edges):
     if len(vidx) != len(vertices):
         raise UnknownName("duplicate vertex names")
     rows = [[NO_EDGE] * len(vertices) for _ in colors]
-    for c, u, v in edges:
+    for i, (c, u, v) in enumerate(edges):
         if c not in cidx:
             raise UnknownName(f"unknown colour {c!r}")
         if u not in vidx or v not in vidx:
@@ -120,7 +120,7 @@ def new_egraph(vertices, colors, edges):
         for x, y in ((ui, vi), (vi, ui)):
             if row[x] not in (NO_EDGE, y):
                 raise MatchingViolation(
-                    f"vertex {u if x == ui else v!r} has two {c!r}-coloured edges"
+                    f"vertex {u if x == ui else v!r} has two {c!r}-coloured edges", i
                 )
         row[ui] = vi
         row[vi] = ui

@@ -6,7 +6,12 @@ class AcygroupsError(Exception):
 
 
 class MatchingViolation(AcygroupsError):
-    """A colour class is not a partial matching (vertex with two equal-coloured edges)."""
+    """A colour class is not a partial matching (vertex with two equal-coloured
+    edges); ``index`` numbers the edge at fault, when one is."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class UnknownName(AcygroupsError):
@@ -19,7 +24,12 @@ class IncompleteGraph(AcygroupsError):
 
 class DegenerateGenerators(AcygroupsError):
     """Two generator permutations coincide, one equals the identity, or one
-    is not an involution."""
+    is not an involution; ``index`` numbers the generator at fault (the
+    later of two that coincide), when one is."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ResourceCap(AcygroupsError):

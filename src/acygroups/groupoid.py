@@ -208,6 +208,25 @@ def translate_igraph(hat, igraph):
     return new_egraph(vertices, hat.color_of.values(), edges)
 
 
+def groupoid_fault(pattern, sorts, neutral, gen_elem):
+    """(error, message, "sorts", x) for the first neutral element x of a
+    wrong sort, else (error, message, "generators", e) for the first
+    generator e of a wrong sort, else for the first that equals an earlier
+    one; or None."""
+    for s, x in enumerate(neutral):
+        if sorts[x] != (s, s):
+            return PreconditionFailed, "neutral element has a wrong sort", "sorts", x
+    for e, x in enumerate(gen_elem):
+        if sorts[x] != (pattern.src[e], pattern.tgt[e]):
+            return PreconditionFailed, "generator has a wrong sort", "generators", e
+    seen = set()
+    for e, x in enumerate(gen_elem):
+        if x in seen:
+            return DegenerateGenerators, "two groupoid generators coincide", "generators", e
+        seen.add(x)
+    return None
+
+
 class IGroupoid:
     """Generated groupoid stored by right-multiplication tables per edge.
 
@@ -229,14 +248,9 @@ class IGroupoid:
         self.parents = tuple(parents)
         self.labels = tuple(labels) if labels is not None else None
         self._closures = {}
-        for s, x in enumerate(self.neutral):
-            if self.sorts[x] != (s, s):
-                raise PreconditionFailed("neutral element has a wrong sort")
-        for e, x in enumerate(self.gen_elem):
-            if self.sorts[x] != (pattern.src[e], pattern.tgt[e]):
-                raise PreconditionFailed("generator has a wrong sort")
-        if len(set(self.gen_elem)) != len(self.gen_elem):
-            raise DegenerateGenerators("two groupoid generators coincide")
+        fault = groupoid_fault(pattern, self.sorts, self.neutral, self.gen_elem)
+        if fault is not None:
+            raise fault[0](fault[1])
 
     @property
     def order(self):

@@ -75,17 +75,18 @@ class EGroup:
             except IndexError:
                 involutive = False
             if not involutive and sorted(row) != identity:
-                raise DegenerateGenerators("generator table is not a permutation")
+                raise DegenerateGenerators("generator table is not a permutation", c)
             if row[0] == 0:
-                raise DegenerateGenerators("generator equals the identity")
+                raise DegenerateGenerators("generator equals the identity", c)
             if not involutive and not_involutive is None:
                 not_involutive = c
         if not_involutive is not None:
-            raise DegenerateGenerators(f"generator {self.colors[not_involutive]!r} not involutive")
+            raise DegenerateGenerators(f"generator {self.colors[not_involutive]!r} not involutive",
+                                       not_involutive)
         seen = set()
-        for row in self.gen_action:
+        for c, row in enumerate(self.gen_action):
             if row[0] in seen:
-                raise DegenerateGenerators("two generators coincide")
+                raise DegenerateGenerators("two generators coincide", c)
             seen.add(row[0])
 
     @property

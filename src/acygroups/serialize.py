@@ -12,8 +12,8 @@ import json
 
 from .covering import Hypergraph, graph_template
 from .egraph import EGraph, new_egraph
-from .errors import SchemaError
-from .groupoid import ConstraintPattern, IGraph, IGroupoid, pattern_fault
+from .errors import DegenerateGenerators, MatchingViolation, SchemaError
+from .groupoid import ConstraintPattern, IGraph, IGroupoid, groupoid_fault, pattern_fault
 from .groups import EGroup
 from .traverse import NO_EDGE, bfs_parents
 
@@ -109,7 +109,10 @@ def egraph_from_json(doc, pointer=""):
         _known(e[0], known_c, "colour", _at(pointer, "edges", i, 0))
         _known(e[1], known_v, "vertex", _at(pointer, "edges", i, 1))
         _known(e[2], known_v, "vertex", _at(pointer, "edges", i, 2))
-    return new_egraph(vertices, colors, [tuple(e) for e in edges])
+    try:
+        return new_egraph(vertices, colors, [tuple(e) for e in edges])
+    except MatchingViolation as exc:
+        raise SchemaError(str(exc), _at(pointer, "edges", exc.index)) from None
 
 
 def egroup_to_json(group):
@@ -140,7 +143,10 @@ def egroup_from_json(doc, pointer=""):
     reached, parents = bfs_parents(action, order, [0])
     if len(reached) != order:
         raise SchemaError("action tables do not generate all elements", _at(pointer, "action"))
-    return EGroup(colors, action, parents)
+    try:
+        return EGroup(colors, action, parents)
+    except DegenerateGenerators as exc:
+        raise SchemaError(str(exc), _at(pointer, "action", colors[exc.index])) from None
 
 
 def pattern_to_json(pattern):
@@ -277,6 +283,10 @@ def igroupoid_from_json(doc, pointer=""):
     reached, parents = bfs_parents(rmul, order, neutral)
     if len(reached) != order:
         raise SchemaError("tables do not generate all elements", _at(pointer, "rmul"))
+    fault = groupoid_fault(pattern, sorts, neutral, gen_elem)
+    if fault is not None:
+        _, message, key, i = fault
+        raise SchemaError(message, _at(pointer, key, i if key == "sorts" else pattern.edge_ids[i]))
     return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents)
 
 

@@ -257,6 +257,25 @@ def test_kernels_agree_on_random_partitions(walks):
     assert cycles > 0
 
 
+def test_closing_decisions_are_kept_per_anchor(walks):
+    # a closing configuration that anchor 6's walk decides cannot close
+    # meets anchor 7's walk too, where a candidate lies in 7's anchor set
+    # and closes the 4-cycle; a decision shared across anchors misses it
+    rows = {(): [0, 4, 7, 6, 1, 2, 3, 5], (0,): [3, 7, 2, 4, 0, 5, 1, 6],
+            (1,): [1, 5, 2, 7, 3, 0, 6, 4], (0, 1): [5, 1, 3, 0, 4, 2, 7, 6]}
+    tables = {frozenset(a): (Cosets(8, [row]), reference_cosets(8, [row]))
+              for a, row in rows.items()}
+    alphas = all_subsets(2)
+    found = _agrees(
+        walks,
+        lambda b: search_coset_cycle(alphas, [6, 7], 4, lambda a: tables[a][0], b),
+        lambda b: pairwise_search_coset_cycle(alphas, [6, 7], 4, lambda a: tables[a][1],
+                                              pairwise_separated_by_ids, b),
+    )
+    assert found == [(frozenset({0}), 7), (frozenset({1}), 1), (frozenset({0}), 0),
+                     (frozenset({1}), 3)]
+
+
 def _met_matches_separation(tb, ra, rb, separated, within=None):
     """For every component X of ra and Y of rb, those in one component of
     the table within when it is given: Y's id is in met_by_ids(X, tb)

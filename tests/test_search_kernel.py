@@ -140,6 +140,29 @@ def test_order_2592_search_met_calls_pinned(monkeypatch, group_2592):
     assert len(calls) == 2_049
 
 
+def test_order_2592_search_decides_each_closing_configuration_once(monkeypatch, group_2592):
+    # 6,817 closing levels with no symmetry fixing their prefix reach the
+    # bulk test at N = 5; they meet 1,641 distinct configurations, each
+    # decided once
+    made, levels, extend = [], [], acyclicity._extend
+
+    class Recorded(acyclicity._Walk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def counted(w, m):
+        if m == w.target - 2 and not acyclicity._fixing(w.fix[m], w.seq[m]):
+            levels.append(m)
+        return extend(w, m)
+
+    monkeypatch.setattr(acyclicity, "_Walk", Recorded)
+    monkeypatch.setattr(acyclicity, "_extend", counted)
+    assert find_coset_cycle(group_2592, 5) is None
+    assert len(levels) == 6_817
+    assert len(made[0].closings) == 1_641
+
+
 def _clock(now):
     """A stand-in for the time module whose monotonic() reads now and
     counts its calls."""
@@ -153,13 +176,16 @@ def _clock(now):
     return clock
 
 
-def test_search_reads_the_clock_every_4096_nodes(monkeypatch, group_2592):
+@pytest.mark.parametrize("n, reads", [(4, 6), (5, 49), (6, 167)])
+def test_search_reads_the_clock_every_4096_nodes(monkeypatch, group_2592, n, reads):
+    # 25,998 / 199,721 / 680,027 nodes; past N = 4 one more read follows
+    # the symmetries, found at 38,880 nodes
     clock = _clock(0.0)
     monkeypatch.setattr(acyclicity, "time", clock)
-    assert find_coset_cycle(group_2592, 4, deadline=1.0) is None
-    assert clock.calls == 25_998 // 4096
+    assert (find_coset_cycle(group_2592, n, deadline=1.0) is None) == (n < 6)
+    assert clock.calls == reads
     clock.calls = 0
-    assert find_coset_cycle(group_2592, 4) is None
+    assert (find_coset_cycle(group_2592, n) is None) == (n < 6)
     assert clock.calls == 0
 
 

@@ -8,11 +8,12 @@ from acygroups import cli
 from acygroups import serialize as ser
 from acygroups.covering import Hypergraph, hypergraph_cover, intersection_graph
 from acygroups.egraph import disjoint_union, hypercube
-from acygroups.errors import AcygroupsError, DegenerateGenerators, SchemaError
+from acygroups.errors import AcygroupsError, SchemaError
 from acygroups.groupoid import ConstraintPattern, groupoid_from_group, hat_translation, pattern_igraph
 from acygroups.groups import cayley_graph, sym
 
 from conftest import biggs_group, hypercube_group
+from test_groupoid import parallel_pairs_pattern
 
 
 def test_egraph_roundtrip():
@@ -143,13 +144,15 @@ def test_egroup_from_json_rejects_nongenerating_tables():
     ({"a": [1, 2]}, SchemaError, r"^action row is not a permutation \(at /action/a\)$"),
     ({"a": [1, -1]}, SchemaError, r"^action row is not a permutation \(at /action/a\)$"),
     ({"a": [1, 1]}, SchemaError, r"^action row is not a permutation \(at /action/a\)$"),
-    ({"a": [0]}, DegenerateGenerators, "^generator equals the identity$"),
-    ({"a": [1, 2, 0]}, DegenerateGenerators, "^generator 'a' not involutive$"),
-    ({"a": [1, 0], "b": [1, 0]}, DegenerateGenerators, "^two generators coincide$"),
+    ({"a": [0]}, SchemaError, r"^generator equals the identity \(at /action/a\)$"),
+    ({"a": [1, 2, 0]}, SchemaError, r"^generator 'a' not involutive \(at /action/a\)$"),
+    ({"a": [1, 0], "b": [1, 0]}, SchemaError, r"^two generators coincide \(at /action/b\)$"),
     # a later row that is the identity is refused before an earlier
     # row's failure to be an involution, and that before a coincidence
-    ({"a": [1, 2, 0], "b": [0, 1, 2]}, DegenerateGenerators, "^generator equals the identity$"),
-    ({"a": [1, 2, 0], "b": [1, 2, 0]}, DegenerateGenerators, "^generator 'a' not involutive$"),
+    ({"a": [1, 2, 0], "b": [0, 1, 2]}, SchemaError,
+     r"^generator equals the identity \(at /action/b\)$"),
+    ({"a": [1, 2, 0], "b": [1, 2, 0]}, SchemaError,
+     r"^generator 'a' not involutive \(at /action/a\)$"),
 ], ids=["out-of-range", "negative", "repeated", "identity", "not-involutive", "coinciding",
         "identity-first", "not-involutive-first"])
 def test_egroup_from_json_pins_each_degenerate_table(action, error, message):
@@ -439,10 +442,25 @@ def _named_pair_pattern():
     return ConstraintPattern(["s", "t"], [("e/1", "s", "t", "f~2"), ("f~2", "t", "s", "e/1")])
 
 
-def _named_pair_groupoid_doc():
-    hat = hat_translation(_named_pair_pattern())
+def _groupoid_doc(pattern):
+    hat = hat_translation(pattern)
     group = sym(disjoint_union([hat.igraph, hypercube(hat.igraph.colors)]), attach_hypercube=False)
     return ser.igroupoid_to_json(groupoid_from_group(group, hat))
+
+
+def _named_pair_groupoid_doc():
+    # neutrals 0 (sort [s, s]) and 1; generators e/1 -> 2 ([s, t]) and f~2 -> 3
+    return _groupoid_doc(_named_pair_pattern())
+
+
+def _parallel_pairs_groupoid_doc():
+    # generators e -> 2, ei -> 4, f -> 3 (of e's sort) and fi -> 5
+    return _groupoid_doc(parallel_pairs_pattern())
+
+
+def _klein_doc():
+    return {"format": "egroup", "colors": ["a", "b", "c"], "order": 4,
+            "action": {"a": [1, 0, 3, 2], "b": [2, 3, 0, 1], "c": [3, 2, 1, 0]}}
 
 
 # the value at fault, set at path, is what the error's pointer resolves to
@@ -469,8 +487,20 @@ def _named_pair_groupoid_doc():
     (_named_pair_groupoid_doc, ("rmul", "f~2"), 7, "/rmul/f~02"),
     (_named_pair_groupoid_doc, ("generators", "f~2"), 99, "/generators/f~02"),
     (_named_pair_groupoid_doc, ("generators", "e/1"), "x", "/generators/e~11"),
+    # values of the right type that the object's constructor refuses
+    (_klein_doc, ("action", "c"), [1, 2, 3, 0], "/action/c"),
+    (_klein_doc, ("action", "c"), [0, 1, 2, 3], "/action/c"),
+    (_klein_doc, ("action", "c"), [1, 0, 3, 2], "/action/c"),
+    (lambda: {"format": "egraph", "vertices": ["0", "1", "2"], "colors": ["a"],
+              "edges": [["a", "0", "1"], ["a", "2", "2"]]}, ("edges", 1), ["a", "1", "2"],
+     "/edges/1"),
+    (_named_pair_groupoid_doc, ("sorts", 0), ["s", "t"], "/sorts/0"),
+    (_named_pair_groupoid_doc, ("generators", "e/1"), 3, "/generators/e~11"),
+    (_parallel_pairs_groupoid_doc, ("generators", "f"), 2, "/generators/f"),
 ], ids=["egraph-v", "egraph-u", "graph-u", "graph-v", "intersection-colour", "slash-colour",
-        "tilde-key", "igraph-edge", "rmul-entry", "rmul-row", "generator-range", "generator-type"])
+        "tilde-key", "igraph-edge", "rmul-entry", "rmul-row", "generator-range", "generator-type",
+        "not-involutive", "identity", "coinciding", "two-edges-at-a-vertex", "neutral-sort",
+        "generator-sort", "coinciding-generators"])
 def test_error_pointers_resolve_to_the_value_at_fault(make, path, value, pointer):
     doc = _mutated(make(), path, value)
     with pytest.raises(SchemaError) as err:
