@@ -24,6 +24,7 @@ from itertools import combinations, islice, permutations
 from .egraph import NO_EDGE
 from .errors import ResourceCap
 from .groups import EGroup, is_group_symmetry
+from .traverse import gather
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -138,9 +139,11 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     Returns the canonical tuple of (alpha, g) entries, or None.  g_0 is
     fixed at the identity.  The search skips the branches that a colour
     symmetry of the group maps to earlier ones.  It looks for the
-    symmetries once it has spent |G| * k * (k! - 1) nodes on k colours, the
-    most their propagation costs, so a search that ends before spends
-    nothing on them.
+    symmetries once it has spent |G| * k * (k! - 1) nodes on k colours, so
+    a search that ends before spends nothing on them.  That was the cost
+    of forcing every renaming; discovery now forces only the renamings
+    that generate new maps, and those that fail, but the threshold is kept
+    because it fixes the node counts.
     """
     n_colors = len(group.colors)
     if gamma is None:
@@ -162,21 +165,40 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
 
 def _colour_symmetries(group, alphas):
     """The colour symmetries of group but the identity, as (element map,
-    index map on alphas) pairs.
+    index map on alphas) pairs, in the order of the renamings.
 
     The family alphas is size-bounded, so every renaming rho of the
-    generators maps it onto itself.  rho is kept when
-    :func:`~acygroups.groups.is_group_symmetry` extends it to an
+    generators maps it onto itself.  rho is kept when it extends to an
     automorphism, which then maps each alpha-coset of g onto the
-    rho(alpha)-coset of its image.
+    rho(alpha)-coset of its image.  The extension is unique, since it fixes
+    the identity, and if f1 extends rho1 and f2 extends rho2 then f1 o f2
+    extends rho1 o rho2.  So only a renaming outside the group generated
+    by those kept so far is forced by
+    :func:`~acygroups.groups.is_group_symmetry`; the group's maps are
+    composed by gathers as each forced one joins it.
     """
     index = {a: i for i, a in enumerate(alphas)}
     colors = group.colors
+    identity = tuple(range(len(colors)))
+    known = {identity: tuple(range(group.order))}  # the group generated so far
+    gens = []
     out = []
-    for rho in islice(permutations(range(len(colors))), 1, None):  # the identity comes first
-        perm = is_group_symmetry(group, dict(zip(colors, map(colors.__getitem__, rho))))
-        if perm is not None:
-            out.append((perm, [index[frozenset(rho[c] for c in a)] for a in alphas]))
+    for rho in islice(permutations(identity), 1, None):  # the identity comes first
+        perm = known.get(rho)
+        if perm is None:
+            perm = is_group_symmetry(group, dict(zip(colors, gather(colors, rho))))
+            if perm is None:
+                continue
+            perm = tuple(perm)
+            gens.append((rho, perm))
+            elements = list(known.items())
+            for sigma, f in elements:
+                for r, h in gens:
+                    product = gather(sigma, r)
+                    if product not in known:
+                        known[product] = gather(f, h)
+                        elements.append((product, known[product]))
+        out.append((perm, [index[frozenset(rho[c] for c in a)] for a in alphas]))
     return out
 
 

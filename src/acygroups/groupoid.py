@@ -136,6 +136,23 @@ def hat_translation(pattern):
     return hat._replace(igraph=translate_igraph(hat, pattern_igraph(pattern)))
 
 
+def igraph_fault(pattern, site_of, edges):
+    """(message, None, None) when a site has no vertex, else (message, e, i)
+    for the first pair i of edge e's class off the incidence sorts, or
+    (message, e, None) for the first class e whose reverse is not its
+    converse; or None.  Each class's pairs are checked before its reverse,
+    edge by edge."""
+    if set(site_of) != set(range(pattern.n_sites)):
+        return "every site needs at least one vertex", None, None
+    for e, pairs in enumerate(edges):
+        for i, (u, v) in enumerate(pairs):
+            if site_of[u] != pattern.src[e] or site_of[v] != pattern.tgt[e]:
+                return "edge endpoints violate the incidence sorts", e, i
+        if sorted(edges[pattern.inv[e]]) != sorted((v, u) for u, v in pairs):
+            return "reversed colour class must be the converse relation", e, None
+    return None
+
+
 class IGraph:
     """Site-partitioned directed graph over a pattern; edge classes respect
     the incidence sorts and reversal."""
@@ -150,15 +167,9 @@ class IGraph:
         if len(set(self.vertex_names)) != len(self.vertex_names):
             raise UnknownName("duplicate vertex names")
         self.edges = tuple(tuple(sorted(es)) for es in edges)
-        sites_present = set(self.site_of)
-        if sites_present != set(range(pattern.n_sites)):
-            raise PreconditionFailed("every site needs at least one vertex")
-        for e in range(pattern.n_edges):
-            for u, v in self.edges[e]:
-                if self.site_of[u] != pattern.src[e] or self.site_of[v] != pattern.tgt[e]:
-                    raise PreconditionFailed("edge endpoints violate the incidence sorts")
-            if self.edges[pattern.inv[e]] != tuple(sorted((v, u) for u, v in self.edges[e])):
-                raise PreconditionFailed("reversed colour class must be the converse relation")
+        fault = igraph_fault(pattern, self.site_of, self.edges)
+        if fault is not None:
+            raise PreconditionFailed(fault[0])
 
     @property
     def n(self):
@@ -402,9 +413,11 @@ def sym_igraph(igraph):
 def is_compatible_groupoid(gpd, igraph):
     """Every word neutral in the groupoid acts as the identity on the graph.
 
-    Decided by propagating the induced partial bijections over the groupoid's
-    elements and failing on the first conflict, which is the closure-order
-    criterion read off the projection.
+    Decided by propagating the image of one vertex at a time over the
+    groupoid's elements, from the neutral element of its site, and failing
+    on the first conflict, which is the closure-order criterion read off
+    the projection; a word acts as the identity exactly when it fixes every
+    vertex of its source site.
     """
     if igraph.pattern is not gpd.pattern and (
         igraph.pattern.edge_ids != gpd.pattern.edge_ids
@@ -413,16 +426,10 @@ def is_compatible_groupoid(gpd, igraph):
         raise UnknownName("groupoid and graph must share a pattern")
     if not igraph.is_complete():
         raise IncompleteGraph("compatibility target must be complete")
-    pattern = gpd.pattern
-    bijections = [dict(igraph.edges[e]) for e in range(pattern.n_edges)]
-    seeds = [(x, tuple(igraph.vertices_of_site(s))) for s, x in enumerate(gpd.neutral)]
-    actions = propagate(
-        gpd.order,
-        list(enumerate(gpd.rmul)),
-        seeds,
-        lambda e, act: tuple(map(bijections[e].__getitem__, act)),
-    )
-    return actions is not None
+    bijections = [dict(pairs) for pairs in igraph.edges]
+    rows = list(enumerate(gpd.rmul))
+    return all(propagate(gpd.order, rows, [(gpd.neutral[s], v)], bijections) is not None
+               for v, s in enumerate(igraph.site_of))
 
 
 def inverse_closed_proper_subsets(pattern):

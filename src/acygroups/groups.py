@@ -18,7 +18,7 @@ from .canon import connected_components
 from .egraph import EGraph, disjoint_union, hypercube, trivial_completion
 from .errors import DegenerateGenerators, PreconditionFailed, ResourceCap, UnknownName
 from .permgroup import group_order
-from .traverse import Cosets, close, propagate
+from .traverse import Cosets, close, gather, propagate
 
 
 def _positive(text):
@@ -65,16 +65,16 @@ class EGroup:
         self.projection = None  # from sym_components: each element's point of a tables part 0
         self._coset_cache = {}
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
-        identity = list(range(self.order))
+        identity = tuple(range(self.order))
         not_involutive = None
         for c, row in enumerate(self.gen_action):
             # row[row[x]] == x for every x hits every x, so the row is then a
             # permutation with no entry out of range; only a failure is sorted
             try:
-                involutive = list(map(row.__getitem__, row)) == identity
+                involutive = gather(row, row) == identity
             except IndexError:
                 involutive = False
-            if not involutive and sorted(row) != identity:
+            if not involutive and tuple(sorted(row)) != identity:
                 raise DegenerateGenerators("generator table is not a permutation", c)
             if row[0] == 0:
                 raise DegenerateGenerators("generator equals the identity", c)
@@ -203,7 +203,7 @@ def _essential_parts(tables):
     for p in sorted(range(len(tables)), key=lambda i: (-orders[i], i)):
         images = tables[p]
         for n, q in sorted((orders[q], q) for q in kept if orders[q] % orders[p] == 0):
-            values = propagate(n, list(enumerate(tables[q])), [(0, 0)], lambda c, x: images[c][x])
+            values = propagate(n, list(enumerate(tables[q])), [(0, 0)], images)
             if values is not None:
                 quotients[p] = (q, values)
                 break
@@ -231,7 +231,7 @@ def sym_components(colors, parts, cap=None, deadline=None):
     cap = cap or default_cap()
     for i, (kind, data) in enumerate(parts):
         for c, row in enumerate(data):
-            if list(map(row.__getitem__, row)) != list(range(len(row))):
+            if gather(row, row) != tuple(range(len(row))):
                 raise DegenerateGenerators(f"generator {colors[c]!r} not involutive on part {i}")
     orders = _check_order_bound(parts, cap)
     point = [(0,)] * len(colors)
@@ -248,9 +248,9 @@ def sym_components(colors, parts, cap=None, deadline=None):
     for p in sorted(kept, key=lambda i: (len(tables[i][0]), i)):
         action, parents, xs, ys = close(action, tables[p], (0, 0), cap, deadline)
         if projection is not None:
-            projection = list(map(projection.__getitem__, xs))
+            projection = gather(projection, xs)
         elif p == carrier and parts[0][0] == "tables":
-            projection = ys if images is None else list(map(images.__getitem__, ys))
+            projection = ys if images is None else gather(images, ys)
     group = EGroup(colors, action, parents)
     group.projection = projection
     return group
@@ -308,22 +308,20 @@ def is_compatible(group, h):
     Decided through the closure of the combined action on h and the Cayley
     graph: the closure projects injectively onto the group (its size equals
     the group order) exactly under compatibility.  The projective part is the
-    group itself, so the closure is walked keyed by group elements, recording
-    the induced action on h and failing on the first conflict.  The verdict
-    depends on h only through its generator perms, and is kept per group.
+    group itself, so the closure is walked keyed by group elements, forcing
+    the image of one vertex of h at a time and failing on the first
+    conflict; a word acts trivially exactly when it fixes every vertex.
+    The verdict depends on h only through its generator perms, and is kept
+    per group.
     """
     if tuple(h.colors) != group.colors:
         raise UnknownName("group and graph must share a colour registry")
     perms = tuple(graph_generator_perms(h))
     verdict = group._compat_cache.get(perms)
     if verdict is None:
-        actions = propagate(
-            group.order,
-            list(enumerate(group.gen_action)),
-            [(0, tuple(range(h.n)))],
-            lambda c, act: tuple(map(perms[c].__getitem__, act)),
-        )
-        verdict = group._compat_cache[perms] = actions is not None
+        rows = list(enumerate(group.gen_action))
+        verdict = group._compat_cache[perms] = all(
+            propagate(group.order, rows, [(0, v)], perms) is not None for v in range(h.n))
     return verdict
 
 
@@ -342,12 +340,12 @@ def homomorphism(ghat, group):
 
     It exists iff every word trivial in ghat is trivial in the target; the
     map is then unique and is built by propagating images along the Cayley
-    graph of ghat.
+    graph of ghat through the target's tables.
     """
     if ghat.colors != group.colors:
         raise UnknownName("groups must share a colour registry")
     rows = list(enumerate(ghat.gen_action))
-    images = propagate(ghat.order, rows, [(0, 0)], lambda c, g: group.gen_action[c][g])
+    images = propagate(ghat.order, rows, [(0, 0)], group.gen_action)
     return None if images is None else tuple(images)
 
 
@@ -356,11 +354,11 @@ def is_group_symmetry(group, rho):
     each element's image, or None when renaming gives no isomorphic group.
 
     Decided by colour-aware Cayley-graph isomorphism fixing the identity:
-    the candidate map 1 -> 1 with f(g * e) = f(g) * rho(e) is propagated and
-    must be conflict-free.
+    the candidate map 1 -> 1 with f(g * e) = f(g) * rho(e) is propagated
+    through the renamed tables and must be conflict-free.
     """
     if set(rho) != set(group.colors) or sorted(rho.values()) != sorted(group.colors):
         raise UnknownName("rho must permute the colour registry")
-    renamed = {group.color_index(e): group.gen_action[group.color_index(t)] for e, t in rho.items()}
+    renamed = [group.gen_action[group.color_index(rho[e])] for e in group.colors]
     rows = list(enumerate(group.gen_action))
-    return propagate(group.order, rows, [(0, 0)], lambda c, g: renamed[c][g])
+    return propagate(group.order, rows, [(0, 0)], renamed)

@@ -14,10 +14,12 @@ incremental form of Knuth ("Efficient representation of perm groups",
 
 from __future__ import annotations
 
+from .traverse import gather
+
 
 def _mul(p, q):
     """p followed by q."""
-    return tuple(map(q.__getitem__, p))
+    return gather(q, p)
 
 
 def _inverse(p):

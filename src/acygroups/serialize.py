@@ -13,7 +13,14 @@ import json
 from .covering import Hypergraph, graph_template
 from .egraph import EGraph, new_egraph
 from .errors import DegenerateGenerators, MatchingViolation, SchemaError
-from .groupoid import ConstraintPattern, IGraph, IGroupoid, groupoid_fault, pattern_fault
+from .groupoid import (
+    ConstraintPattern,
+    IGraph,
+    IGroupoid,
+    groupoid_fault,
+    igraph_fault,
+    pattern_fault,
+)
 from .groups import EGroup
 from .traverse import NO_EDGE, bfs_parents
 
@@ -227,6 +234,13 @@ def igraph_from_json(doc, pointer=""):
             pairs.append((vidx[_known(pair[0], vidx, "vertex", _at(p, 0))],
                           vidx[_known(pair[1], vidx, "vertex", _at(p, 1))]))
         edges.append(pairs)
+    fault = igraph_fault(pattern, site_of, edges)
+    if fault is not None:
+        message, e, i = fault
+        if e is None:
+            raise SchemaError(message, _at(pointer, "site_of"))
+        at = _at(pointer, "edges", pattern.edge_ids[e])
+        raise SchemaError(message, at if i is None else _at(at, i))
     return IGraph(pattern, vertices, site_of, edges)
 
 

@@ -28,6 +28,7 @@ from .groups import (
     is_compatible,
     sym_components,
 )
+from .traverse import gather
 
 
 MAX_COMPONENTS = 20_000
@@ -203,7 +204,7 @@ def _conservation(prev, new, k, deadline):
     new -> prev (or None).  The deadline is read before each subset."""
     hom = new.projection  # accepted once it fixes the identity and commutes with the generators
     if hom is not None and (hom[0] != 0 or any(
-            list(map(hom.__getitem__, row)) != list(map(before.__getitem__, hom))
+            gather(hom, row) != gather(before, hom)
             for row, before in zip(new.gen_action, prev.gen_action))):
         hom = None
     table = {}

@@ -5,8 +5,10 @@ generator: ``row[x]`` is the successor of ``x``, or ``NO_EDGE`` when there
 is none.  Cosets, groupoid cosets, connected components and the local
 blocks of template tables are blocks of :class:`Cosets`, walked one at a
 time as they are asked for.
-Homomorphisms, compatibility and skeleton maps are values forced along the
-rows by :func:`propagate`; witness words come from :func:`bfs_parents`.
+Homomorphisms, colour symmetries, compatibility and skeleton maps are
+values forced along the rows through per-colour target tables by
+:func:`propagate`; witness words come from :func:`bfs_parents`.  Whole
+tables are read through index lists by :func:`gather`, at C speed.
 Groups are folds of :func:`close` of one table against the next, whose
 coordinates carry a projection down the fold.  Each walk visits the list
 it appends to, so all of them are breadth first.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
+from operator import itemgetter
 
 from .errors import ResourceCap
 
@@ -106,32 +109,40 @@ class UnionFind:
         return class_of, classes
 
 
-def propagate(n, rows, seeds, step):
+def gather(seq, idx):
+    """The tuple of seq[i] for i in idx, read by :func:`operator.itemgetter`
+    with no Python call per index.  Raises IndexError for an index out of
+    range."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return (seq[idx[0]],) if idx else ()
+
+
+def propagate(n, rows, seeds, targets):
     """Values on 0..n-1 forced along the rows from seeds, or None.
 
     rows are (colour, row) pairs and seeds (index, value) pairs.  A value v
-    at x forces step(colour, v) at row[x]; the list holds None where no
-    value was forced.  The result is None when step returns None or when an
-    index is forced to two different values.
+    at x forces targets[colour][v] at row[x]; the list holds None where no
+    value was forced.  The result is None when an index is forced to two
+    different values.
     """
     values = [None] * n
     queue = []
     for x, v in seeds:
         values[x] = v
         queue.append(x)
+    steps = [(row, targets[c]) for c, row in rows]
     for x in queue:
         v = values[x]
-        for c, row in rows:
+        for row, target in steps:
             y = row[x]
             if y == NO_EDGE:
                 continue
-            w = step(c, v)
-            if w is None:
-                return None
-            if values[y] is None:
+            w, u = target[v], values[y]
+            if u is None:
                 values[y] = w
                 queue.append(y)
-            elif values[y] != w:
+            elif u != w:
                 return None
     return values
 

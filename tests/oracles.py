@@ -56,6 +56,16 @@ entries.  ``component_elements`` reads the elements of a template component
 from ``IContext.comp_tables(alpha).block``; the library compares pairs
 instead.
 
+``reference_propagate`` is ``traverse.propagate`` before it read per-colour
+target tables: a callback ``step(colour, value)`` forces each value, and
+may refuse one by returning None.  ``reference_is_group_symmetry`` forces
+a renaming through it, and ``reference_colour_symmetries`` forces every
+renaming so, with no composition; ``acyclicity._colour_symmetries`` must
+give the same maps and index maps in the same order.
+``reference_is_compatible`` and ``reference_is_compatible_groupoid`` force
+the action on the whole template, one tuple per element, where the library
+forces each point on its own; both must give the same verdicts.
+
 ``reference_girth`` is the girth as the shortest detour around an edge:
 for each edge, one plus the distance between its ends without it.
 
@@ -83,6 +93,7 @@ needs them.
 import functools
 import math
 import time
+from itertools import islice, permutations
 from operator import getitem
 from typing import NamedTuple, Sequence
 
@@ -1005,3 +1016,71 @@ def rebuild_renamed(am, rho):
     if am.kind == "chain" and not any(am.anchors):
         return amalgam_chain(group, [(a, 0) for a in alphas])
     raise ValueError("rebuild_renamed supports clusters and chains pointed at the identity")
+
+
+def reference_propagate(n, rows, seeds, step):
+    """Values on 0..n-1 forced along the (colour, row) pairs from the
+    (index, value) seeds: a value v at x forces step(colour, v) at row[x].
+    None when step returns None or an index is forced to two values."""
+    values = [None] * n
+    queue = []
+    for x, v in seeds:
+        values[x] = v
+        queue.append(x)
+    for x in queue:
+        v = values[x]
+        for c, row in rows:
+            y = row[x]
+            if y == NO_EDGE:
+                continue
+            w = step(c, v)
+            if w is None:
+                return None
+            if values[y] is None:
+                values[y] = w
+                queue.append(y)
+            elif values[y] != w:
+                return None
+    return values
+
+
+def reference_is_group_symmetry(group, rho):
+    """Each element's image under the automorphism renaming generators along
+    the name map rho, or None."""
+    renamed = {group.color_index(e): group.gen_action[group.color_index(t)] for e, t in rho.items()}
+    rows = list(enumerate(group.gen_action))
+    return reference_propagate(group.order, rows, [(0, 0)], lambda c, g: renamed[c][g])
+
+
+def reference_colour_symmetries(group, alphas):
+    """(element map, index map on alphas) of every renaming but the identity
+    that extends to an automorphism, each forced on its own."""
+    index = {a: i for i, a in enumerate(alphas)}
+    colors = group.colors
+    out = []
+    for rho in islice(permutations(range(len(colors))), 1, None):
+        perm = reference_is_group_symmetry(group, {colors[c]: colors[rho[c]] for c in range(len(colors))})
+        if perm is not None:
+            out.append((perm, [index[frozenset(rho[c] for c in a)] for a in alphas]))
+    return out
+
+
+def reference_is_compatible(group, h):
+    """is_compatible with the action on all of h forced as one tuple per
+    element and no verdict kept."""
+    perms = graph_generator_perms(h)
+    actions = reference_propagate(
+        group.order, list(enumerate(group.gen_action)), [(0, tuple(range(h.n)))],
+        lambda c, act: tuple(perms[c][v] for v in act))
+    return actions is not None
+
+
+def reference_is_compatible_groupoid(gpd, igraph):
+    """is_compatible_groupoid with each site's vertices forced as one tuple
+    per element."""
+    bijections = [dict(pairs) for pairs in igraph.edges]
+    seeds = [(x, tuple(igraph.vertices_of_site(s))) for s, x in enumerate(gpd.neutral)]
+    actions = reference_propagate(
+        gpd.order, list(enumerate(gpd.rmul)), seeds,
+        lambda e, act: tuple(bijections[e][v] for v in act))
+    return actions is not None

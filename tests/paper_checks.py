@@ -18,10 +18,10 @@ from acygroups.canon import canonical_form, connected_components
 from acygroups.constraint import Skeleton, is_free_over
 from acygroups.covering import _vertex_colour_sets
 from acygroups.errors import PreconditionFailed, StrictnessViolation
-from acygroups.traverse import NO_EDGE, bfs_parents, propagate
+from acygroups.traverse import NO_EDGE, bfs_parents
 
 from conftest import coset_graph
-from oracles import find_isomorphism, induced_subgraph
+from oracles import find_isomorphism, induced_subgraph, reference_propagate
 
 
 def minimal_support(group, g, assume_two_acyclic=False):
@@ -229,7 +229,7 @@ def is_skeleton(host, igraph, alpha, s):
     for comp in connected_components(host):
         assigned = None
         for site in sorted(target_sites):
-            assigned = propagate(host.n, rows, [(comp[0], site)], step)
+            assigned = reference_propagate(host.n, rows, [(comp[0], site)], step)
             if assigned is not None:
                 break
         if assigned is None:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from acygroups import groups, synthesis, traverse
 from acygroups.errors import DegenerateGenerators, ResourceCap
-from acygroups.groups import _essential_parts, homomorphism, sym_components
+from acygroups.groups import EGroup, _essential_parts, homomorphism, sym_components
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 from acygroups.traverse import close
 
@@ -228,6 +228,30 @@ def test_the_cube_2_stage_keeps_6_of_its_16_parts(stage_55440):
     action, parents = reference_diagonal_closure(len(colors), parts, 10**6)
     assert group.gen_action == tuple(map(tuple, action))
     assert group.parents == tuple(parents)
+
+
+def test_egroup_refuses_each_degenerate_table_of_order_55440(stage_55440):
+    # the refusals, messages and indices of the small tables, on whole rows;
+    # a Cayley table fixes no element, so for z outside 0, 1 and 1's image
+    # the two rows below keep 0's image and break one row each
+    colors, parts, _ = stage_55440
+    group = sym_components(colors, parts)
+    first, second = group.gen_action
+    z = min({2, 3, 4} - {second[1]})
+    repeated, swapped = list(second), list(second)
+    repeated[1] = second[z]
+    swapped[1], swapped[z] = second[z], second[1]
+    cases = [
+        ([first, repeated], "generator table is not a permutation", 1),
+        ([first, swapped], f"generator {colors[1]!r} not involutive", 1),
+        ([first, range(group.order)], "generator equals the identity", 1),
+        ([first, first], "two generators coincide", 1),
+    ]
+    assert EGroup(colors, group.gen_action, group.parents).order == 55440
+    for rows, message, index in cases:
+        with pytest.raises(DegenerateGenerators, match=f"^{message}$") as err:
+            EGroup(colors, rows, group.parents)
+        assert err.value.index == index
 
 
 def test_the_closure_cap_with_parts_dropped(stage_55440, monkeypatch):

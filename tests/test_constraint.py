@@ -256,7 +256,7 @@ def naive_ce_classes(skel, group, alpha, igraph, ctx):
         for comp in connected_components(host, a):
             # element addresses walked along the host's edges from comp[0]
             rows = [(c, host.partner[c]) for c in sorted(a)]
-            maps = propagate(host.n, rows, [(comp[0], 0)], lambda c, g: group.gen_action[c][g])
+            maps = propagate(host.n, rows, [(comp[0], 0)], group.gen_action)
             for v in comp:
                 comp_of[(a, v)] = comp
                 addr[(a, v)] = {

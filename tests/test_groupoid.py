@@ -20,7 +20,7 @@ from acygroups.groupoid import (
     translate_igraph,
     verify_groupoid_axioms,
 )
-from acygroups.groups import sym
+from acygroups.groups import graph_generator_perms, sym
 from acygroups.synthesis import SynthesisConfig
 
 from oracles import reference_hat_igraph, reference_inverse_closed_subsets, walk_target
@@ -356,16 +356,17 @@ def test_groupoid_search_honours_a_tiny_budget(weak_groupoid):
 def test_compatibility_is_walked_once_per_group(monkeypatch):
     # only the starting group is walked: each stage group inherits the
     # verdict through its homomorphism onto the stage before, and
-    # groupoid_from_group asks the final group what IContext asked of it
+    # groupoid_from_group asks the final group what IContext asked of it;
+    # a walk forces each template point on its own, so the forcings through
+    # the template's perms are counted per group
     from acygroups import groups
 
-    walks = []
+    calls = []
     propagate = groups.propagate
 
-    def recording(n, rows, seeds, step):
-        if isinstance(seeds[0][1], tuple):  # an action on a template: is_compatible
-            walks.append(rows[0][1])
-        return propagate(n, rows, seeds, step)
+    def recording(n, rows, seeds, targets):
+        calls.append((rows[0][1], seeds, targets))
+        return propagate(n, rows, seeds, targets)
 
     monkeypatch.setattr(groups, "propagate", recording)
     pattern = one_pair_pattern()
@@ -373,5 +374,12 @@ def test_compatibility_is_walked_once_per_group(monkeypatch):
         pattern, pattern_igraph(pattern), SynthesisConfig(n_acyclic=2, early_exit=True)
     )
     assert res.checks == {"axioms": True, "acyclic": True, "compatible": True}
-    assert sum(row is res.group.gen_action[0] for row in walks) == 0
+    perms = tuple(graph_generator_perms(res.hat.igraph))
+    walks = {}
+    for row, seeds, targets in calls:
+        if targets == perms:
+            walks.setdefault(id(row), (row, []))[1].extend(seeds)
     assert len(walks) == 1
+    [(row, seeds)] = walks.values()
+    assert row is not res.group.gen_action[0]
+    assert seeds == [(0, v) for v in range(res.hat.igraph.n)]

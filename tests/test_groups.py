@@ -268,27 +268,33 @@ def test_coset_tables_walk_only_what_is_asked_for():
     assert table.find(17) == table.find(group.gen_action[0][17]) and walked([0]) == 2 + 2
 
 
-@pytest.mark.parametrize("order, rows, message", [
-    (2, [(1, 2)], "generator table is not a permutation"),
-    (2, [(1, -1)], "generator table is not a permutation"),
-    (3, [(-1, 1, 0)], "generator table is not a permutation"),
-    (2, [(1, 1)], "generator table is not a permutation"),
-    (2, [(1, 0, 2)], "generator table is not a permutation"),
-    (3, [(1, 2, 0)], "generator 'c0' not involutive"),
-    (2, [(1, 0), (0, 1)], "generator equals the identity"),
-    (3, [(1, 2, 0), (0, 1, 2)], "generator equals the identity"),
-    (3, [(1, 2, 0), (1, 0, 3)], "generator table is not a permutation"),
-    (2, [(1, 0), (1, 0)], "two generators coincide"),
+@pytest.mark.parametrize("order, rows, message, index", [
+    (2, [(1, 2)], "generator table is not a permutation", 0),
+    (2, [(1, -1)], "generator table is not a permutation", 0),
+    (3, [(-1, 1, 0)], "generator table is not a permutation", 0),
+    (2, [(1, 1)], "generator table is not a permutation", 0),
+    (2, [(1, 0, 2)], "generator table is not a permutation", 0),
+    (3, [(1, 2, 0)], "generator 'c0' not involutive", 0),
+    (2, [(1, 0), (0, 1)], "generator equals the identity", 1),
+    (3, [(1, 2, 0), (0, 1, 2)], "generator equals the identity", 1),
+    (3, [(1, 2, 0), (1, 0, 3)], "generator table is not a permutation", 1),
+    (2, [(1, 0), (1, 0)], "two generators coincide", 1),
+    # order 1: a one-entry index list, where gather reads one item
+    (1, [(1,)], "generator table is not a permutation", 0),
+    (1, [(0,)], "generator equals the identity", 0),
+    (1, [()], "generator table is not a permutation", 0),
 ], ids=["out-of-range", "negative", "negative-wrapping", "repeated", "too-long",
-        "not-involutive", "identity", "identity-first", "range-first", "coinciding"])
-def test_egroup_refuses_each_degenerate_table(order, rows, message):
+        "not-involutive", "identity", "identity-first", "range-first", "coinciding",
+        "order-1-out-of-range", "order-1-identity", "order-1-empty"])
+def test_egroup_refuses_each_degenerate_table(order, rows, message, index):
     # the involution test alone passes only permutations, so a failure is
     # then told apart; every row is checked to be a permutation and not the
     # identity before any is called not involutive
     from acygroups.groups import EGroup
 
-    with pytest.raises(DegenerateGenerators, match=f"^{message}$"):
+    with pytest.raises(DegenerateGenerators, match=f"^{message}$") as err:
         EGroup([f"c{i}" for i in range(len(rows))], rows, [None] + [(0, 0)] * (order - 1))
+    assert err.value.index == index
 
 
 def test_egroup_refuses_repeated_colour_names():

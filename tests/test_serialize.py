@@ -458,6 +458,14 @@ def _parallel_pairs_groupoid_doc():
     return _groupoid_doc(parallel_pairs_pattern())
 
 
+def _named_pair_igraph_doc():
+    # the pattern as a graph, with a second vertex u at site t
+    doc = ser.igraph_to_json(pattern_igraph(_named_pair_pattern()))
+    doc["vertices"].append("u")
+    doc["site_of"].append("t")
+    return doc
+
+
 def _klein_doc():
     return {"format": "egroup", "colors": ["a", "b", "c"], "order": 4,
             "action": {"a": [1, 0, 3, 2], "b": [2, 3, 0, 1], "c": [3, 2, 1, 0]}}
@@ -497,10 +505,14 @@ def _klein_doc():
     (_named_pair_groupoid_doc, ("sorts", 0), ["s", "t"], "/sorts/0"),
     (_named_pair_groupoid_doc, ("generators", "e/1"), 3, "/generators/e~11"),
     (_parallel_pairs_groupoid_doc, ("generators", "f"), 2, "/generators/f"),
+    (_named_pair_igraph_doc, ("edges", "e/1", 0), ["t", "s"], "/edges/e~11/0"),
+    (_named_pair_igraph_doc, ("edges", "e/1"), [["s", "u"]], "/edges/e~11"),
+    (_named_pair_igraph_doc, ("site_of",), ["s", "s", "s"], "/site_of"),
 ], ids=["egraph-v", "egraph-u", "graph-u", "graph-v", "intersection-colour", "slash-colour",
         "tilde-key", "igraph-edge", "rmul-entry", "rmul-row", "generator-range", "generator-type",
         "not-involutive", "identity", "coinciding", "two-edges-at-a-vertex", "neutral-sort",
-        "generator-sort", "coinciding-generators"])
+        "generator-sort", "coinciding-generators", "igraph-sorts", "igraph-converse",
+        "igraph-site"])
 def test_error_pointers_resolve_to_the_value_at_fault(make, path, value, pointer):
     doc = _mutated(make(), path, value)
     with pytest.raises(SchemaError) as err:

@@ -106,6 +106,35 @@ def test_no_function_body_imports():
     assert offenders == []
 
 
+def _called_name(node):
+    """The name a call node calls, bare or as an attribute, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_whole_table_gathers_and_forcings_stay_in_the_kernels():
+    # list(map(x.__getitem__, y)) and tuple(map(x.__getitem__, y)) make a
+    # Python call per element, and so does a step function per edge: whole
+    # tables are read by traverse.gather and forced through propagate's
+    # target tables, which make none
+    offenders = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _called_name(node)
+            if called in ("list", "tuple") and any(
+                    isinstance(arg, ast.Call) and _called_name(arg) == "map" and arg.args
+                    and getattr(arg.args[0], "attr", None) == "__getitem__"
+                    for arg in node.args):
+                offenders.append(f"{name}:{node.lineno} {called}(map(...__getitem__, ...))")
+            if called == "propagate" and any(
+                    isinstance(arg, ast.Lambda)
+                    for arg in [*node.args, *(k.value for k in node.keywords)]):
+                offenders.append(f"{name}:{node.lineno} propagate(..., lambda)")
+    assert offenders == []
+
+
 def _own_scope(func):
     """The nodes of func's own scope: the bodies of nested functions,
     lambdas and classes are left out."""

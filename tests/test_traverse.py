@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from acygroups.egraph import EGraph, disjoint_union, hypercube
 from acygroups.errors import ResourceCap
 from acygroups.groups import graph_generator_perms, sym
-from acygroups.traverse import NO_EDGE, Cosets, UnionFind, close
+from acygroups.traverse import NO_EDGE, Cosets, UnionFind, close, gather
 
 from oracles import partition, reference_cosets
 
@@ -22,6 +22,18 @@ def draw_matching(data, n):
         if data.draw(st.booleans()):
             row[v] = v
     return row
+
+
+def test_gather_reads_index_lists_of_every_length():
+    # itemgetter returns a bare item for one index and needs at least one
+    seq = (5, 6, 7)
+    assert gather(seq, []) == ()
+    assert gather(seq, [2]) == (7,)
+    assert gather(seq, (2, 0, 2)) == (7, 5, 7)
+    assert gather(list(seq), range(3)) == seq
+    for idx in ([3], [0, 3], (1, 2, 9)):
+        with pytest.raises(IndexError):
+            gather(seq, idx)
 
 
 @settings(max_examples=150, deadline=None)
