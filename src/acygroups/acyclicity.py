@@ -175,7 +175,9 @@ def _colour_symmetries(group, alphas):
     extends rho1 o rho2.  So only a renaming outside the group generated
     by those kept so far is forced by
     :func:`~acygroups.groups.is_group_symmetry`; the group's maps are
-    composed by gathers as each forced one joins it.
+    composed by gathers as each forced one joins it.  When a forced rho
+    has no extension, neither has rho o sigma nor sigma o rho for any
+    sigma in that group, and those renamings are not forced.
     """
     index = {a: i for i, a in enumerate(alphas)}
     colors = group.colors
@@ -183,11 +185,16 @@ def _colour_symmetries(group, alphas):
     known = {identity: tuple(range(group.order))}  # the group generated so far
     gens = []
     out = []
+    failed = set()  # renamings known to have no extension
     for rho in islice(permutations(identity), 1, None):  # the identity comes first
         perm = known.get(rho)
         if perm is None:
+            if rho in failed:
+                continue
             perm = is_group_symmetry(group, dict(zip(colors, gather(colors, rho))))
             if perm is None:
+                for sigma in known:
+                    failed.update((gather(rho, sigma), gather(sigma, rho)))
                 continue
             perm = tuple(perm)
             gens.append((rho, perm))

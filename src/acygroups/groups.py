@@ -2,10 +2,10 @@
 
 An :class:`EGroup` is stored abstractly: elements are dense indices with the
 identity at 0, and the whole structure is carried by one right-multiplication
-table per generator colour plus a parent link per element (for witness
-words).  Groups produced by :func:`sym` get their indices from a
-breadth-first closure with generators in colour order, so numbering is
-reproducible across runs.
+table per generator colour.  The parent links behind witness words are
+derived from those tables when a word is first asked for.  Groups produced
+by :func:`sym` get their indices from a breadth-first closure with
+generators in colour order, so numbering is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .canon import connected_components
 from .egraph import EGraph, disjoint_union, hypercube, trivial_completion
 from .errors import DegenerateGenerators, PreconditionFailed, ResourceCap, UnknownName
 from .permgroup import group_order
-from .traverse import Cosets, close, gather, propagate
+from .traverse import Cosets, bfs_parents, close, gather, propagate
 
 
 def _positive(text):
@@ -50,18 +50,22 @@ class EGroup:
     __slots__ = (
         "colors",
         "gen_action",
-        "parents",
+        "order",
         "projection",
+        "_parents",
         "_coset_cache",
         "_compat_cache",
     )
 
-    def __init__(self, colors, gen_action, parents):
+    def __init__(self, colors, gen_action, order):
         self.colors = tuple(colors)
         if len(set(self.colors)) != len(self.colors):
             raise UnknownName("duplicate colour names")
         self.gen_action = tuple(tuple(row) for row in gen_action)
-        self.parents = tuple(parents)  # per element: (previous element, colour) or None
+        # a sequence with one entry per element, such as the parent links of
+        # another numbering, gives its length
+        self.order = order if isinstance(order, int) else len(order)
+        self._parents = None  # derived by the parents property
         self.projection = None  # from sym_components: each element's point of a tables part 0
         self._coset_cache = {}
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
@@ -90,8 +94,13 @@ class EGroup:
             seen.add(row[0])
 
     @property
-    def order(self):
-        return len(self.parents)
+    def parents(self):
+        """Per element, (previous element, colour) on a shortest word from
+        the identity, or None at the identity: the breadth-first forest of
+        the tables, colours in order, walked when first read and kept."""
+        if self._parents is None:
+            self._parents = tuple(bfs_parents(self.gen_action, self.order, [0])[1])
+        return self._parents
 
     def color_index(self, name):
         try:
@@ -108,9 +117,10 @@ class EGroup:
 
     def word_of(self, g):
         """A shortest generator word evaluating to element g."""
+        parents = self.parents
         out = []
-        while self.parents[g] is not None:
-            prev, c = self.parents[g]
+        while parents[g] is not None:
+            prev, c = parents[g]
             out.append(c)
             g = prev
         out.reverse()
@@ -230,28 +240,29 @@ def sym_components(colors, parts, cap=None, deadline=None):
     """
     cap = cap or default_cap()
     for i, (kind, data) in enumerate(parts):
+        identity = tuple(range(len(data[0]))) if data else ()
         for c, row in enumerate(data):
-            if gather(row, row) != tuple(range(len(row))):
+            if gather(row, row) != identity:
                 raise DegenerateGenerators(f"generator {colors[c]!r} not involutive on part {i}")
     orders = _check_order_bound(parts, cap)
     point = [(0,)] * len(colors)
     tables = []
     for (kind, data), order in zip(parts, orders):
-        table, parents, i = point, [None], 0
-        while kind == "perms" and len(parents) < order:
-            table, parents, _, _ = close(table, data, (0, i), cap, deadline)
+        table, xs, i = point, [0], 0
+        while kind == "perms" and len(xs) < order:
+            table, xs, _ = close(table, data, (0, i), cap, deadline)
             i += 1
         tables.append(table if kind == "perms" else data)
     kept, quotients = _essential_parts(tables)
     carrier, images = (0, None) if 0 in kept else quotients[0]
-    action, parents, projection = point, [None], None
+    action, xs, projection = point, [0], None
     for p in sorted(kept, key=lambda i: (len(tables[i][0]), i)):
-        action, parents, xs, ys = close(action, tables[p], (0, 0), cap, deadline)
+        action, xs, ys = close(action, tables[p], (0, 0), cap, deadline)
         if projection is not None:
             projection = gather(projection, xs)
         elif p == carrier and parts[0][0] == "tables":
             projection = ys if images is None else gather(images, ys)
-    group = EGroup(colors, action, parents)
+    group = EGroup(colors, action, len(xs))
     group.projection = projection
     return group
 

@@ -138,20 +138,23 @@ def egroup_from_json(doc, pointer=""):
         raise SchemaError("a group has at least one element", _at(pointer, "order"))
     action_doc = _keyed(doc, "action", colors, "colour", pointer)
     action = []
+    identity = []  # built once, for the first row of the right length
     for c in colors:
         if c not in action_doc:
             raise SchemaError(f"missing action for colour {c!r}", _at(pointer, "action", c))
         row = action_doc[c]
+        if not identity and isinstance(row, list) and len(row) == order:
+            identity = list(range(order))
         if (not isinstance(row, list) or len(row) != order
-                or not all(type(x) is int for x in row) or sorted(row) != list(range(order))):
+                or not all(type(x) is int for x in row) or sorted(row) != identity):
             raise SchemaError("action row is not a permutation", _at(pointer, "action", c))
         action.append(row)
-    # rebuild witness links by breadth-first closure from the identity
-    reached, parents = bfs_parents(action, order, [0])
-    if len(reached) != order:
+    # no row backs a colourless group's order, so it is refused before the
+    # walk sizes a list by it
+    if (not colors and order != 1) or len(bfs_parents(action, order, [0])[0]) != order:
         raise SchemaError("action tables do not generate all elements", _at(pointer, "action"))
     try:
-        return EGroup(colors, action, parents)
+        return EGroup(colors, action, order)
     except DegenerateGenerators as exc:
         raise SchemaError(str(exc), _at(pointer, "action", colors[exc.index])) from None
 

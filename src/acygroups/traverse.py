@@ -148,31 +148,32 @@ def propagate(n, rows, seeds, targets):
 
 
 def close(a, b, start, cap, deadline=None):
-    """Breadth-first closure of the state start = (x0, y0): (action, parents,
-    xs, ys).  Generator c maps (x, y) to (a[c][x], b[c][y]), keyed by the
-    int x * len(b[0]) + y, and every row must be an involution.  action[c]
-    is the generator's table on state indices, with start at 0, parents[k]
-    is (earlier index, c) for every state but start, and state k is
-    (xs[k], ys[k]).  Computing j = c(k) also gives action[c][j] = k,
-    so each generator edge is walked from its earlier end only; a state
-    whose image is known adds no state, so states and parents come out as
-    a walk of every edge would give them.  Raises ResourceCap when a state
-    beyond the first cap would be added, or when the monotonic clock, read
-    once per 4,096 states, has passed deadline.
+    """Breadth-first closure of the state start = (x0, y0): (action, xs,
+    ys).  Generator c maps (x, y) to (a[c][x], b[c][y]), keyed by the int
+    x * len(b[0]) + y, and every row must be an involution.  action[c] is
+    the generator's table on state indices, with start at 0, and state k
+    is (xs[k], ys[k]).  States are numbered as found, colours in order, so
+    :func:`bfs_parents` over action finds each state first from the state
+    and colour that added it.  Computing j = c(k) also gives action[c][j] =
+    k, so each generator edge is walked from its earlier end only; a state
+    whose image is known adds no state, so states come out as a walk of
+    every edge would give them.  The walk reads back the state numbers it
+    stored, so the key's value, both table entries and the loop share one
+    int per state.  Raises ResourceCap when a state beyond the first cap
+    would be added, or when the monotonic clock, read once per 4,096
+    states, has passed deadline.
     """
     (x0, y0), m = start, len(b[0])
     index = {x0 * m + y0: 0}
     get = index.get
-    xs, ys = [x0], [y0]
-    parents = [None]
+    ks, xs, ys = [0], [x0], [y0]
     size = 64  # the tables grow by doubling and are cut to the states at the end
     action = [[-1] * size for _ in a]
-    steps = list(zip(range(len(a)), a, b, action))
-    for k, x in enumerate(xs):
+    steps = list(zip(a, b, action))
+    for k, x, y in zip(ks, xs, ys):
         if not k & 4095 and k and deadline is not None and time.monotonic() > deadline:
             raise ResourceCap(f"closure timed out after {k} elements")
-        y = ys[k]
-        for c, row_a, row_b, table in steps:
+        for row_a, row_b, table in steps:
             if table[k] != -1:
                 continue
             u, v = row_a[x], row_b[y]
@@ -182,9 +183,9 @@ def close(a, b, start, cap, deadline=None):
                 j = index[h] = len(xs)
                 if j >= cap:
                     raise ResourceCap(f"element cap {cap} exceeded in closure")
+                ks.append(j)
                 xs.append(u)
                 ys.append(v)
-                parents.append((k, c))
                 if j == size:
                     for t in action:
                         t.extend(repeat(-1, size))
@@ -193,7 +194,7 @@ def close(a, b, start, cap, deadline=None):
             table[j] = k
     for table in action:
         del table[len(xs):]
-    return action, parents, xs, ys
+    return action, xs, ys
 
 
 def bfs_parents(rows, n, roots):

@@ -941,9 +941,8 @@ def subgroup(group, alpha):
     elements = group.subgroup_elements(alpha)  # sorted, so identity is index 0
     local = {g: i for i, g in enumerate(elements)}
     action = [[local[group.gen_action[c][g]] for g in elements] for c in alpha]
-    _, parents = bfs_parents(action, len(elements), [0])
     colors = tuple(group.colors[c] for c in alpha)
-    return EGroup(colors, action, parents)
+    return EGroup(colors, action, len(elements))
 
 
 def walk_target(g, v, word):

@@ -454,6 +454,16 @@ def test_egroup_action_row_of_an_unlisted_colour_is_invalid_input(tmp_path, caps
     _invalid(capsys, ["girth", write(tmp_path, "g.json", group)], "/action/bogus")
 
 
+@pytest.mark.parametrize("order", [3, 10**12])
+def test_a_colourless_group_of_order_other_than_1_is_invalid_input(tmp_path, capsys, order):
+    # no row backs the order, so it is refused before a walk sizes a list
+    # by it; order 10**12 exited 4 with a MemoryError before
+    group = {"format": "egroup", "colors": [], "order": order, "action": {}}
+    assert main(["check-acyclic", write(tmp_path, "g.json", group), "-N", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "invalid input: action tables do not generate all elements (at /action)\n")
+
+
 def test_igraph_edge_class_of_an_unknown_edge_is_invalid_input(tmp_path, capsys):
     # before, groupoid-construct accepted the target and ran
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])

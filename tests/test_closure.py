@@ -2,15 +2,19 @@
 only, against the two-pass closure over every part, its cap, its deadline
 and the projection onto the stage before."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acygroups import groups, synthesis, traverse
+from acygroups import serialize as ser
+from acygroups.cli import main
 from acygroups.errors import DegenerateGenerators, ResourceCap
 from acygroups.groups import EGroup, _essential_parts, homomorphism, sym_components
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
-from acygroups.traverse import close
+from acygroups.traverse import bfs_parents, close
 
 from conftest import corpus, hypercube_group
 from oracles import partition, reference_close, reference_diagonal_closure
@@ -150,8 +154,9 @@ def test_one_pass_close_matches_the_two_pass_close(data):
         with pytest.raises(ResourceCap, match=f"^element cap {cap} exceeded in closure$"):
             close(a, b, start, cap)
         return
-    action, parents, xs, ys = close(a, b, start, cap)
-    assert (action, parents) == expected
+    action, xs, ys = close(a, b, start, cap)
+    # the breadth-first forest of the tables is the reference's parents
+    assert (action, bfs_parents(action, len(xs), [0])[1]) == expected
     # each state's coordinates, in the order the reference numbers them
     index = {start: 0}
     for x, y in zip(xs, ys):
@@ -230,6 +235,51 @@ def test_the_cube_2_stage_keeps_6_of_its_16_parts(stage_55440):
     assert group.parents == tuple(parents)
 
 
+def test_derived_parents_match_the_reference_on_the_corpus():
+    # each corpus group's tables walked again by the reference closure of
+    # its regular action: the same numbering and the same parents
+    for name, group in corpus().items():
+        action, parents = reference_close((0,), [(row,) for row in group.gen_action], 10**6)
+        assert group.gen_action == tuple(map(tuple, action)), name
+        assert group.parents == tuple(parents), name
+
+
+def test_a_tower_derives_parents_only_when_a_word_is_asked_for(monkeypatch):
+    walks = []
+    derive = groups.bfs_parents
+
+    def recording(rows, n, roots):
+        walks.append(n)
+        return derive(rows, n, roots)
+
+    monkeypatch.setattr(groups, "bfs_parents", recording)
+    group, reports = construct_n_acyclic(hypercube_group(["a", "b"]),
+                                         SynthesisConfig(n_acyclic=12))
+    assert [r.order for r in reports] == [4, 55440]
+    assert 55440 not in walks
+    word = group.word_of(55439)
+    assert walks[-1] == 55440 and group.evaluate(word) == 55439
+    group.word_of(1)
+    assert walks.count(55440) == 1
+
+
+def test_the_cube_2_tower_keeps_inside_its_memory_budget(tmp_path):
+    # with a parent link per element the run peaked at 13.8 MiB, without
+    # at 8.8 MiB; a warm-up run keeps imports and the cached parser out of
+    # the count
+    src = tmp_path / "cube_2.json"
+    src.write_bytes(ser.canonical_bytes(ser.egroup_to_json(hypercube_group(["a", "b"]))))
+    argv = ["construct", str(src), "-N", "12", "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
 def test_egroup_refuses_each_degenerate_table_of_order_55440(stage_55440):
     # the refusals, messages and indices of the small tables, on whole rows;
     # a Cayley table fixes no element, so for z outside 0, 1 and 1's image
@@ -247,10 +297,10 @@ def test_egroup_refuses_each_degenerate_table_of_order_55440(stage_55440):
         ([first, range(group.order)], "generator equals the identity", 1),
         ([first, first], "two generators coincide", 1),
     ]
-    assert EGroup(colors, group.gen_action, group.parents).order == 55440
+    assert EGroup(colors, group.gen_action, group.order).order == 55440
     for rows, message, index in cases:
         with pytest.raises(DegenerateGenerators, match=f"^{message}$") as err:
-            EGroup(colors, rows, group.parents)
+            EGroup(colors, rows, group.order)
         assert err.value.index == index
 
 
@@ -341,8 +391,8 @@ def test_closure_reads_the_clock_every_4096_states(monkeypatch):
     regular = sym_components(S8_COLORS, [("perms", S8)]).gen_action
     clock = _clock(0.0)
     monkeypatch.setattr(traverse, "time", clock)
-    _, parents, _, _ = close(regular, S8, (0, 0), 10**6, deadline=1.0)
-    assert len(parents) == 40320
+    _, xs, _ = close(regular, S8, (0, 0), 10**6, deadline=1.0)
+    assert len(xs) == 40320
     assert clock.calls == 40320 // 4096
     clock.calls = 0
     close(regular, S8, (0, 0), 10**6)

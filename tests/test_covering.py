@@ -107,7 +107,7 @@ def _relabel(group, template):
 
     t = graph_template([(0, 1), (1, 2), (0, 2)])
     assert len(t.colors) == len(group.colors)
-    return EGroup(t.colors, group.gen_action, group.parents)
+    return EGroup(t.colors, group.gen_action, group.order)
 
 
 def test_hypergraph_cover_of_triangle(triangle_cover_group):
@@ -167,7 +167,7 @@ def test_cover_is_trivial_for_disjoint_hyperedges():
     hg = Hypergraph([0, 1, 2, 3], [[0, 1], [2, 3]])
     from acygroups.groups import EGroup
 
-    trivial = EGroup((), [], [None])
+    trivial = EGroup((), [], 1)
     cov = hypergraph_cover(hg, trivial)
     assert cov.cover.n == 4
     assert len(cov.cover.hyperedges) == 2
@@ -309,7 +309,7 @@ def _small_cover(hyperedges, hypercube_attached, build=hypergraph_cover):
     hg = Hypergraph(range(5), [sorted(he) for he in hyperedges])
     ig = intersection_graph(hg)
     group = (sym(ig, attach_hypercube=hypercube_attached) if ig.colors
-             else EGroup((), [], [None]))
+             else EGroup((), [], 1))
     return build(hg, group)
 
 

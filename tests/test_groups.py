@@ -253,7 +253,7 @@ def test_coset_tables_walk_only_what_is_asked_for():
     built, _ = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=10))
     assert built.order == 5040
     # the same group with no table walked yet
-    group = EGroup(built.colors, built.gen_action, built.parents)
+    group = EGroup(built.colors, built.gen_action, built.order)
 
     def walked(alpha):
         return sum(x != -1 for x in group.coset_table(alpha).ids)
@@ -293,7 +293,7 @@ def test_egroup_refuses_each_degenerate_table(order, rows, message, index):
     from acygroups.groups import EGroup
 
     with pytest.raises(DegenerateGenerators, match=f"^{message}$") as err:
-        EGroup([f"c{i}" for i in range(len(rows))], rows, [None] + [(0, 0)] * (order - 1))
+        EGroup([f"c{i}" for i in range(len(rows))], rows, order)
     assert err.value.index == index
 
 
@@ -302,7 +302,6 @@ def test_egroup_refuses_repeated_colour_names():
     from acygroups.groups import EGroup
 
     rows = [[1, 0, 3, 2], [2, 3, 0, 1]]
-    parents = [None, (0, 0), (0, 1), (1, 1)]
     with pytest.raises(UnknownName, match="^duplicate colour names$"):
-        EGroup(["a", "a"], rows, parents)
-    assert EGroup(["a", "b"], rows, parents).color_index("b") == 1
+        EGroup(["a", "a"], rows, 4)
+    assert EGroup(["a", "b"], rows, 4).color_index("b") == 1

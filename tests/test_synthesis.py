@@ -38,7 +38,7 @@ def test_a_group_without_colours_comes_back_unchanged_without_reports():
     from conftest import trivial_constraint_graph
     from acygroups.groups import EGroup
 
-    trivial = EGroup((), [], [None])
+    trivial = EGroup((), [], 1)
     assert construct_n_acyclic(trivial) == (trivial, [])
     over = construct_n_acyclic_over(trivial, trivial_constraint_graph(()))
     assert over[0] is trivial and over[1] == []
@@ -238,7 +238,7 @@ def test_stage_groups_inherit_compatibility_from_the_homomorphism(monkeypatch):
     )
     stage_groups = 0
     for group, igraph, verdict in seen:
-        fresh = EGroup(group.colors, group.gen_action, group.parents)
+        fresh = EGroup(group.colors, group.gen_action, group.order)
         assert verdict is True and is_compatible(fresh, igraph)
         stage_groups += group.order > 48
     assert stage_groups >= 3

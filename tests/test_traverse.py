@@ -127,8 +127,8 @@ def test_sym_order_matches_sympy_and_close_stops_at_cap(data):
     assert group.order == PermutationGroup([Permutation(list(p)) for p in perms]).order()
 
     # the group's regular table against its points has one state per element
-    action, parents, _, _ = close(group.gen_action, perms, (0, 0), group.order)
-    assert len(parents) == len(action[0]) == group.order
+    action, xs, _ = close(group.gen_action, perms, (0, 0), group.order)
+    assert len(xs) == len(action[0]) == group.order
     with pytest.raises(ResourceCap):
         close(group.gen_action, perms, (0, 0), group.order - 1)
     with pytest.raises(ResourceCap):
