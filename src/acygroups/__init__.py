@@ -78,6 +78,5 @@ from .synthesis import (
     StageReport,
     SynthesisConfig,
     construct_n_acyclic,
-    construct_n_acyclic_over,
     stage_graph,
 )

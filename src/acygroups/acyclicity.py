@@ -140,10 +140,8 @@ def find_coset_cycle(group, n_max, gamma=None, allow_full=False, budget=None, de
     fixed at the identity.  The search skips the branches that a colour
     symmetry of the group maps to earlier ones.  It looks for the
     symmetries once it has spent |G| * k * (k! - 1) nodes on k colours, so
-    a search that ends before spends nothing on them.  That was the cost
-    of forcing every renaming; discovery now forces only the renamings
-    that generate new maps, and those that fail, but the threshold is kept
-    because it fixes the node counts.
+    a search that ends before spends nothing on them; the threshold fixes
+    which searches prune, and so the node counts.
     """
     n_colors = len(group.colors)
     if gamma is None:

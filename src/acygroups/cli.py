@@ -44,7 +44,7 @@ from .egraph import biggs_tree
 from .errors import AcygroupsError, ResourceCap, SchemaError
 from .groupoid import construct_n_acyclic_groupoid, pattern_igraph
 from .groups import DEFAULT_ELEMENT_CAP, cayley_graph, default_cap, sym
-from .synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
+from .synthesis import SynthesisConfig, construct_n_acyclic
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -220,10 +220,7 @@ def cmd_construct(args, run):
     config = SynthesisConfig(n_acyclic=args.n, element_cap=args.cap, early_exit=args.early_exit)
     template = run.load(args.over, {"egraph"}) if args.over else None
     with run.construction():
-        if args.over:
-            result, reports = construct_n_acyclic_over(group, template, config)
-        else:
-            result, reports = construct_n_acyclic(group, config)
+        result, reports = construct_n_acyclic(group, config, template)
     run.emit(ser.egroup_to_json(result), args.output)
     run.stages(reports)
     final = reports[-1].final_checks if reports else None

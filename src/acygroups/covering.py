@@ -22,39 +22,18 @@ from .traverse import UnionFind
 
 
 class Hypergraph:
-    """Vertex set with a family of nonempty hyperedges.
-
-    The hyperedges are given as lists of vertex names; ``from_index_sets``
-    takes them as sets of vertex indices, and the name constructor maps its
-    names to such sets and goes through the same path.
-    """
+    """Vertex set with a family of nonempty hyperedges, each a set of
+    indices into vertex_names; the indices are not range-checked."""
 
     __slots__ = ("vertex_names", "hyperedges")
 
-    def __init__(self, vertex_names, hyperedges):
-        names = tuple(vertex_names)
-        vidx = {nm: i for i, nm in enumerate(names)}
-        self._fill(names, [[vidx[v] if v in vidx else self._bad(v) for v in he]
-                           for he in hyperedges])
-
-    @classmethod
-    def from_index_sets(cls, vertex_names, index_sets):
-        """The hypergraph whose hyperedges are the given sets of indices
-        into vertex_names; the indices are not range-checked."""
-        hg = cls.__new__(cls)
-        hg._fill(tuple(vertex_names), index_sets)
-        return hg
-
-    def _fill(self, names, index_sets):
-        if len(set(names)) != len(names):
+    def __init__(self, vertex_names, index_sets):
+        self.vertex_names = tuple(vertex_names)
+        if len(set(self.vertex_names)) != len(self.vertex_names):
             raise UnknownName("duplicate vertex names")
-        self.vertex_names = names
         self.hyperedges = tuple(map(frozenset, index_sets))
         if not all(self.hyperedges):
             raise PreconditionFailed("hyperedges must be nonempty")
-
-    def _bad(self, v):
-        raise UnknownName(f"unknown vertex {v!r}")
 
     @property
     def n(self):
@@ -191,7 +170,7 @@ def hypergraph_cover(hg, group):
         copy_tags += zip(repeat(hi), range(ng))
     leasts = [members[0] for members in classes]
     names = [f"{hg.vertex_names[v]}|{hi}.{g}" for hi, v, g in leasts]
-    cover = Hypergraph.from_index_sets(names, sorted(set(copies)))
+    cover = Hypergraph(names, sorted(set(copies)))
     projection = tuple(map(itemgetter(1), leasts))
     provenance = {
         "classes": classes,

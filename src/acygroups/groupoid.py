@@ -28,8 +28,8 @@ from .errors import (
     UnknownName,
 )
 from .groups import is_compatible, sym
-from .synthesis import SynthesisConfig, construct_n_acyclic_over
-from .traverse import Cosets, propagate
+from .synthesis import SynthesisConfig, construct_n_acyclic
+from .traverse import Cosets, bfs_parents, propagate, word
 
 
 class ConstraintPattern:
@@ -242,26 +242,37 @@ class IGroupoid:
     """Generated groupoid stored by right-multiplication tables per edge.
 
     Element 0..n-1 with sorts (source, target); rmul[e][g] is g * gen_e when
-    the interface matches, else NO_EDGE.  Witness edge words come from the
-    breadth-first generation from the per-site neutral elements.
+    the interface matches, else NO_EDGE.  The parent links behind witness
+    edge words are derived from the tables when first read.
     """
 
     __slots__ = (
-        "pattern", "sorts", "neutral", "gen_elem", "rmul", "parents", "labels", "_closures"
+        "pattern", "sorts", "neutral", "gen_elem", "rmul", "labels", "_parents", "_closures"
     )
 
-    def __init__(self, pattern, sorts, neutral, gen_elem, rmul, parents, labels=None):
+    def __init__(self, pattern, sorts, neutral, gen_elem, rmul, labels=None):
         self.pattern = pattern
         self.sorts = tuple(sorts)
         self.neutral = tuple(neutral)
         self.gen_elem = tuple(gen_elem)
         self.rmul = tuple(tuple(r) for r in rmul)
-        self.parents = tuple(parents)
         self.labels = tuple(labels) if labels is not None else None
+        self._parents = None  # derived by the parents property
         self._closures = {}
         fault = groupoid_fault(pattern, self.sorts, self.neutral, self.gen_elem)
         if fault is not None:
             raise fault[0](fault[1])
+
+    @property
+    def parents(self):
+        """Per element, (previous element, edge) on a shortest edge word from
+        the neutral element of its source, or None at a neutral element or
+        an element no word reaches: the breadth-first forest of the tables
+        from the neutral elements, edges in order, walked when first read
+        and kept."""
+        if self._parents is None:
+            self._parents = tuple(bfs_parents(self.rmul, self.order, self.neutral)[1])
+        return self._parents
 
     @property
     def order(self):
@@ -273,15 +284,6 @@ class IGroupoid:
     def target(self, g):
         return self.sorts[g][1]
 
-    def word_of(self, g):
-        out = []
-        while self.parents[g] is not None:
-            prev, e = self.parents[g]
-            out.append(e)
-            g = prev
-        out.reverse()
-        return tuple(out)
-
     def apply(self, g, edges):
         for e in edges:
             g = self.rmul[e][g]
@@ -292,7 +294,7 @@ class IGroupoid:
     def compose(self, a, b):
         if self.target(a) != self.source(b):
             raise PreconditionFailed("composition undefined: interface mismatch")
-        return self.apply(a, self.word_of(b))
+        return self.apply(a, word(self.parents, b))
 
     def subset_closures(self, alpha_edges):
         """The alpha-cosets (alpha inverse closed) as a lazy
@@ -316,7 +318,6 @@ def _generate(pattern, seeds, step):
     """
     index = {}
     sorts = []
-    parents = []
     states = []
     neutral = []
     for s, st in enumerate(seeds):
@@ -326,7 +327,6 @@ def _generate(pattern, seeds, step):
         neutral.append(len(states))
         states.append(st)
         sorts.append((s, s))
-        parents.append(None)
     rmul = [[] for _ in range(pattern.n_edges)]
     for pos, st in enumerate(states):
         s0, t0 = sorts[pos]
@@ -342,7 +342,6 @@ def _generate(pattern, seeds, step):
                 j = index[nxt] = len(states)
                 states.append(nxt)
                 sorts.append((s0, pattern.tgt[e]))
-                parents.append((pos, e))
             elif sorts[j] != (s0, pattern.tgt[e]):
                 raise CompatibilityRequired(
                     "sort clash during generation; the source structure is "
@@ -352,7 +351,7 @@ def _generate(pattern, seeds, step):
     gen_elem = []
     for e in range(pattern.n_edges):
         gen_elem.append(rmul[e][neutral[pattern.src[e]]])
-    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents, states)
+    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, states)
 
 
 def groupoid_from_group(group, hat):
@@ -537,7 +536,7 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, config=None):
     hat = hat_translation(pattern)
     encoded_target = translate_igraph(hat, target_igraph)
     group0 = sym(disjoint_union([hat.igraph, encoded_target]), cap=config.element_cap)
-    group, reports = construct_n_acyclic_over(group0, hat.igraph, config)
+    group, reports = construct_n_acyclic(group0, config, hat.igraph)
     gpd = groupoid_from_group(group, hat)
     checks = {
         "axioms": verify_groupoid_axioms(gpd),

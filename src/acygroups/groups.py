@@ -18,7 +18,7 @@ from .canon import connected_components
 from .egraph import EGraph, disjoint_union, hypercube, trivial_completion
 from .errors import DegenerateGenerators, PreconditionFailed, ResourceCap, UnknownName
 from .permgroup import group_order
-from .traverse import Cosets, bfs_parents, close, gather, propagate
+from .traverse import Cosets, bfs_parents, close, gather, propagate, word
 
 
 def _positive(text):
@@ -62,9 +62,7 @@ class EGroup:
         if len(set(self.colors)) != len(self.colors):
             raise UnknownName("duplicate colour names")
         self.gen_action = tuple(tuple(row) for row in gen_action)
-        # a sequence with one entry per element, such as the parent links of
-        # another numbering, gives its length
-        self.order = order if isinstance(order, int) else len(order)
+        self.order = order
         self._parents = None  # derived by the parents property
         self.projection = None  # from sym_components: each element's point of a tables part 0
         self._coset_cache = {}
@@ -117,14 +115,7 @@ class EGroup:
 
     def word_of(self, g):
         """A shortest generator word evaluating to element g."""
-        parents = self.parents
-        out = []
-        while parents[g] is not None:
-            prev, c = parents[g]
-            out.append(c)
-            g = prev
-        out.reverse()
-        return tuple(out)
+        return word(self.parents, g)
 
     def inverse(self, g):
         # for involutive generators the reversed word inverts the element

@@ -22,7 +22,7 @@ from .groupoid import (
     pattern_fault,
 )
 from .groups import EGroup
-from .traverse import NO_EDGE, bfs_parents
+from .traverse import NO_EDGE, Cosets
 
 TOOL_VERSION = "0.1.0"
 COMPOSITION_DUMP_LIMIT = 200
@@ -151,7 +151,7 @@ def egroup_from_json(doc, pointer=""):
         action.append(row)
     # no row backs a colourless group's order, so it is refused before the
     # walk sizes a list by it
-    if (not colors and order != 1) or len(bfs_parents(action, order, [0])[0]) != order:
+    if (not colors and order != 1) or len(Cosets(order, action).block(0)) != order:
         raise SchemaError("action tables do not generate all elements", _at(pointer, "action"))
     try:
         return EGroup(colors, action, order)
@@ -297,14 +297,14 @@ def igroupoid_from_json(doc, pointer=""):
         if not 0 <= gen < order:
             raise SchemaError("generator out of range", _at(pointer, "generators", eid))
         gen_elem.append(gen)
-    reached, parents = bfs_parents(rmul, order, neutral)
-    if len(reached) != order:
+    reach = Cosets(order, rmul)
+    if len(set().union(*map(reach.block, neutral))) != order:
         raise SchemaError("tables do not generate all elements", _at(pointer, "rmul"))
     fault = groupoid_fault(pattern, sorts, neutral, gen_elem)
     if fault is not None:
         _, message, key, i = fault
         raise SchemaError(message, _at(pointer, key, i if key == "sorts" else pattern.edge_ids[i]))
-    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul, parents)
+    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul)
 
 
 def hypergraph_to_json(hg):
@@ -335,7 +335,7 @@ def hypergraph_from_json(doc, pointer=""):
             for j, v in enumerate(he):
                 _known(v, vidx, "vertex", _at(pointer, "hyperedges", i, j))
             raise
-    return Hypergraph.from_index_sets(vertices, index_sets)
+    return Hypergraph(vertices, index_sets)
 
 
 def graph_to_json(edges):

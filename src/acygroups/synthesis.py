@@ -13,21 +13,15 @@ and the final group is re-checked by the independent searchers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 
 from .acyclicity import DEFAULT_SEARCH_BUDGET, GammaFilter, all_subsets, find_coset_cycle
 from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
-from .errors import CompatibilityRequired, ResourceCap
-from .groups import (
-    default_cap,
-    graph_generator_perms,
-    inherit_compatibility,
-    is_compatible,
-    sym_components,
-)
+from .errors import ResourceCap
+from .groups import default_cap, graph_generator_perms, inherit_compatibility, sym_components
 from .traverse import gather
 
 
@@ -63,18 +57,7 @@ class StageReport:
     notes: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "stage": self.stage,
-            "inventory": {k: v for k, v in sorted(self.inventory.items())},
-            "order": self.order,
-            "conservation": {k: list(v) for k, v in sorted(self.conservation.items())},
-            "conservation_ok": self.conservation_ok,
-            "acyclic_checked_to": self.acyclic_checked_to,
-            "acyclic_ok": self.acyclic_ok,
-            "free_ok": self.free_ok,
-            "final_checks": self.final_checks,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _chain_pointings(group, subsets, max_len):
@@ -254,12 +237,21 @@ def _check_deadline(deadline, message):
         raise ResourceCap(message)
 
 
-def _construct(group0, config, igraph):
-    """The tower, over the template igraph unless it is None: (group,
-    stage reports), the last report carrying the final checks.  A group
-    without colours has no stage and comes back unchanged, with no reports.
-    A ResourceCap raised on the way carries the last finished group as
-    ``partial`` and the reports of the finished stages."""
+def construct_n_acyclic(group0, config=None, igraph=None):
+    """Tower of stage groups ending in a verified N-acyclic extension,
+    over the reachability template igraph unless it is None.
+
+    Returns (group, stage reports), the last report carrying the final
+    checks.  The result is never declared acyclic: it is re-verified by the
+    exhaustive searcher and, over a template, re-verified to be free over
+    it and without template coset cycles up to the target length.  Over a
+    template the starting group must share its colour registry and be
+    compatible with it; the :class:`IContext` built for it checks both.  A
+    group without colours has no stage and comes back unchanged, with no
+    reports.  A ResourceCap raised on the way carries the last finished
+    group as ``partial`` and the reports of the finished stages.
+    """
+    config = config or SynthesisConfig()
     reports = []
     current = group0
     n_colors = len(group0.colors)
@@ -314,28 +306,3 @@ def _construct(group0, config, igraph):
             reports[-1].notes.append("final verification FAILED")
     return current, reports
 
-
-def construct_n_acyclic(group0, config=None):
-    """Tower of stage groups ending in a verified N-acyclic extension.
-
-    Returns (group, stage reports).  The result is never declared acyclic: it
-    is re-verified by the exhaustive searcher, and the reports carry the
-    verified conservation data per stage.
-    """
-    config = config or SynthesisConfig()
-    return _construct(group0, config, None)
-
-
-def construct_n_acyclic_over(group0, igraph, config=None):
-    """Template variant: the tower also maintains freeness over the template.
-
-    The starting group must be compatible with the template.  The final group
-    is re-verified to be free over the template and without template coset
-    cycles up to the target length.
-    """
-    config = config or SynthesisConfig()
-    if tuple(igraph.colors) != group0.colors:
-        raise CompatibilityRequired("template and group must share a colour registry")
-    if not is_compatible(group0, igraph):
-        raise CompatibilityRequired("starting group is not compatible with the template")
-    return _construct(group0, config, igraph)

@@ -4,11 +4,14 @@ Every structure in this library is an index set with one successor row per
 generator: ``row[x]`` is the successor of ``x``, or ``NO_EDGE`` when there
 is none.  Cosets, groupoid cosets, connected components and the local
 blocks of template tables are blocks of :class:`Cosets`, walked one at a
-time as they are asked for.
+time as they are asked for; a block of a group's or a loaded document's
+tables also checks that they generate every element, with no parent link.
 Homomorphisms, colour symmetries, compatibility and skeleton maps are
 values forced along the rows through per-colour target tables by
-:func:`propagate`; witness words come from :func:`bfs_parents`.  Whole
-tables are read through index lists by :func:`gather`, at C speed.
+:func:`propagate`.  A group or groupoid derives its forest of parent links
+by :func:`bfs_parents` when it is first read, and :func:`word` reads a
+witness word off it.  Whole tables are read through index lists by
+:func:`gather`, at C speed.
 Groups are folds of :func:`close` of one table against the next, whose
 coordinates carry a projection down the fold.  Each walk visits the list
 it appends to, so all of them are breadth first.
@@ -214,3 +217,14 @@ def bfs_parents(rows, n, roots):
                 parents[y] = (x, c)
                 reached.append(y)
     return reached, parents
+
+
+def word(parents, x):
+    """The row numbers on the path from a root of the forest parents (as
+    :func:`bfs_parents` gives it) to x, root first."""
+    out = []
+    while parents[x] is not None:
+        x, c = parents[x]
+        out.append(c)
+    out.reverse()
+    return tuple(out)

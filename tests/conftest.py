@@ -1,5 +1,6 @@
 import pytest
 
+from acygroups.covering import Hypergraph
 from acygroups.egraph import EGraph, biggs_tree, hypercube, new_egraph
 from acygroups.errors import UnknownName
 from acygroups.groups import sym
@@ -32,6 +33,12 @@ def path_graph(color_seq):
     colors = sorted(set(color_seq))
     edges = [(c, i, i + 1) for i, c in enumerate(color_seq)]
     return new_egraph(list(range(n)), colors, edges)
+
+
+def named_hypergraph(names, hyperedges):
+    """The hypergraph on names whose hyperedges are given by vertex names."""
+    index = {v: i for i, v in enumerate(names)}
+    return Hypergraph(names, [[index[v] for v in he] for he in hyperedges])
 
 
 def trivial_constraint_graph(colors):

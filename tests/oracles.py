@@ -820,7 +820,7 @@ def reference_hypergraph_cover(hg, group):
         hi, v, g = min(members)
         names.append(f"{hg.vertex_names[v]}|{hi}.{g}")
     edge_list = sorted(cover_edges, key=sorted)
-    cover = Hypergraph(names, [[names[v] for v in sorted(he)] for he in edge_list])
+    cover = Hypergraph(names, edge_list)
     projection = tuple(min(m)[1] for m in class_list)
     provenance = {
         "classes": tuple(tuple(sorted(m)) for m in class_list),
@@ -1083,3 +1083,26 @@ def reference_is_compatible_groupoid(gpd, igraph):
         gpd.order, list(enumerate(gpd.rmul)), seeds,
         lambda e, act: tuple(bijections[e][v] for v in act))
     return actions is not None
+
+
+def reference_generation_parents(gpd):
+    """The parent links of gpd as a breadth-first generation records them:
+    elements are visited in index order, the neutral elements first, edges
+    in order, and each element not yet found is linked to the (element,
+    edge) that first reaches it.  Raises ValueError when an element is
+    first reached out of its index order, which such a generation never
+    numbers."""
+    parents = [None] * gpd.order
+    found = len(gpd.neutral)
+    if tuple(gpd.neutral) != tuple(range(found)):
+        raise ValueError("the neutral elements do not come first")
+    for pos in range(gpd.order):
+        for e, row in enumerate(gpd.rmul):
+            j = row[pos]
+            if j == NO_EDGE or j < found:
+                continue
+            if j != found:
+                raise ValueError(f"element {j} found before element {found}")
+            parents[j] = (pos, e)
+            found += 1
+    return tuple(parents)

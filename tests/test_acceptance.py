@@ -33,7 +33,7 @@ from acygroups.groupoid import (
     verify_groupoid_axioms,
 )
 from acygroups.groups import cayley_graph, is_group_symmetry, sym
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
 from conftest import (
     biggs_group,
@@ -160,7 +160,7 @@ def test_criterion_07_over_template_synthesis_and_transfer():
         ["s0", "s1", "s2"], ["a", "b"], [("a", "s0", "s1"), ("b", "s1", "s2")]
     )
     seed = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
-    result, reports = construct_n_acyclic_over(seed, template, SynthesisConfig(n_acyclic=2))
+    result, reports = construct_n_acyclic(seed, SynthesisConfig(n_acyclic=2), template)
     assert all(rep.conservation_ok for rep in reports)
     assert is_free_over(result, template)
     assert find_i_coset_cycle(result, template, 2) is None
@@ -203,8 +203,8 @@ def triangle_setup():
     tri = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
     template = intersection_graph(tri)
     seed = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
-    group, _ = construct_n_acyclic_over(
-        seed, template, SynthesisConfig(n_acyclic=4, early_exit=True)
+    group, _ = construct_n_acyclic(
+        seed, SynthesisConfig(n_acyclic=4, early_exit=True), template
     )
     return tri, template, group
 
@@ -246,8 +246,8 @@ def test_criterion_10_determinism(tmp_path):
         )
         seed2 = sym(disjoint_union([template, hypercube(template.colors)]),
                     attach_hypercube=False)
-        over, over_reports = construct_n_acyclic_over(
-            seed2, template, SynthesisConfig(n_acyclic=2)
+        over, over_reports = construct_n_acyclic(
+            seed2, SynthesisConfig(n_acyclic=2), template
         )
         docs["constructed_over"] = ser.egroup_to_json(over)
         docs["reports_over"] = ser.reports_to_json(over_reports)
@@ -261,8 +261,8 @@ def test_criterion_10_determinism(tmp_path):
         tri = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
         ig = intersection_graph(tri)
         g0 = sym(disjoint_union([ig, hypercube(ig.colors)]), attach_hypercube=False)
-        cover_group, _ = construct_n_acyclic_over(
-            g0, ig, SynthesisConfig(n_acyclic=4, early_exit=True)
+        cover_group, _ = construct_n_acyclic(
+            g0, SynthesisConfig(n_acyclic=4, early_exit=True), ig
         )
         docs["cover"] = ser.covering_to_json(hypergraph_cover(tri, cover_group))
         docs["manifest"] = ser.manifest(

@@ -15,7 +15,7 @@ from acygroups.groupoid import (
 )
 from acygroups.groups import sym
 
-from conftest import biggs_group, hypercube_group, trivial_constraint_graph
+from conftest import biggs_group, hypercube_group, named_hypergraph, trivial_constraint_graph
 from test_serialize import _paths
 
 
@@ -141,11 +141,11 @@ def test_cover_hypergraph_and_verify(tmp_path, capsys):
     tri = write(tmp_path, "tri.json", ser.hypergraph_to_json(
         Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])))
     from acygroups.covering import intersection_graph
-    from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
+    from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
     ig = intersection_graph(Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]]))
     g0 = sym(disjoint_union([ig, hypercube(ig.colors)]), attach_hypercube=False)
-    good, _ = construct_n_acyclic_over(g0, ig, SynthesisConfig(n_acyclic=4, early_exit=True))
+    good, _ = construct_n_acyclic(g0, SynthesisConfig(n_acyclic=4, early_exit=True), ig)
     group = write(tmp_path, "group.json", ser.egroup_to_json(good))
     cover = str(tmp_path / "cover.json")
     code, _ = run(capsys, "cover-hypergraph", tri, group, "-o", cover)
@@ -196,7 +196,7 @@ def test_verify_cover_holds_no_parsed_document_through_the_check(tmp_path, capsy
 
     names = ["held-0", "held-1", "held-2"]
     doc = {"format": "covering", "kind": "hypergraph", "cover": ser.hypergraph_to_json(
-        Hypergraph(names, [names[:2], names[1:], names[::2]]))}
+        named_hypergraph(names, [names[:2], names[1:], names[::2]]))}
     cover = write(tmp_path, "c.json", doc)
     held = []
 
@@ -405,7 +405,7 @@ def test_empty_hyperedge_is_invalid_input_with_a_pointer(tmp_path, capsys):
 
 
 def test_unknown_or_missing_covering_kind_is_invalid_input_at_kind(tmp_path, capsys):
-    hg = ser.hypergraph_to_json(Hypergraph(["0", "1"], [["0", "1"]]))
+    hg = ser.hypergraph_to_json(named_hypergraph(["0", "1"], [["0", "1"]]))
     for name, doc in (("hyper.json", {"format": "covering", "kind": "hyper", "cover": hg}),
                       ("none.json", {"format": "covering", "cover": hg})):
         _invalid(capsys, ["verify-cover", write(tmp_path, name, doc), "-N", "3"], "/kind")
@@ -642,7 +642,7 @@ def _fuzz_inputs(work):
     s3 = biggs_group(["a", "b"], 1)
     group = put("g.json", ser.egroup_to_json(s3))
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
-    hg = Hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])
+    hg = named_hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])
     template = intersection_graph(hg)
     cover_group = put("cg.json", ser.egroup_to_json(
         sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)))

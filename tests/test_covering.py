@@ -20,7 +20,7 @@ from acygroups.covering import (
 from acygroups.egraph import disjoint_union, hypercube
 from acygroups.errors import CompatibilityRequired
 from acygroups.groups import sym
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
 from paper_checks import translate_chordless_cycle, translate_nonconformal_clique
 
@@ -33,7 +33,7 @@ def triangle_cover_group():
     ig = intersection_graph(tri)
     g0 = sym(disjoint_union([ig, hypercube(ig.colors)]), attach_hypercube=False)
     cfg = SynthesisConfig(n_acyclic=4, early_exit=True)
-    group, _ = construct_n_acyclic_over(g0, ig, cfg)
+    group, _ = construct_n_acyclic(g0, cfg, ig)
     return tri, ig, group
 
 
@@ -41,27 +41,13 @@ def base_group(template):
     return sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
 
 
-def test_hypergraph_from_names_equals_the_one_from_index_sets():
-    names = ["u", "v", "w", "x"]
-    by_name = Hypergraph(names, [["u", "v"], ["w", "v", "x"], ["x"]])
-    by_index = Hypergraph.from_index_sets(names, [{0, 1}, frozenset({1, 2, 3}), (3,)])
-    assert by_name.vertex_names == by_index.vertex_names == tuple(names)
-    assert by_name.hyperedges == by_index.hyperedges == (
-        frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3}))
-    assert by_name.gaifman() == by_index.gaifman()
-
-
-@pytest.mark.parametrize("build", [
-    lambda names, edges: Hypergraph(names, [[names[i] for i in he] for he in edges]),
-    Hypergraph.from_index_sets,
-])
-def test_both_hypergraph_constructors_refuse_repeated_names_and_empty_hyperedges(build):
+def test_hypergraph_refuses_repeated_names_and_empty_hyperedges():
     from acygroups.errors import PreconditionFailed, UnknownName
 
     with pytest.raises(UnknownName, match="duplicate vertex names"):
-        build(["a", "b", "a"], [[0, 1]])
+        Hypergraph(["a", "b", "a"], [[0, 1]])
     with pytest.raises(PreconditionFailed, match="hyperedges must be nonempty"):
-        build(["a", "b"], [[0, 1], []])
+        Hypergraph(["a", "b"], [[0, 1], []])
 
 
 def test_intersection_graph_shapes():

@@ -20,7 +20,7 @@ from acygroups.groupoid import (
     pattern_igraph,
 )
 from acygroups.groups import is_compatible, sym
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 from acygroups.traverse import propagate
 
 from conftest import corpus, trivial_constraint_graph
@@ -137,8 +137,8 @@ def test_compatibility_verdicts_match_the_reference():
     for template in (triangle, three_edges):
         templates.append(template)
         groups += [sym(template), sym(hypercube(template.colors), attach_hypercube=False)]
-    groups.append(construct_n_acyclic_over(
-        sym(triangle), triangle, SynthesisConfig(n_acyclic=2, early_exit=True))[0])
+    groups.append(construct_n_acyclic(
+        sym(triangle), SynthesisConfig(n_acyclic=2, early_exit=True), triangle)[0])
     verdicts = []
     for group in groups:
         for template in templates:

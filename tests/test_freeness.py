@@ -16,7 +16,7 @@ from acygroups.constraint import (
 from acygroups.egraph import disjoint_union, hypercube, new_egraph
 from acygroups.errors import ResourceCap
 from acygroups.groups import sym
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic_over
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
 from conftest import corpus, trivial_constraint_graph
 from oracles import reference_freeness_violation, reference_is_free_skeleton
@@ -115,7 +115,7 @@ def test_stage_timeout_reaches_into_the_freeness_check(monkeypatch):
     group = compat_group(ig)
     config = SynthesisConfig(n_acyclic=3, stage_timeout=3600.0)
     with pytest.raises(ResourceCap, match=r"^freeness check timed out at subset \[\], site 0$") as info:
-        construct_n_acyclic_over(group, ig, config)
+        construct_n_acyclic(group, config, ig)
     assert info.value.stage_reports == []
     assert info.value.partial is group
 
@@ -131,6 +131,6 @@ def test_a_later_stage_keeps_the_freeness_timeout_message(monkeypatch):
     ig = path_igraph("ab", "ab")
     config = SynthesisConfig(n_acyclic=3, stage_timeout=3600.0)
     with pytest.raises(ResourceCap, match=r"^freeness check timed out at subset \[0\], site 0$") as info:
-        construct_n_acyclic_over(compat_group(ig), ig, config)
+        construct_n_acyclic(compat_group(ig), config, ig)
     assert [r.stage for r in info.value.stage_reports] == [0]
     assert info.value.partial.order == info.value.stage_reports[0].order

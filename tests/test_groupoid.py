@@ -23,7 +23,12 @@ from acygroups.groupoid import (
 from acygroups.groups import graph_generator_perms, sym
 from acygroups.synthesis import SynthesisConfig
 
-from oracles import reference_hat_igraph, reference_inverse_closed_subsets, walk_target
+from oracles import (
+    reference_generation_parents,
+    reference_hat_igraph,
+    reference_inverse_closed_subsets,
+    walk_target,
+)
 
 
 def one_pair_pattern():
@@ -153,6 +158,32 @@ def weak_groupoid():
     hat = hat_translation(pattern)
     group = sym(hat.igraph, attach_hypercube=False)
     return pattern, hat, group, groupoid_from_group(group, hat)
+
+
+def path_pattern():
+    return ConstraintPattern(
+        ["s", "t", "u"],
+        [("e", "s", "t", "ei"), ("ei", "t", "s", "e"), ("f", "t", "u", "fi"), ("fi", "u", "t", "f")],
+    )
+
+
+def triangle_pattern():
+    return ConstraintPattern(
+        ["s", "t", "u"],
+        [("e", "s", "t", "ei"), ("ei", "t", "s", "e"), ("f", "t", "u", "fi"),
+         ("fi", "u", "t", "f"), ("g", "u", "s", "gi"), ("gi", "s", "u", "g")],
+    )
+
+
+def test_derived_parents_are_the_ones_the_generation_recorded(weak_groupoid):
+    # the forest derived from the tables is the one a generation records
+    # as it numbers the elements, so witness words keep their edges
+    gpds = [sym_igraph(pattern_igraph(p()))
+            for p in (one_pair_pattern, path_pattern, triangle_pattern)]
+    assert [gpd.order for gpd in gpds] == [4, 9, 9]
+    for gpd in [*gpds, weak_groupoid[3]]:
+        assert gpd.parents == reference_generation_parents(gpd)
+    assert weak_groupoid[3].order > 9
 
 
 def test_extracted_groupoid_axioms(weak_groupoid):

@@ -12,7 +12,7 @@ from acygroups.errors import AcygroupsError, SchemaError
 from acygroups.groupoid import ConstraintPattern, groupoid_from_group, hat_translation, pattern_igraph
 from acygroups.groups import cayley_graph, sym
 
-from conftest import biggs_group, hypercube_group
+from conftest import biggs_group, hypercube_group, named_hypergraph
 from test_groupoid import parallel_pairs_pattern
 
 
@@ -44,6 +44,33 @@ def test_egroup_roundtrip_including_parents():
     assert back.gen_action == g.gen_action
     assert back.parents == g.parents
     assert ser.egroup_to_json(back) == doc
+
+
+def test_a_loaded_group_walks_its_word_forest_once():
+    # the loader checks reach without parent links, so loading the
+    # order-55,440 stage group and asking it for a word walks one forest
+    import sys
+
+    from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
+    from acygroups.traverse import bfs_parents
+
+    group, _ = construct_n_acyclic(hypercube_group(["a", "b"]), SynthesisConfig(n_acyclic=12))
+    doc = ser.egroup_to_json(group)
+    walks = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is bfs_parents.__code__:
+            walks.append(frame.f_locals["n"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        back = ser.egroup_from_json(doc)
+        word = back.word_of(55439)
+    finally:
+        sys.setprofile(previous)
+    assert back.order == 55440 and back.evaluate(word) == 55439
+    assert walks == [55440]
 
 
 def test_egroup_digest_stable_over_cayley_rebuild():
@@ -399,7 +426,7 @@ def test_loaders_reject_mutated_documents_with_schema_errors_only(data):
         ser.egroup_to_json(biggs_group(["a", "b"], 1)),
         ser.pattern_to_json(pattern),
         ser.igraph_to_json(pattern_igraph(pattern)),
-        ser.hypergraph_to_json(Hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])),
+        ser.hypergraph_to_json(named_hypergraph(["0", "1", "2"], [["0", "1"], ["1", "2"]])),
         ser.graph_to_json([("0", "1"), ("1", "2")]),
         _s3_witness_doc()[0],
     ]))

@@ -29,7 +29,7 @@ from acygroups.groupoid import (
     hat_translation,
 )
 from acygroups.groups import sym
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
 from conftest import corpus, trivial_constraint_graph
 from test_golden import CASES, run_cases
@@ -133,6 +133,38 @@ def test_whole_table_gathers_and_forcings_stay_in_the_kernels():
                     for arg in [*node.args, *(k.value for k in node.keywords)]):
                 offenders.append(f"{name}:{node.lineno} propagate(..., lambda)")
     assert offenders == []
+
+
+def _functions(tree):
+    """(qualified name, node) of every module-level function and every
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{meth.name}", meth) for meth in node.body
+                        if isinstance(meth, ast.FunctionDef))
+
+
+def test_no_constructor_branches_on_the_type_of_an_argument():
+    # each constructor takes its arguments in one form
+    offenders = [f"{name}:{node.lineno} {qualified}"
+                 for name, tree in _modules() for qualified, func in _functions(tree)
+                 if qualified.endswith(".__init__")
+                 for node in ast.walk(func)
+                 if isinstance(node, ast.Call) and _called_name(node) == "isinstance"]
+    assert offenders == []
+
+
+def test_only_the_word_forests_walk_bfs_parents():
+    # a group's or groupoid's parent links are derived once, when first
+    # read; reach is checked by Cosets, which builds no links
+    callers = {f"{name[:-3]}.{qualified}"
+               for name, tree in _modules() for qualified, func in _functions(tree)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and _called_name(node) == "bfs_parents"}
+    assert callers == {"groups.EGroup.parents", "groupoid.IGroupoid.parents",
+                       "constraint.TranslatedCosets.__init__"}
 
 
 def _own_scope(func):
@@ -462,8 +494,8 @@ def test_searches_and_a_capped_construct_leave_no_cyclic_garbage():
     tri = Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]])
     ig = intersection_graph(tri)
     seed = sym(disjoint_union([ig, hypercube(ig.colors)]), attach_hypercube=False)
-    cover_group, _ = construct_n_acyclic_over(seed, ig, SynthesisConfig(n_acyclic=4,
-                                                                       early_exit=True))
+    cover_group, _ = construct_n_acyclic(seed, SynthesisConfig(n_acyclic=4, early_exit=True),
+                                         ig)
 
     def cover():
         cov = hypergraph_cover(tri, cover_group)

@@ -23,9 +23,7 @@ GROUPS = corpus()
 def relabel(group, perm):
     """group with its colours reordered: colour c of the result is colour
     perm[c] of group, with the same elements."""
-    new_index = {old: new for new, old in enumerate(perm)}
-    parents = [None if link is None else (link[0], new_index[link[1]]) for link in group.parents]
-    return EGroup([group.colors[c] for c in perm], [group.gen_action[c] for c in perm], parents)
+    return EGroup([group.colors[c] for c in perm], [group.gen_action[c] for c in perm], group.order)
 
 
 def _after(group):

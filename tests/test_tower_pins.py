@@ -17,7 +17,7 @@ from acygroups.egraph import disjoint_union, hypercube
 from acygroups.errors import ResourceCap
 from acygroups.groups import sym
 from acygroups.serialize import canonical_bytes, egroup_to_json, reports_to_json
-from acygroups.synthesis import SynthesisConfig, construct_n_acyclic, construct_n_acyclic_over
+from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
 from conftest import corpus
 
@@ -180,4 +180,4 @@ def test_triangle_template_tower_is_byte_identical():
     template = intersection_graph(Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]]))
     seed = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
     config = SynthesisConfig(n_acyclic=4, early_exit=True)
-    assert _outcome(lambda: construct_n_acyclic_over(seed, template, config)) == TRIANGLE_PIN
+    assert _outcome(lambda: construct_n_acyclic(seed, config, template)) == TRIANGLE_PIN
