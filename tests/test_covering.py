@@ -22,6 +22,7 @@ from acygroups.errors import CompatibilityRequired
 from acygroups.groups import sym
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
+from conftest import named_hypergraph
 from paper_checks import translate_chordless_cycle, translate_nonconformal_clique
 
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2)]
@@ -41,13 +42,23 @@ def base_group(template):
     return sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
 
 
-def test_hypergraph_refuses_repeated_names_and_empty_hyperedges():
+def from_index_sets(names, index_sets):
+    return Hypergraph(names, index_sets)
+
+
+# Tests build hypergraphs two ways: by vertex names through the conftest
+# helper, and by index sets through the constructor itself.
+@pytest.mark.parametrize("build", [
+    lambda names, edges: named_hypergraph(names, [[names[i] for i in he] for he in edges]),
+    from_index_sets,
+])
+def test_both_hypergraph_constructors_refuse_repeated_names_and_empty_hyperedges(build):
     from acygroups.errors import PreconditionFailed, UnknownName
 
     with pytest.raises(UnknownName, match="duplicate vertex names"):
-        Hypergraph(["a", "b", "a"], [[0, 1]])
+        build(["a", "b", "a"], [[0, 1]])
     with pytest.raises(PreconditionFailed, match="hyperedges must be nonempty"):
-        Hypergraph(["a", "b"], [[0, 1], []])
+        build(["a", "b"], [[0, 1], []])
 
 
 def test_intersection_graph_shapes():
