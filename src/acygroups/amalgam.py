@@ -8,6 +8,7 @@ quotients of tagged copies; class representatives are the minimal
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .acyclicity import is_two_acyclic
@@ -129,14 +130,18 @@ def amalgam_cluster(group, alphas):
             for g in group.subgroup_elements(alphas[i] & alphas[j]):
                 glue.append(((i, g), (j, g)))
     am = _build(group, alphas, glue, [0] * len(alphas), "cluster")
-    for members in am.provenance:
-        pairs = sorted(members)
-        for i, gi in pairs:
-            for j, gj in pairs:
-                if gi != gj or gi not in group.subgroup_elements(alphas[i] & alphas[j]):
-                    raise TransitivityViolation(
-                        "cluster identification is not transitive; constituent "
-                        "acyclicity must have been violated"
-                    )
+    one_step_classes(am.provenance, set(glue),
+                     "cluster identification is not transitive; constituent "
+                     "acyclicity must have been violated")
     return am
 
+
+def one_step_classes(classes, pairs, message):
+    """TransitivityViolation(message) unless the closure of the one-step
+    identifications added nothing to them: every two members of each
+    class, in sorted order, form one of the pairs, each a (p, q) with
+    p < q."""
+    for members in classes:
+        for pq in combinations(sorted(members), 2):
+            if pq not in pairs:
+                raise TransitivityViolation(message)

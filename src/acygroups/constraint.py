@@ -18,7 +18,7 @@ from operator import add
 from typing import NamedTuple
 
 from .acyclicity import all_subsets, met_by_ids, proper_subsets, search_coset_cycle, validate_cycle
-from .amalgam import quotient_graph
+from .amalgam import one_step_classes, quotient_graph
 from .canon import connected_components
 from .egraph import NO_EDGE, EGraph
 from .errors import (
@@ -26,7 +26,6 @@ from .errors import (
     PreconditionFailed,
     ResourceCap,
     StrictnessViolation,
-    TransitivityViolation,
     UnknownName,
 )
 from .groups import is_compatible
@@ -410,7 +409,9 @@ def small_coset_amalgam(skel, group):
                     sim_pairs.add((p, q) if p <= q else (q, p))
 
     vert_of, class_list = uf.classes()
-    _assert_sim_transitive(class_list, sim_pairs, host.n)
+    one_step_classes(([m for m in members if m >= host.n] for members in class_list), sim_pairs,
+                     "one-step identification is not transitive; the freeness "
+                     "precondition must have been violated")
 
     host_image = tuple(vert_of[:host.n])
     if len(set(host_image)) != host.n:
@@ -442,19 +443,6 @@ def small_coset_amalgam(skel, group):
     )
     _validate_free_extension(ce, comps)
     return ce
-
-
-def _assert_sim_transitive(class_list, sim_pairs, n_host):
-    for members in class_list:
-        tagged = [m for m in members if m >= n_host]
-        for i, p in enumerate(tagged):
-            for q in tagged[i + 1 :]:
-                key = (p, q) if p <= q else (q, p)
-                if p != q and key not in sim_pairs:
-                    raise TransitivityViolation(
-                        "one-step identification is not transitive; the freeness "
-                        "precondition must have been violated"
-                    )
 
 
 def _validate_free_extension(ce, comps):

@@ -9,6 +9,7 @@ of the base.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, chain, product, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -241,18 +242,14 @@ def class_oracle_agrees(cov):
 class CoverReport(NamedTuple):
     ok: bool
     issues: tuple
-    stats: dict
 
 
 def verify_cover(cov):
     """Audit the covering invariants; returns a report, never raises."""
     issues = []
-    stats = {}
+    cover, proj = cov.cover, cov.projection
     if cov.kind == "graph":
         base = cov.base
-        cover = cov.cover
-        proj = cov.projection
-        stats["cover_vertices"] = cover.n
         if set(proj) != set(range(base.n)):
             issues.append("projection is not surjective onto the base")
         for c in range(len(cover.colors)):
@@ -264,18 +261,10 @@ def verify_cover(cov):
                 if base.partner[c][proj[v]] != NO_EDGE:
                     if cover.partner[c][v] == NO_EDGE:
                         issues.append(f"missing lift of colour {cover.colors[c]} at {v}")
-        fibers = {}
-        for v in range(cover.n):
-            fibers[proj[v]] = fibers.get(proj[v], 0) + 1
-        stats["fiber_sizes"] = sorted(set(fibers.values()))
-        if len(set(fibers.values())) != 1:
+        if len(set(Counter(proj).values())) != 1:
             issues.append("fiber sizes are not constant")
     else:
         hg = cov.base
-        cover = cov.cover
-        proj = cov.projection
-        stats["cover_vertices"] = cover.n
-        stats["cover_hyperedges"] = len(cover.hyperedges)
         if set(proj) != {v for he in hg.hyperedges for v in he}:
             issues.append("projection misses covered base vertices")
         for copy, (hi, _) in zip(cov.provenance["copies"], cov.provenance["copy_tags"]):
@@ -285,7 +274,7 @@ def verify_cover(cov):
                 issues.append(f"hyperedge copy of h{hi} projects wrongly")
         if not class_oracle_agrees(cov):
             issues.append("class structure disagrees with the subgroup rule")
-    return CoverReport(not issues, tuple(issues), stats)
+    return CoverReport(not issues, tuple(issues))
 
 
 class AcyclicityWitness(NamedTuple):

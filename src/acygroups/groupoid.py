@@ -409,6 +409,18 @@ def sym_igraph(igraph):
     return _generate(pattern, seeds, step)
 
 
+def check_target(pattern, igraph):
+    """UnknownName unless igraph lies over pattern: the same pattern, or
+    one with the same sites, edge ids, incidences and reversal;
+    IncompleteGraph unless igraph is complete."""
+    if igraph.pattern is not pattern and any(
+            getattr(igraph.pattern, key) != getattr(pattern, key)
+            for key in ("sites", "edge_ids", "src", "tgt", "inv")):
+        raise UnknownName("groupoid and graph must share a pattern")
+    if not igraph.is_complete():
+        raise IncompleteGraph("compatibility target must be complete")
+
+
 def is_compatible_groupoid(gpd, igraph):
     """Every word neutral in the groupoid acts as the identity on the graph.
 
@@ -418,13 +430,7 @@ def is_compatible_groupoid(gpd, igraph):
     the projection; a word acts as the identity exactly when it fixes every
     vertex of its source site.
     """
-    if igraph.pattern is not gpd.pattern and (
-        igraph.pattern.edge_ids != gpd.pattern.edge_ids
-        or igraph.pattern.sites != gpd.pattern.sites
-    ):
-        raise UnknownName("groupoid and graph must share a pattern")
-    if not igraph.is_complete():
-        raise IncompleteGraph("compatibility target must be complete")
+    check_target(gpd.pattern, igraph)
     bijections = [dict(pairs) for pairs in igraph.edges]
     rows = list(enumerate(gpd.rmul))
     return all(propagate(gpd.order, rows, [(gpd.neutral[s], v)], bijections) is not None
@@ -533,6 +539,7 @@ def construct_n_acyclic_groupoid(pattern, target_igraph, config=None):
     re-verify the groupoid axioms, acyclicity and compatibility directly.
     """
     config = config or SynthesisConfig()
+    check_target(pattern, target_igraph)
     hat = hat_translation(pattern)
     encoded_target = translate_igraph(hat, target_igraph)
     group0 = sym(disjoint_union([hat.igraph, encoded_target]), cap=config.element_cap)

@@ -156,8 +156,17 @@ def _check_order_bound(parts, cap):
     parts together, so the orders of these groups, and their lcm, divide
     its order.
     """
+    sized = [(kind, data, f"part {i}") for i, (kind, data) in enumerate(parts)]
+    perms = [data for kind, data in parts if kind == "perms" and data]
+    if len(perms) >= 2:
+        offsets = list(accumulate((len(data[0]) for data in perms), initial=0))
+        union = [
+            tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
+            for c in range(len(perms[0]))
+        ]
+        sized.append(("perms", union, f"{len(perms)} components together"))
     bound, orders = 1, []
-    for i, (kind, data) in enumerate(parts):
+    for i, (kind, data, what) in enumerate(sized):
         n = len(data[0]) if data else 1  # no colours: the trivial group
         order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
         orders.append(order)
@@ -165,27 +174,12 @@ def _check_order_bound(parts, cap):
         bound = order if order > cap else lcm(bound, order)
         if bound > cap:
             known = "at least " if order > cap else ""
+            detail = f", order {known}{order}" if i < len(parts) else ""
             raise ResourceCap(
                 f"element cap {cap} exceeded: the group has order at least {bound} "
-                f"(part {i}: {n} points, order {known}{order})"
+                f"({what}: {n} points{detail})"
             )
-    perms = [data for kind, data in parts if kind == "perms" and data]
-    if len(perms) < 2:
-        return orders
-    offsets = list(accumulate((len(data[0]) for data in perms), initial=0))
-    union = [
-        tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
-        for c in range(len(perms[0]))
-    ]
-    order = group_order(union, offsets[-1], limit=cap)
-    # past the limit the search stops early and order is only a lower bound
-    bound = order if order > cap else lcm(bound, order)
-    if bound > cap:
-        raise ResourceCap(
-            f"element cap {cap} exceeded: the group has order at least {bound} "
-            f"({len(perms)} components together: {offsets[-1]} points)"
-        )
-    return orders
+    return orders[:len(parts)]
 
 
 def _essential_parts(tables):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import combinations
 
 from .covering import Hypergraph, graph_template
 from .egraph import EGraph, new_egraph
@@ -94,6 +95,19 @@ def _keyed(doc, key, names, what, pointer):
     return obj
 
 
+def _rows(rows, kinds, shape, pointer):
+    """The edge rows of a list, as tuples: each row must be a list of one
+    member per (names, what) entry of kinds, each member one of its names
+    (SchemaError at pointer/i or pointer/i/j otherwise)."""
+    out = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == len(kinds)):
+            raise SchemaError(f"edge must be {shape}", _at(pointer, i))
+        out.append(tuple(_known(x, names, what, _at(pointer, i, j))
+                         for j, (x, (names, what)) in enumerate(zip(row, kinds))))
+    return out
+
+
 def egraph_to_json(g):
     return {
         "format": "egraph",
@@ -107,17 +121,11 @@ def egraph_to_json(g):
 def egraph_from_json(doc, pointer=""):
     vertices = _names(doc, "vertices", pointer)
     colors = _names(doc, "colors", pointer)
-    edges = _need(doc, "edges", list, pointer)
-    known_v = set(vertices)
-    known_c = set(colors)
-    for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 3):
-            raise SchemaError("edge must be [color,u,v]", _at(pointer, "edges", i))
-        _known(e[0], known_c, "colour", _at(pointer, "edges", i, 0))
-        _known(e[1], known_v, "vertex", _at(pointer, "edges", i, 1))
-        _known(e[2], known_v, "vertex", _at(pointer, "edges", i, 2))
+    known_v = (set(vertices), "vertex")
+    edges = _rows(_need(doc, "edges", list, pointer), [(set(colors), "colour"), known_v, known_v],
+                  "[color,u,v]", _at(pointer, "edges"))
     try:
-        return new_egraph(vertices, colors, [tuple(e) for e in edges])
+        return new_egraph(vertices, colors, edges)
     except MatchingViolation as exc:
         raise SchemaError(str(exc), _at(pointer, "edges", exc.index)) from None
 
@@ -229,14 +237,8 @@ def igraph_from_json(doc, pointer=""):
         rows = edges_doc.get(eid, [])
         if not isinstance(rows, list):
             raise SchemaError("an edge class must be a list", _at(pointer, "edges", eid))
-        pairs = []
-        for i, pair in enumerate(rows):
-            p = _at(pointer, "edges", eid, i)
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError("edge must be [u,v]", p)
-            pairs.append((vidx[_known(pair[0], vidx, "vertex", _at(p, 0))],
-                          vidx[_known(pair[1], vidx, "vertex", _at(p, 1))]))
-        edges.append(pairs)
+        pairs = _rows(rows, [(vidx, "vertex")] * 2, "[u,v]", _at(pointer, "edges", eid))
+        edges.append([(vidx[u], vidx[v]) for u, v in pairs])
     fault = igraph_fault(pattern, site_of, edges)
     if fault is not None:
         message, e, i = fault
@@ -348,16 +350,9 @@ def graph_to_json(edges):
 
 
 def graph_from_json(doc, pointer=""):
-    vertices = _names(doc, "vertices", pointer)
-    edges = _need(doc, "edges", list, pointer)
-    known = set(vertices)
-    out = []
-    for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise SchemaError("edge must be [u,v]", _at(pointer, "edges", i))
-        out.append((_known(e[0], known, "vertex", _at(pointer, "edges", i, 0)),
-                     _known(e[1], known, "vertex", _at(pointer, "edges", i, 1))))
-    return out
+    known = set(_names(doc, "vertices", pointer))
+    return _rows(_need(doc, "edges", list, pointer), [(known, "vertex")] * 2, "[u,v]",
+                 _at(pointer, "edges"))
 
 
 def covering_to_json(cov):
@@ -476,47 +471,18 @@ _DOT_STYLES = ["solid", "dashed", "dotted", "bold"]
 _DOT_COLORS = ["black", "red", "blue", "forestgreen", "orange", "purple", "brown", "cyan4"]
 
 
-def _style(c):
-    return (
-        f'color="{_DOT_COLORS[c % len(_DOT_COLORS)]}",'
-        f'style="{_DOT_STYLES[(c // len(_DOT_COLORS)) % len(_DOT_STYLES)]}"'
-    )
-
-
-def egraph_to_dot(g):
-    lines = ["graph {"]
-    for v, name in enumerate(g.vertex_names):
-        lines.append(f'  v{v} [label="{name}"];')
-    for c, u, v in g.all_edges():
-        lines.append(f'  v{u} -- v{v} [label="{g.colors[c]}",{_style(c)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def igraph_to_dot(ig):
-    lines = ["digraph {"]
-    for v, name in enumerate(ig.vertex_names):
-        site = ig.pattern.sites[ig.site_of[v]]
-        lines.append(f'  v{v} [label="{name}@{site}"];')
-    for e, _ in ig.pattern.pairs():
-        for u, v in ig.edges[e]:
-            lines.append(
-                f'  v{u} -> v{v} [label="{ig.pattern.edge_ids[e]}",{_style(e)},dir=both,arrowtail=none];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def hypergraph_to_dot(hg):
-    # Gaifman view with hyperedges as labelled cliques
-    lines = ["graph {"]
-    for v, name in enumerate(hg.vertex_names):
-        lines.append(f'  v{v} [label="{name}"];')
-    for i, he in enumerate(hg.hyperedges):
-        members = sorted(he)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                lines.append(f'  v{members[a]} -- v{members[b]} [label="h{i}",{_style(i)}];')
+def _dot(kind, labels, edges):
+    """DOT text of a "graph" or "digraph": one node per label, and one line
+    per (u, v, label, style number, extra attributes) edge, coloured and
+    styled by the style number."""
+    arrow = "->" if kind == "digraph" else "--"
+    lines = [f"{kind} {{"]
+    lines += [f'  v{v} [label="{name}"];' for v, name in enumerate(labels)]
+    for u, v, label, c, extra in edges:
+        color = _DOT_COLORS[c % len(_DOT_COLORS)]
+        style = _DOT_STYLES[(c // len(_DOT_COLORS)) % len(_DOT_STYLES)]
+        lines.append(
+            f'  v{u} {arrow} v{v} [label="{label}",color="{color}",style="{style}"{extra}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -527,9 +493,17 @@ def object_to_dot(obj):
     if isinstance(obj, list):
         obj = graph_template(obj)
     if isinstance(obj, EGraph):
-        return egraph_to_dot(obj)
+        return _dot("graph", obj.vertex_names,
+                    ((u, v, obj.colors[c], c, "") for c, u, v in obj.all_edges()))
     if isinstance(obj, Hypergraph):
-        return hypergraph_to_dot(obj)
+        # Gaifman view with hyperedges as labelled cliques
+        return _dot("graph", obj.vertex_names,
+                    ((u, v, f"h{i}", i, "") for i, he in enumerate(obj.hyperedges)
+                     for u, v in combinations(sorted(he), 2)))
     if isinstance(obj, IGraph):
-        return igraph_to_dot(obj)
+        sites = obj.pattern.sites
+        labels = [f"{name}@{sites[s]}" for name, s in zip(obj.vertex_names, obj.site_of)]
+        return _dot("digraph", labels,
+                    ((u, v, obj.pattern.edge_ids[e], e, ",dir=both,arrowtail=none")
+                     for e, _ in obj.pattern.pairs() for u, v in obj.edges[e]))
     raise SchemaError("object has no DOT form")

@@ -217,14 +217,21 @@ def _stage_verify(new, k, config, igraph, ctx, deadline):
     return acyclic_ok, free_ok
 
 
-def _final_verify(group, config, igraph, ctx, n_acyclic=None, deadline=None):
-    """Final checks; n_acyclic is the plain verdict when already searched."""
+def _final_verify(group, k, config, igraph, ctx, stage, deadline):
+    """Final checks of the stage-k group; stage is the (acyclic_ok, free_ok)
+    of its stage check over the subsets of at most k colours.  Freeness is
+    decided skeleton by skeleton, so only larger subsets are walked again.
+    A coset cycle may mix subsets of every size, so the plain verdict is
+    reused only at the last stage, where those subsets are all the proper
+    ones."""
     limits = {"budget": config.search_budget, "deadline": deadline}
-    if n_acyclic is None:
+    n_acyclic, free_ok = stage
+    if k < len(group.colors) - 1:
         n_acyclic = find_coset_cycle(group, config.n_acyclic, **limits) is None
     checks = {"n_acyclic": n_acyclic}
     if igraph is not None:
-        checks["free_over"] = is_free_over(group, igraph, ctx=ctx, deadline=deadline)
+        larger = [a for a in all_subsets(len(group.colors)) if len(a) > k]
+        checks["free_over"] = free_ok and is_free_over(group, igraph, larger, ctx, deadline)
         checks["n_acyclic_over"] = (
             find_i_coset_cycle(group, igraph, config.n_acyclic, ctx=ctx, **limits) is None
         )
@@ -287,12 +294,9 @@ def construct_n_acyclic(group0, config=None, igraph=None):
             )
             reports.append(report)
             current = new
-            last = k == n_colors - 1
-            if config.early_exit or last:
-                # the last stage searched all proper subsets: the final plain search
-                final = _final_verify(
-                    current, config, igraph, ctx, acyclic_ok if last else None, deadline
-                )
+            if config.early_exit or k == n_colors - 1:
+                final = _final_verify(current, k, config, igraph, ctx, (acyclic_ok, free_ok),
+                                      deadline)
                 if config.early_exit and all(final.values()):
                     report.notes.append("early exit: final properties already verified")
                     break

@@ -48,6 +48,13 @@ ordered pair of proper subsets against sorted element tuples rebuilt per
 pair; the library's check must return the same verdicts and the same first
 violation.
 
+``reference_cluster_transitive`` and ``reference_sim_transitive`` are the
+transitivity checks of clusters and of small coset amalgams before both
+called ``amalgam.one_step_classes``: the first scanned the overlap
+subgroup's elements for every two members of a class, the second compared
+the copy vertices of a class pair by pair.  ``one_step_classes`` must
+refuse exactly the classes they refuse.
+
 ``reference_validate_coset_cycle``, ``reference_validate_i_coset_cycle``
 and ``reference_validate_groupoid_coset_cycle`` are the three validators
 that ``acyclicity.validate_cycle`` replaced, each reading its own cosets;
@@ -682,6 +689,32 @@ def reference_freeness_violation(group, igraph, alphas=None, ctx=None):
             if not reference_is_free_skeleton(ctx, alpha, s):
                 return frozenset(alpha), s
     return None
+
+
+def reference_cluster_transitive(group, alphas, provenance):
+    """The check amalgam_cluster made of its classes: any two members
+    (i, gi) and (j, gj) of a class are one element of G[alpha_i & alpha_j]."""
+    for members in provenance:
+        pairs = sorted(members)
+        for i, gi in pairs:
+            for j, gj in pairs:
+                if gi != gj or gi not in group.subgroup_elements(alphas[i] & alphas[j]):
+                    return False
+    return True
+
+
+def reference_sim_transitive(class_list, sim_pairs, n_host):
+    """The check small_coset_amalgam made of its classes: any two copy
+    vertices (those from n_host on) of a class form one of the sim_pairs,
+    each a (p, q) with p <= q."""
+    for members in class_list:
+        tagged = [m for m in members if m >= n_host]
+        for i, p in enumerate(tagged):
+            for q in tagged[i + 1 :]:
+                key = (p, q) if p <= q else (q, p)
+                if p != q and key not in sim_pairs:
+                    return False
+    return True
 
 
 def reference_check_n_acyclic_hypergraph(hg, n_max, budget=DEFAULT_SEARCH_BUDGET):

@@ -1,11 +1,16 @@
-import pytest
+from itertools import combinations
 
-from acygroups.amalgam import amalgam_chain, amalgam_cluster, quotient_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acygroups.amalgam import amalgam_chain, amalgam_cluster, one_step_classes, quotient_graph
 from acygroups.canon import canonical_form
-from acygroups.errors import PreconditionFailed, StrictnessViolation
+from acygroups.errors import PreconditionFailed, StrictnessViolation, TransitivityViolation
+from acygroups.traverse import UnionFind
 
 from conftest import biggs_group, evaluate_word, hypercube_group, rename, s3_three_generators
-from oracles import rebuild_renamed
+from oracles import rebuild_renamed, reference_cluster_transitive, reference_sim_transitive
 from paper_checks import FailureWitness, beta_components, embed_into_cayley
 
 
@@ -210,3 +215,64 @@ def test_beta_components_of_two_squares_are_b_edges():
     for cls in comps:
         assert cls.ok
         assert cls.kind in ("single", "chain")
+
+
+def test_one_step_classes_refuses_a_class_with_an_unglued_pair():
+    with pytest.raises(TransitivityViolation, match="^not one step$"):
+        one_step_classes([[4], [0, 1, 2]], {(0, 1), (1, 2)}, "not one step")
+
+
+@pytest.mark.parametrize("classes", [[[0, 1, 2]], [[2, 0, 1]], [[0], [1]], [[]], []])
+def test_one_step_classes_passes_glued_singleton_and_empty_classes(classes):
+    one_step_classes(classes, {(0, 1), (0, 2), (1, 2)}, "not one step")
+
+
+def _refuses(classes, pairs):
+    try:
+        one_step_classes(classes, pairs, "not one step")
+    except TransitivityViolation:
+        return True
+    return False
+
+
+def _classes(data, n, links):
+    """The classes of 0..n-1 under links and up to two drawn links more,
+    which may join members that no link joins."""
+    uf = UnionFind(n)
+    extra = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2))
+    for p, q in [*links, *extra]:
+        uf.union(p, q)
+    return uf.classes()[1]
+
+
+GROUPS = (hypercube_group(["a", "b", "c"]), s3_three_generators())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_step_classes_agrees_with_both_reference_checks(data):
+    # skeleton extensions: the copy vertices of a class, those from n_host
+    # on, must be pairwise one step apart
+    n = data.draw(st.integers(1, 8))
+    n_host = data.draw(st.integers(0, n))
+    sim_pairs = set(data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple),
+        max_size=10)))
+    classes = _classes(data, n, sim_pairs)
+    tagged = [[m for m in members if m >= n_host] for members in classes]
+    assert _refuses(tagged, sim_pairs) == (not reference_sim_transitive(classes, sim_pairs, n_host))
+    # clusters: two (constituent, element) pairs are glued when they are one
+    # element of the constituents' overlap subgroup
+    group = data.draw(st.sampled_from(GROUPS))
+    alphas = data.draw(st.lists(st.frozensets(st.integers(0, 2), min_size=1),
+                                min_size=2, max_size=3))
+    points = [(i, g) for i, a in enumerate(alphas) for g in group.subgroup_elements(a)]
+    index = {p: t for t, p in enumerate(points)}
+    glue = [((i, g), (j, g)) for i, j in combinations(range(len(alphas)), 2)
+            for g in group.subgroup_elements(alphas[i] & alphas[j])]
+    links = data.draw(st.lists(st.sampled_from(glue), max_size=6))
+    classes = [frozenset(points[m] for m in members)
+               for members in _classes(data, len(points), [(index[p], index[q]) for p, q in links])]
+    assert _refuses(classes, set(glue)) == (
+        not reference_cluster_transitive(group, alphas, classes))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from acygroups import groupoid
 from acygroups import serialize as ser
 from acygroups.acyclicity import find_coset_cycle
 from acygroups.cli import main
@@ -9,6 +10,7 @@ from acygroups.covering import Hypergraph, intersection_graph
 from acygroups.egraph import hypercube, disjoint_union
 from acygroups.groupoid import (
     ConstraintPattern,
+    IGraph,
     groupoid_from_group,
     hat_translation,
     pattern_igraph,
@@ -471,6 +473,40 @@ def test_igraph_edge_class_of_an_unknown_edge_is_invalid_input(tmp_path, capsys)
     doc["edges"]["zz"] = []
     _invalid(capsys, ["groupoid-construct", write(tmp_path, "p.json", doc["pattern"]),
                       "--target", write(tmp_path, "ig.json", doc), "-N", "2"], "/edges/zz")
+
+
+TWO_SITES = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
+PATH = ConstraintPattern(["s", "t", "w"], [("e", "s", "t", "f"), ("f", "t", "s", "e"),
+                                           ("g", "t", "w", "h"), ("h", "w", "t", "g")])
+SWAPPED = ConstraintPattern(["s", "t"], [("e", "t", "s", "f"), ("f", "s", "t", "e")])
+ONE_SITE = ConstraintPattern(["s"], [("e", "s", "s", "f"), ("f", "s", "s", "e")])
+FOUR_EDGES = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e"),
+                                            ("g", "s", "t", "h"), ("h", "t", "s", "g")])
+
+
+@pytest.mark.parametrize("pattern, target, message", [
+    (PATH, pattern_igraph(TWO_SITES), "groupoid and graph must share a pattern"),
+    (TWO_SITES, IGraph(SWAPPED, ["a", "b"], [0, 1], [[(1, 0)], [(0, 1)]]),
+     "groupoid and graph must share a pattern"),
+    (TWO_SITES, IGraph(SWAPPED, ["a", "b", "c"], [0, 1, 1], [[(1, 0), (2, 0)], [(0, 1), (0, 2)]]),
+     "groupoid and graph must share a pattern"),
+    (TWO_SITES, pattern_igraph(ONE_SITE), "groupoid and graph must share a pattern"),
+    (TWO_SITES, pattern_igraph(FOUR_EDGES), "groupoid and graph must share a pattern"),
+    (PATH, IGraph(PATH, ["a", "b", "c", "d"], [0, 1, 2, 2], [[(0, 1)], [(1, 0)], [(1, 2)], [(2, 1)]]),
+     "compatibility target must be complete"),
+], ids=["other-pattern", "swapped", "swapped-two-t", "one-site", "extra-edges", "incomplete"])
+def test_groupoid_target_over_another_pattern_or_incomplete_is_refused_first(
+        tmp_path, capsys, monkeypatch, pattern, target, message):
+    # before, these exited 4 (an IndexError or a KeyError), named a vertex
+    # of the encoding, or were refused only after the whole tower
+    def never(*_args, **_kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(groupoid, "sym", never)
+    monkeypatch.setattr(groupoid, "construct_n_acyclic", never)
+    code = main(["groupoid-construct", write(tmp_path, "p.json", ser.pattern_to_json(pattern)),
+                 "--target", write(tmp_path, "ig.json", ser.igraph_to_json(target)), "-N", "2"])
+    assert (code, capsys.readouterr().err) == (3, f"invalid input: {message}\n")
 
 
 def _igroupoid_doc():

@@ -1,6 +1,8 @@
 """Freeness over a template against the pairwise reference check, and the
 deadline it honours."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from acygroups.constraint import (
     is_free_over,
     is_free_skeleton,
 )
+from acygroups.covering import Hypergraph, intersection_graph
 from acygroups.egraph import disjoint_union, hypercube, new_egraph
 from acygroups.errors import ResourceCap
 from acygroups.groups import sym
@@ -134,3 +137,26 @@ def test_a_later_stage_keeps_the_freeness_timeout_message(monkeypatch):
         construct_n_acyclic(compat_group(ig), config, ig)
     assert [r.stage for r in info.value.stage_reports] == [0]
     assert info.value.partial.order == info.value.stage_reports[0].order
+
+
+@pytest.mark.parametrize("hyperedges", [[[0, 1], [1, 2], [0, 2]], [[0, 1, 2], [0, 3], [1, 3]]],
+                         ids=["triangle", "three_edges"])
+def test_a_tower_decides_each_skeleton_once(monkeypatch, hyperedges):
+    # the final checks reuse the stage check's verdicts over the subsets of
+    # at most k colours, so no skeleton of a stage group is decided twice
+    calls, groups = Counter(), []
+    decide = constraint.is_free_skeleton
+
+    def counting(ctx, alpha, s, g=0):
+        groups.append(ctx.group)  # keeps each group, and so its id, alive
+        calls[id(ctx.group), alpha, s] += 1
+        return decide(ctx, alpha, s, g)
+
+    monkeypatch.setattr(constraint, "is_free_skeleton", counting)
+    vertices = sorted({v for he in hyperedges for v in he})
+    template = intersection_graph(Hypergraph(vertices, hyperedges))
+    seed = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
+    config = SynthesisConfig(n_acyclic=4, early_exit=True)
+    _, reports = construct_n_acyclic(seed, config, template)
+    assert [r.order for r in reports] == [24, 2592]
+    assert len(calls) == 46 and set(calls.values()) == {1}

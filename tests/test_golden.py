@@ -40,6 +40,12 @@ PAW_TEMPLATE = {"format": "egraph", "vertices": ["v0", "v1", "v2", "v3"],
                           ["v2~v3", "v2", "v3"]]}
 IGRAPH = {"format": "igraph", "pattern": PATTERN, "vertices": ["s", "t"], "site_of": ["s", "t"],
           "edges": {"e": [["s", "t"]], "f": [["t", "s"]]}}
+# the pattern of PATTERN with its incidences swapped, e: t -> s
+OTHER_IGRAPH = {"format": "igraph", "vertices": ["s", "t"], "site_of": ["s", "t"],
+                "pattern": {"format": "pattern", "sites": ["s", "t"],
+                            "edges": [{"id": "e", "src": "t", "tgt": "s", "inv": "f"},
+                                      {"id": "f", "src": "s", "tgt": "t", "inv": "e"}]},
+                "edges": {"e": [["t", "s"]], "f": [["s", "t"]]}}
 DOCS = {
     "square.json": SQUARE,
     "cube.json": CUBE,
@@ -51,6 +57,7 @@ DOCS = {
     "paw_t.json": PAW_TEMPLATE,
     "p.json": PATTERN,
     "ig.json": IGRAPH,
+    "ig_other.json": OTHER_IGRAPH,
     "base_cov.json": {"format": "covering", "kind": "hypergraph", "cover": TRIANGLE},
     "no_cover.json": {"format": "covering", "kind": "graph"},
 }
@@ -95,6 +102,8 @@ CASES = (
                                   " --manifest m_gpd_target.json"),
     ("groupoid-construct-capped", "groupoid-construct p.json -N 3 --cap 50 -o gpd_capped.json"
                                   " --manifest m_gpd_capped.json"),
+    ("groupoid-construct-other-pattern", "groupoid-construct p.json --target ig_other.json -N 2"
+                                         " --manifest m_gpd_other.json"),
     ("cover-graph", "cover-graph k3.json k3_g.json -o k3_cov.json --manifest m_cover_graph.json"),
     ("verify-cover-graph", "verify-cover k3_cov.json -N 5 --manifest m_vc_graph.json"),
     ("verify-cover-graph-fails", "verify-cover k3_cov.json -N 6 -o vc_fails.json"
@@ -280,6 +289,10 @@ PINS = {
     "groupoid-construct-capped gpd_capped.json": "absent",
     "groupoid-construct-capped m_gpd_capped.json":
         "fc01f64e0698fe9ca4e74d7794a9792790b6fc84da27d1fad5d844cccae9fea6",
+    "groupoid-construct-other-pattern exit": 3,
+    "groupoid-construct-other-pattern stderr":
+        "65624403f5d43bba6b4c847a4bda1f369d14791ef3fc1c3bde95d7e8b5a3ff9c",
+    "groupoid-construct-other-pattern m_gpd_other.json": "absent",
     "cover-graph exit": 0,
     "cover-graph k3_cov.json": "44358ddfa9268484fc013dfd890849cbecd9a74ac96402553039f4ef09bce074",
     "cover-graph m_cover_graph.json":

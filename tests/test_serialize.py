@@ -128,13 +128,13 @@ def test_unknown_format_rejected():
 
 def test_dot_exports_render():
     g = hypercube(["a", "b"])
-    text = ser.egraph_to_dot(g)
+    text = ser.object_to_dot(g)
     assert text.startswith("graph {") and text.count("--") == 4
     pattern = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s", "e")])
-    text2 = ser.igraph_to_dot(pattern_igraph(pattern))
+    text2 = ser.object_to_dot(pattern_igraph(pattern))
     assert "digraph" in text2
     tri = Hypergraph([0, 1, 2], [[0, 1, 2]])
-    assert "graph {" in ser.hypergraph_to_dot(tri)
+    assert "graph {" in ser.object_to_dot(tri)
 
 
 def test_cycle_witness_roundtrip():

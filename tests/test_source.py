@@ -167,6 +167,25 @@ def test_only_the_word_forests_walk_bfs_parents():
                        "constraint.TranslatedCosets.__init__"}
 
 
+def test_each_refusal_is_raised_in_one_place():
+    # the transitivity check of every quotient and the order bound of every
+    # stage group are each written once, so a fix or a message change is
+    # made once
+    sites = {"transitivity": [], "order bound": []}
+    for name, tree in _modules():
+        for qualified, func in _functions(tree):
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                where = f"{name[:-3]}.{qualified}"
+                if isinstance(node.exc, ast.Call) and _called_name(node.exc) == "TransitivityViolation":
+                    sites["transitivity"].append(where)
+                if "exceeded: the group has order at least" in ast.unparse(node):
+                    sites["order bound"].append(where)
+    assert sites == {"transitivity": ["amalgam.one_step_classes"],
+                     "order bound": ["groups._check_order_bound"]}
+
+
 def _own_scope(func):
     """The nodes of func's own scope: the bodies of nested functions,
     lambdas and classes are left out."""
