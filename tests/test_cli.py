@@ -492,7 +492,8 @@ FOUR_EDGES = ConstraintPattern(["s", "t"], [("e", "s", "t", "f"), ("f", "t", "s"
      "groupoid and graph must share a pattern"),
     (TWO_SITES, pattern_igraph(ONE_SITE), "groupoid and graph must share a pattern"),
     (TWO_SITES, pattern_igraph(FOUR_EDGES), "groupoid and graph must share a pattern"),
-    (PATH, IGraph(PATH, ["a", "b", "c", "d"], [0, 1, 2, 2], [[(0, 1)], [(1, 0)], [(1, 2)], [(2, 1)]]),
+    (PATH, IGraph(PATH, ["a", "b", "c", "d"], [0, 1, 2, 2],
+                  [[(0, 1)], [(1, 0)], [(1, 2)], [(2, 1)]]),
      "compatibility target must be complete"),
 ], ids=["other-pattern", "swapped", "swapped-two-t", "one-site", "extra-edges", "incomplete"])
 def test_groupoid_target_over_another_pattern_or_incomplete_is_refused_first(

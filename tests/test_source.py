@@ -178,7 +178,8 @@ def test_each_refusal_is_raised_in_one_place():
                 if not isinstance(node, ast.Raise) or node.exc is None:
                     continue
                 where = f"{name[:-3]}.{qualified}"
-                if isinstance(node.exc, ast.Call) and _called_name(node.exc) == "TransitivityViolation":
+                exc = node.exc
+                if isinstance(exc, ast.Call) and _called_name(exc) == "TransitivityViolation":
                     sites["transitivity"].append(where)
                 if "exceeded: the group has order at least" in ast.unparse(node):
                     sites["order bound"].append(where)
