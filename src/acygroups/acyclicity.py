@@ -174,16 +174,19 @@ def _colour_symmetries(group, alphas):
     by those kept so far is forced by
     :func:`~acygroups.groups.is_group_symmetry`; the group's maps are
     composed by gathers as each forced one joins it.  When a forced rho
-    has no extension, neither has rho o sigma nor sigma o rho for any
-    sigma in that group, and those renamings are not forced.
+    has no extension, neither has sigma o rho o tau for any sigma and tau
+    in that group H, and those renamings are not forced; the double
+    cosets H rho H are made again each time H grows, so a renaming that a
+    symmetry found later rules out is not forced either.
     """
     index = {a: i for i, a in enumerate(alphas)}
     colors = group.colors
     identity = tuple(range(len(colors)))
-    known = {identity: tuple(range(group.order))}  # the group generated so far
+    known = {identity: tuple(range(group.order))}  # the group H generated so far
     gens = []
     out = []
-    failed = set()  # renamings known to have no extension
+    failures = []  # the forced renamings with no extension
+    failed = set()  # the union of their double cosets H f H
     for rho in islice(permutations(identity), 1, None):  # the identity comes first
         perm = known.get(rho)
         if perm is None:
@@ -191,8 +194,8 @@ def _colour_symmetries(group, alphas):
                 continue
             perm = is_group_symmetry(group, dict(zip(colors, gather(colors, rho))))
             if perm is None:
-                for sigma in known:
-                    failed.update((gather(rho, sigma), gather(sigma, rho)))
+                failures.append(rho)
+                failed |= _double_coset(known, rho)
                 continue
             perm = tuple(perm)
             gens.append((rho, perm))
@@ -203,7 +206,20 @@ def _colour_symmetries(group, alphas):
                     if product not in known:
                         known[product] = gather(f, h)
                         elements.append((product, known[product]))
+            failed = set().union(*(_double_coset(known, f) for f in failures))
         out.append((perm, [index[frozenset(rho[c] for c in a)] for a in alphas]))
+    return out
+
+
+def _double_coset(h, f):
+    """The renamings sigma o f o tau for sigma and tau in the renaming
+    group h, gathered one right coset (sigma o f) o h at a time; a right
+    coset met again is skipped, since the set is a union of them."""
+    out = set()
+    for sigma in h:
+        left = gather(sigma, f)
+        if left not in out:
+            out.update(gather(left, tau) for tau in h)
     return out
 
 

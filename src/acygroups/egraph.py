@@ -11,6 +11,8 @@ from __future__ import annotations
 from .errors import MatchingViolation, ResourceCap, UnknownName
 from .traverse import NO_EDGE
 
+VERTEX_CAP = 1_000_000  # the most vertices biggs_tree and hypercube build
+
 
 class EGraph:
     """Immutable edge-coloured graph with partial-matching colour classes."""
@@ -100,8 +102,8 @@ def new_egraph(vertices, colors, edges):
     """Build an EGraph from names and (colour, u, v) triples.
 
     The colour registry is sorted; vertex order is kept as given.  Raises
-    MatchingViolation, with the number of the edge, when a vertex would carry
-    two edges of one colour and UnknownName for dangling references.
+    MatchingViolation, at ``("edges", i)``, when a vertex would carry two
+    edges of one colour and UnknownName for dangling references.
     """
     vertices = list(vertices)
     colors = sorted(colors)
@@ -120,8 +122,7 @@ def new_egraph(vertices, colors, edges):
         for x, y in ((ui, vi), (vi, ui)):
             if row[x] not in (NO_EDGE, y):
                 raise MatchingViolation(
-                    f"vertex {u if x == ui else v!r} has two {c!r}-coloured edges", i
-                )
+                    f"vertex {u if x == ui else v!r} has two {c!r}-coloured edges", ("edges", i))
         row[ui] = vi
         row[vi] = ui
     return EGraph(vertices, colors, rows)
@@ -139,15 +140,24 @@ def trivial_completion(g):
     return EGraph(g.vertex_names, g.colors, rows)
 
 
-def biggs_tree(colors, depth, cap=1_000_000):
+def _registry(colors):
+    """colors sorted, refused when empty or when a name repeats, before any
+    vertex is named after them."""
+    colors = sorted(colors)
+    if not colors:
+        raise UnknownName("at least one colour required")
+    if len(set(colors)) != len(colors):
+        raise UnknownName("duplicate colour names")
+    return colors
+
+
+def biggs_tree(colors, depth, cap=VERTEX_CAP):
     """Regularly coloured tree of the reduced words of length <= depth.
 
     Vertices are the reduced words over the colour set, the empty word being
     the root; each word w of length < depth has one e-edge to we per colour e.
     """
-    colors = sorted(colors)
-    if not colors:
-        raise UnknownName("at least one colour required")
+    colors = _registry(colors)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     words = [()]
@@ -177,14 +187,12 @@ def biggs_tree(colors, depth, cap=1_000_000):
     return new_egraph([name(w) for w in words], colors, edges)
 
 
-def hypercube(colors, cap=1_000_000):
+def hypercube(colors):
     """Subsets of the colour set with an e-edge between S and S xor {e}."""
-    colors = sorted(colors)
-    if not colors:
-        raise UnknownName("at least one colour required")
+    colors = _registry(colors)
     k = len(colors)
-    if 2**k > cap:
-        raise ResourceCap(f"hypercube 2^{k} exceeds cap {cap}")
+    if 2**k > VERTEX_CAP:
+        raise ResourceCap(f"hypercube 2^{k} exceeds cap {VERTEX_CAP}")
     subsets = []
     for mask in range(2**k):
         subsets.append(mask)

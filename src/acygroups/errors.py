@@ -2,16 +2,21 @@
 
 
 class AcygroupsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``where``, when set, is the key path from the document of the refused
+    object to the value at fault, as the constructor that refuses it reads
+    its arguments: ``("edges", 3)`` or ``("action", "a")``.
+    """
+
+    def __init__(self, message="", where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class MatchingViolation(AcygroupsError):
     """A colour class is not a partial matching (vertex with two equal-coloured
-    edges); ``index`` numbers the edge at fault, when one is."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    edges)."""
 
 
 class UnknownName(AcygroupsError):
@@ -24,12 +29,7 @@ class IncompleteGraph(AcygroupsError):
 
 class DegenerateGenerators(AcygroupsError):
     """Two generator permutations coincide, one equals the identity, or one
-    is not an involution; ``index`` numbers the generator at fault (the
-    later of two that coincide), when one is."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    is not an involution."""
 
 
 class ResourceCap(AcygroupsError):

@@ -38,33 +38,42 @@ class ConstraintPattern:
     __slots__ = ("sites", "edge_ids", "src", "tgt", "inv", "_sidx", "_eidx")
 
     def __init__(self, sites, edges):
-        """edges: list of (id, src site, tgt site, inverse id)."""
+        """edges: list of (id, src site, tgt site, inverse id).  A refusal's
+        ``where`` is ``("sites", s)`` or ``("edges", i, field)``."""
         self.sites = tuple(sites)
-        self._sidx = {s: i for i, s in enumerate(self.sites)}
-        if len(self._sidx) != len(self.sites):
-            raise UnknownName("duplicate site names")
+        self._sidx = {}
+        for s, name in enumerate(self.sites):
+            if self._sidx.setdefault(name, s) != s:
+                raise UnknownName("duplicate site names", ("sites", s))
         self.edge_ids = tuple(e[0] for e in edges)
-        self._eidx = {e: i for i, e in enumerate(self.edge_ids)}
-        if len(self._eidx) != len(self.edge_ids):
-            raise UnknownName("duplicate edge ids")
-        self.src = tuple(self._site(e[1]) for e in edges)
-        self.tgt = tuple(self._site(e[2]) for e in edges)
-        self.inv = tuple(self._edge(e[3]) for e in edges)
-        fault = pattern_fault(len(self.sites), self.src, self.tgt, self.inv)
-        if fault is not None:
-            raise PreconditionFailed(fault[0])
-
-    def _site(self, name):
-        try:
-            return self._sidx[name]
-        except KeyError:
-            raise UnknownName(f"unknown site {name!r}") from None
-
-    def _edge(self, name):
-        try:
-            return self._eidx[name]
-        except KeyError:
-            raise UnknownName(f"unknown edge {name!r}") from None
+        self._eidx = {}
+        for i, eid in enumerate(self.edge_ids):
+            if self._eidx.setdefault(eid, i) != i:
+                raise UnknownName("duplicate edge ids", ("edges", i, "id"))
+        columns = ([], [], [])
+        for i, edge in enumerate(edges):
+            for column, field, name, index in zip(columns, ("src", "tgt", "inv"), edge[1:],
+                                                  (self._sidx, self._sidx, self._eidx)):
+                if name not in index:
+                    what = "edge" if field == "inv" else "site"
+                    raise UnknownName(f"unknown {what} {name!r}", ("edges", i, field))
+                column.append(index[name])
+        self.src, self.tgt, self.inv = map(tuple, columns)
+        for e, r in enumerate(self.inv):
+            if r == e:
+                message = "edge reversal must be fixpoint free"
+            elif self.inv[r] != e:
+                message = "edge reversal must be involutive"
+            elif self.src[r] != self.tgt[e] or self.tgt[r] != self.src[e]:
+                message = "edge reversal must swap source and target"
+            else:
+                continue
+            raise PreconditionFailed(message, ("edges", e, "inv"))
+        incident = set(self.src) | set(self.tgt)
+        for s in range(len(self.sites)):
+            if s not in incident:
+                raise PreconditionFailed("incidence maps must be surjective onto the sites",
+                                         ("sites", s))
 
     @property
     def n_sites(self):
@@ -80,23 +89,6 @@ class ConstraintPattern:
 
     def __repr__(self):
         return f"ConstraintPattern({len(self.sites)} sites, {self.n_edges} directed edges)"
-
-
-def pattern_fault(n_sites, src, tgt, inv):
-    """(message, "edge", e) for the first edge e that inv does not reverse,
-    else (message, "site", s) for the first site s no edge touches, or None."""
-    for e, r in enumerate(inv):
-        if r == e:
-            return "edge reversal must be fixpoint free", "edge", e
-        if inv[r] != e:
-            return "edge reversal must be involutive", "edge", e
-        if src[r] != tgt[e] or tgt[r] != src[e]:
-            return "edge reversal must swap source and target", "edge", e
-    incident = set(src) | set(tgt)
-    for s in range(n_sites):
-        if s not in incident:
-            return "incidence maps must be surjective onto the sites", "site", s
-    return None
 
 
 class HatTranslation(NamedTuple):
@@ -136,23 +128,6 @@ def hat_translation(pattern):
     return hat._replace(igraph=translate_igraph(hat, pattern_igraph(pattern)))
 
 
-def igraph_fault(pattern, site_of, edges):
-    """(message, None, None) when a site has no vertex, else (message, e, i)
-    for the first pair i of edge e's class off the incidence sorts, or
-    (message, e, None) for the first class e whose reverse is not its
-    converse; or None.  Each class's pairs are checked before its reverse,
-    edge by edge."""
-    if set(site_of) != set(range(pattern.n_sites)):
-        return "every site needs at least one vertex", None, None
-    for e, pairs in enumerate(edges):
-        for i, (u, v) in enumerate(pairs):
-            if site_of[u] != pattern.src[e] or site_of[v] != pattern.tgt[e]:
-                return "edge endpoints violate the incidence sorts", e, i
-        if sorted(edges[pattern.inv[e]]) != sorted((v, u) for u, v in pairs):
-            return "reversed colour class must be the converse relation", e, None
-    return None
-
-
 class IGraph:
     """Site-partitioned directed graph over a pattern; edge classes respect
     the incidence sorts and reversal."""
@@ -160,16 +135,25 @@ class IGraph:
     __slots__ = ("pattern", "vertex_names", "site_of", "edges")
 
     def __init__(self, pattern, vertex_names, site_of, edges):
-        """edges: per edge index, list of (u, v) vertex-index pairs."""
+        """edges: per edge index, list of (u, v) vertex-index pairs.  A
+        refusal's ``where`` is ``("site_of",)``, ``("edges", id, i)`` for
+        pair i as given, or ``("edges", id)`` for a whole class."""
         self.pattern = pattern
         self.vertex_names = tuple(vertex_names)
         self.site_of = tuple(site_of)
         if len(set(self.vertex_names)) != len(self.vertex_names):
             raise UnknownName("duplicate vertex names")
+        if set(self.site_of) != set(range(pattern.n_sites)):
+            raise PreconditionFailed("every site needs at least one vertex", ("site_of",))
         self.edges = tuple(tuple(sorted(es)) for es in edges)
-        fault = igraph_fault(pattern, self.site_of, self.edges)
-        if fault is not None:
-            raise PreconditionFailed(fault[0])
+        for e, (eid, pairs) in enumerate(zip(pattern.edge_ids, edges)):
+            for i, (u, v) in enumerate(pairs):
+                if self.site_of[u] != pattern.src[e] or self.site_of[v] != pattern.tgt[e]:
+                    raise PreconditionFailed("edge endpoints violate the incidence sorts",
+                                             ("edges", eid, i))
+            if self.edges[pattern.inv[e]] != tuple(sorted((v, u) for u, v in self.edges[e])):
+                raise PreconditionFailed("reversed colour class must be the converse relation",
+                                         ("edges", eid))
 
     @property
     def n(self):
@@ -219,25 +203,6 @@ def translate_igraph(hat, igraph):
     return new_egraph(vertices, hat.color_of.values(), edges)
 
 
-def groupoid_fault(pattern, sorts, neutral, gen_elem):
-    """(error, message, "sorts", x) for the first neutral element x of a
-    wrong sort, else (error, message, "generators", e) for the first
-    generator e of a wrong sort, else for the first that equals an earlier
-    one; or None."""
-    for s, x in enumerate(neutral):
-        if sorts[x] != (s, s):
-            return PreconditionFailed, "neutral element has a wrong sort", "sorts", x
-    for e, x in enumerate(gen_elem):
-        if sorts[x] != (pattern.src[e], pattern.tgt[e]):
-            return PreconditionFailed, "generator has a wrong sort", "generators", e
-    seen = set()
-    for e, x in enumerate(gen_elem):
-        if x in seen:
-            return DegenerateGenerators, "two groupoid generators coincide", "generators", e
-        seen.add(x)
-    return None
-
-
 class IGroupoid:
     """Generated groupoid stored by right-multiplication tables per edge.
 
@@ -251,6 +216,9 @@ class IGroupoid:
     )
 
     def __init__(self, pattern, sorts, neutral, gen_elem, rmul, labels=None):
+        """A refusal's ``where`` is ``("sorts", x)`` for a neutral element x
+        of a wrong sort, or ``("generators", id)`` for a generator of a
+        wrong sort or equal to an earlier one."""
         self.pattern = pattern
         self.sorts = tuple(sorts)
         self.neutral = tuple(neutral)
@@ -259,9 +227,16 @@ class IGroupoid:
         self.labels = tuple(labels) if labels is not None else None
         self._parents = None  # derived by the parents property
         self._closures = {}
-        fault = groupoid_fault(pattern, self.sorts, self.neutral, self.gen_elem)
-        if fault is not None:
-            raise fault[0](fault[1])
+        for s, x in enumerate(self.neutral):
+            if self.sorts[x] != (s, s):
+                raise PreconditionFailed("neutral element has a wrong sort", ("sorts", x))
+        first = {}
+        for e, x in enumerate(self.gen_elem):
+            at = ("generators", pattern.edge_ids[e])
+            if self.sorts[x] != (pattern.src[e], pattern.tgt[e]):
+                raise PreconditionFailed("generator has a wrong sort", at)
+            if first.setdefault(x, e) != e:
+                raise DegenerateGenerators("two groupoid generators coincide", at)
 
     @property
     def parents(self):

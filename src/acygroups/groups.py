@@ -69,7 +69,7 @@ class EGroup:
         self._compat_cache = {}  # template generator perms -> is_compatible verdict
         identity = tuple(range(self.order))
         not_involutive = None
-        for c, row in enumerate(self.gen_action):
+        for name, row in zip(self.colors, self.gen_action):
             # row[row[x]] == x for every x hits every x, so the row is then a
             # permutation with no entry out of range; only a failure is sorted
             try:
@@ -77,18 +77,18 @@ class EGroup:
             except IndexError:
                 involutive = False
             if not involutive and tuple(sorted(row)) != identity:
-                raise DegenerateGenerators("generator table is not a permutation", c)
+                raise DegenerateGenerators("generator table is not a permutation", ("action", name))
             if row[0] == 0:
-                raise DegenerateGenerators("generator equals the identity", c)
+                raise DegenerateGenerators("generator equals the identity", ("action", name))
             if not involutive and not_involutive is None:
-                not_involutive = c
+                not_involutive = name
         if not_involutive is not None:
-            raise DegenerateGenerators(f"generator {self.colors[not_involutive]!r} not involutive",
-                                       not_involutive)
+            raise DegenerateGenerators(f"generator {not_involutive!r} not involutive",
+                                       ("action", not_involutive))
         seen = set()
-        for c, row in enumerate(self.gen_action):
+        for name, row in zip(self.colors, self.gen_action):
             if row[0] in seen:
-                raise DegenerateGenerators("two generators coincide", c)
+                raise DegenerateGenerators("two generators coincide", ("action", name))
             seen.add(row[0])
 
     @property

@@ -13,15 +13,8 @@ from itertools import combinations
 
 from .covering import Hypergraph, graph_template
 from .egraph import EGraph, new_egraph
-from .errors import DegenerateGenerators, MatchingViolation, SchemaError
-from .groupoid import (
-    ConstraintPattern,
-    IGraph,
-    IGroupoid,
-    groupoid_fault,
-    igraph_fault,
-    pattern_fault,
-)
+from .errors import AcygroupsError, SchemaError
+from .groupoid import ConstraintPattern, IGraph, IGroupoid
 from .groups import EGroup
 from .traverse import NO_EDGE, Cosets
 
@@ -44,6 +37,18 @@ def _at(pointer, *keys):
     """The JSON pointer (RFC 6901) to keys below pointer: array members are
     indices, and each name escapes ~ as ~0 and / as ~1."""
     return pointer + "".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in keys)
+
+
+def _built(make, pointer, *args):
+    """make(*args), the object a loader has read from the document at
+    pointer; a refusal that locates the value at fault (its ``where``,
+    the key path below that document) becomes a SchemaError there."""
+    try:
+        return make(*args)
+    except AcygroupsError as exc:
+        if exc.where is None:
+            raise
+        raise SchemaError(str(exc), _at(pointer, *exc.where)) from None
 
 
 def _need(doc, key, types, pointer):
@@ -124,10 +129,7 @@ def egraph_from_json(doc, pointer=""):
     known_v = (set(vertices), "vertex")
     edges = _rows(_need(doc, "edges", list, pointer), [(set(colors), "colour"), known_v, known_v],
                   "[color,u,v]", _at(pointer, "edges"))
-    try:
-        return new_egraph(vertices, colors, edges)
-    except MatchingViolation as exc:
-        raise SchemaError(str(exc), _at(pointer, "edges", exc.index)) from None
+    return _built(new_egraph, pointer, vertices, colors, edges)
 
 
 def egroup_to_json(group):
@@ -161,10 +163,7 @@ def egroup_from_json(doc, pointer=""):
     # walk sizes a list by it
     if (not colors and order != 1) or len(Cosets(order, action).block(0)) != order:
         raise SchemaError("action tables do not generate all elements", _at(pointer, "action"))
-    try:
-        return EGroup(colors, action, order)
-    except DegenerateGenerators as exc:
-        raise SchemaError(str(exc), _at(pointer, "action", colors[exc.index])) from None
+    return _built(EGroup, pointer, colors, action, order)
 
 
 def pattern_to_json(pattern):
@@ -185,25 +184,10 @@ def pattern_to_json(pattern):
 
 def pattern_from_json(doc, pointer=""):
     sites = _names(doc, "sites", pointer)
-    edges_doc = _need(doc, "edges", list, pointer)
-    ids = [_need(e, "id", str, _at(pointer, "edges", i)) for i, e in enumerate(edges_doc)]
-    sidx, eidx = {s: i for i, s in enumerate(sites)}, {}
-    for i, eid in enumerate(ids):
-        if eidx.setdefault(eid, i) != i:
-            raise SchemaError("duplicate edge ids", _at(pointer, "edges", i, "id"))
-    edges = []
-    for i, (eid, e) in enumerate(zip(ids, edges_doc)):
-        p = _at(pointer, "edges", i)
-        edges.append((eid, _known(_need(e, "src", str, p), sidx, "site", _at(p, "src")),
-                      _known(_need(e, "tgt", str, p), sidx, "site", _at(p, "tgt")),
-                      _known(_need(e, "inv", str, p), eidx, "edge", _at(p, "inv"))))
-    fault = pattern_fault(len(sites), [sidx[e[1]] for e in edges], [sidx[e[2]] for e in edges],
-                          [eidx[e[3]] for e in edges])
-    if fault is not None:
-        message, kind, i = fault
-        raise SchemaError(message, _at(pointer, "edges", i, "inv") if kind == "edge"
-                          else _at(pointer, "sites", i))
-    return ConstraintPattern(sites, edges)
+    edges = [tuple(_need(e, key, str, _at(pointer, "edges", i))
+                   for key in ("id", "src", "tgt", "inv"))
+             for i, e in enumerate(_need(doc, "edges", list, pointer))]
+    return _built(ConstraintPattern, pointer, sites, edges)
 
 
 def igraph_to_json(ig):
@@ -239,14 +223,7 @@ def igraph_from_json(doc, pointer=""):
             raise SchemaError("an edge class must be a list", _at(pointer, "edges", eid))
         pairs = _rows(rows, [(vidx, "vertex")] * 2, "[u,v]", _at(pointer, "edges", eid))
         edges.append([(vidx[u], vidx[v]) for u, v in pairs])
-    fault = igraph_fault(pattern, site_of, edges)
-    if fault is not None:
-        message, e, i = fault
-        if e is None:
-            raise SchemaError(message, _at(pointer, "site_of"))
-        at = _at(pointer, "edges", pattern.edge_ids[e])
-        raise SchemaError(message, at if i is None else _at(at, i))
-    return IGraph(pattern, vertices, site_of, edges)
+    return _built(IGraph, pointer, pattern, vertices, site_of, edges)
 
 
 def igroupoid_to_json(gpd):
@@ -302,11 +279,7 @@ def igroupoid_from_json(doc, pointer=""):
     reach = Cosets(order, rmul)
     if len(set().union(*map(reach.block, neutral))) != order:
         raise SchemaError("tables do not generate all elements", _at(pointer, "rmul"))
-    fault = groupoid_fault(pattern, sorts, neutral, gen_elem)
-    if fault is not None:
-        _, message, key, i = fault
-        raise SchemaError(message, _at(pointer, key, i if key == "sorts" else pattern.edge_ids[i]))
-    return IGroupoid(pattern, sorts, neutral, gen_elem, rmul)
+    return _built(IGroupoid, pointer, pattern, sorts, neutral, gen_elem, rmul)
 
 
 def hypergraph_to_json(hg):

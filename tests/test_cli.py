@@ -7,7 +7,8 @@ from acygroups import serialize as ser
 from acygroups.acyclicity import find_coset_cycle
 from acygroups.cli import main
 from acygroups.covering import Hypergraph, intersection_graph
-from acygroups.egraph import hypercube, disjoint_union
+from acygroups.egraph import biggs_tree, disjoint_union, hypercube
+from acygroups.errors import UnknownName
 from acygroups.groupoid import (
     ConstraintPattern,
     IGraph,
@@ -41,6 +42,25 @@ def test_biggs_then_symgroup(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 6
+
+
+def test_repeated_colours_are_refused_as_colours(capsys):
+    # before, the tree's vertex names collided first: "duplicate vertex names"
+    code = main(["biggs", "-E", "a,b,a", "-n", "2"])
+    assert (code, *capsys.readouterr()) == (3, "", "invalid input: duplicate colour names\n")
+    for make in (lambda: hypercube(["a", "a"]), lambda: biggs_tree(["a", "a"], 1)):
+        with pytest.raises(UnknownName, match="^duplicate colour names$"):
+            make()
+
+
+def test_symgroup_refuses_a_hypercube_past_the_vertex_cap(tmp_path, capsys):
+    # one vertex and 21 colours: the attached hypercube would have 2^21 vertices
+    colors = [f"c{i:02}" for i in range(21)]
+    graph = write(tmp_path, "g.json", {"format": "egraph", "vertices": ["0"], "colors": colors,
+                                       "edges": []})
+    code = main(["symgroup", graph])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "resource cap: hypercube 2^21 exceeds cap 1000000\n")
 
 
 def test_symgroup_from_stdin(tmp_path, capsys, monkeypatch):

@@ -301,7 +301,7 @@ def test_egroup_refuses_each_degenerate_table_of_order_55440(stage_55440):
     for rows, message, index in cases:
         with pytest.raises(DegenerateGenerators, match=f"^{message}$") as err:
             EGroup(colors, rows, group.order)
-        assert err.value.index == index
+        assert err.value.where == ("action", colors[index])
 
 
 def test_the_closure_cap_with_parts_dropped(stage_55440, monkeypatch):

@@ -105,11 +105,12 @@ def test_colour_symmetries_of_the_order_2592_group_force_two_renamings(monkeypat
 
 
 @pytest.mark.parametrize("make, kept, asked", [
-    # (1, 2, 0) fails once (1, 0, 2) is found, so (2, 1, 0) = (1, 2, 0) o
-    # (1, 0, 2) is not forced
-    (one_transposition_group, [(1, 0, 2)], [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1)]),
-    # (2, 0, 1) is the square of (1, 2, 0): composed, not forced
-    (rotation_group, [(1, 2, 0), (2, 0, 1)], [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0)]),
+    # (0, 2, 1) fails before (1, 0, 2) is found; the double coset of
+    # (0, 2, 1) under {id, (1, 0, 2)} then holds the other three renamings
+    (one_transposition_group, [(1, 0, 2)], [(0, 2, 1), (1, 0, 2)]),
+    # (2, 0, 1) is the square of (1, 2, 0): composed, not forced; the
+    # rotations move (0, 2, 1) onto the third transposition (2, 1, 0)
+    (rotation_group, [(1, 2, 0), (2, 0, 1)], [(0, 2, 1), (1, 0, 2), (1, 2, 0)]),
 ], ids=["one-transposition", "rotations"])
 def test_forced_composed_and_failing_renamings_mix(monkeypatch, make, kept, asked):
     group = make()

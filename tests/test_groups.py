@@ -294,7 +294,7 @@ def test_egroup_refuses_each_degenerate_table(order, rows, message, index):
 
     with pytest.raises(DegenerateGenerators, match=f"^{message}$") as err:
         EGroup([f"c{i}" for i in range(len(rows))], rows, order)
-    assert err.value.index == index
+    assert err.value.where == ("action", f"c{index}")
 
 
 def test_egroup_refuses_repeated_colour_names():

@@ -187,6 +187,33 @@ def test_each_refusal_is_raised_in_one_place():
                      "order bound": ["groups._check_order_bound"]}
 
 
+def test_constructors_locate_their_refusals_and_one_helper_points_at_them():
+    # each input rule is checked once, by the constructor of its object,
+    # which names the key path of the value at fault in ``where``; the
+    # loaders reach those constructors through serialize._built, the one
+    # reader of ``where``, which turns the path into a JSON pointer
+    located = {"new_egraph", "EGroup", "ConstraintPattern", "IGraph", "IGroupoid"}
+    reads, faults, direct, through = [], [], [], set()
+    for name, tree in _modules():
+        owner = {node: f"{name[:-3]}.{qualified}"
+                 for qualified, func in _functions(tree) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "where"
+                    and isinstance(node.ctx, ast.Load)):
+                reads.append(owner.get(node, f"{name}:{node.lineno}"))
+            elif isinstance(node, ast.FunctionDef) and node.name.endswith("_fault"):
+                faults.append(f"{name}:{node.lineno} {node.name}")
+            elif name == "serialize.py" and isinstance(node, ast.Call):
+                if _called_name(node) in located:
+                    direct.append(f"{name}:{node.lineno} {_called_name(node)}")
+                elif _called_name(node) == "_built":
+                    through.add(node.args[0].id)
+    assert set(reads) == {"serialize._built"}
+    assert faults == []
+    assert direct == []
+    assert through == located
+
+
 def _own_scope(func):
     """The nodes of func's own scope: the bodies of nested functions,
     lambdas and classes are left out."""
@@ -279,9 +306,9 @@ def _public_definitions(trees):
 # to, each kept for the reason given
 UNREFERENCED_PUBLIC = {
     "groups.homomorphism": "perfbench/tracer.py times it by name",
-    "groupoid.translate_groupoid_cycle": "groupoids past one edge pair (ROADMAP item 7)",
-    "groupoid.sym_igraph": "groupoids past one edge pair (ROADMAP item 7)",
-    "groupoid.groupoid_cayley": "groupoids past one edge pair (ROADMAP item 7)",
+    "groupoid.translate_groupoid_cycle": "groupoids past one edge pair (ROADMAP item 9)",
+    "groupoid.sym_igraph": "groupoids past one edge pair (ROADMAP item 9)",
+    "groupoid.groupoid_cayley": "groupoids past one edge pair (ROADMAP item 9)",
     "serialize.igraph_to_json": "writes the igraph format that load_document reads",
     "serialize.graph_to_json": "writes the graph format that load_document reads",
 }
@@ -316,7 +343,7 @@ def test_every_public_name_has_a_caller():
 # reason given
 UNRUN_PUBLIC = {
     **UNREFERENCED_PUBLIC,
-    "groupoid.HatTranslation.subset": "only translate_groupoid_cycle calls it (ROADMAP item 7)",
+    "groupoid.HatTranslation.subset": "only translate_groupoid_cycle calls it (ROADMAP item 9)",
     "serialize.igroupoid_from_json": "no golden case reads a groupoid document back",
 }
 
