@@ -301,10 +301,10 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
     ResourceCap, and so does passing ``deadline`` (a ``time.monotonic()``
     value), checked every 4096 nodes and once the symmetries are found.
     """
-    walk = _Walk(alphas, anchors, table, budget or DEFAULT_SEARCH_BUDGET, deadline, symmetries,
-                 n_max)
+    walk = _Walk(alphas, anchors, table, budget or DEFAULT_SEARCH_BUDGET, deadline, symmetries)
     for target in range(2, n_max + 1):
         walk.target = target
+        walk.fix.append(())  # positions 0..target
         for start in range(len(alphas)):
             if any(images[start] < start for _, images in walk.fix[0]):
                 continue
@@ -323,13 +323,15 @@ class _Walk:
     anchor sets they read (``reach``).  fix[m] holds the symmetries that
     fix the first m entries, empty until they are found.  The walk itself
     is the module-level ``_extend``, so no function refers to itself and
-    nothing here outlives the search in a reference cycle."""
+    nothing here outlives the search in a reference cycle.  fix grows by one
+    position per target length, so a bound far past the cycles found costs
+    nothing."""
 
     __slots__ = ("alphas", "anchors", "table", "tables", "meets", "budget", "deadline",
                  "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq", "reaches",
                  "closings")
 
-    def __init__(self, alphas, anchors, table, budget, deadline, symmetries, n_max):
+    def __init__(self, alphas, anchors, table, budget, deadline, symmetries):
         self.alphas = alphas
         self.anchors = anchors
         self.table = table
@@ -340,7 +342,7 @@ class _Walk:
         self.after, self.find = symmetries or (math.inf, None)
         # the kernel calls tick past limit, so at the node that finds the symmetries
         self.limit = min(budget, self.after - 1)
-        self.fix = [()] * (n_max + 1)
+        self.fix = [(), ()]
         self.nodes = 0
         self.reaches = {}
         self.closings = {}

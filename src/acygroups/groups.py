@@ -147,16 +147,58 @@ class EGroup:
         return f"EGroup(order {self.order}, colours {list(self.colors)})"
 
 
-def _check_order_bound(parts, cap):
-    """The orders of the parts' groups; ResourceCap when the diagonal group
-    of the parts provably has more than cap elements, before any enumeration.
+def _check_order_bound(bound, kind, data, cap, what, show_order=True):
+    """(the lcm of bound and the order of one part's group, that order);
+    ResourceCap when that lcm provably passes cap, before any enumeration.
 
-    The group maps onto each part's group (a tables part acts regularly, a
-    perms part is sized by Schreier-Sims) and onto the group of all perms
-    parts together, so the orders of these groups, and their lcm, divide
-    its order.
+    A tables part acts regularly, so its order is its point count; a perms
+    part is sized by Schreier-Sims, stopped just past cap.  what names the
+    part in the message, which also gives its order unless show_order is
+    false.
     """
-    sized = [(kind, data, f"part {i}") for i, (kind, data) in enumerate(parts)]
+    n = len(data[0]) if data else 1  # no colours: the trivial group
+    order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
+    # past the limit the search stops early and order is only a lower bound
+    bound = order if order > cap else lcm(bound, order)
+    if bound > cap:
+        known = "at least " if order > cap else ""
+        detail = f", order {known}{order}" if show_order else ""
+        raise ResourceCap(
+            f"element cap {cap} exceeded: the group has order at least {bound} "
+            f"({what}: {n} points{detail})"
+        )
+    return bound, order
+
+
+class OrderBound:
+    """The order bound of a group acting diagonally on parts, taken one part
+    at a time.
+
+    The group maps onto each part's group, so the orders of the parts'
+    groups, and their running lcm, divide its order.  ``orders`` holds the
+    orders of the parts added so far, part 0 first.
+    """
+
+    __slots__ = ("cap", "bound", "orders")
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.bound = 1
+        self.orders = []
+
+    def add(self, kind, data):
+        """The order of the next part's group; ResourceCap once the running
+        lcm provably passes the cap."""
+        self.bound, order = _check_order_bound(
+            self.bound, kind, data, self.cap, f"part {len(self.orders)}")
+        self.orders.append(order)
+        return order
+
+
+def _check_together(parts, orders, cap):
+    """ResourceCap when the group of all perms parts together, which the
+    diagonal group also maps onto, proves with the parts' orders that the
+    diagonal group has more than cap elements."""
     perms = [data for kind, data in parts if kind == "perms" and data]
     if len(perms) >= 2:
         offsets = list(accumulate((len(data[0]) for data in perms), initial=0))
@@ -164,22 +206,8 @@ def _check_order_bound(parts, cap):
             tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
             for c in range(len(perms[0]))
         ]
-        sized.append(("perms", union, f"{len(perms)} components together"))
-    bound, orders = 1, []
-    for i, (kind, data, what) in enumerate(sized):
-        n = len(data[0]) if data else 1  # no colours: the trivial group
-        order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
-        orders.append(order)
-        # past the limit the search stops early and order is only a lower bound
-        bound = order if order > cap else lcm(bound, order)
-        if bound > cap:
-            known = "at least " if order > cap else ""
-            detail = f", order {known}{order}" if i < len(parts) else ""
-            raise ResourceCap(
-                f"element cap {cap} exceeded: the group has order at least {bound} "
-                f"({what}: {n} points{detail})"
-            )
-    return orders[:len(parts)]
+        _check_order_bound(lcm(*orders), "perms", union, cap,
+                           f"{len(perms)} components together", show_order=False)
 
 
 def _essential_parts(tables):
@@ -207,15 +235,17 @@ def _essential_parts(tables):
     return sorted(kept), quotients
 
 
-def sym_components(colors, parts, cap=None, deadline=None):
+def sym_components(colors, parts, cap=None, deadline=None, orders=None):
     """Group generated by per-part involutions acting diagonally.
 
     Each part is either ("tables", per-colour index maps) for a part whose
     action is already known as right multiplication on an enumerated set, or
     ("perms", per-colour permutation tuples) for a raw point set.  Degeneracy
     of the combined generators must be checked by the caller.  A group that
-    provably exceeds the cap is refused before it is enumerated; the
-    closures raise ResourceCap once the monotonic clock passes deadline.
+    provably exceeds the cap is refused before it is enumerated: its parts
+    are sized by :class:`OrderBound`, unless their orders are given, and
+    then the group of all perms parts together, which it also maps onto.
+    The closures raise ResourceCap once the monotonic clock passes deadline.
     Every part's rows must be involutions, as the closures require.
     Tables fold pairwise by :func:`close` from one point: a perms part's
     point actions (point i from i) until its order, then the kept parts,
@@ -229,7 +259,10 @@ def sym_components(colors, parts, cap=None, deadline=None):
         for c, row in enumerate(data):
             if gather(row, row) != identity:
                 raise DegenerateGenerators(f"generator {colors[c]!r} not involutive on part {i}")
-    orders = _check_order_bound(parts, cap)
+    if orders is None:
+        sizing = OrderBound(cap)
+        orders = [sizing.add(kind, data) for kind, data in parts]
+    _check_together(parts, orders, cap)
     point = [(0,)] * len(colors)
     tables = []
     for (kind, data), order in zip(parts, orders):

@@ -21,7 +21,13 @@ from .amalgam import amalgam_chain, amalgam_cluster
 from .canon import canonical_form
 from .constraint import IContext, find_i_coset_cycle, is_free_over, small_coset_amalgam
 from .errors import ResourceCap
-from .groups import default_cap, graph_generator_perms, inherit_compatibility, sym_components
+from .groups import (
+    OrderBound,
+    default_cap,
+    graph_generator_perms,
+    inherit_compatibility,
+    sym_components,
+)
 from .traverse import gather
 
 
@@ -112,9 +118,9 @@ def _extend_chain(subsets, interior, alphas, points, length):
 
 def _enumerate_chains(group, subsets, max_len, deadline=None):
     """(canonical form, graph) of the deduplicated free amalgamation chains
-    with constituents from subsets; ResourceCap once the monotonic clock,
-    read before each chain is offered, has passed deadline."""
-    store = []
+    with constituents from subsets, each built when it is asked for;
+    ResourceCap once the monotonic clock, read before each chain is
+    offered, has passed deadline."""
     seen = set()
     offered = 0
     for alphas, pointings in _chain_pointings(group, subsets, max_len):
@@ -128,8 +134,7 @@ def _enumerate_chains(group, subsets, max_len, deadline=None):
             if key in seen:
                 continue
             seen.add(key)
-            store.append((key, am.graph))
-    return store
+            yield key, am.graph
 
 
 def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
@@ -142,9 +147,18 @@ def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
     never built: the closure takes the group's tables for it, and the
     inventory counts it as one component on |G| vertices.  The deadline is
     read before each chain, cluster and extension.
+
+    The stage group maps onto the group of each component, so each is sized
+    by :class:`~acygroups.groups.OrderBound` as soon as it is kept, after
+    the group itself as part 0: a stage graph that provably passes
+    ``config.element_cap`` is refused at its first component that proves
+    it, and the rest is never built.  Each kept component comes back as
+    (graph, generator perms, order of its group).
     """
     config = config or SynthesisConfig()
     inventory = {f"cayley[{group.order}v]": 1}
+    sizing = OrderBound(config.element_cap)
+    sizing.add("tables", group.gen_action)
     components, seen = [], set()
 
     def keep(kind, graph, key=None):
@@ -154,7 +168,8 @@ def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
         if key in seen:
             return
         seen.add(key)
-        components.append(graph)
+        perms = graph_generator_perms(graph)
+        components.append((graph, perms, sizing.add("perms", perms)))
         if len(components) >= MAX_COMPONENTS:  # with the Cayley graph, one more than the cap
             raise ResourceCap(f"component cap {MAX_COMPONENTS} exceeded")
 
@@ -173,12 +188,13 @@ def stage_graph(group, k, igraph=None, config=None, ctx=None, deadline=None):
     return components, inventory
 
 
-def _combined_group(group, extra_components, colors, cap, deadline):
-    """sym of (Cayley graph of group) + extras, with the regular part keyed
-    by group elements rather than permutations."""
-    parts = [("tables", group.gen_action)]
-    parts += [("perms", graph_generator_perms(comp)) for comp in extra_components]
-    return sym_components(colors, parts, cap=cap, deadline=deadline)
+def _combined_group(group, components, cap, deadline):
+    """sym of (Cayley graph of group) + the stage graph's components, with
+    the regular part keyed by group elements rather than permutations, and
+    the part orders the stage graph proved."""
+    parts = [("tables", group.gen_action)] + [("perms", perms) for _, perms, _ in components]
+    orders = [group.order] + [order for _, _, order in components]
+    return sym_components(group.colors, parts, cap=cap, deadline=deadline, orders=orders)
 
 
 def _conservation(prev, new, k, deadline):
@@ -274,7 +290,7 @@ def construct_n_acyclic(group0, config=None, igraph=None):
                 current, k, igraph=igraph, config=config, ctx=ctx, deadline=deadline
             )
             _check_deadline(deadline, f"stage {k} timed out after the stage graph")
-            new = _combined_group(current, components, current.colors, config.element_cap, deadline)
+            new = _combined_group(current, components, config.element_cap, deadline)
             _check_deadline(deadline, f"stage {k} timed out after the closure")
             table, cons_ok, hom = _conservation(current, new, k, deadline)
             _check_deadline(deadline, f"stage {k} timed out after conservation")

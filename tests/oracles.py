@@ -91,6 +91,12 @@ recomputes every image in a second pass to build its tables;
 ``reference_diagonal_closure`` runs it over every part of a stage, with no
 part dropped, and ``groups.sym_components`` must give the same group.
 
+``reference_order_bound`` is the order bound that sized a stage's whole
+list of parts at once, after its stage graph was built; sized one part at
+a time by ``groups.OrderBound`` and then together by
+``groups._check_together``, the same parts must give the same orders or
+the same refusal.
+
 The graph helpers at the end (``walk_target``, ``alpha_component``,
 ``induced_subgraph``, ``find_isomorphism``, ``is_symmetry``,
 ``rebuild_renamed``) are what the tests read graphs with; no pipeline
@@ -100,7 +106,7 @@ needs them.
 import functools
 import math
 import time
-from itertools import islice, permutations
+from itertools import accumulate, islice, permutations
 from operator import getitem
 from typing import NamedTuple, Sequence
 
@@ -124,6 +130,7 @@ from acygroups.canon import canonical_form, connected_components
 from acygroups.egraph import EGraph, new_egraph
 from acygroups.errors import CompatibilityRequired, IncompleteGraph, ResourceCap
 from acygroups.groups import EGroup, graph_generator_perms, is_compatible
+from acygroups.permgroup import group_order
 from acygroups.traverse import NO_EDGE, UnionFind, bfs_parents
 
 from conftest import rename
@@ -921,6 +928,35 @@ def reference_diagonal_closure(n_colors, parts, cap):
             tables.append(reference_close(tuple(range(n)), [(p,) * n for p in data], cap)[0])
     rows = [tuple(table[c] for table in tables) for c in range(n_colors)]
     return reference_close((0,) * len(tables), rows, cap)
+
+
+def reference_order_bound(parts, cap):
+    """The orders of the parts' groups; ResourceCap when the lcm of the
+    orders of the parts' groups, or of those and of the group of all perms
+    parts together, passes cap."""
+    sized = [(kind, data, f"part {i}") for i, (kind, data) in enumerate(parts)]
+    perms = [data for kind, data in parts if kind == "perms" and data]
+    if len(perms) >= 2:
+        offsets = list(accumulate((len(data[0]) for data in perms), initial=0))
+        union = [
+            tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
+            for c in range(len(perms[0]))
+        ]
+        sized.append(("perms", union, f"{len(perms)} components together"))
+    bound, orders = 1, []
+    for i, (kind, data, what) in enumerate(sized):
+        n = len(data[0]) if data else 1
+        order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
+        orders.append(order)
+        bound = order if order > cap else math.lcm(bound, order)
+        if bound > cap:
+            known = "at least " if order > cap else ""
+            detail = f", order {known}{order}" if i < len(parts) else ""
+            raise ResourceCap(
+                f"element cap {cap} exceeded: the group has order at least {bound} "
+                f"({what}: {n} points{detail})"
+            )
+    return orders[:len(parts)]
 
 
 def reference_girth(graph):

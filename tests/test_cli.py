@@ -90,6 +90,25 @@ def test_check_acyclic_exit_codes(tmp_path, capsys):
     assert code == 0 and json.loads(out)["witness_valid"]
 
 
+def test_check_acyclic_bound_far_past_the_cycle_it_finds(tmp_path, capsys):
+    # the search's per-length state grows with the lengths it tries, so
+    # -N 10^11 on the order-24 group returns the 4-cycle of -N 6 at once,
+    # with no memory spent on the lengths it never reaches
+    import tracemalloc
+
+    group = write(tmp_path, "g.json", ser.egroup_to_json(biggs_group(["a", "b", "c"], 1)))
+    code, witness = run(capsys, "check-acyclic", group, "-N", "6")
+    assert code == 1 and len(json.loads(witness)["entries"]) == 4
+    tracemalloc.start()
+    try:
+        got = run(capsys, "check-acyclic", group, "-N", str(10**11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (1, witness)
+    assert peak < 1_000_000
+
+
 def test_cayley_and_girth(tmp_path, capsys):
     tree = str(tmp_path / "tree.json")
     run(capsys, "biggs", "-E", "a,b", "-n", "2", "-o", tree)

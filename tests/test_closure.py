@@ -304,14 +304,24 @@ def test_egroup_refuses_each_degenerate_table_of_order_55440(stage_55440):
         assert err.value.where == ("action", colors[index])
 
 
+def _size_parts_against(monkeypatch, cap):
+    """Check the order bound of every part against cap instead of the
+    closure's own cap, which takes the bound out below cap."""
+    check = groups._check_order_bound
+
+    def at_cap(bound, kind, data, _, *rest, **kwargs):
+        return check(bound, kind, data, cap, *rest, **kwargs)
+
+    monkeypatch.setattr(groups, "_check_order_bound", at_cap)
+
+
 def test_the_closure_cap_with_parts_dropped(stage_55440, monkeypatch):
     # the lcm of the part orders is already 55,440, so the order bound is
     # taken out to reach the closure itself
     colors, parts, _ = stage_55440
     with pytest.raises(ResourceCap, match="^element cap 55439 exceeded: "):
         sym_components(colors, parts, cap=55439)
-    bound = groups._check_order_bound
-    monkeypatch.setattr(groups, "_check_order_bound", lambda parts, cap: bound(parts, 10**6))
+    _size_parts_against(monkeypatch, 10**6)
     with pytest.raises(ResourceCap, match="^element cap 55439 exceeded in closure$"):
         sym_components(colors, parts, cap=55439)
     assert sym_components(colors, parts, cap=55440).order == 55440
@@ -357,8 +367,7 @@ def test_a_deadline_inside_an_intermediate_fold(monkeypatch):
 
 def test_a_cap_inside_an_intermediate_fold(monkeypatch):
     # the order bound is taken out; the fold of point 4 has 6,720 states
-    bound = groups._check_order_bound
-    monkeypatch.setattr(groups, "_check_order_bound", lambda parts, cap: bound(parts, 10**6))
+    _size_parts_against(monkeypatch, 10**6)
     sizes = _fold_sizes(monkeypatch)
     with pytest.raises(ResourceCap, match="^element cap 5000 exceeded in closure$"):
         sym_components(S8_COLORS, [("perms", S8)], cap=5000)

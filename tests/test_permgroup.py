@@ -1,14 +1,19 @@
+import math
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acygroups import groups
 from acygroups.errors import ResourceCap
-from acygroups.groups import sym_components
+from acygroups.groups import OrderBound, sym_components
 from acygroups.permgroup import group_order
 from acygroups.synthesis import SynthesisConfig, construct_n_acyclic
 
-from conftest import hypercube_group
+from conftest import corpus, hypercube_group
+from oracles import reference_order_bound
+from test_closure import _involution
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,3 +134,77 @@ def test_part_just_past_the_cap_reports_its_exact_order(monkeypatch):
         sym_components(["a", "b", "c", "d"], [s5], cap=119)
     assert calls == []
     assert sym_components(["a", "b", "c", "d"], [s5], cap=120).order == 120
+
+
+# the regular tables of the corpus groups, by number of colours
+TABLES = {n: [g.gen_action for g in corpus().values() if len(g.colors) == n] for n in (1, 2, 3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_part_by_part_bound_matches_the_whole_list_bound(data):
+    # a tables part, then one to six involution parts on at most 8 points,
+    # against caps below, at and just past the running lcms of their
+    # orders, and from below to well past that of all of them
+    n_colors = data.draw(st.integers(1, 3))
+    parts = [("tables", data.draw(st.sampled_from(TABLES[n_colors])))]
+    for _ in range(data.draw(st.integers(1, 6))):
+        n = data.draw(st.integers(1, 8))
+        parts.append(("perms", [_involution(data, n) for _ in range(n_colors)]))
+    orders = [len(rows[0]) if kind == "tables" else group_order(rows, len(rows[0]))
+              for kind, rows in parts]
+    lcms = list(accumulate(orders, math.lcm))
+    caps = sorted({max(1, x + d) for x in lcms for d in (-1, 0, 1)})
+    cap = data.draw(st.one_of(st.sampled_from(caps), st.integers(1, 2 * lcms[-1]),
+                              st.integers(lcms[-1], 8 * lcms[-1]), st.just(10**12)))
+    try:
+        want = reference_order_bound(parts, cap)
+    except ResourceCap as exc:
+        want = str(exc)
+    sizing = OrderBound(cap)
+    try:
+        got = [sizing.add(kind, rows) for kind, rows in parts]
+        groups._check_together(parts, got, cap)
+    except ResourceCap as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_schreier_sims_sizes_each_part_of_a_stage_once(monkeypatch):
+    # every corpus tower at N = 2 and the cube_2 tower at N = 12: the stage
+    # graph sizes each component as it keeps it, and sym_components reads
+    # those orders, sizing only the components together when there are two
+    # or more
+    from acygroups import synthesis
+
+    events = []
+    order, stage_graph, closure = groups.group_order, synthesis.stage_graph, synthesis.sym_components
+
+    def counting(*args, **kwargs):
+        events.append("order")
+        return order(*args, **kwargs)
+
+    def keeping(*args, **kwargs):
+        components, inventory = stage_graph(*args, **kwargs)
+        events.append(len(components))
+        return components, inventory
+
+    def closing(*args, **kwargs):
+        events.append("closure")
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "group_order", counting)
+    monkeypatch.setattr(synthesis, "stage_graph", keeping)
+    monkeypatch.setattr(synthesis, "sym_components", closing)
+    towers = [(group, 2) for group in corpus().values()] + [(hypercube_group(["a", "b"]), 12)]
+    sized = 0
+    for group, n in towers:
+        events.clear()
+        construct_n_acyclic(group, SynthesisConfig(n_acyclic=n, early_exit=True))
+        kept = [event for event in events if isinstance(event, int)]
+        expected = []
+        for k in kept:
+            expected += ["order"] * k + [k, "closure"] + ["order"] * (k >= 2)
+        assert events == expected
+        sized += sum(kept)
+    assert sized == 24

@@ -52,10 +52,12 @@ def test_stage_zero_graph_is_cayley_only():
 
 def test_stage_one_chain_inventory():
     h2 = hypercube_group(["a", "b"])
-    comps, inventory = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
+    kept, inventory = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
+    comps = [graph for graph, _, _ in kept]
     # chains over singletons of length <= 2 dedupe to: single a-edge, single
-    # b-edge, and the two-edge alternating path; the Cayley graph is only
-    # counted
+    # b-edge, and the two-edge alternating path, each kept with the order
+    # of its group; the Cayley graph is only counted
+    assert [order for _, _, order in kept] == [2, 2, 6]
     keys = {canonical_form(c) for c in comps}
     assert len(comps) == len(keys)
     shapes = sorted(c.n for c in comps)
@@ -67,7 +69,7 @@ def test_dedupe_soundness():
     # the stage graph keeps one chain per isomorphism type: with the Cayley
     # graph, it generates the group of the Cayley graph with every chain
     h2 = hypercube_group(["a", "b"])
-    comps, _ = stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))
+    comps = [graph for graph, _, _ in stage_graph(h2, 1, config=SynthesisConfig(n_acyclic=4))[0]]
     singletons = [frozenset({0}), frozenset({1})]
     chains = _product_then_filter_chains(h2, singletons, 2, dedupe=False)
     kept = [cayley_graph(h2)] + comps
@@ -397,6 +399,47 @@ def _product_then_filter_chains(group, subsets, max_len, dedupe):
 _ORACLE_CHAIN_LENGTHS = {(1, 1): 5, (2, 1): 5, (2, 2): 4, (3, 1): 5, (3, 2): 3, (3, 3): 2}
 
 
+@pytest.mark.parametrize("hyperedges,n,parts,points,bound", [
+    ([[0, 1], [1, 2], [0, 2]], 5, 17, 56, 1327104),
+    ([[0, 1, 2], [0, 3], [1, 3]], 5, 17, 56, 1327104),
+    ([[0, 1], [1, 2], [0, 2]], 6, 29, 116, 1036800),
+], ids=["triangle-5", "three_edges-5", "triangle-6"])
+def test_components_together_refusals_come_after_the_last_part(monkeypatch, hyperedges, n,
+                                                               parts, points, bound):
+    # the over-template towers refused at stage 1: every component passes
+    # the cap alone, so the whole stage graph is built and sized, and the
+    # group of its components together, sized before the closure, refuses it
+    from acygroups import synthesis
+    from acygroups.covering import Hypergraph, intersection_graph
+
+    kept, closures = [], []
+    stage, combined = synthesis.stage_graph, synthesis._combined_group
+
+    def keeping(*args, **kwargs):
+        components, inventory = stage(*args, **kwargs)
+        kept.append(len(components))
+        return components, inventory
+
+    def combined_group(*args, **kwargs):
+        new = combined(*args, **kwargs)
+        closures.append(new.order)
+        return new
+
+    monkeypatch.setattr(synthesis, "stage_graph", keeping)
+    monkeypatch.setattr(synthesis, "_combined_group", combined_group)
+    vertices = sorted({v for edge in hyperedges for v in edge})
+    template = intersection_graph(Hypergraph(vertices, hyperedges))
+    seed = sym(disjoint_union([template, hypercube(template.colors)]), attach_hypercube=False)
+    with pytest.raises(ResourceCap) as info:
+        construct_n_acyclic(seed, SynthesisConfig(n_acyclic=n, early_exit=True), template)
+    assert str(info.value) == (
+        f"element cap 1000000 exceeded: the group has order at least {bound} "
+        f"({parts} components together: {points} points)"
+    )
+    assert closures == [24] and [r.order for r in info.value.stage_reports] == [24]
+    assert kept == [0, parts]
+
+
 @pytest.mark.parametrize("name", sorted(corpus()))
 def test_chain_enumeration_matches_product_then_filter(small_groups, name):
     from acygroups.acyclicity import all_subsets
@@ -410,7 +453,7 @@ def test_chain_enumeration_matches_product_then_filter(small_groups, name):
         # the smallest two-colour groups also reach three interior positions
         if (n, k) == (2, 2) and group.order <= 6:
             max_len = 5
-        got = _enumerate_chains(group, subsets, max_len)
+        got = list(_enumerate_chains(group, subsets, max_len))
         want = _product_then_filter_chains(group, subsets, max_len, True)
         assert [key for key, _ in got] == [key for key, _ in want], k
         for (_, g1), (_, g2) in zip(got, want):
@@ -437,8 +480,11 @@ def test_cube_tower_offers_amalgam_chain_only_admissible_chains(monkeypatch):
 
 
 def test_cube_3_refusal_offers_amalgam_chain_only_identity_first_points(monkeypatch):
-    # the refused cube_3 tower at N = 4 builds each chain once: 54 chains,
-    # every one with its first and last points at the identity
+    # the refused cube_3 tower at N = 4 builds each chain once, every one
+    # with its first and last points at the identity; the third stage graph
+    # is sized as it is kept and refused at its first 13-point chain, part
+    # 9, so only 24 of the 54 chains the whole stage graph would offer are
+    # built
     from acygroups import synthesis
 
     calls, closures = [], []
@@ -463,7 +509,7 @@ def test_cube_3_refusal_offers_amalgam_chain_only_identity_first_points(monkeypa
         "(part 9: 13 points, order at least 1058400)"
     )
     assert closures == [8, 216]
-    assert len(calls) == 54
+    assert len(calls) == 24
     assert all(items[0][1] == items[-1][1] == 0 for items in calls)
 
 
@@ -588,12 +634,15 @@ def test_stage_timeout_reaches_into_the_template_components(monkeypatch, step, k
 
 
 def test_canonical_component_matches_the_full_codes_on_the_stage_graphs():
-    # in ascending and descending start order
+    # in ascending and descending start order; the stage graphs are sized
+    # as they are kept, and those of biggs_3_1 and s3_three_gen at k = 2, 3
+    # prove orders up to 319,334,400, so the cap is raised past that to
+    # label every component
     compared = 0
+    config = SynthesisConfig(n_acyclic=5, element_cap=10**9)
     for group in corpus().values():
         for k in range(1, len(group.colors) + 1):
-            graphs, _ = stage_graph(group, k, config=SynthesisConfig(n_acyclic=5))
-            for graph in graphs:
+            for graph, _, _ in stage_graph(group, k, config=config)[0]:
                 for members in connected_components(graph):
                     for starts in (members, members[::-1]):
                         assert canonical_component(graph, starts) == \
