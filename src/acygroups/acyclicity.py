@@ -43,8 +43,7 @@ class GammaFilter:
 def all_subsets(n_colors, max_size=None):
     """The subsets of at most max_size colours, by size and then by sorted
     members."""
-    if max_size is None:
-        max_size = n_colors
+    max_size = n_colors if max_size is None else min(max_size, n_colors)
     return [frozenset(a) for size in range(max_size + 1) for a in combinations(range(n_colors), size)]
 
 
@@ -259,10 +258,12 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
     table and in the meet table, once per prefix node, and ``met_by_ids``
     every component its block meets before it returns.
 
-    Lengths 2..n_max are tried in turn,
-    start subsets in the order of ``alphas`` with the anchor points inner;
-    every separation condition determined on the prefix prunes at once, and
-    the closing entry is checked in the loop of the entry before it.
+    Lengths 2..n_max are tried in turn, up to the first that counts no
+    node: the candidate first entries, each a node, are the same at every
+    length, so no longer length has any.  Within a length, start subsets
+    come in the order of ``alphas`` with the anchor points inner; every
+    separation condition determined on the prefix prunes at once, and the
+    closing entry is checked in the loop of the entry before it.
 
     Rotating and left-translating a coset cycle keeps it one, and moves any
     entry to the front at an anchor point, so only cycles whose first subset
@@ -305,6 +306,7 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
     for target in range(2, n_max + 1):
         walk.target = target
         walk.fix.append(())  # positions 0..target
+        before = walk.nodes
         for start in range(len(alphas)):
             if any(images[start] < start for _, images in walk.fix[0]):
                 continue
@@ -313,6 +315,8 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
                 walk.seq = [(start, p_0)]
                 if _extend(walk, 0):
                     return [(alphas[i], p) for i, p in walk.seq]
+        if walk.nodes == before:
+            return None
     return None
 
 

@@ -147,36 +147,13 @@ class EGroup:
         return f"EGroup(order {self.order}, colours {list(self.colors)})"
 
 
-def _check_order_bound(bound, kind, data, cap, what, show_order=True):
-    """(the lcm of bound and the order of one part's group, that order);
-    ResourceCap when that lcm provably passes cap, before any enumeration.
-
-    A tables part acts regularly, so its order is its point count; a perms
-    part is sized by Schreier-Sims, stopped just past cap.  what names the
-    part in the message, which also gives its order unless show_order is
-    false.
-    """
-    n = len(data[0]) if data else 1  # no colours: the trivial group
-    order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
-    # past the limit the search stops early and order is only a lower bound
-    bound = order if order > cap else lcm(bound, order)
-    if bound > cap:
-        known = "at least " if order > cap else ""
-        detail = f", order {known}{order}" if show_order else ""
-        raise ResourceCap(
-            f"element cap {cap} exceeded: the group has order at least {bound} "
-            f"({what}: {n} points{detail})"
-        )
-    return bound, order
-
-
 class OrderBound:
     """The order bound of a group acting diagonally on parts, taken one part
     at a time.
 
     The group maps onto each part's group, so the orders of the parts'
-    groups, and their running lcm, divide its order.  ``orders`` holds the
-    orders of the parts added so far, part 0 first.
+    groups, and their running lcm ``bound``, divide its order.  ``orders``
+    holds the orders of the parts added so far, part 0 first.
     """
 
     __slots__ = ("cap", "bound", "orders")
@@ -186,11 +163,28 @@ class OrderBound:
         self.bound = 1
         self.orders = []
 
-    def add(self, kind, data):
+    def add(self, kind, data, what=None):
         """The order of the next part's group; ResourceCap once the running
-        lcm provably passes the cap."""
-        self.bound, order = _check_order_bound(
-            self.bound, kind, data, self.cap, f"part {len(self.orders)}")
+        lcm provably passes the cap, before any enumeration.
+
+        A tables part acts regularly, so its order is its point count; a
+        perms part is sized by Schreier-Sims, stopped just past the cap.
+        The message names the part by its number and gives its order, or
+        names it by what, without the order.
+        """
+        cap = self.cap
+        n = len(data[0]) if data else 1  # no colours: the trivial group
+        order = n if kind == "tables" or not data else group_order(data, n, limit=cap)
+        # past the limit the search stops early and order is only a lower bound
+        self.bound = order if order > cap else lcm(self.bound, order)
+        if self.bound > cap:
+            known = "at least " if order > cap else ""
+            detail = (f"part {len(self.orders)}: {n} points, order {known}{order}"
+                      if what is None else f"{what}: {n} points")
+            raise ResourceCap(
+                f"element cap {cap} exceeded: the group has order at least {self.bound} "
+                f"({detail})"
+            )
         self.orders.append(order)
         return order
 
@@ -206,8 +200,9 @@ def _check_together(parts, orders, cap):
             tuple(off + x for data, off in zip(perms, offsets) for x in data[c])
             for c in range(len(perms[0]))
         ]
-        _check_order_bound(lcm(*orders), "perms", union, cap,
-                           f"{len(perms)} components together", show_order=False)
+        together = OrderBound(cap)
+        together.bound = lcm(*orders)
+        together.add("perms", union, f"{len(perms)} components together")
 
 
 def _essential_parts(tables):

@@ -72,8 +72,11 @@ def _chain_pointings(group, subsets, max_len):
 
     Interior position i admits the g in G[alpha_i] outside
     G[alpha_{i-1} & alpha_i] * G[alpha_i & alpha_{i+1}], which depends on
-    that subset triple alone; a prefix is dropped as soon as one of its
-    interior positions admits none.  The last point is the identity.
+    that subset triple alone.  So a chain's prefix is a chain, and the
+    chains of each length are those one shorter, each extended by every
+    subset whose new interior position admits a point: the walk holds one
+    length at a time and ends at the first length with no chain.  The last
+    point is the identity.
 
     So is the first point g_0.  Only glue 0, (0, g_0*h) ~ (1, h), reads it:
     the interior checks and the quotient do not.  On copy 0, x -> g_0^-1*x
@@ -94,26 +97,20 @@ def _chain_pointings(group, subsets, max_len):
             admissible[key] = points
         return points
 
+    level = [((a,), ()) for a in subsets]
     for length in range(1, max_len + 1):
-        yield from _extend_chain(subsets, interior, [], [], length)
-
-
-def _extend_chain(subsets, interior, alphas, points, length):
-    """The admissible chains of the given length that start with alphas."""
-    if len(alphas) == length:
-        yield alphas, points + [(0,)]
-        return
-    for a in subsets:
-        if len(alphas) >= 2:
-            here = interior(alphas[-2], alphas[-1], a)
-            if not here:
-                continue
-            grown = points + [here]
-        elif alphas:
-            grown = [(0,)]
-        else:
+        if length > 1:
             grown = []
-        yield from _extend_chain(subsets, interior, alphas + [a], grown, length)
+            for alphas, points in level:
+                for a in subsets:
+                    here = interior(alphas[-2], alphas[-1], a) if length > 2 else (0,)
+                    if here:
+                        grown.append((alphas + (a,), points + (here,)))
+            level = grown
+        if not level:
+            return
+        for alphas, points in level:
+            yield alphas, points + ((0,),)
 
 
 def _enumerate_chains(group, subsets, max_len, deadline=None):

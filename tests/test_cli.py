@@ -16,7 +16,7 @@ from acygroups.groupoid import (
     hat_translation,
     pattern_igraph,
 )
-from acygroups.groups import sym
+from acygroups.groups import DEFAULT_ELEMENT_CAP, sym
 
 from conftest import biggs_group, hypercube_group, named_hypergraph, trivial_constraint_graph
 from test_serialize import _paths
@@ -325,7 +325,9 @@ def test_cap_below_one_is_invalid_input(tmp_path, capsys):
             assert code == 3 and out == "", (argv[0], cap)
 
 
-def _cli_subprocess(env_cap, *argv):
+def _cli_subprocess(env_cap, *argv, timeout=None):
+    """The CLI run in a fresh process; subprocess.TimeoutExpired once it has
+    run for timeout seconds."""
     import os
     import subprocess
     import sys
@@ -336,7 +338,7 @@ def _cli_subprocess(env_cap, *argv):
     env = {**os.environ, "ACYGROUPS_ELEMENT_CAP": env_cap, "PYTHONPATH": src}
     code = "import sys; from acygroups.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_construct_cap_follows_environment(tmp_path):
@@ -370,6 +372,65 @@ def test_an_element_cap_that_is_not_a_positive_integer_is_invalid_input(tmp_path
         assert done.returncode == 3 and done.stdout == "", (env_cap, argv, done.stderr)
         assert done.stderr == ("invalid input: ACYGROUPS_ELEMENT_CAP must be a positive "
                                f"integer, got {env_cap!r}\n"), argv
+
+
+HUGE_N = str(99_999_999_999)
+
+
+def _ends(*argv):
+    """The CLI at the default cap, in a fresh process that must end within
+    20 seconds, so that a walk over every length up to -N or --gamma fails
+    here instead of running without end."""
+    return _cli_subprocess(str(DEFAULT_ELEMENT_CAP), *argv, timeout=20)
+
+
+def test_chain_walk_ends_where_the_order_bound_refuses(tmp_path):
+    # before, the stage graph walked every chain length up to N - 2, and
+    # these ran without end; now the chains reach the part that passes
+    # the cap, as they do at a moderate N
+    g12 = write(tmp_path, "g12.json", ser.egroup_to_json(sym(biggs_tree(["a", "b"], 1))))
+    ig = intersection_graph(Hypergraph([0, 1, 2], [[0, 1], [1, 2], [0, 2]]))
+    triangle = write(tmp_path, "tri.json", ser.egroup_to_json(sym(ig)))
+    template = write(tmp_path, "ig.json", ser.egraph_to_json(ig))
+    out = str(tmp_path / "o.json")
+    refusals = []
+    for argv, moderate in ((("construct", g12), "2000"),
+                           (("construct", triangle, "--over", template), "20")):
+        last = []
+        for n in (moderate, HUGE_N):
+            done = _ends(*argv, "-N", n, "--early-exit", "-o", out)
+            assert done.returncode == 2, (argv, n, done.stderr)
+            last.append(done.stderr.splitlines()[-1])
+        assert last[0] == last[1], argv
+        refusals.append(last[1])
+    assert refusals[0].endswith("order at least 1441440 (part 22: 16 points, order 32)")
+    assert refusals[1].endswith("order at least 1088640 (part 407: 10 points, "
+                                "order at least 1088640)")
+
+
+def test_search_ends_at_the_first_length_without_a_node(tmp_path):
+    # before, each of these tried every cycle length up to N, and ran
+    # without end; a length with no node leaves every longer one without
+    g2 = write(tmp_path, "g2.json", ser.egroup_to_json(hypercube_group(["a"])))
+    g12 = write(tmp_path, "g12.json", ser.egroup_to_json(sym(biggs_tree(["a", "b"], 1))))
+    out = str(tmp_path / "o.json")
+    for argv in (("construct", g2, "-N", HUGE_N, "--early-exit"),
+                 ("check-acyclic", g2, "-N", HUGE_N),
+                 ("check-acyclic", g12, "-N", HUGE_N, "--gamma", "1")):
+        done = _ends(*argv, "-o", out)
+        assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_gamma_past_the_colour_count_takes_every_subset(tmp_path):
+    # before, all_subsets looped over every size up to gamma - 1
+    g12 = write(tmp_path, "g12.json", ser.egroup_to_json(sym(biggs_tree(["a", "b"], 1))))
+    outs = []
+    for gamma in ("3", HUGE_N):
+        out = tmp_path / f"gamma{len(outs)}.json"
+        done = _ends("check-acyclic", g12, "-N", "4", "--gamma", gamma, "-o", str(out))
+        assert done.returncode == 0, (gamma, done.stderr)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_verify_witness_element_out_of_range_is_invalid_input(tmp_path, capsys):

@@ -306,13 +306,15 @@ def test_egroup_refuses_each_degenerate_table_of_order_55440(stage_55440):
 
 def _size_parts_against(monkeypatch, cap):
     """Check the order bound of every part against cap instead of the
-    closure's own cap, which takes the bound out below cap."""
-    check = groups._check_order_bound
+    closure's own cap, which takes the bound out below cap: every
+    OrderBound, the one of the parts and the one of the components
+    together, reads cap in add."""
+    init = groups.OrderBound.__init__
 
-    def at_cap(bound, kind, data, _, *rest, **kwargs):
-        return check(bound, kind, data, cap, *rest, **kwargs)
+    def at_cap(self, _):
+        init(self, cap)
 
-    monkeypatch.setattr(groups, "_check_order_bound", at_cap)
+    monkeypatch.setattr(groups.OrderBound, "__init__", at_cap)
 
 
 def test_the_closure_cap_with_parts_dropped(stage_55440, monkeypatch):

@@ -184,7 +184,7 @@ def test_each_refusal_is_raised_in_one_place():
                 if "exceeded: the group has order at least" in ast.unparse(node):
                     sites["order bound"].append(where)
     assert sites == {"transitivity": ["amalgam.one_step_classes"],
-                     "order bound": ["groups._check_order_bound"]}
+                     "order bound": ["groups.OrderBound.add"]}
 
 
 def test_constructors_locate_their_refusals_and_one_helper_points_at_them():
