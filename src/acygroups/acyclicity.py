@@ -288,14 +288,20 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
     When no symmetry fixes the prefix, the next subsets are those from the
     start on, and their components of p_0 are one set per (start, p_0).
     When no candidate lies in it, none can close: the level adds its nodes
-    at once and builds no ``met_by_ids`` set.  The candidates, and so the
-    level's node count and that verdict, depend only on the start, p_0,
-    p's component in the table of its subset and, past the first entry,
-    p's component in the meet table with the entry before, so each such
-    configuration is decided once per walk.  A level is added at once only
-    when no budget check, symmetry search or clock read falls within its
-    nodes, so the node counts, the errors, the clock reads and the first
-    cycle are those of the walk one by one.
+    at once and builds no ``met_by_ids`` set.  A level's candidates are p's
+    component in the table of its subset less, past the first entry, p's
+    component in the meet table with the entry before; separation at the
+    level reads that meet component alone, and each child's configuration
+    is fixed by its entry.  So the node count of a level's whole subtree
+    depends only on the entries left to add, the start, p_0 and those two
+    components, as long as no closing level under it has a candidate in
+    the anchor set and no symmetry fixes any of its prefixes.  Each such
+    configuration is decided once per walk, at every depth.  A level
+    decided before adds its nodes at once when they stay within the budget
+    and below the node count at which the symmetries are found, reading
+    the clock at each multiple of 4096 it passes, so the node counts, the
+    errors, the clock reads and the first cycle are those of the walk one
+    by one.
 
     Returns that cycle as a list of (alpha, point) pairs, or None.  Every
     candidate entry counts as one node; more than ``budget`` nodes raise
@@ -323,17 +329,19 @@ def search_coset_cycle(alphas, anchors, n_max, table, budget=None, deadline=None
 class _Walk:
     """State of one search: subsets are indices into ``alphas``, their tables
     fetched once, the tables of meets alphas[i] & alphas[j] memoised as
-    first needed, and so are the closing decisions (``closings``) and the
-    anchor sets they read (``reach``).  fix[m] holds the symmetries that
-    fix the first m entries, empty until they are found.  The walk itself
-    is the module-level ``_extend``, so no function refers to itself and
-    nothing here outlives the search in a reference cycle.  fix grows by one
-    position per target length, so a bound far past the cycles found costs
-    nothing."""
+    first needed, and so are the node counts of the levels decided
+    (``decided``) and the anchor sets they read (``reach``).  ``unsafe``
+    counts the closing levels that read -1 and the finding of the
+    symmetries, so a level that sees it move stores nothing.  fix[m] holds
+    the symmetries that fix the first m entries, empty until they are
+    found.  The walk itself is the module-level ``_extend``, so no function
+    refers to itself and nothing here outlives the search in a reference
+    cycle.  fix grows by one position per target length, so a bound far
+    past the cycles found costs nothing."""
 
     __slots__ = ("alphas", "anchors", "table", "tables", "meets", "budget", "deadline",
                  "after", "find", "limit", "fix", "nodes", "target", "nexts", "seq", "reaches",
-                 "closings")
+                 "decided", "unsafe")
 
     def __init__(self, alphas, anchors, table, budget, deadline, symmetries):
         self.alphas = alphas
@@ -349,7 +357,8 @@ class _Walk:
         self.fix = [(), ()]
         self.nodes = 0
         self.reaches = {}
-        self.closings = {}
+        self.decided = {}
+        self.unsafe = 0
 
     def fetch(self, alpha):
         """table(alpha), with the component of every anchor walked."""
@@ -382,6 +391,7 @@ class _Walk:
             raise ResourceCap(f"coset-cycle search budget {self.budget} exceeded")
         found = nodes >= self.after
         if found:
+            self.unsafe += 1
             self.after, self.limit = math.inf, self.budget
             self.fix[0] = tuple(self.find())
             for m, entry in enumerate(self.seq):
@@ -389,6 +399,14 @@ class _Walk:
         if (found or not nodes & 4095) and self.deadline is not None \
                 and time.monotonic() > self.deadline:
             raise ResourceCap(f"coset-cycle search timed out after {nodes} nodes")
+
+    def add(self, count):
+        """Count a decided level's nodes at once, up to count <= limit,
+        ticking at each multiple of 4096 passed as the walk one by one
+        would."""
+        for b in range((self.nodes | 4095) + 1, count + 1, 4096):
+            self.tick(b)
+        self.nodes = count
 
 
 def _fixing(syms, entry):
@@ -427,19 +445,25 @@ def _extend(w, m):
     :func:`met_by_ids` once per prefix node and j, on first use.
     Candidates that a symmetry fixing the prefix maps to earlier ones are
     left out before they are counted.
-    A closing level that cannot close is counted in bulk, as
-    :func:`search_coset_cycle` describes: ``w.closings`` keeps its node
-    count, its candidates times the next subsets, or -1 when a candidate
-    lies in the start's anchor set (``w.reach``), keyed by the start, p_0,
-    i_m with the least point of p's component and, past entry 0, i_{m-1}
-    with p's id in the meet table.  The candidates are that component less
-    p's component in the meet table, taken as sets, since a meet table need
-    not refine the table of i_m."""
+
+    A level that no symmetry fixes is decided once per walk, as
+    :func:`search_coset_cycle` describes.  ``w.decided`` is keyed by the
+    entries left to add, the start, p_0, i_m with the least point of p's
+    component and, past entry 0, i_{m-1} with p's id in the meet table.
+    A closing level's value is its candidates times the next subsets, or
+    -1 when a candidate lies in the start's anchor set (``w.reach``); the
+    candidates are p's component less its component in the meet table,
+    taken as sets, since a meet table need not refine the table of i_m.
+    A level walked one by one stores the nodes it spent once it returns
+    with ``w.unsafe`` unchanged: no closing level under it read -1 and no
+    symmetries were found during it (a closing level stores the value it
+    holds already)."""
     seq = w.seq
     i_0, p_0 = seq[0]
     i_m, p = seq[m]
     tables, row, meet, budget, nexts = w.tables, w.meets[i_m], w.meet, w.limit, w.nexts
-    closing = m == w.target - 2
+    left = w.target - 1 - m
+    closing = left == 1
     fix = w.fix[m]
     if fix:
         fix = _fixing(fix, seq[m])
@@ -450,19 +474,22 @@ def _extend(w, m):
         mid_ids = mid.ids
         p_mid = mid_ids[p]
     block = tables[i_m].block(p)
-    nodes = w.nodes
-    if closing and not fix:
-        key = (i_0, p_0, i_m, block[0], seq[m - 1][0], p_mid) if m else (i_0, p_0)
-        size = w.closings.get(key)
-        if size is None:
+    nodes = before = w.nodes
+    unsafe = w.unsafe
+    if not fix:
+        key = (left, i_0, p_0, i_m, block[0], seq[m - 1][0], p_mid) if m else (left, i_0, p_0)
+        size = w.decided.get(key)
+        if size is None and closing:
             qs = set(block)
             qs.difference_update(mid_block if m else (p,))
-            size = w.closings[key] = \
+            size = w.decided[key] = \
                 len(qs) * len(nexts) if w.reach(i_0, p_0).isdisjoint(qs) else -1
-        count = nodes + size
-        if size >= 0 and count <= budget and count >> 12 == nodes >> 12:
-            w.nodes = count
-            return False
+        if size is not None:
+            if size < 0:
+                w.unsafe += 1
+            elif nodes + size <= budget:
+                w.add(nodes + size)
+                return False
     mids, closes, opens = [None] * len(row), [None] * len(row), [None] * len(row)
     for q in block:
         if q == p:
@@ -509,6 +536,8 @@ def _extend(w, m):
             nodes = w.nodes
             seq.pop()
     w.nodes = nodes
+    if not fix and w.unsafe == unsafe:
+        w.decided[key] = nodes - before
     return False
 
 

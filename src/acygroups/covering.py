@@ -91,6 +91,8 @@ def graph_cover(base_edges, group):
     Cayley graph, v0 the smallest base vertex, projected on the first
     coordinate.
     """
+    if not base_edges:
+        raise PreconditionFailed("base graph must have at least one edge")
     template = graph_template(base_edges)
     if tuple(template.colors) != group.colors:
         raise CompatibilityRequired("group must use one generator per base edge")

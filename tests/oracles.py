@@ -15,6 +15,10 @@ and return the witness with the node count, which the library must match.
 branches a colour symmetry maps to earlier ones: the library kernel, given
 no symmetries.  Its node counts are the pairwise kernel's, and the pruned
 search must find its witness in no more nodes.
+``one_by_one_extend`` is the kernel's level walk without its memo:
+patched in for ``acyclicity._extend``, it counts and ticks every candidate
+as it meets it and tests separation on blocks, so the library must match
+its witness, node count, budget errors and clock reads.
 
 ``reference_hypergraph_cover`` and ``reference_class_oracle_agrees`` are the
 cover construction on tuple-keyed triples and the class check that compared
@@ -482,6 +486,39 @@ def _pairwise_extend(w, m):
             seq.append((j, q))
             if _pairwise_extend(w, m + 1):
                 return True
+            seq.pop()
+    return False
+
+
+def one_by_one_extend(w, m):
+    """acyclicity._extend without its memo: the walk state, the symmetry
+    pruning and the node counting are the kernel's, and every separation is
+    a disjointness of two blocks."""
+    seq = w.seq
+    i_0, p_0 = seq[0]
+    i_m, p = seq[m]
+    fix = w.fix[m + 1] = acyclicity._fixing(w.fix[m], seq[m])
+    if m:
+        mid_block = set(w.meet(i_m, seq[m - 1][0]).block(p))
+    for q in w.tables[i_m].block(p):
+        if q == p or m and q in mid_block:
+            continue
+        for j in acyclicity._unmoved(fix, q, w.nexts):
+            w.nodes += 1
+            if not w.nodes & 4095 or w.nodes > w.limit:
+                w.tick(w.nodes)
+            if m and not mid_block.isdisjoint(w.meet(i_m, j).block(q)):
+                continue
+            seq.append((j, q))
+            if m < w.target - 2:
+                if one_by_one_extend(w, m + 1):
+                    return True
+            else:
+                anchor = set(w.meet(i_0, j).block(p_0))
+                t_j = w.tables[j]
+                if (t_j.find(q) == t_j.find(p_0) and anchor.isdisjoint(w.meet(i_m, j).block(q))
+                        and (not m or anchor.isdisjoint(w.meet(i_0, seq[1][0]).block(seq[1][1])))):
+                    return True
             seq.pop()
     return False
 

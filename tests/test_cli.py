@@ -16,7 +16,7 @@ from acygroups.groupoid import (
     hat_translation,
     pattern_igraph,
 )
-from acygroups.groups import DEFAULT_ELEMENT_CAP, sym
+from acygroups.groups import DEFAULT_ELEMENT_CAP, EGroup, sym
 
 from conftest import biggs_group, hypercube_group, named_hypergraph, trivial_constraint_graph
 from test_serialize import _paths
@@ -211,6 +211,15 @@ def test_cover_graph_command(tmp_path, capsys):
     code, out = run(capsys, "cover-graph", graph, group)
     assert code == 0
     assert json.loads(out)["kind"] == "graph"
+
+
+def test_cover_graph_of_an_edgeless_base_is_refused(tmp_path, capsys):
+    graph = write(tmp_path, "empty.json", ser.graph_to_json([]))
+    group = write(tmp_path, "group.json", ser.egroup_to_json(EGroup([], [], 1)))
+    code = main(["cover-graph", graph, group])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "invalid input: base graph must have at least one edge\n"
 
 
 def test_verify_cover_finds_a_cycle_off_vertex_zero(tmp_path, capsys):

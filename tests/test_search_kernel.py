@@ -2,6 +2,7 @@
 deadline, and the 5-acyclicity of the order-2592 group."""
 
 import types
+from collections import Counter
 
 import pytest
 
@@ -126,9 +127,9 @@ def test_order_2592_pruned_search_node_count_pinned(group_2592, n, nodes):
 
 
 def test_order_2592_search_met_calls_pinned(monkeypatch, group_2592):
-    # 182,420 of the 199,721 nodes are counted in bulk, at closing levels
-    # where no candidate lies in the anchor's component, with no met call
-    # (23,393 calls when every candidate was walked)
+    # the levels decided once and then counted at once build no met set:
+    # 1,315 calls (2,049 when only closing levels were decided, and 23,393
+    # when every candidate was walked)
     calls, met_by_ids = [], acyclicity.met_by_ids
 
     def met(block, tb):
@@ -137,30 +138,37 @@ def test_order_2592_search_met_calls_pinned(monkeypatch, group_2592):
 
     monkeypatch.setattr(acyclicity, "met_by_ids", met)
     assert find_coset_cycle(group_2592, 5) is None
-    assert len(calls) == 2_049
+    assert len(calls) == 1_315
 
 
-def test_order_2592_search_decides_each_closing_configuration_once(monkeypatch, group_2592):
-    # 6,817 closing levels with no symmetry fixing their prefix reach the
-    # bulk test at N = 5; they meet 1,641 distinct configurations, each
-    # decided once
-    made, levels, extend = [], [], acyclicity._extend
+def test_order_2592_search_decides_each_configuration_once(monkeypatch, group_2592):
+    # at N = 5, the levels with no symmetry fixing their prefix, by the
+    # entries left to add (1 at a closing level), meet fewer distinct
+    # configurations, each stored once; the rest are counted at once
+    made, levels, stored, extend = [], Counter(), Counter(), acyclicity._extend
+
+    class Stores(dict):
+        def __setitem__(self, key, value):
+            stored[key] += 1
+            super().__setitem__(key, value)
 
     class Recorded(acyclicity._Walk):
         def __init__(self, *args):
             super().__init__(*args)
+            self.decided = Stores()
             made.append(self)
 
     def counted(w, m):
-        if m == w.target - 2 and not acyclicity._fixing(w.fix[m], w.seq[m]):
-            levels.append(m)
+        if not acyclicity._fixing(w.fix[m], w.seq[m]):
+            levels[w.target - 1 - m] += 1
         return extend(w, m)
 
     monkeypatch.setattr(acyclicity, "_Walk", Recorded)
     monkeypatch.setattr(acyclicity, "_extend", counted)
     assert find_coset_cycle(group_2592, 5) is None
-    assert len(levels) == 6_817
-    assert len(made[0].closings) == 1_641
+    assert levels == {1: 3_437, 2: 355, 3: 28, 4: 2}
+    assert Counter(key[0] for key in made[0].decided) == {1: 1_641, 2: 152, 3: 10, 4: 1}
+    assert set(stored.values()) == {1}
 
 
 def _clock(now):

@@ -168,10 +168,14 @@ def test_only_the_word_forests_walk_bfs_parents():
 
 
 def test_each_refusal_is_raised_in_one_place():
-    # the transitivity check of every quotient and the order bound of every
-    # stage group are each written once, so a fix or a message change is
-    # made once
-    sites = {"transitivity": [], "order bound": []}
+    # the transitivity check of every quotient, the order bound of every
+    # stage group and the budget and deadline of the coset-cycle search are
+    # each written once, so a fix or a message change is made once, and a
+    # level the search counts at once raises through the same tick
+    messages = {"order bound": "exceeded: the group has order at least",
+                "search budget": "coset-cycle search budget",
+                "search deadline": "coset-cycle search timed out"}
+    sites = {"transitivity": [], **{kind: [] for kind in messages}}
     for name, tree in _modules():
         for qualified, func in _functions(tree):
             for node in ast.walk(func):
@@ -181,10 +185,13 @@ def test_each_refusal_is_raised_in_one_place():
                 exc = node.exc
                 if isinstance(exc, ast.Call) and _called_name(exc) == "TransitivityViolation":
                     sites["transitivity"].append(where)
-                if "exceeded: the group has order at least" in ast.unparse(node):
-                    sites["order bound"].append(where)
+                for kind, message in messages.items():
+                    if message in ast.unparse(node):
+                        sites[kind].append(where)
     assert sites == {"transitivity": ["amalgam.one_step_classes"],
-                     "order bound": ["groups.OrderBound.add"]}
+                     "order bound": ["groups.OrderBound.add"],
+                     "search budget": ["acyclicity._Walk.tick"],
+                     "search deadline": ["acyclicity._Walk.tick"]}
 
 
 def test_constructors_locate_their_refusals_and_one_helper_points_at_them():
